@@ -120,8 +120,9 @@ let cases_of pool mk =
       List.map
         (fun args ->
           Refine.case
-            ~label:(Printf.sprintf "%s %s" label
-                      (String.concat "," (List.map Value.to_string args)))
+            ~label:(fun () ->
+              Printf.sprintf "%s %s" label
+                (String.concat "," (List.map Value.to_string args)))
             d args)
         (mk d))
     pool.states
@@ -197,9 +198,10 @@ let method_cases pool mk_args =
               let self_path = Mir.Path.global "self_obj" in
               let mem = Mir.Mem.define (Mir.Path.Global "self_obj") self_value Mir.Mem.empty in
               Refine.case
-                ~label:(Printf.sprintf "%s self=%s (%s)" label
-                          (Value.to_string self_value)
-                          (String.concat "," (List.map Value.to_string rest)))
+                ~label:(fun () ->
+                  Printf.sprintf "%s self=%s (%s)" label
+                    (Value.to_string self_value)
+                    (String.concat "," (List.map Value.to_string rest)))
                 ~spec_args:(self_value :: rest) ~mem d
                 (Value.ptr_path self_path :: rest))
             (mk_args d))
@@ -337,9 +339,9 @@ type ctx = {
   ctx_pool : pool;
   (* per-function check memo: generated cases are deterministic given
      (seed, layout), so each function's check is built once per ctx
-     instead of once per obligation run.  Pre-filled at ctx build (from
-     a single domain) and mutex-guarded for any stragglers, so worker
-     domains only ever read it. *)
+     instead of once per obligation run.  Built on first use, by
+     whichever domain runs the function first, under [ctx_mu]; a run
+     whose obligations all hit the proof cache builds none. *)
   ctx_checks : (string, (string * Absdata.t Refine.check) option) Hashtbl.t;
   (* per-layer override-composed compiled environments: every spec-owned
      function of the layer is linked as a {!Spec} override, so same-layer
@@ -527,26 +529,15 @@ let ctx ?(seed = 2024) layout =
      caches, so a ctx built up front is safe to share across domains *)
   let pool = make_pool ~seed layout in
   ignore (Layers.stack layout);
-  let ctx =
-    { ctx_layout = layout; ctx_pool = pool;
-      ctx_checks = Hashtbl.create 64;
-      ctx_cenvs = Hashtbl.create 16;
-      ctx_contracts = Hashtbl.create 8;
-      ctx_alias =
-        lazy
-          (Analysis.Alias.analyze ~prim:prim_summary
-             (Layers.compiled layout).Rustlite.Pipeline.program);
-      ctx_mu = Mutex.create () }
-  in
-  List.iter
-    (fun lname ->
-      List.iter
-        (fun fn -> ignore (check_function ctx fn))
-        (Layers.functions_of_layer layout lname);
-      if Layers.functions_of_layer layout lname <> [] then
-        ignore (composed_for ctx lname))
-    Mem_spec.layer_names;
-  ctx
+  { ctx_layout = layout; ctx_pool = pool;
+    ctx_checks = Hashtbl.create 64;
+    ctx_cenvs = Hashtbl.create 16;
+    ctx_contracts = Hashtbl.create 8;
+    ctx_alias =
+      lazy
+        (Analysis.Alias.analyze ~prim:prim_summary
+           (Layers.compiled layout).Rustlite.Pipeline.program);
+    ctx_mu = Mutex.create () }
 
 let run_function ctx fn =
   Option.map

@@ -14,9 +14,10 @@ type ctx
     check memo — case generation is deterministic given (seed, layout),
     so each function's check is built exactly once per ctx instead of
     once per obligation run.  Build one ctx up front and reuse it
-    across per-function runs — including runs on other domains: the
-    memo is pre-filled at ctx build from a single domain and
-    mutex-guarded after that. *)
+    across per-function runs — including runs on other domains.
+    Building a ctx generates no cases: each function's check and each
+    layer's composed environment are built on first use, by whichever
+    domain asks first, under the ctx's mutex. *)
 
 val ctx : ?seed:int -> Hyperenclave.Layout.t -> ctx
 

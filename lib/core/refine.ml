@@ -1,5 +1,5 @@
 type 'abs case = {
-  label : string;
+  label : unit -> string;
   abs : 'abs;
   args : 'abs Mir.Value.t list;
   spec_args : 'abs Mir.Value.t list option;
@@ -11,11 +11,12 @@ let case ?label ?spec_args ?(mem = Mir.Mem.empty) abs args =
     match label with
     | Some l -> l
     | None ->
-        Format.asprintf "(%a)"
-          (Format.pp_print_list
-             ~pp_sep:(fun f () -> Format.fprintf f ", ")
-             Mir.Value.pp)
-          args
+        fun () ->
+          Format.asprintf "(%a)"
+            (Format.pp_print_list
+               ~pp_sep:(fun f () -> Format.fprintf f ", ")
+               Mir.Value.pp)
+            args
   in
   { label; abs; args; spec_args; mem }
 
@@ -39,7 +40,8 @@ let check ?(fuel = 1_000_000) ~fn ~spec ~eq cases = { fn; spec; cases; eq; fuel 
 (* One case battery, parameterized over the executor.  The fold is the
    checker's unit of progress, so each case starts with a cooperative
    {!Cancel.poll} — the boundary where a supervising harness can cancel
-   an obligation that has outrun its deadline. *)
+   an obligation that has outrun its deadline.  A case's label is
+   rendered only when the case fails. *)
 let run_battery ~call c =
   List.fold_left
     (fun report cs ->
@@ -52,19 +54,19 @@ let run_battery ~call c =
       | Ok (abs_spec, ret_spec) -> (
           match call ~abs:cs.abs ~mem:cs.mem c.fn cs.args with
           | Error e ->
-              Report.add_failure report ~case:cs.label
+              Report.add_failure report ~case:(cs.label ())
                 ~reason:
                   (Printf.sprintf "code faulted where spec is defined: %s"
                      (Mir.Interp.error_to_string e))
           | Ok outcome ->
               if not (c.eq.ret_eq outcome.Mir.Interp.ret ret_spec) then
-                Report.add_failure report ~case:cs.label
+                Report.add_failure report ~case:(cs.label ())
                   ~reason:
                     (Printf.sprintf "return mismatch: code %s, spec %s"
                        (Mir.Value.to_string outcome.Mir.Interp.ret)
                        (Mir.Value.to_string ret_spec))
               else if not (c.eq.abs_eq outcome.Mir.Interp.abs abs_spec) then
-                Report.add_failure report ~case:cs.label
+                Report.add_failure report ~case:(cs.label ())
                   ~reason:"abstract-state effect differs from specification"
               else Report.add_pass report))
     (Report.empty (Printf.sprintf "refine %s" c.fn))

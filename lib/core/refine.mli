@@ -13,7 +13,9 @@
     diverges, or disagrees is a failure. *)
 
 type 'abs case = {
-  label : string;
+  label : unit -> string;
+      (** renders the case for a failure report; called only when the
+          case fails, so it must read immutable inputs only *)
   abs : 'abs;
   args : 'abs Mir.Value.t list;  (** arguments the code is called with *)
   spec_args : 'abs Mir.Value.t list option;
@@ -24,8 +26,9 @@ type 'abs case = {
 }
 
 val case :
-  ?label:string -> ?spec_args:'abs Mir.Value.t list -> ?mem:'abs Mir.Mem.t ->
+  ?label:(unit -> string) -> ?spec_args:'abs Mir.Value.t list -> ?mem:'abs Mir.Mem.t ->
   'abs -> 'abs Mir.Value.t list -> 'abs case
+(** The default label prints the arguments. *)
 
 type 'abs equiv = {
   abs_eq : 'abs -> 'abs -> bool;

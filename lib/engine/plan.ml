@@ -92,13 +92,8 @@ let analysis_obligations ?(lints = Analysis.Lint.all) layout =
              bodies: the lints read exactly one function's MIRlight, so
              the cache entry survives anything that doesn't change it *)
           let fingerprint =
-            let mir =
-              match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
-              | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-              | None -> "missing"
-            in
             Printf.sprintf "%s;lints=%s;layer=%s;fn=%s;mir=%s" analysis_version
-              lint_tags lname fn mir
+              lint_tags lname fn (Layers.body_digest layout fn)
           in
           Obligation.v ~id ~phase:"analysis" ~deps:[] ~fingerprint (fun () ->
               match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
@@ -140,14 +135,8 @@ let borrow_obligations ?(lints = Analysis.Lint.catalogue) layout =
                loans of one body never see another, so the fingerprint
                is the function's own MIRlight digest and nothing else *)
             let fingerprint =
-              let mir =
-                match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
-                | Some body ->
-                    Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-                | None -> "missing"
-              in
               Printf.sprintf "%s;lints=%s;layer=%s;fn=%s;mir=%s" borrow_version
-                lint_tags lname fn mir
+                lint_tags lname fn (Layers.body_digest layout fn)
             in
             Obligation.v ~id ~phase:"borrow" ~deps:[] ~fingerprint (fun () ->
                 match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
@@ -200,16 +189,10 @@ let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
   in
   if domains = [] then []
   else begin
-    let out = Layers.compiled layout in
-    let program = out.Rustlite.Pipeline.program in
+    let program = (Layers.compiled layout).Rustlite.Pipeline.program in
     let cg = Analysis.Callgraph.build program in
     let sccs = Array.of_list (Analysis.Callgraph.sccs cg) in
     let scc_name members = String.concat "+" members in
-    let digest_of fn =
-      match Mir.Syntax.find_body program fn with
-      | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-      | None -> "missing"
-    in
     List.concat_map
       (fun domain ->
         List.map
@@ -226,7 +209,7 @@ let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
             let mir =
               String.concat ","
                 (List.map
-                   (fun fn -> fn ^ "=" ^ digest_of fn)
+                   (fun fn -> fn ^ "=" ^ Layers.body_digest layout fn)
                    (Analysis.Callgraph.reachable cg members))
             in
             (* the taint verdict additionally depends on the layout (the
@@ -267,16 +250,10 @@ let alias_id scc = Printf.sprintf "alias/points-to/%s" scc
 let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
   if not (List.mem Analysis.Lint.Alias_footprint lints) then []
   else begin
-    let out = Layers.compiled layout in
-    let program = out.Rustlite.Pipeline.program in
+    let program = (Layers.compiled layout).Rustlite.Pipeline.program in
     let cg = Analysis.Callgraph.build program in
     let sccs = Array.of_list (Analysis.Callgraph.sccs cg) in
     let scc_name members = String.concat "+" members in
-    let digest_of fn =
-      match Mir.Syntax.find_body program fn with
-      | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-      | None -> "missing"
-    in
     let cfg =
       {
         Analysis.Alias_lint.program;
@@ -299,7 +276,7 @@ let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
         let mir =
           String.concat ","
             (List.map
-               (fun fn -> fn ^ "=" ^ digest_of fn)
+               (fun fn -> fn ^ "=" ^ Layers.body_digest layout fn)
                (Analysis.Callgraph.reachable cg members))
         in
         (* the discharge side consults the layer map and interval
@@ -400,13 +377,7 @@ let monolithic_code_proof_obligations ?(seed = 2024) layout =
    choice is invisible to reports, stdout, and the cache. *)
 let composed_code_proof_obligations ?(seed = 2024) layout =
   let ctx = Check.Code_proof.ctx ~seed layout in
-  let program = (Layers.compiled layout).Rustlite.Pipeline.program in
   let base_fp = Printf.sprintf "%s;seed=%d" (layout_fp layout) seed in
-  let digest_of fn =
-    match Mir.Syntax.find_body program fn with
-    | Some body -> Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))
-    | None -> "missing"
-  in
   let proven : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let proven_mu = Mutex.create () in
   let mark fn (o : Obligation.outcome) =
@@ -437,12 +408,12 @@ let composed_code_proof_obligations ?(seed = 2024) layout =
                 let uses =
                   String.concat ","
                     (List.map
-                       (fun g -> g ^ "=" ^ digest_of g)
+                       (fun g -> g ^ "=" ^ Layers.body_digest layout g)
                        (List.sort String.compare callees))
                 in
                 let fingerprint =
                   Printf.sprintf "%s;%s;fn=%s;own=%s;uses=%s" code_proof_version
-                    base_fp fn (digest_of fn) uses
+                    base_fp fn (Layers.body_digest layout fn) uses
                 in
                 let deps =
                   List.filter_map
@@ -923,9 +894,9 @@ let build_memo ?(quick = false) ?(security = true)
   match cached with
   | Some plan -> (plan, true, 0.0)
   | None ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       let plan = build ~quick ~security ~lints ?model_check ~overrides ~seed layout in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Clock.now () -. t0 in
       Mutex.lock memo_mu;
       if not (Hashtbl.mem memo key) then begin
         Hashtbl.replace memo key plan;

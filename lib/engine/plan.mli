@@ -62,9 +62,13 @@ val build :
 (** [build ~seed layout] constructs the DAG and warms every
     layout-keyed memo table ([Layers.warm], the attack module's lazy
     layout) in the calling domain, so worker domains only read shared
-    state.  [~security:false] (x86_64 geometry) drops phases 5-8;
-    [~quick] shrinks trial/state counts like the CLI's [--quick];
-    [~lints] selects the static-analysis lints (default: the whole
+    state.  It computes only what a cache lookup needs — ids, edges
+    and fingerprints over [Layers.body_digest] — and no case battery:
+    each code-proof obligation builds its battery and composed
+    environment when it first runs, so a fully warm run builds none.
+    [~security:false] (x86_64 geometry) drops phases 5-8; [~quick]
+    shrinks trial/state counts like the CLI's [--quick]; [~lints]
+    selects the static-analysis lints (default: the whole
     catalogue). *)
 
 val build_memo :
@@ -80,11 +84,11 @@ val build_memo :
     input [build] reads — module source, layout, seed, and all phase
     switches — so a hit returns the previously built plan ([build_s] =
     0); a miss builds and records it ([hit = false], [build_s] = the
-    construction wall time).  Reusing a plan across runs is sound: the
-    DAG is immutable and the override hooks are idempotent.  The memo
-    is process-global, mutex-guarded, and FIFO-bounded (32 entries) —
-    the daemon's resident warm path, but equally usable by embedders of
-    the engine API. *)
+    construction time, read from {!Clock.now}).  Reusing a plan across
+    runs is sound: the DAG is immutable and the override hooks are
+    idempotent.  The memo is process-global, mutex-guarded, and
+    FIFO-bounded (32 entries) — the daemon's resident warm path, but
+    equally usable by embedders of the engine API. *)
 
 val reset_memo : unit -> unit
 (** Drop every memoized plan (tests). *)

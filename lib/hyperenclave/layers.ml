@@ -13,6 +13,26 @@ let compiled layout =
       | Error msg ->
           invalid_arg (Printf.sprintf "memory module failed to compile: %s" msg))
 
+(* Hex MD5 of each body's MIRlight text: the ingredient every
+   body-keyed proof-cache fingerprint shares, computed once per layout
+   instead of once per fingerprint that mentions the body. *)
+let digest_cache : (Layout.t, (string, string) Hashtbl.t) Hashtbl.t = Hashtbl.create 4
+
+let digests layout =
+  match Hashtbl.find_opt digest_cache layout with
+  | Some t -> t
+  | None ->
+      let t = Hashtbl.create 64 in
+      Mir.Syntax.fold_bodies
+        (fun fn body () ->
+          Hashtbl.replace t fn (Digest.to_hex (Digest.string (Mir.Pp.body_to_string body))))
+        (compiled layout).Rustlite.Pipeline.program ();
+      Hashtbl.add digest_cache layout t;
+      t
+
+let body_digest layout fn =
+  Option.value ~default:"missing" (Hashtbl.find_opt (digests layout) fn)
+
 let stack_cache : (Layout.t, Absdata.t Layer.stack) Hashtbl.t = Hashtbl.create 4
 
 let build_stack layout =
@@ -104,6 +124,7 @@ let warm layout =
      tables are plain Hashtbls, so the first insertion must not race
      with reads from worker domains *)
   ignore (compiled layout);
+  ignore (digests layout);
   ignore (stack layout);
   ignore (Boot.booted layout);
   (* pre-compile every layer's closure form so worker domains only

@@ -11,6 +11,11 @@
 val compiled : Layout.t -> Rustlite.Pipeline.output
 (** The memory module compiled for this layout (memoized). *)
 
+val body_digest : Layout.t -> string -> string
+(** Hex MD5 of the function's MIRlight text ({!Mir.Pp.body_to_string}),
+    or ["missing"] when the compiled module has no such body.  Memoized
+    per layout, like {!compiled}; filled by {!warm}. *)
+
 val stack : Layout.t -> Absdata.t Mirverif.Layer.stack
 (** The full stack; raises on compile failure (the source is ours). *)
 
@@ -36,8 +41,8 @@ val stratification_ok : Layout.t -> Mirverif.Layer.stratification_issue list
 (** Syntactic no-upcall check over the stack (empty = ok). *)
 
 val warm : Layout.t -> unit
-(** Force the layout-keyed memo tables ({!compiled}, {!stack},
-    {!compiled_for} for every layer, the boot state) from the calling
-    domain.  The parallel verification engine
+(** Force the layout-keyed memo tables ({!compiled}, {!body_digest},
+    {!stack}, {!compiled_for} for every layer, the boot state) from the
+    calling domain.  The parallel verification engine
     calls this before spawning workers: afterwards the tables are only
     read, which is safe concurrently. *)

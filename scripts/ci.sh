@@ -1,6 +1,10 @@
 #!/bin/sh
-# CI gate: full build, the test suites, a deterministic chaos smoke,
-# and the engine determinism/cache gate.
+# CI gate: full build, the test suites, the benchmark smoke, a
+# deterministic chaos smoke, and the engine determinism/cache gate.
+#
+# The benchmark smoke runs every end-to-end workload of
+# bench/e2e (BENCHMARK.json) with n = 3 and checks every verdict, so a
+# change that breaks the harness fails here.
 #
 # The chaos smoke replays 1000 fault-injected traces from a fixed seed
 # on both monitors: the correct one must survive every
@@ -50,6 +54,7 @@ cd "$(dirname "$0")/.."
 
 dune build @all
 dune runtest
+dune build @bench/e2e/smoke
 
 dune exec bin/hyperenclave_verify.exe -- \
   --quick --chaos --chaos-traces 1000 --seed 2024

@@ -61,6 +61,32 @@ let test_code_conformance () =
         Alcotest.failf "[%s] %s: no case passed (vacuous)" layer r.Report.name)
     results
 
+(* Batteries and composed environments are built on first use, by
+   whichever domain asks first.  Two domains racing over one fresh ctx
+   in opposite orders must report exactly what a sequential run on its
+   own ctx reports. *)
+let test_cross_domain_first_use () =
+  let fns = List.concat_map (Layers.functions_of_layer layout) Mem_spec.layer_names in
+  let run ctx order =
+    List.map
+      (fun fn ->
+        (fn, Check.Code_proof.run_function ctx fn, Check.Code_proof.run_function_composed ctx fn))
+      order
+  in
+  let expected = run (Check.Code_proof.ctx layout) fns in
+  let shared = Check.Code_proof.ctx layout in
+  let forward = Domain.spawn (fun () -> run shared fns) in
+  let backward = Domain.spawn (fun () -> run shared (List.rev fns)) in
+  let forward = Domain.join forward and backward = List.rev (Domain.join backward) in
+  List.iter
+    (fun got ->
+      List.iter2
+        (fun (fn, mono, composed) (_, mono', composed') ->
+          if mono <> mono' then Alcotest.failf "%s: monolithic report differs" fn;
+          if composed <> composed' then Alcotest.failf "%s: composed report differs" fn)
+        expected got)
+    [ forward; backward ]
+
 let test_code_conformance_x86 () =
   (* the same code and specs on the real geometry; a cheaper seed/state
      budget since boot maps 8192 pages *)
@@ -113,6 +139,15 @@ let check_mutant ~fn ~from ~into =
       in
       Mirverif.Refine.run env check
 
+(* Case labels are rendered only when a failure is recorded; the
+   failure count and the first failing case's text pin what that
+   rendering reports. *)
+let check_failure_text r ~count ~first =
+  Alcotest.(check int) "failure count" count (Report.failure_count r);
+  match Report.failures r with
+  | f :: _ -> Alcotest.(check string) "first failing case" first f.Report.case
+  | [] -> Alcotest.fail "no failures"
+
 let test_mutant_missing_present_check () =
   (* map_page forgets to reject double mapping *)
   let r =
@@ -120,7 +155,8 @@ let test_mutant_missing_present_check () =
       ~from:"if pte_is_present(old) { return ERR_INVALID; }"
       ~into:""
   in
-  Alcotest.(check bool) "mutant caught" false (Report.ok r)
+  Alcotest.(check bool) "mutant caught" false (Report.ok r);
+  check_failure_text r ~count:42 ~first:"booted 0x1_u64,0x0_u64,0x440_u64,0x7_u64"
 
 let test_mutant_wrong_flag_mask () =
   (* pte_make leaks address bits into the flag field *)
@@ -148,7 +184,11 @@ let test_mutant_add_page_skips_elrange () =
       ~from:"if !self.in_elrange(va) { return ERR_INVALID; }"
       ~into:""
   in
-  Alcotest.(check bool) "mutant caught" false (Report.ok r)
+  Alcotest.(check bool) "mutant caught" false (Report.ok r);
+  check_failure_text r ~count:50
+    ~first:
+      "pristine self={0x7_u64, 0x0_u64, 0x0_u64, 0x2_u64, 0x100_u64, 0x0_u64, \
+       0x1_u64} (0x60_u64)"
 
 let test_mutant_remove_skips_epcm_clear () =
   (* remove_page unmaps but forgets to free the EPCM entry: the page
@@ -394,6 +434,7 @@ let () =
       ( "conformance",
         [
           Alcotest.test_case "all 49 functions (tiny)" `Quick test_code_conformance;
+          Alcotest.test_case "first use across domains" `Quick test_cross_domain_first_use;
           Alcotest.test_case "PtMap + PteOps (x86-64)" `Slow test_code_conformance_x86;
         ] );
       ( "mutations",

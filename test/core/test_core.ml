@@ -172,6 +172,35 @@ let test_refine_catches_wrong_code () =
   let r = Refine.run buggy_env check in
   Alcotest.(check bool) "bug caught" false (Report.ok r)
 
+(* A case's label is rendered only for a failure report: never for a
+   pass or a skip, exactly once for a failure. *)
+let test_refine_labels_on_failure () =
+  let calls = ref 0 in
+  let label () =
+    incr calls;
+    "counted"
+  in
+  let cases = [ Refine.case ~label 0 [ u64 5L ]; Refine.case ~label 0 [ u64 1000L ] ] in
+  let r =
+    Refine.run env_for_middle
+      (Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal) cases)
+  in
+  Alcotest.(check (pair int int)) "one pass, one skip" (1, 1) (r.Report.passed, r.Report.skipped);
+  Alcotest.(check int) "passing battery renders no label" 0 !calls;
+  let buggy_env =
+    Mir.Interp.env
+      ~prims:(List.map Spec.to_prim [ get_spec; set_counter_spec ])
+      (Mir.Syntax.program_of_bodies [ body_bump ~bug:true ])
+  in
+  let r =
+    Refine.run buggy_env
+      (Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal)
+         [ Refine.case ~label 0 [ u64 5L ] ])
+  in
+  Alcotest.(check int) "failing case renders its label once" 1 !calls;
+  Alcotest.(check (list string)) "label is the failure's case" [ "counted" ]
+    (List.map (fun (f : Report.failure) -> f.Report.case) (Report.failures r))
+
 let test_refine_catches_faulting_code () =
   let faulty =
     let b = create ~name:"bump" ~params:[ ("_1", Mir.Ty.Int Mir.Ty.U64, Mir.Syntax.Ktemp) ]
@@ -354,6 +383,7 @@ let () =
           Alcotest.test_case "skip on precondition" `Quick test_refine_skip_on_precondition;
           Alcotest.test_case "catches wrong code" `Quick test_refine_catches_wrong_code;
           Alcotest.test_case "catches faulting code" `Quick test_refine_catches_faulting_code;
+          Alcotest.test_case "labels only on failure" `Quick test_refine_labels_on_failure;
           Alcotest.test_case "spec_args and mem" `Quick test_refine_spec_args_and_mem;
           Alcotest.test_case "simulation" `Quick test_simulate;
         ] );

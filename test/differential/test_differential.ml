@@ -72,7 +72,7 @@ let test_seed_stack_equivalence () =
               let ri = Interp.call ~fuel env ~abs:cs.abs ~mem:cs.mem fn cs.args in
               let rc = Compile.call ~fuel cenv ~abs:cs.abs ~mem:cs.mem fn cs.args in
               incr compared;
-              assert_same ~case:(Printf.sprintf "%s [%s]" fn cs.label) ri rc)
+              assert_same ~case:(Printf.sprintf "%s [%s]" fn (cs.label ())) ri rc)
             c.Mirverif.Refine.cases)
     fns;
   (* the suite must actually have covered the stack *)

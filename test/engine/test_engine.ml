@@ -179,6 +179,43 @@ let test_phase_dependencies () =
   check att inv
 
 (* ------------------------------------------------------------------ *)
+(* Cache keys and plan-build cost                                      *)
+
+(* MD5 over the sorted [id<TAB>fingerprint] lines: the whole set of
+   proof-cache keys a plan looks up.  The constants are the keys every
+   existing cache was filled under; a deliberate fingerprint change
+   updates them together with its version tag. *)
+let cache_key_digest (p : Plan.t) =
+  Dag.obligations p.Plan.dag
+  |> List.map (fun (o : Obligation.t) -> o.id ^ "\t" ^ o.fingerprint)
+  |> List.sort String.compare |> String.concat "\n" |> Digest.string
+  |> Digest.to_hex
+
+let test_plan_cache_keys_pinned () =
+  let check what n digest (p : Plan.t) =
+    Alcotest.(check int) (what ^ ": obligations") n (Dag.size p.Plan.dag);
+    Alcotest.(check string) (what ^ ": cache keys") digest (cache_key_digest p)
+  in
+  check "default" 333 "8429c35496762a96be5a6ec6f0c0fd04"
+    (Plan.build ~seed:2024 layout);
+  check "no overrides" 333 "c37e927f201120fe9d403520d1f5edbc"
+    (Plan.build ~overrides:false ~seed:2024 layout);
+  check "x86_64, no security" 310 "b8c1fc97d5c5c123033f5aec09ec7aa7"
+    (Plan.build ~security:false ~seed:2024 (Layout.default Geometry.x86_64))
+
+(* A warm run pays for plan build and nothing else, so plan build must
+   not generate code-proof case batteries or compose environments: the
+   plan alone allocates about 9 MiB, and building every battery up front
+   adds about 12 MiB even with labels rendered lazily.  Allocation is
+   deterministic, unlike wall time. *)
+let test_plan_build_allocation () =
+  Layers.warm layout;
+  let before = Gc.allocated_bytes () in
+  ignore (Plan.build ~seed:2024 layout);
+  let mib = (Gc.allocated_bytes () -. before) /. 1048576. in
+  if mib >= 16. then Alcotest.failf "Plan.build allocated %.1f MiB (bound 16)" mib
+
+(* ------------------------------------------------------------------ *)
 (* Scheduling determinism                                              *)
 
 let render execs =
@@ -671,6 +708,28 @@ let test_clock_mockable () =
   (* and the real source is restored afterwards *)
   Alcotest.(check bool) "real clock restored" true (Engine.Clock.now () > 1e6)
 
+(* plan_build_s is schedule metadata like the pool's timestamps, so it
+   reads the same source *)
+let test_plan_build_s_from_clock () =
+  Plan.reset_memo ();
+  let t = ref 100.0 in
+  let fake () =
+    t := !t +. 2.5;
+    !t
+  in
+  let _, hit, build_s =
+    Engine.Clock.with_source fake (fun () ->
+        Plan.build_memo ~quick:true ~security:false ~seed:91 layout)
+  in
+  Alcotest.(check bool) "first build misses" false hit;
+  Alcotest.(check (float 0.0)) "build_s is one clock tick" 2.5 build_s;
+  let _, hit, build_s =
+    Engine.Clock.with_source fake (fun () ->
+        Plan.build_memo ~quick:true ~security:false ~seed:91 layout)
+  in
+  Alcotest.(check bool) "second build hits" true hit;
+  Alcotest.(check (float 0.0)) "a hit costs nothing" 0.0 build_s
+
 (* ------------------------------------------------------------------ *)
 (* JSON emission                                                       *)
 
@@ -703,6 +762,8 @@ let () =
           Alcotest.test_case "call-graph edges" `Quick
             test_code_proofs_follow_call_graph;
           Alcotest.test_case "phase dependencies" `Quick test_phase_dependencies;
+          Alcotest.test_case "cache keys pinned" `Quick test_plan_cache_keys_pinned;
+          Alcotest.test_case "build allocation" `Quick test_plan_build_allocation;
         ] );
       ( "pool",
         [
@@ -741,6 +802,10 @@ let () =
           Alcotest.test_case "fingerprints shrink to direct callees" `Quick
             test_override_fingerprints_shrink;
         ] );
-      ("clock", [ Alcotest.test_case "mockable source" `Quick test_clock_mockable ]);
+      ( "clock",
+        [
+          Alcotest.test_case "mockable source" `Quick test_clock_mockable;
+          Alcotest.test_case "plan build time" `Quick test_plan_build_s_from_clock;
+        ] );
       ("jsonx", [ Alcotest.test_case "emission" `Quick test_jsonx ]);
     ]
