@@ -1,16 +1,15 @@
 (* Serving benchmark: requests/s against a live --serve daemon, cold
    (first evaluation of a request) vs warm (resident-memo replay), at
-   fleet sizes 1/2/4, plus a batching-window sweep and sequential
-   round-trip latency percentiles — emitted as BENCH_serve.json
-   (consumed by CI as an artifact; see EXPERIMENTS.md).
+   fleet sizes 1/2/4, plus sequential round-trip latency percentiles —
+   emitted as BENCH_serve.json (consumed by CI as an artifact; see
+   EXPERIMENTS.md).
 
    Every daemon is forked fresh with its own socket and proof-cache
    directory, so "cold" really is cold.  Throughput is measured with a
    pipelined harness: several client connections each keep a small
    window of requests in flight, and responses are drained with select
-   — the dispatcher's admission batching coalesces the in-flight set
-   into merged submissions.  The [cores] field records the machine this
-   ran on: fleet scaling beyond the physical core count measures
+   — the dispatcher hands the queued requests to idle workers one at a
+   time.  The [cores] field records the machine this ran on: fleet scaling beyond the physical core count measures
    dispatch overhead, not parallel speedup, and the JSON reports
    whatever the machine actually delivered.
 
@@ -53,7 +52,7 @@ let payload seed =
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                    *)
 
-let with_daemon ~fleet ~window_ms f =
+let with_daemon ~fleet f =
   let socket = fresh_path ".sock" in
   let cache_dir = fresh_path ".cache" in
   match Unix.fork () with
@@ -63,8 +62,6 @@ let with_daemon ~fleet ~window_ms f =
            {
              Server.socket;
              fleet;
-             batch_window_ms = window_ms;
-             batch_max = 32;
              cache_dir = Some cache_dir;
              jobs = 1;
              retries = 2;
@@ -171,12 +168,12 @@ type fleet_point = {
 }
 
 let measure_fleet fleet =
-  with_daemon ~fleet ~window_ms:2.0 (fun socket ->
+  with_daemon ~fleet (fun socket ->
       (* cold: a request the daemon has never seen — plan build + full
          execution, proof cache empty *)
       let _, cold_s = time (fun () -> round_trip socket (payload 9001)) in
       let body = payload 9001 in
-      (* warm every worker: the pipelined harness spreads batches over
+      (* warm every worker: the pipelined harness spreads requests over
          the fleet; the first pass promotes each worker through
          L2 (shared packs) to its L0 response memo *)
       ignore (throughput ~socket ~conns:8 ~depth:2 ~rounds:5 body);
@@ -191,7 +188,7 @@ let measure_fleet fleet =
    host the wall divides across workers; on a single core it measures
    the (small) cost of splitting the work across processes. *)
 let distinct_cold_wall ~fleet ~n =
-  with_daemon ~fleet ~window_ms:0.0 (fun socket ->
+  with_daemon ~fleet (fun socket ->
       let fds =
         Array.init n (fun _ ->
             match Client.connect socket with Ok fd -> fd | Error m -> failwith m)
@@ -232,15 +229,6 @@ let distinct_cold_wall ~fleet ~n =
       Array.iter Unix.close fds;
       wall)
 
-let measure_window window_ms =
-  with_daemon ~fleet:2 ~window_ms (fun socket ->
-      let body = payload 9002 in
-      ignore (round_trip socket body);
-      ignore (throughput ~socket ~conns:8 ~depth:2 ~rounds:5 body);
-      let rps = throughput ~socket ~conns:8 ~depth:2 ~rounds:25 body in
-      let p50, p99 = latencies ~socket ~n:50 body in
-      (window_ms, rps, p50, p99))
-
 let () =
   let out = ref "BENCH_serve.json" in
   Array.iteri
@@ -249,7 +237,6 @@ let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let cores = Domain.recommended_domain_count () in
   let fleet_points = List.map measure_fleet [ 1; 2; 4 ] in
-  let windows = List.map measure_window [ 0.0; 2.0; 10.0 ] in
   let distinct_n = 6 in
   let distinct =
     List.map (fun fleet -> (fleet, distinct_cold_wall ~fleet ~n:distinct_n)) [ 1; 4 ]
@@ -275,16 +262,6 @@ let () =
         fp.fp_fleet fp.fp_cold_s fp.fp_warm_rps fp.fp_p50_s fp.fp_p99_s
         (if i = List.length fleet_points - 1 then "" else ","))
     fleet_points;
-  p "  ],\n";
-  p "  \"window_sweep\": [\n";
-  List.iteri
-    (fun i (w, rps, p50, p99) ->
-      p
-        "    {\"window_ms\": %g, \"warm_rps\": %g, \"warm_p50_s\": %g, \
-         \"warm_p99_s\": %g}%s\n"
-        w rps p50 p99
-        (if i = List.length windows - 1 then "" else ","))
-    windows;
   p "  ],\n";
   p "  \"distinct_cold\": [\n";
   List.iteri

@@ -30,9 +30,9 @@
    one-shot run of the same request.
 
    Serving (lib/serve): --serve SOCKET runs the long-lived daemon — a
-   dispatcher in front of --fleet N forked workers with resident plan
-   memos, admission batching (--batch-window-ms) and a shared proof
-   cache; --client SOCKET submits the flag-selected request to a
+   dispatcher handing one request at a time to each of --fleet N forked
+   workers, which keep resident plan memos and share a proof cache;
+   --client SOCKET submits the flag-selected request to a
    running daemon and renders the response exactly like a local run. *)
 
 open Cmdliner
@@ -100,25 +100,28 @@ let run_chaos ~failures ~quick ~seed ~traces ~faults_spec ~buggy_tlb layout =
 (* ------------------------------------------------------------------ *)
 (* Serve / client modes                                                *)
 
-let run_serve ~socket ~fleet ~batch_window_ms ~cache_dir ~jobs ~retries
-    ~timeout_ms =
-  let cfg =
-    {
-      (Serve.Server.default_config ~socket) with
-      Serve.Server.fleet = max 0 fleet;
-      batch_window_ms = Float.max 0.0 batch_window_ms;
-      cache_dir;
-      jobs = max 1 jobs;
-      retries = max 0 retries;
-      timeout_ms;
-    }
-  in
-  match Serve.Server.serve cfg with
-  | () -> 0
-  | exception Failure msg ->
-      (* e.g. a daemon already listening on the requested socket *)
-      Format.eprintf "hyperenclave-verify: %s@." msg;
-      2
+let run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms =
+  if fleet < 1 then begin
+    Format.eprintf "hyperenclave-verify: --fleet must be at least 1 (got %d)@." fleet;
+    2
+  end
+  else
+    let cfg =
+      {
+        (Serve.Server.default_config ~socket) with
+        Serve.Server.fleet;
+        cache_dir;
+        jobs = max 1 jobs;
+        retries = max 0 retries;
+        timeout_ms;
+      }
+    in
+    match Serve.Server.serve cfg with
+    | () -> 0
+    | exception Failure msg ->
+        (* e.g. a daemon already listening on the requested socket *)
+        Format.eprintf "hyperenclave-verify: %s@." msg;
+        2
 
 let run_client ~socket ~scrub_summary ~json_out (req : Serve.Driver.request) =
   let module Jsonx = Engine.Jsonx in
@@ -157,7 +160,7 @@ let run_client ~socket ~scrub_summary ~json_out (req : Serve.Driver.request) =
 let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
     chaos_traces faults_spec buggy_tlb lints timeout_ms retries
     engine_chaos_seed engine_faults_spec mc_depth mc_geometry mc_por overrides
-    serve_socket client_socket fleet batch_window_ms scrub_summary =
+    serve_socket client_socket fleet scrub_summary =
   match
     if engine_chaos_seed = None then Ok Fault.Plan.all_engine_kinds
     else Fault.Plan.engine_kinds_of_string engine_faults_spec
@@ -171,8 +174,7 @@ let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
   | Ok engine_kinds ->
   match serve_socket with
   | Some socket ->
-      run_serve ~socket ~fleet ~batch_window_ms ~cache_dir ~jobs ~retries
-        ~timeout_ms
+      run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms
   | None ->
   match client_socket with
   | Some socket ->
@@ -553,9 +555,9 @@ let serve_socket =
     & info [ "serve" ] ~docv:"SOCKET"
         ~doc:
           "Run as a long-lived verification daemon on a Unix socket: a \
-           dispatcher in front of --fleet forked worker processes with \
-           resident plan memos, admission batching (--batch-window-ms) and a \
-           shared --cache directory.  Submit requests with --client.")
+           dispatcher hands each request, in arrival order, to an idle one of \
+           --fleet forked worker processes, which keep resident plan memos \
+           and share the --cache directory.  Submit requests with --client.")
 
 let client_socket =
   Arg.(
@@ -572,18 +574,10 @@ let fleet =
     value & opt int 2
     & info [ "fleet" ] ~docv:"N"
         ~doc:
-          "Worker processes for --serve (each with its own OCaml runtime and \
-           resident memos; 0 = serve in-process).  Workers share the --cache \
-           directory: a proof computed by one is a warm hit for all.")
-
-let batch_window_ms =
-  Arg.(
-    value & opt float 2.0
-    & info [ "batch-window-ms" ] ~docv:"MS"
-        ~doc:
-          "Admission-batching window for --serve: requests arriving within \
-           MS of each other coalesce into one merged DAG submission (up to \
-           32), giving the worker pool real parallelism across requests.")
+          "Worker processes for --serve, at least 1; each has its own OCaml \
+           runtime and resident memos and serves one request at a time.  \
+           Workers share the --cache directory: a proof computed by one is a \
+           warm hit for all.")
 
 let scrub_summary =
   Arg.(
@@ -593,9 +587,9 @@ let scrub_summary =
           "Write --json-out through the deterministic projection: drop every \
            scheduling-dependent field (job counts, cache statistics, wall \
            clocks, worker utilization), leaving only verification content — \
-           byte-identical for the same request at any job count, fleet size, \
-           cache state or batching window.  CI diffs daemon responses against \
-           one-shot runs through this projection.")
+           byte-identical for the same request at any job count, fleet size \
+           or cache state.  CI diffs daemon responses against one-shot runs \
+           through this projection.")
 
 let cmd =
   Cmd.v
@@ -606,6 +600,6 @@ let cmd =
       $ lint_json $ chaos $ chaos_traces $ faults $ buggy_tlb $ lints $ timeout_ms
       $ retries $ engine_chaos_seed $ engine_faults $ mc_depth $ mc_geometry
       $ mc_por $ overrides $ serve_socket $ client_socket $ fleet
-      $ batch_window_ms $ scrub_summary)
+      $ scrub_summary)
 
 let () = exit (Cmd.eval' cmd)

@@ -143,7 +143,7 @@ let key (o : Obligation.t) =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          [ version; o.Obligation.phase; o.Obligation.cache_id; o.Obligation.fingerprint ]))
+          [ version; o.Obligation.phase; o.Obligation.id; o.Obligation.fingerprint ]))
 
 let path t k = Filename.concat t.dir (k ^ ".proof")
 

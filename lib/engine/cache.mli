@@ -38,8 +38,7 @@ val create : dir:string -> t
 
 val key : Obligation.t -> string
 (** Hex digest naming the obligation's cache entry — computed over
-    (engine version, phase, [cache_id], fingerprint), so batch-re-id'd
-    obligations (serve) share entries with their one-shot twins. *)
+    (engine version, phase, id, fingerprint). *)
 
 val refresh : t -> int
 (** Merge packs that appeared in the directory since {!create} (or the

@@ -6,7 +6,6 @@ type outcome = {
 
 type t = {
   id : string;
-  cache_id : string;
   phase : string;
   deps : string list;
   fingerprint : string;
@@ -15,9 +14,8 @@ type t = {
   on_outcome : (outcome -> unit) option;
 }
 
-let v ~id ?cache_id ~phase ?(deps = []) ~fingerprint ?fallback ?on_outcome run =
-  let cache_id = Option.value cache_id ~default:id in
-  { id; cache_id; phase; deps; fingerprint; run; fallback; on_outcome }
+let v ~id ~phase ?(deps = []) ~fingerprint ?fallback ?on_outcome run =
+  { id; phase; deps; fingerprint; run; fallback; on_outcome }
 
 let outcome ?(log = "") ?(findings = []) reports = { reports; log; findings }
 

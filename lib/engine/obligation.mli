@@ -22,13 +22,9 @@ type outcome = {
 }
 
 type t = {
-  id : string;  (** unique and stable, e.g. ["code-proof/PtMap/map_page"] *)
-  cache_id : string;
-      (** the id the proof cache keys on — equal to [id] except for
-          obligations the serve batcher re-ids to disambiguate several
-          merged plans in one DAG ([b3/code-proof/...]): those keep the
-          canonical id here so a batched execution and a one-shot run
-          share cache entries *)
+  id : string;
+      (** unique and stable, e.g. ["code-proof/PtMap/map_page"]; part of
+          the proof-cache key *)
   phase : string;  (** display/aggregation group, e.g. ["code-proofs"] *)
   deps : string list;  (** obligation ids that must complete first *)
   fingerprint : string;
@@ -56,11 +52,9 @@ type t = {
 }
 
 val v :
-  id:string -> ?cache_id:string -> phase:string -> ?deps:string list ->
-  fingerprint:string ->
+  id:string -> phase:string -> ?deps:string list -> fingerprint:string ->
   ?fallback:(unit -> outcome) -> ?on_outcome:(outcome -> unit) ->
   (unit -> outcome) -> t
-(** [cache_id] defaults to [id]. *)
 
 val outcome :
   ?log:string ->

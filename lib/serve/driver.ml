@@ -5,7 +5,7 @@
    - L2: the content-addressed proof cache ({!Engine.Cache}), shared on
      disk across the whole fleet — a proof computed by one worker
      process is a warm hit for all ({!Engine.Cache.refresh} before each
-     batch, advisory-locked {!Engine.Cache.flush} after).
+     request's run, advisory-locked {!Engine.Cache.flush} after).
    - L1: the memoized plan ({!Engine.Plan.build_memo}), keyed by
      (module digest, geometry, seed, phase switches): a repeat or
      near-repeat request skips plan construction — the dominant cost of
@@ -20,13 +20,8 @@
      and the executed = 0 precondition keeps the replayed summary's
      cache statistics truthful for CI's warm-path assertions.
 
-   Admission batching: [handle_batch] coalesces the K in-flight
-   requests the dispatcher hands it into ONE pool submission by
-   re-id'ing each plan's obligations under a [b<i>/] prefix and merging
-   the DAGs.  Obligations keep their canonical [cache_id], so a batched
-   execution and a one-shot run share proof-cache entries; execs are
-   split back per request (original ids restored) before rendering, so
-   responses are byte-identical to unbatched ones. *)
+   [handle_one] is the entry point: one request, one pool submission of
+   its plan's own DAG, one response. *)
 
 module Jsonx = Engine.Jsonx
 
@@ -86,9 +81,9 @@ let json_of_request r =
     | None -> []
     | Some d -> [ ("source_digest", Str d) ])
 
-(* Canonical identity of a request — the L0 memo key and the batch
-   dedup key.  [source_digest] is excluded: it is an assertion about
-   the module, not a selection of work. *)
+(* Canonical identity of a request — the L0 memo key.  [source_digest]
+   is excluded: it is an assertion about the module, not a selection of
+   work. *)
 let request_key r = Jsonx.to_string (json_of_request { r with source_digest = None })
 
 let ( let* ) = Result.bind
@@ -244,51 +239,6 @@ let prepare req =
   { p_req = req; p_key = request_key req; p_plan = plan; p_hit = hit;
     p_build_s = build_s }
 
-(* One pool submission for the whole admission batch: each plan's
-   obligations are re-id'd under [b<i>/] (deps rewritten, canonical
-   [cache_id] kept) and the DAGs merged.  A singleton batch skips the
-   re-id and merge entirely — the memoized plan's own DAG is submitted
-   as-is: that is the warm hot path. *)
-let merged_dag prepared =
-  Engine.Dag.build_exn
-    (List.concat
-       (List.mapi
-          (fun i (p : prepared) ->
-            let pre = Printf.sprintf "b%d/" i in
-            List.map
-              (fun (o : Engine.Obligation.t) ->
-                {
-                  o with
-                  Engine.Obligation.id = pre ^ o.Engine.Obligation.id;
-                  deps = List.map (fun d -> pre ^ d) o.Engine.Obligation.deps;
-                })
-              (Engine.Dag.obligations p.p_plan.Engine.Plan.dag))
-          prepared))
-
-(* Undo the batch re-id: bucket execs by batch index and swap the
-   original obligation back in, so rendering and summaries see
-   canonical ids in per-plan insertion order. *)
-let split_batches prepared execs =
-  let n = List.length prepared in
-  let prepared_arr = Array.of_list prepared in
-  let buckets = Array.make n [] in
-  List.iter
-    (fun (e : Engine.Pool.exec) ->
-      let id = e.obligation.Engine.Obligation.id in
-      match String.index_opt id '/' with
-      | Some slash ->
-          let i = int_of_string (String.sub id 1 (slash - 1)) in
-          let orig = String.sub id (slash + 1) (String.length id - slash - 1) in
-          let o =
-            match Engine.Dag.find prepared_arr.(i).p_plan.Engine.Plan.dag orig with
-            | Some o -> o
-            | None -> e.obligation
-          in
-          buckets.(i) <- { e with obligation = o } :: buckets.(i)
-      | None -> ())
-    execs;
-  Array.to_list (Array.map List.rev buckets)
-
 let render_response session (p : prepared) (execs : Engine.Pool.exec list)
     (stats : Engine.Pool.stats) =
   let layout = p.p_plan.Engine.Plan.layout in
@@ -347,100 +297,41 @@ let sup_config session =
        else Some (float_of_int session.timeout_ms /. 1000.));
   }
 
-(* Run the distinct, non-replayed requests of a batch as one pool
-   submission and render each one's response. *)
+(* Run one prepared request as its own pool submission and render its
+   response.  The flush precedes rendering so the summary counts its
+   write failures. *)
+let verify_one session p =
+  Option.iter (fun c -> ignore (Engine.Cache.refresh c)) session.cache;
+  let execs, stats =
+    Engine.Pool.run_with_stats ?cache:session.cache ~sup:(sup_config session)
+      ~jobs:session.jobs p.p_plan.Engine.Plan.dag
+  in
+  Option.iter Engine.Cache.flush session.cache;
+  let response, executed = render_response session p execs stats in
+  if executed = 0 then remember session p.p_key response;
+  response
+
+(* Each request of the list in turn, answered with its canonical key. *)
 let verify_prepared session prepared =
-  (match session.cache with
-  | Some c -> ignore (Engine.Cache.refresh c)
-  | None -> ());
-  let sup = sup_config session in
-  let run dag =
-    Engine.Pool.run_with_stats ?cache:session.cache ~sup ~jobs:session.jobs dag
-  in
-  let per_request_execs, stats =
-    match prepared with
-    | [ p ] ->
-        let execs, stats = run p.p_plan.Engine.Plan.dag in
-        ([ execs ], stats)
-    | ps ->
-        let execs, stats = run (merged_dag ps) in
-        (split_batches ps execs, stats)
-  in
-  (match session.cache with Some c -> Engine.Cache.flush c | None -> ());
-  List.map2
-    (fun p execs ->
-      let response, executed = render_response session p execs stats in
-      if executed = 0 then remember session p.p_key response;
-      (p.p_key, response))
-    prepared per_request_execs
+  List.map (fun p -> (p.p_key, verify_one session p)) prepared
 
 (* ------------------------------------------------------------------ *)
-(* Batch entry point                                                   *)
+(* Entry point                                                         *)
 
-(* [handle_batch session [(tag, payload); ...]] decodes every payload,
-   serves L0 replays, deduplicates the rest by canonical request key,
-   verifies the distinct remainder as one merged pool submission, and
-   returns one response per tag in input order.  Malformed payloads
-   yield per-tag error responses; nothing raises. *)
-let handle_batch session items =
-  let decoded =
-    List.map
-      (fun (tag, payload) ->
-        match request_of_string payload with
-        | Error msg -> (tag, Error (error_response ("bad request: " ^ msg)))
-        | Ok req -> (
-            match req.source_digest with
-            | Some d when not (String.equal d (source_digest_of req.geometry)) ->
-                ( tag,
-                  Error
-                    (error_response
-                       (Printf.sprintf
-                          "source digest mismatch: module for geometry %s is %s"
-                          req.geometry
-                          (source_digest_of req.geometry))) )
-            | _ -> (tag, Ok req)))
-      items
-  in
-  (* L0 replays and batch-level dedup *)
-  let to_verify = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (_, r) ->
-      match r with
-      | Error _ -> ()
-      | Ok req ->
-          let key = request_key req in
-          if Hashtbl.mem session.replay key then session.replays <- session.replays + 1
-          else if not (Hashtbl.mem to_verify key) then begin
-            Hashtbl.replace to_verify key req;
-            order := key :: !order
-          end)
-    decoded;
-  let fresh =
-    List.rev_map (fun key -> prepare (Hashtbl.find to_verify key)) !order
-  in
-  let verified =
-    match fresh with
-    | [] -> []
-    | ps -> verify_prepared session ps
-  in
-  let response_of key =
-    match Hashtbl.find_opt session.replay key with
-    | Some r -> r
-    | None -> (
-        match List.assoc_opt key verified with
-        | Some r -> r
-        | None -> error_response "internal: response lost")
-  in
-  List.map
-    (fun (tag, r) ->
-      match r with
-      | Error e -> (tag, e)
-      | Ok req -> (tag, response_of (request_key req)))
-    decoded
-
-(* Single-request convenience (tests, the in-process server). *)
+(* [handle_one session payload] decodes the payload, checks the tenant's
+   source digest, replays an L0 hit, and otherwise verifies.  A
+   malformed payload yields an error response; nothing raises. *)
 let handle_one session payload =
-  match handle_batch session [ ("0", payload) ] with
-  | [ (_, response) ] -> response
-  | _ -> error_response "internal: batch shape"
+  match request_of_string payload with
+  | Error msg -> error_response ("bad request: " ^ msg)
+  | Ok { source_digest = Some d; geometry; _ }
+    when not (String.equal d (source_digest_of geometry)) ->
+      error_response
+        (Printf.sprintf "source digest mismatch: module for geometry %s is %s"
+           geometry (source_digest_of geometry))
+  | Ok req -> (
+      match Hashtbl.find_opt session.replay (request_key req) with
+      | Some response ->
+          session.replays <- session.replays + 1;
+          response
+      | None -> verify_one session (prepare req))

@@ -38,11 +38,11 @@ let header n =
   Bytes.set b 3 (Char.chr (n land 0xff));
   Bytes.unsafe_to_string b
 
-let decode_header s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+let decode_header s =
+  (Char.code s.[0] lsl 24)
+  lor (Char.code s.[1] lsl 16)
+  lor (Char.code s.[2] lsl 8)
+  lor Char.code s.[3]
 
 let frame payload =
   let n = String.length payload in
@@ -107,7 +107,7 @@ let read_frame fd : (string option, string) result =
   match read_exactly fd 4 with
   | None -> Ok None
   | Some hdr ->
-      let n = decode_header hdr 0 in
+      let n = decode_header hdr in
       if n > max_frame then
         Error (Printf.sprintf "oversized frame: %d bytes (max %d)" n max_frame)
       else (
@@ -133,7 +133,7 @@ module Reader = struct
     let len = String.length t.buf in
     if len < 4 then `More
     else begin
-      let n = decode_header t.buf 0 in
+      let n = decode_header t.buf in
       if n > max_frame then `Oversized n
       else if len < 4 + n then `More
       else begin
@@ -143,49 +143,3 @@ module Reader = struct
       end
     end
 end
-
-(* ------------------------------------------------------------------ *)
-(* Tagged-item packing (dispatcher <-> fleet worker)                   *)
-
-(* The dispatcher forwards client request payloads to workers verbatim
-   — no re-serialization — so a worker frame carries a sequence of
-   (tag, payload) items, each length-prefixed: the admission batch on
-   the way in, the response set on the way out. *)
-
-(* Exact packed footprint of one item: two 4-byte length headers plus
-   the tag and payload bytes.  [String.length (pack_items items)] is
-   the sum of the items' sizes — the admission batcher uses this to
-   keep a batch frameable under [max_frame]. *)
-let item_size (tag, payload) = 8 + String.length tag + String.length payload
-
-let pack_items items =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (tag, payload) ->
-      Buffer.add_string buf (header (String.length tag));
-      Buffer.add_string buf tag;
-      Buffer.add_string buf (header (String.length payload));
-      Buffer.add_string buf payload)
-    items;
-  Buffer.contents buf
-
-let unpack_items s : ((string * string) list, string) result =
-  let len = String.length s in
-  let rec go off acc =
-    if off = len then Ok (List.rev acc)
-    else if off + 4 > len then Error "truncated item tag length"
-    else begin
-      let tn = decode_header s off in
-      let off = off + 4 in
-      if tn < 0 || off + tn + 4 > len then Error "truncated item tag"
-      else begin
-        let tag = String.sub s off tn in
-        let off = off + tn in
-        let pn = decode_header s off in
-        let off = off + 4 in
-        if pn < 0 || off + pn > len then Error "truncated item payload"
-        else go (off + pn) ((tag, String.sub s off pn) :: acc)
-      end
-    end
-  in
-  go 0 []

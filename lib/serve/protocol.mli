@@ -56,16 +56,3 @@ module Reader : sig
       header announces more than {!max_frame}; the stream cannot be
       resynchronized and must be closed. *)
 end
-
-val item_size : string * string -> int
-(** Exact packed footprint of one (tag, payload) item;
-    [String.length (pack_items items)] is the sum of the items'
-    sizes.  The admission batcher bounds batches with this so a
-    dispatcher→worker frame stays under {!max_frame}. *)
-
-val pack_items : (string * string) list -> string
-(** Dispatcher/worker framing: a sequence of (tag, payload) items,
-    each length-prefixed, so request payloads cross the fleet boundary
-    verbatim (no re-serialization). *)
-
-val unpack_items : string -> ((string * string) list, string) result

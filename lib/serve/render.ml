@@ -3,8 +3,7 @@
    sequential pass always printed, so a daemon response's [stdout]
    field diffs clean against the CLI.  Stdout carries only verification
    content — no job counts, timings or cache statistics — so the text
-   is byte-identical at any job count, cache state, fleet size, or
-   batching window. *)
+   is byte-identical at any job count, cache state or fleet size. *)
 
 module Report = Mirverif.Report
 

@@ -4,36 +4,30 @@
    Topology:
 
      clients ──frames──▶ dispatcher (select loop, no verification)
-                            │  admission batch: up to [batch_max]
-                            │  pending requests, or whatever arrived
-                            │  within [batch_window_ms]
+                            │  one request per idle worker, in
+                            │  arrival order, forwarded as one raw frame
                             ▼
                worker 0 … worker N-1   (forked processes, own OCaml
                             │           runtime and GC, resident
                             │           session memos)
                             ▼
                shared --cache directory (pack files, advisory-locked
-               flushes; Cache.refresh before each batch)
+               flushes; Cache.refresh before each request's run)
 
    The dispatcher owns every client connection and never blocks on
    verification, so a worker death cannot drop a response: the victim's
-   in-flight batch is re-queued at the front and a replacement worker
+   in-flight request is re-queued at the front and a replacement worker
    is forked (the process-level analogue of the pool's worker-respawn
-   supervision).  Request payloads cross the dispatcher verbatim
-   ({!Protocol.pack_items}); only the tiny control envelope (op field)
-   is parsed here.
-
-   [fleet = 0] serves in-process instead — no forks, the dispatcher
-   itself runs the driver between select rounds.  Simpler for tests;
-   same protocol, byte-identical responses. *)
+   supervision).  A client's payload crosses to a worker verbatim and
+   the worker's response comes back as one frame; the dispatcher
+   remembers whose request each worker holds, and parses only the tiny
+   control envelope (op field) itself. *)
 
 module Jsonx = Engine.Jsonx
 
 type config = {
   socket : string;
-  fleet : int;  (* worker processes; 0 = in-process *)
-  batch_window_ms : float;
-  batch_max : int;
+  fleet : int;  (* worker processes, at least 1 *)
   cache_dir : string option;
   jobs : int;  (* pool domains per worker *)
   retries : int;
@@ -45,8 +39,6 @@ let default_config ~socket =
   {
     socket;
     fleet = 2;
-    batch_window_ms = 2.0;
-    batch_max = 32;
     cache_dir = None;
     jobs = 1;
     retries = 2;
@@ -70,50 +62,33 @@ let prewarm_session cfg =
          (Driver.layout_of_geometry Driver.default_request.Driver.geometry))
 
 (* Blocking loop over the dispatcher socketpair: one frame in = one
-   admission batch, one frame out = its responses.  EOF = dispatcher
-   shut us down.  A driver exception turns into per-item error
-   responses — the worker survives to take the next batch. *)
+   request, one frame out = its response.  EOF = dispatcher shut us
+   down.  A driver exception turns into an error response — the worker
+   survives to take the next request. *)
 let worker_loop cfg fd =
   let session = make_session cfg in
   prewarm_session cfg;
   let rec loop () =
     match Protocol.read_frame fd with
-    | Ok None -> ()
-    | Error _ -> ()
+    | Ok None | Error _ -> ()
     | exception Protocol.Closed -> ()
-    | Ok (Some payload) -> (
-        match Protocol.unpack_items payload with
-        | Error _ -> ()
-        | Ok items ->
-            let responses =
-              try Driver.handle_batch session items
-              with e ->
-                let msg = "worker error: " ^ Printexc.to_string e in
-                List.map (fun (tag, _) -> (tag, Driver.error_response msg)) items
-            in
-            (* If the packed responses exceed max_frame, [frame] raises
-               Invalid_argument; dying on it would make the dispatcher
-               requeue the very batch that killed us — an infinite
-               crash/respawn livelock.  Answer each tag with a small
-               error instead and keep serving. *)
-            let send rs =
-              match Protocol.write_frame fd (Protocol.pack_items rs) with
-              | () -> true
-              | exception Protocol.Closed -> false
-              | exception Invalid_argument _ -> (
-                  let errs =
-                    List.map
-                      (fun (tag, _) ->
-                        ( tag,
-                          Driver.error_response
-                            "batch responses exceed the frame limit" ))
-                      rs
-                  in
-                  match Protocol.write_frame fd (Protocol.pack_items errs) with
-                  | () -> true
-                  | exception Protocol.Closed -> false)
-            in
-            if send responses then loop ())
+    | Ok (Some payload) ->
+        let response =
+          try Driver.handle_one session payload
+          with e -> Driver.error_response ("worker error: " ^ Printexc.to_string e)
+        in
+        (* A response past max_frame makes [frame] raise
+           Invalid_argument; dying on it would make the dispatcher
+           requeue the very request that killed us — an infinite
+           crash/respawn livelock.  Answer with a small error instead. *)
+        let response =
+          if String.length response > Protocol.max_frame then
+            Driver.error_response "response exceeds the frame limit"
+          else response
+        in
+        (match Protocol.write_frame fd response with
+        | () -> loop ()
+        | exception Protocol.Closed -> ())
   in
   loop ()
 
@@ -122,7 +97,7 @@ let fork_worker cfg ~index ~other_fds ~listen_fd =
   match Unix.fork () with
   | 0 ->
       (* child: drop every dispatcher-side fd, restore default signal
-         dispositions, serve batches until EOF.  [_exit] skips at_exit
+         dispositions, serve requests until EOF.  [_exit] skips at_exit
          handlers inherited from the parent binary. *)
       Unix.close parent_fd;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
@@ -144,7 +119,7 @@ type worker = {
   mutable w_pid : int;
   mutable w_fd : Unix.file_descr;
   mutable w_reader : Protocol.Reader.t;
-  mutable w_inflight : (string * string) list;  (* dispatched batch, [] = idle *)
+  mutable w_job : (int * string) option;  (* dispatched (tag, payload), None = idle *)
 }
 
 type client = { c_reader : Protocol.Reader.t }
@@ -153,12 +128,10 @@ type state = {
   cfg : config;
   listen_fd : Unix.file_descr;
   clients : (Unix.file_descr, client) Hashtbl.t;
-  workers : worker array;  (* empty when fleet = 0 *)
-  inproc : Driver.session option;  (* fleet = 0 *)
-  mutable tag_owner : (string * Unix.file_descr) list;  (* tag -> client *)
+  workers : worker array;
+  mutable tag_owner : (int * Unix.file_descr) list;  (* tag -> client *)
   mutable next_tag : int;
-  pending : (string * string) Queue.t;  (* (tag, payload) admission queue *)
-  mutable pending_since : float;  (* enqueue time of the oldest pending item *)
+  pending : (int * string) Queue.t;  (* (tag, payload), in arrival order *)
   mutable stop : bool;
   mutable dead_fds : Unix.file_descr list;
       (* fds closed during the current select pass: a stale entry still
@@ -223,61 +196,39 @@ let admit st fd payload =
             (Jsonx.to_string
                (Jsonx.Obj [ ("ok", Jsonx.Bool true); ("stopping", Bool true) ]))
       | Some "verify" | None ->
-          let tag = string_of_int st.next_tag in
+          let tag = st.next_tag in
           st.next_tag <- st.next_tag + 1;
           st.tag_owner <- (tag, fd) :: st.tag_owner;
-          if Queue.is_empty st.pending then st.pending_since <- Unix.gettimeofday ();
           Queue.add (tag, payload) st.pending
       | Some op ->
           send_to_client st fd (Driver.error_response ("unknown op " ^ op)))
 
-let deliver st (tag, response) =
+let deliver st tag response =
   match owner_of st tag with
   | None -> ()  (* client went away; drop the payload *)
   | Some fd ->
       forget_tag st tag;
       send_to_client st fd response
 
-(* A batch is bounded by count AND by packed bytes: every client may
-   legally send a payload up to max_frame, so a count-only bound could
-   make [Protocol.pack_items] of a full batch exceed the single
-   dispatcher→worker frame and crash the daemon in [Protocol.frame].
-   The head item is always taken — if even alone it cannot be framed
-   (a payload within a few bytes of max_frame), [dispatch_to] fails it
-   with an error response instead of crashing. *)
-let take_batch st =
-  let rec take acc n bytes =
-    if n >= st.cfg.batch_max || Queue.is_empty st.pending then List.rev acc
-    else
-      let item = Queue.peek st.pending in
-      let bytes = bytes + Protocol.item_size item in
-      if acc <> [] && bytes > Protocol.max_frame then List.rev acc
-      else begin
-        ignore (Queue.take st.pending);
-        take (item :: acc) (n + 1) bytes
-      end
-  in
-  let items = take [] 0 0 in
-  if not (Queue.is_empty st.pending) then st.pending_since <- Unix.gettimeofday ();
-  items
+let idle_worker st = Array.find_opt (fun w -> w.w_job = None) st.workers
 
-let idle_worker st =
-  let found = ref None in
-  Array.iter
-    (fun w -> if !found = None && w.w_inflight = [] then found := Some w)
-    st.workers;
-  !found
+(* Put [job] back at the head of the queue, ahead of every request that
+   arrived after it. *)
+let requeue_front st job =
+  let later = Queue.create () in
+  Queue.transfer st.pending later;
+  Queue.add job st.pending;
+  Queue.transfer later st.pending
 
 let respawn st w =
   st.dead_fds <- w.w_fd :: st.dead_fds;
   (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
   (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
   log "fleet worker %d (pid %d) died; respawning" w.w_index w.w_pid;
-  (* the in-flight batch is re-queued at the front: a worker death
+  (* the in-flight request is re-queued at the front: a worker death
      never drops a response *)
-  List.iter (fun item -> Queue.push item st.pending) (List.rev w.w_inflight);
-  if not (Queue.is_empty st.pending) then st.pending_since <- Unix.gettimeofday ();
-  w.w_inflight <- [];
+  Option.iter (requeue_front st) w.w_job;
+  w.w_job <- None;
   let other_fds =
     Array.to_list st.workers
     |> List.filter_map (fun o -> if o.w_index = w.w_index then None else Some o.w_fd)
@@ -287,47 +238,22 @@ let respawn st w =
   w.w_fd <- fd;
   w.w_reader <- Protocol.Reader.create ()
 
-let fail_batch st items msg =
-  List.iter (fun (tag, _) -> deliver st (tag, Driver.error_response msg)) items
-
-let dispatch_to st w items =
-  w.w_inflight <- items;
-  match Protocol.write_frame w.w_fd (Protocol.pack_items items) with
+(* The payload came in as a client frame, so it fits in one worker
+   frame as it is. *)
+let dispatch_to st w ((_, payload) as job) =
+  w.w_job <- Some job;
+  match Protocol.write_frame w.w_fd payload with
   | () -> ()
-  | exception Invalid_argument _ ->
-      (* a single admitted payload so close to max_frame that even a
-         one-item batch cannot be framed: answer it with an error —
-         requeueing would retry the same unframeable batch forever *)
-      w.w_inflight <- [];
-      fail_batch st items "request exceeds the worker frame limit"
-  | exception Protocol.Closed -> respawn st w
-  | exception Unix.Unix_error _ -> respawn st w
+  | exception (Protocol.Closed | Unix.Unix_error _) -> respawn st w
 
-(* Admission batching: dispatch when a worker is idle and either the
-   batch is full, the oldest pending request has waited out the window,
-   or we are draining for shutdown. *)
-let window_expired st now =
-  Queue.length st.pending >= st.cfg.batch_max
-  || now -. st.pending_since >= st.cfg.batch_window_ms /. 1000.
-  || st.stop
-
-let rec dispatch_ready st now =
-  if not (Queue.is_empty st.pending) && window_expired st now then
+(* One request per idle worker, oldest first. *)
+let rec dispatch_ready st =
+  if not (Queue.is_empty st.pending) then
     match idle_worker st with
     | Some w ->
-        dispatch_to st w (take_batch st);
-        dispatch_ready st now
+        dispatch_to st w (Queue.take st.pending);
+        dispatch_ready st
     | None -> ()
-
-(* In-process service (fleet = 0): drain the admission queue between
-   select rounds.  Requests that arrive while a batch is being verified
-   pile up and form the next batch — the same coalescing, without the
-   fleet. *)
-let serve_inproc_pending st session =
-  while not (Queue.is_empty st.pending) do
-    let items = take_batch st in
-    List.iter (deliver st) (Driver.handle_batch session items)
-  done
 
 let read_chunk = Bytes.create 65536
 
@@ -370,24 +296,16 @@ let on_worker_readable st w =
       Protocol.Reader.feed w.w_reader (Bytes.sub_string read_chunk 0 n);
       let rec drain () =
         match Protocol.Reader.next w.w_reader with
-        | `Frame payload ->
-            (match Protocol.unpack_items payload with
-            | Ok responses ->
-                w.w_inflight <- [];
-                List.iter (deliver st) responses
-            | Error _ -> ());
+        | `Frame response ->
+            Option.iter (fun (tag, _) -> deliver st tag response) w.w_job;
+            w.w_job <- None;
             drain ()
         | `More -> ()
         | `Oversized _ -> respawn st w
       in
       drain ()
 
-let select_timeout st =
-  if st.stop then 0.05
-  else if Queue.is_empty st.pending then 0.5
-  else
-    let age = Unix.gettimeofday () -. st.pending_since in
-    Float.max 0.001 ((st.cfg.batch_window_ms /. 1000.) -. age)
+let select_timeout st = if st.stop then 0.05 else 0.5
 
 (* Is a daemon already answering on [path]?  A successful connect means
    a live listener; ECONNREFUSED (or any other failure) means the
@@ -402,6 +320,7 @@ let socket_live path =
       | exception Unix.Unix_error _ -> false)
 
 let serve cfg =
+  if cfg.fleet < 1 then invalid_arg "Server.serve: fleet must be at least 1";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if Sys.file_exists cfg.socket then
     if socket_live cfg.socket then
@@ -414,36 +333,29 @@ let serve cfg =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket);
   Unix.listen listen_fd 64;
-  let fleet = max 0 cfg.fleet in
   (* fork the whole fleet before anything can spawn a Domain: a forked
      multicore runtime must be single-domain *)
   let workers =
     let acc = ref [] in
-    for i = 0 to fleet - 1 do
+    for i = 0 to cfg.fleet - 1 do
       let other_fds = List.map (fun w -> w.w_fd) !acc in
       let pid, fd = fork_worker cfg ~index:i ~other_fds ~listen_fd in
       acc :=
         { w_index = i; w_pid = pid; w_fd = fd;
-          w_reader = Protocol.Reader.create (); w_inflight = [] }
+          w_reader = Protocol.Reader.create (); w_job = None }
         :: !acc
     done;
     Array.of_list (List.rev !acc)
   in
-  let inproc = if fleet = 0 then Some (make_session cfg) else None in
-  (match inproc with
-  | Some _ -> prewarm_session cfg
-  | None -> ());
   let st =
     {
       cfg;
       listen_fd;
       clients = Hashtbl.create 16;
       workers;
-      inproc;
       tag_owner = [];
       next_tag = 0;
       pending = Queue.create ();
-      pending_since = 0.0;
       stop = false;
       dead_fds = [];
     }
@@ -451,10 +363,9 @@ let serve cfg =
   let stop_signal _ = st.stop <- true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
-  log "listening on %s (fleet %d, jobs %d, window %.1fms, batch %d, cache %s)"
-    cfg.socket fleet cfg.jobs cfg.batch_window_ms cfg.batch_max
+  log "listening on %s (fleet %d, jobs %d, cache %s)" cfg.socket cfg.fleet cfg.jobs
     (match cfg.cache_dir with Some d -> d | None -> "off");
-  let all_idle () = Array.for_all (fun w -> w.w_inflight = []) st.workers in
+  let all_idle () = Array.for_all (fun w -> w.w_job = None) st.workers in
   let running () =
     not (st.stop && Queue.is_empty st.pending && all_idle ())
   in
@@ -492,10 +403,7 @@ let serve cfg =
             | Some w -> on_worker_readable st w
             | None -> ())
       readable;
-    (match st.inproc with
-    | Some session -> serve_inproc_pending st session
-    | None -> dispatch_ready st (Unix.gettimeofday ()));
-    ()
+    dispatch_ready st
   done;
   (* graceful teardown: close the worker pipes (workers see EOF and
      exit), reap, unlink the socket *)

@@ -281,11 +281,11 @@ let summary_json ~failures ~jobs ~cache_enabled ~sup_totals ~stats
    reflects scheduling rather than verification — job counts, cache
    statistics, wall clocks, worker utilization, supervision counters —
    is dropped, leaving only content that is byte-identical for the same
-   request at any job count, fleet size, cache state, or batching
-   window.  The serve CI gate diffs daemon responses against one-shot
-   --json-out through this projection (both sides via --scrub-summary);
-   after scrubbing, the summary is float-free by construction, so a
-   parse/re-emit round trip over the wire cannot perturb it. *)
+   request at any job count, fleet size or cache state.  The serve CI
+   gate diffs daemon responses against one-shot --json-out through
+   this projection (both sides via --scrub-summary); after scrubbing,
+   the summary is float-free by construction, so a parse/re-emit round
+   trip over the wire cannot perturb it. *)
 let volatile_keys =
   [
     "jobs";

@@ -42,13 +42,14 @@
 # of interleavings without changing the reachable state set.
 #
 # The serving gate starts a --serve daemon with a 2-process fleet,
-# pushes 50 mixed requests through --client (killing a fleet worker
-# halfway), and requires every response byte-identical to a one-shot
-# run of the same flags, the warm path to re-execute nothing, and the
-# killed worker respawned without a dropped response; the throughput
-# gate holds BENCH_serve.json to >= 1000 warm responses/s from the
-# 4-process fleet, with fleet scaling judged against the cores the
-# machine actually has.
+# whose dispatcher hands each worker one request at a time, pushes 50
+# mixed requests through --client (killing a fleet worker halfway),
+# and requires every response byte-identical to a one-shot run of the
+# same flags, the warm path to re-execute nothing, and the killed
+# worker respawned without a dropped response; a --fleet below 1 must
+# be refused.  The throughput gate holds BENCH_serve.json to >= 1000
+# warm responses/s from the 4-process fleet, with fleet scaling judged
+# against the cores the machine actually has.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -282,7 +283,17 @@ kill "$serve_pid"
 wait "$serve_pid" 2> /dev/null || true
 grep -q 'respawning' "$workdir/serve.err" || {
   echo "ci: worker kill did not trigger a respawn" >&2; exit 1; }
-echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 5 configs, warm path executed 0, killed worker respawned)"
+# a fleet below 1 is refused with an error naming --fleet: clamping it
+# would silently serve with a fleet the user did not ask for
+if "$exe" --serve "$workdir/fleet0.sock" --fleet 0 2> "$workdir/fleet0.err"; then
+  echo "ci: --fleet 0 was accepted" >&2; exit 1
+else
+  rc=$?
+  [ "$rc" -eq 2 ] || { echo "ci: --fleet 0 exited $rc, not 2" >&2; exit 1; }
+fi
+grep -q -- '--fleet' "$workdir/fleet0.err" || {
+  echo "ci: --fleet 0 refusal does not name --fleet" >&2; exit 1; }
+echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 5 configs, warm path executed 0, killed worker respawned, --fleet 0 refused)"
 
 # scaling benchmarks, uploaded as workflow artifacts
 dune exec bench/engine_bench.exe -- --quick --out BENCH_engine.json > /dev/null
@@ -298,7 +309,7 @@ echo "ci: wrote BENCH_serve.json"
 
 # --- serving throughput gate ----------------------------------------
 # The 4-process fleet must sustain >= 1000 warm responses/s through the
-# full wire path (framing, dispatch, admission batching, L0 replay,
+# full wire path (framing, dispatch to an idle worker, L0 replay,
 # response delivery).  Fleet scaling on execute-bound work (distinct
 # never-seen requests) is measured honestly against the cores this
 # machine actually has: below 4 cores, 4 workers cannot multiply

@@ -1,12 +1,13 @@
 (* Tests of the verification service (lib/serve): wire framing
    round-trips under torn and oversized input, the Jsonx parser the
    protocol rides on, request decoding and validation, determinism of
-   daemon responses against repeat and batched evaluation (stdout
-   byte-identical, summaries identical through the deterministic
-   projection), the L0 response-replay lifecycle, the plan memo, the
-   cross-process proof-cache sharing path (packs appearing mid-scan,
-   advisory-locked concurrent flushes), and an end-to-end daemon
-   round-trip over a real Unix socket. *)
+   daemon responses against repeat evaluation (stdout byte-identical,
+   summaries identical through the deterministic projection), the L0
+   response-replay lifecycle, the plan memo, the cross-process
+   proof-cache sharing path (packs appearing mid-scan, advisory-locked
+   concurrent flushes), the dispatcher's requeue order after a worker
+   death, and daemons over a real Unix socket: end to end, a max-size
+   frame through the worker pipe, and concurrent distinct requests. *)
 
 module Jsonx = Engine.Jsonx
 module Protocol = Serve.Protocol
@@ -102,85 +103,6 @@ let test_blocking_read_frame () =
   | exception Protocol.Closed -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Closed mid-frame");
   Unix.close b
-
-let test_pack_items_roundtrip () =
-  let items =
-    [ ("0", "{\"op\":\"verify\"}"); ("17", ""); ("t\x00ag", String.make 4096 '\xff') ]
-  in
-  (match Protocol.unpack_items (Protocol.pack_items items) with
-  | Ok back -> Alcotest.(check (list (pair string string))) "items" items back
-  | Error msg -> Alcotest.fail msg);
-  (match Protocol.unpack_items "" with
-  | Ok [] -> ()
-  | Ok _ | Error _ -> Alcotest.fail "empty pack should be empty list");
-  match Protocol.unpack_items "\x00\x00\x00\x09x" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated pack accepted"
-
-let test_item_size_accounting () =
-  (* the admission batcher's byte bound is only sound if item_size is
-     exactly the packed footprint *)
-  let items =
-    [ ("0", ""); ("123", "payload"); ("t", String.make 9_000 'x') ]
-  in
-  List.iteri
-    (fun i _ ->
-      let prefix = List.filteri (fun j _ -> j <= i) items in
-      Alcotest.(check int)
-        (Printf.sprintf "pack of %d items" (i + 1))
-        (List.fold_left (fun acc it -> acc + Protocol.item_size it) 0 prefix)
-        (String.length (Protocol.pack_items prefix)))
-    items
-
-(* take_batch must bound batches by packed bytes as well as count:
-   clients may each legally send close to max_frame, and a count-only
-   bound would make pack_items of a full batch unframeable (a daemon
-   crash, pre-fix). *)
-let test_take_batch_byte_bound () =
-  let mk_state batch_max =
-    {
-      Server.cfg =
-        { (Server.default_config ~socket:"unused") with Server.batch_max };
-      listen_fd = Unix.stdin;
-      clients = Hashtbl.create 1;
-      workers = [||];
-      inproc = None;
-      tag_owner = [];
-      next_tag = 0;
-      pending = Queue.create ();
-      pending_since = 0.0;
-      stop = false;
-      dead_fds = [];
-    }
-  in
-  let frameable items =
-    String.length (Protocol.pack_items items) <= Protocol.max_frame
-  in
-  (* count bound still applies to small items *)
-  let st = mk_state 4 in
-  for i = 0 to 9 do
-    Queue.add (string_of_int i, "tiny") st.Server.pending
-  done;
-  Alcotest.(check int) "count-bounded" 4 (List.length (Server.take_batch st));
-  (* 3 MiB payloads: two fit under max_frame, the third must wait *)
-  let st = mk_state 32 in
-  let big = String.make (3 * 1024 * 1024) 'p' in
-  for i = 0 to 3 do
-    Queue.add (string_of_int i, big) st.Server.pending
-  done;
-  let batch = Server.take_batch st in
-  Alcotest.(check int) "byte-bounded" 2 (List.length batch);
-  Alcotest.(check bool) "batch frameable" true (frameable batch);
-  let batch2 = Server.take_batch st in
-  Alcotest.(check int) "remainder drains" 2 (List.length batch2);
-  Alcotest.(check bool) "second batch frameable" true (frameable batch2);
-  (* the head item is always taken, even when it alone cannot meet the
-     bound (dispatch_to turns that into an error response, not a crash) *)
-  let st = mk_state 32 in
-  Queue.add ("0", String.make Protocol.max_frame 'q') st.Server.pending;
-  Queue.add ("1", "tiny") st.Server.pending;
-  Alcotest.(check int) "oversized head taken alone" 1
-    (List.length (Server.take_batch st))
 
 (* ------------------------------------------------------------------ *)
 (* Jsonx parsing                                                       *)
@@ -351,65 +273,17 @@ let test_repeat_determinism () =
       Alcotest.(check int) "clean verdict" 0 (status_of a))
     matrix
 
-(* A merged-DAG batch must be byte-identical to unbatched evaluation of
-   the same requests. *)
-let test_batch_equals_singletons () =
-  let payloads =
-    [
-      {|{"op":"verify","quick":true,"seed":21,"lints":"body"}|};
-      {|{"op":"verify","quick":true,"seed":22,"lints":"borrow"}|};
-      {|{"op":"verify","quick":true,"seed":23,"lints":"body","overrides":false}|};
-    ]
-  in
-  let batched =
-    Driver.handle_batch (Driver.session ())
-      (List.mapi (fun i p -> (string_of_int i, p)) payloads)
-  in
-  Alcotest.(check int) "one response per request" (List.length payloads)
-    (List.length batched);
-  List.iteri
-    (fun i payload ->
-      let b = parse_response (List.assoc (string_of_int i) batched) in
-      let s = parse_response (Driver.handle_one (Driver.session ()) payload) in
-      assert_ok b;
-      assert_ok s;
-      Alcotest.(check string) "stdout batched = singleton" (stdout_of s) (stdout_of b);
-      Alcotest.(check string) "scrubbed summary batched = singleton" (scrubbed_of s)
-        (scrubbed_of b))
-    payloads
+let refused j = Jsonx.member "ok" j = Some (Jsonx.Bool false)
 
-(* Duplicate requests inside one batch deduplicate to one evaluation
-   but still answer every tag. *)
-let test_batch_dedup () =
-  let p = {|{"op":"verify","quick":true,"seed":24,"lints":"body"}|} in
-  let responses =
-    Driver.handle_batch (Driver.session ()) [ ("a", p); ("b", p); ("c", p) ]
-  in
-  Alcotest.(check int) "three responses" 3 (List.length responses);
-  match List.map snd responses with
-  | [ x; y; z ] ->
-      Alcotest.(check string) "identical bytes a/b" x y;
-      Alcotest.(check string) "identical bytes b/c" y z;
-      assert_ok (parse_response x)
-  | _ -> Alcotest.fail "batch shape"
-
-(* Malformed payloads get per-tag error responses; the good requests in
-   the same batch still verify. *)
-let test_batch_bad_payloads () =
-  let responses =
-    Driver.handle_batch (Driver.session ())
-      [
-        ("good", {|{"op":"verify","quick":true,"seed":25,"lints":"body"}|});
-        ("bad-json", "{");
-        ("bad-req", {|{"geometry":"riscv"}|});
-      ]
-  in
-  let by_tag tag = parse_response (List.assoc tag responses) in
-  assert_ok (by_tag "good");
-  Alcotest.(check bool) "bad json refused" true
-    (Jsonx.member "ok" (by_tag "bad-json") = Some (Jsonx.Bool false));
+(* Malformed payloads get error responses, and the session goes on to
+   verify a good request. *)
+let test_bad_payloads () =
+  let session = Driver.session () in
+  let handle payload = parse_response (Driver.handle_one session payload) in
+  Alcotest.(check bool) "bad json refused" true (refused (handle "{"));
   Alcotest.(check bool) "bad request refused" true
-    (Jsonx.member "ok" (by_tag "bad-req") = Some (Jsonx.Bool false))
+    (refused (handle {|{"geometry":"riscv"}|}));
+  assert_ok (handle {|{"op":"verify","quick":true,"seed":25,"lints":"body"}|})
 
 let test_source_digest_gate () =
   let ok_payload =
@@ -423,8 +297,7 @@ let test_source_digest_gate () =
       (Driver.handle_one (Driver.session ())
          {|{"op":"verify","quick":true,"source_digest":"deadbeef"}|})
   in
-  Alcotest.(check bool) "mismatched digest refused" true
-    (Jsonx.member "ok" bad = Some (Jsonx.Bool false))
+  Alcotest.(check bool) "mismatched digest refused" true (refused bad)
 
 (* The L0 replay lifecycle: a response is memoized only once its run
    re-executed nothing, and replayed bytes are identical. *)
@@ -535,191 +408,214 @@ let test_cache_two_process () =
           Alcotest.(check bool) "parent entry present" true (Cache.find c o <> None))
         (List.init 10 Fun.id)
 
-(* Batched execution shares proof-cache entries with one-shot runs: the
-   re-id'd [b<i>/] obligations keep their canonical cache_id, so a
-   batch warms the cache for singletons and vice versa. *)
-let test_batch_shares_cache_entries () =
-  let dir = fresh_dir () in
-  let payloads =
-    [
-      {|{"op":"verify","quick":true,"seed":41,"lints":"body"}|};
-      {|{"op":"verify","quick":true,"seed":42,"lints":"body"}|};
-    ]
+(* ------------------------------------------------------------------ *)
+(* Dispatcher                                                          *)
+
+(* A dead worker's request goes back to the head of the queue, so it is
+   dispatched again before a request that arrived after it. *)
+let test_respawn_requeues_at_front () =
+  let cfg =
+    { (Server.default_config ~socket:"unused") with Server.fleet = 1; prewarm = false }
   in
-  let batch_session = Driver.session ~cache_dir:dir () in
-  let batched =
-    Driver.handle_batch batch_session
-      (List.mapi (fun i p -> (string_of_int i, p)) payloads)
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
+  let victim = (0, {|{"op":"verify","geometry":"riscv"}|}) in
+  let later = (1, {|{"op":"verify","geometry":"sparc"}|}) in
+  let w =
+    { Server.w_index = 0; w_pid = pid; w_fd = fd;
+      w_reader = Protocol.Reader.create (); w_job = Some victim }
   in
-  List.iter (fun (_, r) -> assert_ok (parse_response r)) batched;
-  (* a fresh session on the same directory replays everything *)
-  let warm_session = Driver.session ~cache_dir:dir () in
-  List.iter
-    (fun p ->
-      let j = parse_response (Driver.handle_one warm_session p) in
-      assert_ok j;
-      Alcotest.(check int) "batch warmed the one-shot path" 0 (executed_of j))
-    payloads
+  let st =
+    {
+      Server.cfg;
+      listen_fd;
+      clients = Hashtbl.create 1;
+      workers = [| w |];
+      tag_owner = [];
+      next_tag = 2;
+      pending = Queue.create ();
+      stop = false;
+      dead_fds = [];
+    }
+  in
+  Queue.add later st.Server.pending;
+  Unix.kill pid Sys.sigkill;
+  (* reads the dead worker's EOF and respawns it *)
+  Server.on_worker_readable st w;
+  Alcotest.(check bool) "worker respawned" true (w.Server.w_pid <> pid);
+  Server.dispatch_ready st;
+  Alcotest.(check (option (pair int string))) "victim dispatched first"
+    (Some victim) w.Server.w_job;
+  Alcotest.(check (list (pair int string))) "later request still queued" [ later ]
+    (List.of_seq (Queue.to_seq st.Server.pending));
+  (* the replacement worker answers the victim's request *)
+  (match Protocol.read_frame w.Server.w_fd with
+  | Ok (Some r) ->
+      Alcotest.(check (option string)) "victim's answer"
+        (Some {|bad request: unknown geometry "riscv"|})
+        (Option.bind (Jsonx.member "error" (parse_response r)) Jsonx.to_string_opt)
+  | Ok None | Error _ -> Alcotest.fail "replacement worker did not answer");
+  Unix.close w.Server.w_fd;
+  ignore (Unix.waitpid [] w.Server.w_pid);
+  Unix.close listen_fd
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end daemon round trip                                        *)
+(* Daemons over a Unix socket                                          *)
+
+let daemon_config ~socket ~fleet =
+  { (Server.default_config ~socket) with Server.fleet; prewarm = false }
+
+(* Fork a daemon of [fleet] workers on a fresh socket, run [f socket]
+   against it, then shut it down. *)
+let with_daemon ~fleet f =
+  let socket = fresh_dir () ^ ".sock" in
+  match Unix.fork () with
+  | 0 ->
+      (try Server.serve (daemon_config ~socket ~fleet) with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      Fun.protect
+        ~finally:(fun () ->
+          (try ignore (Client.shutdown ~socket) with _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          Alcotest.(check bool) "daemon ready" true (Client.wait_ready ~socket ());
+          f socket)
 
 let test_daemon_end_to_end () =
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mirverif-serve-test-%d.sock" (Unix.getpid ()))
-  in
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Server.serve
-           {
-             (Server.default_config ~socket) with
-             Server.fleet = 0;
-             prewarm = false;
-             batch_window_ms = 1.0;
-           }
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try ignore (Client.shutdown ~socket) with _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        (fun () ->
-          Alcotest.(check bool) "daemon ready" true (Client.wait_ready ~socket ());
-          let req =
-            {|{"op":"verify","quick":true,"seed":4242,"lints":"body"}|}
+  with_daemon ~fleet:1 (fun socket ->
+      let req = {|{"op":"verify","quick":true,"seed":4242,"lints":"body"}|} in
+      (match Client.request ~socket req with
+      | Error msg -> Alcotest.fail msg
+      | Ok r ->
+          let daemon = parse_response r in
+          assert_ok daemon;
+          Alcotest.(check int) "clean verdict over the wire" 0 (status_of daemon);
+          (* byte-identical to local evaluation of the same request *)
+          let local = parse_response (Driver.handle_one (Driver.session ()) req) in
+          Alcotest.(check string) "daemon stdout = local stdout"
+            (stdout_of local) (stdout_of daemon);
+          Alcotest.(check string) "daemon summary = local summary (scrubbed)"
+            (scrubbed_of local) (scrubbed_of daemon));
+      (* malformed JSON is answered, not fatal *)
+      (match Client.request ~socket "{definitely not json" with
+      | Ok r ->
+          Alcotest.(check bool) "malformed payload refused" true
+            (refused (parse_response r))
+      | Error msg -> Alcotest.fail msg);
+      (* pathologically nested JSON is answered with a parse error,
+         not a Stack_overflow that kills the daemon *)
+      (match Client.request ~socket (String.make 500_000 '[') with
+      | Ok r ->
+          Alcotest.(check bool) "deep nesting refused" true (refused (parse_response r))
+      | Error msg -> Alcotest.fail msg);
+      (* a second daemon must refuse to steal a live socket; run the
+         contender in a child so a regression (it binds and serves
+         forever) fails the test instead of hanging it *)
+      (match Unix.fork () with
+      | 0 -> (
+          match Server.serve (daemon_config ~socket ~fleet:1) with
+          | () -> Unix._exit 10
+          | exception Failure _ -> Unix._exit 11
+          | exception _ -> Unix._exit 12)
+      | contender ->
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let rec wait () =
+            match Unix.waitpid [ Unix.WNOHANG ] contender with
+            | 0, _ ->
+                if Unix.gettimeofday () > deadline then begin
+                  Unix.kill contender Sys.sigkill;
+                  ignore (Unix.waitpid [] contender);
+                  Alcotest.fail "second daemon did not refuse promptly"
+                end
+                else begin
+                  Unix.sleepf 0.02;
+                  wait ()
+                end
+            | _, Unix.WEXITED 11 -> ()
+            | _, _ -> Alcotest.fail "second daemon did not refuse the live socket"
           in
-          (match Client.request ~socket req with
-          | Error msg -> Alcotest.fail msg
-          | Ok r ->
-              let daemon = parse_response r in
-              assert_ok daemon;
-              Alcotest.(check int) "clean verdict over the wire" 0 (status_of daemon);
-              (* byte-identical to local evaluation of the same request *)
-              let local = parse_response (Driver.handle_one (Driver.session ()) req) in
-              Alcotest.(check string) "daemon stdout = local stdout"
-                (stdout_of local) (stdout_of daemon);
-              Alcotest.(check string) "daemon summary = local summary (scrubbed)"
-                (scrubbed_of local) (scrubbed_of daemon));
-          (* malformed JSON is answered, not fatal *)
-          (match Client.request ~socket "{definitely not json" with
-          | Ok r ->
-              Alcotest.(check bool) "malformed payload refused" true
-                (Jsonx.member "ok" (parse_response r) = Some (Jsonx.Bool false))
-          | Error msg -> Alcotest.fail msg);
-          (* pathologically nested JSON is answered with a parse error,
-             not a Stack_overflow that kills the daemon *)
-          (match Client.request ~socket (String.make 500_000 '[') with
-          | Ok r ->
-              Alcotest.(check bool) "deep nesting refused" true
-                (Jsonx.member "ok" (parse_response r) = Some (Jsonx.Bool false))
-          | Error msg -> Alcotest.fail msg);
-          (* a second daemon must refuse to steal a live socket; run the
-             contender in a child so a regression (it binds and serves
-             forever) fails the test instead of hanging it *)
-          (match Unix.fork () with
-          | 0 ->
-              (match
-                 Server.serve
-                   {
-                     (Server.default_config ~socket) with
-                     Server.fleet = 0;
-                     prewarm = false;
-                   }
-               with
-              | () -> Unix._exit 10
-              | exception Failure _ -> Unix._exit 11
-              | exception _ -> Unix._exit 12)
-          | contender ->
-              let deadline = Unix.gettimeofday () +. 10.0 in
-              let rec wait () =
-                match Unix.waitpid [ Unix.WNOHANG ] contender with
-                | 0, _ ->
-                    if Unix.gettimeofday () > deadline then begin
-                      Unix.kill contender Sys.sigkill;
-                      ignore (Unix.waitpid [] contender);
-                      Alcotest.fail "second daemon did not refuse promptly"
-                    end
-                    else begin
-                      Unix.sleepf 0.02;
-                      wait ()
-                    end
-                | _, Unix.WEXITED 11 -> ()
-                | _, _ ->
-                    Alcotest.fail "second daemon did not refuse the live socket"
-              in
-              wait ());
-          (* an oversized frame announcement gets an error response and
-             a closed connection, and the daemon survives *)
-          (match Client.connect socket with
-          | Error msg -> Alcotest.fail msg
-          | Ok fd ->
-              let n = Protocol.max_frame + 1 in
-              let hdr =
-                String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
-              in
-              let w = Unix.write_substring fd hdr 0 4 in
-              Alcotest.(check int) "header written" 4 w;
-              (match Protocol.read_frame fd with
-              | Ok (Some r) ->
-                  Alcotest.(check bool) "oversized refused" true
-                    (Jsonx.member "ok" (parse_response r) = Some (Jsonx.Bool false))
-              | Ok None | Error _ -> Alcotest.fail "expected an error response");
-              Unix.close fd);
-          Alcotest.(check bool) "daemon still answers pings" true (Client.ping ~socket))
+          wait ());
+      (* an oversized frame announcement gets an error response and
+         a closed connection, and the daemon survives *)
+      (match Client.connect socket with
+      | Error msg -> Alcotest.fail msg
+      | Ok fd ->
+          let n = Protocol.max_frame + 1 in
+          let hdr =
+            String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+          in
+          let w = Unix.write_substring fd hdr 0 4 in
+          Alcotest.(check int) "header written" 4 w;
+          (match Protocol.read_frame fd with
+          | Ok (Some r) ->
+              Alcotest.(check bool) "oversized refused" true (refused (parse_response r))
+          | Ok None | Error _ -> Alcotest.fail "expected an error response");
+          Unix.close fd);
+      Alcotest.(check bool) "daemon still answers pings" true (Client.ping ~socket))
 
-(* A fleet daemon fed a legal frame whose payload is within a few bytes
-   of max_frame: packed with its tag it cannot cross the worker pipe,
-   so pre-fix the dispatcher crashed in Protocol.frame.  It must answer
-   with an error response and keep serving. *)
-let test_daemon_fleet_unframeable_item () =
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mirverif-serve-test-fleet-%d.sock" (Unix.getpid ()))
-  in
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Server.serve
-           {
-             (Server.default_config ~socket) with
-             Server.fleet = 1;
-             prewarm = false;
-             batch_window_ms = 1.0;
-           }
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try ignore (Client.shutdown ~socket) with _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        (fun () ->
-          Alcotest.(check bool) "daemon ready" true (Client.wait_ready ~socket ());
-          (* valid JSON (routes to the worker queue), 5 bytes under the
-             frame cap: legal on the client wire, unframeable packed *)
-          let n = Protocol.max_frame - 5 in
-          let payload =
-            "{\"a\":\"" ^ String.make (n - 8) 'x' ^ "\"}"
-          in
-          Alcotest.(check int) "payload fills the frame" n
-            (String.length payload);
-          (match Client.request ~socket payload with
-          | Ok r ->
-              let j = parse_response r in
-              Alcotest.(check bool) "unframeable item refused" true
-                (Jsonx.member "ok" j = Some (Jsonx.Bool false))
-          | Error msg -> Alcotest.fail msg);
-          (* the daemon and its worker survived *)
-          Alcotest.(check bool) "daemon still answers pings" true
-            (Client.ping ~socket);
-          match Client.request ~socket {|{"op":"verify","quick":true,"lints":"body"}|} with
-          | Ok r -> assert_ok (parse_response r)
-          | Error msg -> Alcotest.fail msg)
+(* A request of exactly max_frame bytes crosses the dispatcher→worker
+   pipe as it came: it is valid JSON naming an unknown geometry, so the
+   worker's own validation error comes back, and the daemon keeps
+   serving. *)
+let test_daemon_max_size_frame () =
+  with_daemon ~fleet:1 (fun socket ->
+      let head = {|{"op":"verify","geometry":"riscv","pad":"|} and tail = {|"}|} in
+      let pad = Protocol.max_frame - String.length head - String.length tail in
+      let payload = head ^ String.make pad 'x' ^ tail in
+      Alcotest.(check int) "payload fills the frame" Protocol.max_frame
+        (String.length payload);
+      (match Client.request ~socket payload with
+      | Ok r ->
+          Alcotest.(check (option string)) "the worker's validation error"
+            (Some {|bad request: unknown geometry "riscv"|})
+            (Option.bind (Jsonx.member "error" (parse_response r)) Jsonx.to_string_opt)
+      | Error msg -> Alcotest.fail msg);
+      Alcotest.(check bool) "daemon still answers pings" true (Client.ping ~socket);
+      match Client.request ~socket {|{"op":"verify","quick":true,"lints":"body"}|} with
+      | Ok r -> assert_ok (parse_response r)
+      | Error msg -> Alcotest.fail msg)
+
+(* Four connections each send one distinct request to a two-worker
+   daemon before any answer is read, so two requests wait in the queue.
+   Each connection gets its own answer, equal to local evaluation. *)
+let test_daemon_concurrent_distinct () =
+  with_daemon ~fleet:2 (fun socket ->
+      let payloads =
+        List.init 4 (fun i ->
+            Printf.sprintf {|{"op":"verify","quick":true,"seed":%d,"lints":"body"}|}
+              (61 + i))
+      in
+      let fds =
+        List.map
+          (fun payload ->
+            match Client.connect socket with
+            | Ok fd ->
+                Protocol.write_frame fd payload;
+                fd
+            | Error msg -> Alcotest.fail msg)
+          payloads
+      in
+      let stdouts =
+        List.map2
+          (fun payload fd ->
+            let daemon =
+              match Protocol.read_frame fd with
+              | Ok (Some r) -> parse_response r
+              | Ok None | Error _ -> Alcotest.fail "connection got no answer"
+            in
+            Unix.close fd;
+            assert_ok daemon;
+            let local = parse_response (Driver.handle_one (Driver.session ()) payload) in
+            Alcotest.(check string) "daemon stdout = local stdout" (stdout_of local)
+              (stdout_of daemon);
+            Alcotest.(check string) "daemon summary = local summary (scrubbed)"
+              (scrubbed_of local) (scrubbed_of daemon);
+            stdout_of daemon)
+          payloads fds
+      in
+      Alcotest.(check int) "four different answers" 4
+        (List.length (List.sort_uniq String.compare stdouts)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -732,11 +628,6 @@ let () =
           Alcotest.test_case "torn feed" `Quick test_frame_torn_feed;
           Alcotest.test_case "oversized" `Quick test_frame_oversized;
           Alcotest.test_case "blocking read" `Quick test_blocking_read_frame;
-          Alcotest.test_case "pack items" `Quick test_pack_items_roundtrip;
-          Alcotest.test_case "item size accounting" `Quick
-            test_item_size_accounting;
-          Alcotest.test_case "take_batch byte bound" `Quick
-            test_take_batch_byte_bound;
         ] );
       ( "jsonx-parse",
         [
@@ -759,20 +650,23 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "repeat determinism" `Slow test_repeat_determinism;
-          Alcotest.test_case "batch = singletons" `Slow test_batch_equals_singletons;
-          Alcotest.test_case "batch dedup" `Quick test_batch_dedup;
-          Alcotest.test_case "batch bad payloads" `Quick test_batch_bad_payloads;
+          Alcotest.test_case "bad payloads" `Quick test_bad_payloads;
           Alcotest.test_case "source digest gate" `Quick test_source_digest_gate;
           Alcotest.test_case "replay lifecycle" `Quick test_replay_lifecycle;
           Alcotest.test_case "plan memo" `Quick test_plan_memo;
           Alcotest.test_case "plan fields in summary" `Quick test_plan_fields_in_summary;
-          Alcotest.test_case "batch shares cache entries" `Quick
-            test_batch_shares_cache_entries;
+        ] );
+      ( "dispatcher",
+        [
+          Alcotest.test_case "respawn requeues at the front" `Quick
+            test_respawn_requeues_at_front;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "end to end" `Slow test_daemon_end_to_end;
-          Alcotest.test_case "fleet unframeable item" `Slow
-            test_daemon_fleet_unframeable_item;
+          Alcotest.test_case "max-size frame crosses the pipe" `Slow
+            test_daemon_max_size_frame;
+          Alcotest.test_case "concurrent distinct requests" `Slow
+            test_daemon_concurrent_distinct;
         ] );
     ]
