@@ -25,9 +25,14 @@
    verification content — no job counts, timings or cache statistics —
    so the output is byte-identical at any job count and cache state;
    scheduling metadata goes to stderr, --json-out and --trace-out.
-   Rendering and summary construction live in lib/serve, shared with
-   the --serve daemon, so a daemon response is byte-identical to a
-   one-shot run of the same request.
+
+   The flags build one [Serve.Driver.request].  A one-shot run hands it
+   to [Serve.Driver.run], the same function that answers the --serve
+   daemon's requests, so a daemon response equals a one-shot run by
+   construction.  What stays here is the CLI's own: the --chaos phase
+   (passed to the driver as a printer), the --engine-chaos handle, the
+   stderr engine lines and the --json-out, --trace-out and --lint-json
+   writers.
 
    Serving (lib/serve): --serve SOCKET runs the long-lived daemon — a
    dispatcher handing one request at a time to each of --fleet N forked
@@ -38,64 +43,60 @@
 open Cmdliner
 module Report = Mirverif.Report
 
-let phase_header name = Format.printf "@.=== %s ===@." name
-
 (* Phase 10 (opt-in): chaos.  On the correct monitor the phase passes
    when [traces] fault-injected traces survive every per-step check; on
    the --buggy-tlb monitor it passes when the planted stale-TLB bug is
    found and shrunk to a minimal witness.  Stays sequential: its value
    is the shrinking loop, not throughput. *)
-let run_chaos ~failures ~quick ~seed ~traces ~faults_spec ~buggy_tlb layout =
-  let kinds =
-    if String.trim faults_spec = "all" then Ok Fault.Plan.all_kinds
-    else Fault.Plan.kinds_of_string faults_spec
-  in
-  match kinds with
-  | Error msg ->
+let run_chaos ppf ~failures ~quick ~seed ~traces ~kinds ~buggy_tlb layout =
+  let traces = if quick then min traces 1_000 else traces in
+  let flush = not buggy_tlb in
+  Format.fprintf ppf "  monitor: %s@.  fault kinds: %s@."
+    (if buggy_tlb then "buggy (unmap does not flush the TLB)" else "correct")
+    (String.concat ", " (List.map Fault.Plan.kind_to_string kinds));
+  let stats, cx = Fault.Chaos.run ~flush ~faults:kinds ~seed ~traces layout in
+  Format.fprintf ppf
+    "  %d traces, %d events, %d faults applied (%d inapplicable), %d disabled actions@."
+    stats.Fault.Chaos.traces stats.Fault.Chaos.events stats.Fault.Chaos.faults
+    stats.Fault.Chaos.fault_skips stats.Fault.Chaos.disabled_steps;
+  (match (cx, buggy_tlb) with
+  | None, false ->
+      Format.fprintf ppf
+        "  no violations: transactionality, invariants and TLB consistency hold@."
+  | Some cx, false ->
       incr failures;
-      Format.printf "  bad --faults: %s@." msg
-  | Ok [] ->
+      Format.fprintf ppf "  COUNTEREXAMPLE:@.%a@." Fault.Chaos.pp_counterexample cx
+  | Some cx, true ->
+      Format.fprintf ppf "  found and shrunk the planted stale-TLB bug:@.%a@."
+        Fault.Chaos.pp_counterexample cx;
+      if not (String.equal cx.Fault.Chaos.cx_failure.Fault.Chaos.check "tlb-consistency")
+      then begin
+        incr failures;
+        Format.fprintf ppf "  UNEXPECTED: the failure is not a TLB-consistency violation@."
+      end
+  | None, true ->
       incr failures;
-      Format.printf "  bad --faults: empty kind list@."
-  | Ok kinds ->
-      let traces = if quick then min traces 1_000 else traces in
-      let flush = not buggy_tlb in
-      Format.printf "  monitor: %s@.  fault kinds: %s@."
-        (if buggy_tlb then "buggy (unmap does not flush the TLB)" else "correct")
-        (String.concat ", " (List.map Fault.Plan.kind_to_string kinds));
-      let stats, cx = Fault.Chaos.run ~flush ~faults:kinds ~seed ~traces layout in
-      Format.printf
-        "  %d traces, %d events, %d faults applied (%d inapplicable), %d disabled actions@."
-        stats.Fault.Chaos.traces stats.Fault.Chaos.events stats.Fault.Chaos.faults
-        stats.Fault.Chaos.fault_skips stats.Fault.Chaos.disabled_steps;
-      (match (cx, buggy_tlb) with
-      | None, false ->
-          Format.printf
-            "  no violations: transactionality, invariants and TLB consistency hold@."
-      | Some cx, false ->
-          incr failures;
-          Format.printf "  COUNTEREXAMPLE:@.%a@." Fault.Chaos.pp_counterexample cx
-      | Some cx, true ->
-          Format.printf "  found and shrunk the planted stale-TLB bug:@.%a@."
-            Fault.Chaos.pp_counterexample cx;
-          if not (String.equal cx.Fault.Chaos.cx_failure.Fault.Chaos.check "tlb-consistency")
-          then begin
-            incr failures;
-            Format.printf "  UNEXPECTED: the failure is not a TLB-consistency violation@."
-          end
-      | None, true ->
-          incr failures;
-          Format.printf "  UNEXPECTED: the buggy monitor survived all %d traces@."
-            stats.Fault.Chaos.traces);
-      let mreport, outcomes = Fault.Mir_chaos.run ~seed layout in
-      Format.printf "  %s@." (Report.to_string mreport);
-      List.iter
-        (fun o ->
-          Format.printf "    %-16s %3d primitive calls, %3d perturbed executions@."
-            o.Fault.Mir_chaos.target o.Fault.Mir_chaos.prim_calls
-            o.Fault.Mir_chaos.injections)
-        outcomes;
-      if not (Report.ok mreport) then incr failures
+      Format.fprintf ppf "  UNEXPECTED: the buggy monitor survived all %d traces@."
+        stats.Fault.Chaos.traces);
+  let mreport, outcomes = Fault.Mir_chaos.run ~seed layout in
+  Format.fprintf ppf "  %s@." (Report.to_string mreport);
+  List.iter
+    (fun o ->
+      Format.fprintf ppf "    %-16s %3d primitive calls, %3d perturbed executions@."
+        o.Fault.Mir_chaos.target o.Fault.Mir_chaos.prim_calls
+        o.Fault.Mir_chaos.injections)
+    outcomes;
+  if not (Report.ok mreport) then incr failures
+
+let chaos_phase ~quick ~seed ~traces ~kinds ~buggy_tlb (req : Serve.Driver.request)
+    ppf ~failures =
+  Serve.Render.phase_header ppf "10. chaos (fault injection, transactionality, shrinking)";
+  if req.Serve.Driver.geometry = "x86_64" then
+    Format.fprintf ppf
+      "  skipped: the chaos checks enumerate page contents; use --geometry tiny@."
+  else
+    run_chaos ppf ~failures ~quick ~seed ~traces ~kinds ~buggy_tlb
+      (Serve.Driver.layout_of_geometry req.Serve.Driver.geometry)
 
 (* ------------------------------------------------------------------ *)
 (* Serve / client modes                                                *)
@@ -123,6 +124,10 @@ let run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms =
         Format.eprintf "hyperenclave-verify: %s@." msg;
         2
 
+let write_summary ~scrub_summary path summary =
+  let summary = if scrub_summary then Serve.Summary.scrub summary else summary in
+  Engine.Jsonx.write_file path (Engine.Jsonx.to_multiline_string summary)
+
 let run_client ~socket ~scrub_summary ~json_out (req : Serve.Driver.request) =
   let module Jsonx = Engine.Jsonx in
   match Serve.Client.request_json ~socket (Serve.Driver.json_of_request req) with
@@ -137,13 +142,7 @@ let run_client ~socket ~scrub_summary ~json_out (req : Serve.Driver.request) =
           flush stdout;
           Option.iter
             (fun path ->
-              match Jsonx.member "summary" resp with
-              | Some summary ->
-                  let summary =
-                    if scrub_summary then Serve.Summary.scrub summary else summary
-                  in
-                  Jsonx.write_file path (Jsonx.to_multiline_string summary)
-              | None -> ())
+              Option.iter (write_summary ~scrub_summary path) (Jsonx.member "summary" resp))
             json_out;
           Option.value ~default:1
             (Option.bind (Jsonx.member "status" resp) Jsonx.to_int_opt)
@@ -156,143 +155,27 @@ let run_client ~socket ~scrub_summary ~json_out (req : Serve.Driver.request) =
           2)
 
 (* ------------------------------------------------------------------ *)
+(* One-shot mode                                                       *)
 
-let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
-    chaos_traces faults_spec buggy_tlb lints timeout_ms retries
-    engine_chaos_seed engine_faults_spec mc_depth mc_geometry mc_por overrides
-    serve_socket client_socket fleet scrub_summary =
-  match
-    if engine_chaos_seed = None then Ok Fault.Plan.all_engine_kinds
-    else Fault.Plan.engine_kinds_of_string engine_faults_spec
-  with
-  | Error msg ->
-      Format.eprintf "hyperenclave-verify: bad --engine-faults: %s@." msg;
-      2
-  | Ok [] ->
-      Format.eprintf "hyperenclave-verify: bad --engine-faults: empty kind list@.";
-      2
-  | Ok engine_kinds ->
-  match serve_socket with
-  | Some socket ->
-      run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms
-  | None ->
-  match client_socket with
-  | Some socket ->
-      if chaos || engine_chaos_seed <> None then begin
-        Format.eprintf
-          "hyperenclave-verify: --chaos / --engine-chaos are not served over \
-           the wire (run them one-shot)@.";
-        2
-      end
-      else
-        let req =
-          {
-            Serve.Driver.geometry;
-            seed;
-            quick;
-            lints;
-            overrides;
-            mc =
-              Option.map
-                (fun depth ->
-                  {
-                    Serve.Driver.mc_depth = max 1 depth;
-                    mc_por;
-                    mc_geometry;
-                    mc_buggy_tlb = buggy_tlb;
-                  })
-                mc_depth;
-            source_digest = None;
-          }
-        in
-        run_client ~socket ~scrub_summary ~json_out req
-  | None ->
-  let geom =
-    match geometry with
-    | "x86_64" -> Hyperenclave.Geometry.x86_64
-    | _ -> Hyperenclave.Geometry.tiny
+(* The driver's run, then what only the CLI writes: the stderr engine
+   lines (scheduling metadata: never on stdout, so runs diff clean) and
+   the --json-out, --trace-out and --lint-json files. *)
+let run_local (session : Serve.Driver.session) ?chaos ?engine_chaos ~json_out
+    ~trace_out ~lint_json ~scrub_summary req =
+  let (r : Serve.Driver.run_result) =
+    Serve.Driver.run ?chaos ?engine_chaos session (Serve.Driver.prepare req)
   in
-  let layout = Hyperenclave.Layout.default geom in
-  let failures = ref 0 in
-  let ppf = Format.std_formatter in
-
-  (* phases 1-2 *)
-  Serve.Render.prelude ppf ~failures layout;
-
-  (* phases 3-8: build the obligation DAG and hand it to the pool *)
-  let security = geometry <> "x86_64" in
-  let model_check =
-    Option.map
-      (fun depth ->
-        (* the checker's own small geometry: exhaustive exploration
-           needs an enumerable state space regardless of the geometry
-           the proof phases run on *)
-        {
-          Engine.Plan.mc_depth = max 1 depth;
-          mc_por;
-          mc_flush = not buggy_tlb;
-          mc_layout = Serve.Driver.mc_layout_of_geometry mc_geometry;
-        })
-      mc_depth
-  in
-  let plan, plan_cache_hit, plan_build_s =
-    Engine.Plan.build_memo ~quick ~security ~lints ?model_check ~overrides ~seed
-      layout
-  in
-  let cache = Option.map (fun dir -> Engine.Cache.create ~dir) cache_dir in
-  let jobs = max 1 jobs in
-  let engine_chaos =
-    Option.map
-      (fun cseed -> Engine.Engine_chaos.create ~kinds:engine_kinds ~seed:cseed ())
-      engine_chaos_seed
-  in
-  let sup =
-    {
-      Engine.Supervisor.default with
-      timeout = (if timeout_ms <= 0 then None else Some (float_of_int timeout_ms /. 1000.));
-      retries = max 0 retries;
-      seed;
-      chaos = engine_chaos;
-    }
-  in
-  let run_pool () = Engine.Pool.run_with_stats ?cache ~sup ~jobs plan.Engine.Plan.dag in
-  let execs, stats =
-    (* chaos clock skew perturbs every engine timestamp and deadline
-       read; verification content never reads the clock, so stdout is
-       untouched *)
-    match engine_chaos with
-    | Some ch -> Engine.Clock.with_source (Engine.Engine_chaos.skewed_source ch) run_pool
-    | None -> run_pool ()
-  in
-  Serve.Render.engine_results ppf ~failures ~security execs;
-
-  if chaos then begin
-    phase_header "10. chaos (fault injection, transactionality, shrinking)";
-    if geometry = "x86_64" then
-      Format.printf
-        "  skipped: the chaos checks enumerate page contents; use --geometry tiny@."
-    else
-      run_chaos ~failures ~quick ~seed ~traces:chaos_traces ~faults_spec
-        ~buggy_tlb layout
-  end;
-
-  Option.iter (fun req -> Serve.Render.model_check ppf ~failures req execs) model_check;
-
-  Serve.Render.verdict ppf !failures;
-
-  (* scheduling metadata: never on stdout, so runs diff clean *)
+  print_string r.stdout;
+  let execs = r.execs and stats = r.stats in
   let count_cache = Serve.Summary.count_cache in
   Format.eprintf "engine: %d obligations, jobs=%d, cache %s, %d hits, %d misses, %.3fs@."
-    (List.length execs) jobs
-    (if cache = None then "off" else "on")
+    (List.length execs) session.jobs
+    (if session.cache = None then "off" else "on")
     (count_cache execs Engine.Pool.Hit)
     (count_cache execs Engine.Pool.Miss)
     (Engine.Pool.wall_of execs);
   let sup_totals =
     Engine.Supervisor.totals (List.map (fun (e : Engine.Pool.exec) -> e.trail) execs)
-  in
-  let cache_write_failures =
-    match cache with None -> 0 | Some c -> Engine.Cache.write_failure_count c
   in
   if
     sup_totals.Engine.Supervisor.supervised > 0
@@ -306,6 +189,9 @@ let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
       sup_totals.Engine.Supervisor.quarantined sup_totals.Engine.Supervisor.crashes
       sup_totals.Engine.Supervisor.timeouts stats.Engine.Pool.respawns
       stats.Engine.Pool.lost_workers;
+  let cache_write_failures =
+    match session.cache with None -> 0 | Some c -> Engine.Cache.write_failure_count c
+  in
   if cache_write_failures > 0 then
     Format.eprintf "engine cache: %d write failure(s) — see --trace-out@."
       cache_write_failures;
@@ -319,18 +205,10 @@ let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
               (fun (k, n) -> Printf.sprintf "%s=%d" (Fault.Plan.engine_kind_to_string k) n)
               (Engine.Engine_chaos.injected ch))))
     engine_chaos;
+  Option.iter (fun path -> write_summary ~scrub_summary path (Lazy.force r.summary)) json_out;
   Option.iter
     (fun path ->
-      let summary =
-        Serve.Summary.summary_json ~failures:!failures ~jobs
-          ~cache_enabled:(cache <> None) ~sup_totals ~stats ~cache_write_failures
-          ~engine_chaos ~model_check ~plan ~plan_build_s ~plan_cache_hit execs
-      in
-      let summary = if scrub_summary then Serve.Summary.scrub summary else summary in
-      Engine.Jsonx.write_file path (Engine.Jsonx.to_multiline_string summary))
-    json_out;
-  Option.iter
-    (fun path -> Engine.Jsonx.write_lines path (Serve.Summary.trace_json ~cache execs))
+      Engine.Jsonx.write_lines path (Serve.Summary.trace_json ~cache:session.cache execs))
     trace_out;
   Option.iter
     (fun path ->
@@ -338,7 +216,59 @@ let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
         (Engine.Jsonx.to_multiline_string
            (Serve.Summary.lint_json_of (Serve.Summary.lint_findings execs))))
     lint_json;
-  if !failures = 0 then 0 else 1
+  if r.failures = 0 then 0 else 1
+
+(* ------------------------------------------------------------------ *)
+
+let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
+    chaos_traces faults buggy_tlb lints timeout_ms retries engine_chaos_seed
+    engine_faults mc_depth mc_geometry mc_por overrides serve_socket client_socket
+    fleet scrub_summary =
+  let req =
+    {
+      Serve.Driver.geometry;
+      seed;
+      quick;
+      lints;
+      overrides;
+      mc =
+        Option.map
+          (fun depth ->
+            {
+              Serve.Driver.mc_depth = max 1 depth;
+              mc_por;
+              mc_geometry;
+              mc_buggy_tlb = buggy_tlb;
+            })
+          mc_depth;
+      source_digest = None;
+    }
+  in
+  match (serve_socket, client_socket) with
+  | Some socket, _ -> run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms
+  | None, Some socket ->
+      if chaos || engine_chaos_seed <> None then begin
+        Format.eprintf
+          "hyperenclave-verify: --chaos / --engine-chaos are not served over \
+           the wire (run them one-shot)@.";
+        2
+      end
+      else run_client ~socket ~scrub_summary ~json_out req
+  | None, None ->
+      let session = Serve.Driver.session ?cache_dir ~jobs ~retries ~timeout_ms () in
+      let chaos =
+        if chaos then
+          Some
+            (chaos_phase ~quick ~seed ~traces:chaos_traces ~kinds:faults ~buggy_tlb req)
+        else None
+      in
+      let engine_chaos =
+        Option.map
+          (fun cseed -> Engine.Engine_chaos.create ~kinds:engine_faults ~seed:cseed ())
+          engine_chaos_seed
+      in
+      run_local session ?chaos ?engine_chaos ~json_out ~trace_out ~lint_json
+        ~scrub_summary req
 
 let geometry =
   Arg.(
@@ -403,9 +333,25 @@ let chaos_traces =
     & info [ "chaos-traces" ] ~docv:"N"
         ~doc:"Randomized traces the chaos phase replays (--quick caps at 1000).")
 
+(* Parse-time validation, like --geometry's enum: an unknown name or
+   group selector is a usage error before any phase runs, not a
+   silently-empty selection.  [print] renders the default in --help. *)
+let kinds_conv parse print =
+  Arg.conv ((fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)), fun fmt ks ->
+            Format.pp_print_string fmt (print ks))
+
+let fault_kinds ~what ~all ~to_string =
+  kinds_conv
+    (Fault.Plan.kinds_of_string ~what ~all ~to_string)
+    (fun ks -> if ks = all then "all" else String.concat "," (List.map to_string ks))
+
 let faults =
   Arg.(
-    value & opt string "all"
+    value
+    & opt
+        (fault_kinds ~what:"fault kind" ~all:Fault.Plan.all_kinds
+           ~to_string:Fault.Plan.kind_to_string)
+        Fault.Plan.all_kinds
     & info [ "faults" ] ~docv:"KINDS"
         ~doc:
           "Comma-separated fault kinds to inject: exhaustion, pt-bitflip, \
@@ -421,18 +367,9 @@ let buggy_tlb =
            and shrunk to a minimal witness.")
 
 let lints =
-  (* parse-time validation, like --geometry's enum: an unknown lint
-     name or group selector is a usage error before any phase runs,
-     not a silently-empty selection *)
   let lints_conv =
-    Arg.conv
-      ( (fun s ->
-          match Analysis.Lint.kinds_of_string s with
-          | Ok ks -> Ok ks
-          | Error msg -> Error (`Msg msg)),
-        fun fmt ks ->
-          Format.pp_print_string fmt
-            (String.concat "," (List.map Analysis.Lint.to_string ks)) )
+    kinds_conv Analysis.Lint.kinds_of_string (fun ks ->
+        String.concat "," (List.map Analysis.Lint.to_string ks))
   in
   Arg.(
     value
@@ -477,12 +414,15 @@ let engine_chaos_seed =
 
 let engine_faults =
   Arg.(
-    value & opt string "all"
+    value
+    & opt
+        (fault_kinds ~what:"engine fault kind" ~all:Fault.Plan.all_engine_kinds
+           ~to_string:Fault.Plan.engine_kind_to_string)
+        Fault.Plan.all_engine_kinds
     & info [ "engine-faults" ] ~docv:"KINDS"
         ~doc:
           "Comma-separated engine fault kinds for --engine-chaos: obl-crash, \
-           obl-hang, worker-kill, torn-pack, truncated-proof, clock-skew — \
-           or 'all'.")
+           obl-hang, worker-kill, torn-pack, clock-skew — or 'all'.")
 
 let mc_depth =
   Arg.(

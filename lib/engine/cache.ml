@@ -3,20 +3,17 @@
    outcome shape changes, and every stale entry silently misses. *)
 let version = "mirverif-engine-2"
 
-(* The marshalled payload is additionally guarded by a magic string so
-   a file from a different OCaml version (incompatible Marshal format)
-   or a truncated write degrades to a miss, never a crash. *)
-let magic = "MVEC1\n" ^ Sys.ocaml_version ^ "\n"
+(* A pack file is [magic], the MD5 of the payload, then the payload: the
+   marshalled entry array.  The magic carries the OCaml version (an
+   incompatible Marshal format) and the digest catches a torn or
+   corrupt payload, so either degrades to a miss before anything is
+   unmarshalled — never a crash or a wrong outcome. *)
+let magic = "MVEC2\n" ^ Sys.ocaml_version ^ "\n"
 
-(* Two storage tiers share the key space:
-
-   - pack files ([*.pack]): one file per run, appended by {!flush} from
-     the outcomes {!stash}ed during that run, loaded wholesale into the
-     in-memory index at {!create}.  This is the pool's path — a cold
-     run of the full plan costs one file write, not one per obligation.
-   - legacy per-entry files ([<key>.proof]): the write-through path of
-     {!store}, still read (and still evicted when corrupt) so caches
-     written by older engines stay warm. *)
+(* One pack file per run, appended by {!flush} from the outcomes
+   {!stash}ed during that run and loaded wholesale into the in-memory
+   index at {!create}: a cold run of the full plan costs one file
+   write, not one per obligation. *)
 type t = {
   dir : string;
   mu : Mutex.t;
@@ -37,14 +34,6 @@ type t = {
    Stack_overflow are not IO weather and are never absorbed. *)
 let fatal = function Out_of_memory | Stack_overflow -> true | _ -> false
 
-let record_failure_locked t op exn =
-  t.failures <- (op, Printexc.to_string exn) :: t.failures
-
-let record_failure t op exn =
-  Mutex.lock t.mu;
-  record_failure_locked t op exn;
-  Mutex.unlock t.mu
-
 let write_failures t =
   Mutex.lock t.mu;
   let fs = List.rev t.failures in
@@ -61,29 +50,36 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* Read a pack wholesale.  A pack that fails to parse can never become
-   valid again (keys inside it encode version and fingerprint), so it
-   is evicted whole; a pack that vanished between readdir and open —
-   another process evicting concurrently — is a plain miss.  Renames
-   into place are atomic, so any pack we do open is complete. *)
+(* Read a pack wholesale.  A pack that fails its magic or digest check,
+   is short, or does not unmarshal can never become valid again (keys
+   inside it encode version and fingerprint), so it is evicted whole; a
+   pack that vanished between readdir and open — another process
+   evicting concurrently — is a plain miss.  Renames into place are
+   atomic, so a pack we open was written whole. *)
 let read_pack file : (string * Obligation.outcome) array option =
   let evict () =
     (try Sys.remove file with Sys_error _ -> ());
     None
   in
+  let payload = String.length magic + 16 in
   match
     let ic = open_in_bin file in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        let m = really_input_string ic (String.length magic) in
-        if not (String.equal m magic) then None
-        else
-          let (entries : (string * Obligation.outcome) array) = Marshal.from_channel ic in
-          Some entries)
+        really_input_string ic (in_channel_length ic))
   with
-  | Some entries -> Some entries
-  | None -> evict ()
   | exception Sys_error _ -> None  (* vanished mid-scan: concurrent eviction *)
-  | exception _ -> evict ()
+  | exception End_of_file -> evict ()
+  | contents
+    when String.length contents > payload
+         && String.starts_with ~prefix:magic contents
+         && String.equal
+              (String.sub contents (String.length magic) 16)
+              (Digest.substring contents payload (String.length contents - payload))
+    -> (
+      match (Marshal.from_string contents payload : (string * Obligation.outcome) array) with
+      | entries -> Some entries
+      | exception _ -> evict ())
+  | _ -> evict ()
 
 let pack_basenames dir =
   match Sys.readdir dir with
@@ -145,49 +141,16 @@ let key (o : Obligation.t) =
        (String.concat "\x00"
           [ version; o.Obligation.phase; o.Obligation.id; o.Obligation.fingerprint ]))
 
-let path t k = Filename.concat t.dir (k ^ ".proof")
-
-let find_legacy t k : Obligation.outcome option =
-  let file = path t k in
-  (* a stale or corrupt entry can never become valid again — its key
-     already encodes version and fingerprint — so evict it on the way
-     out; otherwise every warm run re-reads and re-rejects it *)
-  let evict () = (try Sys.remove file with Sys_error _ -> ()); None in
-  if not (Sys.file_exists file) then None
-  else
-    match
-      let ic = open_in_bin file in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          let m = really_input_string ic (String.length magic) in
-          if not (String.equal m magic) then None
-          else
-            let (outcome : Obligation.outcome) = Marshal.from_channel ic in
-            Some outcome)
-    with
-    | Some outcome -> Some outcome
-    | None -> evict ()
-    | exception _ -> evict ()
-
 let find t (o : Obligation.t) : Obligation.outcome option =
   let k = key o in
   Mutex.lock t.mu;
-  let packed =
+  let r =
     match Hashtbl.find_opt t.pending k with
     | Some _ as r -> r
     | None -> Hashtbl.find_opt t.index k
   in
   Mutex.unlock t.mu;
-  match packed with
-  | Some _ as r ->
-      (* defined tier precedence: the pack always wins.  A key present
-         in both tiers means a legacy [.proof] file survived a later
-         packed write of the same (version+fingerprint) outcome — it
-         can only be equal or staler, so evict it rather than let a
-         future pack loss resurrect it *)
-      let file = path t k in
-      if Sys.file_exists file then (try Sys.remove file with Sys_error _ -> ());
-      r
-  | None -> find_legacy t k
+  r
 
 let stash t (o : Obligation.t) (outcome : Obligation.outcome) =
   Mutex.lock t.mu;
@@ -237,9 +200,11 @@ let flush t =
                   runs each produce their own pack, readers see whole files *)
                let tmp = Filename.temp_file ~temp_dir:t.dir "pack-" ".tmp" in
                let oc = open_out_bin tmp in
+               let payload = Marshal.to_string entries [] in
                Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
                    output_string oc magic;
-                   Marshal.to_channel oc entries []);
+                   output_string oc (Digest.string payload);
+                   output_string oc payload);
                let pack_base =
                  Filename.chop_suffix (Filename.basename tmp) ".tmp" ^ ".pack"
                in
@@ -247,35 +212,18 @@ let flush t =
                Sys.rename tmp pack;
                Hashtbl.replace t.packs pack_base ();
                Option.iter (fun ch -> Engine_chaos.tear_pack ch ~path:pack) t.chaos)
-         with e when not (fatal e) -> record_failure_locked t "flush" e);
+         with e when not (fatal e) ->
+           t.failures <- ("flush", Printexc.to_string e) :: t.failures);
         Array.iter (fun (k, o) -> Hashtbl.replace t.index k o) entries;
         Hashtbl.reset t.pending
       end)
 
-let store t (o : Obligation.t) (outcome : Obligation.outcome) =
-  try
-    let file = path t (key o) in
-    (* write-then-rename: concurrent workers may store under the same
-       key; each writes its own temp file and the rename is atomic *)
-    let tmp = Filename.temp_file ~temp_dir:t.dir ".proof-" ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-        output_string oc magic;
-        Marshal.to_channel oc outcome []);
-    Sys.rename tmp file;
-    Option.iter (fun ch -> Engine_chaos.truncate_proof ch ~path:file) t.chaos
-  with e when not (fatal e) -> record_failure t "store" e
-
 let entry_count t =
   Mutex.lock t.mu;
-  let keys = Hashtbl.create 256 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) t.index;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) t.pending;
+  let n =
+    Hashtbl.fold
+      (fun k _ n -> if Hashtbl.mem t.index k then n else n + 1)
+      t.pending (Hashtbl.length t.index)
+  in
   Mutex.unlock t.mu;
-  if Sys.file_exists t.dir && Sys.is_directory t.dir then
-    Array.iter
-      (fun f ->
-        if Filename.check_suffix f ".proof" then
-          Hashtbl.replace keys (Filename.chop_suffix f ".proof") ())
-      (Sys.readdir t.dir);
-  Hashtbl.length keys
+  n

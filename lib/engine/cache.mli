@@ -9,21 +9,21 @@
     that function's obligation and its dependents (whose fingerprints
     include the edited MIR), nothing below it.
 
-    Two storage tiers share the key space.  The pool's path is batched:
-    {!stash} buffers outcomes in memory and {!flush} appends them all
-    as one per-run pack file ([*.pack]), whose entries are loaded into
-    an in-memory index at {!create} — a cold run costs one file write
-    instead of one per obligation.  The legacy per-entry path
-    ([<key>.proof], written by {!store}) is still read, so caches from
-    older engines stay warm.
+    Outcomes are batched: {!stash} buffers them in memory and {!flush}
+    appends them all as one per-run pack file ([*.pack]), whose entries
+    are loaded into an in-memory index at {!create} — a cold run costs
+    one file write instead of one per obligation.
 
-    Entries are [Marshal]ed with a magic header carrying the OCaml
-    version; any mismatch, truncation, or IO error degrades to a cache
-    miss, and the unreadable file (pack or per-entry) is unlinked — its
-    keys already encode version and fingerprint, so it can never become
-    valid again.  Writes are write-to-temp + atomic rename, safe under
-    concurrent workers and concurrent runs.  {!stash}/{!find} are
-    mutex-guarded and safe from worker domains. *)
+    A pack is a magic header carrying the OCaml version, the MD5 of the
+    payload, and the [Marshal]ed payload.  The header and digest are
+    checked before anything is unmarshalled, so a pack from another
+    toolchain, a torn write or a corrupt byte degrades to a cache miss,
+    and the unreadable pack is unlinked — its keys already encode
+    version and fingerprint, so it can never become valid again.  A
+    corrupt cache can cost time, never a verdict.  Writes are
+    write-to-temp + atomic rename, safe under concurrent workers and
+    concurrent runs.  {!stash}/{!find} are mutex-guarded and safe from
+    worker domains. *)
 
 type t
 
@@ -49,10 +49,7 @@ val refresh : t -> int
     packs merged. *)
 
 val find : t -> Obligation.t -> Obligation.outcome option
-(** Pending buffer, then pack index, then legacy per-entry file —
-    defined tier precedence, so a stale legacy [.proof] can never
-    shadow a fresher pack entry.  When the pack tier wins, any legacy
-    file under the same key is evicted on the way out. *)
+(** The pending buffer, then the pack index; no file IO. *)
 
 val stash : t -> Obligation.t -> Obligation.outcome -> unit
 (** Buffer an outcome for the next {!flush}.  Visible to {!find}
@@ -65,27 +62,22 @@ val flush : t -> unit
     [<dir>/.lock], serializing flushes across processes sharing the
     directory; readers never take the lock (renames are atomic). *)
 
-val store : t -> Obligation.t -> Obligation.outcome -> unit
-(** Legacy write-through path: one [<key>.proof] file per entry. *)
-
 val entry_count : t -> int
-(** Number of distinct keys across the index, the pending buffer, and
-    legacy per-entry files (diagnostics). *)
+(** Number of distinct keys across the index and the pending buffer
+    (diagnostics). *)
 
 val write_failures : t -> (string * string) list
 (** Every absorbed write failure so far, oldest first, as
-    [(op, message)] with [op] one of ["flush"] / ["store"].  A write
-    failure only degrades the cache (the next run recomputes), so
-    {!flush} and {!store} do not raise — but they record here, and the
-    driver surfaces the records as trace events and a summary counter
-    instead of losing them.  [Out_of_memory] and [Stack_overflow] are
-    never absorbed. *)
+    [(op, message)] with [op] = ["flush"].  A write failure only
+    degrades the cache (the next run recomputes), so {!flush} does not
+    raise — but it records here, and the driver surfaces the records as
+    trace events and a summary counter instead of losing them.
+    [Out_of_memory] and [Stack_overflow] are never absorbed. *)
 
 val write_failure_count : t -> int
 
 val set_chaos : t -> Engine_chaos.t -> unit
-(** Arm the chaos harness's cache hooks: the first pack written after
-    {!flush}'s rename may be torn, the first legacy [.proof] entry
-    written by {!store} may be truncated (both at the harness's
-    deterministic discretion).  Corruption lands *after* the atomic
-    rename, modelling a torn write that fsync would have caught. *)
+(** Arm the chaos harness's cache hook: the first pack written after
+    {!flush}'s rename may be torn (at the harness's deterministic
+    discretion).  Corruption lands *after* the atomic rename, modelling
+    a torn write that fsync would have caught. *)

@@ -3,9 +3,9 @@
 
    [lib/fault] perturbs the *monitor under verification*; this module
    perturbs the *engine* — obligations crash or hang, worker domains
-   die, cache pack files tear, legacy proof entries truncate, and the
-   clock skews — so CI can assert that the supervised pool still
-   terminates and produces verdicts byte-identical to a clean run.
+   die, cache pack files tear, and the clock skews — so CI can assert
+   that the supervised pool still terminates and produces verdicts
+   byte-identical to a clean run.
 
    Every decision is a pure function of (seed, site tag): which
    obligation faults, with what kind, and for how many attempts is
@@ -131,14 +131,6 @@ let tear_pack t ~path =
   if enabled t Plan.Torn_pack && first_visit t "tear-pack" then begin
     truncate_file path;
     note t Plan.Torn_pack
-  end
-
-(* Truncate the first legacy [.proof] entry written: the next [find]
-   must degrade to a miss and evict it. *)
-let truncate_proof t ~path =
-  if enabled t Plan.Truncated_proof && first_visit t "truncate-proof" then begin
-    truncate_file path;
-    note t Plan.Truncated_proof
   end
 
 (* ------------------------------------------------------------------ *)

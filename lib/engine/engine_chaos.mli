@@ -3,10 +3,9 @@
 
     Where [lib/fault] perturbs the monitor under verification, this
     module perturbs the engine — obligations crash or hang, worker
-    domains die, cache pack files tear, legacy proof entries truncate,
-    and the clock skews — so CI can assert that the supervised pool
-    ({!Supervisor}, {!Pool}) still terminates with verdicts
-    byte-identical to a clean run.
+    domains die, cache pack files tear, and the clock skews — so CI
+    can assert that the supervised pool ({!Supervisor}, {!Pool}) still
+    terminates with verdicts byte-identical to a clean run.
 
     Every decision is a pure function of (seed, site tag): what is
     injected, on which obligation, and for how many attempts is
@@ -54,9 +53,6 @@ val kill_worker : t -> site:string -> id:string -> bool
 val tear_pack : t -> path:string -> unit
 (** Truncate the first pack file written this process (post-rename):
     the next [Cache.create] must evict it wholesale. *)
-
-val truncate_proof : t -> path:string -> unit
-(** Truncate the first legacy [.proof] entry written this process. *)
 
 val skewed_source : t -> unit -> float
 (** A {!Clock} source over {!Clock.real} that injects bounded,

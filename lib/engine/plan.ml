@@ -63,10 +63,40 @@ let stream_seed ~seed tag =
   Int64.to_int (Int64.logand w 0x3FFF_FFFFL)
 
 (* ------------------------------------------------------------------ *)
-(* Phase 3: static analysis (MIRlight dataflow lints)                  *)
+(* Per-function lint phases (3 and 3c)                                 *)
 
-let analysis_version = "mirlight-analysis-v1"
-let analysis_id ~layer fn = Printf.sprintf "analysis/%s/%s" layer fn
+(* One dependency-free obligation per function per layer, id
+   [<phase>/<layer>/<fn>].  Deliberately independent of layout geometry
+   and of other bodies: the lints read exactly one function's MIRlight,
+   so the fingerprint is the lint selection and that body's digest, and
+   the cache entry survives anything that doesn't change it. *)
+let per_function_obligations ~phase ~version ~lints layout check =
+  let program = (Layers.compiled layout).Rustlite.Pipeline.program in
+  let lint_tags = String.concat "," (List.map Analysis.Lint.to_string lints) in
+  List.concat_map
+    (fun lname ->
+      List.map
+        (fun fn ->
+          let id = Printf.sprintf "%s/%s/%s" phase lname fn in
+          let fingerprint =
+            Printf.sprintf "%s;lints=%s;layer=%s;fn=%s;mir=%s" version lint_tags
+              lname fn (Layers.body_digest layout fn)
+          in
+          Obligation.v ~id ~phase ~deps:[] ~fingerprint (fun () ->
+              match Mir.Syntax.find_body program fn with
+              | Some body ->
+                  let report, findings = check ~layer:lname ~fn body in
+                  Obligation.outcome
+                    ~findings:(List.map (fun f -> (fn, f)) findings)
+                    [ report ]
+              | None ->
+                  Obligation.outcome
+                    [
+                      Report.add_failure (Report.empty fn) ~case:fn
+                        ~reason:"layer lists a function with no MIRlight body";
+                    ]))
+        (Layers.functions_of_layer layout lname))
+    Mem_spec.layer_names
 
 (* The accessor relation for the encapsulation lint: a handle of layer
    L may flow to L's own functions and to the trusted primitives (the
@@ -79,93 +109,31 @@ let handle_accessor layout =
     List.mem callee trusted || Layers.layer_of_function layout callee = Some owner
 
 let analysis_obligations ?(lints = Analysis.Lint.all) layout =
-  let out = Layers.compiled layout in
   let accessor = handle_accessor layout in
   let body_lints = Analysis.Pass.body_lints lints in
-  let lint_tags = String.concat "," (List.map Analysis.Lint.to_string body_lints) in
-  List.concat_map
-    (fun lname ->
-      List.map
-        (fun fn ->
-          let id = analysis_id ~layer:lname fn in
-          (* deliberately independent of layout geometry and of other
-             bodies: the lints read exactly one function's MIRlight, so
-             the cache entry survives anything that doesn't change it *)
-          let fingerprint =
-            Printf.sprintf "%s;lints=%s;layer=%s;fn=%s;mir=%s" analysis_version
-              lint_tags lname fn (Layers.body_digest layout fn)
-          in
-          Obligation.v ~id ~phase:"analysis" ~deps:[] ~fingerprint (fun () ->
-              match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
-              | Some body ->
-                  let cfg =
-                    { Analysis.Pass.fn_layer = Some lname; accessor; lints = body_lints }
-                  in
-                  let findings = Analysis.Pass.analyze cfg body in
-                  Obligation.outcome
-                    ~findings:(List.map (fun f -> (fn, f)) findings)
-                    [ Analysis.Pass.report ~name:fn ~lints:body_lints findings ]
-              | None ->
-                  Obligation.outcome
-                    [
-                      Report.add_failure (Report.empty fn) ~case:fn
-                        ~reason:"layer lists a function with no MIRlight body";
-                    ]))
-        (Layers.functions_of_layer layout lname))
-    Mem_spec.layer_names
-
-(* ------------------------------------------------------------------ *)
-(* Phase 3c: NLL-style borrow checking, per function                   *)
-
-let borrow_version = "mirlight-borrow-v1"
-let borrow_id ~layer fn = Printf.sprintf "borrow/%s/%s" layer fn
+  per_function_obligations ~phase:"analysis" ~version:"mirlight-analysis-v1"
+    ~lints:body_lints layout (fun ~layer ~fn body ->
+      let cfg = { Analysis.Pass.fn_layer = Some layer; accessor; lints = body_lints } in
+      let findings = Analysis.Pass.analyze cfg body in
+      (Analysis.Pass.report ~name:fn ~lints:body_lints findings, findings))
 
 let borrow_obligations ?(lints = Analysis.Lint.catalogue) layout =
   let selected = List.filter (fun k -> List.mem k Analysis.Lint.borrow) lints in
   if selected = [] then []
-  else begin
-    let out = Layers.compiled layout in
-    let lint_tags = String.concat "," (List.map Analysis.Lint.to_string selected) in
-    List.concat_map
-      (fun lname ->
-        List.map
-          (fun fn ->
-            let id = borrow_id ~layer:lname fn in
-            (* intraprocedural like the analysis phase: the regions and
-               loans of one body never see another, so the fingerprint
-               is the function's own MIRlight digest and nothing else *)
-            let fingerprint =
-              Printf.sprintf "%s;lints=%s;layer=%s;fn=%s;mir=%s" borrow_version
-                lint_tags lname fn (Layers.body_digest layout fn)
-            in
-            Obligation.v ~id ~phase:"borrow" ~deps:[] ~fingerprint (fun () ->
-                match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
-                | Some body ->
-                    let report, findings, _stats =
-                      Analysis.Borrow_lint.check ~lints:selected ~name:fn body
-                    in
-                    Obligation.outcome
-                      ~findings:(List.map (fun f -> (fn, f)) findings)
-                      [ report ]
-                | None ->
-                    Obligation.outcome
-                      [
-                        Report.add_failure (Report.empty fn) ~case:fn
-                          ~reason:"layer lists a function with no MIRlight body";
-                      ]))
-          (Layers.functions_of_layer layout lname))
-      Mem_spec.layer_names
-  end
+  else
+    per_function_obligations ~phase:"borrow" ~version:"mirlight-borrow-v1"
+      ~lints:selected layout (fun ~layer:_ ~fn body ->
+        let report, findings, _stats =
+          Analysis.Borrow_lint.check ~lints:selected ~name:fn body
+        in
+        (report, findings))
 
 (* ------------------------------------------------------------------ *)
-(* Phase 3b: interprocedural abstract interpretation, per SCC          *)
-
-let absint_version = "mirlight-absint-v1"
-let absint_id ~domain scc = Printf.sprintf "absint/%s/%s" domain scc
+(* Per-SCC lint phases (3b and 3d)                                     *)
 
 (* One report per SCC obligation: a pass per analyzed function and per
    discharge certificate, a failure per [Error] finding. *)
-let absint_report ~name ~functions findings =
+let scc_report ~name ~functions findings =
   let rep =
     List.fold_left
       (fun rep (fn, (f : Analysis.Lint.finding)) ->
@@ -182,124 +150,102 @@ let absint_report ~name ~functions findings =
   in
   List.fold_left (fun rep _ -> Report.add_pass rep) rep functions
 
+(* One obligation per call-graph SCC per [(domain, prefix, check)],
+   id [<phase>/<domain>/<scc>].  Summaries flow callees-first, so an
+   SCC's verdict depends on (and its obligation waits for) the
+   same-domain obligations of its callee SCCs, and its fingerprint is
+   [prefix] plus the MIRlight digests of the SCC's transitive callee
+   closure: editing a function invalidates exactly its SCC and the
+   SCCs above it. *)
+let scc_obligations ~phase layout domains =
+  let cg = Analysis.Callgraph.build (Layers.compiled layout).Rustlite.Pipeline.program in
+  let sccs = Array.of_list (Analysis.Callgraph.sccs cg) in
+  let scc_name members = String.concat "+" members in
+  List.concat_map
+    (fun (domain, prefix, check) ->
+      let id_of members = Printf.sprintf "%s/%s/%s" phase domain (scc_name members) in
+      List.map
+        (fun members ->
+          let id = id_of members in
+          let deps =
+            List.map (fun i -> id_of sccs.(i)) (Analysis.Callgraph.callee_sccs cg members)
+          in
+          let mir =
+            String.concat ","
+              (List.map
+                 (fun fn -> fn ^ "=" ^ Layers.body_digest layout fn)
+                 (Analysis.Callgraph.reachable cg members))
+          in
+          let fingerprint =
+            Printf.sprintf "%s;scc=%s;mir=%s" prefix (scc_name members) mir
+          in
+          Obligation.v ~id ~phase ~deps ~fingerprint (fun () ->
+              let findings = check members in
+              Obligation.outcome ~findings
+                [ scc_report ~name:id ~functions:members findings ]))
+        (Array.to_list sccs))
+    domains
+
+let absint_version = "mirlight-absint-v1"
+
 let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
-  let domains =
-    (if List.mem Analysis.Lint.Interval_bounds lints then [ "interval" ] else [])
-    @ if List.mem Analysis.Lint.Secret_flow lints then [ "secret-flow" ] else []
+  let program = (Layers.compiled layout).Rustlite.Pipeline.program in
+  (* the taint verdict additionally depends on the layout (the
+     secret/sink policy is derived from it); intervals don't, so their
+     entries survive layout changes that leave the reachable MIR alone *)
+  let interval =
+    ( "interval",
+      Printf.sprintf "%s;domain=interval" absint_version,
+      fun members -> fst (Analysis.Interval_lint.check program ~funcs:members) )
+  and secret_flow =
+    ( "secret-flow",
+      Printf.sprintf "%s;domain=secret-flow;%s" absint_version (layout_fp layout),
+      fun members ->
+        fst
+          (Analysis.Secret_flow.check
+             (Security.Labels.secret_flow_config layout program)
+             ~funcs:members) )
   in
-  if domains = [] then []
-  else begin
-    let program = (Layers.compiled layout).Rustlite.Pipeline.program in
-    let cg = Analysis.Callgraph.build program in
-    let sccs = Array.of_list (Analysis.Callgraph.sccs cg) in
-    let scc_name members = String.concat "+" members in
-    List.concat_map
-      (fun domain ->
-        List.map
-          (fun members ->
-            let name = scc_name members in
-            let id = absint_id ~domain name in
-            (* summaries flow callees-first, so an SCC's verdict depends
-               on (and its obligation waits for) its callee SCCs *)
-            let deps =
-              List.map
-                (fun i -> absint_id ~domain (scc_name sccs.(i)))
-                (Analysis.Callgraph.callee_sccs cg members)
-            in
-            let mir =
-              String.concat ","
-                (List.map
-                   (fun fn -> fn ^ "=" ^ Layers.body_digest layout fn)
-                   (Analysis.Callgraph.reachable cg members))
-            in
-            (* the taint verdict additionally depends on the layout (the
-               secret/sink policy is derived from it); intervals don't,
-               so their entries survive layout changes that leave the
-               reachable MIR alone *)
-            let fingerprint =
-              match domain with
-              | "secret-flow" ->
-                  Printf.sprintf "%s;domain=%s;%s;scc=%s;mir=%s" absint_version
-                    domain (layout_fp layout) name mir
-              | _ ->
-                  Printf.sprintf "%s;domain=%s;scc=%s;mir=%s" absint_version
-                    domain name mir
-            in
-            Obligation.v ~id ~phase:"absint" ~deps ~fingerprint (fun () ->
-                let findings =
-                  match domain with
-                  | "secret-flow" ->
-                      fst
-                        (Analysis.Secret_flow.check
-                           (Security.Labels.secret_flow_config layout program)
-                           ~funcs:members)
-                  | _ -> fst (Analysis.Interval_lint.check program ~funcs:members)
-                in
-                Obligation.outcome ~findings
-                  [ absint_report ~name:id ~functions:members findings ]))
-          (Array.to_list sccs))
-      domains
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Phase 3d: Andersen points-to footprints, per SCC                    *)
-
-let alias_version = "mirlight-alias-v1"
-let alias_id scc = Printf.sprintf "alias/points-to/%s" scc
+  let domains =
+    (if List.mem Analysis.Lint.Interval_bounds lints then [ interval ] else [])
+    @ if List.mem Analysis.Lint.Secret_flow lints then [ secret_flow ] else []
+  in
+  if domains = [] then [] else scc_obligations ~phase:"absint" layout domains
 
 let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
   if not (List.mem Analysis.Lint.Alias_footprint lints) then []
-  else begin
-    let program = (Layers.compiled layout).Rustlite.Pipeline.program in
-    let cg = Analysis.Callgraph.build program in
-    let sccs = Array.of_list (Analysis.Callgraph.sccs cg) in
-    let scc_name members = String.concat "+" members in
+  else
     let cfg =
       {
-        Analysis.Alias_lint.program;
+        Analysis.Alias_lint.program = (Layers.compiled layout).Rustlite.Pipeline.program;
         prim = Check.Code_proof.prim_summary;
         fn_layer = Layers.layer_of_function layout;
         accessor = handle_accessor layout;
       }
     in
-    List.map
-      (fun members ->
-        let name = scc_name members in
-        let id = alias_id name in
-        (* footprints substitute callee summaries actual-for-formal, so
-           like absint the verdict waits on the callee SCCs *)
-        let deps =
-          List.map
-            (fun i -> alias_id (scc_name sccs.(i)))
-            (Analysis.Callgraph.callee_sccs cg members)
-        in
-        let mir =
-          String.concat ","
-            (List.map
-               (fun fn -> fn ^ "=" ^ Layers.body_digest layout fn)
-               (Analysis.Callgraph.reachable cg members))
-        in
-        (* the discharge side consults the layer map and interval
-           reachability, both layout-derived, so the layout is a
-           fingerprint ingredient like secret-flow's *)
-        let fingerprint =
-          Printf.sprintf "%s;%s;scc=%s;mir=%s" alias_version (layout_fp layout)
-            name mir
-        in
-        Obligation.v ~id ~phase:"alias" ~deps ~fingerprint (fun () ->
-            let findings, _stats =
-              Analysis.Alias_lint.check cfg ~funcs:members
-            in
-            Obligation.outcome ~findings
-              [ absint_report ~name:id ~functions:members findings ]))
-      (Array.to_list sccs)
-  end
+    (* footprints substitute callee summaries actual-for-formal, like
+       absint; the discharge side consults the layer map and interval
+       reachability, both layout-derived, so the layout is a
+       fingerprint ingredient like secret-flow's *)
+    scc_obligations ~phase:"alias" layout
+      [
+        ( "points-to",
+          Printf.sprintf "mirlight-alias-v1;%s" (layout_fp layout),
+          fun members -> fst (Analysis.Alias_lint.check cfg ~funcs:members) );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Phase 4: per-function code proofs                                   *)
 
 let code_proof_id ~layer fn = Printf.sprintf "code-proof/%s/%s" layer fn
 let code_proof_version = "code-proof-compose-v1"
+
+(* A battery's result for [fn]; a function no spec owns fails. *)
+let code_proof_outcome fn = function
+  | Some (_, report) -> Obligation.outcome [ report ]
+  | None ->
+      Obligation.outcome
+        [ Report.add_failure (Report.empty fn) ~case:fn ~reason:"no spec owns this function" ]
 
 (* Legacy monolithic plan shape, preserved byte-for-byte behind
    [--no-overrides]: layer-barrier dependency edges, and fingerprints
@@ -334,15 +280,7 @@ let monolithic_code_proof_obligations ?(seed = 2024) layout =
                 let fingerprint =
                   Printf.sprintf "%s;fn=%s;mir<=%s=%s" base_fp fn lname mir_digest
                 in
-                let outcome_of = function
-                  | Some (_, report) -> Obligation.outcome [ report ]
-                  | None ->
-                      Obligation.outcome
-                        [
-                          Report.add_failure (Report.empty fn) ~case:fn
-                            ~reason:"no spec owns this function";
-                        ]
-                in
+                let outcome_of = code_proof_outcome fn in
                 (* degradation ladder: when the compiled-closure battery
                    crashes, the supervisor re-discharges the obligation
                    under the reference interpreter — the same cases over
@@ -423,15 +361,7 @@ let composed_code_proof_obligations ?(seed = 2024) layout =
                         (Layers.layer_of_function layout g))
                     callees
                 in
-                let outcome_of = function
-                  | Some (_, report) -> Obligation.outcome [ report ]
-                  | None ->
-                      Obligation.outcome
-                        [
-                          Report.add_failure (Report.empty fn) ~case:fn
-                            ~reason:"no spec owns this function";
-                        ]
-                in
+                let outcome_of = code_proof_outcome fn in
                 Obligation.v ~id ~phase:"code-proofs" ~deps ~fingerprint
                   ~fallback:(fun () ->
                     outcome_of (Check.Code_proof.run_function_interp ctx fn))

@@ -46,9 +46,9 @@ type t = {
 }
 
 val phases : string list
-(** Engine phase names, in pass order: analysis, absint, code-proofs,
-    refinement, invariants, noninterference, trace-ni, attacks,
-    model-check. *)
+(** Engine phase names, in pass order: analysis, absint, borrow, alias,
+    code-proofs, refinement, invariants, noninterference, trace-ni,
+    attacks, model-check. *)
 
 val build :
   ?quick:bool ->

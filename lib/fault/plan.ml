@@ -42,27 +42,26 @@ let kind_to_string = function
   | Tlb -> "tlb"
   | Truncation -> "truncation"
 
-let kind_of_string s =
-  match
-    List.find_opt (fun k -> String.equal (kind_to_string k) s) all_kinds
-  with
-  | Some k -> Ok k
-  | None ->
-      Error
-        (Printf.sprintf "unknown fault kind %S (expected one of %s)" s
-           (String.concat ", " (List.map kind_to_string all_kinds)))
-
-let kinds_of_string s =
-  String.split_on_char ',' s
-  |> List.filter (fun s -> s <> "")
-  |> List.fold_left
-       (fun acc name ->
-         match (acc, kind_of_string (String.trim name)) with
-         | Error _, _ -> acc
-         | Ok _, Error e -> Error e
-         | Ok ks, Ok k -> Ok (k :: ks))
-       (Ok [])
-  |> Result.map List.rev
+(* The [--faults] / [--engine-faults] syntax, for either vocabulary:
+   "all", or comma-separated names from [all].  An unknown name or an
+   empty list is an error, and the message names the unknown name. *)
+let kinds_of_string ~what ~all ~to_string s =
+  let names =
+    List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s))
+  in
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+        match List.find_opt (fun k -> String.equal (to_string k) name) all with
+        | Some k -> parse (k :: acc) rest
+        | None ->
+            Error
+              (Printf.sprintf "unknown %s %S (expected one of %s, or all)" what name
+                 (String.concat ", " (List.map to_string all))))
+  in
+  if names = [ "all" ] then Ok all
+  else if names = [] then Error (Printf.sprintf "empty %s list" what)
+  else parse [] names
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level fault vocabulary                                       *)
@@ -77,45 +76,17 @@ type engine_kind =
   | Obl_hang  (** an obligation stops making progress until its deadline *)
   | Worker_kill  (** a worker domain dies between obligations or before publishing *)
   | Torn_pack  (** a cache pack file is truncated mid-write *)
-  | Truncated_proof  (** a legacy [.proof] entry is cut short *)
   | Clock_skew  (** the engine clock jumps forward in small steps *)
 
 let all_engine_kinds =
-  [ Obl_crash; Obl_hang; Worker_kill; Torn_pack; Truncated_proof; Clock_skew ]
+  [ Obl_crash; Obl_hang; Worker_kill; Torn_pack; Clock_skew ]
 
 let engine_kind_to_string = function
   | Obl_crash -> "obl-crash"
   | Obl_hang -> "obl-hang"
   | Worker_kill -> "worker-kill"
   | Torn_pack -> "torn-pack"
-  | Truncated_proof -> "truncated-proof"
   | Clock_skew -> "clock-skew"
-
-let engine_kind_of_string s =
-  match
-    List.find_opt
-      (fun k -> String.equal (engine_kind_to_string k) s)
-      all_engine_kinds
-  with
-  | Some k -> Ok k
-  | None ->
-      Error
-        (Printf.sprintf "unknown engine fault kind %S (expected one of %s)" s
-           (String.concat ", " (List.map engine_kind_to_string all_engine_kinds)))
-
-let engine_kinds_of_string s =
-  if String.equal (String.trim s) "all" then Ok all_engine_kinds
-  else
-    String.split_on_char ',' s
-    |> List.filter (fun s -> s <> "")
-    |> List.fold_left
-         (fun acc name ->
-           match (acc, engine_kind_of_string (String.trim name)) with
-           | Error _, _ -> acc
-           | Ok _, Error e -> Error e
-           | Ok ks, Ok k -> Ok (k :: ks))
-         (Ok [])
-    |> Result.map List.rev
 
 let corrupts f =
   match kind_of f with

@@ -51,9 +51,15 @@ type kind =
 val kind_of : t -> kind
 val all_kinds : kind list
 val kind_to_string : kind -> string
-val kind_of_string : string -> (kind, string) result
-val kinds_of_string : string -> (kind list, string) result
-(** Comma-separated kind names (the [--faults] CLI syntax). *)
+
+val kinds_of_string :
+  what:string -> all:'a list -> to_string:('a -> string) -> string ->
+  ('a list, string) result
+(** The [--faults] / [--engine-faults] syntax, for either vocabulary:
+    ["all"] (every kind of [all]), or comma-separated names from [all]
+    in order.  An unknown name or an empty list is an [Error]; its
+    message calls a name a [what] (e.g. ["fault kind"]) and quotes the
+    unknown one. *)
 
 (** {1 Engine-level fault vocabulary}
 
@@ -69,16 +75,10 @@ type engine_kind =
       (** a worker domain dies between obligations or after computing a
           result but before publishing it *)
   | Torn_pack  (** a cache pack file is truncated mid-write *)
-  | Truncated_proof  (** a legacy [.proof] entry is cut short *)
   | Clock_skew  (** the engine clock jumps forward in small steps *)
 
 val all_engine_kinds : engine_kind list
 val engine_kind_to_string : engine_kind -> string
-val engine_kind_of_string : string -> (engine_kind, string) result
-
-val engine_kinds_of_string : string -> (engine_kind list, string) result
-(** Comma-separated engine-kind names, or ["all"] (the
-    [--engine-faults] CLI syntax). *)
 
 val corrupts : t -> bool
 (** Whether the fault puts the monitor state outside the reachable

@@ -1,5 +1,8 @@
-(* The daemon's verification driver: decode requests, run them against
-   resident session state, produce responses.
+(* The verification driver: the one run path from a request to stdout
+   and a summary.  [run] serves both the one-shot CLI, which builds a
+   [request] from its flags, and the daemon, which decodes one from the
+   wire — so a daemon response equals a one-shot run by construction.
+   The daemon's part is resident session state and its responses.
 
    Residency is three tiers deep:
    - L2: the content-addressed proof cache ({!Engine.Cache}), shared on
@@ -20,8 +23,8 @@
      and the executed = 0 precondition keeps the replayed summary's
      cache statistics truthful for CI's warm-path assertions.
 
-   [handle_one] is the entry point: one request, one pool submission of
-   its plan's own DAG, one response. *)
+   [handle_one] is the daemon's entry point: one request, one pool
+   submission of its plan's own DAG, one response. *)
 
 module Jsonx = Engine.Jsonx
 
@@ -142,7 +145,7 @@ let request_of_string s =
   | Ok j -> request_of_json j
 
 (* ------------------------------------------------------------------ *)
-(* Geometry plumbing (mirrors the CLI)                                 *)
+(* Geometry plumbing                                                   *)
 
 let layout_of_geometry = function
   | "x86_64" -> Hyperenclave.Layout.default Hyperenclave.Geometry.x86_64
@@ -239,47 +242,6 @@ let prepare req =
   { p_req = req; p_key = request_key req; p_plan = plan; p_hit = hit;
     p_build_s = build_s }
 
-let render_response session (p : prepared) (execs : Engine.Pool.exec list)
-    (stats : Engine.Pool.stats) =
-  let layout = p.p_plan.Engine.Plan.layout in
-  let security = p.p_plan.Engine.Plan.security in
-  let failures = ref 0 in
-  let buf = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer buf in
-  Render.prelude ppf ~failures layout;
-  Render.engine_results ppf ~failures ~security execs;
-  Option.iter
-    (fun req -> Render.model_check ppf ~failures req execs)
-    p.p_plan.Engine.Plan.model_check;
-  Render.verdict ppf !failures;
-  Format.pp_print_flush ppf ();
-  let sup_totals =
-    Engine.Supervisor.totals (List.map (fun (e : Engine.Pool.exec) -> e.trail) execs)
-  in
-  let cache_write_failures =
-    match session.cache with None -> 0 | Some c -> Engine.Cache.write_failure_count c
-  in
-  let summary =
-    Summary.summary_json ~failures:!failures ~jobs:session.jobs
-      ~cache_enabled:(session.cache <> None) ~sup_totals ~stats
-      ~cache_write_failures ~engine_chaos:None
-      ~model_check:p.p_plan.Engine.Plan.model_check ~plan:p.p_plan
-      ~plan_build_s:p.p_build_s ~plan_cache_hit:p.p_hit execs
-  in
-  let executed = List.length execs - Summary.count_cache execs Engine.Pool.Hit in
-  let response =
-    Jsonx.to_string
-      (Jsonx.Obj
-         [
-           ("ok", Jsonx.Bool true);
-           ("module_digest", Str (source_digest_of p.p_req.geometry));
-           ("status", Int (if !failures = 0 then 0 else 1));
-           ("summary", summary);
-           ("stdout", Str (Buffer.contents buf));
-         ])
-  in
-  (response, executed)
-
 let remember session key response =
   if not (Hashtbl.mem session.replay key) then begin
     Hashtbl.replace session.replay key response;
@@ -288,27 +250,91 @@ let remember session key response =
       Hashtbl.remove session.replay (Queue.take session.replay_order)
   end
 
-let sup_config session =
-  {
-    Engine.Supervisor.default with
-    retries = max 0 session.retries;
-    timeout =
-      (if session.timeout_ms <= 0 then None
-       else Some (float_of_int session.timeout_ms /. 1000.));
-  }
+(* What one run of a prepared request produced.  The summary is built
+   only when it is read: a one-shot run without --json-out needs none. *)
+type run_result = {
+  stdout : string;
+  failures : int;
+  execs : Engine.Pool.exec list;
+  stats : Engine.Pool.stats;
+  summary : Jsonx.t Lazy.t;
+}
 
-(* Run one prepared request as its own pool submission and render its
-   response.  The flush precedes rendering so the summary counts its
-   write failures. *)
+(* The one run path: a one-shot run and a daemon response are both this
+   function's output.  It runs the plan's DAG on the pool, then prints
+   phases 1-9, the one-shot [chaos] phase, the model check and the
+   verdict.  [engine_chaos] goes into the supervisor config (which arms
+   the cache hooks too) and skews the clock; verification content never
+   reads the clock, so stdout is untouched. *)
+let run ?chaos ?engine_chaos session p =
+  let plan = p.p_plan in
+  let sup =
+    {
+      Engine.Supervisor.default with
+      retries = max 0 session.retries;
+      timeout =
+        (if session.timeout_ms <= 0 then None
+         else Some (float_of_int session.timeout_ms /. 1000.));
+      seed = p.p_req.seed;
+      chaos = engine_chaos;
+    }
+  in
+  let run_pool () =
+    Engine.Pool.run_with_stats ?cache:session.cache ~sup ~jobs:session.jobs
+      plan.Engine.Plan.dag
+  in
+  let execs, stats =
+    match engine_chaos with
+    | Some ch -> Engine.Clock.with_source (Engine.Engine_chaos.skewed_source ch) run_pool
+    | None -> run_pool ()
+  in
+  let failures = ref 0 in
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  Render.prelude ppf ~failures plan.Engine.Plan.layout;
+  Render.engine_results ppf ~failures ~security:plan.Engine.Plan.security execs;
+  Option.iter (fun print -> print ppf ~failures) chaos;
+  Option.iter
+    (fun req -> Render.model_check ppf ~failures req execs)
+    plan.Engine.Plan.model_check;
+  Render.verdict ppf !failures;
+  Format.pp_print_flush ppf ();
+  let failures = !failures in
+  (* read now: the pool's flush is the run's last cache write *)
+  let cache_write_failures =
+    match session.cache with None -> 0 | Some c -> Engine.Cache.write_failure_count c
+  in
+  let summary =
+    lazy
+      (Summary.summary_json ~failures ~jobs:session.jobs
+         ~cache_enabled:(session.cache <> None)
+         ~sup_totals:
+           (Engine.Supervisor.totals
+              (List.map (fun (e : Engine.Pool.exec) -> e.trail) execs))
+         ~stats ~cache_write_failures ~engine_chaos
+         ~model_check:plan.Engine.Plan.model_check ~plan ~plan_build_s:p.p_build_s
+         ~plan_cache_hit:p.p_hit execs)
+  in
+  { stdout = Buffer.contents buf; failures; execs; stats; summary }
+
+(* Run one prepared request as its own pool submission and answer it.
+   A response whose run re-executed nothing is recorded in L0. *)
 let verify_one session p =
   Option.iter (fun c -> ignore (Engine.Cache.refresh c)) session.cache;
-  let execs, stats =
-    Engine.Pool.run_with_stats ?cache:session.cache ~sup:(sup_config session)
-      ~jobs:session.jobs p.p_plan.Engine.Plan.dag
+  let r = run session p in
+  let response =
+    Jsonx.to_string
+      (Jsonx.Obj
+         [
+           ("ok", Jsonx.Bool true);
+           ("module_digest", Str (source_digest_of p.p_req.geometry));
+           ("status", Int (if r.failures = 0 then 0 else 1));
+           ("summary", Lazy.force r.summary);
+           ("stdout", Str r.stdout);
+         ])
   in
-  Option.iter Engine.Cache.flush session.cache;
-  let response, executed = render_response session p execs stats in
-  if executed = 0 then remember session p.p_key response;
+  if Summary.count_cache r.execs Engine.Pool.Hit = List.length r.execs then
+    remember session p.p_key response;
   response
 
 (* Each request of the list in turn, answered with its canonical key. *)

@@ -1,9 +1,9 @@
-(* Phase rendering, shared by the one-shot CLI (std_formatter) and the
-   serve daemon (buffer formatter): both produce the exact bytes the
-   sequential pass always printed, so a daemon response's [stdout]
-   field diffs clean against the CLI.  Stdout carries only verification
-   content — no job counts, timings or cache statistics — so the text
-   is byte-identical at any job count, cache state or fleet size. *)
+(* Phase rendering for [Driver.run], the one run path of the one-shot
+   CLI and the serve daemon: the exact bytes the sequential pass always
+   printed, written to a buffer after the pool has run.  Stdout carries
+   only verification content — no job counts, timings or cache
+   statistics — so the text is byte-identical at any job count, cache
+   state or fleet size. *)
 
 module Report = Mirverif.Report
 
@@ -33,59 +33,75 @@ let prelude ppf ~failures layout =
     issues;
   if issues <> [] then incr failures
 
-let layer_of_code_proof_id id =
-  match String.split_on_char '/' id with _ :: layer :: _ -> layer | _ -> "?"
+(* One [FAIL [tag] text] line per failure, each counted. *)
+let fail_lines ppf ~failures lines =
+  List.iter
+    (fun (tag, text) ->
+      incr failures;
+      Format.fprintf ppf "  FAIL [%s] %s@." tag text)
+    lines
+
+(* The failing reports of [execs], tagged with the layer their id
+   names ([<phase>/<layer>/<fn>]). *)
+let report_failures execs =
+  List.concat_map
+    (fun (e : Engine.Pool.exec) ->
+      let layer =
+        match String.split_on_char '/' e.obligation.Engine.Obligation.id with
+        | _ :: layer :: _ -> layer
+        | _ -> "?"
+      in
+      List.filter_map
+        (fun r -> if Report.ok r then None else Some (layer, Report.to_string r))
+        e.outcome.Engine.Obligation.reports)
+    execs
+
+let finding_failures errors =
+  List.map (fun (fn, f) -> (fn, Analysis.Lint.finding_to_string f)) errors
+
+(* The run's error findings of the given lint kinds. *)
+let errors_of kinds findings =
+  List.filter
+    (fun (_, (f : Analysis.Lint.finding)) ->
+      Summary.is_error f && List.mem f.Analysis.Lint.kind kinds)
+    findings
+
+(* The run's discharge certificates issued by the [kind] analysis
+   (every certificate is an [Info] finding). *)
+let discharged_by kind findings =
+  List.length
+    (List.filter
+       (fun (_, (f : Analysis.Lint.finding)) ->
+         Summary.is_discharge f
+         && f.Analysis.Lint.discharged_by = Some (Analysis.Lint.to_string kind))
+       findings)
+
+let case_totals execs =
+  Engine.Obligation.case_totals (List.map (fun (e : Engine.Pool.exec) -> e.outcome) execs)
 
 (* Print the per-phase sections exactly as the sequential pass did,
    from the execs (which arrive in DAG insertion order, independent of
    scheduling). *)
 let engine_results ppf ~failures ~security execs =
   let of_phase = Summary.of_phase in
+  let findings = Summary.lint_findings execs in
   phase_header ppf "3. static analysis (MIRlight dataflow lints)";
   let an = of_phase execs "analysis" in
-  let findings = Summary.lint_findings execs in
-  let body_errors =
-    List.filter
-      (fun (_, (f : Analysis.Lint.finding)) ->
-        Summary.is_error f && List.mem f.Analysis.Lint.kind Analysis.Lint.all)
-      findings
-  in
-  let at, ap, _, _ =
-    Engine.Obligation.case_totals
-      (List.map (fun (e : Engine.Pool.exec) -> e.outcome) an)
-  in
+  let body_errors = errors_of Analysis.Lint.all findings in
+  let at, ap, _, _ = case_totals an in
   Format.fprintf ppf "  %d functions, %d lint checks: %d passed, %d findings@."
     (List.length an) at ap (List.length body_errors);
   (* a per-body failure without a finding is an engine-level problem
      (e.g. a layer listing a function with no MIRlight body) *)
-  List.iter
-    (fun (e : Engine.Pool.exec) ->
-      if e.outcome.Engine.Obligation.findings = [] then
-        List.iter
-          (fun r ->
-            if not (Report.ok r) then begin
-              incr failures;
-              Format.fprintf ppf "  FAIL [%s] %s@."
-                (layer_of_code_proof_id e.obligation.Engine.Obligation.id)
-                (Report.to_string r)
-            end)
-          e.outcome.Engine.Obligation.reports)
-    an;
-  List.iter
-    (fun (fn, f) ->
-      incr failures;
-      Format.fprintf ppf "  FAIL [%s] %s@." fn (Analysis.Lint.finding_to_string f))
-    body_errors;
+  fail_lines ppf ~failures
+    (report_failures
+       (List.filter
+          (fun (e : Engine.Pool.exec) -> e.outcome.Engine.Obligation.findings = [])
+          an)
+    @ finding_failures body_errors);
 
   phase_header ppf "3b. abstract interpretation (interval bounds + secret flow)";
-  let ab = of_phase execs "absint" in
-  let absint_errors =
-    List.filter
-      (fun (_, (f : Analysis.Lint.finding)) ->
-        Summary.is_error f
-        && List.mem f.Analysis.Lint.kind Analysis.Lint.interprocedural)
-      findings
-  in
+  let absint_errors = errors_of Analysis.Lint.interprocedural findings in
   let count kind =
     List.length
       (List.filter
@@ -95,85 +111,34 @@ let engine_results ppf ~failures ~security execs =
   Format.fprintf ppf
     "  %d SCC obligations: %d secret-flow findings, %d interval findings, %d \
      arith sites discharged@."
-    (List.length ab)
+    (List.length (of_phase execs "absint"))
     (count Analysis.Lint.Secret_flow)
     (count Analysis.Lint.Interval_bounds)
-    (List.length
-       (List.filter
-          (fun (_, (f : Analysis.Lint.finding)) ->
-            Summary.is_discharge f
-            && f.Analysis.Lint.discharged_by
-               = Some (Analysis.Lint.to_string Analysis.Lint.Interval_bounds))
-          findings));
-  List.iter
-    (fun (fn, f) ->
-      incr failures;
-      Format.fprintf ppf "  FAIL [%s] %s@." fn (Analysis.Lint.finding_to_string f))
-    absint_errors;
+    (discharged_by Analysis.Lint.Interval_bounds findings);
+  fail_lines ppf ~failures (finding_failures absint_errors);
 
   phase_header ppf "3c. borrow checking (NLL liveness regions + loan dataflow)";
   let bw = of_phase execs "borrow" in
-  let borrow_errors =
-    List.filter
-      (fun (_, (f : Analysis.Lint.finding)) ->
-        Summary.is_error f && List.mem f.Analysis.Lint.kind Analysis.Lint.borrow)
-      findings
-  in
-  let bt, bp, _, _ =
-    Engine.Obligation.case_totals
-      (List.map (fun (e : Engine.Pool.exec) -> e.outcome) bw)
-  in
+  let borrow_errors = errors_of Analysis.Lint.borrow findings in
+  let bt, bp, _, _ = case_totals bw in
   Format.fprintf ppf "  %d functions, %d borrow checks: %d passed, %d findings@."
     (List.length bw) bt bp (List.length borrow_errors);
-  List.iter
-    (fun (fn, f) ->
-      incr failures;
-      Format.fprintf ppf "  FAIL [%s] %s@." fn (Analysis.Lint.finding_to_string f))
-    borrow_errors;
+  fail_lines ppf ~failures (finding_failures borrow_errors);
 
   phase_header ppf "3d. alias analysis (Andersen points-to footprints)";
-  let al = of_phase execs "alias" in
-  let alias_errors =
-    List.filter
-      (fun (_, (f : Analysis.Lint.finding)) ->
-        Summary.is_error f && List.mem f.Analysis.Lint.kind Analysis.Lint.alias)
-      findings
-  in
+  let alias_errors = errors_of Analysis.Lint.alias findings in
   Format.fprintf ppf "  %d SCC obligations: %d alias findings, %d warnings discharged@."
-    (List.length al)
+    (List.length (of_phase execs "alias"))
     (List.length alias_errors)
-    (List.length
-       (List.filter
-          (fun (_, (f : Analysis.Lint.finding)) ->
-            f.Analysis.Lint.discharged_by
-            = Some (Analysis.Lint.to_string Analysis.Lint.Alias_footprint))
-          findings));
-  List.iter
-    (fun (fn, f) ->
-      incr failures;
-      Format.fprintf ppf "  FAIL [%s] %s@." fn (Analysis.Lint.finding_to_string f))
-    alias_errors;
+    (discharged_by Analysis.Lint.Alias_footprint findings);
+  fail_lines ppf ~failures (finding_failures alias_errors);
 
   phase_header ppf "4. code proofs (code conforms to low specs)";
   let cp = of_phase execs "code-proofs" in
-  let t, p, s, f =
-    Engine.Obligation.case_totals
-      (List.map (fun (e : Engine.Pool.exec) -> e.outcome) cp)
-  in
+  let t, p, s, f = case_totals cp in
   Format.fprintf ppf "  %d functions, %d cases: %d passed, %d skipped, %d failed@."
     (List.length cp) t p s f;
-  List.iter
-    (fun (e : Engine.Pool.exec) ->
-      List.iter
-        (fun r ->
-          if not (Report.ok r) then begin
-            incr failures;
-            Format.fprintf ppf "  FAIL [%s] %s@."
-              (layer_of_code_proof_id e.obligation.Engine.Obligation.id)
-              (Report.to_string r)
-          end)
-        e.outcome.Engine.Obligation.reports)
-    cp;
+  fail_lines ppf ~failures (report_failures cp);
 
   phase_header ppf "5. page-table refinement (flat <-> tree, Sec. 4.1)";
   check_reports ppf ~failures

@@ -1,7 +1,6 @@
-(* Run-summary construction, shared by the one-shot CLI and the serve
-   daemon.  Moved out of bin/hyperenclave_verify.ml so a daemon
-   response and a one-shot --json-out are produced by the same code —
-   the serve CI gate diffs them byte for byte (after {!scrub}). *)
+(* Run-summary construction for [Driver.run], so a daemon response and
+   a one-shot --json-out are produced by the same code — the serve CI
+   gate diffs them byte for byte (after {!scrub}). *)
 
 module Jsonx = Engine.Jsonx
 module Report = Mirverif.Report
@@ -25,8 +24,8 @@ let findings_of execs =
     (fun (e : Engine.Pool.exec) -> e.outcome.Engine.Obligation.findings)
     execs
 
-(* All lint findings of the run — per-body dataflow plus per-SCC
-   abstract interpretation — with the discharge certificates applied:
+(* All lint findings of the run — the four lint phases are the only
+   ones that carry findings — with the discharge certificates applied:
    an [Info] certificate cancels the [Error] twin at the same site of
    the same function. *)
 let lint_findings execs =
@@ -35,11 +34,7 @@ let lint_findings execs =
     List.fold_left
       (fun m (fn, f) ->
         M.update fn (fun l -> Some (f :: Option.value ~default:[] l)) m)
-      M.empty
-      (findings_of (of_phase execs "analysis")
-      @ findings_of (of_phase execs "absint")
-      @ findings_of (of_phase execs "borrow")
-      @ findings_of (of_phase execs "alias"))
+      M.empty (findings_of execs)
   in
   M.bindings by_fn
   |> List.concat_map (fun (fn, fs) ->

@@ -318,35 +318,50 @@ let test_cache_warm_real_plan () =
     (List.for_all (( = ) Pool.Hit) (statuses warm));
   Alcotest.(check string) "warm run reports identical" (render cold) (render warm)
 
+let only_pack dir =
+  match
+    List.filter (fun f -> Filename.check_suffix f ".pack") (Array.to_list (Sys.readdir dir))
+  with
+  | [ pack ] -> Filename.concat dir pack
+  | packs -> Alcotest.failf "expected one pack, found %d" (List.length packs)
+
+(* One entry stashed and flushed: the path of the pack it landed in. *)
+let flush_one cache dir o =
+  Cache.stash cache o (o.Obligation.run ());
+  Cache.flush cache;
+  only_pack dir
+
 let test_cache_corrupt_entry_is_a_miss () =
   let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
   let o = pass_obl ~fingerprint:"fp-corrupt" "x" in
-  Cache.store cache o (o.Obligation.run ());
-  let file = Filename.concat dir (Cache.key o ^ ".proof") in
-  let oc = open_out_bin file in
-  output_string oc "garbage";
-  close_out oc;
-  Alcotest.(check bool) "corrupt entry misses" true (Cache.find cache o = None);
-  (* the unreadable file can never become valid (its key encodes the
+  let pack = flush_one (Cache.create ~dir) dir o in
+  (* flip the last payload byte: the header still matches, the digest
+     does not *)
+  let bytes = Bytes.of_string (In_channel.with_open_bin pack In_channel.input_all) in
+  let last = Bytes.length bytes - 1 in
+  Bytes.set bytes last (Char.chr (Char.code (Bytes.get bytes last) lxor 0xff));
+  Out_channel.with_open_bin pack (fun oc -> Out_channel.output_bytes oc bytes);
+  Alcotest.(check bool) "corrupt entry misses" true (Cache.find (Cache.create ~dir) o = None);
+  (* the unreadable pack can never become valid (its keys encode the
      fingerprint), so the miss must also evict it *)
-  Alcotest.(check bool) "corrupt entry evicted" false (Sys.file_exists file)
+  Alcotest.(check bool) "corrupt pack evicted" false (Sys.file_exists pack)
 
 let test_cache_stale_magic_evicted () =
   let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
+  Cache.create ~dir |> ignore;
   let o = pass_obl ~fingerprint:"fp-stale" "y" in
-  let file = Filename.concat dir (Cache.key o ^ ".proof") in
-  (* a well-formed entry from a different OCaml toolchain: full-length
+  let file = Filename.concat dir "pack-stale.pack" in
+  (* a well-formed pack from a different OCaml toolchain: full-length
      magic header that doesn't match ours, then an arbitrary payload *)
-  let oc = open_out_bin file in
-  output_string oc ("MVEC1\n0.00.0-other-compiler-version\n" ^ String.make 64 'x');
-  close_out oc;
-  Alcotest.(check bool) "stale-magic entry misses" true (Cache.find cache o = None);
-  Alcotest.(check bool) "stale-magic entry evicted" false (Sys.file_exists file);
-  (* and a subsequent store repopulates it normally *)
-  Cache.store cache o (o.Obligation.run ());
-  Alcotest.(check bool) "restored entry hits" true (Cache.find cache o <> None)
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc
+        ("MVEC2\n0.00.0-other-compiler-version\n" ^ String.make 64 'x'));
+  let cache = Cache.create ~dir in
+  Alcotest.(check bool) "stale-magic pack misses" true (Cache.find cache o = None);
+  Alcotest.(check bool) "stale-magic pack evicted" false (Sys.file_exists file);
+  (* and a subsequent flush repopulates it normally *)
+  ignore (flush_one cache dir o);
+  Alcotest.(check bool) "restored entry hits" true (Cache.find (Cache.create ~dir) o <> None)
 
 let test_cache_empty_dir_rejected () =
   (match Cache.create ~dir:"" with
@@ -403,11 +418,6 @@ let test_cache_pack_file_round_trip () =
     |> List.filter (fun f -> Filename.check_suffix f ".pack")
   in
   Alcotest.(check int) "cold run writes one pack" 1 (List.length (packs ()));
-  Alcotest.(check int) "no per-entry files" 0
-    (List.length
-       (List.filter
-          (fun f -> Filename.check_suffix f ".proof")
-          (Array.to_list (Sys.readdir dir))));
   let reloaded = Cache.create ~dir in
   Alcotest.(check int) "reloaded index sees both entries" 2 (Cache.entry_count reloaded);
   let warm = Pool.run ~cache:reloaded ~jobs:1 (dag ()) in
@@ -427,41 +437,57 @@ let test_cache_pack_file_round_trip () =
     (List.for_all (( = ) Pool.Miss) (statuses redo));
   Alcotest.(check int) "re-executed both" 4 !counter
 
-(* a legacy per-entry file written by [store] is still served *)
-let test_cache_legacy_proof_still_read () =
-  let cache = Cache.create ~dir:(fresh_dir ()) in
-  let o = pass_obl ~fingerprint:"fp-legacy" "z" in
-  Cache.store cache o (o.Obligation.run ());
-  let reloaded = Cache.create ~dir:(fresh_dir ()) in
-  ignore reloaded;
-  Alcotest.(check bool) "legacy entry hits" true (Cache.find cache o <> None)
-
-(* a legacy per-entry file and a pack entry under the same key: the
-   pack tier must win with defined precedence, and the stale legacy
-   loser must be evicted so it can never resurface *)
-let test_cache_pack_wins_over_legacy () =
+(* Random damage to a real pack: a default-plan pack (about 23 KB) is
+   corrupted by single-byte changes at random offsets from a fixed
+   seed, at every header byte, and by truncation.  For each damaged
+   copy, loading it and looking up every key must not raise, and each
+   lookup returns either nothing or exactly the stored outcome. *)
+let test_cache_pack_corruption () =
   let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
-  let o = pass_obl ~fingerprint:"fp-tier" "t" in
-  let tagged log = Obligation.outcome ~log [ Report.add_pass (Report.empty "t") ] in
-  Cache.store cache o (tagged "legacy");
-  Cache.stash cache o (tagged "packed");
-  Cache.flush cache;
-  let proof_files () =
-    Array.to_list (Sys.readdir dir)
-    |> List.filter (fun f -> Filename.check_suffix f ".proof")
+  let execs =
+    Pool.run ~cache:(Cache.create ~dir) ~jobs:1 (Plan.build ~seed:2024 layout).Plan.dag
   in
-  Alcotest.(check int) "both tiers populated" 1 (List.length (proof_files ()));
-  (match Cache.find cache o with
-  | Some out -> Alcotest.(check string) "pack tier wins" "packed" out.Obligation.log
-  | None -> Alcotest.fail "entry vanished");
-  Alcotest.(check int) "legacy loser evicted" 0 (List.length (proof_files ()));
-  let reloaded = Cache.create ~dir in
-  match Cache.find reloaded o with
-  | Some out ->
-      Alcotest.(check string) "reload still serves the pack" "packed"
-        out.Obligation.log
-  | None -> Alcotest.fail "pack entry lost after reload"
+  let pack = only_pack dir in
+  let good = In_channel.with_open_bin pack In_channel.input_all in
+  let len = String.length good in
+  let stored = List.map (fun (e : Pool.exec) -> (e.obligation, e.outcome)) execs in
+  let damaged = ref 0 in
+  let check what contents =
+    Out_channel.with_open_bin pack (fun oc -> Out_channel.output_string oc contents);
+    match
+      let cache = Cache.create ~dir in
+      List.for_all
+        (fun (o, outcome) ->
+          match Cache.find cache o with None -> true | Some found -> found = outcome)
+        stored
+    with
+    | true -> if not (Sys.file_exists pack) then incr damaged
+    | false -> Alcotest.failf "%s: a lookup returned a different outcome" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let flip off byte =
+    let b = Bytes.of_string good in
+    Bytes.set b off (Char.chr byte);
+    Bytes.to_string b
+  in
+  let rng = Random.State.make [| 2024 |] in
+  for i = 1 to 10_000 do
+    let off = Random.State.int rng len in
+    let byte = (Char.code good.[off] + 1 + Random.State.int rng 255) land 0xff in
+    check (Printf.sprintf "flip %d at offset %d" i off) (flip off byte)
+  done;
+  (* the header (magic with the OCaml version, then the 16-byte
+     payload digest) lies within the first 64 bytes *)
+  for off = 0 to 63 do
+    check (Printf.sprintf "header byte %d" off) (flip off (Char.code good.[off] lxor 0x01))
+  done;
+  List.iter
+    (fun n -> check (Printf.sprintf "truncated to %d bytes" n) (String.sub good 0 n))
+    [ 0; 1; 8; 32; 64; len / 2; len - 1 ];
+  Alcotest.(check bool) "pack is about 23 KB" true (len > 15_000 && len < 40_000);
+  Alcotest.(check int) "every damaged pack was evicted" (10_000 + 64 + 7) !damaged;
+  check "intact" good;
+  Alcotest.(check bool) "the intact pack still loads" true (Sys.file_exists pack)
 
 (* ------------------------------------------------------------------ *)
 (* Override composition: proven gate and shrunk fingerprints           *)
@@ -794,10 +820,8 @@ let () =
             test_cache_skips_crash_outcomes;
           Alcotest.test_case "pack file round trip" `Quick
             test_cache_pack_file_round_trip;
-          Alcotest.test_case "legacy proof files read" `Quick
-            test_cache_legacy_proof_still_read;
-          Alcotest.test_case "pack tier wins over legacy" `Quick
-            test_cache_pack_wins_over_legacy;
+          Alcotest.test_case "pack corruption is a miss" `Quick
+            test_cache_pack_corruption;
         ] );
       ( "overrides",
         [

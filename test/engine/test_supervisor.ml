@@ -563,25 +563,6 @@ let test_torn_pack_evicted_and_recomputed () =
   Alcotest.(check int) "recomputed cold" 6 !counter;
   Alcotest.(check string) "verdicts match the clean-cache run" (render clean) (render redo)
 
-let test_truncated_proof_evicted_and_recomputed () =
-  let dir = fresh_dir () in
-  let cache = Cache.create ~dir in
-  Cache.set_chaos cache (Chaos.create ~kinds:[ Plan.Truncated_proof ] ~seed:1 ());
-  let o = pass_obl ~fingerprint:"fp-trunc" "x" in
-  let clean_outcome = o.Obligation.run () in
-  Cache.store cache o clean_outcome;
-  let file = Filename.concat dir (Cache.key o ^ ".proof") in
-  Alcotest.(check bool) "entry written then truncated" true (Sys.file_exists file);
-  (* a fresh cache (no pending/index state) must reject and evict it *)
-  let reloaded = Cache.create ~dir in
-  Alcotest.(check bool) "truncated entry is a miss" true (Cache.find reloaded o = None);
-  Alcotest.(check bool) "and is evicted" false (Sys.file_exists file);
-  (* recomputing yields the same verdict as the clean run *)
-  let redo = o.Obligation.run () in
-  Alcotest.(check string) "recomputed verdict matches"
-    (String.concat "\n" (List.map Report.to_string clean_outcome.Obligation.reports))
-    (String.concat "\n" (List.map Report.to_string redo.Obligation.reports))
-
 let test_cache_write_failures_surfaced () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir in
@@ -592,10 +573,11 @@ let test_cache_write_failures_surfaced () =
   Unix.rmdir dir;
   Cache.flush cache;
   Alcotest.(check int) "flush failure counted" 1 (Cache.write_failure_count cache);
-  Cache.store cache o (o.Obligation.run ());
-  Alcotest.(check int) "store failure counted too" 2 (Cache.write_failure_count cache);
+  Cache.stash cache (pass_obl ~fingerprint:"fp-wf2" "w2") (o.Obligation.run ());
+  Cache.flush cache;
+  Alcotest.(check int) "second flush failure counted too" 2 (Cache.write_failure_count cache);
   (match Cache.write_failures cache with
-  | [ ("flush", m1); ("store", m2) ] ->
+  | [ ("flush", m1); ("flush", m2) ] ->
       Alcotest.(check bool) "messages carried" true
         (String.length m1 > 0 && String.length m2 > 0)
   | fs -> Alcotest.failf "unexpected failure records (%d)" (List.length fs));
@@ -623,19 +605,25 @@ let test_skewed_clock_bounded_and_monotone () =
     (List.assoc Plan.Clock_skew (Chaos.injected ch) > 0)
 
 let test_engine_kind_parsing () =
-  Alcotest.(check bool) "'all' expands" true
-    (Plan.engine_kinds_of_string "all" = Ok Plan.all_engine_kinds);
+  let parse =
+    Plan.kinds_of_string ~what:"engine fault kind" ~all:Plan.all_engine_kinds
+      ~to_string:Plan.engine_kind_to_string
+  in
+  Alcotest.(check bool) "'all' expands" true (parse "all" = Ok Plan.all_engine_kinds);
   Alcotest.(check bool) "list parses in order" true
-    (Plan.engine_kinds_of_string "obl-crash, torn-pack"
-    = Ok [ Plan.Obl_crash; Plan.Torn_pack ]);
-  (match Plan.engine_kinds_of_string "obl-crash,bogus" with
+    (parse "obl-crash, torn-pack" = Ok [ Plan.Obl_crash; Plan.Torn_pack ]);
+  (match parse "obl-crash,bogus" with
   | Error msg ->
-      Alcotest.(check bool) "error names the kinds" true (contains msg "obl-crash")
+      Alcotest.(check bool) "error names the kinds" true (contains msg "obl-crash");
+      Alcotest.(check bool) "error names the unknown kind" true (contains msg "\"bogus\"")
   | Ok _ -> Alcotest.fail "bogus kind accepted");
+  (match parse " , " with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "empty kind list accepted");
   List.iter
     (fun k ->
-      match Plan.engine_kind_of_string (Plan.engine_kind_to_string k) with
-      | Ok k' when k' = k -> ()
+      match parse (Plan.engine_kind_to_string k) with
+      | Ok [ k' ] when k' = k -> ()
       | _ -> Alcotest.failf "kind %s does not round-trip" (Plan.engine_kind_to_string k))
     Plan.all_engine_kinds
 
@@ -699,8 +687,6 @@ let () =
         [
           Alcotest.test_case "torn pack evicted + recomputed" `Quick
             test_torn_pack_evicted_and_recomputed;
-          Alcotest.test_case "truncated proof evicted + recomputed" `Quick
-            test_truncated_proof_evicted_and_recomputed;
           Alcotest.test_case "write failures surfaced" `Quick
             test_cache_write_failures_surfaced;
         ] );

@@ -619,6 +619,156 @@ let test_daemon_concurrent_distinct () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Rendering of failing output                                         *)
+
+(* Hand-built execs covering every FAIL shape [Render.engine_results]
+   prints: a per-body analysis failure without a finding, one error
+   finding per lint phase (discharge certificates alongside), a failing
+   code-proof report and a failing attack. *)
+let exec ~phase ?(findings = []) ?(log = "") id reports =
+  {
+    Engine.Pool.obligation = pass_obl ~phase id;
+    outcome = Obligation.outcome ~log ~findings reports;
+    cache = Engine.Pool.Miss;
+    worker = 0;
+    started = 0.0;
+    finished = 0.0;
+    trail = Engine.Supervisor.cached;
+  }
+
+let failing name ~case ~reason =
+  Report.add_failure (Report.add_pass (Report.empty name)) ~case ~reason
+
+let passing name = Report.add_pass (Report.add_pass (Report.empty name))
+
+let failing_execs =
+  let module L = Analysis.Lint in
+  let err kind where detail = L.v kind ~where detail in
+  let cert kind where =
+    L.v ~severity:L.Info ~discharged_by:(L.to_string kind) L.Unchecked_arith ~where
+      "discharged"
+  in
+  [
+    exec ~phase:"analysis" "analysis/PtQuery/pte_is_present"
+      [ failing "pte_is_present" ~case:"pte_is_present"
+          ~reason:"layer lists a function with no MIRlight body" ];
+    exec ~phase:"analysis" "analysis/PtMap/map_page"
+      ~findings:[ ("map_page", err L.Move_init "bb3[1]" "use of moved _4") ]
+      [ failing "map_page" ~case:"move-init@bb3[1]" ~reason:"use of moved _4" ];
+    exec ~phase:"analysis" "analysis/PtMap/unmap_page" [ passing "unmap_page" ];
+    exec ~phase:"absint" "absint/interval/walk"
+      ~findings:
+        [
+          ("walk", err L.Interval_bounds "bb2[0]" "index 9 out of [0, 8)");
+          ("walk", cert L.Interval_bounds "bb5[2]");
+        ]
+      [ failing "absint/interval/walk" ~case:"interval-bounds walk@bb2[0]"
+          ~reason:"index 9 out of [0, 8)" ];
+    exec ~phase:"absint" "absint/secret-flow/hc_read"
+      ~findings:[ ("hc_read", err L.Secret_flow "bb1[term]" "secret reaches os sink") ]
+      [ failing "absint/secret-flow/hc_read" ~case:"secret-flow hc_read@bb1[term]"
+          ~reason:"secret reaches os sink" ];
+    exec ~phase:"borrow" "borrow/PtMap/map_page"
+      ~findings:[ ("map_page", err L.Conflicting_borrow "bb4[0]" "_2 borrowed twice") ]
+      [ failing "map_page" ~case:"conflicting-borrow@bb4[0]" ~reason:"_2 borrowed twice" ];
+    exec ~phase:"alias" "alias/points-to/frame_alloc"
+      ~findings:
+        [
+          ("frame_alloc", err L.Alias_footprint "bb0[3]" "writes outside its frame");
+          ("frame_alloc", cert L.Alias_footprint "bb6[1]");
+        ]
+      [ failing "alias/points-to/frame_alloc" ~case:"alias-footprint frame_alloc@bb0[3]"
+          ~reason:"writes outside its frame" ];
+    exec ~phase:"code-proofs" "code-proof/PtMap/map_page"
+      [
+        failing "map_page" ~case:"va=0x1000" ~reason:"post-state differs";
+        passing "map_page (composed)";
+      ];
+    exec ~phase:"code-proofs" "code-proof/PtQuery/query" [ passing "query" ];
+    exec ~phase:"refinement" "refine/shard-00"
+      [ failing "flat/tree simulation (R)" ~case:"trial 3" ~reason:"R broken" ];
+    exec ~phase:"invariants" "invariants/batch-00" [ passing "invariants on reachable states" ];
+    exec ~phase:"noninterference" "noninterference/integrity/os"
+      [ passing "integrity (os)" ];
+    exec ~phase:"trace-ni" "trace-ni/os" [ passing "trace noninterference (os)" ];
+    exec ~phase:"attacks" "attacks/fig5a" ~log:"fig5a                  REJECTED by I1 (as expected)"
+      [ passing "attack scenarios (Fig. 5)" ];
+    exec ~phase:"attacks" "attacks/fig5b" ~log:"fig5b                  UNEXPECTED: accepted"
+      [ failing "attack scenarios (Fig. 5)" ~case:"fig5b" ~reason:"accepted" ];
+  ]
+
+let render_failing () =
+  let failures = ref 0 in
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  Serve.Render.engine_results ppf ~failures ~security:true failing_execs;
+  Format.pp_print_flush ppf ();
+  (Buffer.contents buf, !failures)
+
+let test_render_failing_output () =
+  let text, failures = render_failing () in
+  Alcotest.(check int) "failure count" 9 failures;
+  Alcotest.(check string) "FAIL lines" {|
+=== 3. static analysis (MIRlight dataflow lints) ===
+  3 functions, 6 lint checks: 4 passed, 1 findings
+  FAIL [PtQuery] pte_is_present                               2 cases,     1 passed,    0 skipped,   1 failed
+    FAIL [pte_is_present]: layer lists a function with no MIRlight body
+  FAIL [map_page] bb3[1]: [move-init] use of moved _4
+
+=== 3b. abstract interpretation (interval bounds + secret flow) ===
+  2 SCC obligations: 1 secret-flow findings, 1 interval findings, 1 arith sites discharged
+  FAIL [hc_read] bb1[term]: [secret-flow] secret reaches os sink
+  FAIL [walk] bb2[0]: [interval-bounds] index 9 out of [0, 8)
+
+=== 3c. borrow checking (NLL liveness regions + loan dataflow) ===
+  1 functions, 2 borrow checks: 1 passed, 1 findings
+  FAIL [map_page] bb4[0]: [conflicting-borrow] _2 borrowed twice
+
+=== 3d. alias analysis (Andersen points-to footprints) ===
+  1 SCC obligations: 1 alias findings, 1 warnings discharged
+  FAIL [frame_alloc] bb0[3]: [alias-footprint] writes outside its frame
+
+=== 4. code proofs (code conforms to low specs) ===
+  2 functions, 6 cases: 5 passed, 0 skipped, 1 failed
+  FAIL [PtMap] map_page                                     2 cases,     1 passed,    0 skipped,   1 failed
+    FAIL [va=0x1000]: post-state differs
+
+=== 5. page-table refinement (flat <-> tree, Sec. 4.1) ===
+  flat/tree simulation (R)                     2 cases,     1 passed,    0 skipped,   1 failed
+    FAIL [trial 3]: R broken
+
+=== 6. invariants (Sec. 5.2) on reachable states ===
+  invariants on reachable states               2 cases,     2 passed,    0 skipped,   0 failed
+
+=== 7. noninterference (Lemmas 5.2-5.4, Sec. 5.3) ===
+  integrity (os)                               2 cases,     2 passed,    0 skipped,   0 failed
+
+=== 8. trace noninterference (Theorem 5.1) ===
+  trace noninterference (os)                   2 cases,     2 passed,    0 skipped,   0 failed
+
+=== 9. attack scenarios (Fig. 5 + Sec. 4.1 shallow copy) ===
+  fig5a                  REJECTED by I1 (as expected)
+  fig5b                  UNEXPECTED: accepted
+|} text
+
+(* The default plan stubs same-layer callees with their contracts, and
+   the summary says so. *)
+let test_summary_stubbed_calls () =
+  let p = Driver.prepare Driver.default_request in
+  let summary =
+    Summary.summary_json ~failures:0 ~jobs:1 ~cache_enabled:false
+      ~sup_totals:(Engine.Supervisor.totals []) ~stats:{ Engine.Pool.respawns = 0; lost_workers = 0 }
+      ~cache_write_failures:0 ~engine_chaos:None ~model_check:None ~plan:p.Driver.p_plan
+      ~plan_build_s:0.0 ~plan_cache_hit:false []
+  in
+  match
+    Option.bind (Jsonx.member "overrides" summary) (fun o ->
+        Option.bind (Jsonx.member "stubbed_calls_total" o) Jsonx.to_int_opt)
+  with
+  | Some n -> Alcotest.(check bool) "stubbed_calls_total > 0" true (n > 0)
+  | None -> Alcotest.fail "summary lacks overrides.stubbed_calls_total"
+
 let () =
   Alcotest.run "serve"
     [
@@ -655,7 +805,11 @@ let () =
           Alcotest.test_case "replay lifecycle" `Quick test_replay_lifecycle;
           Alcotest.test_case "plan memo" `Quick test_plan_memo;
           Alcotest.test_case "plan fields in summary" `Quick test_plan_fields_in_summary;
+          Alcotest.test_case "summary counts stubbed calls" `Quick
+            test_summary_stubbed_calls;
         ] );
+      ( "render",
+        [ Alcotest.test_case "failing output" `Quick test_render_failing_output ] );
       ( "dispatcher",
         [
           Alcotest.test_case "respawn requeues at the front" `Quick
