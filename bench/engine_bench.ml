@@ -110,7 +110,7 @@ let () =
   let ctx = Check.Code_proof.ctx layout in
   let stubbed_fns =
     List.filter
-      (fun fn -> Check.Code_proof.same_layer_callees layout fn <> [])
+      (fun fn -> Layers.same_layer_callees layout fn <> [])
       (List.concat_map (Layers.functions_of_layer layout) Mem_spec.layer_names)
   in
   let battery_wall run =

@@ -295,39 +295,6 @@ let args_for pool fn (d : Absdata.t) : _ Value.t list list =
 
 let eq : Absdata.t Refine.equiv = Refine.equiv Absdata.equal
 
-(* ------------------------------------------------------------------ *)
-(* Call-graph queries for override composition                         *)
-
-(* Spec-owned callees of [fn], first-call-site order, deduplicated,
-   self-calls excluded.  Only functions that own a spec can ever be
-   stubbed (or depended on) by the engine. *)
-let callees layout fn =
-  let program = (Layers.compiled layout).Rustlite.Pipeline.program in
-  match Mir.Syntax.find_body program fn with
-  | None -> []
-  | Some body ->
-      let seen = Hashtbl.create 8 in
-      List.filter
-        (fun g ->
-          g <> fn
-          && (not (Hashtbl.mem seen g))
-          && Option.is_some (Mem_spec.find layout g)
-          &&
-          (Hashtbl.add seen g ();
-           true))
-        (Mirverif.Layer.calls_of_body body)
-
-(* Callees living in [fn]'s own layer: exactly the calls the monolithic
-   checker runs as bodies and override composition runs as specs.
-   Lower-layer callees are already primitives in both modes. *)
-let same_layer_callees layout fn =
-  match Layers.layer_of_function layout fn with
-  | None -> []
-  | Some lname ->
-      List.filter
-        (fun g -> Layers.layer_of_function layout g = Some lname)
-        (callees layout fn)
-
 (* A user-authored refinement of a function's generated oracle spec:
    [Installed] once its declared frame certified against the alias
    footprints, [Refused] (with the reason) otherwise — a refused
@@ -336,7 +303,9 @@ type contract_entry = Installed of Absdata.t Spec.t | Refused of string
 
 type ctx = {
   ctx_layout : Layout.t;
-  ctx_pool : pool;
+  (* the input pool every battery draws from: built with the first
+     battery, under [ctx_mu], so a fully cached run builds none *)
+  ctx_pool : pool Lazy.t;
   (* per-function check memo: generated cases are deterministic given
      (seed, layout), so each function's check is built once per ctx
      instead of once per obligation run.  Built on first use, by
@@ -400,7 +369,7 @@ let retained_paths ctx fn =
     | None -> []
     | Some lname ->
         List.filter
-          (fun g -> g <> fn && List.mem fn (same_layer_callees layout g))
+          (fun g -> g <> fn && List.mem fn (Layers.same_layer_callees layout g))
           (Layers.functions_of_layer layout lname)
   in
   let infos = alias_infos ctx in
@@ -428,7 +397,7 @@ let build_check ctx fn =
   match Layers.layer_of_function ctx.ctx_layout fn with
   | None -> None
   | Some lname ->
-      let pool = ctx.ctx_pool in
+      let pool = Lazy.force ctx.ctx_pool in
       let spec =
         match Mem_spec.find ctx.ctx_layout fn with
         | Some s -> s
@@ -525,11 +494,10 @@ let refusal ctx fn =
   | _ -> None
 
 let ctx ?(seed = 2024) layout =
-  (* building the pool also warms the layout-keyed compile/stack/boot
-     caches, so a ctx built up front is safe to share across domains *)
-  let pool = make_pool ~seed layout in
-  ignore (Layers.stack layout);
-  { ctx_layout = layout; ctx_pool = pool;
+  (* warming the layout-keyed compile/stack/boot caches makes a ctx
+     built up front safe to share across domains *)
+  Layers.warm layout;
+  { ctx_layout = layout; ctx_pool = lazy (make_pool ~seed layout);
     ctx_checks = Hashtbl.create 64;
     ctx_cenvs = Hashtbl.create 16;
     ctx_contracts = Hashtbl.create 8;

@@ -15,23 +15,11 @@ type ctx
     so each function's check is built exactly once per ctx instead of
     once per obligation run.  Build one ctx up front and reuse it
     across per-function runs — including runs on other domains.
-    Building a ctx generates no cases: each function's check and each
-    layer's composed environment are built on first use, by whichever
-    domain asks first, under the ctx's mutex. *)
+    Building a ctx generates no cases: the input pool, each function's
+    check and each layer's composed environment are built on first use,
+    by whichever domain asks first, under the ctx's mutex. *)
 
 val ctx : ?seed:int -> Hyperenclave.Layout.t -> ctx
-
-val callees : Hyperenclave.Layout.t -> string -> string list
-(** Spec-owned functions [fn] calls directly (first-call-site order,
-    deduplicated, self-calls excluded) — the call-graph edges the
-    engine turns into override dependencies and fingerprint
-    ingredients. *)
-
-val same_layer_callees : Hyperenclave.Layout.t -> string -> string list
-(** The subset of {!callees} living in [fn]'s own layer: exactly the
-    calls that the monolithic checker executes as bodies and the
-    override-composed checker executes as contracts.  (Lower-layer
-    callees are primitives in both modes.) *)
 
 val check_function :
   ctx -> string -> (string * Hyperenclave.Absdata.t Mirverif.Refine.check) option

@@ -341,8 +341,8 @@ let composed_code_proof_obligations ?(seed = 2024) layout =
             List.map
               (fun fn ->
                 let id = code_proof_id ~layer:lname fn in
-                let callees = Check.Code_proof.callees layout fn in
-                let stubs = Check.Code_proof.same_layer_callees layout fn in
+                let callees = Layers.callees layout fn in
+                let stubs = Layers.same_layer_callees layout fn in
                 let uses =
                   String.concat ","
                     (List.map
@@ -385,7 +385,7 @@ let override_counts layout =
     (fun lname ->
       List.map
         (fun fn ->
-          (fn, List.length (Check.Code_proof.same_layer_callees layout fn)))
+          (fn, List.length (Layers.same_layer_callees layout fn)))
         (Layers.functions_of_layer layout lname))
     Mem_spec.layer_names
 
@@ -666,7 +666,8 @@ let mc_report ~name (o : Mc.Explore.outcome) =
         ~reason:v.Mc.Explore.v_detail)
     rep o.Mc.Explore.violations
 
-let mc_obligations ~deps req layout =
+let mc_obligations ~deps req =
+  let layout = req.mc_layout in
   let full_cfg =
     Mc.Explore.config ~depth:req.mc_depth ~flush:req.mc_flush ~por:req.mc_por
       layout
@@ -762,7 +763,12 @@ let build ?(quick = false) ?(security = true)
   let mc =
     match model_check with
     | None -> []
-    | Some req -> mc_obligations ~deps:[] req layout
+    | Some req ->
+        (* the model checker explores its own layout, whatever the
+           plan's; boot it here, because [Boot.booted] is an unguarded
+           memo and a shallow check computes no frontier at plan build *)
+        ignore (Boot.booted req.mc_layout);
+        mc_obligations ~deps:[] req
   in
   let dag =
     Dag.build_exn

@@ -59,17 +59,21 @@ val build :
   seed:int ->
   Hyperenclave.Layout.t ->
   t
-(** [build ~seed layout] constructs the DAG and warms every
-    layout-keyed memo table ([Layers.warm], the attack module's lazy
-    layout) in the calling domain, so worker domains only read shared
-    state.  It computes only what a cache lookup needs — ids, edges
-    and fingerprints over [Layers.body_digest] — and no case battery:
-    each code-proof obligation builds its battery and composed
-    environment when it first runs, so a fully warm run builds none.
-    [~security:false] (x86_64 geometry) drops phases 5-8; [~quick]
-    shrinks trial/state counts like the CLI's [--quick]; [~lints]
-    selects the static-analysis lints (default: the whole
-    catalogue). *)
+(** [build ~seed layout] constructs the DAG and warms every unguarded
+    layout-keyed memo table ([Layers.warm], the boot state of the
+    model-check layout, the attack module's lazy layout) in the calling
+    domain, so worker domains only read shared state.  It computes only
+    what a cache lookup needs — ids, edges and fingerprints over
+    [Layers.body_digest], [Layers.callees] and the spec index, each
+    built once per layout — and nothing a lookup does not read: each
+    code-proof obligation compiles its layer's closures
+    ([Layers.compiled_for]) and builds the input pool, its battery and
+    its composed environment when it first runs, so a fully warm run
+    builds none of them.  [~security:false] (x86_64 geometry) drops
+    phases 5-8; [~quick] shrinks trial/state counts like the CLI's
+    [--quick]; [~lints] selects the static-analysis lints (default:
+    the whole catalogue); [~model_check] adds phase 11 over its own
+    [mc_layout]. *)
 
 val build_memo :
   ?quick:bool ->
@@ -161,9 +165,9 @@ val override_counts : Hyperenclave.Layout.t -> (string * int) list
 (** Per spec-owned function (bottom-up, zeros included): the number of
     same-layer call-graph edges override composition stubs. *)
 
-val mc_obligations :
-  deps:string list -> mc_request -> Hyperenclave.Layout.t -> Obligation.t list
-(** The model-checking phase: a root obligation exploring boot to the
+val mc_obligations : deps:string list -> mc_request -> Obligation.t list
+(** The model-checking phase over the request's own [mc_layout] (the
+    plan's layout plays no part): a root obligation exploring boot to the
     split depth (reduction off, so its frontier is the exact
     distance-d0 slice) plus one obligation per frontier shard (sharded
     by canonical-state-key prefix), each exploring from its root

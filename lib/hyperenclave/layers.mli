@@ -28,11 +28,26 @@ val compile_memo : Absdata.t Mir.Compile.cache
     environment (same primitive names) reuse every compiled body. *)
 
 val compiled_for : Layout.t -> layer:string -> Absdata.t Mir.Compile.t
-(** Closure-compiled environment for one layer (memoized per
-    [(layout, layer)], mutex-guarded; pre-filled by {!warm}). *)
+(** Closure-compiled environment for one layer, compiled on first use
+    by whichever domain asks first (memoized per [(layout, layer)],
+    mutex-guarded).  {!warm} does not compile it: a run whose
+    obligations all hit the proof cache never asks. *)
 
 val layer_of_function : Layout.t -> string -> string option
 val functions_of_layer : Layout.t -> string -> string list
+(** Both read {!Mem_spec}'s per-layout index. *)
+
+val callees : Layout.t -> string -> string list
+(** Spec-owned functions [fn] calls directly (first-call-site order,
+    deduplicated, self-calls excluded) — the call-graph edges the
+    engine turns into override dependencies and fingerprint
+    ingredients.  Indexed once per layout, mutex-guarded. *)
+
+val same_layer_callees : Layout.t -> string -> string list
+(** The subset of {!callees} living in [fn]'s own layer: exactly the
+    calls that the monolithic checker executes as bodies and the
+    override-composed checker executes as contracts.  (Lower-layer
+    callees are primitives in both modes.) *)
 
 val verified_function_count : Layout.t -> int
 val layer_count : int
@@ -41,8 +56,9 @@ val stratification_ok : Layout.t -> Mirverif.Layer.stratification_issue list
 (** Syntactic no-upcall check over the stack (empty = ok). *)
 
 val warm : Layout.t -> unit
-(** Force the layout-keyed memo tables ({!compiled}, {!body_digest},
-    {!stack}, {!compiled_for} for every layer, the boot state) from the
-    calling domain.  The parallel verification engine
-    calls this before spawning workers: afterwards the tables are only
-    read, which is safe concurrently. *)
+(** Force the unguarded layout-keyed memo tables ({!compiled},
+    {!body_digest}, {!stack}, the boot state) from the calling domain.
+    The parallel verification engine calls this before spawning
+    workers: afterwards the tables are only read, which is safe
+    concurrently.  Closure compilation ({!compiled_for}) and the
+    spec and call indexes fill themselves under their own mutexes. *)

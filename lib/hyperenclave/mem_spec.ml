@@ -470,7 +470,7 @@ let pure2 name f =
       let* a, b = M.arg2 args in
       Ok (d, f a b))
 
-let all layout =
+let build_all layout =
   let k = konst layout in
   let l layer specs = List.map (fun spec -> { layer; spec }) specs in
   l "PteOps"
@@ -707,6 +707,45 @@ let all layout =
             Ok (d, M.strukt [ M.u64 status; M.u64 gpt; M.u64 ept ]));
       ]
 
-let find layout name =
-  List.find_opt (fun t -> String.equal t.spec.Spec.name name) (all layout)
-  |> Option.map (fun t -> t.spec)
+(* The specs of a layout and their lookups, built once per layout.  A
+   miss is filled under a mutex: a model-check layout or a test can
+   reach a layout for the first time from a worker domain.  A published
+   index is never mutated, so lookups read it without the lock. *)
+type index = {
+  specs : t list;
+  by_name : (string, t) Hashtbl.t;
+  by_layer : (string, string list) Hashtbl.t;  (* spec order *)
+}
+
+let build_index layout =
+  let specs = build_all layout in
+  let by_name = Hashtbl.create 64 and by_layer = Hashtbl.create 16 in
+  List.iter
+    (fun t ->
+      (* the first spec of a name wins, as a scan of [specs] would find *)
+      if not (Hashtbl.mem by_name t.spec.Spec.name) then
+        Hashtbl.add by_name t.spec.Spec.name t;
+      let names = Option.value ~default:[] (Hashtbl.find_opt by_layer t.layer) in
+      Hashtbl.replace by_layer t.layer (t.spec.Spec.name :: names))
+    specs;
+  Hashtbl.filter_map_inplace (fun _ names -> Some (List.rev names)) by_layer;
+  { specs; by_name; by_layer }
+
+let index_mu = Mutex.create ()
+let indexes : (Layout.t, index) Hashtbl.t = Hashtbl.create 4
+
+let index layout =
+  Mutex.protect index_mu (fun () ->
+      match Hashtbl.find_opt indexes layout with
+      | Some ix -> ix
+      | None ->
+          let ix = build_index layout in
+          Hashtbl.add indexes layout ix;
+          ix)
+
+let all layout = (index layout).specs
+let lookup layout name = Hashtbl.find_opt (index layout).by_name name
+let find layout name = Option.map (fun t -> t.spec) (lookup layout name)
+
+let functions_of_layer layout layer =
+  Option.value ~default:[] (Hashtbl.find_opt (index layout).by_layer layer)

@@ -16,13 +16,22 @@
 type t = { layer : string; spec : Absdata.t Mirverif.Spec.t }
 
 val all : Layout.t -> t list
-(** Every function's spec, tagged with the layer that owns it. *)
+(** Every function's spec, tagged with the layer that owns it, bottom
+    layer first.  Built once per layout, like the lookups below; safe
+    to call from any domain. *)
 
 val layer_names : string list
 (** Bottom-first order of the 15 layers, ["Trusted"] to
     ["IsolationModel"]. *)
 
+val lookup : Layout.t -> string -> t option
+(** The function's tagged spec, from a per-layout name index. *)
+
 val find : Layout.t -> string -> Absdata.t Mirverif.Spec.t option
+(** The spec part of {!lookup}. *)
+
+val functions_of_layer : Layout.t -> string -> string list
+(** The functions a layer owns, in {!all} order. *)
 
 val enclave_to_value : Enclave.t -> 'abs Mir.Value.t
 (** Encode an {!Enclave.t} as the [Enclave] struct the Rustlite code

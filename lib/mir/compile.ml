@@ -86,8 +86,8 @@ type 'abs t = {
 
 (* A shared memo table: bodies compile once per digest+linkage key and
    are reused across environments (and across chaos-perturbed copies
-   of the same environment).  Guarded by a mutex because warm-up runs
-   on one domain but chaos batteries may compile lazily from tests. *)
+   of the same environment).  Guarded by a mutex because environments
+   compile on first use, in whichever worker domain needs them. *)
 type 'abs cache = { mu : Mutex.t; tbl : (string, 'abs cbody) Hashtbl.t }
 
 let cache () = { mu = Mutex.create (); tbl = Hashtbl.create 64 }
@@ -671,19 +671,17 @@ let compile ?cache ?(overrides = []) (env : 'abs Interp.env) : 'abs t =
     let key = body_key body ~linkage_of in
     match cache with
     | None -> compile_body ~linkage_of body ~key
-    | Some c -> (
-        Mutex.lock c.mu;
-        match Hashtbl.find_opt c.tbl key with
-        | Some cb ->
-            Mutex.unlock c.mu;
-            cb
-        | None ->
-            (* compiling outside the lock would be nicer, but compilation
-               is cheap and this keeps duplicate work out entirely *)
-            let cb = compile_body ~linkage_of body ~key in
-            Hashtbl.add c.tbl key cb;
-            Mutex.unlock c.mu;
-            cb)
+    | Some c ->
+        Mutex.protect c.mu (fun () ->
+            match Hashtbl.find_opt c.tbl key with
+            | Some cb -> cb
+            | None ->
+                (* compiling outside the lock would be nicer, but
+                   compilation is cheap and this keeps duplicate work
+                   out entirely *)
+                let cb = compile_body ~linkage_of body ~key in
+                Hashtbl.add c.tbl key cb;
+                cb)
   in
   let bodies =
     Syntax.fold_bodies (fun name body m -> StrMap.add name (compile_one body) m) prog

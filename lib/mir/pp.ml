@@ -1,32 +1,63 @@
-open Format
+(* The layout is fixed: a body's locals and blocks sit at indent 2 and a
+   block's statements at indent 4, one item per line, so the text is
+   built straight into a [Buffer].  The bytes are part of every body
+   digest, and so of the pinned proof-cache keys: changing one re-keys
+   the cache. *)
 
-let pp_place fmt (p : Syntax.place) =
+let str = Buffer.add_string
+let chr = Buffer.add_char
+let int b i = str b (string_of_int i)
+
+let sep_list b f xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then str b ", ";
+      f b x)
+    xs
+
+let place b (p : Syntax.place) =
   (* Derefs print as prefix stars, other projections as suffixes. *)
-  let derefs = List.length (List.filter (fun e -> e = Syntax.Deref) p.elems) in
-  for _ = 1 to derefs do
-    pp_print_string fmt "*"
-  done;
-  pp_print_string fmt p.var;
+  List.iter (function Syntax.Deref -> chr b '*' | _ -> ()) p.elems;
+  str b p.var;
   List.iter
-    (fun elem ->
-      match elem with
+    (function
       | Syntax.Deref -> ()
-      | Syntax.Pfield i -> fprintf fmt ".%d" i
-      | Syntax.Pindex v -> fprintf fmt "[%s]" v
-      | Syntax.Pconst_index i -> fprintf fmt "[%d]" i
-      | Syntax.Downcast d -> fprintf fmt " as variant#%d" d)
+      | Syntax.Pfield i ->
+          chr b '.';
+          int b i
+      | Syntax.Pindex v ->
+          chr b '[';
+          str b v;
+          chr b ']'
+      | Syntax.Pconst_index i ->
+          chr b '[';
+          int b i;
+          chr b ']'
+      | Syntax.Downcast d ->
+          str b " as variant#";
+          int b d)
     p.elems
 
-let pp_constant fmt = function
-  | Syntax.Cint (w, ity) -> fprintf fmt "const %a_%a" Word.pp_dec w Ty.pp_int_ty ity
-  | Syntax.Cbool b -> fprintf fmt "const %b" b
-  | Syntax.Cunit -> pp_print_string fmt "const ()"
-  | Syntax.Cfn f -> fprintf fmt "const fn %s" f
+let constant b = function
+  | Syntax.Cint (w, ity) ->
+      str b "const ";
+      str b (Printf.sprintf "%Lu" w);
+      chr b '_';
+      str b (Ty.int_ty_to_string ity)
+  | Syntax.Cbool v ->
+      str b "const ";
+      str b (string_of_bool v)
+  | Syntax.Cunit -> str b "const ()"
+  | Syntax.Cfn f ->
+      str b "const fn ";
+      str b f
 
-let pp_operand fmt = function
-  | Syntax.Copy p -> pp_place fmt p
-  | Syntax.Move p -> fprintf fmt "move %a" pp_place p
-  | Syntax.Const c -> pp_constant fmt c
+let operand b = function
+  | Syntax.Copy p -> place b p
+  | Syntax.Move p ->
+      str b "move ";
+      place b p
+  | Syntax.Const c -> constant b c
 
 let bin_op_symbol = function
   | Syntax.Add -> "Add"
@@ -46,84 +77,177 @@ let bin_op_symbol = function
   | Syntax.Gt -> "Gt"
   | Syntax.Ge -> "Ge"
 
-let pp_rvalue fmt = function
-  | Syntax.Use op -> pp_operand fmt op
-  | Syntax.Repeat (op, n) -> fprintf fmt "[%a; %d]" pp_operand op n
-  | Syntax.Ref p -> fprintf fmt "&mut %a" pp_place p
-  | Syntax.Address_of p -> fprintf fmt "&raw mut %a" pp_place p
-  | Syntax.Len p -> fprintf fmt "Len(%a)" pp_place p
-  | Syntax.Cast (op, ity) -> fprintf fmt "%a as %a" pp_operand op Ty.pp_int_ty ity
-  | Syntax.Binary (op, a, b) ->
-      fprintf fmt "%s(%a, %a)" (bin_op_symbol op) pp_operand a pp_operand b
-  | Syntax.Checked_binary (op, a, b) ->
-      fprintf fmt "Checked%s(%a, %a)" (bin_op_symbol op) pp_operand a pp_operand b
-  | Syntax.Unary (Syntax.Not, a) -> fprintf fmt "Not(%a)" pp_operand a
-  | Syntax.Unary (Syntax.Neg, a) -> fprintf fmt "Neg(%a)" pp_operand a
-  | Syntax.Discriminant p -> fprintf fmt "discriminant(%a)" pp_place p
-  | Syntax.Aggregate (kind, ops) ->
-      let pp_ops fmt' =
-        pp_print_list ~pp_sep:(fun f () -> fprintf f ", ") pp_operand fmt'
-      in
-      (match kind with
-      | Syntax.Agg_tuple -> fprintf fmt "(%a)" pp_ops ops
-      | Syntax.Agg_struct name -> fprintf fmt "%s { %a }" name pp_ops ops
-      | Syntax.Agg_variant (name, d) -> fprintf fmt "%s::variant#%d(%a)" name d pp_ops ops
-      | Syntax.Agg_array -> fprintf fmt "[%a]" pp_ops ops)
+(* [name(a)] and [name(a, b)] *)
+let call1 b name pr x =
+  str b name;
+  chr b '(';
+  pr b x;
+  chr b ')'
 
-let pp_statement fmt = function
-  | Syntax.Assign (p, rv) -> fprintf fmt "%a = %a;" pp_place p pp_rvalue rv
+let call2 b name x y =
+  str b name;
+  chr b '(';
+  operand b x;
+  str b ", ";
+  operand b y;
+  chr b ')'
+
+let rvalue b = function
+  | Syntax.Use op -> operand b op
+  | Syntax.Repeat (op, n) ->
+      chr b '[';
+      operand b op;
+      str b "; ";
+      int b n;
+      chr b ']'
+  | Syntax.Ref p ->
+      str b "&mut ";
+      place b p
+  | Syntax.Address_of p ->
+      str b "&raw mut ";
+      place b p
+  | Syntax.Len p -> call1 b "Len" place p
+  | Syntax.Cast (op, ity) ->
+      operand b op;
+      str b " as ";
+      str b (Ty.int_ty_to_string ity)
+  | Syntax.Binary (op, x, y) -> call2 b (bin_op_symbol op) x y
+  | Syntax.Checked_binary (op, x, y) -> call2 b ("Checked" ^ bin_op_symbol op) x y
+  | Syntax.Unary (Syntax.Not, x) -> call1 b "Not" operand x
+  | Syntax.Unary (Syntax.Neg, x) -> call1 b "Neg" operand x
+  | Syntax.Discriminant p -> call1 b "discriminant" place p
+  | Syntax.Aggregate (kind, ops) -> (
+      match kind with
+      | Syntax.Agg_tuple ->
+          chr b '(';
+          sep_list b operand ops;
+          chr b ')'
+      | Syntax.Agg_struct name ->
+          str b name;
+          str b " { ";
+          sep_list b operand ops;
+          str b " }"
+      | Syntax.Agg_variant (name, d) ->
+          str b name;
+          str b "::variant#";
+          int b d;
+          chr b '(';
+          sep_list b operand ops;
+          chr b ')'
+      | Syntax.Agg_array ->
+          chr b '[';
+          sep_list b operand ops;
+          chr b ']')
+
+let statement b = function
+  | Syntax.Assign (p, rv) ->
+      place b p;
+      str b " = ";
+      rvalue b rv;
+      chr b ';'
   | Syntax.Set_discriminant (p, d) ->
-      fprintf fmt "discriminant(%a) = %d;" pp_place p d
-  | Syntax.Storage_live v -> fprintf fmt "StorageLive(%s);" v
-  | Syntax.Storage_dead v -> fprintf fmt "StorageDead(%s);" v
-  | Syntax.Nop -> pp_print_string fmt "nop;"
+      call1 b "discriminant" place p;
+      str b " = ";
+      int b d;
+      chr b ';'
+  | Syntax.Storage_live v ->
+      call1 b "StorageLive" str v;
+      chr b ';'
+  | Syntax.Storage_dead v ->
+      call1 b "StorageDead" str v;
+      chr b ';'
+  | Syntax.Nop -> str b "nop;"
 
-let pp_terminator fmt = function
-  | Syntax.Goto l -> fprintf fmt "goto -> bb%d;" l
+let goto b l =
+  str b " -> bb";
+  int b l;
+  chr b ';'
+
+let terminator b = function
+  | Syntax.Goto l ->
+      str b "goto";
+      goto b l
   | Syntax.Switch_int (op, cases, otherwise) ->
-      fprintf fmt "switchInt(%a) -> [%a, otherwise: bb%d];" pp_operand op
-        (pp_print_list
-           ~pp_sep:(fun f () -> fprintf f ", ")
-           (fun f (w, l) -> fprintf f "%a: bb%d" Word.pp_dec w l))
-        cases otherwise
-  | Syntax.Return -> pp_print_string fmt "return;"
-  | Syntax.Unreachable -> pp_print_string fmt "unreachable;"
-  | Syntax.Drop (p, l) -> fprintf fmt "drop(%a) -> bb%d;" pp_place p l
-  | Syntax.Call { dest; func; args; target } ->
-      fprintf fmt "%a = %s(%a)" pp_place dest func
-        (pp_print_list ~pp_sep:(fun f () -> fprintf f ", ") pp_operand)
-        args;
-      (match target with
-      | Some l -> fprintf fmt " -> bb%d;" l
-      | None -> fprintf fmt " -> diverge;")
+      call1 b "switchInt" operand op;
+      str b " -> [";
+      sep_list b
+        (fun b (w, l) ->
+          str b (Printf.sprintf "%Lu" w);
+          str b ": bb";
+          int b l)
+        cases;
+      str b ", otherwise: bb";
+      int b otherwise;
+      str b "];"
+  | Syntax.Return -> str b "return;"
+  | Syntax.Unreachable -> str b "unreachable;"
+  | Syntax.Drop (p, l) ->
+      call1 b "drop" place p;
+      goto b l
+  | Syntax.Call { dest; func; args; target } -> (
+      place b dest;
+      str b " = ";
+      str b func;
+      chr b '(';
+      sep_list b operand args;
+      chr b ')';
+      match target with Some l -> goto b l | None -> str b " -> diverge;")
   | Syntax.Assert { cond; expected; msg; target } ->
-      fprintf fmt "assert(%a == %b, %S) -> bb%d;" pp_operand cond expected msg target
+      str b "assert(";
+      operand b cond;
+      str b " == ";
+      str b (string_of_bool expected);
+      str b ", ";
+      str b (Printf.sprintf "%S" msg);
+      chr b ')';
+      goto b target
 
-let pp_local_decl fmt (d : Syntax.local_decl) =
-  let kind = match d.lkind with Syntax.Klocal -> "local" | Syntax.Ktemp -> "temp" in
-  fprintf fmt "let %s %s: %a;" kind d.lname Ty.pp d.lty
+let local_decl b (d : Syntax.local_decl) =
+  str b (match d.lkind with Syntax.Klocal -> "let local " | Syntax.Ktemp -> "let temp ");
+  str b d.lname;
+  str b ": ";
+  Ty.add_to_buffer b d.lty;
+  chr b ';'
 
-let pp_body fmt (b : Syntax.body) =
-  fprintf fmt "@[<v>fn %s(%a) {@;<0 2>@[<v>" b.fname
-    (pp_print_list ~pp_sep:(fun f () -> fprintf f ", ") pp_print_string)
-    b.params;
-  List.iter (fun d -> fprintf fmt "%a@," pp_local_decl d) b.locals;
+(* Every line break is followed by the next line's indent, so an empty
+   line between the locals and the first block holds two spaces. *)
+let body b (fb : Syntax.body) =
+  str b "fn ";
+  str b fb.fname;
+  chr b '(';
+  sep_list b str fb.params;
+  str b ") {\n  ";
+  List.iter
+    (fun d ->
+      local_decl b d;
+      str b "\n  ")
+    fb.locals;
   Array.iteri
     (fun i (blk : Syntax.block) ->
-      fprintf fmt "@,bb%d: {@;<0 2>@[<v>" i;
-      List.iter (fun s -> fprintf fmt "%a@," pp_statement s) blk.stmts;
-      fprintf fmt "%a@]@,}" pp_terminator blk.term)
-    b.blocks;
-  fprintf fmt "@]@,}@]"
+      str b "\n  bb";
+      int b i;
+      str b ": {\n    ";
+      List.iter
+        (fun s ->
+          statement b s;
+          str b "\n    ")
+        blk.stmts;
+      terminator b blk.term;
+      str b "\n  }")
+    fb.blocks;
+  str b "\n}"
 
-let pp_program fmt prog =
-  let first = ref true in
+let body_to_string fb =
+  let b = Buffer.create 1024 in
+  body b fb;
+  Buffer.contents b
+
+let program_to_string prog =
+  let b = Buffer.create 65536 in
   Syntax.fold_bodies
-    (fun _ body () ->
-      if !first then first := false else pp_print_newline fmt ();
-      pp_body fmt body;
-      pp_print_newline fmt ())
-    prog ()
-
-let body_to_string b = asprintf "%a" pp_body b
-let program_to_string p = asprintf "%a" pp_program p
+    (fun _ fb () ->
+      if Buffer.length b > 0 then chr b '\n';
+      body b fb;
+      chr b '\n')
+    prog ();
+  Buffer.contents b

@@ -10,16 +10,16 @@ let signed = function I32 | I64 -> true | U8 | U16 | U32 | U64 | Usize -> false
 
 let int_ty_equal (a : int_ty) (b : int_ty) = a = b
 
-let pp_int_ty fmt ty =
-  Format.pp_print_string fmt
-    (match ty with
-    | U8 -> "u8"
-    | U16 -> "u16"
-    | U32 -> "u32"
-    | U64 -> "u64"
-    | Usize -> "usize"
-    | I32 -> "i32"
-    | I64 -> "i64")
+let int_ty_to_string = function
+  | U8 -> "u8"
+  | U16 -> "u16"
+  | U32 -> "u32"
+  | U64 -> "u64"
+  | Usize -> "usize"
+  | I32 -> "i32"
+  | I64 -> "i64"
+
+let pp_int_ty fmt ty = Format.pp_print_string fmt (int_ty_to_string ty)
 
 type t =
   | Int of int_ty
@@ -45,18 +45,39 @@ let rec equal a b =
     ->
       false
 
-let rec pp fmt = function
-  | Int ity -> pp_int_ty fmt ity
-  | Bool -> Format.pp_print_string fmt "bool"
-  | Unit -> Format.pp_print_string fmt "()"
+let rec add_to_buffer b = function
+  | Int ity -> Buffer.add_string b (int_ty_to_string ity)
+  | Bool -> Buffer.add_string b "bool"
+  | Unit -> Buffer.add_string b "()"
   | Tuple ts ->
-      Format.fprintf fmt "(%a)"
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") pp)
-        ts
-  | Adt name -> Format.pp_print_string fmt name
-  | Ref t -> Format.fprintf fmt "&%a" pp t
-  | Array (t, n) -> Format.fprintf fmt "[%a; %d]" pp t n
-  | Raw t -> Format.fprintf fmt "*mut %a" pp t
-  | Opaque name -> Format.fprintf fmt "opaque<%s>" name
+      Buffer.add_char b '(';
+      List.iteri
+        (fun i t ->
+          if i > 0 then Buffer.add_string b ", ";
+          add_to_buffer b t)
+        ts;
+      Buffer.add_char b ')'
+  | Adt name -> Buffer.add_string b name
+  | Ref t ->
+      Buffer.add_char b '&';
+      add_to_buffer b t
+  | Array (t, n) ->
+      Buffer.add_char b '[';
+      add_to_buffer b t;
+      Buffer.add_string b "; ";
+      Buffer.add_string b (string_of_int n);
+      Buffer.add_char b ']'
+  | Raw t ->
+      Buffer.add_string b "*mut ";
+      add_to_buffer b t
+  | Opaque name ->
+      Buffer.add_string b "opaque<";
+      Buffer.add_string b name;
+      Buffer.add_char b '>'
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let b = Buffer.create 16 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

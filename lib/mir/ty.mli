@@ -14,6 +14,7 @@ type int_ty = U8 | U16 | U32 | U64 | Usize | I32 | I64
 val width : int_ty -> Word.width
 val signed : int_ty -> bool
 val int_ty_equal : int_ty -> int_ty -> bool
+val int_ty_to_string : int_ty -> string
 val pp_int_ty : Format.formatter -> int_ty -> unit
 
 type t =
@@ -30,5 +31,8 @@ type t =
           handles (paper Sec. 3.4, pointer case 3) *)
 
 val equal : t -> t -> bool
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the Rust spelling of the type ([&u64], [[u8; 4]], ...). *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -5,18 +5,21 @@ let is_ident c = is_ident_start c || is_digit c
 
 type cursor = { src : string; mutable off : int; mutable line : int; mutable col : int }
 
-let peek cur = if cur.off < String.length cur.src then Some cur.src.[cur.off] else None
+let at_end cur = cur.off >= String.length cur.src
 
-let peek2 cur =
-  if cur.off + 1 < String.length cur.src then Some cur.src.[cur.off + 1] else None
+(* The character [k] places ahead, '\000' past the end of the input.
+   No token or comment delimiter holds a '\000', so a scan that stops
+   on it stops at the end as well. *)
+let char_at cur k =
+  if cur.off + k < String.length cur.src then cur.src.[cur.off + k] else '\000'
 
 let advance cur =
-  (match peek cur with
-  | Some '\n' ->
+  if not (at_end cur) then
+    if cur.src.[cur.off] = '\n' then begin
       cur.line <- cur.line + 1;
       cur.col <- 1
-  | Some _ -> cur.col <- cur.col + 1
-  | None -> ());
+    end
+    else cur.col <- cur.col + 1;
   cur.off <- cur.off + 1
 
 let pos cur = { Token.line = cur.line; col = cur.col }
@@ -24,13 +27,46 @@ let pos cur = { Token.line = cur.line; col = cur.col }
 let error cur msg =
   Error (Format.asprintf "lex error at %a: %s" Token.pp_pos (pos cur) msg)
 
-(* longest-match first *)
-let puncts =
-  [
-    "<<"; ">>"; "=="; "!="; "<="; ">="; "&&"; "||"; "->"; "=>"; "::";
-    "("; ")"; "{"; "}"; ","; ";"; ":"; "."; "="; "<"; ">"; "+"; "-"; "*";
-    "/"; "%"; "&"; "|"; "^"; "!"; "["; "]";
-  ]
+(* The punctuation token at [c], followed by [c2] ('\000' at the end of
+   the input).  Every two-character token extends a one-character one,
+   so matching the pair first is the longest match.  [""] when no token
+   starts with [c]. *)
+let punct c c2 =
+  match (c, c2) with
+  | '<', '<' -> "<<"
+  | '>', '>' -> ">>"
+  | '=', '=' -> "=="
+  | '!', '=' -> "!="
+  | '<', '=' -> "<="
+  | '>', '=' -> ">="
+  | '&', '&' -> "&&"
+  | '|', '|' -> "||"
+  | '-', '>' -> "->"
+  | '=', '>' -> "=>"
+  | ':', ':' -> "::"
+  | '(', _ -> "("
+  | ')', _ -> ")"
+  | '{', _ -> "{"
+  | '}', _ -> "}"
+  | ',', _ -> ","
+  | ';', _ -> ";"
+  | ':', _ -> ":"
+  | '.', _ -> "."
+  | '=', _ -> "="
+  | '<', _ -> "<"
+  | '>', _ -> ">"
+  | '+', _ -> "+"
+  | '-', _ -> "-"
+  | '*', _ -> "*"
+  | '/', _ -> "/"
+  | '%', _ -> "%"
+  | '&', _ -> "&"
+  | '|', _ -> "|"
+  | '^', _ -> "^"
+  | '!', _ -> "!"
+  | '[', _ -> "["
+  | ']', _ -> "]"
+  | _ -> ""
 
 let tokenize src =
   let cur = { src; off = 0; line = 1; col = 1 } in
@@ -38,26 +74,26 @@ let tokenize src =
   let push tok p = out := { Token.tok; pos = p } :: !out in
   let rec skip_block_comment depth =
     if depth = 0 then Ok ()
+    else if at_end cur then error cur "unterminated block comment"
     else
-      match (peek cur, peek2 cur) with
-      | Some '*', Some '/' ->
+      match (char_at cur 0, char_at cur 1) with
+      | '*', '/' ->
           advance cur;
           advance cur;
           skip_block_comment (depth - 1)
-      | Some '/', Some '*' ->
+      | '/', '*' ->
           advance cur;
           advance cur;
           skip_block_comment (depth + 1)
-      | Some _, _ ->
+      | _ ->
           advance cur;
           skip_block_comment depth
-      | None, _ -> error cur "unterminated block comment"
   in
   let lex_int p =
     let start = cur.off in
     let hex =
-      match (peek cur, peek2 cur) with
-      | Some '0', Some ('x' | 'X') ->
+      match (char_at cur 0, char_at cur 1) with
+      | '0', ('x' | 'X') ->
           advance cur;
           advance cur;
           true
@@ -65,12 +101,12 @@ let tokenize src =
     in
     let digits = Buffer.create 8 in
     let rec go () =
-      match peek cur with
-      | Some c when (if hex then is_hex c else is_digit c) ->
+      match char_at cur 0 with
+      | c when (if hex then is_hex c else is_digit c) ->
           Buffer.add_char digits c;
           advance cur;
           go ()
-      | Some '_' ->
+      | '_' ->
           advance cur;
           go ()
       | _ -> ()
@@ -87,59 +123,46 @@ let tokenize src =
       | None -> error cur (Printf.sprintf "integer literal out of range: %s" text)
   in
   let lex_ident p =
-    let b = Buffer.create 8 in
-    let rec go () =
-      match peek cur with
-      | Some c when is_ident c ->
-          Buffer.add_char b c;
-          advance cur;
-          go ()
-      | _ -> ()
-    in
-    go ();
-    let name = Buffer.contents b in
-    if List.mem name Token.keywords then push (Token.Kw name) p
-    else push (Token.Ident name) p;
+    let start = cur.off in
+    while is_ident (char_at cur 0) do
+      advance cur
+    done;
+    let name = String.sub src start (cur.off - start) in
+    push (if Token.is_keyword name then Token.Kw name else Token.Ident name) p;
     Ok ()
   in
   let lex_punct p =
-    let matches s =
-      cur.off + String.length s <= String.length src
-      && String.sub src cur.off (String.length s) = s
-    in
-    match List.find_opt matches puncts with
-    | Some s ->
+    let c = char_at cur 0 in
+    match punct c (char_at cur 1) with
+    | "" -> error cur (Printf.sprintf "unexpected character %C" c)
+    | s ->
         for _ = 1 to String.length s do
           advance cur
         done;
         push (Token.Punct s) p;
         Ok ()
-    | None -> error cur (Printf.sprintf "unexpected character %C" src.[cur.off])
   in
   let rec loop () =
-    match peek cur with
-    | None ->
-        push Token.Eof (pos cur);
-        Ok (List.rev !out)
-    | Some (' ' | '\t' | '\r' | '\n') ->
-        advance cur;
-        loop ()
-    | Some '/' when peek2 cur = Some '/' ->
-        let rec to_eol () =
-          match peek cur with
-          | Some '\n' | None -> ()
-          | Some _ ->
-              advance cur;
-              to_eol ()
-        in
-        to_eol ();
-        loop ()
-    | Some '/' when peek2 cur = Some '*' ->
-        advance cur;
-        advance cur;
-        Result.bind (skip_block_comment 1) (fun () -> loop ())
-    | Some c when is_digit c -> Result.bind (lex_int (pos cur)) (fun () -> loop ())
-    | Some c when is_ident_start c -> Result.bind (lex_ident (pos cur)) (fun () -> loop ())
-    | Some _ -> Result.bind (lex_punct (pos cur)) (fun () -> loop ())
+    if at_end cur then begin
+      push Token.Eof (pos cur);
+      Ok (List.rev !out)
+    end
+    else
+      match char_at cur 0 with
+      | ' ' | '\t' | '\r' | '\n' ->
+          advance cur;
+          loop ()
+      | '/' when char_at cur 1 = '/' ->
+          while not (at_end cur || char_at cur 0 = '\n') do
+            advance cur
+          done;
+          loop ()
+      | '/' when char_at cur 1 = '*' ->
+          advance cur;
+          advance cur;
+          Result.bind (skip_block_comment 1) (fun () -> loop ())
+      | c when is_digit c -> Result.bind (lex_int (pos cur)) (fun () -> loop ())
+      | c when is_ident_start c -> Result.bind (lex_ident (pos cur)) (fun () -> loop ())
+      | _ -> Result.bind (lex_punct (pos cur)) (fun () -> loop ())
   in
   loop ()

@@ -22,9 +22,11 @@ let pp fmt = function
 
 let to_string t = Format.asprintf "%a" pp t
 
-let keywords =
-  [
-    "fn"; "let"; "mut"; "if"; "else"; "while"; "loop"; "break"; "continue";
-    "return"; "struct"; "enum"; "match"; "impl"; "const"; "extern"; "true"; "false"; "as";
-    "self"; "u64"; "usize"; "bool";
-  ]
+(* One string match, not a scan of a keyword list: the lexer asks this
+   of every identifier. *)
+let is_keyword = function
+  | "fn" | "let" | "mut" | "if" | "else" | "while" | "loop" | "break" | "continue"
+  | "return" | "struct" | "enum" | "match" | "impl" | "const" | "extern" | "true"
+  | "false" | "as" | "self" | "u64" | "usize" | "bool" ->
+      true
+  | _ -> false

@@ -26,4 +26,5 @@ type spanned = { tok : t; pos : pos }
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val keywords : string list
+val is_keyword : string -> bool
+(** Whether an identifier-shaped word is one of the {!Kw} keywords. *)

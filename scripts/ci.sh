@@ -37,7 +37,9 @@
 # The model-checking gate exhaustively explores the bounded transition
 # system (depth 4): deterministic across job counts and cache states,
 # zero violations on the clean seed, and the planted stale-TLB bug
-# rediscovered with its four-event shrunk witness under --buggy-tlb;
+# rediscovered with its four-event shrunk witness under --buggy-tlb,
+# also on the --mc-geometry tiny3 layout; an x86_64 run must
+# model-check the tiny universe within 60 s;
 # the reduction gate requires partial-order reduction to prune >= 30%
 # of interleavings without changing the reachable state set.
 #
@@ -219,7 +221,25 @@ grep -q 'rediscovered the planted stale-TLB bug exhaustively' \
   echo "ci: model checker missed the planted stale-TLB bug" >&2; exit 1; }
 grep -q 'minimal witness: 4 events' "$workdir/mc-buggy.out" || {
   echo "ci: stale-TLB counterexample did not shrink to 4 events" >&2; exit 1; }
-echo "ci: model-check gate ok (deterministic, clean seed clean, bug rediscovered)"
+# the checker explores the --mc-geometry layout, whatever --geometry
+# names: on tiny3 the planted bug is rediscovered with the same
+# four-event witness, and an x86_64 run checks the tiny 12-event
+# universe within a minute instead of exploring the x86_64 layout
+dune exec bin/hyperenclave_verify.exe -- \
+  --quick --seed 2024 --model-check 4 --mc-geometry tiny3 --buggy-tlb \
+  > "$workdir/mc-tiny3.out"
+grep -q 'rediscovered the planted stale-TLB bug exhaustively' \
+  "$workdir/mc-tiny3.out" || {
+  echo "ci: model checker missed the planted bug on tiny3" >&2; exit 1; }
+grep -q 'minimal witness: 4 events' "$workdir/mc-tiny3.out" || {
+  echo "ci: tiny3 stale-TLB counterexample did not shrink to 4 events" >&2
+  exit 1; }
+timeout 60 _build/default/bin/hyperenclave_verify.exe \
+  --geometry x86_64 --quick --model-check 3 > "$workdir/mc-x86.out" || {
+  echo "ci: x86_64 model check failed or ran past 60 s" >&2; exit 1; }
+grep -q 'depth 3, 12-event universe' "$workdir/mc-x86.out" || {
+  echo "ci: x86_64 run did not model-check the tiny universe" >&2; exit 1; }
+echo "ci: model-check gate ok (deterministic, clean seed clean, bug rediscovered, --mc-geometry honoured)"
 
 # --- serving gate ---------------------------------------------------
 # The --serve daemon must be a drop-in evaluation vector: every

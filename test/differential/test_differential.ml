@@ -176,7 +176,7 @@ let test_override_composition_verdicts () =
       | None, None -> ()
       | Some (l1, mono), Some (l2, composed) ->
           Alcotest.(check string) (fn ^ ": same owning layer") l1 l2;
-          if Check.Code_proof.same_layer_callees layout fn <> [] then
+          if Layers.same_layer_callees layout fn <> [] then
             incr stubbed;
           Alcotest.(check string)
             (Printf.sprintf "%s: composed report equals monolithic" fn)

@@ -132,7 +132,7 @@ let test_code_proofs_follow_call_graph () =
   List.iter
     (fun (o : Obligation.t) ->
       let fn = fn_of o.id in
-      let expected = List.map id_of (Check.Code_proof.callees layout fn) in
+      let expected = List.map id_of (Layers.callees layout fn) in
       Alcotest.(check (slist string compare))
         (Printf.sprintf "%s deps are its callee obligations" o.id)
         expected o.deps;
@@ -215,17 +215,109 @@ let test_plan_cache_keys_pinned () =
     "f3f52071aa64adac14a010d2ed3d3557"
     (Plan.build ~security:false ~seed:2024 (Layout.default Geometry.x86_64))
 
-(* A warm run pays for plan build and nothing else, so plan build must
-   not generate code-proof case batteries or compose environments: the
-   plan alone allocates about 9 MiB, and building every battery up front
-   adds about 12 MiB even with labels rendered lazily.  Allocation is
-   deterministic, unlike wall time. *)
+(* A tiny layout that no other test builds (it has [epc_pages] EPC
+   pages, tiny's default has 8), so the first [Layers] and [Plan] calls
+   on it do their work for real. *)
+let fresh_layout epc_pages =
+  match
+    Layout.make ~geom:Geometry.tiny ~normal_pages:8 ~mbuf_page_index:6 ~mbuf_pages:1
+      ~monitor_pages:2 ~frame_count:24 ~epc_pages
+  with
+  | Ok l -> l
+  | Error msg -> Alcotest.fail msg
+
+(* A warm run pays for [Layers.warm] and plan build and nothing else:
+   no closure compilation, input pool, case battery or composed
+   environment.  On a fresh layout the two allocate about 5 MiB (the
+   front end, the body digests, the spec and call indexes and the
+   plan); compiling every layer's closures as well adds about 15 MiB,
+   so the bound catches that work moving back into set-up.  Allocation
+   is deterministic, unlike wall time. *)
 let test_plan_build_allocation () =
-  Layers.warm layout;
+  let fresh = fresh_layout 9 in
   let before = Gc.allocated_bytes () in
-  ignore (Plan.build ~seed:2024 layout);
+  Layers.warm fresh;
+  ignore (Plan.build ~seed:2024 fresh);
   let mib = (Gc.allocated_bytes () -. before) /. 1048576. in
-  if mib >= 16. then Alcotest.failf "Plan.build allocated %.1f MiB (bound 16)" mib
+  if mib >= 10. then
+    Alcotest.failf "Layers.warm + Plan.build allocated %.1f MiB (bound 10)" mib
+
+(* Layers compile on first use, in whichever worker domain runs their
+   first code-proof obligation.  On a layout on which only plan build
+   ran, two domains run the monolithic battery of one function and the
+   composed battery of a same-layer caller at once, so both compile
+   the layer concurrently; the reports must equal a sequential run's. *)
+let test_first_use_compile_race () =
+  let fresh = fresh_layout 10 in
+  ignore (Plan.build ~seed:2024 fresh);
+  let fns = List.concat_map (Layers.functions_of_layer fresh) Mem_spec.layer_names in
+  let caller, callee =
+    match
+      List.find_map
+        (fun fn ->
+          match Layers.same_layer_callees fresh fn with
+          | g :: _ -> Some (fn, g)
+          | [] -> None)
+        (List.rev fns)
+    with
+    | Some pair -> pair
+    | None -> Alcotest.fail "no function with same-layer callees"
+  in
+  let text = function
+    | Some (_, r) -> Report.to_string r
+    | None -> Alcotest.fail "function owns no spec"
+  in
+  let ctx = Check.Code_proof.ctx ~seed:2024 fresh in
+  let d1 = Domain.spawn (fun () -> text (Check.Code_proof.run_function ctx callee)) in
+  let d2 =
+    Domain.spawn (fun () -> text (Check.Code_proof.run_function_composed ctx caller))
+  in
+  let callee_r = Domain.join d1 and caller_r = Domain.join d2 in
+  let seq = Check.Code_proof.ctx ~seed:2024 fresh in
+  Alcotest.(check string) (callee ^ ", monolithic")
+    (text (Check.Code_proof.run_function seq callee))
+    callee_r;
+  Alcotest.(check string) (caller ^ ", composed")
+    (text (Check.Code_proof.run_function_composed seq caller))
+    caller_r;
+  Alcotest.(check string) (caller ^ ", composed = monolithic")
+    (text (Check.Code_proof.run_function seq caller))
+    caller_r
+
+(* The model checker explores the request's [mc_layout], whatever the
+   plan's layout: one request gives the same obligations on a tiny and
+   an x86_64 plan, and another mc layout gives other fingerprints. *)
+let test_mc_explores_mc_layout () =
+  let tiny3 =
+    match
+      Geometry.make ~levels:3 ~index_bits:2 ~fb_present:0 ~fb_write:1 ~fb_user:2
+        ~fb_huge:3
+    with
+    | Ok g -> Layout.default g
+    | Error msg -> Alcotest.fail msg
+  in
+  let keys ~plan_layout mc_layout =
+    let mc = { Plan.mc_depth = 3; mc_por = true; mc_flush = true; mc_layout } in
+    let p =
+      Plan.build ~quick:true ~security:false ~lints:[] ~model_check:mc ~seed:2024
+        plan_layout
+    in
+    List.filter_map
+      (fun (o : Obligation.t) ->
+        if o.phase = "model-check" then Some (o.id, o.fingerprint) else None)
+      (Dag.obligations p.Plan.dag)
+  in
+  let tiny = keys ~plan_layout:layout layout in
+  Alcotest.(check int) "root and shards" 9 (List.length tiny);
+  Alcotest.(check (list (pair string string)))
+    "x86_64 plan" tiny
+    (keys ~plan_layout:(Layout.default Geometry.x86_64) layout);
+  let other = keys ~plan_layout:layout tiny3 in
+  Alcotest.(check (list string)) "tiny3: same ids" (List.map fst tiny) (List.map fst other);
+  List.iter2
+    (fun (id, a) (_, b) ->
+      Alcotest.(check bool) (id ^ ": tiny3 fingerprint differs") false (String.equal a b))
+    tiny other
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling determinism                                              *)
@@ -510,10 +602,10 @@ let caller_with_stubs () =
   in
   match
     List.find_opt
-      (fun fn -> Check.Code_proof.same_layer_callees layout fn <> [])
+      (fun fn -> Layers.same_layer_callees layout fn <> [])
       (List.rev fns)
   with
-  | Some fn -> (fn, Check.Code_proof.same_layer_callees layout fn)
+  | Some fn -> (fn, Layers.same_layer_callees layout fn)
   | None -> Alcotest.fail "no function with same-layer callees"
 
 let report_text (out : Obligation.outcome) =
@@ -613,7 +705,7 @@ let test_override_fingerprints_shrink () =
         (fn ^ ": fingerprint digests its own body")
         true
         (contains fp ("own=" ^ digest_of fn));
-      let callees = Check.Code_proof.callees layout fn in
+      let callees = Layers.callees layout fn in
       List.iter
         (fun g ->
           Alcotest.(check bool)
@@ -802,6 +894,9 @@ let () =
           Alcotest.test_case "phase dependencies" `Quick test_phase_dependencies;
           Alcotest.test_case "cache keys pinned" `Quick test_plan_cache_keys_pinned;
           Alcotest.test_case "build allocation" `Quick test_plan_build_allocation;
+          Alcotest.test_case "first-use compile race" `Quick test_first_use_compile_race;
+          Alcotest.test_case "model check explores its own layout" `Quick
+            test_mc_explores_mc_layout;
         ] );
       ( "pool",
         [

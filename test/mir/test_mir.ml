@@ -536,6 +536,162 @@ let test_pp_smoke () =
   Alcotest.(check bool) "mentions switchInt" true (contains s "switchInt");
   Alcotest.(check bool) "mentions fn tri" true (contains s "fn tri")
 
+(* One body holding every statement, rvalue, terminator, place
+   projection and type former.  Its text is pinned line by line: the
+   printer's bytes feed every body digest, and so the proof-cache keys. *)
+let body_every_construct () =
+  let open Mir.Syntax in
+  let p ?(elems = []) var = { var; elems } in
+  let u64 n = Const (Cint (n, Mir.Ty.U64)) in
+  let local lname lty = { lname; lty; lkind = Klocal }
+  and temp lname lty = { lname; lty; lkind = Ktemp } in
+  {
+    fname = "every";
+    params = [ "a"; "s" ];
+    locals =
+      [
+        temp "_0" Mir.Ty.Unit;
+        local "a" (Mir.Ty.Int Mir.Ty.U64);
+        temp "s"
+          (Mir.Ty.Ref
+             (Mir.Ty.Tuple [ Mir.Ty.Int Mir.Ty.U8; Mir.Ty.Array (Mir.Ty.Bool, 4) ]));
+        temp "r" (Mir.Ty.Raw (Mir.Ty.Adt "Enclave"));
+        temp "o" (Mir.Ty.Opaque "Frames");
+      ];
+    blocks =
+      [|
+        {
+          stmts =
+            [
+              Storage_live "t";
+              Assign (p "t", Use (Copy (p ~elems:[ Deref; Pfield 1; Pconst_index 2 ] "s")));
+              Assign (p "u", Repeat (u64 0L, 4));
+              Assign (p "v", Ref (p ~elems:[ Pindex "i" ] "arr"));
+              Assign (p "w", Address_of (p "x"));
+              Assign (p "n", Len (p "arr"));
+              Assign (p "c", Cast (Move (p "a"), Mir.Ty.U8));
+              Assign (p "d", Binary (Shl, Copy (p "a"), Const (Cint (-1L, Mir.Ty.I64))));
+              Assign (p "e", Checked_binary (Add, Copy (p "a"), u64 1L));
+              Assign (p "f", Unary (Not, Const (Cbool false)));
+              Assign (p "g", Unary (Neg, Const Cunit));
+              Assign (p "h", Discriminant (p ~elems:[ Downcast 1; Pfield 0 ] "en"));
+              Assign (p "k", Aggregate (Agg_tuple, []));
+              Assign (p "l", Aggregate (Agg_struct "S", [ u64 1L; Const (Cfn "f") ]));
+              Assign (p "m", Aggregate (Agg_variant ("E", 2), [ u64 3L ]));
+              Assign (p "q", Aggregate (Agg_array, [ u64 1L; u64 2L ]));
+              Set_discriminant (p "en", 1);
+              Storage_dead "t";
+              Nop;
+            ];
+          term = Switch_int (Copy (p "a"), [ (0L, 1); (-1L, 2) ], 3);
+        };
+        {
+          stmts = [];
+          term =
+            Call
+              { dest = p "_0"; func = "callee"; args = [ Move (p "a"); u64 7L ];
+                target = Some 2 };
+        };
+        {
+          stmts = [];
+          term =
+            Assert
+              {
+                cond = Copy (p ~elems:[ Pfield 1 ] "e");
+                expected = false;
+                msg = "attempt to add with \"overflow\"\n";
+                target = 3;
+              };
+        };
+        { stmts = []; term = Drop (p "s", 4) };
+        {
+          stmts = [];
+          term = Call { dest = p "_0"; func = "abort"; args = []; target = None };
+        };
+        { stmts = []; term = Switch_int (Copy (p "a"), [], 6) };
+        { stmts = []; term = Unreachable };
+        { stmts = [ Nop ]; term = Goto 8 };
+        { stmts = []; term = Return };
+      |];
+  }
+
+let every_construct_lines =
+  [
+    "fn every(a, s) {";
+    "  let temp _0: ();";
+    "  let local a: u64;";
+    "  let temp s: &(u8, [bool; 4]);";
+    "  let temp r: *mut Enclave;";
+    "  let temp o: opaque<Frames>;";
+    "  ";
+    "  bb0: {";
+    "    StorageLive(t);";
+    "    t = *s.1[2];";
+    "    u = [const 0_u64; 4];";
+    "    v = &mut arr[i];";
+    "    w = &raw mut x;";
+    "    n = Len(arr);";
+    "    c = move a as u8;";
+    "    d = Shl(a, const 18446744073709551615_i64);";
+    "    e = CheckedAdd(a, const 1_u64);";
+    "    f = Not(const false);";
+    "    g = Neg(const ());";
+    "    h = discriminant(en as variant#1.0);";
+    "    k = ();";
+    "    l = S { const 1_u64, const fn f };";
+    "    m = E::variant#2(const 3_u64);";
+    "    q = [const 1_u64, const 2_u64];";
+    "    discriminant(en) = 1;";
+    "    StorageDead(t);";
+    "    nop;";
+    "    switchInt(a) -> [0: bb1, 18446744073709551615: bb2, otherwise: bb3];";
+    "  }";
+    "  bb1: {";
+    "    _0 = callee(move a, const 7_u64) -> bb2;";
+    "  }";
+    "  bb2: {";
+    "    assert(e.1 == false, \"attempt to add with \\\"overflow\\\"\\n\") -> bb3;";
+    "  }";
+    "  bb3: {";
+    "    drop(s) -> bb4;";
+    "  }";
+    "  bb4: {";
+    "    _0 = abort() -> diverge;";
+    "  }";
+    "  bb5: {";
+    "    switchInt(a) -> [, otherwise: bb6];";
+    "  }";
+    "  bb6: {";
+    "    unreachable;";
+    "  }";
+    "  bb7: {";
+    "    nop;";
+    "    goto -> bb8;";
+    "  }";
+    "  bb8: {";
+    "    return;";
+    "  }";
+    "}";
+  ]
+
+let test_pp_every_construct () =
+  Alcotest.(check (list string))
+    "body text" every_construct_lines
+    (String.split_on_char '\n' (Mir.Pp.body_to_string (body_every_construct ())))
+
+(* bodies in name order, each ending in a newline, an empty line
+   between two; an empty body keeps its indented empty line *)
+let test_pp_program_layout () =
+  let empty = { Mir.Syntax.fname = "empty"; params = []; locals = []; blocks = [||] } in
+  Alcotest.(check (list string))
+    "program text"
+    ([ "fn empty() {"; "  "; "}"; "" ] @ every_construct_lines @ [ "" ])
+    (String.split_on_char '\n'
+       (Mir.Pp.program_to_string
+          (Mir.Syntax.program_of_bodies [ body_every_construct (); empty ])));
+  Alcotest.(check string) "no bodies" ""
+    (Mir.Pp.program_to_string (Mir.Syntax.program_of_bodies []))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -592,5 +748,10 @@ let () =
           Alcotest.test_case "good bodies" `Quick test_validate_good_bodies;
           Alcotest.test_case "program call targets" `Quick test_validate_program_calls;
         ] );
-      ("pp", [ Alcotest.test_case "smoke" `Quick test_pp_smoke ]);
+      ( "pp",
+        [
+          Alcotest.test_case "smoke" `Quick test_pp_smoke;
+          Alcotest.test_case "every construct" `Quick test_pp_every_construct;
+          Alcotest.test_case "program layout" `Quick test_pp_program_layout;
+        ] );
     ]

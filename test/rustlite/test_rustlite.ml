@@ -50,6 +50,101 @@ let test_lexer_errors () =
   | Error msg -> Alcotest.(check bool) "unterminated" true (contains msg "comment")
   | Ok _ -> Alcotest.fail "expected lex error"
 
+let toks src =
+  match Rustlite.Lexer.tokenize src with
+  | Ok ts ->
+      List.map (fun (t : Rustlite.Token.spanned) -> Rustlite.Token.to_string t.tok) ts
+  | Error e -> Alcotest.failf "lex error on %S: %s" src e
+
+(* each two-character token wins over its one-character prefix, and
+   splits from it when a space or a third character intervenes *)
+let test_lexer_punct_longest_match () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (list string)) src (expected @ [ "<eof>" ]) (toks src))
+    [
+      ("::", [ "::" ]); (": :", [ ":"; ":" ]); (":::", [ "::"; ":" ]);
+      ("->", [ "->" ]); ("- >", [ "-"; ">" ]); ("-->", [ "-"; "->" ]);
+      ("=>", [ "=>" ]); ("==", [ "==" ]); ("= =", [ "="; "=" ]);
+      ("==>", [ "=="; ">" ]); ("=>=", [ "=>"; "=" ]);
+      ("<=", [ "<=" ]); ("<<", [ "<<" ]); ("<<=", [ "<<"; "=" ]);
+      ("<=<", [ "<="; "<" ]); ("< <", [ "<"; "<" ]); ("<", [ "<" ]);
+      (">>", [ ">>" ]); (">=", [ ">=" ]); (">>=", [ ">>"; "=" ]); (">", [ ">" ]);
+      ("!=", [ "!=" ]); ("!!", [ "!"; "!" ]); ("&&", [ "&&" ]); ("&&&", [ "&&"; "&" ]);
+      ("||", [ "||" ]); ("|", [ "|" ]);
+      ( "(){}[],;.+*/%^",
+        [ "("; ")"; "{"; "}"; "["; "]"; ","; ";"; "."; "+"; "*"; "/"; "%"; "^" ] );
+      ("a<b", [ "a"; "<"; "b" ]); ("x/y", [ "x"; "/"; "y" ]);
+    ]
+
+(* a keyword is a whole word: a keyword prefix of a longer identifier
+   stays an identifier *)
+let test_lexer_keyword_prefixes () =
+  let kinds src =
+    match Rustlite.Lexer.tokenize src with
+    | Ok ts ->
+        List.filter_map
+          (fun (t : Rustlite.Token.spanned) ->
+            match t.tok with
+            | Rustlite.Token.Kw k -> Some ("kw " ^ k)
+            | Rustlite.Token.Ident i -> Some ("ident " ^ i)
+            | _ -> None)
+          ts
+    | Error e -> Alcotest.failf "lex error on %S: %s" src e
+  in
+  Alcotest.(check (list string))
+    "identifiers"
+    [ "ident fnx"; "ident self_obj"; "ident u64x"; "ident letter"; "ident _fn";
+      "ident iff"; "ident usize2"; "ident Self" ]
+    (kinds "fnx self_obj u64x letter _fn iff usize2 Self");
+  Alcotest.(check (list string))
+    "keywords"
+    [ "kw fn"; "kw self"; "kw u64"; "kw let"; "kw usize"; "kw bool"; "kw as" ]
+    (kinds "fn self u64 let usize bool as")
+
+(* token positions across lines, comments and nested block comments *)
+let test_lexer_positions () =
+  match Rustlite.Lexer.tokenize "fn a\n  // c ::\n  ::b /* x /* y */\n */ c\t->" with
+  | Error e -> Alcotest.fail e
+  | Ok ts ->
+      Alcotest.(check (list (pair string (pair int int))))
+        "tokens at line:col"
+        [ ("fn", (1, 1)); ("a", (1, 4)); ("::", (3, 3)); ("b", (3, 5)); ("c", (4, 5));
+          ("->", (4, 7)); ("<eof>", (4, 9)) ]
+        (List.map
+           (fun (t : Rustlite.Token.spanned) ->
+             (Rustlite.Token.to_string t.tok, (t.pos.line, t.pos.col)))
+           ts)
+
+let test_lexer_error_text () =
+  let err src =
+    match Rustlite.Lexer.tokenize src with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "expected a lex error on %S" src
+  in
+  Alcotest.(check string) "first line" "lex error at 1:9: unexpected character '@'"
+    (err "let x = @;");
+  Alcotest.(check string) "later line" "lex error at 2:5: unexpected character '$'"
+    (err "fn f() {\n  x $ y }");
+  Alcotest.(check string) "control character"
+    "lex error at 1:2: unexpected character '\\000'"
+    (err "a\000")
+
+(* MD5 of the MIRlight that mirlightgen prints for the memory module.
+   Every body digest, and so every proof-cache key, is a digest of this
+   text: a change to the front end or to the printer that moves one
+   byte re-keys the cache. *)
+let test_emit_memory_module_pinned () =
+  List.iter
+    (fun (geom, name, md5) ->
+      let src = Hyperenclave.Mem_source.source (Hyperenclave.Layout.default geom) in
+      Alcotest.(check string) name md5
+        (Digest.to_hex (Digest.string (Rustlite.Pipeline.emit (compile src)))))
+    [
+      (Hyperenclave.Geometry.tiny, "tiny", "1f547c29c4108a0321f980b7b0080d12");
+      (Hyperenclave.Geometry.x86_64, "x86_64", "f097ba43731c3a637c8aab44fb5a1f21");
+    ]
+
 let test_parser_precedence () =
   match Rustlite.Parser.parse_expr "1 + 2 * 3 == 7 && true" with
   | Error e -> Alcotest.fail e
@@ -465,6 +560,11 @@ let () =
         [
           Alcotest.test_case "lexer" `Quick test_lexer;
           Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
+          Alcotest.test_case "lexer punctuation longest match" `Quick
+            test_lexer_punct_longest_match;
+          Alcotest.test_case "lexer keyword prefixes" `Quick test_lexer_keyword_prefixes;
+          Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
+          Alcotest.test_case "lexer error text" `Quick test_lexer_error_text;
           Alcotest.test_case "precedence" `Quick test_parser_precedence;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
         ] );
@@ -495,6 +595,8 @@ let () =
           Alcotest.test_case "match static errors" `Quick test_match_static_errors;
           Alcotest.test_case "overflow checks mode" `Quick test_overflow_checks_mode;
           Alcotest.test_case "emit format" `Quick test_emit_mir_format;
+          Alcotest.test_case "memory module emit pinned" `Quick
+            test_emit_memory_module_pinned;
         ] );
       ("props", [ QCheck_alcotest.to_alcotest prop_sum_matches_formula ]);
     ]
