@@ -28,14 +28,15 @@ let equal a b =
   Bool.equal a.present b.present && Bool.equal a.write b.write
   && Bool.equal a.user b.user && Bool.equal a.huge b.huge
 
-let pp fmt f =
-  Format.fprintf fmt "%c%c%c%c"
-    (if f.present then 'P' else '-')
-    (if f.write then 'W' else '-')
-    (if f.user then 'U' else '-')
-    (if f.huge then 'H' else '-')
+let to_string f =
+  let b = Bytes.make 4 '-' in
+  if f.present then Bytes.set b 0 'P';
+  if f.write then Bytes.set b 1 'W';
+  if f.user then Bytes.set b 2 'U';
+  if f.huge then Bytes.set b 3 'H';
+  Bytes.unsafe_to_string b
 
-let to_string f = Format.asprintf "%a" pp f
+let pp fmt f = Format.pp_print_string fmt (to_string f)
 
 let all =
   let bools = [ false; true ] in

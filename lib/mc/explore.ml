@@ -58,6 +58,23 @@ let enabled_at st = function
   | Chaos.Act a -> Result.is_ok (Transition.precondition st a)
   | Chaos.Inject f -> Result.is_ok (Fault.Inject.apply f st)
 
+(* Is [p] exempt from the integrity lemma across [ev] from [before]:
+   the step is its own, or configures its view? *)
+let integrity_exempt ~before p = function
+  | Chaos.Act a ->
+      Principal.equal p before.State.active || Transition.configures before p a
+  | Chaos.Inject _ -> false
+
+(* Did [p]'s view change across [before --> after], where [obs] is
+   [Observation.observe before p]?  Views compare as their digests
+   would, so two equal observation errors count as unchanged. *)
+let view_changed p ~before:(before, obs) after =
+  match Observation.unchanged_after p ~before:(before, obs) after with
+  | Ok same -> not same
+  | Error _ ->
+      State_key.view_digest obs
+      <> State_key.view_digest (Observation.observe after p)
+
 (* Does [after] exhibit a violation of [kind] for the transition
    [before --ev--> after]?  Used both during exploration and as the
    ddmin replay predicate, so a shrunk witness provably still violates
@@ -76,16 +93,8 @@ let edge_violates cfg ~kind ~before ~after ev =
   | "integrity" ->
       List.exists
         (fun p ->
-          let exempt =
-            match ev with
-            | Chaos.Act a ->
-                Principal.equal p before.State.active
-                || Transition.configures before p a
-            | Chaos.Inject _ -> false
-          in
-          (not exempt)
-          && State_key.view_digest (Observation.observe before p)
-             <> State_key.view_digest (Observation.observe after p))
+          (not (integrity_exempt ~before p ev))
+          && view_changed p ~before:(before, Observation.observe before p) after)
         cfg.observers
   | "ni-pair" | "ni-consistency" ->
       List.exists
@@ -106,7 +115,10 @@ let edge_violates cfg ~kind ~before ~after ev =
                              Transition.step ~flush:cfg.flush twin a )
                          with
                          | Ok u, Ok v -> (
-                             match Observation.indistinguishable p u v with
+                             match
+                               Observation.indistinguishable_after p
+                                 ~before:(after, twin) u v
+                             with
                              | Ok true -> false
                              | Ok false | Error _ -> true)
                          | Error _, Error _ -> false
@@ -154,18 +166,8 @@ type ctx = {
   mutable s_pruned : int;
   mutable violations : violation list; (* reverse discovery order *)
   vseen : (string, unit) Hashtbl.t;
-  vmemo : (string, string) Hashtbl.t; (* state digest / principal -> view digest *)
   mutable frontier : item list; (* reverse discovery order *)
 }
-
-let view_dig ctx key st p =
-  let k = key ^ "/" ^ Principal.to_string p in
-  match Hashtbl.find_opt ctx.vmemo k with
-  | Some d -> d
-  | None ->
-      let d = State_key.view_digest (Observation.observe st p) in
-      Hashtbl.add ctx.vmemo k d;
-      d
 
 let record ctx ~kind ~detail ~key ~trace_rev =
   let vk = kind ^ "|" ^ key in
@@ -183,6 +185,20 @@ let record ctx ~kind ~detail ~key ~trace_rev =
       :: ctx.violations
   end
 
+(* The real state's side of the ni-consistency check, computed once
+   per state and shared by every observer: for each action event, its
+   precondition and, on first use, its step. *)
+let successor_row cfg uni st =
+  Array.map
+    (function
+      | Chaos.Inject _ -> None
+      | Chaos.Act a ->
+          Some
+            ( a,
+              Result.is_ok (Transition.precondition st a),
+              lazy (Transition.step ~flush:cfg.flush st a) ))
+    uni
+
 (* Checks on a newly discovered state. *)
 let check_state ctx ~key ~trace_rev st =
   let cfg = ctx.cfg in
@@ -193,7 +209,8 @@ let check_state ctx ~key ~trace_rev st =
     (match Chaos.tlb_consistent st with
     | Ok () -> ()
     | Error r -> record ctx ~kind:"tlb-consistency" ~detail:r ~key ~trace_rev);
-    if cfg.ni then
+    if cfg.ni then begin
+      let row = successor_row cfg ctx.uni st in
       List.iter
         (fun p ->
           let twin = Check.Gen.perturb_secrets ~seed:cfg.ni_seed ~observer:p st in
@@ -211,20 +228,23 @@ let check_state ctx ~key ~trace_rev st =
           | Ok true ->
               Array.iter
                 (function
-                  | Chaos.Inject _ -> ()
-                  | Chaos.Act a -> (
+                  | None -> ()
+                  | Some (a, enabled, succ) -> (
                       (* skip actions disabled in both runs cheaply *)
                       if
-                        Result.is_ok (Transition.precondition st a)
+                        enabled
                         || Result.is_ok (Transition.precondition twin a)
                       then
                         match
-                          ( Transition.step ~flush:cfg.flush st a,
+                          ( Lazy.force succ,
                             Transition.step ~flush:cfg.flush twin a )
                         with
                         | Error _, Error _ -> ()
                         | Ok u, Ok v -> (
-                            match Observation.indistinguishable p u v with
+                            match
+                              Observation.indistinguishable_after p
+                                ~before:(st, twin) u v
+                            with
                             | Ok true -> ()
                             | Ok false ->
                                 record ctx ~kind:"ni-consistency" ~key
@@ -251,12 +271,14 @@ let check_state ctx ~key ~trace_rev st =
                                     %s-indistinguishable states: %s"
                                    (Transition.action_to_string a)
                                    (Principal.to_string p) e)))
-                ctx.uni)
+                row)
         cfg.observers
+    end
   end
 
-(* Checks on an executed transition. *)
-let check_edge ctx ~bkey ~akey ~atrace_rev ~before ~after ev =
+(* Checks on an executed transition.  [views] pairs each observer
+   with its observation of [before], computed on first use. *)
+let check_edge ctx ~views ~akey ~atrace_rev ~before ~after ev =
   let cfg = ctx.cfg in
   if cfg.checks then begin
     (match ev with
@@ -268,23 +290,16 @@ let check_edge ctx ~bkey ~akey ~atrace_rev ~before ~after ev =
             record ctx ~kind:check ~detail:reason ~key:akey ~trace_rev:atrace_rev));
     if cfg.ni then
       List.iter
-        (fun p ->
-          let exempt =
-            match ev with
-            | Chaos.Act a ->
-                Principal.equal p before.State.active
-                || Transition.configures before p a
-            | Chaos.Inject _ -> false
-          in
+        (fun (p, obs) ->
           if
-            (not exempt)
-            && view_dig ctx bkey before p <> view_dig ctx akey after p
+            (not (integrity_exempt ~before p ev))
+            && view_changed p ~before:(before, Lazy.force obs) after
           then
             record ctx ~kind:"integrity" ~key:akey ~trace_rev:atrace_rev
               ~detail:
                 (Printf.sprintf "%s's view changed across %s"
                    (Principal.to_string p) (Chaos.event_to_string ev)))
-        cfg.observers
+        views
   end
 
 let boot_item cfg =
@@ -301,8 +316,7 @@ let run_from cfg ~roots =
   let ctx =
     { cfg; uni; commute; visited = Hashtbl.create 4096; queue = Queue.create ();
       s_explored = 0; s_transitions = 0; s_deduped = 0; s_pruned = 0;
-      violations = []; vseen = Hashtbl.create 16; vmemo = Hashtbl.create 4096;
-      frontier = [] }
+      violations = []; vseen = Hashtbl.create 16; frontier = [] }
   in
   let discover it =
     Hashtbl.add ctx.visited it.key
@@ -324,7 +338,10 @@ let run_from cfg ~roots =
     let entry = Hashtbl.find ctx.visited it.key in
     (* expand with the first-visit (minimal, by BFS order) depth *)
     let d = entry.vdepth in
-    if d < cfg.depth then
+    if d < cfg.depth then begin
+      let views =
+        List.map (fun p -> (p, lazy (Observation.observe it.st p))) cfg.observers
+      in
       for i = 0 to n - 1 do
         if (not (IntSet.mem i entry.expl)) && enabled_at it.st uni.(i) then
           if cfg.por && IntSet.mem i it.sleep then
@@ -355,7 +372,7 @@ let run_from cfg ~roots =
                 ctx.s_transitions <- ctx.s_transitions + 1;
                 let key' = State_key.digest st' in
                 let trace_rev' = uni.(i) :: it.trace_rev in
-                check_edge ctx ~bkey:it.key ~akey:key' ~atrace_rev:trace_rev'
+                check_edge ctx ~views ~akey:key' ~atrace_rev:trace_rev'
                   ~before:it.st ~after:st' uni.(i);
                 let it' =
                   { st = st'; key = key'; trace_rev = trace_rev';
@@ -380,6 +397,7 @@ let run_from cfg ~roots =
                       Queue.push { it' with sleep = entry'.cover } ctx.queue)
           end
       done
+    end
   done;
   {
     stats =

@@ -20,9 +20,19 @@
     must stay indistinguishable across every enabled action); across
     every executed transition it checks hypercall transactionality and
     the integrity lemma (a non-configuring step leaves bystander views
-    unchanged, compared by memoized view digests).  Violating
-    interleavings are minimized with {!Check.Shrink} ddmin before
-    reporting.
+    unchanged).  Violating interleavings are minimized with
+    {!Check.Shrink} ddmin before reporting.
+
+    Each state's successor row — every action's precondition and, on
+    first use, its step — is computed once and shared by the observers;
+    only the twin's side is stepped per observer.  Views after a step
+    are compared with {!Security.Observation.indistinguishable_after}
+    and {!Security.Observation.unchanged_after}, which compare only
+    the CPU-facing components when the step kept the monitor state; a
+    state's own observations are made once per expansion, when its
+    first outgoing edge needs them.  The ddmin replay predicate uses
+    the same comparisons, so a shrunk witness violates exactly the
+    property that was recorded.
 
     Exploration is deterministic: same config, same outcome, bit for
     bit — the engine shards the depth-[root_depth] frontier by

@@ -21,6 +21,7 @@ let canonicalize (st : State.t) =
 (* Serialization                                                       *)
 
 let add_word buf w = Buffer.add_string buf (Word.to_hex w)
+let add_int buf i = Buffer.add_string buf (string_of_int i)
 
 let add_regs buf (regs : State.regs) =
   Array.iter
@@ -35,7 +36,7 @@ let add_principal buf p = Buffer.add_string buf (Principal.to_string p)
    the same position but different generators (a [Replay] stream
    versus the seeded default) must not collide. *)
 let add_oracle buf o =
-  Buffer.add_string buf (string_of_int (Oracle.position o));
+  add_int buf (Oracle.position o);
   let rec sample o k =
     if k > 0 then begin
       let v, o = Oracle.take o in
@@ -60,7 +61,7 @@ let add_mon buf (d : Absdata.t) =
   Buffer.add_string buf "|falloc=";
   List.iter
     (fun i ->
-      Buffer.add_string buf (string_of_int i);
+      add_int buf i;
       Buffer.add_char buf ',')
     (Frame_alloc.allocated_list d.Absdata.falloc);
   Buffer.add_string buf "|epcm=";
@@ -72,7 +73,10 @@ let add_mon buf (d : Absdata.t) =
          match state with
          | Epcm.Free -> ()
          | Epcm.Valid { eid; va } ->
-             Buffer.add_string buf (Printf.sprintf "%d->%d@" page eid);
+             add_int buf page;
+             Buffer.add_string buf "->";
+             add_int buf eid;
+             Buffer.add_char buf '@';
              add_word buf va;
              Buffer.add_char buf ',')
        d.Absdata.epcm ());
@@ -82,23 +86,31 @@ let add_mon buf (d : Absdata.t) =
       match Absdata.find_enclave d eid with
       | Error _ -> ()
       | Ok (e : Enclave.t) ->
+          add_int buf e.Enclave.eid;
           Buffer.add_string buf
-            (Printf.sprintf "%d{%s;" e.Enclave.eid
-               (match e.Enclave.state with
-               | Enclave.Created -> "created"
-               | Enclave.Initialized -> "initialized"));
+            (match e.Enclave.state with
+            | Enclave.Created -> "{created;"
+            | Enclave.Initialized -> "{initialized;");
           add_word buf e.Enclave.elrange_base;
-          Buffer.add_string buf (Printf.sprintf "+%d;" e.Enclave.elrange_pages);
+          Buffer.add_char buf '+';
+          add_int buf e.Enclave.elrange_pages;
+          Buffer.add_char buf ';';
           add_word buf e.Enclave.mbuf_va;
-          Buffer.add_string buf
-            (Printf.sprintf "+%d;gpt=%d;ept=%d}" e.Enclave.mbuf_pages
-               e.Enclave.gpt_root e.Enclave.ept_root))
+          Buffer.add_char buf '+';
+          add_int buf e.Enclave.mbuf_pages;
+          Buffer.add_string buf ";gpt=";
+          add_int buf e.Enclave.gpt_root;
+          Buffer.add_string buf ";ept=";
+          add_int buf e.Enclave.ept_root;
+          Buffer.add_char buf '}')
     (Absdata.enclave_ids d);
-  Buffer.add_string buf (Printf.sprintf "|next_eid=%d" d.Absdata.next_eid);
-  Buffer.add_string buf
-    (match d.Absdata.os_ept_root with
-    | None -> "|ept=-"
-    | Some r -> Printf.sprintf "|ept=%d" r)
+  Buffer.add_string buf "|next_eid=";
+  add_int buf d.Absdata.next_eid;
+  match d.Absdata.os_ept_root with
+  | None -> Buffer.add_string buf "|ept=-"
+  | Some r ->
+      Buffer.add_string buf "|ept=";
+      add_int buf r
 
 let to_string st =
   let st = canonicalize st in
@@ -176,7 +188,8 @@ let view_string (v : Observation.view) =
         words;
       Buffer.add_char buf '}')
     v.Observation.pages;
-  Buffer.add_string buf (Printf.sprintf "|oracle=%d" v.Observation.oracle_pos);
+  Buffer.add_string buf "|oracle=";
+  add_int buf v.Observation.oracle_pos;
   Buffer.contents buf
 
 let view_digest = function

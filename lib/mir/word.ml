@@ -68,7 +68,22 @@ let insert x ~lo ~len f =
     let cleared = Int64.logand x (Int64.lognot (Int64.shift_left field_mask lo)) in
     Int64.logor cleared (Int64.shift_left (Int64.logand f field_mask) lo)
 
-let to_hex x = Printf.sprintf "0x%Lx" x
+(* The bytes of [Printf.sprintf "0x%Lx" x], built from the two 32-bit
+   halves as native ints. *)
+let to_hex x =
+  let hi = Int64.to_int (Int64.shift_right_logical x 32) in
+  let lo = Int64.to_int x land 0xFFFF_FFFF in
+  let rec nibbles v n = if v = 0 then n else nibbles (v lsr 4) (n + 1) in
+  let len = if hi = 0 then Int.max 1 (nibbles lo 0) else 8 + nibbles hi 0 in
+  let b = Bytes.create (len + 2) in
+  Bytes.unsafe_set b 0 '0';
+  Bytes.unsafe_set b 1 'x';
+  for i = 0 to len - 1 do
+    let d = if i < 8 then lo lsr (4 * i) else hi lsr (4 * (i - 8)) in
+    Bytes.unsafe_set b (len + 1 - i) "0123456789abcdef".[d land 15]
+  done;
+  Bytes.unsafe_to_string b
+
 let pp fmt x = Format.pp_print_string fmt (to_hex x)
 let pp_dec fmt x = Format.fprintf fmt "%Lu" x
 

@@ -17,24 +17,38 @@ let rec each f = function
       let* () = f x in
       each f rest
 
-(* Physical pages an enclave reaches from its ELRANGE. *)
-let elrange_pages d (e : Enclave.t) =
-  let geom = Absdata.geom d in
-  let* reach = Nested.enclave_reachable d e in
-  Ok
-    (List.filter_map
-       (fun (va, hpa, _) -> if Enclave.in_elrange e geom va then Some hpa else None)
-       reach)
+(* The page-table walks one [check] shares among the invariants: each
+   enclave's composed GPT∘EPT map and the OS's EPT map, each walked at
+   most once, when an invariant first reads it.  A walk's result does
+   not depend on when it is made, so each invariant meets the same
+   first error a walk of its own would. *)
+type walk = ((Word.t * Word.t * Flags.t) list, string) result Lazy.t
 
-let elrange_isolation d =
-  let es = enclaves d in
+type walks = { enclave_walks : (Enclave.t * walk) list; os_walk : walk }
+
+let walks d =
+  {
+    enclave_walks =
+      List.map (fun e -> (e, lazy (Nested.enclave_reachable d e))) (enclaves d);
+    os_walk = lazy (Nested.os_reachable d);
+  }
+
+let elrange_isolation d w =
+  let geom = Absdata.geom d in
   let* page_sets =
     List.fold_left
-      (fun acc e ->
+      (fun acc (e, reach) ->
         let* acc = acc in
-        let* pages = elrange_pages d e in
+        let* reach = Lazy.force reach in
+        (* physical pages the enclave reaches from its ELRANGE *)
+        let pages =
+          List.filter_map
+            (fun (va, hpa, _) ->
+              if Enclave.in_elrange e geom va then Some hpa else None)
+            reach
+        in
         Ok ((e, pages) :: acc))
-      (Ok []) es
+      (Ok []) w.enclave_walks
   in
   let rec pairs = function
     | [] -> Ok ()
@@ -58,14 +72,14 @@ let elrange_isolation d =
   in
   pairs page_sets
 
-let mbuf_invariant d =
+let mbuf_invariant d w =
   let geom = Absdata.geom d in
   let layout = d.Absdata.layout in
-  let* os_reach = Nested.os_reachable d in
+  let* os_reach = Lazy.force w.os_walk in
   let os_pages = List.map (fun (_, hpa, _) -> hpa) os_reach in
   each
-    (fun e ->
-      let* reach = Nested.enclave_reachable d e in
+    (fun (e, reach) ->
+      let* reach = Lazy.force reach in
       each
         (fun (va, hpa, _) ->
           if List.exists (Word.equal hpa) os_pages then
@@ -81,13 +95,13 @@ let mbuf_invariant d =
                    e.Enclave.eid (Word.to_hex va) (Word.to_hex hpa))
           else Ok ())
         reach)
-    (enclaves d)
+    w.enclave_walks
 
-let epcm_invariant d =
+let epcm_invariant d w =
   let layout = d.Absdata.layout in
   each
-    (fun e ->
-      let* reach = Nested.enclave_reachable d e in
+    (fun (e, reach) ->
+      let* reach = Lazy.force reach in
       each
         (fun (va, hpa, _) ->
           match Layout.epc_page_index layout hpa with
@@ -110,7 +124,7 @@ let epcm_invariant d =
                         EPCM entry"
                        page e.Enclave.eid)))
         reach)
-    (enclaves d)
+    w.enclave_walks
 
 let no_huge d ~root =
   let g = Absdata.geom d in
@@ -140,11 +154,11 @@ let no_huge d ~root =
   in
   table root g.Geometry.levels
 
-let enclave_invariants d =
+let enclave_invariants d w =
   let geom = Absdata.geom d in
   let layout = d.Absdata.layout in
   each
-    (fun e ->
+    (fun (e, reach) ->
       if not (Enclave.ranges_disjoint e geom) then
         Error
           (Printf.sprintf "enclave %d: ELRANGE overlaps the marshalling window"
@@ -152,7 +166,7 @@ let enclave_invariants d =
       else
         let* () = no_huge d ~root:e.Enclave.gpt_root in
         let* () = no_huge d ~root:e.Enclave.ept_root in
-        let* reach = Nested.enclave_reachable d e in
+        let* reach = Lazy.force reach in
         each
           (fun (va, hpa, _) ->
             let in_epc =
@@ -171,16 +185,16 @@ let enclave_invariants d =
                    e.Enclave.eid (Word.to_hex va) (Word.to_hex hpa))
             else Ok ())
           reach)
-    (enclaves d)
+    w.enclave_walks
 
-let tables_protected d =
+let tables_protected d w =
   let layout = d.Absdata.layout in
   let bad hpa =
     match Layout.region_of layout hpa with
     | Layout.Frame_area | Layout.Monitor -> true
     | Layout.Normal | Layout.Mbuf | Layout.Epc | Layout.Outside -> false
   in
-  let* os_reach = Nested.os_reachable d in
+  let* os_reach = Lazy.force w.os_walk in
   let* () =
     each
       (fun (gpa, hpa, _) ->
@@ -192,8 +206,8 @@ let tables_protected d =
       os_reach
   in
   each
-    (fun e ->
-      let* reach = Nested.enclave_reachable d e in
+    (fun (e, reach) ->
+      let* reach = Lazy.force reach in
       each
         (fun (va, hpa, _) ->
           if bad hpa then
@@ -202,18 +216,17 @@ let tables_protected d =
                  e.Enclave.eid (Word.to_hex va) (Word.to_hex hpa))
           else Ok ())
         reach)
-    (enclaves d)
+    w.enclave_walks
 
-let as_inv name f =
-  Mirverif.Invariant.make name (fun d -> f d)
+let invariants =
+  List.map
+    (fun (name, f) -> Mirverif.Invariant.make name (fun (d, w) -> f d w))
+    [
+      ("elrange-isolation", elrange_isolation);
+      ("mbuf-invariant", mbuf_invariant);
+      ("epcm-invariant", epcm_invariant);
+      ("enclave-invariants", enclave_invariants);
+      ("tables-protected", tables_protected);
+    ]
 
-let all =
-  [
-    as_inv "elrange-isolation" elrange_isolation;
-    as_inv "mbuf-invariant" mbuf_invariant;
-    as_inv "epcm-invariant" epcm_invariant;
-    as_inv "enclave-invariants" enclave_invariants;
-    as_inv "tables-protected" tables_protected;
-  ]
-
-let check d = Mirverif.Invariant.check_all all d
+let check d = Mirverif.Invariant.check_all invariants (d, walks d)

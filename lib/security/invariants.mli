@@ -1,32 +1,28 @@
 (** The page-table invariants of paper Sec. 5.2, as executable checks
-    over the monitor's abstract state.
+    over the monitor's abstract state.  {!check} runs five of them in
+    this order, and a failure is prefixed with the invariant's name:
 
-    - {!elrange_isolation}: ELRANGE addresses of two different enclaves
+    - [elrange-isolation]: ELRANGE addresses of two different enclaves
       never reach the same physical page.
-    - {!mbuf_invariant}: a physical page reachable both by an enclave
+    - [mbuf-invariant]: a physical page reachable both by an enclave
       and by the primary OS must be a marshalling-buffer page, reached
       through the enclave's marshalling window.
-    - {!epcm_invariant}: every enclave mapping into the EPC is recorded
+    - [epcm-invariant]: every enclave mapping into the EPC is recorded
       in the EPCM with the right owner and linear address (no covert
       mappings).
-    - {!enclave_invariants}: per enclave — a virtual address maps into
+    - [enclave-invariants]: per enclave — a virtual address maps into
       the EPC iff it is in the ELRANGE; ELRANGE and marshalling window
       are disjoint; no huge pages anywhere in the enclave's tables.
-    - {!tables_protected}: no guest mapping (OS or enclave) reaches the
+    - [tables-protected]: no guest mapping (OS or enclave) reaches the
       monitor image or the frame area, so the page tables themselves
-      cannot be touched. *)
+      cannot be touched.
 
-val elrange_isolation : Hyperenclave.Absdata.t -> (unit, string) result
-val mbuf_invariant : Hyperenclave.Absdata.t -> (unit, string) result
-val epcm_invariant : Hyperenclave.Absdata.t -> (unit, string) result
-val enclave_invariants : Hyperenclave.Absdata.t -> (unit, string) result
-val tables_protected : Hyperenclave.Absdata.t -> (unit, string) result
+    One {!check} walks each enclave's composed GPT∘EPT map and the
+    OS's EPT map at most once and hands the results to all five; no
+    result outlives the call. *)
 
 val no_huge : Hyperenclave.Absdata.t -> root:int -> (unit, string) result
 (** No huge terminal anywhere in the table rooted at [root]. *)
 
-val all : Hyperenclave.Absdata.t Mirverif.Invariant.t list
-(** The five invariants above, in the framework's registry form. *)
-
 val check : Hyperenclave.Absdata.t -> (unit, string) result
-(** All invariants, first failure reported. *)
+(** All invariants, first failure reported as ["name: detail"]. *)

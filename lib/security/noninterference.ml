@@ -1,9 +1,8 @@
 module Report = Mirverif.Report
 
-let view_of what p st =
-  match Observation.observe st p with
-  | Ok v -> Ok v
-  | Error msg -> Error (Printf.sprintf "%s: observation failed: %s" what msg)
+(* Case labels are rendered only for failures. *)
+let case_of label action =
+  Printf.sprintf "%s / %s" label (Transition.action_to_string action)
 
 let check_integrity ~observer ~states ~actions =
   let name = Printf.sprintf "NI 5.2 integrity vs %s" (Principal.to_string observer) in
@@ -11,11 +10,9 @@ let check_integrity ~observer ~states ~actions =
     (fun report (label, st) ->
       if Principal.equal st.State.active observer then Report.add_skip report
       else
+        let obs = lazy (Observation.observe st observer) in
         List.fold_left
           (fun report action ->
-            let case =
-              Printf.sprintf "%s / %s" label (Transition.action_to_string action)
-            in
             if Transition.configures st observer action then
               (* lifecycle actions legitimately reshape the observer's
                  view; the pairwise lemma covers them *)
@@ -24,14 +21,18 @@ let check_integrity ~observer ~states ~actions =
             match Transition.step st action with
             | Error _ -> Report.add_skip report
             | Ok st' -> (
-                match (view_of case observer st, view_of case observer st') with
-                | Ok v, Ok v' ->
-                    if Observation.view_equal v v' then Report.add_pass report
-                    else
-                      Report.add_failure report ~case
-                        ~reason:"another principal's step changed the observer's view"
-                | Error reason, _ | _, Error reason ->
-                    Report.add_failure report ~case ~reason))
+                match
+                  Observation.unchanged_after observer
+                    ~before:(st, Lazy.force obs) st'
+                with
+                | Ok true -> Report.add_pass report
+                | Ok false ->
+                    Report.add_failure report ~case:(case_of label action)
+                      ~reason:"another principal's step changed the observer's view"
+                | Error msg ->
+                    let case = case_of label action in
+                    Report.add_failure report ~case
+                      ~reason:(Printf.sprintf "%s: observation failed: %s" case msg)))
           report actions)
     (Report.empty name) states
 
@@ -50,22 +51,23 @@ let consistency ~name ~observer ~pairs ~actions ~wants_active =
         | Ok true ->
             List.fold_left
               (fun report action ->
-                let case =
-                  Printf.sprintf "%s / %s" label (Transition.action_to_string action)
-                in
                 match (Transition.step st1 action, Transition.step st2 action) with
                 | Error _, Error _ -> Report.add_skip report
                 | Ok st1', Ok st2' -> (
-                    match Observation.indistinguishable observer st1' st2' with
+                    match
+                      Observation.indistinguishable_after observer
+                        ~before:(st1, st2) st1' st2'
+                    with
                     | Ok true -> Report.add_pass report
                     | Ok false ->
-                        Report.add_failure report ~case
+                        Report.add_failure report ~case:(case_of label action)
                           ~reason:"post-states distinguishable to the observer"
-                    | Error reason -> Report.add_failure report ~case ~reason)
+                    | Error reason ->
+                        Report.add_failure report ~case:(case_of label action) ~reason)
                 | Ok _, Error e | Error e, Ok _ ->
                     if wants_active then
                       (* the active observer can see a fault directly *)
-                      Report.add_failure report ~case
+                      Report.add_failure report ~case:(case_of label action)
                         ~reason:
                           (Printf.sprintf
                              "enabledness differs between indistinguishable states \
@@ -99,22 +101,26 @@ let check_trace ~observer ~pairs ~schedules =
               let rec go report i st1 st2 = function
                 | [] -> Report.add_pass report
                 | action :: rest -> (
-                    let case =
+                    let case () =
                       Printf.sprintf "%s / step %d: %s" label i
                         (Transition.action_to_string action)
                     in
                     match (Transition.step st1 action, Transition.step st2 action) with
                     | Error _, Error _ -> go report i st1 st2 rest
                     | Ok st1', Ok st2' -> (
-                        match Observation.indistinguishable observer st1' st2' with
+                        match
+                          Observation.indistinguishable_after observer
+                            ~before:(st1, st2) st1' st2'
+                        with
                         | Ok true -> go report (i + 1) st1' st2' rest
                         | Ok false ->
-                            Report.add_failure report ~case
+                            Report.add_failure report ~case:(case ())
                               ~reason:"distinguishable mid-trace"
-                        | Error reason -> Report.add_failure report ~case ~reason)
+                        | Error reason ->
+                            Report.add_failure report ~case:(case ()) ~reason)
                     | Ok _, Error e | Error e, Ok _ ->
                         if Principal.equal st1.State.active observer then
-                          Report.add_failure report ~case
+                          Report.add_failure report ~case:(case ())
                             ~reason:
                               (Printf.sprintf
                                  "enabledness diverged while the observer runs (%s)" e)

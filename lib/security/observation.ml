@@ -87,3 +87,24 @@ let indistinguishable p st1 st2 =
   let* v1 = observe st1 p in
   let* v2 = observe st2 p in
   Ok (view_equal v1 v2)
+
+(* The components [observe] reads outside [st.mon]: activity, live
+   registers when active, saved context and oracle position. *)
+let cpu_equal p (st1 : State.t) (st2 : State.t) =
+  let active = Principal.equal st1.State.active p in
+  Bool.equal active (Principal.equal st2.State.active p)
+  && ((not active) || State.regs_equal st1.State.regs st2.State.regs)
+  && State.regs_equal (State.saved_ctx st1 p) (State.saved_ctx st2 p)
+  && Oracle.position (State.oracle_of st1 p) = Oracle.position (State.oracle_of st2 p)
+
+let indistinguishable_after p ~before:(st1, st2) st1' st2' =
+  if st1'.State.mon == st1.State.mon && st2'.State.mon == st2.State.mon then
+    Ok (cpu_equal p st1' st2')
+  else indistinguishable p st1' st2'
+
+let unchanged_after p ~before:(st, obs) st' =
+  let* v = obs in
+  if st'.State.mon == st.State.mon then Ok (cpu_equal p st st')
+  else
+    let* v' = observe st' p in
+    Ok (view_equal v v')

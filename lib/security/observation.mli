@@ -29,3 +29,29 @@ val pp_view : Format.formatter -> view -> unit
 
 val indistinguishable : Principal.t -> State.t -> State.t -> (bool, string) result
 (** V(p, σ1) = V(p, σ2). *)
+
+(** {1 Comparing after a step}
+
+    {!observe} reads [st.mon] for the mappings and the page contents,
+    and only [active], [regs], [ctx] and [oracles] for the rest.  So
+    when a step returns a state whose [mon] is the very same value
+    ([==]) as before, the memory half of every view is unchanged, an
+    observation error included.  Loads, register moves, stores to the
+    marshalling buffer and enter/exit keep [mon]; the two comparisons
+    below then compare only the CPU-facing components.  {!indistinguishable}
+    stays the reference: each result equals the full comparison under
+    the stated precondition. *)
+
+val indistinguishable_after :
+  Principal.t -> before:State.t * State.t -> State.t -> State.t -> (bool, string) result
+(** [indistinguishable_after p ~before:(s1, s2) s1' s2'] is
+    [indistinguishable p s1' s2'], provided
+    [indistinguishable p s1 s2 = Ok true].  When [s1'.mon == s1.mon]
+    and [s2'.mon == s2.mon] neither state is observed. *)
+
+val unchanged_after :
+  Principal.t -> before:State.t * (view, string) result -> State.t -> (bool, string) result
+(** The one-state form, V(p, s) = V(p, s'): given [obs = observe s p],
+    [unchanged_after p ~before:(s, obs) s'] is the first error of
+    [obs] and [observe s' p], or [Ok (view_equal v v')].  When
+    [s'.mon == s.mon], [s'] is not observed. *)

@@ -13,11 +13,11 @@ let compare a b =
   | Enclave _, Os -> 1
   | Enclave x, Enclave y -> Int.compare x y
 
-let pp fmt = function
-  | Os -> Format.pp_print_string fmt "primary-os"
-  | Enclave e -> Format.fprintf fmt "enclave-%d" e
+let to_string = function
+  | Os -> "primary-os"
+  | Enclave e -> "enclave-" ^ string_of_int e
 
-let to_string p = Format.asprintf "%a" pp p
+let pp fmt p = Format.pp_print_string fmt (to_string p)
 
 module Map = Map.Make (struct
   type nonrec t = t

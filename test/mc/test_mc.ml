@@ -200,6 +200,53 @@ let test_outcome_deterministic () =
   let log () = Explore.to_log (Explore.run (Explore.config ~depth:4 ~flush:false layout)) in
   Alcotest.(check string) "two runs serialize identically" (log ()) (log ())
 
+(* The depth-5 exploration the [bug-hunt] benchmark runs, pinned for
+   both monitors: stats, the MD5 of the sorted state keys, and each
+   violation's kind, state, shrinker replays and shrunk witness, in
+   discovery order.  A faster check must leave all of it unchanged:
+   state keys pick the shards and name violating states, and the
+   violations, their order and their witnesses are the verdict. *)
+let stale_witness =
+  [ "hc_create(elrange=0x0+1, mbuf=0x100)"; "hc_add_page(1, 0x0)";
+    "fault: tlb-prefetch(pick=0)"; "hc_remove_page(1, 0x0)" ]
+
+let test_bug_hunt_pinned () =
+  let check ~flush ~stats ~keys_md5 ~violations =
+    let o = Explore.run (Explore.config ~depth:5 ~flush layout) in
+    let s = o.Explore.stats in
+    let what = Printf.sprintf "%s (flush=%b)" in
+    Alcotest.(check (list int)) (what "explored/transitions/deduped/pruned" flush)
+      stats
+      [ s.Explore.explored; s.Explore.transitions; s.Explore.deduped; s.Explore.pruned ];
+    Alcotest.(check string) (what "MD5 of the sorted keys" flush) keys_md5
+      (Digest.to_hex (Digest.string (String.concat "\n" o.Explore.keys)));
+    Alcotest.(check (list (pair (pair string string) (pair int (list string)))))
+      (what "violations" flush) violations
+      (List.map
+         (fun v ->
+           ( (v.Explore.v_kind, v.Explore.v_state),
+             (v.Explore.v_evals, List.map Chaos.event_to_string v.Explore.v_witness) ))
+         o.Explore.violations)
+  in
+  check ~flush:true ~stats:[ 999; 2501; 1503; 524 ]
+    ~keys_md5:"19bd1ad616150004cf932caacda92f8b" ~violations:[];
+  check ~flush:false ~stats:[ 1010; 2508; 1499; 526 ]
+    ~keys_md5:"6fdc8d0cd6aa9bcc5380e6d3824a4b3b"
+    ~violations:
+      (List.map
+         (fun (state, evals) -> (("tlb-consistency", state), (evals, stale_witness)))
+         [ ("c4587f01573d0768083ddebdf3da819f", 9);
+           ("73c17f0ba65794eab589907b3cbddf07", 11);
+           ("e56c5b128e22bd489b342e447515a448", 11);
+           ("70af296c49c7f5f675a958bf3ded8df4", 11);
+           ("4a4259229f22d009639c1148a2b20e96", 11);
+           ("109ac200aaf45f8ef73273182b02bd9c", 11);
+           ("0189f33ffb440b9fb8db60451365fbaf", 11);
+           ("8a13e55ec05632e62bd822f4d879a883", 11);
+           ("58116904c918c8ec11ce4b4156a73480", 10);
+           ("a2f91f0d22a58337650c1c6ff6352014", 10);
+           ("b183c8ada199900c0b415a9c567d1a56", 10) ])
+
 let shard_index ~nshards key =
   (* first byte of the hex digest, as the engine shards the frontier *)
   int_of_string ("0x" ^ String.sub key 0 2) mod nshards
@@ -312,6 +359,8 @@ let () =
             `Slow test_buggy_rediscovers_stale_tlb;
           Alcotest.test_case "outcome deterministic" `Slow
             test_outcome_deterministic;
+          Alcotest.test_case "bug-hunt exploration pinned" `Slow
+            test_bug_hunt_pinned;
           Alcotest.test_case "shard merge equivalent" `Slow
             test_shard_merge_equivalence;
           Alcotest.test_case "log roundtrip" `Slow test_log_roundtrip;

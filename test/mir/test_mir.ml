@@ -65,6 +65,26 @@ let test_word_sign_boundary () =
     0x8_0000_0000_0001L
     (Int64.unsigned_div 0x8000_0000_0000_1000L 0x1000L)
 
+(* [to_hex] prints the bytes of [Printf.sprintf "0x%Lx"]: the corner
+   words, then 10,000 words of every length from a fixed seed. *)
+let test_word_to_hex () =
+  List.iter
+    (fun w ->
+      Alcotest.(check string) (Printf.sprintf "%Ld" w) (Printf.sprintf "0x%Lx" w)
+        (Mir.Word.to_hex w))
+    [ 0L; 1L; 15L; 16L; 255L; Int64.max_int; Int64.min_int; -1L ];
+  Alcotest.(check string) "zero" "0x0" (Mir.Word.to_hex 0L);
+  Alcotest.(check string) "all ones" "0xffffffffffffffff" (Mir.Word.to_hex (-1L));
+  let rng = Random.State.make [| 2024 |] in
+  for _ = 1 to 10_000 do
+    let w =
+      Int64.shift_right_logical (Random.State.bits64 rng) (Random.State.int rng 64)
+    in
+    let expected = Printf.sprintf "0x%Lx" w in
+    if not (String.equal (Mir.Word.to_hex w) expected) then
+      Alcotest.failf "to_hex %Ld = %s, expected %s" w (Mir.Word.to_hex w) expected
+  done
+
 let prop_insert_extract =
   QCheck2.Test.make ~count:500 ~name:"word insert/extract roundtrip"
     QCheck2.Gen.(triple (int_bound 56) (int_range 1 8) ui64)
@@ -703,6 +723,7 @@ let () =
           Alcotest.test_case "bitfields" `Quick test_word_bitfields;
           Alcotest.test_case "unsigned division" `Quick test_word_unsigned_div;
           Alcotest.test_case "sign boundary" `Quick test_word_sign_boundary;
+          Alcotest.test_case "to_hex" `Quick test_word_to_hex;
         ] );
       qsuite "word-props" [ prop_insert_extract ];
       ( "value",

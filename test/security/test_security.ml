@@ -359,10 +359,107 @@ let test_store_visibility () =
   Alcotest.(check bool) "invisible to OS" true
     (ok "os" (Observation.indistinguishable Principal.Os st0 st))
 
-(* ------------------------------------------------------------------ *)
-(* Noninterference lemmas                                              *)
+(* The printers that name principals in obligation ids and print
+   flags into state keys, written out literally. *)
+let test_printers () =
+  Alcotest.(check (list string))
+    "Flags.to_string over Flags.all"
+    [ "----"; "---H"; "--U-"; "--UH"; "-W--"; "-W-H"; "-WU-"; "-WUH";
+      "P---"; "P--H"; "P-U-"; "P-UH"; "PW--"; "PW-H"; "PWU-"; "PWUH" ]
+    (List.map Flags.to_string Flags.all);
+  Alcotest.(check (list string))
+    "Principal.to_string"
+    [ "primary-os"; "enclave-0"; "enclave-1"; "enclave-42" ]
+    (List.map Principal.to_string
+       [ Principal.Os; Principal.Enclave 0; Principal.Enclave 1; Principal.Enclave 42 ])
 
 let observers = [ Principal.Os; Principal.Enclave 1; Principal.Enclave 2 ]
+
+(* The reuse law: after a step, [indistinguishable_after] and
+   [unchanged_after] return exactly what the full comparison returns,
+   over secret pairs for every observer, reachable states, a state
+   whose enclave observation fails, and every action of the battery and
+   of the model checker's universe.  Each form must take both of its
+   branches (monitor kept, monitor changed), and the one-state form
+   must meet an observation error with the monitor kept. *)
+let test_reuse_law () =
+  let actions =
+    Check.Gen.action_battery layout
+    @ List.filter_map
+        (function Fault.Chaos.Act a -> Some a | Fault.Chaos.Inject _ -> None)
+        (Mc.Universe.events layout)
+  in
+  let result = Alcotest.(result bool string) in
+  let kept = Array.make 2 0 and changed = Array.make 2 0 in
+  let branch form mon_kept =
+    if mon_kept then kept.(form) <- kept.(form) + 1
+    else changed.(form) <- changed.(form) + 1
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (label, s1, s2) ->
+          if Observation.indistinguishable p s1 s2 = Ok true then
+            List.iter
+              (fun a ->
+                match (Transition.step s1 a, Transition.step s2 a) with
+                | Ok s1', Ok s2' ->
+                    branch 0
+                      (s1'.State.mon == s1.State.mon
+                      && s2'.State.mon == s2.State.mon);
+                    Alcotest.check result
+                      (Printf.sprintf "%s / %s / %s" (Principal.to_string p)
+                         label (Transition.action_to_string a))
+                      (Observation.indistinguishable p s1' s2')
+                      (Observation.indistinguishable_after p ~before:(s1, s2)
+                         s1' s2')
+                | _ -> ())
+              actions)
+        (Check.Gen.secret_pairs ~n:12 ~seed:13 ~steps:35 ~observer:p layout))
+    observers;
+  let broken =
+    { (State.boot layout) with
+      State.mon = ok "shallow copy" (Attacks.shallow_copy.Attacks.build ()) }
+  in
+  let failing_kept = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (label, s) ->
+          let obs = Observation.observe s p in
+          List.iter
+            (fun a ->
+              match Transition.step s a with
+              | Error _ -> ()
+              | Ok s' ->
+                  branch 1 (s'.State.mon == s.State.mon);
+                  if Result.is_error obs && s'.State.mon == s.State.mon then
+                    incr failing_kept;
+                  let full =
+                    match (obs, Observation.observe s' p) with
+                    | Ok v, Ok v' -> Ok (Observation.view_equal v v')
+                    | Error e, _ | _, Error e -> Error e
+                  in
+                  Alcotest.check result
+                    (Printf.sprintf "%s / %s / %s" (Principal.to_string p)
+                       label (Transition.action_to_string a))
+                    full
+                    (Observation.unchanged_after p ~before:(s, obs) s'))
+            actions)
+        (("shallow copy", broken)
+        :: Check.Gen.states ~n:12 ~seed:11 ~steps:35 layout))
+    observers;
+  Array.iteri
+    (fun form name ->
+      if kept.(form) = 0 || changed.(form) = 0 then
+        Alcotest.failf "%s form: %d steps kept the monitor, %d changed it" name
+          kept.(form) changed.(form))
+    [| "pair"; "one-state" |];
+  if !failing_kept = 0 then
+    Alcotest.fail "no failed observation met a step that kept the monitor"
+
+(* ------------------------------------------------------------------ *)
+(* Noninterference lemmas                                              *)
 
 let test_noninterference_lemmas () =
   let states = Check.Gen.states ~n:12 ~seed:11 ~steps:35 layout in
@@ -630,7 +727,10 @@ let () =
           Alcotest.test_case "secret perturbation invisible" `Quick
             test_perturbation_invisible;
           Alcotest.test_case "store visibility" `Quick test_store_visibility;
+          Alcotest.test_case "reuse law" `Quick test_reuse_law;
         ] );
+      ( "printers",
+        [ Alcotest.test_case "flags and principals" `Quick test_printers ] );
       ( "noninterference",
         [
           Alcotest.test_case "lemmas 5.2-5.4" `Slow test_noninterference_lemmas;
