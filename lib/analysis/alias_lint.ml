@@ -1,7 +1,8 @@
 (* Alias-footprint lint (kind [Lint.Alias_footprint]) plus discharge
    certificates for per-body findings.
 
-   Per call-graph SCC, over the Andersen summaries of {!Alias}:
+   Per call-graph SCC, over the Andersen summaries of {!Alias}, which
+   the caller computes once for the whole program and passes in:
 
    - Error findings: a call passes two arguments that definitely may
      alias (a witness location common to both points-to sets, never
@@ -92,10 +93,26 @@ let touches_param (s : Alias.summary) j =
 let writes_param (s : Alias.summary) j =
   Alias.LocSet.mem (Alias.Lparam j) s.Alias.fp.Alias.writes
 
-let check cfg ~funcs =
-  let infos = Alias.analyze ~prim:cfg.prim cfg.program in
-  let ictx =
-    Interval_lint.A.create_ctx ~prim:(fun ~func:_ ~args:_ -> None) cfg.program
+let check cfg ~infos ~funcs =
+  (* Dead blocks of every member, solved on the first Error finding the
+     dead-block route could discharge.  One fresh interval context
+     solves the members in [funcs] order whichever member forces it:
+     the context memoizes callee summaries, so the arrays must not
+     depend on where the first Error sits. *)
+  let dead =
+    lazy
+      (let ictx =
+         Interval_lint.A.create_ctx
+           ~prim:(fun ~func:_ ~args:_ -> None)
+           cfg.program
+       in
+       let t = Hashtbl.create 4 in
+       List.iter
+         (fun fn ->
+           if Option.is_some (Syn.find_body cfg.program fn) then
+             Hashtbl.replace t fn (dead_blocks ictx fn))
+         funcs;
+       t)
   in
   let findings = ref [] in
   let discharged = ref 0 in
@@ -190,7 +207,6 @@ let check cfg ~funcs =
                   | _ -> ()))
           encap;
         (* 3. dead-block discharge of per-body findings *)
-        let dead = dead_blocks ictx fn in
         let dischargeable =
           encap
           @ Init_lint.run body
@@ -199,11 +215,13 @@ let check cfg ~funcs =
           (fun (f : Lint.finding) ->
             if f.Lint.severity = Lint.Error then
               match block_of_where f.Lint.where with
-              | Some b when b < Array.length dead && dead.(b) ->
-                  cert fn f.Lint.kind ~where:f.Lint.where
-                    (Printf.sprintf
-                       "bb%d is abstractly unreachable (infeasible branch)" b)
-              | _ -> ())
+              | Some b ->
+                  let dead = Hashtbl.find (Lazy.force dead) fn in
+                  if b < Array.length dead && dead.(b) then
+                    cert fn f.Lint.kind ~where:f.Lint.where
+                      (Printf.sprintf
+                         "bb%d is abstractly unreachable (infeasible branch)" b)
+              | None -> ())
           dischargeable
   in
   List.iter scan funcs;

@@ -29,6 +29,17 @@ type stats = {
 }
 
 val check :
-  config -> funcs:string list -> (string * Lint.finding) list * stats
+  config ->
+  infos:Alias.info Alias.StrMap.t ->
+  funcs:string list ->
+  (string * Lint.finding) list * stats
 (** Analyze the given functions (one SCC); findings are tagged with
-    the containing function's name. *)
+    the containing function's name.
+
+    [infos] are the whole-program summaries and must equal
+    [Alias.analyze ~prim:cfg.prim cfg.program].  The caller computes
+    them once and shares them across every SCC; the engine keeps one
+    map per layout.  The interval interpretation
+    behind the dead-block certificates runs only when a member has an
+    [Error] [Encapsulation]/[Move_init] finding: the first one solves
+    every member, in [funcs] order, in one fresh context. *)

@@ -1,7 +1,8 @@
 (* Interval-bounds certification (kind [Lint.Interval_bounds]).
 
    Runs the pure interval instantiation of the abstract interpreter
-   over each function of an SCC and produces two kinds of results:
+   over each function of an SCC that has a site to judge and produces
+   two kinds of results:
 
    - array-index bounds: every [Pindex]/[Pconst_index] projection
      whose base is a sized array must have an index interval inside
@@ -112,6 +113,19 @@ let places_of_rvalue = function
   | Syn.Ref p | Syn.Address_of p | Syn.Len p | Syn.Discriminant p -> [ p ]
   | Syn.Aggregate (_, os) -> operand_places os
 
+(* The places the bounds check reads at a statement and at a
+   terminator, in the order it reads them. *)
+let stmt_places = function
+  | Syn.Assign (dest, rv) -> dest :: places_of_rvalue rv
+  | Syn.Set_discriminant (p, _) -> [ p ]
+  | Syn.Storage_live _ | Syn.Storage_dead _ | Syn.Nop -> []
+
+let term_places = function
+  | Syn.Call { dest; args; _ } -> dest :: operand_places args
+  | Syn.Drop (p, _) -> [ p ]
+  | Syn.Goto _ | Syn.Switch_int _ | Syn.Return | Syn.Unreachable | Syn.Assert _ ->
+      []
+
 let in_bounds iv n =
   n > 0 && Interval.subset iv (Interval.v 0L (Word.of_int Word.W64 (n - 1)))
 
@@ -151,12 +165,7 @@ let check_function ctx fn =
           A.on_stmt =
             (fun ~block ~idx env stmt ->
               let where = Printf.sprintf "bb%d[%d]" block idx in
-              (match stmt with
-              | Syn.Assign (dest, rv) ->
-                  check_place ~where env dest;
-                  List.iter (check_place ~where env) (places_of_rvalue rv)
-              | Syn.Set_discriminant (p, _) -> check_place ~where env p
-              | Syn.Storage_live _ | Syn.Storage_dead _ | Syn.Nop -> ());
+              List.iter (check_place ~where env) (stmt_places stmt);
               (* unchecked-arith discharge at the flagged sites *)
               List.iter
                 (fun (s : Arith_lint.site) ->
@@ -181,24 +190,48 @@ let check_function ctx fn =
           A.on_term =
             (fun ~block env term ->
               let where = Printf.sprintf "bb%d" block in
-              match term with
-              | Syn.Call { dest; args; _ } ->
-                  check_place ~where env dest;
-                  List.iter (check_place ~where env) (operand_places args)
-              | Syn.Drop (p, _) -> check_place ~where env p
-              | Syn.Goto _ | Syn.Switch_int _ | Syn.Return | Syn.Unreachable
-              | Syn.Assert _ -> ());
+              List.iter (check_place ~where env) (term_places term));
         };
       (List.rev !findings |> List.map (fun f -> (fn, f)), !checks, !discharged)
 
+let indexes (p : Syn.place) =
+  List.exists
+    (function Syn.Pindex _ | Syn.Pconst_index _ -> true | _ -> false)
+    p.Syn.elems
+
+(* Can [check_function] report anything for [body]?  Only at an
+   unchecked-arith site or at an index projection of a place it reads.
+   Syntactic over every block, so it covers the blocks the solved
+   visit reaches. *)
+let has_site body =
+  Array.exists
+    (fun (blk : Syn.block) ->
+      List.exists (fun st -> List.exists indexes (stmt_places st)) blk.Syn.stmts
+      || List.exists indexes (term_places blk.Syn.term))
+    body.Syn.blocks
+  || Arith_lint.sites body <> []
+
 let check program ~funcs =
-  let ctx = A.create_ctx ~prim:(fun ~func:_ ~args:_ -> None) program in
-  let findings, checks, discharged =
-    List.fold_left
-      (fun (fs, cs, ds) fn ->
-        let f, c, d = check_function ctx fn in
-        (fs @ f, cs + c, ds + d))
-      ([], 0, 0) funcs
+  let solve =
+    List.exists
+      (fun fn ->
+        match Syn.find_body program fn with
+        | Some body -> has_site body
+        | None -> false)
+      funcs
+  in
+  let findings, checks, discharged, iterations =
+    if not solve then ([], 0, 0, 0)
+    else
+      let ctx = A.create_ctx ~prim:(fun ~func:_ ~args:_ -> None) program in
+      let fs, cs, ds =
+        List.fold_left
+          (fun (fs, cs, ds) fn ->
+            let f, c, d = check_function ctx fn in
+            (fs @ f, cs + c, ds + d))
+          ([], 0, 0) funcs
+      in
+      (fs, cs, ds, (A.stats ctx).A.iterations)
   in
   let errors =
     List.filter
@@ -211,5 +244,5 @@ let check program ~funcs =
       bound_checks = checks;
       findings = List.length errors;
       discharged;
-      iterations = (A.stats ctx).A.iterations;
+      iterations;
     } )

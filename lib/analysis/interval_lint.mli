@@ -25,4 +25,12 @@ val check :
   Mir.Syntax.program -> funcs:string list ->
   (string * Lint.finding) list * stats
 (** Analyze the given functions (one SCC) and return the findings
-    tagged with the containing function's name. *)
+    tagged with the containing function's name.
+
+    Only an SCC with a site is solved: some member has an
+    {!Arith_lint} site, or an index projection ([Pindex],
+    [Pconst_index]) in a place the check reads (an assignment's
+    destination or rvalue, a [Set_discriminant], a call's destination
+    or arguments, a [Drop]).  Its members are then solved in order in
+    one fresh context.  Any other SCC cannot have a finding; it is not
+    solved and reports 0 [iterations]. *)

@@ -319,9 +319,6 @@ type ctx = {
   ctx_cenvs : (string, Absdata.t Mir.Compile.t) Hashtbl.t;
   (* refined contracts, keyed by function ({!refine_contract}) *)
   ctx_contracts : (string, contract_entry) Hashtbl.t;
-  (* Andersen summaries of the whole memory module, shared by every
-     certification query; forced once, on first use *)
-  ctx_alias : Analysis.Alias.info Analysis.Alias.StrMap.t Lazy.t;
   ctx_mu : Mutex.t;
 }
 
@@ -348,7 +345,29 @@ let prim_summary g =
       }
   else None
 
-let alias_infos ctx = Lazy.force ctx.ctx_alias
+(* Andersen summaries of the whole memory module, one map per layout,
+   shared by every certification query and every alias-phase
+   obligation.  Computed on first use, by whichever domain asks first,
+   under a mutex (a bare [Lazy.force] raises [Lazy.Undefined] when
+   another domain is forcing the same suspension). *)
+let alias_mu = Mutex.create ()
+
+let alias_cache : (Layout.t, Analysis.Alias.info Analysis.Alias.StrMap.t) Hashtbl.t =
+  Hashtbl.create 4
+
+let alias_summaries layout =
+  Mutex.protect alias_mu (fun () ->
+      match Hashtbl.find_opt alias_cache layout with
+      | Some infos -> infos
+      | None ->
+          let infos =
+            Analysis.Alias.analyze ~prim:prim_summary
+              (Layers.compiled layout).Rustlite.Pipeline.program
+          in
+          Hashtbl.add alias_cache layout infos;
+          infos)
+
+let alias_infos ctx = alias_summaries ctx.ctx_layout
 
 let footprint ctx fn = Analysis.Alias.footprint (alias_infos ctx) fn
 
@@ -501,10 +520,6 @@ let ctx ?(seed = 2024) layout =
     ctx_checks = Hashtbl.create 64;
     ctx_cenvs = Hashtbl.create 16;
     ctx_contracts = Hashtbl.create 8;
-    ctx_alias =
-      lazy
-        (Analysis.Alias.analyze ~prim:prim_summary
-           (Layers.compiled layout).Rustlite.Pipeline.program);
     ctx_mu = Mutex.create () }
 
 let run_function ctx fn =

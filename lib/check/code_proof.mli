@@ -28,10 +28,11 @@ val check_function :
 (** {1 Alias footprints and contract refinement}
 
     The interprocedural alias analysis ({!Analysis.Alias}) runs once
-    per ctx over the whole memory module, with the trusted primitives
-    modelled as abstract-state effects.  Its certified footprints gate
-    user-authored spec refinements: a [points_to]-bearing contract is
-    only compiled to an override when its declared frame certifies. *)
+    per layout over the whole memory module, with the trusted
+    primitives modelled as abstract-state effects.  Its certified
+    footprints gate user-authored spec refinements: a
+    [points_to]-bearing contract is only compiled to an override when
+    its declared frame certifies. *)
 
 val prim_summary : string -> Analysis.Alias.summary option
 (** The footprint model of the trusted primitives: every primitive
@@ -39,6 +40,13 @@ val prim_summary : string -> Analysis.Alias.summary option
     nothing else.  [None] for non-primitives.  The engine's alias
     phase uses the same model so its footprints agree with the ones
     gating contract refinement here. *)
+
+val alias_summaries :
+  Hyperenclave.Layout.t -> Analysis.Alias.info Analysis.Alias.StrMap.t
+(** [Analysis.Alias.analyze ~prim:prim_summary] over the layout's
+    compiled memory module, memoized per layout: computed on first use
+    by whichever domain asks first, under a mutex, and shared by every
+    ctx of the layout and by the engine's alias-phase obligations. *)
 
 val footprint : ctx -> string -> Analysis.Alias.fp
 (** The function's certified may-read/may-write footprint. *)

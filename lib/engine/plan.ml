@@ -226,12 +226,18 @@ let alias_obligations ?(lints = Analysis.Lint.catalogue) layout =
     (* footprints substitute callee summaries actual-for-formal, like
        absint; the discharge side consults the layer map and interval
        reachability, both layout-derived, so the layout is a
-       fingerprint ingredient like secret-flow's *)
+       fingerprint ingredient like secret-flow's.  Every SCC reads the
+       layout's one summary map inside its closure, so a warm run
+       computes none. *)
     scc_obligations ~phase:"alias" layout
       [
         ( "points-to",
           Printf.sprintf "mirlight-alias-v1;%s" (layout_fp layout),
-          fun members -> fst (Analysis.Alias_lint.check cfg ~funcs:members) );
+          fun members ->
+            fst
+              (Analysis.Alias_lint.check cfg
+                 ~infos:(Check.Code_proof.alias_summaries layout)
+                 ~funcs:members) );
       ]
 
 (* ------------------------------------------------------------------ *)

@@ -32,7 +32,7 @@
 # hypercall-leak programs for secret-flow, an aliased frame-handle
 # leak, a dangling EPCM borrow, and a footprint-violating points_to
 # override that must be refused) assert that every lint actually
-# fires.
+# fires and that every seed function's alias footprint is exact.
 #
 # The model-checking gate exhaustively explores the bounded transition
 # system (depth 4): deterministic across job counts and cache states,
@@ -420,11 +420,10 @@ warm=$(sed -n 's/.*"warm_speedup": \([0-9.eE+-]*\),.*/\1/p' BENCH_engine.json)
 mcrate=$(sed -n 's/.*"states_per_sec": \([0-9.eE+-]*\),.*/\1/p' BENCH_mc.json)
 bw_wall=$(sed -n 's/.*"borrow": {"wall_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_analysis.json)
 al_wall=$(sed -n 's/.*"alias": {"wall_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_analysis.json)
-al_exact=$(sed -n 's/.*"exact_footprints": \([0-9]*\),.*/\1/p' BENCH_analysis.json)
-printf '%s cold_wall_s=%s warm_speedup=%s jobs2_speedup=%s jobs4_speedup=%s mc_states_per_sec=%s override_speedup=%s borrow_wall_s=%s alias_wall_s=%s alias_exact_footprints=%s serve_warm_rps_fleet4=%s serve_f4_vs_f1_cold=%s serve_cores=%s\n' \
+printf '%s cold_wall_s=%s warm_speedup=%s jobs2_speedup=%s jobs4_speedup=%s mc_states_per_sec=%s override_speedup=%s borrow_wall_s=%s alias_wall_s=%s serve_warm_rps_fleet4=%s serve_f4_vs_f1_cold=%s serve_cores=%s\n' \
   "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$cold" "$warm" \
   "$(jobs_speedup 2)" "$(jobs_speedup 4)" "$mcrate" "$ov_sp" \
-  "$bw_wall" "$al_wall" "$al_exact" \
+  "$bw_wall" "$al_wall" \
   "$s_f4rps" "$s_scale" "$s_cores" >> BENCH_trajectory.log
 echo "ci: appended $(tail -1 BENCH_trajectory.log | cut -d' ' -f2-) to BENCH_trajectory.log"
 

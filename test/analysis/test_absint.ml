@@ -204,6 +204,61 @@ let test_bounds_and_discharge () =
   Alcotest.(check int) "discharge cancels the masked add" 1
     (List.length remaining_arith)
 
+(* One two-member SCC with sites in one member only: [idx_a] indexes
+   a 4-array with its parameter masked by 3 (in bounds) and with the
+   raw parameter (may escape), then calls [idx_b]; [idx_b] indexes
+   nothing and calls [idx_a]. *)
+let fix_scc_index () =
+  let call b func arg =
+    let ret = B.fresh_block b in
+    B.terminate b
+      (Syn.Call
+         { dest = B.pvar Syn.return_var; func; args = [ B.copy arg ]; target = Some ret });
+    B.switch_to b ret;
+    B.terminate b Syn.Return;
+    B.finish b
+  in
+  let idx_a =
+    let b = B.create ~name:"idx_a" ~params:[ ("_1", u64, Syn.Ktemp) ] ~ret_ty:u64 in
+    let arr = B.local b ~name:"arr" (Mir.Ty.Array (u64, 4)) in
+    let t = B.temp b u64 in
+    let r1 = B.temp b u64 in
+    let r2 = B.temp b u64 in
+    B.assign_var b arr (Syn.Repeat (B.cu64 0, 4));
+    B.assign_var b t (Syn.Binary (Syn.Bit_and, B.copy "_1", B.cu64 3));
+    B.assign_var b r1 (Syn.Use (B.copy_place (B.pindex (B.pvar arr) t)));
+    B.assign_var b r2 (Syn.Use (B.copy_place (B.pindex (B.pvar arr) "_1")));
+    call b "idx_b" r2
+  and idx_b =
+    let b = B.create ~name:"idx_b" ~params:[ ("_1", u64, Syn.Ktemp) ] ~ret_ty:u64 in
+    call b "idx_a" "_1"
+  in
+  Syn.program_of_bodies [ idx_a; idx_b ]
+
+(* The member without a site does not exempt the SCC: in either member
+   order both are solved and the findings, counts and iterations are
+   the ones the unfiltered pass gave. *)
+let test_scc_partial_sites () =
+  let program = fix_scc_index () in
+  let run funcs =
+    let tagged, (st : Analysis.Interval_lint.stats) =
+      Analysis.Interval_lint.check program ~funcs
+    in
+    ( List.map (fun (fn, f) -> fn ^ " " ^ Lint.finding_to_string f) tagged,
+      [ st.functions; st.bound_checks; st.findings; st.discharged; st.iterations ] )
+  in
+  let escape =
+    "idx_a bb0[3]: [interval-bounds] index _1 = [0x0, 0xffffffffffffffff] may \
+     escape array bound 4"
+  in
+  let expect = Alcotest.(pair (list string) (list int)) in
+  Alcotest.check expect "sites in the first member"
+    ([ escape ], [ 2; 2; 1; 0; 30 ])
+    (run [ "idx_a"; "idx_b" ]);
+  Alcotest.check expect "sites in the second member"
+    ([ escape ], [ 2; 2; 1; 0; 30 ])
+    (run [ "idx_b"; "idx_a" ])
+
 (* ------------------------------------------------------------------ *)
 (* Secret flow: planted hypercall leaks fire, sanctioned path clean    *)
 
@@ -317,23 +372,30 @@ let test_seed_stack_clean () =
 (* Widening-threshold budget: thresholds are harvested only from
    literals a branch can test against (comparisons, switch cases,
    asserts) — harvesting every body literal used to cost 8,419 interval
-   iterations over the seed stack.  Pins the trim: the iteration total
-   must stay strictly below the old count while every finding and
-   discharge stays exactly what it was (zero findings, and the same
-   discharge certificates the arith lint relies on). *)
+   iterations over the seed stack.  Pins the trim: solving every seed
+   SCC in a fresh context, as the bounds pass did before it skipped
+   SCCs without a site, must stay strictly below the old count.  The
+   pass itself finds nothing and, since no seed SCC has an index
+   projection or an unchecked-arith site, solves nothing. *)
 let test_seed_stack_iteration_budget () =
+  let module A = Analysis.Interval_lint.A in
   let program = seed_program () in
   let cg = Analysis.Callgraph.build program in
   let sccs = Analysis.Callgraph.sccs cg in
   let iters = ref 0 in
+  let check_iters = ref 0 in
   let findings = ref 0 in
   List.iter
     (fun funcs ->
+      let ctx = A.create_ctx ~prim:(fun ~func:_ ~args:_ -> None) program in
+      List.iter (fun fn -> ignore (A.analyze ctx fn)) funcs;
+      iters := !iters + (A.stats ctx).A.iterations;
       let _, stats = Analysis.Interval_lint.check program ~funcs in
-      iters := !iters + stats.Analysis.Interval_lint.iterations;
+      check_iters := !check_iters + stats.Analysis.Interval_lint.iterations;
       findings := !findings + stats.Analysis.Interval_lint.findings)
     sccs;
   Alcotest.(check int) "still zero findings" 0 !findings;
+  Alcotest.(check int) "no seed SCC is solved by the pass" 0 !check_iters;
   Alcotest.(check bool)
     (Printf.sprintf "iteration total below the pre-trim 8419 (got %d)" !iters)
     true (!iters < 8419)
@@ -420,7 +482,11 @@ let () =
           Alcotest.test_case "loop convergence" `Quick test_loop_convergence;
         ] );
       ( "bounds",
-        [ Alcotest.test_case "bounds + discharge" `Quick test_bounds_and_discharge ] );
+        [
+          Alcotest.test_case "bounds + discharge" `Quick test_bounds_and_discharge;
+          Alcotest.test_case "SCC with sites in one member" `Quick
+            test_scc_partial_sites;
+        ] );
       ( "secret-flow",
         [
           Alcotest.test_case "policy classification" `Quick test_policy_classification;

@@ -501,13 +501,19 @@ let alias_cfg program =
     accessor = (fun ~owner:_ ~callee:_ -> false);
   }
 
+(* [Alias_lint.check] with the summaries it requires *)
+let alias_check (cfg : Analysis.Alias_lint.config) ~funcs =
+  Analysis.Alias_lint.check cfg
+    ~infos:(Alias.analyze ~prim:cfg.Analysis.Alias_lint.prim cfg.Analysis.Alias_lint.program)
+    ~funcs
+
 let test_alias_footprint_fires () =
   let program =
     Syn.program_of_bodies
       [ fix_writer (); fix_caller_aliased (); fix_caller_disjoint () ]
   in
   let cfg = alias_cfg program in
-  let findings, stats = Analysis.Alias_lint.check cfg ~funcs:[ "caller_aliased" ] in
+  let findings, stats = alias_check cfg ~funcs:[ "caller_aliased" ] in
   let errors =
     List.filter
       (fun (_, (f : Lint.finding)) ->
@@ -517,7 +523,7 @@ let test_alias_footprint_fires () =
   Alcotest.(check int) "aliased arguments fire once" 1 (List.length errors);
   Alcotest.(check bool) "stats count the finding" true
     (stats.Analysis.Alias_lint.findings >= 1);
-  let findings, _ = Analysis.Alias_lint.check cfg ~funcs:[ "caller_disjoint" ] in
+  let findings, _ = alias_check cfg ~funcs:[ "caller_disjoint" ] in
   Alcotest.(check int) "disjoint arguments are clean" 0
     (List.length
        (List.filter
@@ -537,6 +543,93 @@ let test_alias_footprints_exact () =
   (* an unanalyzed name is fully unknown, never falsely exact *)
   let fp = Alias.footprint infos "no_such_fn" in
   Alcotest.(check bool) "missing function is inexact" false (Alias.exact fp)
+
+(* Dead-block discharge: [name] switches on the constant [scrutinee],
+   case 1 -> bb1 and otherwise bb2.  bb1 reads a never-written
+   temporary (a move-init Error); bb2 returns 0, after calling [call]
+   when given (the mutually recursive variant). *)
+let fix_dead_uninit ?call ~name scrutinee =
+  let b = B.create ~name ~params:[] ~ret_ty:u64 in
+  let t = B.temp b u64 in
+  let bb1 = B.fresh_block b in
+  let bb2 = B.fresh_block b in
+  B.terminate b
+    (Syn.Switch_int
+       (B.cu64 scrutinee, [ (Mir.Word.of_int Mir.Word.W64 1, bb1) ], bb2));
+  B.switch_to b bb1;
+  B.assign_var b Syn.return_var (Syn.Use (B.copy t));
+  B.terminate b Syn.Return;
+  B.switch_to b bb2;
+  (match call with
+  | None -> ()
+  | Some func ->
+      let r = B.temp b u64 in
+      let ret = B.fresh_block b in
+      B.terminate b
+        (Syn.Call { dest = B.pvar r; func; args = []; target = Some ret });
+      B.switch_to b ret);
+  B.assign_var b Syn.return_var (Syn.Use (B.cu64 0));
+  B.terminate b Syn.Return;
+  B.finish b
+
+let dead_cert fn =
+  fn
+  ^ " bb1[0]: [move-init] bb1 is abstractly unreachable (infeasible branch) \
+     (discharged by alias-footprint)"
+
+(* findings rendered one per line, and the certificate count *)
+let alias_lines bodies ~funcs =
+  let findings, stats =
+    alias_check (alias_cfg (Syn.program_of_bodies bodies)) ~funcs
+  in
+  ( List.map (fun (fn, f) -> fn ^ " " ^ Lint.finding_to_string f) findings,
+    stats.Analysis.Alias_lint.discharged )
+
+let test_alias_dead_block_discharge () =
+  let lines = Alcotest.(pair (list string) int) in
+  Alcotest.check lines "infeasible branch discharges the uninit read"
+    ([ dead_cert "dead_uninit" ], 1)
+    (alias_lines [ fix_dead_uninit ~name:"dead_uninit" 0 ] ~funcs:[ "dead_uninit" ]);
+  Alcotest.check lines "feasible branch: no certificate" ([], 0)
+    (alias_lines [ fix_dead_uninit ~name:"dead_uninit" 1 ] ~funcs:[ "dead_uninit" ]);
+  (* a two-member SCC: one solve serves both members, in order *)
+  let scc ping pong =
+    alias_lines
+      [ fix_dead_uninit ~call:"pong" ~name:"ping" ping;
+        fix_dead_uninit ~call:"ping" ~name:"pong" pong ]
+      ~funcs:[ "ping"; "pong" ]
+  in
+  Alcotest.check lines "SCC, both branches infeasible"
+    ([ dead_cert "ping"; dead_cert "pong" ], 2)
+    (scc 0 0);
+  Alcotest.check lines "SCC, only the second member's branch infeasible"
+    ([ dead_cert "pong" ], 1)
+    (scc 1 0);
+  Alcotest.check lines "SCC, both branches feasible" ([], 0) (scc 1 1)
+
+(* Under the trusted-primitive model every seed function's footprint is
+   exact, so certificates may rest on any of them. *)
+let test_alias_seed_footprints_exact () =
+  let layout = Hyperenclave.Layout.default Hyperenclave.Geometry.tiny in
+  let program = (Hyperenclave.Layers.compiled layout).Rustlite.Pipeline.program in
+  let infos = Check.Code_proof.alias_summaries layout in
+  let fns = Syn.body_names program in
+  Alcotest.(check int) "seed functions" 50 (List.length fns);
+  List.iter
+    (fun fn ->
+      Alcotest.(check bool) (fn ^ " footprint exact") true
+        (Alias.exact (Alias.footprint infos fn)))
+    fns;
+  let cfg = { (alias_cfg program) with prim = Check.Code_proof.prim_summary } in
+  let counted =
+    List.fold_left
+      (fun n funcs ->
+        let _, stats = Analysis.Alias_lint.check cfg ~infos ~funcs in
+        n + stats.Analysis.Alias_lint.footprints)
+      0
+      (Analysis.Callgraph.sccs (Analysis.Callgraph.build program))
+  in
+  Alcotest.(check int) "exact footprints over the SCCs" 50 counted
 
 let test_alias_certify () =
   let set locs = Alias.LocSet.of_list locs in
@@ -799,6 +892,10 @@ let () =
           Alcotest.test_case "alias-footprint fires" `Quick test_alias_footprint_fires;
           Alcotest.test_case "footprints exact" `Quick test_alias_footprints_exact;
           Alcotest.test_case "certify" `Quick test_alias_certify;
+          Alcotest.test_case "dead-block discharge" `Quick
+            test_alias_dead_block_discharge;
+          Alcotest.test_case "seed footprints exact" `Quick
+            test_alias_seed_footprints_exact;
         ] );
       ( "callgraph",
         [

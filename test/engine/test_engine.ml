@@ -284,6 +284,53 @@ let test_first_use_compile_race () =
     (text (Check.Code_proof.run_function seq caller))
     caller_r
 
+(* Two domains ask for the alias summaries of a layout no other test
+   analyzes, released together so one asks while the other computes:
+   both get the map a sequential analysis returns, the same physical
+   map, and no exception escapes (a bare [Lazy.force] shared between
+   domains raises [Lazy.Undefined] here). *)
+let test_first_use_alias_race () =
+  let module A = Analysis.Alias in
+  let fresh = fresh_layout 11 in
+  Layers.warm fresh;
+  let text infos =
+    A.StrMap.bindings infos
+    |> List.map (fun (fn, (i : A.info)) ->
+           let s = i.A.summary in
+           Printf.sprintf "%s reads=%s writes=%s ret=%s esc=%s vars=%s" fn
+             (A.locs_to_string s.A.fp.A.reads)
+             (A.locs_to_string s.A.fp.A.writes)
+             (A.locs_to_string s.A.ret)
+             (String.concat "," (List.map string_of_int (A.IntSet.elements s.A.esc)))
+             (String.concat ";"
+                (List.map
+                   (fun (v, l) -> v ^ "=" ^ A.locs_to_string l)
+                   (A.StrMap.bindings i.A.vars))))
+    |> String.concat "\n"
+  in
+  let ready = Atomic.make 0 in
+  let ask () =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        Check.Code_proof.alias_summaries fresh)
+  in
+  let d1 = ask () and d2 = ask () in
+  let m1 = Domain.join d1 and m2 = Domain.join d2 in
+  let expected =
+    text
+      (A.analyze ~prim:Check.Code_proof.prim_summary
+         (Layers.compiled fresh).Rustlite.Pipeline.program)
+  in
+  Alcotest.(check int) "every function summarized"
+    (Layers.verified_function_count fresh)
+    (A.StrMap.cardinal m1);
+  Alcotest.(check string) "first domain" expected (text m1);
+  Alcotest.(check string) "second domain" expected (text m2);
+  Alcotest.(check bool) "one shared map" true (m1 == m2)
+
 (* The model checker explores the request's [mc_layout], whatever the
    plan's layout: one request gives the same obligations on a tiny and
    an x86_64 plan, and another mc layout gives other fingerprints. *)
@@ -895,6 +942,8 @@ let () =
           Alcotest.test_case "cache keys pinned" `Quick test_plan_cache_keys_pinned;
           Alcotest.test_case "build allocation" `Quick test_plan_build_allocation;
           Alcotest.test_case "first-use compile race" `Quick test_first_use_compile_race;
+          Alcotest.test_case "first-use alias summaries race" `Quick
+            test_first_use_alias_race;
           Alcotest.test_case "model check explores its own layout" `Quick
             test_mc_explores_mc_layout;
         ] );
