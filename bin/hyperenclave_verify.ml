@@ -16,7 +16,7 @@
                        checks, plus MIRlight-level primitive faults
     11. model check  — opt-in (--model-check DEPTH): exhaustive bounded
                        exploration of every event interleaving (lib/mc),
-                       sharded by state-key prefix across the pool, with
+                       one obligation visiting each state once, with
                        partial-order reduction (--mc-por/--no-mc-por)
 
    Phases 3-9 and 11 are reified as an obligation DAG (lib/engine) and run on

@@ -639,31 +639,13 @@ let attack_obligations ~deps scenarios =
     scenarios
 
 (* ------------------------------------------------------------------ *)
-(* Phase 11: bounded model checking, sharded by state-key prefix       *)
+(* Phase 11: bounded model checking                                    *)
 
-let mc_version = "mc-v1"
-
-(* The exploration decomposes into a root run (boot to the split
-   depth, reduction off so the frontier is the exact distance-d0
-   slice) and one independent sub-exploration per frontier shard.  The
-   frontier itself is derived at plan-build time from fingerprinted
-   inputs only (layout, universe, split depth), so it never needs its
-   own cache key; the shard obligations re-explore from their root
-   states with the full depth budget and serialize their outcome into
-   the obligation log, which the driver parses back and folds into one
-   deterministic rollup. *)
-let mc_root_depth = 2
-let mc_nshards = 8
-
-let mc_shard_index key =
-  (* leading byte of the canonical digest *)
-  int_of_string ("0x" ^ String.sub key 0 2) mod mc_nshards
-
-let mc_report ~name (o : Mc.Explore.outcome) =
+let mc_report (o : Mc.Explore.outcome) =
   let rep =
     List.fold_left
       (fun rep _ -> Report.add_pass rep)
-      (Report.empty name) o.Mc.Explore.keys
+      (Report.empty "model check") o.Mc.Explore.keys
   in
   List.fold_left
     (fun rep (v : Mc.Explore.violation) ->
@@ -672,62 +654,27 @@ let mc_report ~name (o : Mc.Explore.outcome) =
         ~reason:v.Mc.Explore.v_detail)
     rep o.Mc.Explore.violations
 
-let mc_obligations ~deps req =
-  let layout = req.mc_layout in
-  let full_cfg =
+(* One obligation explores the request's own layout from boot, so each
+   reachable state is visited once.  It is fingerprinted on the layout,
+   the universe, the depth bound and the reduction and flush switches,
+   and serializes its stats, visited keys and shrunk counterexamples
+   into its outcome log for the driver to roll up. *)
+let mc_obligations req =
+  let cfg =
     Mc.Explore.config ~depth:req.mc_depth ~flush:req.mc_flush ~por:req.mc_por
-      layout
+      req.mc_layout
   in
-  let base_fp =
-    Printf.sprintf "%s;%s;universe=%s;depth=%d;por=%b;flush=%b;d0=%d;shards=%d"
-      mc_version (layout_fp layout)
-      (Mc.Universe.digest full_cfg.Mc.Explore.universe)
-      req.mc_depth req.mc_por req.mc_flush mc_root_depth mc_nshards
-  in
-  let root_cfg =
-    { full_cfg with
-      Mc.Explore.depth = min req.mc_depth mc_root_depth;
-      por = false }
-  in
-  let root =
-    Obligation.v ~id:"mc/root" ~phase:"model-check" ~deps
-      ~fingerprint:(base_fp ^ ";part=root") (fun () ->
-        let o = Mc.Explore.run root_cfg in
-        Obligation.outcome
-          ~log:(Mc.Explore.to_log o)
-          [ mc_report ~name:"model check: root slice" o ])
-  in
-  if req.mc_depth <= mc_root_depth then [ root ]
-  else begin
-    (* checks off: the frontier does not depend on them, and this runs
-       in the plan-building domain *)
-    let frontier =
-      (Mc.Explore.run { root_cfg with Mc.Explore.checks = false })
-        .Mc.Explore.frontier
-    in
-    let shards =
-      List.init mc_nshards (fun s ->
-          let roots =
-            List.filter
-              (fun it -> mc_shard_index (Mc.Explore.item_key it) = s)
-              frontier
-          in
-          let roots_fp =
-            Digest.to_hex
-              (Digest.string
-                 (String.concat "," (List.map Mc.Explore.item_key roots)))
-          in
-          let id = Printf.sprintf "mc/shard-%02d" s in
-          Obligation.v ~id ~phase:"model-check" ~deps
-            ~fingerprint:(Printf.sprintf "%s;part=%d;roots=%s" base_fp s roots_fp)
-            (fun () ->
-              let o = Mc.Explore.run_from full_cfg ~roots in
-              Obligation.outcome
-                ~log:(Mc.Explore.to_log o)
-                [ mc_report ~name:(Printf.sprintf "model check: shard %02d" s) o ]))
-    in
-    root :: shards
-  end
+  [
+    Obligation.v ~id:"mc/explore" ~phase:"model-check"
+      ~fingerprint:
+        (Printf.sprintf "mc-v2;%s;universe=%s;depth=%d;por=%b;flush=%b"
+           (layout_fp req.mc_layout)
+           (Mc.Universe.digest cfg.Mc.Explore.universe)
+           req.mc_depth req.mc_por req.mc_flush)
+      (fun () ->
+        let o = Mc.Explore.run cfg in
+        Obligation.outcome ~log:(Mc.Explore.to_log o) [ mc_report o ]);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
@@ -771,10 +718,11 @@ let build ?(quick = false) ?(security = true)
     | None -> []
     | Some req ->
         (* the model checker explores its own layout, whatever the
-           plan's; boot it here, because [Boot.booted] is an unguarded
-           memo and a shallow check computes no frontier at plan build *)
+           plan's; boot it here, in the plan-building domain, because
+           [Boot.booted] is an unguarded memo that the exploration
+           would otherwise fill from a worker domain *)
         ignore (Boot.booted req.mc_layout);
-        mc_obligations ~deps:[] req
+        mc_obligations req
   in
   let dag =
     Dag.build_exn

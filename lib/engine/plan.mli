@@ -165,19 +165,6 @@ val override_counts : Hyperenclave.Layout.t -> (string * int) list
 (** Per spec-owned function (bottom-up, zeros included): the number of
     same-layer call-graph edges override composition stubs. *)
 
-val mc_obligations : deps:string list -> mc_request -> Obligation.t list
-(** The model-checking phase over the request's own [mc_layout] (the
-    plan's layout plays no part): a root obligation exploring boot to the
-    split depth (reduction off, so its frontier is the exact
-    distance-d0 slice) plus one obligation per frontier shard (sharded
-    by canonical-state-key prefix), each exploring from its root
-    states to the full depth.  Every obligation is fingerprinted on
-    the geometry, the universe digest, the depth bound and the
-    reduction/flush switches, so a warm cache skips completed shards;
-    each serializes its stats, visited keys, and shrunk
-    counterexamples into its outcome log for the driver to roll up
-    (the union is byte-identical at any job count or cache state). *)
-
 val stream_seed : seed:int -> string -> int
 (** The per-obligation RNG stream split: deterministic in (seed, tag),
     independent of scheduling. *)

@@ -31,6 +31,7 @@ type violation = {
 
 type stats = { explored : int; transitions : int; deduped : int; pruned : int }
 
+(* A queued state, with its discovery trace, depth and sleep set. *)
 type item = {
   st : State.t;
   key : string;
@@ -39,13 +40,10 @@ type item = {
   sleep : IntSet.t;
 }
 
-let item_key it = it.key
-
 type outcome = {
   stats : stats;
   keys : string list;
   violations : violation list;
-  frontier : item list;
 }
 
 let exec ~flush st = function
@@ -166,7 +164,6 @@ type ctx = {
   mutable s_pruned : int;
   mutable violations : violation list; (* reverse discovery order *)
   vseen : (string, unit) Hashtbl.t;
-  mutable frontier : item list; (* reverse discovery order *)
 }
 
 let record ctx ~kind ~detail ~key ~trace_rev =
@@ -302,12 +299,7 @@ let check_edge ctx ~views ~akey ~atrace_rev ~before ~after ev =
         views
   end
 
-let boot_item cfg =
-  let st = State.boot cfg.layout in
-  { st; key = State_key.digest st; trace_rev = []; idepth = 0;
-    sleep = IntSet.empty }
-
-let run_from cfg ~roots =
+let run cfg =
   let uni = Array.of_list cfg.universe in
   let n = Array.length uni in
   let commute =
@@ -316,22 +308,19 @@ let run_from cfg ~roots =
   let ctx =
     { cfg; uni; commute; visited = Hashtbl.create 4096; queue = Queue.create ();
       s_explored = 0; s_transitions = 0; s_deduped = 0; s_pruned = 0;
-      violations = []; vseen = Hashtbl.create 16; frontier = [] }
+      violations = []; vseen = Hashtbl.create 16 }
   in
   let discover it =
     Hashtbl.add ctx.visited it.key
       { expl = IntSet.empty; vdepth = it.idepth; cover = it.sleep };
     ctx.s_explored <- ctx.s_explored + 1;
     check_state ctx ~key:it.key ~trace_rev:it.trace_rev it.st;
-    if it.idepth >= cfg.depth then ctx.frontier <- it :: ctx.frontier
-    else Queue.push it ctx.queue
+    if it.idepth < cfg.depth then Queue.push it ctx.queue
   in
-  List.iter
-    (fun it ->
-      match Hashtbl.find_opt ctx.visited it.key with
-      | Some _ -> ctx.s_deduped <- ctx.s_deduped + 1
-      | None -> discover it)
-    roots;
+  let boot = State.boot cfg.layout in
+  discover
+    { st = boot; key = State_key.digest boot; trace_rev = []; idepth = 0;
+      sleep = IntSet.empty };
   while not (Queue.is_empty ctx.queue) do
     Mirverif.Cancel.poll ();
     let it = Queue.pop ctx.queue in
@@ -407,10 +396,7 @@ let run_from cfg ~roots =
       List.sort String.compare
         (Hashtbl.fold (fun k _ acc -> k :: acc) ctx.visited []);
     violations = List.rev ctx.violations;
-    frontier = List.rev ctx.frontier;
   }
-
-let run cfg = run_from cfg ~roots:[ boot_item cfg ]
 
 let interleavings cfg =
   let uni = Array.of_list cfg.universe in
@@ -516,33 +502,13 @@ let parse_log log =
          | _ -> ());
   { p_stats = !stats; p_keys = List.rev !keys; p_violations = List.rev !viols }
 
-let rollup parts =
-  let union_keys =
-    List.sort_uniq String.compare (List.concat_map (fun p -> p.p_keys) parts)
-  in
-  let per_part_keys =
-    List.fold_left (fun acc p -> acc + List.length p.p_keys) 0 parts
-  in
-  let sum f = List.fold_left (fun acc p -> acc + f p.p_stats) 0 parts in
-  let seen = Hashtbl.create 16 in
-  let viols =
-    List.concat_map (fun p -> p.p_violations) parts
-    |> List.filter (fun v ->
-           let k = v.p_kind ^ "|" ^ v.p_state in
-           if Hashtbl.mem seen k then false
-           else begin
-             Hashtbl.add seen k ();
-             true
-           end)
-  in
+let rollup p =
   {
-    r_states = List.length union_keys;
-    r_transitions = sum (fun s -> s.transitions);
-    (* per-part dedup plus states independently discovered by several
-       shards: both are edges into already-known states *)
-    r_deduped = sum (fun s -> s.deduped) + (per_part_keys - List.length union_keys);
-    r_pruned = sum (fun s -> s.pruned);
-    r_violations = viols;
+    r_states = p.p_stats.explored;
+    r_transitions = p.p_stats.transitions;
+    r_deduped = p.p_stats.deduped;
+    r_pruned = p.p_stats.pruned;
+    r_violations = p.p_violations;
   }
 
 let min_witness r =

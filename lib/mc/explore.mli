@@ -35,9 +35,9 @@
     property that was recorded.
 
     Exploration is deterministic: same config, same outcome, bit for
-    bit — the engine shards the depth-[root_depth] frontier by
-    state-key prefix and unions per-shard outcomes, which commutes
-    with running the whole exploration in one piece. *)
+    bit.  The engine runs it as one obligation, so each reachable state
+    is visited once, and one [--timeout-ms] deadline covers the whole
+    exploration. *)
 
 type config = {
   layout : Hyperenclave.Layout.t;
@@ -45,7 +45,7 @@ type config = {
   depth : int;  (** exploration bound, in events from boot *)
   flush : bool;  (** [false] = the buggy monitor ([--buggy-tlb]) *)
   por : bool;  (** sleep-set partial-order reduction *)
-  checks : bool;  (** run the violation checks (off for frontier derivation) *)
+  checks : bool;  (** run the violation checks (off to time bare exploration) *)
   ni : bool;  (** include the step-noninterference checks *)
   observers : Security.Principal.t list;
   ni_seed : int;  (** seed for the perturbed-secrets twins *)
@@ -84,22 +84,17 @@ type stats = {
   pruned : int;  (** expansions skipped by sleep sets *)
 }
 
-type item
-(** A frontier entry: a state at the depth bound with its discovery
-    trace, ready to seed a deeper exploration. *)
-
-val item_key : item -> string
-(** The state digest — the engine shards the frontier by its prefix. *)
-
 type outcome = {
   stats : stats;
   keys : string list;  (** sorted digests of every visited state *)
-  violations : violation list;  (** discovery order, deduped by (kind, state) *)
-  frontier : item list;  (** states first reached at exactly [depth] *)
+  violations : violation list;
+      (** BFS discovery order, deduped by (kind, state) *)
 }
 
 val run : config -> outcome
-(** Explore from the booted state. *)
+(** Explore breadth-first from the booted state to [config.depth],
+    visiting each canonical state once.  Polls {!Mirverif.Cancel} once
+    per dequeued state, so an obligation deadline cancels it. *)
 
 val interleavings : config -> int
 (** The number of enabled event sequences of length 1..[depth] a
@@ -109,17 +104,12 @@ val interleavings : config -> int
     skipped expansion cuts a whole subtree, which per-edge statistics
     on the deduplicated graph undercount). *)
 
-val run_from : config -> roots:item list -> outcome
-(** Explore from previously produced frontier items (their recorded
-    depths count against [config.depth]); used by the engine's shard
-    obligations.  [run cfg] = [run_from cfg ~roots:[boot]]. *)
-
 (** {1 Obligation-outcome serialization}
 
-    Shard results travel through {!Engine.Obligation.outcome.log} as
-    deterministic text; the driver parses the per-obligation payloads
-    back and folds them into one rollup whose numbers are independent
-    of job count and cache state. *)
+    The model-check obligation's outcome travels through
+    {!Engine.Obligation.outcome.log} — and the proof cache — as
+    deterministic text; the driver parses it back into the rollup it
+    prints, whatever the job count and cache state. *)
 
 type parsed_violation = {
   p_kind : string;
@@ -136,16 +126,21 @@ type parsed = {
 }
 
 type rollup = {
-  r_states : int;  (** size of the union of the visited sets *)
-  r_transitions : int;
-  r_deduped : int;  (** per-part dedup plus cross-part overlap *)
-  r_pruned : int;
-  r_violations : parsed_violation list;  (** deduped by (kind, state) *)
+  r_states : int;  (** visited states *)
+  r_transitions : int;  (** edges executed *)
+  r_deduped : int;  (** edges into already-visited states *)
+  r_pruned : int;  (** expansions skipped by sleep sets *)
+  r_violations : parsed_violation list;  (** discovery order *)
 }
 
 val to_log : outcome -> string
+
 val parse_log : string -> parsed
-val rollup : parsed list -> rollup
+(** Inverse of {!to_log}; the empty log parses to zero stats and no
+    keys or violations. *)
+
+val rollup : parsed -> rollup
+(** The numbers a run reports: one exploration's stats and violations. *)
 
 val min_witness : rollup -> int option
 (** Length of the shortest shrunk witness, when any violation exists. *)

@@ -63,18 +63,24 @@ let with_reg st i v =
     (regs.(i) <- v;
      Ok { st with regs })
 
+(* Principals bound in either map. *)
+let bound_in m n =
+  List.sort_uniq Principal.compare
+    (List.map fst (Principal.Map.bindings m) @ List.map fst (Principal.Map.bindings n))
+
 let equal a b =
   Hyperenclave.Absdata.equal a.mon b.mon
   && Principal.equal a.active b.active
   && regs_equal a.regs b.regs
-  && Principal.Map.equal regs_equal a.ctx b.ctx
   && Tlb.equal a.tlb b.tlb
-  && (* compare streams including never-used defaults *)
+  && (* an absent context or oracle compares as its default: zero
+        registers, a never-used stream *)
   List.for_all
-    (fun p -> Oracle.equal_stream (oracle_of a p) (oracle_of b p))
-    (List.sort_uniq Principal.compare
-       (List.map fst (Principal.Map.bindings a.oracles)
-       @ List.map fst (Principal.Map.bindings b.oracles)))
+    (fun p -> regs_equal (saved_ctx a p) (saved_ctx b p))
+    (bound_in a.ctx b.ctx)
+  && List.for_all
+       (fun p -> Oracle.equal_stream (oracle_of a p) (oracle_of b p))
+       (bound_in a.oracles b.oracles)
 
 let pp fmt st =
   Format.fprintf fmt "@[<v>active: %a, regs: %a@,%a@]" Principal.pp st.active

@@ -43,4 +43,8 @@ val with_reg : t -> int -> Mir.Word.t -> (t, string) result
 val reg : t -> int -> (Mir.Word.t, string) result
 
 val equal : t -> t -> bool
+(** Structural equality, with an absent saved context or oracle equal
+    to its default ({!saved_ctx}, {!oracle_of}), as the model checker's
+    canonical state keys treat them. *)
+
 val pp : Format.formatter -> t -> unit

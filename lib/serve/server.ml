@@ -18,10 +18,14 @@
    verification, so a worker death cannot drop a response: the victim's
    in-flight request is re-queued at the front and a replacement worker
    is forked (the process-level analogue of the pool's worker-respawn
-   supervision).  A client's payload crosses to a worker verbatim and
-   the worker's response comes back as one frame; the dispatcher
-   remembers whose request each worker holds, and parses only the tiny
-   control envelope (op field) itself. *)
+   supervision).  Respawning is bounded by [max_deaths]: a request whose
+   workers died that many times is answered with an error, and a slot
+   whose worker died that many times in a row without a request (say,
+   on an unusable --cache) is left empty; with every slot empty, each
+   request is answered with an error.  A client's payload crosses to a
+   worker verbatim and the worker's response comes back as one frame;
+   the dispatcher remembers whose request each worker holds, and parses
+   only the tiny control envelope (op field) itself. *)
 
 module Jsonx = Engine.Jsonx
 
@@ -104,7 +108,8 @@ let fork_worker cfg ~index ~other_fds ~listen_fd =
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) other_fds;
       Sys.set_signal Sys.sigterm Sys.Signal_default;
       Sys.set_signal Sys.sigint Sys.Signal_default;
-      (try worker_loop cfg child_fd with _ -> ());
+      (try worker_loop cfg child_fd
+       with e -> log "fleet worker %d failed: %s" index (Printexc.to_string e));
       Unix._exit 0
   | pid ->
       Unix.close child_fd;
@@ -120,6 +125,7 @@ type worker = {
   mutable w_fd : Unix.file_descr;
   mutable w_reader : Protocol.Reader.t;
   mutable w_job : (int * string) option;  (* dispatched (tag, payload), None = idle *)
+  mutable w_idle_deaths : int;  (* deaths without a request since its last response *)
 }
 
 type client = { c_reader : Protocol.Reader.t }
@@ -132,6 +138,7 @@ type state = {
   mutable tag_owner : (int * Unix.file_descr) list;  (* tag -> client *)
   mutable next_tag : int;
   pending : (int * string) Queue.t;  (* (tag, payload), in arrival order *)
+  mutable job_deaths : (int * int) list;  (* tag -> worker deaths running it *)
   mutable stop : bool;
   mutable dead_fds : Unix.file_descr list;
       (* fds closed during the current select pass: a stale entry still
@@ -139,6 +146,14 @@ type state = {
          already have reused the number for a respawned worker's pipe —
          reading through the alias would block the dispatcher *)
 }
+
+(* A worker that dies at start-up — on an unusable --cache, say — would
+   otherwise be respawned for ever: a request is answered with an error
+   once this many workers died running it, and a slot is left empty
+   once its worker died this many times in a row without a request. *)
+let max_deaths = 3
+
+let live w = w.w_idle_deaths < max_deaths
 
 let owner_of st tag = List.assoc_opt tag st.tag_owner
 let forget_tag st tag = st.tag_owner <- List.remove_assoc tag st.tag_owner
@@ -171,6 +186,12 @@ let send_to_client st fd payload =
       forget_client st fd
   | exception Unix.Unix_error _ -> forget_client st fd
 
+let no_worker_left =
+  Printf.sprintf
+    "no fleet worker left: each died %d times in a row without a request \
+     (see the daemon's log)"
+    max_deaths
+
 (* Control envelope: the dispatcher parses each client frame only far
    enough to route it.  Verify payloads are enqueued verbatim; ping and
    shutdown are answered here; a frame that is not JSON at all is
@@ -195,6 +216,8 @@ let admit st fd payload =
           send_to_client st fd
             (Jsonx.to_string
                (Jsonx.Obj [ ("ok", Jsonx.Bool true); ("stopping", Bool true) ]))
+      | Some "verify" | None when not (Array.exists live st.workers) ->
+          send_to_client st fd (Driver.error_response no_worker_left)
       | Some "verify" | None ->
           let tag = st.next_tag in
           st.next_tag <- st.next_tag + 1;
@@ -204,13 +227,18 @@ let admit st fd payload =
           send_to_client st fd (Driver.error_response ("unknown op " ^ op)))
 
 let deliver st tag response =
+  st.job_deaths <- List.remove_assoc tag st.job_deaths;
   match owner_of st tag with
   | None -> ()  (* client went away; drop the payload *)
   | Some fd ->
       forget_tag st tag;
       send_to_client st fd response
 
-let idle_worker st = Array.find_opt (fun w -> w.w_job = None) st.workers
+let idle_worker st = Array.find_opt (fun w -> w.w_job = None && live w) st.workers
+
+(* The live worker whose pipe is [fd].  An empty slot's fd was closed,
+   and the kernel may have handed its number to another worker's pipe. *)
+let worker_on st fd = Array.find_opt (fun w -> live w && w.w_fd = fd) st.workers
 
 (* Put [job] back at the head of the queue, ahead of every request that
    arrived after it. *)
@@ -224,19 +252,42 @@ let respawn st w =
   st.dead_fds <- w.w_fd :: st.dead_fds;
   (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
   (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
-  log "fleet worker %d (pid %d) died; respawning" w.w_index w.w_pid;
-  (* the in-flight request is re-queued at the front: a worker death
-     never drops a response *)
-  Option.iter (requeue_front st) w.w_job;
+  (match w.w_job with
+  | None -> w.w_idle_deaths <- w.w_idle_deaths + 1
+  | Some ((tag, _) as job) ->
+      let deaths = 1 + Option.value ~default:0 (List.assoc_opt tag st.job_deaths) in
+      if deaths < max_deaths then begin
+        (* re-queued at the front: one death never drops a response *)
+        st.job_deaths <- (tag, deaths) :: List.remove_assoc tag st.job_deaths;
+        requeue_front st job
+      end
+      else
+        deliver st tag
+          (Driver.error_response
+             (Printf.sprintf "worker died %d times running this request" deaths)));
   w.w_job <- None;
-  let other_fds =
-    Array.to_list st.workers
-    |> List.filter_map (fun o -> if o.w_index = w.w_index then None else Some o.w_fd)
-  in
-  let pid, fd = fork_worker st.cfg ~index:w.w_index ~other_fds ~listen_fd:st.listen_fd in
-  w.w_pid <- pid;
-  w.w_fd <- fd;
-  w.w_reader <- Protocol.Reader.create ()
+  if live w then begin
+    log "fleet worker %d (pid %d) died; respawning" w.w_index w.w_pid;
+    let other_fds =
+      Array.to_list st.workers
+      |> List.filter_map (fun o ->
+             if o.w_index = w.w_index || not (live o) then None else Some o.w_fd)
+    in
+    let pid, fd = fork_worker st.cfg ~index:w.w_index ~other_fds ~listen_fd:st.listen_fd in
+    w.w_pid <- pid;
+    w.w_fd <- fd;
+    w.w_reader <- Protocol.Reader.create ()
+  end
+  else begin
+    log "fleet worker %d (pid %d) died %d times in a row without a request; \
+         not respawning" w.w_index w.w_pid max_deaths;
+    if not (Array.exists live st.workers) then begin
+      Queue.iter
+        (fun (tag, _) -> deliver st tag (Driver.error_response no_worker_left))
+        st.pending;
+      Queue.clear st.pending
+    end
+  end
 
 (* The payload came in as a client frame, so it fits in one worker
    frame as it is. *)
@@ -299,6 +350,7 @@ let on_worker_readable st w =
         | `Frame response ->
             Option.iter (fun (tag, _) -> deliver st tag response) w.w_job;
             w.w_job <- None;
+            w.w_idle_deaths <- 0;
             drain ()
         | `More -> ()
         | `Oversized _ -> respawn st w
@@ -342,7 +394,7 @@ let serve cfg =
       let pid, fd = fork_worker cfg ~index:i ~other_fds ~listen_fd in
       acc :=
         { w_index = i; w_pid = pid; w_fd = fd;
-          w_reader = Protocol.Reader.create (); w_job = None }
+          w_reader = Protocol.Reader.create (); w_job = None; w_idle_deaths = 0 }
         :: !acc
     done;
     Array.of_list (List.rev !acc)
@@ -356,6 +408,7 @@ let serve cfg =
       tag_owner = [];
       next_tag = 0;
       pending = Queue.create ();
+      job_deaths = [];
       stop = false;
       dead_fds = [];
     }
@@ -372,7 +425,11 @@ let serve cfg =
   while running () do
     st.dead_fds <- [];
     let client_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) st.clients [] in
-    let worker_fds = Array.to_list (Array.map (fun w -> w.w_fd) st.workers) in
+    let worker_fds =
+      List.filter_map
+        (fun w -> if live w then Some w.w_fd else None)
+        (Array.to_list st.workers)
+    in
     let readable =
       match
         Unix.select (st.listen_fd :: (client_fds @ worker_fds)) [] []
@@ -399,18 +456,20 @@ let serve cfg =
         if fd <> st.listen_fd && not (List.memq fd st.dead_fds) then
           if Hashtbl.mem st.clients fd then on_client_readable st fd
           else
-            match Array.find_opt (fun w -> w.w_fd = fd) st.workers with
+            match worker_on st fd with
             | Some w -> on_worker_readable st w
             | None -> ())
       readable;
     dispatch_ready st
   done;
-  (* graceful teardown: close the worker pipes (workers see EOF and
-     exit), reap, unlink the socket *)
+  (* graceful teardown: close the live workers' pipes (workers see EOF
+     and exit), reap, unlink the socket *)
   Array.iter
     (fun w ->
-      (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
+      if live w then begin
+        (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
+      end)
     st.workers;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) st.clients;
   (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());

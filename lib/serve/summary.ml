@@ -112,15 +112,14 @@ let lint_json_of findings =
 (* ------------------------------------------------------------------ *)
 (* Model-check rollup                                                  *)
 
-(* Execs arrive in DAG insertion order (root, then shards in index
-   order), so the folded rollup — and with it every stdout line — is
-   byte-identical at any job count and cache state. *)
+(* The phase is one obligation, or none when the plan has no model
+   check: the empty log rolls up to zeros. *)
 let mc_rollup execs =
   Mc.Explore.rollup
-    (List.map
-       (fun (e : Engine.Pool.exec) ->
-         Mc.Explore.parse_log e.outcome.Engine.Obligation.log)
-       (of_phase execs "model-check"))
+    (Mc.Explore.parse_log
+       (match of_phase execs "model-check" with
+       | [ e ] -> e.outcome.Engine.Obligation.log
+       | _ -> ""))
 
 let model_check_json model_check execs =
   match model_check with

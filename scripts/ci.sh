@@ -51,7 +51,10 @@
 # and requires every response byte-identical to a one-shot run of the
 # same flags, the warm path to re-execute nothing, and the killed
 # worker respawned without a dropped response; a --fleet below 1 must
-# be refused.  The throughput gate holds BENCH_serve.json to >= 1000
+# be refused; and a daemon whose workers all die at start-up (its
+# --cache sits under a regular file) must answer a client with an
+# error instead of respawning them for ever.  The throughput gate
+# holds BENCH_serve.json to >= 1000
 # warm responses/s from the 4-process fleet, with fleet scaling judged
 # against the cores the machine actually has.
 set -eu
@@ -195,8 +198,8 @@ echo "ci: chaos smoke ok ($injected faults injected, verdicts identical, 0 dropp
 # Exhaustive bounded exploration must be as deterministic as the rest
 # of the pass: the phase-11 output (states explored, transitions,
 # violations) is diffed byte-for-byte across jobs=1, a cold cache at
-# jobs=4 and the warm cache at jobs=2, and the warm run must re-execute
-# zero model-check shards.  On the clean seed the checker must report
+# jobs=4 and the warm cache at jobs=2, and the warm run must not
+# re-execute the model-check obligation.  On the clean seed the checker must report
 # zero violations over every reachable state; under --buggy-tlb it must
 # rediscover the planted stale-TLB bug exhaustively and shrink the
 # counterexample to its known four-event witness.
@@ -335,7 +338,31 @@ else
 fi
 grep -q -- '--fleet' "$workdir/fleet0.err" || {
   echo "ci: --fleet 0 refusal does not name --fleet" >&2; exit 1; }
-echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 5 configs, warm path executed 0, killed worker respawned, --fleet 0 refused)"
+# every worker dies in Cache.create when --cache sits under a regular
+# file: respawning is bounded, so the client gets an error (exit 2)
+# instead of waiting for ever, and the daemon still shuts down
+: > "$workdir/not-a-dir"
+dsock="$workdir/dying.sock"
+"$exe" --serve "$dsock" --fleet 2 --cache "$workdir/not-a-dir/cache" \
+  2> "$workdir/dying.err" &
+dying_pid=$!
+i=0
+while [ "$i" -lt 100 ] && ! [ -S "$dsock" ]; do sleep 0.1; i=$((i + 1)); done
+[ -S "$dsock" ] || { echo "ci: dying-worker daemon did not come up" >&2; exit 1; }
+if timeout 60 "$exe" --client "$dsock" --quick > /dev/null 2> "$workdir/dying-client.err"
+then
+  echo "ci: a daemon whose workers all die answered a verdict" >&2; exit 1
+else
+  rc=$?
+  [ "$rc" -eq 2 ] || {
+    echo "ci: client of a daemon whose workers all die exited $rc, not 2" >&2; exit 1; }
+fi
+grep -q 'daemon error:' "$workdir/dying-client.err" || {
+  echo "ci: client of a daemon whose workers all die printed no daemon error" >&2
+  exit 1; }
+kill "$dying_pid"
+wait "$dying_pid" 2> /dev/null || true
+echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 5 configs, warm path executed 0, killed worker respawned, --fleet 0 refused, dying workers answered with an error)"
 
 # scaling benchmarks, uploaded as workflow artifacts
 dune exec bench/engine_bench.exe -- --quick --out BENCH_engine.json > /dev/null

@@ -331,31 +331,35 @@ let test_first_use_alias_race () =
   Alcotest.(check string) "second domain" expected (text m2);
   Alcotest.(check bool) "one shared map" true (m1 == m2)
 
-(* The model checker explores the request's [mc_layout], whatever the
-   plan's layout: one request gives the same obligations on a tiny and
-   an x86_64 plan, and another mc layout gives other fingerprints. *)
-let test_mc_explores_mc_layout () =
-  let tiny3 =
-    match
-      Geometry.make ~levels:3 ~index_bits:2 ~fb_present:0 ~fb_write:1 ~fb_user:2
-        ~fb_huge:3
-    with
-    | Ok g -> Layout.default g
-    | Error msg -> Alcotest.fail msg
+let tiny3 =
+  match
+    Geometry.make ~levels:3 ~index_bits:2 ~fb_present:0 ~fb_write:1 ~fb_user:2
+      ~fb_huge:3
+  with
+  | Ok g -> Layout.default g
+  | Error msg -> failwith msg
+
+let mc_obligations_of req ~plan_layout =
+  let p =
+    Plan.build ~quick:true ~security:false ~lints:[] ~model_check:req ~seed:2024
+      plan_layout
   in
+  List.filter
+    (fun (o : Obligation.t) -> o.phase = "model-check")
+    (Dag.obligations p.Plan.dag)
+
+(* The model checker explores the request's [mc_layout], whatever the
+   plan's layout: one request gives the same obligation on a tiny and
+   an x86_64 plan, and another mc layout gives another fingerprint. *)
+let test_mc_explores_mc_layout () =
   let keys ~plan_layout mc_layout =
     let mc = { Plan.mc_depth = 3; mc_por = true; mc_flush = true; mc_layout } in
-    let p =
-      Plan.build ~quick:true ~security:false ~lints:[] ~model_check:mc ~seed:2024
-        plan_layout
-    in
-    List.filter_map
-      (fun (o : Obligation.t) ->
-        if o.phase = "model-check" then Some (o.id, o.fingerprint) else None)
-      (Dag.obligations p.Plan.dag)
+    List.map
+      (fun (o : Obligation.t) -> (o.id, o.fingerprint))
+      (mc_obligations_of mc ~plan_layout)
   in
   let tiny = keys ~plan_layout:layout layout in
-  Alcotest.(check int) "root and shards" 9 (List.length tiny);
+  Alcotest.(check int) "one obligation" 1 (List.length tiny);
   Alcotest.(check (list (pair string string)))
     "x86_64 plan" tiny
     (keys ~plan_layout:(Layout.default Geometry.x86_64) layout);
@@ -365,6 +369,39 @@ let test_mc_explores_mc_layout () =
     (fun (id, a) (_, b) ->
       Alcotest.(check bool) (id ^ ": tiny3 fingerprint differs") false (String.equal a b))
     tiny other
+
+(* Phase 11 is one obligation, and its outcome is one exploration of
+   the request's own config: tiny at depths 1-5 and tiny3 at depth 4,
+   on both monitors, with reduction on and off (at depth 5 on only, to
+   keep the test short). *)
+let test_mc_plan_is_one_exploration () =
+  let cases =
+    List.concat_map
+      (fun depth ->
+        List.map
+          (fun por -> ("tiny", layout, depth, por))
+          (if depth = 5 then [ true ] else [ true; false ]))
+      [ 1; 2; 3; 4; 5 ]
+    @ [ ("tiny3", tiny3, 4, true); ("tiny3", tiny3, 4, false) ]
+  in
+  List.iter
+    (fun flush ->
+      List.iter
+        (fun (geometry, mc_layout, depth, por) ->
+          let what =
+            Printf.sprintf "%s, depth %d, por=%b, flush=%b" geometry depth por flush
+          in
+          let req = { Plan.mc_depth = depth; mc_por = por; mc_flush = flush; mc_layout } in
+          match mc_obligations_of req ~plan_layout:layout with
+          | [ o ] ->
+              Alcotest.(check string) (what ^ ": the log of one exploration")
+                (Mc.Explore.to_log
+                   (Mc.Explore.run (Mc.Explore.config ~depth ~flush ~por mc_layout)))
+                (o.run ()).Obligation.log
+          | obls ->
+              Alcotest.failf "%s: %d model-check obligations" what (List.length obls))
+        cases)
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling determinism                                              *)
@@ -946,6 +983,8 @@ let () =
             test_first_use_alias_race;
           Alcotest.test_case "model check explores its own layout" `Quick
             test_mc_explores_mc_layout;
+          Alcotest.test_case "model check is one exploration" `Slow
+            test_mc_plan_is_one_exploration;
         ] );
       ( "pool",
         [

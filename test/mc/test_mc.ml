@@ -4,9 +4,9 @@
    semantics, POR soundness (same reachable states and the same
    violation set with and without reduction), rediscovery of the
    planted stale-TLB bug with its 4-event ddmin witness, determinism
-   of the serialized outcome, and shard-merge equivalence (the
-   engine's root + sharded-frontier decomposition reproduces the
-   monolithic exploration exactly). *)
+   and serialization of the outcome, and a plain reference BFS that
+   must reach the same states and the same invariant and
+   TLB-consistency violations as [Explore.run]. *)
 
 open Hyperenclave
 open Security
@@ -18,6 +18,49 @@ let layout = Layout.default Geometry.tiny
 
 let reachable =
   lazy (Check.Gen.states ~n:25 ~seed:2024 ~steps:18 layout)
+
+let exec ~flush st = function
+  | Chaos.Act a -> Transition.step ~flush st a
+  | Chaos.Inject f -> Fault.Inject.apply f st
+
+(* A reference explorer: plain breadth-first search, as in a textbook
+   invariant checker.  It keeps a list of visited states compared with
+   [State.equal], steps every universe event from every state of the
+   last level, and checks each new state's invariants and TLB
+   consistency.  No digest, no reduction, no shared successor rows: it
+   shares with [Explore.run] only the semantics it explores.  Returns
+   the visited states and the violations as (kind, state) pairs. *)
+let reference_explore ~depth ~flush layout =
+  let events = Mc.Universe.events layout in
+  let check st =
+    List.filter_map
+      (fun (kind, verdict) -> if Result.is_error verdict then Some (kind, st) else None)
+      [ ("invariant", Invariants.check st.State.mon);
+        ("tlb-consistency", Chaos.tlb_consistent st) ]
+  in
+  let visit (visited, next, found) st =
+    if List.exists (State.equal st) visited then (visited, next, found)
+    else (st :: visited, st :: next, check st @ found)
+  in
+  let rec level d (visited, last, found) =
+    if d = depth || last = [] then (List.rev visited, found)
+    else
+      let successors =
+        List.concat_map
+          (fun st ->
+            List.filter_map (fun ev -> Result.to_option (exec ~flush st ev)) events)
+          (List.rev last)
+      in
+      level (d + 1) (List.fold_left visit (visited, [], found) successors)
+  in
+  level 0 (visit ([], [], []) (State.boot layout))
+
+(* The reference's depth-5 runs on tiny, computed once for the two
+   tests that read them. *)
+let tiny_depth5 =
+  let run flush = lazy (reference_explore ~depth:5 ~flush layout) in
+  let correct = run true and buggy = run false in
+  fun flush -> Lazy.force (if flush then correct else buggy)
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization laws                                               *)
@@ -36,24 +79,48 @@ let test_canonicalize_idempotent () =
     (Lazy.force reachable)
 
 let test_equal_states_hash_equal () =
-  (* [State.equal] states must collide; canonically distinct traces
-     that reach equal states are produced by re-running the same
-     trace, and by the canonicalizer itself. *)
+  (* every state equals its canonical form and hashes like it: the
+     sampled states, and every state a plain BFS of tiny reaches in
+     five events on either monitor *)
   List.iter
     (fun (label, st) ->
-      let st' = Check.Gen.trace ~seed:0 ~steps:0 layout in
-      ignore st';
-      let copy = State_key.canonicalize st in
-      if State.equal st copy then
-        Alcotest.(check string)
-          (label ^ ": equal states hash equal")
-          (State_key.digest st) (State_key.digest copy))
-    (Lazy.force reachable);
+      let c = State_key.canonicalize st in
+      Alcotest.(check bool) (label ^ ": equals its canonical form") true
+        (State.equal st c);
+      Alcotest.(check string) (label ^ ": and hashes like it")
+        (State_key.digest st) (State_key.digest c))
+    (Lazy.force reachable
+    @ List.concat_map
+        (fun flush ->
+          List.mapi
+            (fun i st -> (Printf.sprintf "bfs state %d (flush=%b)" i flush, st))
+            (fst (tiny_depth5 flush)))
+        [ true; false ]);
   let a = Check.Gen.trace ~seed:7 ~steps:12 layout in
   let b = Check.Gen.trace ~seed:7 ~steps:12 layout in
   Alcotest.(check bool) "same trace reaches equal states" true (State.equal a b);
   Alcotest.(check string) "and they hash equal" (State_key.digest a)
     (State_key.digest b)
+
+(* A saved context of all zeros is what [State.saved_ctx] returns for a
+   principal that has none, so the two states are equal and share a key;
+   one nonzero register still tells them apart. *)
+let test_zero_context_equals_none () =
+  let st = State.boot layout in
+  let with_ctx regs =
+    { st with State.ctx = Principal.Map.add (Principal.Enclave 1) regs st.State.ctx }
+  in
+  let zero = with_ctx (State.zero_regs ()) in
+  Alcotest.(check bool) "zero context equals none" true (State.equal zero st);
+  Alcotest.(check bool) "and the other way round" true (State.equal st zero);
+  Alcotest.(check string) "same digest" (State_key.digest st) (State_key.digest zero);
+  let regs = State.zero_regs () in
+  regs.(2) <- Mir.Word.one;
+  let nonzero = with_ctx regs in
+  Alcotest.(check bool) "nonzero context differs" false (State.equal nonzero st);
+  Alcotest.(check bool) "from a zero one too" false (State.equal nonzero zero);
+  Alcotest.(check bool) "and hashes differently" false
+    (String.equal (State_key.digest nonzero) (State_key.digest st))
 
 let test_step_commutes_with_canonicalize () =
   (* canonicalize is semantics-preserving: stepping the canonicalized
@@ -83,10 +150,6 @@ let test_step_commutes_with_canonicalize () =
 
 (* ------------------------------------------------------------------ *)
 (* The commutation table against the dynamic semantics                 *)
-
-let exec ~flush st = function
-  | Chaos.Act a -> Transition.step ~flush st a
-  | Chaos.Inject f -> Fault.Inject.apply f st
 
 let test_commutation_table_sound () =
   (* for every pair the static table marks commuting, both orders
@@ -194,7 +257,7 @@ let test_buggy_rediscovers_stale_tlb () =
         (v.Explore.v_evals > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism and shard-merge equivalence                             *)
+(* Determinism and serialization                                       *)
 
 let test_outcome_deterministic () =
   let log () = Explore.to_log (Explore.run (Explore.config ~depth:4 ~flush:false layout)) in
@@ -247,63 +310,42 @@ let test_bug_hunt_pinned () =
            ("a2f91f0d22a58337650c1c6ff6352014", 10);
            ("b183c8ada199900c0b415a9c567d1a56", 10) ])
 
-let shard_index ~nshards key =
-  (* first byte of the hex digest, as the engine shards the frontier *)
-  int_of_string ("0x" ^ String.sub key 0 2) mod nshards
+(* ------------------------------------------------------------------ *)
+(* Explore.run against the reference explorer                          *)
 
-let test_shard_merge_equivalence () =
+let tiny3 =
+  match
+    Geometry.make ~levels:3 ~index_bits:2 ~fb_present:0 ~fb_write:1 ~fb_user:2
+      ~fb_huge:3
+  with
+  | Ok g -> Layout.default g
+  | Error msg -> failwith msg
+
+(* The reference visits each state once, and reaches exactly the states
+   and the invariant and TLB-consistency violations [Explore.run] does. *)
+let test_reference_explorer_agrees () =
+  let check ~what ~depth ~flush layout (states, found) =
+    let what = Printf.sprintf "%s, depth %d, flush=%b: %s" what depth flush in
+    let o = Explore.run (Explore.config ~depth ~flush layout) in
+    let digests = List.sort String.compare (List.map State_key.digest states) in
+    Alcotest.(check int) (what "no two states share a key") (List.length digests)
+      (List.length (List.sort_uniq String.compare digests));
+    Alcotest.(check (list string)) (what "same states") o.Explore.keys digests;
+    Alcotest.(check (list (pair string string)))
+      (what "same invariant and TLB-consistency violations")
+      (List.sort compare
+         (List.filter
+            (fun (kind, _) -> kind = "invariant" || kind = "tlb-consistency")
+            (List.map
+               (fun v -> (v.Explore.v_kind, v.Explore.v_state))
+               o.Explore.violations)))
+      (List.sort compare (List.map (fun (kind, st) -> (kind, State_key.digest st)) found))
+  in
   List.iter
     (fun flush ->
-      let mono = Explore.run (Explore.config ~depth:4 ~flush ~por:false layout) in
-      (* the engine's decomposition: a root exploration to depth 2
-         (reduction off, so the frontier is exact), then independent
-         shards of the frontier explored to the full depth *)
-      let cfg = Explore.config ~depth:2 ~flush ~por:false layout in
-      let root = Explore.run cfg in
-      let nshards = 4 in
-      let parts =
-        root
-        :: List.filter_map
-             (fun s ->
-               let roots =
-                 List.filter
-                   (fun it -> shard_index ~nshards (Explore.item_key it) = s)
-                   root.Explore.frontier
-               in
-               if roots = [] then None
-               else
-                 Some
-                   (Explore.run_from
-                      (Explore.config ~depth:4 ~flush layout)
-                      ~roots))
-             (List.init nshards Fun.id)
-      in
-      let rolled =
-        Explore.rollup
-          (List.map (fun o -> Explore.parse_log (Explore.to_log o)) parts)
-      in
-      let union =
-        List.sort_uniq String.compare
-          (List.concat_map (fun o -> o.Explore.keys) parts)
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "sharded union covers the state space (flush=%b)" flush)
-        (List.length mono.Explore.keys)
-        (List.length union);
-      Alcotest.(check (list string))
-        (Printf.sprintf "exactly (flush=%b)" flush)
-        mono.Explore.keys union;
-      Alcotest.(check int)
-        (Printf.sprintf "rollup agrees (flush=%b)" flush)
-        (List.length mono.Explore.keys)
-        rolled.Explore.r_states;
-      Alcotest.(check (list (pair string string)))
-        (Printf.sprintf "same violations (flush=%b)" flush)
-        (violation_ids mono)
-        (List.sort compare
-           (List.map
-              (fun v -> (v.Explore.p_kind, v.Explore.p_state))
-              rolled.Explore.r_violations)))
+      check ~what:"tiny" ~depth:4 ~flush layout (reference_explore ~depth:4 ~flush layout);
+      check ~what:"tiny3" ~depth:4 ~flush tiny3 (reference_explore ~depth:4 ~flush tiny3);
+      check ~what:"tiny" ~depth:5 ~flush layout (tiny_depth5 flush))
     [ true; false ]
 
 let test_log_roundtrip () =
@@ -324,7 +366,7 @@ let test_log_roundtrip () =
         (List.map Chaos.event_to_string v.Explore.v_witness)
         pv.Explore.p_witness)
     o.Explore.violations p.Explore.p_violations;
-  let r = Explore.rollup [ p ] in
+  let r = Explore.rollup p in
   match Explore.min_witness r with
   | Some 4 -> ()
   | Some n -> Alcotest.failf "min witness %d, wanted 4" n
@@ -339,6 +381,8 @@ let () =
             test_canonicalize_idempotent;
           Alcotest.test_case "equal states hash equal" `Quick
             test_equal_states_hash_equal;
+          Alcotest.test_case "zero saved context equals none" `Quick
+            test_zero_context_equals_none;
           Alcotest.test_case "step commutes with canonicalize" `Quick
             test_step_commutes_with_canonicalize;
         ] );
@@ -361,8 +405,8 @@ let () =
             test_outcome_deterministic;
           Alcotest.test_case "bug-hunt exploration pinned" `Slow
             test_bug_hunt_pinned;
-          Alcotest.test_case "shard merge equivalent" `Slow
-            test_shard_merge_equivalence;
+          Alcotest.test_case "reference explorer agrees" `Slow
+            test_reference_explorer_agrees;
           Alcotest.test_case "log roundtrip" `Slow test_log_roundtrip;
         ] );
     ]

@@ -7,7 +7,8 @@
    proof-cache sharing path (packs appearing mid-scan, advisory-locked
    concurrent flushes), the dispatcher's requeue order after a worker
    death, and daemons over a real Unix socket: end to end, a max-size
-   frame through the worker pipe, and concurrent distinct requests. *)
+   frame through the worker pipe, concurrent distinct requests, and
+   bounded respawns of workers that die at start-up. *)
 
 module Jsonx = Engine.Jsonx
 module Protocol = Serve.Protocol
@@ -423,7 +424,7 @@ let test_respawn_requeues_at_front () =
   let later = (1, {|{"op":"verify","geometry":"sparc"}|}) in
   let w =
     { Server.w_index = 0; w_pid = pid; w_fd = fd;
-      w_reader = Protocol.Reader.create (); w_job = Some victim }
+      w_reader = Protocol.Reader.create (); w_job = Some victim; w_idle_deaths = 0 }
   in
   let st =
     {
@@ -434,6 +435,7 @@ let test_respawn_requeues_at_front () =
       tag_owner = [];
       next_tag = 2;
       pending = Queue.create ();
+      job_deaths = [];
       stop = false;
       dead_fds = [];
     }
@@ -458,6 +460,66 @@ let test_respawn_requeues_at_front () =
   Unix.close w.Server.w_fd;
   ignore (Unix.waitpid [] w.Server.w_pid);
   Unix.close listen_fd
+
+(* A request whose workers died [max_deaths] times is answered with an
+   error instead of re-queued; a slot whose worker then dies that many
+   times in a row without a request is not respawned, and the request
+   still queued is answered with an error too. *)
+let test_respawn_bounded () =
+  let cfg =
+    { (Server.default_config ~socket:"unused") with Server.fleet = 1; prewarm = false }
+  in
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let client, client_peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
+  let victim = (0, {|{"op":"verify","geometry":"riscv"}|}) in
+  let later = (1, {|{"op":"verify","geometry":"sparc"}|}) in
+  let w =
+    { Server.w_index = 0; w_pid = pid; w_fd = fd;
+      w_reader = Protocol.Reader.create (); w_job = Some victim; w_idle_deaths = 0 }
+  in
+  let st =
+    {
+      Server.cfg;
+      listen_fd;
+      clients = Hashtbl.create 1;
+      workers = [| w |];
+      tag_owner = [ (0, client); (1, client) ];
+      next_tag = 2;
+      pending = Queue.create ();
+      job_deaths = [ (0, Server.max_deaths - 1) ];
+      stop = false;
+      dead_fds = [];
+    }
+  in
+  Queue.add later st.Server.pending;
+  let error_answer what =
+    match Protocol.read_frame client_peer with
+    | Ok (Some r) ->
+        Option.value ~default:""
+          (Option.bind (Jsonx.member "error" (parse_response r)) Jsonx.to_string_opt)
+    | Ok None | Error _ -> Alcotest.failf "%s: no answer" what
+  in
+  Unix.kill pid Sys.sigkill;
+  Server.on_worker_readable st w;
+  Alcotest.(check string) "the victim is answered with an error"
+    (Printf.sprintf "worker died %d times running this request" Server.max_deaths)
+    (error_answer "victim");
+  Alcotest.(check (list (pair int string))) "and not re-queued" [ later ]
+    (List.of_seq (Queue.to_seq st.Server.pending));
+  Alcotest.(check bool) "its worker is respawned" true
+    (Server.live w && w.Server.w_pid <> pid);
+  for _ = 1 to Server.max_deaths do
+    Unix.kill w.Server.w_pid Sys.sigkill;
+    Server.on_worker_readable st w
+  done;
+  Alcotest.(check bool) "the slot is left empty" false (Server.live w);
+  Alcotest.(check bool) "and its closed fd number maps to no worker" true
+    (Server.worker_on st w.Server.w_fd = None);
+  Alcotest.(check string) "the queued request is answered with an error"
+    Server.no_worker_left (error_answer "later");
+  Alcotest.(check int) "and the queue is empty" 0 (Queue.length st.Server.pending);
+  List.iter Unix.close [ client; client_peer; listen_fd ]
 
 (* ------------------------------------------------------------------ *)
 (* Daemons over a Unix socket                                          *)
@@ -553,6 +615,70 @@ let test_daemon_end_to_end () =
           | Ok None | Error _ -> Alcotest.fail "expected an error response");
           Unix.close fd);
       Alcotest.(check bool) "daemon still answers pings" true (Client.ping ~socket))
+
+(* Workers that die at start-up are respawned a bounded number of
+   times.  Here every worker's [Cache.create] fails, because the cache
+   directory sits under a regular file: the daemon still answers a
+   request, with an error, within the deadline; its log holds a bounded
+   number of respawns; and shutdown returns. *)
+let test_daemon_dying_workers () =
+  List.iter
+    (fun fleet ->
+      let what = Printf.sprintf "fleet %d: %s" fleet in
+      let file = fresh_dir () and log = fresh_dir () ^ ".log" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc "not a directory");
+      let socket = fresh_dir () ^ ".sock" in
+      let cfg =
+        { (daemon_config ~socket ~fleet) with
+          Server.cache_dir = Some (Filename.concat file "sub") }
+      in
+      match Unix.fork () with
+      | 0 ->
+          let fd = Unix.openfile log [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+          Unix.dup2 fd Unix.stderr;
+          (try Server.serve cfg with _ -> Unix._exit 1);
+          Unix._exit 0
+      | pid ->
+          Alcotest.(check bool) (what "daemon ready") true (Client.wait_ready ~socket ());
+          (match Client.connect socket with
+          | Error msg -> Alcotest.fail msg
+          | Ok fd ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+              Protocol.write_frame fd {|{"op":"verify","quick":true}|};
+              (match Protocol.read_frame fd with
+              | Ok (Some r) ->
+                  Alcotest.(check bool) (what "answered with an error") true
+                    (refused (parse_response r))
+              | Ok None | Error _ -> Alcotest.fail (what "connection closed unanswered")
+              | exception Unix.Unix_error _ ->
+                  Alcotest.fail (what "no answer within 30 s"));
+              Unix.close fd);
+          ignore (Client.shutdown ~socket);
+          let deadline = Unix.gettimeofday () +. 30.0 in
+          let rec wait () =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ when Unix.gettimeofday () > deadline ->
+                Unix.kill pid Sys.sigkill;
+                ignore (Unix.waitpid [] pid);
+                Alcotest.fail (what "shutdown did not return")
+            | 0, _ ->
+                Unix.sleepf 0.02;
+                wait ()
+            | _ -> ()
+          in
+          wait ();
+          let respawns =
+            In_channel.with_open_bin log In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun line ->
+                   String.ends_with ~suffix:"died; respawning" line)
+            |> List.length
+          in
+          if respawns > Server.max_deaths * (fleet + 1) then
+            Alcotest.failf "fleet %d: %d respawns (bound %d)" fleet respawns
+              (Server.max_deaths * (fleet + 1));
+          List.iter Sys.remove [ file; log ])
+    [ 1; 2 ]
 
 (* A request of exactly max_frame bytes crosses the dispatcher→worker
    pipe as it came: it is valid JSON naming an unknown geometry, so the
@@ -814,6 +940,7 @@ let () =
         [
           Alcotest.test_case "respawn requeues at the front" `Quick
             test_respawn_requeues_at_front;
+          Alcotest.test_case "respawns are bounded" `Quick test_respawn_bounded;
         ] );
       ( "daemon",
         [
@@ -822,5 +949,7 @@ let () =
             test_daemon_max_size_frame;
           Alcotest.test_case "concurrent distinct requests" `Slow
             test_daemon_concurrent_distinct;
+          Alcotest.test_case "workers dying at start-up" `Slow
+            test_daemon_dying_workers;
         ] );
     ]
