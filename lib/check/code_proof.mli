@@ -88,6 +88,13 @@ val run_function_composed : ctx -> string -> (string * Mirverif.Report.t) option
     obligation outcomes and falls back to {!run_function} while the
     gate is closed (e.g. a quarantined callee under engine chaos). *)
 
+val composed_for : ctx -> string -> Hyperenclave.Absdata.t Mir.Compile.t
+(** The layer's override-composed environment, the one
+    {!run_function_composed} runs against: every spec-owned function of
+    the layer linked as its installed contract (or as its body, if its
+    refinement was refused).  Built on first use under the ctx's mutex
+    and kept until a {!refine_contract} of the layer. *)
+
 val run_function_interp : ctx -> string -> (string * Mirverif.Report.t) option
 (** The same battery under the reference {!Mir.Interp} semantics
     instead of the compiled executor.  The engine's degradation ladder:

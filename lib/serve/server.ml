@@ -100,9 +100,11 @@ let fork_worker cfg ~index ~other_fds ~listen_fd =
   let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with
   | 0 ->
-      (* child: drop every dispatcher-side fd, restore default signal
-         dispositions, serve requests until EOF.  [_exit] skips at_exit
-         handlers inherited from the parent binary. *)
+      (* child: drop every dispatcher-side fd ([other_fds]: the other
+         workers' pipes and, on a respawn, the clients' sockets),
+         restore default signal dispositions, serve requests until EOF.
+         [_exit] skips at_exit handlers inherited from the parent
+         binary. *)
       Unix.close parent_fd;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) other_fds;
@@ -268,10 +270,13 @@ let respawn st w =
   w.w_job <- None;
   if live w then begin
     log "fleet worker %d (pid %d) died; respawning" w.w_index w.w_pid;
+    (* the replacement must not hold the clients' sockets: a client the
+       dispatcher drops would otherwise never see EOF *)
     let other_fds =
       Array.to_list st.workers
       |> List.filter_map (fun o ->
              if o.w_index = w.w_index || not (live o) then None else Some o.w_fd)
+      |> Hashtbl.fold (fun fd _ acc -> fd :: acc) st.clients
     in
     let pid, fd = fork_worker st.cfg ~index:w.w_index ~other_fds ~listen_fd:st.listen_fd in
     w.w_pid <- pid;
@@ -437,7 +442,6 @@ let serve cfg =
       with
       | r, _, _ -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-      | exception Unix.Unix_error (Unix.EBADF, _, _) -> []
     in
     if List.mem st.listen_fd readable then begin
       match Unix.accept st.listen_fd with

@@ -1,6 +1,8 @@
 #!/bin/sh
 # CI gate: full build, the test suites, the benchmark smoke, a
-# deterministic chaos smoke, and the engine determinism/cache gate.
+# deterministic chaos smoke, the engine determinism/cache, override,
+# static-analysis, engine-chaos, model-checking and serving gates, and
+# last the pool scaling check.
 #
 # The benchmark smoke runs every end-to-end workload of
 # bench/e2e (BENCHMARK.json) with n = 3 and checks every verdict, so a
@@ -53,10 +55,13 @@
 # worker respawned without a dropped response; a --fleet below 1 must
 # be refused; and a daemon whose workers all die at start-up (its
 # --cache sits under a regular file) must answer a client with an
-# error instead of respawning them for ever.  The throughput gate
-# holds BENCH_serve.json to >= 1000
-# warm responses/s from the 4-process fleet, with fleet scaling judged
-# against the cores the machine actually has.
+# error instead of respawning them for ever.
+#
+# The scaling check runs last: jobs=4 must finish the quick plan within
+# jobs=1 plus 25 %.  It is the one timing bound left here, checked by
+# the program itself, and a noisy host failing it cannot hide a
+# failure of a deterministic gate above.  Every other performance
+# number is measured end to end by bench/e2e (BENCHMARK.json).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -105,14 +110,16 @@ echo "ci: engine output identical across jobs 1/4 and warm cache"
 # pins the alias-certification path: a fact-free contract refinement
 # certifies and installs, while a points_to override whose frame
 # overlaps a caller-retained path is refused and the caller's composed
-# run stays byte-identical to the monolithic verdict.
+# run stays byte-identical to the monolithic verdict.  It also counts
+# the override cost: on tiny and x86_64, no function's composed
+# battery executes more MIR steps than its monolithic one.
 dune exec bin/hyperenclave_verify.exe -- \
   --quick --seed 2024 --jobs 1 --no-overrides > "$workdir/mono.out"
 diff "$workdir/serial.out" "$workdir/mono.out" || {
   echo "ci: override-composed verdicts differ from monolithic" >&2; exit 1; }
 dune exec test/engine/test_engine.exe -- test overrides > /dev/null || {
-  echo "ci: override gate/fingerprint unit group failed" >&2; exit 1; }
-echo "ci: override gate ok (verdicts invariant)"
+  echo "ci: override gate/fingerprint/step-count unit group failed" >&2; exit 1; }
+echo "ci: override gate ok (verdicts invariant, composed batteries run no more MIR steps)"
 
 hits=$(sed -n 's/^  "cache_hits": *\([0-9][0-9]*\).*/\1/p' "$workdir/warm.json")
 [ -n "$hits" ] && [ "$hits" -gt 0 ] || {
@@ -364,94 +371,11 @@ kill "$dying_pid"
 wait "$dying_pid" 2> /dev/null || true
 echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 5 configs, warm path executed 0, killed worker respawned, --fleet 0 refused, dying workers answered with an error)"
 
-# scaling benchmarks, uploaded as workflow artifacts
-dune exec bench/engine_bench.exe -- --quick --out BENCH_engine.json > /dev/null
-echo "ci: wrote BENCH_engine.json"
-dune exec bench/analysis_bench.exe -- --out BENCH_analysis.json > /dev/null
-echo "ci: wrote BENCH_analysis.json"
-dune exec bench/supervisor_bench.exe -- --quick --out BENCH_supervisor.json > /dev/null
-echo "ci: wrote BENCH_supervisor.json"
-dune exec bench/mc_bench.exe -- --quick --out BENCH_mc.json > /dev/null
-echo "ci: wrote BENCH_mc.json"
-dune exec bench/serve_bench.exe -- --out BENCH_serve.json > /dev/null
-echo "ci: wrote BENCH_serve.json"
-
-# --- serving throughput gate ----------------------------------------
-# The 4-process fleet must sustain >= 1000 warm responses/s through the
-# full wire path (framing, dispatch to an idle worker, L0 replay,
-# response delivery).  Fleet scaling on execute-bound work (distinct
-# never-seen requests) is measured honestly against the cores this
-# machine actually has: below 4 cores, 4 workers cannot multiply
-# wall-clock — the gate then only rejects pathological slowdowns and
-# records the single-core ratio; on >= 4 cores it demands the 2.5x.
-s_cores=$(sed -n 's/.*"cores": \([0-9]*\),.*/\1/p' BENCH_serve.json)
-s_f4rps=$(sed -n 's/.*"fleet": 4,.*"warm_rps": \([0-9.eE+-]*\),.*/\1/p' BENCH_serve.json | head -1)
-s_scale=$(sed -n 's/.*"fleet4_vs_fleet1_distinct_cold": \([0-9.eE+-]*\),.*/\1/p' BENCH_serve.json)
-[ -n "$s_cores" ] && [ -n "$s_f4rps" ] && [ -n "$s_scale" ] || {
-  echo "ci: BENCH_serve.json missing fleet points" >&2; exit 1; }
-awk -v r="$s_f4rps" 'BEGIN { exit !(r >= 1000) }' || {
-  echo "ci: fleet-4 warm throughput ${s_f4rps} req/s below the 1000 req/s bar" >&2
-  exit 1; }
-if [ "$s_cores" -ge 4 ]; then
-  awk -v s="$s_scale" 'BEGIN { exit !(s >= 2.5) }' || {
-    echo "ci: fleet-4 execute-bound scaling ${s_scale}x below 2.5x on $s_cores cores" >&2
-    exit 1; }
-else
-  awk -v s="$s_scale" 'BEGIN { exit !(s >= 0.6) }' || {
-    echo "ci: fleet-4 pathologically slower than fleet-1 (${s_scale}x) even for $s_cores core(s)" >&2
-    exit 1; }
-fi
-echo "ci: serve throughput gate ok (fleet-4 warm ${s_f4rps} req/s, execute-bound f4/f1 ${s_scale}x on ${s_cores} core(s))"
-
-# --- scaling gate ---------------------------------------------------
-# Adding workers must never cost wall-clock: jobs=4 has to finish within
-# jobs=1 plus measurement headroom (25%).  The old pool lost 4-5x here
-# (per-completion broadcasts + domains oversubscribing the hardware);
-# this pins the fix.
-jobs_wall() {
-  sed -n 's/.*"jobs": '"$1"', "wall_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_engine.json
-}
-jobs_speedup() {
-  sed -n 's/.*"jobs": '"$1"',.*"speedup": \([0-9.eE+-]*\).*/\1/p' BENCH_engine.json
-}
-w1=$(jobs_wall 1); w4=$(jobs_wall 4)
-[ -n "$w1" ] && [ -n "$w4" ] || {
-  echo "ci: missing jobs points in BENCH_engine.json" >&2; exit 1; }
-awk -v w1="$w1" -v w4="$w4" 'BEGIN { exit !(w4 <= w1 * 1.25) }' || {
-  echo "ci: jobs=4 wall ${w4}s exceeds jobs=1 wall ${w1}s + 25% headroom" >&2
-  exit 1; }
-echo "ci: scaling gate ok (jobs=1 ${w1}s, jobs=4 ${w4}s)"
-
-# --- override cost gate ---------------------------------------------
-# Stubbing proven callees with their contracts must never cost cold
-# wall-clock: the composed code-proof pass has to finish within the
-# monolithic pass plus measurement headroom (10%; both walls are the
-# best of 20 interleaved rounds).  The per-function ratio on the deepest
-# call tree is reported alongside as the headline compositional win.
-ov_on=$(sed -n 's/.*"override_on_code_proof_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_engine.json)
-ov_off=$(sed -n 's/.*"override_off_code_proof_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_engine.json)
-ov_sp=$(sed -n 's/.*"override_speedup": \([0-9.eE+-]*\),.*/\1/p' BENCH_engine.json)
-ov_deep=$(sed -n 's/.*"override_deepest_speedup": \([0-9.eE+-]*\).*/\1/p' BENCH_engine.json)
-[ -n "$ov_on" ] && [ -n "$ov_off" ] || {
-  echo "ci: BENCH_engine.json missing override walls" >&2; exit 1; }
-awk -v on="$ov_on" -v off="$ov_off" 'BEGIN { exit !(on <= off * 1.10) }' || {
-  echo "ci: override-on code proofs ${ov_on}s exceed override-off ${ov_off}s + 10% headroom" >&2
-  exit 1; }
-echo "ci: override cost gate ok (on ${ov_on}s vs off ${ov_off}s, deepest tree ${ov_deep}x)"
-
-# --- bench trajectory -----------------------------------------------
-# One summary line per CI run, appended so regressions are visible as a
-# series, not a point (kept as a workflow artifact alongside the JSON).
-cold=$(sed -n 's/.*"cold_wall_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_engine.json)
-warm=$(sed -n 's/.*"warm_speedup": \([0-9.eE+-]*\),.*/\1/p' BENCH_engine.json)
-mcrate=$(sed -n 's/.*"states_per_sec": \([0-9.eE+-]*\),.*/\1/p' BENCH_mc.json)
-bw_wall=$(sed -n 's/.*"borrow": {"wall_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_analysis.json)
-al_wall=$(sed -n 's/.*"alias": {"wall_s": \([0-9.eE+-]*\),.*/\1/p' BENCH_analysis.json)
-printf '%s cold_wall_s=%s warm_speedup=%s jobs2_speedup=%s jobs4_speedup=%s mc_states_per_sec=%s override_speedup=%s borrow_wall_s=%s alias_wall_s=%s serve_warm_rps_fleet4=%s serve_f4_vs_f1_cold=%s serve_cores=%s\n' \
-  "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$cold" "$warm" \
-  "$(jobs_speedup 2)" "$(jobs_speedup 4)" "$mcrate" "$ov_sp" \
-  "$bw_wall" "$al_wall" \
-  "$s_f4rps" "$s_scale" "$s_cores" >> BENCH_trajectory.log
-echo "ci: appended $(tail -1 BENCH_trajectory.log | cut -d' ' -f2-) to BENCH_trajectory.log"
+# --- scaling check --------------------------------------------------
+# Adding workers must never cost wall-clock: best of two runs each,
+# jobs=4 within jobs=1 plus 25 %.  The program checks its own bound and
+# exits non-zero.  That the pool clamps its domains to the hardware is
+# a test in test/engine ('pool' group).
+dune exec bench/scaling_check.exe
 
 echo "ci: all green"

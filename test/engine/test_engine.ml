@@ -421,6 +421,21 @@ let test_jobs_invariant_reports () =
   let r4 = render (Pool.run ~oversubscribe:true ~jobs:4 plan.Plan.dag) in
   Alcotest.(check string) "jobs=1 and jobs=4 produce identical reports" r1 r4
 
+(* the pool never runs more domains than the hardware has, unless told
+   to oversubscribe; jobs=1 runs inline on the calling domain *)
+let test_pool_clamps_to_cores () =
+  let workers jobs =
+    List.sort_uniq compare
+      (List.map (fun (e : Pool.exec) -> e.Pool.worker) (Pool.run ~jobs plan.Plan.dag))
+  in
+  let cores = Domain.recommended_domain_count () in
+  List.iter
+    (fun w ->
+      if w >= cores then
+        Alcotest.failf "jobs=%d ran worker %d on %d cores" (cores + 2) w cores)
+    (workers (cores + 2));
+  Alcotest.(check (list int)) "jobs=1 runs only worker 0" [ 0 ] (workers 1)
+
 let test_stream_seed_deterministic () =
   Alcotest.(check int) "same tag, same stream"
     (Plan.stream_seed ~seed:7 "refine/shard-00")
@@ -898,6 +913,58 @@ let test_certify_frames_disjoint () =
       Alcotest.(check bool) ("unexpected refusal: " ^ e) true
         (contains e "inexact")
 
+(* override cost, counted: stubbing proven same-layer callees with
+   their contracts never makes a battery execute more MIR steps than
+   running their bodies.  Both sides run the engine's own linkage
+   ([Layers.compiled_for] and [Code_proof.composed_for]) over the cases
+   the battery executes (those where the spec is defined); the OCaml
+   cost of evaluating a contract is not a MIR step, so this counts the
+   code the composition skips, not its wall-clock *)
+let test_override_steps_never_grow () =
+  List.iter
+    (fun (gname, geometry) ->
+      let layout = Layout.default geometry in
+      let ctx = Check.Code_proof.ctx ~seed:2024 layout in
+      let battery_steps cenv (c : Absdata.t Mirverif.Refine.check) =
+        List.fold_left
+          (fun acc (cs : Absdata.t Mirverif.Refine.case) ->
+            let spec_args = Option.value ~default:cs.args cs.spec_args in
+            match Mirverif.Spec.apply c.spec cs.abs spec_args with
+            | Error _ -> acc
+            | Ok _ -> (
+                match
+                  Mir.Compile.call ~fuel:c.fuel cenv ~abs:cs.abs ~mem:cs.mem c.fn
+                    cs.args
+                with
+                | Ok o -> acc + o.Mir.Interp.steps
+                | Error e ->
+                    Alcotest.failf "%s: a battery case faulted: %s" c.fn
+                      (Mir.Interp.error_to_string e)))
+          0 c.cases
+      in
+      let composed, monolithic =
+        List.fold_left
+          (fun (comp_total, mono_total) fn ->
+            match Check.Code_proof.check_function ctx fn with
+            | None -> (comp_total, mono_total)
+            | Some (lname, c) ->
+                let mono = battery_steps (Layers.compiled_for layout ~layer:lname) c in
+                let comp = battery_steps (Check.Code_proof.composed_for ctx lname) c in
+                if comp > mono then
+                  Alcotest.failf "%s (%s): composed battery runs %d MIR steps, \
+                                  monolithic %d"
+                    fn gname comp mono;
+                (comp_total + comp, mono_total + mono))
+          (0, 0)
+          (List.filter
+             (fun fn -> Layers.same_layer_callees layout fn <> [])
+             (List.concat_map (Layers.functions_of_layer layout) Mem_spec.layer_names))
+      in
+      Alcotest.(check bool)
+        (gname ^ ": composition skips callee bodies")
+        true (composed < monolithic))
+    [ ("tiny", Geometry.tiny); ("x86_64", Geometry.x86_64) ]
+
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
 
@@ -991,6 +1058,7 @@ let () =
           Alcotest.test_case "jobs-invariant reports" `Quick test_jobs_invariant_reports;
           Alcotest.test_case "stream seeds" `Quick test_stream_seed_deterministic;
           Alcotest.test_case "crash isolation" `Quick test_pool_survives_crash;
+          Alcotest.test_case "domains clamped to cores" `Quick test_pool_clamps_to_cores;
         ] );
       ( "cache",
         [
@@ -1020,6 +1088,8 @@ let () =
             test_certify_frames_disjoint;
           Alcotest.test_case "fingerprints shrink to direct callees" `Quick
             test_override_fingerprints_shrink;
+          Alcotest.test_case "composed batteries run no more MIR steps" `Quick
+            test_override_steps_never_grow;
         ] );
       ( "clock",
         [

@@ -521,6 +521,53 @@ let test_respawn_bounded () =
   Alcotest.(check int) "and the queue is empty" 0 (Queue.length st.Server.pending);
   List.iter Unix.close [ client; client_peer; listen_fd ]
 
+(* A worker respawned while a client is connected must not inherit the
+   client's socket: once the dispatcher drops that client, the client
+   reads EOF even while the replacement worker lives. *)
+let test_respawn_closes_client_fds () =
+  let cfg =
+    { (Server.default_config ~socket:"unused") with Server.fleet = 1; prewarm = false }
+  in
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
+  let client, client_peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let w =
+    { Server.w_index = 0; w_pid = pid; w_fd = fd;
+      w_reader = Protocol.Reader.create (); w_job = None; w_idle_deaths = 0 }
+  in
+  let st =
+    {
+      Server.cfg;
+      listen_fd;
+      clients = Hashtbl.create 1;
+      workers = [| w |];
+      tag_owner = [];
+      next_tag = 0;
+      pending = Queue.create ();
+      job_deaths = [];
+      stop = false;
+      dead_fds = [];
+    }
+  in
+  Hashtbl.replace st.Server.clients client { Server.c_reader = Protocol.Reader.create () };
+  Unix.kill pid Sys.sigkill;
+  Server.on_worker_readable st w;
+  Alcotest.(check bool) "worker respawned" true (w.Server.w_pid <> pid);
+  (* an answered request shows the replacement is past its fd clean-up *)
+  Protocol.write_frame w.Server.w_fd {|{"op":"verify","geometry":"riscv"}|};
+  (match Protocol.read_frame w.Server.w_fd with
+  | Ok (Some _) -> ()
+  | Ok None | Error _ -> Alcotest.fail "replacement worker did not answer");
+  Server.forget_client st client;
+  Unix.set_nonblock client_peer;
+  (match Unix.read client_peer (Bytes.create 1) 0 1 with
+  | n -> Alcotest.(check int) "the dropped client reads EOF" 0 n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "the respawned worker holds the dropped client's socket");
+  Unix.close w.Server.w_fd;
+  ignore (Unix.waitpid [] w.Server.w_pid);
+  List.iter Unix.close [ client_peer; listen_fd ]
+
 (* ------------------------------------------------------------------ *)
 (* Daemons over a Unix socket                                          *)
 
@@ -941,6 +988,8 @@ let () =
           Alcotest.test_case "respawn requeues at the front" `Quick
             test_respawn_requeues_at_front;
           Alcotest.test_case "respawns are bounded" `Quick test_respawn_bounded;
+          Alcotest.test_case "respawn closes client sockets" `Quick
+            test_respawn_closes_client_fds;
         ] );
       ( "daemon",
         [
