@@ -112,7 +112,7 @@ let run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms =
         (Serve.Server.default_config ~socket) with
         Serve.Server.fleet;
         cache_dir;
-        jobs = max 1 jobs;
+        jobs;
         retries = max 0 retries;
         timeout_ms;
       }
@@ -235,7 +235,7 @@ let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
         Option.map
           (fun depth ->
             {
-              Serve.Driver.mc_depth = max 1 depth;
+              Serve.Driver.mc_depth = depth;
               mc_por;
               mc_geometry;
               mc_buggy_tlb = buggy_tlb;
@@ -279,14 +279,27 @@ let geometry =
 let seed = Arg.(value & opt int 2024 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
 let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller state budgets.")
 
+(* A count below 1 is a usage error naming the flag, before any phase
+   runs: zero chaos traces would pass vacuously, and a zero depth or job
+   count would silently run as 1. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "must be at least 1 (got %d)" n))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs =
   Arg.(
     value
-    & opt int (Domain.recommended_domain_count ())
+    & opt positive_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the obligation pool (default: the recommended \
-           domain count).  Results are byte-identical at any N.")
+          "Worker domains for the obligation pool, at least 1; the pool never \
+           runs more domains than the hardware has cores.  Results are \
+           byte-identical at any N.")
 
 let cache_dir =
   Arg.(
@@ -329,9 +342,11 @@ let chaos =
 
 let chaos_traces =
   Arg.(
-    value & opt int 10_000
+    value & opt positive_int 10_000
     & info [ "chaos-traces" ] ~docv:"N"
-        ~doc:"Randomized traces the chaos phase replays (--quick caps at 1000).")
+        ~doc:
+          "Randomized traces the chaos phase replays, at least 1 (--quick caps \
+           at 1000).")
 
 (* Parse-time validation, like --geometry's enum: an unknown name or
    group selector is a usage error before any phase runs, not a
@@ -427,12 +442,12 @@ let engine_faults =
 let mc_depth =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "model-check" ] ~docv:"DEPTH"
         ~doc:
           "Also run phase 11: exhaustively explore every interleaving of the \
-           hypercall/access/fault universe up to DEPTH events from boot on \
-           the --mc-geometry layout, deduplicating states by canonical key \
+           hypercall/access/fault universe up to DEPTH events (at least 1) \
+           from boot on the --mc-geometry layout, deduplicating states by canonical key \
            and checking invariants, TLB consistency, transactionality and \
            step-indistinguishability at every reachable state.  With \
            --buggy-tlb the phase passes only when the stale-TLB bug is \

@@ -18,118 +18,27 @@ type exec = {
 type stats = { respawns : int; lost_workers : int }
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing deques                                                *)
-
-(* Chase–Lev-shaped deque: the owner pushes and pops at the hot end
-   (LIFO, so freshly released dependents run while their inputs are
-   warm), thieves take from the cold end in batches of half.  A
-   per-deque mutex stands in for the full lock-free protocol — the
-   critical sections move a few words, the owner's lock is almost
-   always uncontended, and thieves only show up when they are out of
-   local work anyway. *)
-module Deque = struct
-  type t = {
-    mu : Mutex.t;
-    mutable buf : string array;
-    mutable head : int;  (* cold end: index of the oldest element *)
-    mutable len : int;
-  }
-
-  let create () = { mu = Mutex.create (); buf = Array.make 64 ""; head = 0; len = 0 }
-
-  let grow d =
-    let cap = Array.length d.buf in
-    let nb = Array.make (2 * cap) "" in
-    for i = 0 to d.len - 1 do
-      nb.(i) <- d.buf.((d.head + i) mod cap)
-    done;
-    d.buf <- nb;
-    d.head <- 0
-
-  (* owner: append a batch of newly ready ids under one lock *)
-  let push_batch d ids =
-    Mutex.lock d.mu;
-    List.iter
-      (fun id ->
-        if d.len = Array.length d.buf then grow d;
-        d.buf.((d.head + d.len) mod Array.length d.buf) <- id;
-        d.len <- d.len + 1)
-      ids;
-    Mutex.unlock d.mu
-
-  (* owner: newest element *)
-  let pop d =
-    Mutex.lock d.mu;
-    let r =
-      if d.len = 0 then None
-      else begin
-        d.len <- d.len - 1;
-        let i = (d.head + d.len) mod Array.length d.buf in
-        let id = d.buf.(i) in
-        d.buf.(i) <- "";
-        Some id
-      end
-    in
-    Mutex.unlock d.mu;
-    r
-
-  let length d =
-    Mutex.lock d.mu;
-    let n = d.len in
-    Mutex.unlock d.mu;
-    n
-
-  (* thief: the oldest half (rounded up), oldest first — batch dequeue
-     so a thief pays the lock once, not once per obligation *)
-  let steal_half d =
-    Mutex.lock d.mu;
-    let n = (d.len + 1) / 2 in
-    let cap = Array.length d.buf in
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      let j = (d.head + i) mod cap in
-      out := d.buf.(j) :: !out;
-      d.buf.(j) <- ""
-    done;
-    d.head <- (d.head + n) mod cap;
-    d.len <- d.len - n;
-    Mutex.unlock d.mu;
-    !out
-end
-
-(* ------------------------------------------------------------------ *)
 (* Scheduler                                                           *)
 
-(* Shared scheduler state.  Obligation flow is deque-local: a worker
-   pushes the dependents it releases onto its own deque and steals only
-   when empty-handed, so the single global lock of the old pool (and
-   its per-completion [Condition.broadcast] stampede) is gone.  The
-   [sleep_*] fields exist purely for parking idle workers: a producer
-   bumps [epoch] and signals at most as many sleepers as it published
-   surplus items; broadcast happens exactly once, at shutdown. *)
+(* One mutex guards every mutable field: the FIFO of ready ids, the
+   unmet-dependency counts, the published results and the worker
+   bookkeeping.  A worker holds it only to take an id and to publish a
+   result; the obligation itself runs outside it. *)
 type sched = {
   dag : Dag.t;
   cache : Cache.t option;
   sup : Supervisor.config;
-  deques : Deque.t array;
-  indeg : (string, int Atomic.t) Hashtbl.t;  (* pre-filled, then read-only structure *)
-  (* per-obligation publish flag: an obligation can execute twice when
-     a chaos kill lands between computing and publishing, but its
-     dependents are released and the completion counter bumped exactly
-     once — the CAS winner does the bookkeeping *)
-  done_flags : (string, bool Atomic.t) Hashtbl.t;
-  inflight : string option array;  (* what each worker is holding, for respawn re-push *)
-  completed : int Atomic.t;
+  mu : Mutex.t;
+  cond : Condition.t;
+  ready : string Queue.t;
+  indeg : (string, int ref) Hashtbl.t;  (* dependencies not yet published *)
+  results : (string, exec) Hashtbl.t;
   total : int;
-  lives : int Atomic.t;  (* remaining respawn budget, shared by all workers *)
-  alive : int Atomic.t;
-  respawned : int Atomic.t;
-  lost : int Atomic.t;
-  sleep_mu : Mutex.t;
-  sleep_cond : Condition.t;
-  mutable sleepers : int;  (* guarded by sleep_mu *)
-  mutable epoch : int;  (* guarded by sleep_mu; bumped when work appears *)
-  mutable shutdown : bool;  (* guarded by sleep_mu *)
+  mutable lives : int;  (* remaining respawn budget, shared by all workers *)
+  mutable alive : int;
+  mutable respawned : int;
+  mutable lost : int;
+  mutable stopped : bool;
   t0 : float;
 }
 
@@ -139,21 +48,20 @@ let crash_outcome (o : Obligation.t) reason =
     [ Mirverif.Report.add_failure (Mirverif.Report.empty o.Obligation.id) ~case:"exception" ~reason ]
 
 (* Quarantined outcomes describe this run's misfortune (a crash, a
-   blown deadline), not a property of the fingerprinted inputs, so
-   [cacheable] is false and they are never stashed — a warm run would
-   otherwise replay the failure forever.  Clean and fallback outcomes
-   are stashed as before. *)
-let execute sched (o : Obligation.t) =
+   blown deadline), not the fingerprinted inputs, so [cacheable] is
+   false and they are never stashed: a warm run would replay the
+   failure forever.  Clean and fallback outcomes are stashed. *)
+let execute s (o : Obligation.t) =
   let ((outcome, _, _) as result) =
-    match sched.cache with
+    match s.cache with
     | None ->
-        let r = Supervisor.supervise sched.sup o in
+        let r = Supervisor.supervise s.sup o in
         (r.Supervisor.outcome, Off, r.Supervisor.trail)
     | Some c -> (
         match Cache.find c o with
         | Some outcome -> (outcome, Hit, Supervisor.cached)
         | None ->
-            let r = Supervisor.supervise sched.sup o in
+            let r = Supervisor.supervise s.sup o in
             if r.Supervisor.cacheable then Cache.stash c o r.Supervisor.outcome;
             (r.Supervisor.outcome, Miss, r.Supervisor.trail))
   in
@@ -163,165 +71,100 @@ let execute sched (o : Obligation.t) =
   (match o.Obligation.on_outcome with None -> () | Some f -> f outcome);
   result
 
-let shutdown sched =
-  Mutex.lock sched.sleep_mu;
-  sched.shutdown <- true;
-  (* the pool's only broadcast *)
-  Condition.broadcast sched.sleep_cond;
-  Mutex.unlock sched.sleep_mu
+(* with [s.mu] held *)
+let stop s =
+  s.stopped <- true;
+  Condition.broadcast s.cond
 
-(* targeted wakeups: one signal per surplus item, never more than
-   there are sleepers to receive them *)
-let wake sched surplus =
-  if surplus > 0 then begin
-    Mutex.lock sched.sleep_mu;
-    sched.epoch <- sched.epoch + 1;
-    let n = min surplus sched.sleepers in
-    for _ = 1 to n do
-      Condition.signal sched.sleep_cond
-    done;
-    Mutex.unlock sched.sleep_mu
-  end
-
-(* own deque first, then steal half of someone else's *)
-let next_work sched wid =
-  match Deque.pop sched.deques.(wid) with
-  | Some id -> Some id
-  | None ->
-      let jobs = Array.length sched.deques in
-      let rec scan k =
-        if k >= jobs then None
+(* The next ready id, or [None] once the run is over.  A worker waits
+   only on an empty queue; some other worker then holds an obligation
+   whose publication releases more, or the run is over. *)
+let take s =
+  Mutex.protect s.mu (fun () ->
+      let rec next () =
+        if s.stopped then None
         else
-          match Deque.steal_half sched.deques.((wid + k) mod jobs) with
-          | [] -> scan (k + 1)
-          | id :: rest ->
-              Deque.push_batch sched.deques.(wid) rest;
-              Some id
+          match Queue.take_opt s.ready with
+          | Some id -> Some id
+          | None ->
+              Condition.wait s.cond s.mu;
+              next ()
       in
-      scan 1
+      next ())
 
-(* Park until work appears or the pool shuts down.  The epoch read
-   happens before the rescan, so a producer that publishes after the
-   scan necessarily bumps the epoch we compare against — no lost
-   wakeups. *)
-let rec obtain sched wid =
-  match next_work sched wid with
-  | Some id -> Some id
-  | None ->
-      Mutex.lock sched.sleep_mu;
-      if sched.shutdown then begin
-        Mutex.unlock sched.sleep_mu;
-        None
+(* Record the result and release each dependent whose last dependency
+   this was.  The publisher goes straight back to [take], so only the
+   released ids past the first need another worker woken. *)
+let publish s (e : exec) =
+  let id = e.obligation.Obligation.id in
+  Mutex.protect s.mu (fun () ->
+      Hashtbl.replace s.results id e;
+      let released = ref 0 in
+      List.iter
+        (fun d ->
+          let unmet = Hashtbl.find s.indeg d in
+          decr unmet;
+          if !unmet = 0 then begin
+            Queue.add d s.ready;
+            if !released > 0 then Condition.signal s.cond;
+            incr released
+          end)
+        (Dag.dependents_of s.dag id);
+      if Hashtbl.length s.results = s.total then stop s)
+
+(* A chaos kill lost [id] before it was published: put it back.  While
+   the shared respawn budget lasts the worker restarts in place ([true];
+   as good as a fresh domain, without paying for the spawn).  Past it
+   the worker stays dead and the survivors drain the queue; when the
+   last one dies the run stops. *)
+let requeue s id =
+  Mutex.protect s.mu (fun () ->
+      Queue.add id s.ready;
+      if s.lives > 0 then begin
+        s.lives <- s.lives - 1;
+        s.respawned <- s.respawned + 1;
+        true
       end
       else begin
-        let e = sched.epoch in
-        Mutex.unlock sched.sleep_mu;
-        match next_work sched wid with
-        | Some id -> Some id
-        | None ->
-            Mutex.lock sched.sleep_mu;
-            let rec wait () =
-              if sched.shutdown then begin
-                Mutex.unlock sched.sleep_mu;
-                None
-              end
-              else if sched.epoch <> e then begin
-                Mutex.unlock sched.sleep_mu;
-                obtain sched wid
-              end
-              else begin
-                sched.sleepers <- sched.sleepers + 1;
-                Condition.wait sched.sleep_cond sched.sleep_mu;
-                sched.sleepers <- sched.sleepers - 1;
-                wait ()
-              end
-            in
-            wait ()
-      end
+        s.lost <- s.lost + 1;
+        s.alive <- s.alive - 1;
+        if s.alive = 0 then s.stopped <- true;
+        Condition.broadcast s.cond;
+        false
+      end)
 
-(* Results go to a domain-local buffer — no shared-table lock on the
-   completion path — and are merged after the join. *)
-let worker sched wid buf =
+(* Any scheduler-level failure (not an obligation crash — the
+   supervisor absorbs those) stops the pool rather than stranding the
+   other workers in [Condition.wait]. *)
+let worker s wid =
   let kill_point site id =
-    match sched.sup.Supervisor.chaos with
+    match s.sup.Supervisor.chaos with
     | Some ch when Engine_chaos.kill_worker ch ~site ~id ->
         raise (Engine_chaos.Worker_killed id)
     | _ -> ()
   in
+  let run_one id =
+    let o = Option.get (Dag.find s.dag id) in
+    kill_point "pre-exec" id;
+    let started = Clock.now () -. s.t0 in
+    let outcome, cache, trail = execute s o in
+    let finished = Clock.now () -. s.t0 in
+    (* the nastier kill: the result is computed but not yet
+       published — the obligation runs again *)
+    kill_point "post-exec" id;
+    { obligation = o; outcome; cache; worker = wid; started; finished; trail }
+  in
   let rec loop () =
-    match obtain sched wid with
+    match take s with
     | None -> ()
-    | Some id ->
-        let o =
-          match Dag.find sched.dag id with
-          | Some o -> o
-          | None -> invalid_arg ("Pool: unknown obligation " ^ id)
-        in
-        sched.inflight.(wid) <- Some id;
-        kill_point "pre-exec" id;
-        let started = Clock.now () -. sched.t0 in
-        let outcome, cache, trail = execute sched o in
-        let finished = Clock.now () -. sched.t0 in
-        (* the nastier kill: the result is computed but not yet
-           published — the respawned worker must redo the obligation *)
-        kill_point "post-exec" id;
-        buf :=
-          { obligation = o; outcome; cache; worker = wid; started; finished; trail }
-          :: !buf;
-        sched.inflight.(wid) <- None;
-        let flag = Hashtbl.find sched.done_flags id in
-        if Atomic.compare_and_set flag false true then begin
-          let ready =
-            List.filter
-              (fun d -> Atomic.fetch_and_add (Hashtbl.find sched.indeg d) (-1) = 1)
-              (Dag.dependents_of sched.dag id)
-          in
-          if ready <> [] then Deque.push_batch sched.deques.(wid) ready;
-          (* the worker pops one of them next itself; only the surplus
-             needs other hands *)
-          wake sched (List.length ready - 1);
-          if Atomic.fetch_and_add sched.completed 1 + 1 = sched.total then
-            shutdown sched
-        end;
-        loop ()
+    | Some id -> (
+        match run_one id with
+        | e ->
+            publish s e;
+            loop ()
+        | exception Engine_chaos.Worker_killed _ -> if requeue s id then loop ())
   in
-  loop ()
-
-(* The worker's survival wrapper.  A chaos kill ([Worker_killed])
-   "kills the domain": the obligation it held goes back on its deque
-   and, while the shared respawn budget lasts, the worker restarts
-   in-domain (equivalent to joining the dead domain and spawning a
-   fresh one, without paying for a real spawn).  Past the budget the
-   worker stays dead — its queued obligations remain visible to
-   thieves, so survivors drain them; we wake enough sleepers to come
-   stealing, and if the last live worker dies the pool shuts down and
-   the merge synthesizes crash outcomes for whatever never ran.  Any
-   other scheduler-level failure (not an obligation crash — the
-   supervisor absorbs those) still shuts the pool down rather than
-   stranding workers in [Condition.wait]. *)
-let worker_supervised sched wid buf =
-  let rec go () =
-    match worker sched wid buf with
-    | () -> ()
-    | exception Engine_chaos.Worker_killed _ ->
-        (match sched.inflight.(wid) with
-        | Some id ->
-            sched.inflight.(wid) <- None;
-            if not (Atomic.get (Hashtbl.find sched.done_flags id)) then
-              Deque.push_batch sched.deques.(wid) [ id ]
-        | None -> ());
-        if Atomic.fetch_and_add sched.lives (-1) > 0 then begin
-          Atomic.incr sched.respawned;
-          go ()
-        end
-        else begin
-          Atomic.incr sched.lost;
-          wake sched (max 1 (Deque.length sched.deques.(wid)));
-          if Atomic.fetch_and_add sched.alive (-1) = 1 then shutdown sched
-        end
-    | exception _ -> shutdown sched
-  in
-  go ()
+  try loop () with _ -> Mutex.protect s.mu (fun () -> stop s)
 
 let run_with_stats ?cache ?(oversubscribe = false) ?(sup = Supervisor.default)
     ?(max_respawns = 32) ~jobs dag =
@@ -332,33 +175,27 @@ let run_with_stats ?cache ?(oversubscribe = false) ?(sup = Supervisor.default)
     let jobs = max 1 (min jobs total) in
     (* more active domains than cores cannot help CPU-bound work — it
        only adds stop-the-world GC synchronization across time-sliced
-       domains (the old pool lost 4–5x to this) — so [jobs] caps
-       concurrency and the hardware caps the domain count.
-       [oversubscribe] bypasses the clamp so the stealing path is
-       testable on any machine. *)
+       domains — so [jobs] caps concurrency and the hardware caps the
+       domain count.  [oversubscribe] bypasses the clamp (tests). *)
     let jobs =
       if oversubscribe then jobs else min jobs (Domain.recommended_domain_count ())
     in
-    let sched =
+    let s =
       {
         dag;
         cache;
         sup;
-        deques = Array.init jobs (fun _ -> Deque.create ());
-        indeg = Hashtbl.create (max 16 total);
-        done_flags = Hashtbl.create (max 16 total);
-        inflight = Array.make jobs None;
-        completed = Atomic.make 0;
+        mu = Mutex.create ();
+        cond = Condition.create ();
+        ready = Queue.create ();
+        indeg = Hashtbl.create total;
+        results = Hashtbl.create total;
         total;
-        lives = Atomic.make (max 0 max_respawns);
-        alive = Atomic.make jobs;
-        respawned = Atomic.make 0;
-        lost = Atomic.make 0;
-        sleep_mu = Mutex.create ();
-        sleep_cond = Condition.create ();
-        sleepers = 0;
-        epoch = 0;
-        shutdown = false;
+        lives = max 0 max_respawns;
+        alive = jobs;
+        respawned = 0;
+        lost = 0;
+        stopped = false;
         t0 = Clock.now ();
       }
     in
@@ -367,44 +204,23 @@ let run_with_stats ?cache ?(oversubscribe = false) ?(sup = Supervisor.default)
       cache;
     List.iter
       (fun (o : Obligation.t) ->
-        Hashtbl.replace sched.indeg o.id (Atomic.make (List.length o.deps));
-        Hashtbl.replace sched.done_flags o.id (Atomic.make false))
+        Hashtbl.replace s.indeg o.id (ref (List.length o.deps));
+        if o.deps = [] then Queue.add o.id s.ready)
       obls;
-    (* roots dealt round-robin so workers start with local work instead
-       of a steal storm on worker 0 *)
-    let nroots = ref 0 in
-    List.iter
-      (fun (o : Obligation.t) ->
-        if o.deps = [] then begin
-          Deque.push_batch sched.deques.(!nroots mod jobs) [ o.id ];
-          incr nroots
-        end)
-      obls;
-    let bufs = Array.init jobs (fun _ -> ref []) in
     if jobs = 1 then
-      (* inline fast path: no domain spawn, no parked workers *)
-      worker_supervised sched 0 bufs.(0)
-    else begin
-      let domains =
-        Array.mapi
-          (fun wid buf -> Domain.spawn (fun () -> worker_supervised sched wid buf))
-          bufs
-      in
-      Array.iter Domain.join domains
-    end;
+      (* inline fast path: no domain spawn *)
+      worker s 0
+    else
+      Array.iter Domain.join
+        (Array.init jobs (fun wid -> Domain.spawn (fun () -> worker s wid)));
     Option.iter Cache.flush cache;
-    let results = Hashtbl.create (max 16 total) in
-    Array.iter
-      (fun buf -> List.iter (fun e -> Hashtbl.replace results e.obligation.Obligation.id e) !buf)
-      bufs;
     (* results in DAG insertion order: scheduling cannot influence what
-       the caller sees.  An obligation a dead worker never published
-       becomes an explicit crash outcome rather than a bare
-       [Not_found]. *)
+       the caller sees.  An obligation no worker published becomes an
+       explicit crash outcome rather than a bare [Not_found]. *)
     let execs =
       List.map
         (fun (o : Obligation.t) ->
-          match Hashtbl.find_opt results o.Obligation.id with
+          match Hashtbl.find_opt s.results o.Obligation.id with
           | Some e -> e
           | None ->
               {
@@ -414,12 +230,11 @@ let run_with_stats ?cache ?(oversubscribe = false) ?(sup = Supervisor.default)
                 worker = -1;
                 started = 0.0;
                 finished = 0.0;
-                trail =
-                  { Supervisor.attempts = []; resolution = Supervisor.Quarantined };
+                trail = { Supervisor.attempts = []; resolution = Supervisor.Quarantined };
               })
         obls
     in
-    (execs, { respawns = Atomic.get sched.respawned; lost_workers = Atomic.get sched.lost })
+    (execs, { respawns = s.respawned; lost_workers = s.lost })
   end
 
 let run ?cache ?oversubscribe ?sup ?max_respawns ~jobs dag =

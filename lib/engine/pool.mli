@@ -1,13 +1,16 @@
-(** OCaml 5 [Domain] worker pool over an obligation DAG, with
-    per-worker work-stealing deques.
+(** OCaml 5 [Domain] worker pool over an obligation DAG, with one
+    shared ready queue.
 
     [run ~jobs dag] executes every obligation, respecting dependency
-    edges, on up to [jobs] domains.  Each worker owns a Chase–Lev-style
-    deque: dependents it releases go to its own deque (hot end), and a
-    worker that runs dry steals the cold half of a victim's deque in
-    one batch.  Idle workers park on a condition variable and are woken
-    by targeted [signal]s — one per surplus item published, never a
-    broadcast until shutdown.
+    edges, on up to [jobs] domains.  One mutex guards a FIFO queue of
+    ready obligation ids: a worker takes an id under the lock, runs the
+    obligation outside it (cache lookup, supervision, then the
+    obligation's [on_outcome] hook), and publishes under the lock,
+    releasing each dependent whose last dependency this was.  Idle
+    workers wait on one condition variable; a publisher signals once
+    per released id beyond the one it takes itself, and the pool
+    broadcasts only when the run ends, a worker dies for good, or a
+    scheduler failure stops it.
 
     [jobs] caps concurrency; the pool additionally never spawns more
     domains than [Domain.recommended_domain_count ()], because active
@@ -15,15 +18,13 @@
     synchronization to CPU-bound work.  [jobs = 1] (or a one-core
     clamp) runs inline on the calling domain with no spawn at all.
     [~oversubscribe:true] bypasses the clamp (tests use it to exercise
-    the stealing path on any machine).
+    the multi-domain path on any machine).
 
     Results come back in the DAG's insertion order, so the merged
     output is byte-identical at any job count; only the trace metadata
     (worker ids, timestamps — all read from {!Clock}) reflects the
-    actual schedule.  Workers accumulate results in domain-local
-    buffers merged after the join; an obligation whose worker died
-    before publishing yields an explicit crash outcome, not an
-    exception.
+    actual schedule.  An obligation no worker published yields an
+    explicit crash outcome, not an exception.
 
     With [?cache], each obligation is first looked up in the
     content-addressed proof cache and executed only on a miss; outcomes
@@ -39,13 +40,11 @@
 
     When [sup.chaos] is armed, workers additionally pass kill points
     before executing and before publishing an obligation; a chaos kill
-    tears the worker down mid-flight.  The obligation it held is
-    re-enqueued and the worker respawns while the shared [?max_respawns]
-    budget (default 32) lasts; past it the worker stays dead and its
-    queued work drains onto the survivors via the stealing path.  A
-    per-obligation publish flag keeps dependent release and completion
-    counting exactly-once even when a kill lands between computing and
-    publishing a result (the obligation simply runs again). *)
+    tears the worker down mid-flight.  The obligation it held goes back
+    on the queue (it runs again, and is published exactly once) and the
+    worker respawns while the shared [?max_respawns] budget (default
+    32) lasts; past it the worker stays dead and the survivors drain
+    the queue. *)
 
 type cache_status = Hit | Miss | Off
 

@@ -28,8 +28,8 @@
     its outcome — flagged as a divergence — stands in; otherwise the
     obligation is quarantined with a structured failure report.
     Corrupt cache entries (evict + recompute) and dead workers
-    (respawn, then drain to survivors) are handled by {!Cache} and
-    {!Pool} respectively. *)
+    (respawn in place; past the budget, the survivors drain the shared
+    ready queue) are handled by {!Cache} and {!Pool} respectively. *)
 
 type status = Ran_ok | Crashed of string  (** raw exception text *) | Timed_out
 

@@ -28,7 +28,8 @@
 # loan dataflow, per function) and the alias phase (Andersen
 # points-to footprints, per SCC) to report zero findings on the seed
 # 15-layer stack, rejects unknown --lints, --faults and --engine-faults
-# names at argument parse time, requires the --lint-json artifact to be byte-identical across
+# names and --chaos-traces, --model-check and --jobs counts below 1 at
+# argument parse time, requires the --lint-json artifact to be byte-identical across
 # job counts, and re-runs the analysis test suites, whose negative
 # fixtures (one hand-built MIRlight body per lint, planted
 # hypercall-leak programs for secret-flow, an aliased frame-handle
@@ -167,12 +168,27 @@ for flag in --faults --engine-faults; do
   grep -q '"bogus"' "$workdir/faults.err" || {
     echo "ci: unknown $flag rejection does not name the kind" >&2; exit 1; }
 done
+# a count below 1 is a usage error naming the flag, before any phase
+# runs: zero chaos traces would pass vacuously, and a zero depth or job
+# count would silently run as 1
+for arg in "--chaos-traces 0" "--chaos-traces=-1" "--model-check 0" "--jobs 0"; do
+  flag=${arg%%[ =]*}
+  # shellcheck disable=SC2086
+  if dune exec bin/hyperenclave_verify.exe -- --quick --chaos $arg \
+      > "$workdir/count.out" 2> "$workdir/count.err"; then
+    echo "ci: $arg was accepted" >&2; exit 1
+  fi
+  [ ! -s "$workdir/count.out" ] || {
+    echo "ci: $arg ran a phase before it was rejected" >&2; exit 1; }
+  grep -q -- "$flag" "$workdir/count.err" || {
+    echo "ci: $arg rejection does not name $flag" >&2; exit 1; }
+done
 dune exec test/analysis/test_analysis.exe > /dev/null || {
   echo "ci: analysis suite (negative lint fixtures) failed" >&2; exit 1; }
 dune exec test/analysis/test_absint.exe > /dev/null || {
   echo "ci: absint suite (planted-leak fixtures, lattice laws) failed" >&2
   exit 1; }
-echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults/--engine-faults rejected"
+echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults/--engine-faults and counts below 1 rejected"
 
 # --- engine-chaos smoke gate ----------------------------------------
 # A fixed-seed chaos run (injected obligation crashes/hangs, worker

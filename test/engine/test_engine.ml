@@ -416,8 +416,8 @@ let render execs =
 
 let test_jobs_invariant_reports () =
   let r1 = render (Pool.run ~jobs:1 plan.Plan.dag) in
-  (* oversubscribe past the hardware clamp so the work-stealing domain
-     path is exercised even on a one-core CI machine *)
+  (* oversubscribe past the hardware clamp so the multi-domain path is
+     exercised even on a one-core CI machine *)
   let r4 = render (Pool.run ~oversubscribe:true ~jobs:4 plan.Plan.dag) in
   Alcotest.(check string) "jobs=1 and jobs=4 produce identical reports" r1 r4
 
@@ -458,6 +458,83 @@ let test_pool_survives_crash () =
   let after = List.nth execs 1 in
   Alcotest.(check int) "dependent still ran" 0
     (Obligation.failure_count after.Pool.outcome)
+
+(* The scheduler honours the DAG.  Obligations are pure, so a dependent
+   started early still renders the same reports; only the composed code
+   proofs' proven gate reads the order, and it would fall back to the
+   monolithic battery in silence.  So on seeded random DAGs each
+   obligation checks, as it starts, that the [on_outcome] of every
+   dependency has fired, and counts its runs.  Every third obligation
+   sleeps a millisecond, so that at jobs >= 2 another worker takes a
+   dependent released too early. *)
+let test_pool_honours_dag () =
+  let n = 48 in
+  let id i = Printf.sprintf "n-%02d" i in
+  let check_run ~seed ~jobs ~kills =
+    let what = Printf.sprintf "seed %d, jobs=%d, kills=%b" seed jobs kills in
+    let rng = Random.State.make [| seed |] in
+    let deps =
+      Array.init n (fun i ->
+          if i = 0 then []
+          else
+            List.sort_uniq compare
+              (List.init (Random.State.int rng 4) (fun _ ->
+                   i - 1 - Random.State.int rng (min i 8))))
+    in
+    let fired = Array.init n (fun _ -> Atomic.make false) in
+    let runs = Array.init n (fun _ -> Atomic.make 0) in
+    let obl i =
+      Obligation.v ~id:(id i) ~phase:"test" ~deps:(List.map id deps.(i)) ~fingerprint:"fp"
+        ~on_outcome:(fun _ -> Atomic.set fired.(i) true)
+        (fun () ->
+          Atomic.incr runs.(i);
+          let early = List.filter (fun d -> not (Atomic.get fired.(d))) deps.(i) in
+          if i mod 3 = 0 then Unix.sleepf 0.001;
+          let r = Report.empty (id i) in
+          Obligation.outcome
+            [
+              (match early with
+              | [] -> Report.add_pass r
+              | d :: _ -> Report.add_failure r ~case:"order" ~reason:(id d ^ " had not fired"));
+            ])
+    in
+    let sup =
+      if kills then
+        {
+          Engine.Supervisor.default with
+          chaos =
+            Some (Engine.Engine_chaos.create ~kinds:[ Fault.Plan.Worker_kill ] ~rate:2 ~seed ());
+        }
+      else Engine.Supervisor.default
+    in
+    let execs, stats =
+      Pool.run_with_stats ~sup ~oversubscribe:true ~max_respawns:1_000 ~jobs
+        (Dag.build_exn (List.init n obl))
+    in
+    Alcotest.(check (list string)) (what ^ ": results in DAG order") (List.init n id)
+      (List.map (fun (e : Pool.exec) -> e.obligation.Obligation.id) execs);
+    List.iter
+      (fun (e : Pool.exec) ->
+        if Obligation.failure_count e.outcome > 0 then
+          Alcotest.failf "%s: %s started early: %s" what e.obligation.Obligation.id
+            (String.concat "; " (List.map Report.to_string e.outcome.Obligation.reports)))
+      execs;
+    let counts = Array.to_list (Array.map Atomic.get runs) in
+    if kills then begin
+      Alcotest.(check bool) (what ^ ": workers were killed") true (stats.Pool.respawns > 0);
+      Alcotest.(check int) (what ^ ": no worker lost") 0 stats.Pool.lost_workers;
+      Alcotest.(check bool) (what ^ ": each ran") true (List.for_all (fun c -> c >= 1) counts)
+    end
+    else
+      Alcotest.(check (list int)) (what ^ ": each ran exactly once") (List.init n (fun _ -> 1))
+        counts
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun jobs -> List.iter (fun kills -> check_run ~seed ~jobs ~kills) [ false; true ])
+        [ 1; 2; 4 ])
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Proof cache                                                         *)
@@ -1059,6 +1136,7 @@ let () =
           Alcotest.test_case "stream seeds" `Quick test_stream_seed_deterministic;
           Alcotest.test_case "crash isolation" `Quick test_pool_survives_crash;
           Alcotest.test_case "domains clamped to cores" `Quick test_pool_clamps_to_cores;
+          Alcotest.test_case "dependency order, exactly once" `Quick test_pool_honours_dag;
         ] );
       ( "cache",
         [

@@ -360,7 +360,7 @@ let decisions execs =
     execs
 
 let chain n =
-  (* a few dependency chains plus independent roots, so stealing,
+  (* a few dependency chains plus independent roots, so taking,
      release and completion all happen under fire *)
   List.init n (fun i ->
       let id = Printf.sprintf "c-%03d" i in
@@ -524,7 +524,7 @@ let test_dead_worker_drains_to_survivors () =
     List.filter (fun (e : Pool.exec) -> e.Pool.worker = -1) execs
   in
   (* only the obligation the dead worker held in-flight may be lost;
-     everything queued was stolen and completed by the survivors *)
+     everything queued was taken and completed by the survivors *)
   Alcotest.(check bool) "at most the in-flight obligation lost" true
     (List.length unfinished <= 1);
   Alcotest.(check int) "all obligations accounted for" 13 (List.length execs)
