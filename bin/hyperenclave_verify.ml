@@ -36,7 +36,7 @@
 
    Serving (lib/serve): --serve SOCKET runs the long-lived daemon — a
    dispatcher handing one request at a time to each of --fleet N forked
-   workers, which keep resident plan memos and share a proof cache;
+   workers, which replay repeated responses and share a proof cache;
    --client SOCKET submits the flag-selected request to a
    running daemon and renders the response exactly like a local run. *)
 
@@ -113,7 +113,7 @@ let run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms =
         Serve.Server.fleet;
         cache_dir;
         jobs;
-        retries = max 0 retries;
+        retries;
         timeout_ms;
       }
     in
@@ -279,17 +279,21 @@ let geometry =
 let seed = Arg.(value & opt int 2024 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
 let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller state budgets.")
 
-(* A count below 1 is a usage error naming the flag, before any phase
-   runs: zero chaos traces would pass vacuously, and a zero depth or job
-   count would silently run as 1. *)
-let positive_int =
+(* A count below its minimum is a usage error naming the flag, before
+   any phase runs: zero chaos traces would pass vacuously, a zero depth
+   or job count would silently run as 1, and a negative deadline or
+   retry count would silently run as none. *)
+let int_at_least min =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "must be at least 1 (got %d)" n))
+    | Some n when n >= min -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "must be at least %d (got %d)" min n))
     | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let non_negative_int = int_at_least 0
 
 let jobs =
   Arg.(
@@ -399,7 +403,7 @@ let lints =
 
 let timeout_ms =
   Arg.(
-    value & opt int 0
+    value & opt non_negative_int 0
     & info [ "timeout-ms" ] ~docv:"MS"
         ~doc:
           "Per-attempt obligation deadline in milliseconds (0 = none).  \
@@ -408,13 +412,13 @@ let timeout_ms =
 
 let retries =
   Arg.(
-    value & opt int 2
+    value & opt non_negative_int 2
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Additional attempts for an obligation that crashes or times out, \
-           with deterministic exponential backoff, before the degradation \
-           ladder (reference-interpreter fallback for code proofs) and \
-           quarantine.")
+          "Additional attempts, at least 0, for an obligation that crashes or \
+           times out, with deterministic exponential backoff, before the \
+           degradation ladder (reference-interpreter fallback for code \
+           proofs) and quarantine.")
 
 let engine_chaos_seed =
   Arg.(
@@ -511,7 +515,7 @@ let serve_socket =
         ~doc:
           "Run as a long-lived verification daemon on a Unix socket: a \
            dispatcher hands each request, in arrival order, to an idle one of \
-           --fleet forked worker processes, which keep resident plan memos \
+           --fleet forked worker processes, which replay repeated responses \
            and share the --cache directory.  Submit requests with --client.")
 
 let client_socket =

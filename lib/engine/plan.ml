@@ -732,67 +732,9 @@ let build ?(quick = false) ?(security = true)
     override_counts = override_counts layout }
 
 (* ------------------------------------------------------------------ *)
-(* Memoized build                                                      *)
+(* Timed build (bench-only shim)                                       *)
 
-(* Everything [build] reads is in the key: the module source (what the
-   obligations check), the layout (geometry + regions), the seed (RNG
-   streams and fingerprints), and every phase switch.  Two calls with
-   equal keys produce observably identical plans, so handing back the
-   same [t] — DAG included; the pool never mutates it, and the override
-   [on_outcome] hooks are idempotent — is sound. *)
-let memo_key ~quick ~security ~lints ~model_check ~overrides ~seed layout =
-  let mc =
-    match model_check with
-    | None -> "none"
-    | Some r ->
-        Printf.sprintf "depth=%d;por=%b;flush=%b;%s" r.mc_depth r.mc_por
-          r.mc_flush (layout_fp r.mc_layout)
-  in
-  String.concat "|"
-    [
-      Digest.to_hex (Digest.string (Mem_source.source layout));
-      layout_fp layout;
-      string_of_int seed;
-      string_of_bool quick;
-      string_of_bool security;
-      String.concat "," (List.map Analysis.Lint.to_string lints);
-      string_of_bool overrides;
-      mc;
-    ]
-
-let memo_mu = Mutex.create ()
-let memo : (string, t) Hashtbl.t = Hashtbl.create 8
-let memo_order : string Queue.t = Queue.create ()
-
-(* FIFO-bounded: a long-lived daemon cycling through many distinct
-   (module, geometry, switches) keys must not grow without bound *)
-let memo_capacity = 32
-
-let reset_memo () =
-  Mutex.lock memo_mu;
-  Hashtbl.reset memo;
-  Queue.clear memo_order;
-  Mutex.unlock memo_mu
-
-let build_memo ?(quick = false) ?(security = true)
-    ?(lints = Analysis.Lint.catalogue) ?model_check ?(overrides = true) ~seed
-    layout =
-  let key = memo_key ~quick ~security ~lints ~model_check ~overrides ~seed layout in
-  Mutex.lock memo_mu;
-  let cached = Hashtbl.find_opt memo key in
-  Mutex.unlock memo_mu;
-  match cached with
-  | Some plan -> (plan, true, 0.0)
-  | None ->
-      let t0 = Clock.now () in
-      let plan = build ~quick ~security ~lints ?model_check ~overrides ~seed layout in
-      let dt = Clock.now () -. t0 in
-      Mutex.lock memo_mu;
-      if not (Hashtbl.mem memo key) then begin
-        Hashtbl.replace memo key plan;
-        Queue.add key memo_order;
-        if Queue.length memo_order > memo_capacity then
-          Hashtbl.remove memo (Queue.take memo_order)
-      end;
-      Mutex.unlock memo_mu;
-      (plan, false, dt)
+let build_memo ?quick ?security ?lints ?model_check ?overrides ~seed layout =
+  let t0 = Clock.now () in
+  let plan = build ?quick ?security ?lints ?model_check ?overrides ~seed layout in
+  (plan, false, Clock.now () -. t0)

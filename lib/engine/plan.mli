@@ -84,18 +84,10 @@ val build_memo :
   seed:int ->
   Hyperenclave.Layout.t ->
   t * bool * float
-(** Memoized {!build}: [(plan, hit, build_s)].  The key digests every
-    input [build] reads — module source, layout, seed, and all phase
-    switches — so a hit returns the previously built plan ([build_s] =
-    0); a miss builds and records it ([hit = false], [build_s] = the
-    construction time, read from {!Clock.now}).  Reusing a plan across
-    runs is sound: the DAG is immutable and the override hooks are
-    idempotent.  The memo is process-global, mutex-guarded, and
-    FIFO-bounded (32 entries) — the daemon's resident warm path, but
-    equally usable by embedders of the engine API. *)
-
-val reset_memo : unit -> unit
-(** Drop every memoized plan (tests). *)
+(** {!build} timed on {!Clock.now}: [(plan, false, build_s)].  No plan
+    is kept between calls, so the hit flag is always [false].  A
+    bench-only shim: [bench/e2e] still calls it, and it is deleted once
+    that benchmark stops (ROADMAP item 3). *)
 
 val analysis_obligations :
   ?lints:Analysis.Lint.kind list ->

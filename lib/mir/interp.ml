@@ -461,6 +461,9 @@ let config_function cfg =
   | [] -> None
   | (frame, _) :: _ -> Some frame.body.Syntax.fname
 
+let config_block cfg =
+  match cfg.stack with [] -> None | (_, control) :: _ -> Some control.blk
+
 let default_fuel = 1_000_000
 
 let call ?(fuel = default_fuel) envr ~abs ~mem fn args =

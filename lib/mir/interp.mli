@@ -81,3 +81,7 @@ val config_depth : 'abs config -> int
 
 val config_function : 'abs config -> string option
 (** Name of the function executing on top of the stack. *)
+
+val config_block : 'abs config -> Syntax.label option
+(** The block the top frame is executing.  Read-only: block-coverage
+    tests record it between {!step}s. *)

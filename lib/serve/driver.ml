@@ -4,17 +4,11 @@
    wire — so a daemon response equals a one-shot run by construction.
    The daemon's part is resident session state and its responses.
 
-   Residency is three tiers deep:
+   A session keeps two tiers between requests:
    - L2: the content-addressed proof cache ({!Engine.Cache}), shared on
      disk across the whole fleet — a proof computed by one worker
      process is a warm hit for all ({!Engine.Cache.refresh} before each
      request's run, advisory-locked {!Engine.Cache.flush} after).
-   - L1: the memoized plan ({!Engine.Plan.build_memo}), keyed by
-     (module digest, geometry, seed, phase switches): a repeat or
-     near-repeat request skips plan construction — the dominant cost of
-     a warm one-shot run — and reuses the compiled bodies and case
-     batteries its closures hold ([Layers.compile_memo] is
-     process-global underneath).
    - L0: the response replay memo, keyed by the canonical request.  A
      response is recorded only once its run re-executed nothing
      (executed = 0, i.e. pure cache replay): verification content is a
@@ -22,6 +16,11 @@
      bytes is the same principle as a proof-cache hit, one level up —
      and the executed = 0 precondition keeps the replayed summary's
      cache statistics truthful for CI's warm-path assertions.
+   Underneath, the process keeps the per-layout memos every request
+   shares (compiled layers, spec index, alias summaries).  Each request
+   builds its own plan ({!prepare}) and drops it with its run: a plan
+   grows by megabytes of case batteries while it runs, and L0 already
+   answers a repeated request before it would be built again.
 
    [handle_one] is the daemon's entry point: one request, one pool
    submission of its plan's own DAG, one response. *)
@@ -207,6 +206,8 @@ type session = {
 let replay_capacity = 64
 
 let session ?cache_dir ?(jobs = 1) ?(retries = 2) ?(timeout_ms = 0) () =
+  if retries < 0 then invalid_arg "Driver.session: retries must be at least 0";
+  if timeout_ms < 0 then invalid_arg "Driver.session: timeout_ms must be at least 0";
   {
     cache = Option.map (fun dir -> Engine.Cache.create ~dir) cache_dir;
     jobs = max 1 jobs;
@@ -227,7 +228,7 @@ type prepared = {
   p_req : request;
   p_key : string;
   p_plan : Engine.Plan.t;
-  p_hit : bool;
+  p_hit : bool;  (* always false: no plan outlives its request *)
   p_build_s : float;
 }
 
@@ -235,12 +236,13 @@ let prepare req =
   let layout = layout_of_geometry req.geometry in
   let security = req.geometry <> "x86_64" in
   let model_check = Option.map mc_request_of req.mc in
-  let plan, hit, build_s =
-    Engine.Plan.build_memo ~quick:req.quick ~security ~lints:req.lints
-      ?model_check ~overrides:req.overrides ~seed:req.seed layout
+  let t0 = Engine.Clock.now () in
+  let plan =
+    Engine.Plan.build ~quick:req.quick ~security ~lints:req.lints ?model_check
+      ~overrides:req.overrides ~seed:req.seed layout
   in
-  { p_req = req; p_key = request_key req; p_plan = plan; p_hit = hit;
-    p_build_s = build_s }
+  { p_req = req; p_key = request_key req; p_plan = plan; p_hit = false;
+    p_build_s = Engine.Clock.now () -. t0 }
 
 let remember session key response =
   if not (Hashtbl.mem session.replay key) then begin
@@ -271,9 +273,9 @@ let run ?chaos ?engine_chaos session p =
   let sup =
     {
       Engine.Supervisor.default with
-      retries = max 0 session.retries;
+      retries = session.retries;
       timeout =
-        (if session.timeout_ms <= 0 then None
+        (if session.timeout_ms = 0 then None
          else Some (float_of_int session.timeout_ms /. 1000.));
       seed = p.p_req.seed;
       chaos = engine_chaos;

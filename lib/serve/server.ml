@@ -36,7 +36,7 @@ type config = {
   jobs : int;  (* pool domains per worker *)
   retries : int;
   timeout_ms : int;
-  prewarm : bool;  (* build the default-geometry plan at worker start *)
+  prewarm : bool;  (* warm the default layout's memos at worker start *)
 }
 
 let default_config ~socket =
@@ -61,9 +61,8 @@ let make_session cfg =
 
 let prewarm_session cfg =
   if cfg.prewarm then
-    ignore
-      (Engine.Plan.build_memo ~seed:Driver.default_request.Driver.seed
-         (Driver.layout_of_geometry Driver.default_request.Driver.geometry))
+    Hyperenclave.Layers.warm
+      (Driver.layout_of_geometry Driver.default_request.Driver.geometry)
 
 (* Blocking loop over the dispatcher socketpair: one frame in = one
    request, one frame out = its response.  EOF = dispatcher shut us

@@ -168,10 +168,12 @@ for flag in --faults --engine-faults; do
   grep -q '"bogus"' "$workdir/faults.err" || {
     echo "ci: unknown $flag rejection does not name the kind" >&2; exit 1; }
 done
-# a count below 1 is a usage error naming the flag, before any phase
-# runs: zero chaos traces would pass vacuously, and a zero depth or job
-# count would silently run as 1
-for arg in "--chaos-traces 0" "--chaos-traces=-1" "--model-check 0" "--jobs 0"; do
+# a count below its minimum is a usage error naming the flag, before
+# any phase runs: zero chaos traces would pass vacuously, a zero depth
+# or job count would silently run as 1, and a negative deadline or
+# retry count would silently run as none
+for arg in "--chaos-traces 0" "--chaos-traces=-1" "--model-check 0" "--jobs 0" \
+    "--timeout-ms=-5" "--retries=-3"; do
   flag=${arg%%[ =]*}
   # shellcheck disable=SC2086
   if dune exec bin/hyperenclave_verify.exe -- --quick --chaos $arg \
@@ -188,7 +190,7 @@ dune exec test/analysis/test_analysis.exe > /dev/null || {
 dune exec test/analysis/test_absint.exe > /dev/null || {
   echo "ci: absint suite (planted-leak fixtures, lattice laws) failed" >&2
   exit 1; }
-echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults/--engine-faults and counts below 1 rejected"
+echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults/--engine-faults and counts below their minimum rejected"
 
 # --- engine-chaos smoke gate ----------------------------------------
 # A fixed-seed chaos run (injected obligation crashes/hangs, worker

@@ -1,6 +1,7 @@
 (* Tests of the verification harness itself: the 49-function
-   conformance run, the low/high refinement for page tables, and
-   mutation tests proving the checks can actually fail. *)
+   conformance run, the MIR blocks its case batteries leave unentered,
+   the low/high refinement for page tables, and mutation tests proving
+   the checks can actually fail. *)
 
 open Hyperenclave
 module Report = Mirverif.Report
@@ -99,6 +100,101 @@ let test_code_conformance_x86 () =
   List.iter
     (fun r -> if not (Report.ok r) then Alcotest.failf "%s" (Report.to_string r))
     results2
+
+(* ------------------------------------------------------------------ *)
+(* Block coverage                                                      *)
+
+(* The (function, block) pairs the top frame enters while every case of
+   every verified function's battery (seed 2024) runs under the
+   reference interpreter, on the monolithic environments: lower layers
+   as specifications, same-layer callees as bodies. *)
+let entered_blocks layout =
+  let ctx = Check.Code_proof.ctx ~seed:2024 layout in
+  let entered = Hashtbl.create 512 in
+  let rec go fuel cfg =
+    (match (Mir.Interp.config_function cfg, Mir.Interp.config_block cfg) with
+    | Some fn, Some bb -> Hashtbl.replace entered (fn, bb) ()
+    | _ -> ());
+    if fuel > 0 then
+      match Mir.Interp.step cfg with
+      | Ok (Mir.Interp.Running cfg) -> go (fuel - 1) cfg
+      | Ok (Mir.Interp.Finished _) | Error _ -> ()
+  in
+  List.iter
+    (fun fn ->
+      match Check.Code_proof.check_function ctx fn with
+      | None -> ()
+      | Some (layer, (c : Absdata.t Mirverif.Refine.check)) ->
+          let env = Layers.env_for layout ~layer in
+          List.iter
+            (fun (cs : Absdata.t Mirverif.Refine.case) ->
+              match Mir.Interp.start env ~abs:cs.abs ~mem:cs.mem c.fn cs.args with
+              | Ok cfg -> go c.fuel cfg
+              | Error _ -> ())
+            c.cases)
+    (Layers.compiled layout).Rustlite.Pipeline.function_names;
+  entered
+
+(* CFG-reachable blocks of the 50 bodies that no case enters. *)
+let unentered_blocks layout =
+  let entered = entered_blocks layout in
+  let program = (Layers.compiled layout).Rustlite.Pipeline.program in
+  Mir.Syntax.fold_bodies
+    (fun fn body acc ->
+      let reachable = Analysis.Cfg.reachable body in
+      let missed = ref [] in
+      Array.iteri
+        (fun bb r -> if r && not (Hashtbl.mem entered (fn, bb)) then missed := (fn, bb) :: !missed)
+        reachable;
+      List.rev_append !missed acc)
+    program []
+
+(* The reachable blocks no case enters, per function.  Each is an error
+   return the generators never drive.  The lists may only shrink: a
+   newly unentered block fails the test, and so does a pinned block
+   that a case enters. *)
+let pinned_tiny =
+  [
+    (* no free EPC page *)
+    ("Enclave::add_page", [ 17 ]);
+    (* every generated state keeps the EPT and the EPCM consistent, so
+       none of the checks against a disagreement fires: the EPT maps va
+       past the EPC (bb25); the EPCM entry is not valid (bb30), has
+       another owner (bb35) or another va (bb40); the GPT or EPT unmap
+       fails (bb45, bb50) *)
+    ("Enclave::remove_page", [ 25; 30; 35; 40; 45; 50 ]);
+    (* no free frame *)
+    ("as_create", [ 3 ]);
+    (* no free frame *)
+    ("create_table", [ 3 ]);
+    (* no free EPC page *)
+    ("epcm_find_free", [ 4 ]);
+    (* no free frame *)
+    ("frame_alloc", [ 4 ]);
+    (* an invalid marshalling window (bb8); no free frame for the GPT
+       root (bb18), the EPT root (bb23) or the window's mappings (bb28) *)
+    ("hc_create", [ 8; 18; 23; 28 ]);
+    (* flags with the huge bit set *)
+    ("map_page", [ 21 ]);
+    (* no free frame for a missing table *)
+    ("walk_alloc", [ 22 ]);
+  ]
+
+(* a page-aligned base that is not a valid address *)
+let pinned_x86 = ("range_ok", [ 12 ]) :: pinned_tiny
+
+let pp_blocks blocks =
+  String.concat ", " (List.map (fun (fn, bb) -> Printf.sprintf "%s bb%d" fn bb) blocks)
+
+let check_unentered layout pinned () =
+  let pinned = List.concat_map (fun (fn, bbs) -> List.map (fun bb -> (fn, bb)) bbs) pinned in
+  let missed = unentered_blocks layout in
+  let newly = List.filter (fun b -> not (List.mem b pinned)) missed in
+  let entered = List.filter (fun b -> not (List.mem b missed)) pinned in
+  if newly <> [] then Alcotest.failf "reachable but never entered: %s" (pp_blocks newly);
+  if entered <> [] then
+    Alcotest.failf "pinned as never entered, but entered (unpin them): %s"
+      (pp_blocks entered)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation tests: injected bugs must be caught                        *)
@@ -436,6 +532,13 @@ let () =
           Alcotest.test_case "all 49 functions (tiny)" `Quick test_code_conformance;
           Alcotest.test_case "first use across domains" `Quick test_cross_domain_first_use;
           Alcotest.test_case "PtMap + PteOps (x86-64)" `Slow test_code_conformance_x86;
+        ] );
+      ( "coverage",
+        [
+          Alcotest.test_case "unentered blocks pinned (tiny)" `Quick
+            (check_unentered layout pinned_tiny);
+          Alcotest.test_case "unentered blocks pinned (x86-64)" `Quick
+            (check_unentered (Layout.default Geometry.x86_64) pinned_x86);
         ] );
       ( "mutations",
         [

@@ -1066,28 +1066,6 @@ let test_clock_mockable () =
   (* and the real source is restored afterwards *)
   Alcotest.(check bool) "real clock restored" true (Engine.Clock.now () > 1e6)
 
-(* plan_build_s is schedule metadata like the pool's timestamps, so it
-   reads the same source *)
-let test_plan_build_s_from_clock () =
-  Plan.reset_memo ();
-  let t = ref 100.0 in
-  let fake () =
-    t := !t +. 2.5;
-    !t
-  in
-  let _, hit, build_s =
-    Engine.Clock.with_source fake (fun () ->
-        Plan.build_memo ~quick:true ~security:false ~seed:91 layout)
-  in
-  Alcotest.(check bool) "first build misses" false hit;
-  Alcotest.(check (float 0.0)) "build_s is one clock tick" 2.5 build_s;
-  let _, hit, build_s =
-    Engine.Clock.with_source fake (fun () ->
-        Plan.build_memo ~quick:true ~security:false ~seed:91 layout)
-  in
-  Alcotest.(check bool) "second build hits" true hit;
-  Alcotest.(check (float 0.0)) "a hit costs nothing" 0.0 build_s
-
 (* ------------------------------------------------------------------ *)
 (* JSON emission                                                       *)
 
@@ -1172,7 +1150,6 @@ let () =
       ( "clock",
         [
           Alcotest.test_case "mockable source" `Quick test_clock_mockable;
-          Alcotest.test_case "plan build time" `Quick test_plan_build_s_from_clock;
         ] );
       ("jsonx", [ Alcotest.test_case "emission" `Quick test_jsonx ]);
     ]

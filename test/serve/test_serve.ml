@@ -3,9 +3,10 @@
    protocol rides on, request decoding and validation, determinism of
    daemon responses against repeat evaluation (stdout byte-identical,
    summaries identical through the deterministic projection), the L0
-   response-replay lifecycle, the plan memo, the cross-process
-   proof-cache sharing path (packs appearing mid-scan, advisory-locked
-   concurrent flushes), the dispatcher's requeue order after a worker
+   response-replay lifecycle, a live heap that stays flat across
+   distinct requests, the cross-process proof-cache sharing path (packs
+   appearing mid-scan, advisory-locked concurrent flushes), the
+   dispatcher's requeue order after a worker
    death, and daemons over a real Unix socket: end to end, a max-size
    frame through the worker pipe, concurrent distinct requests, and
    bounded respawns of workers that die at start-up. *)
@@ -258,8 +259,8 @@ let matrix =
 
 (* Two independent sessions must produce the same verification content:
    stdout byte-identical, summaries identical through the deterministic
-   projection.  (The sessions share the process-global plan memo — so
-   this also checks that plan reuse never changes content.) *)
+   projection.  Each builds its own plan, so this also checks that
+   rebuilding a plan never changes content. *)
 let test_repeat_determinism () =
   List.iter
     (fun payload ->
@@ -275,6 +276,15 @@ let test_repeat_determinism () =
     matrix
 
 let refused j = Jsonx.member "ok" j = Some (Jsonx.Bool false)
+
+(* A negative retry count or deadline is refused, not run as zero. *)
+let test_session_rejects_negative () =
+  Alcotest.check_raises "negative retries"
+    (Invalid_argument "Driver.session: retries must be at least 0") (fun () ->
+      ignore (Driver.session ~retries:(-3) ()));
+  Alcotest.check_raises "negative timeout"
+    (Invalid_argument "Driver.session: timeout_ms must be at least 0") (fun () ->
+      ignore (Driver.session ~timeout_ms:(-5) ()))
 
 (* Malformed payloads get error responses, and the session goes on to
    verify a good request. *)
@@ -320,24 +330,14 @@ let test_replay_lifecycle () =
   Alcotest.(check int) "third response served from L0" 1 session.Driver.replays;
   Alcotest.(check string) "replayed bytes identical" r2 r3
 
-let test_plan_memo () =
-  Plan.reset_memo ();
-  let layout = Hyperenclave.Layout.default Hyperenclave.Geometry.tiny in
-  let p1, hit1, _ = Plan.build_memo ~quick:true ~seed:31 layout in
-  let p2, hit2, _ = Plan.build_memo ~quick:true ~seed:31 layout in
-  let _, hit3, _ = Plan.build_memo ~quick:true ~seed:32 layout in
-  Alcotest.(check bool) "first build misses" false hit1;
-  Alcotest.(check bool) "repeat hits" true hit2;
-  Alcotest.(check bool) "memo returns the same plan" true (p1 == p2);
-  Alcotest.(check bool) "different seed misses" false hit3
-
-(* plan_build_s / plan_cache_hit surface in the summary, and the hit
-   flag flips on the repeat request. *)
+(* plan_build_s and plan_cache_hit surface in the summary; no plan is
+   kept, so the repeat request builds again and the hit flag stays
+   false. *)
 let test_plan_fields_in_summary () =
-  Plan.reset_memo ();
   let p = {|{"op":"verify","quick":true,"seed":888,"lints":"body"}|} in
-  let j1 = parse_response (Driver.handle_one (Driver.session ()) p) in
-  let j2 = parse_response (Driver.handle_one (Driver.session ()) p) in
+  let session = Driver.session () in
+  let j1 = parse_response (Driver.handle_one session p) in
+  let j2 = parse_response (Driver.handle_one session p) in
   let hit j =
     match Jsonx.member "plan_cache_hit" (rfield j "summary") with
     | Some (Jsonx.Bool b) -> b
@@ -347,7 +347,44 @@ let test_plan_fields_in_summary () =
   | Some (Jsonx.Float _) -> ()
   | _ -> Alcotest.fail "summary lacks plan_build_s");
   Alcotest.(check bool) "first request builds the plan" false (hit j1);
-  Alcotest.(check bool) "repeat request hits the plan memo" true (hit j2)
+  Alcotest.(check bool) "repeat request builds it again" false (hit j2)
+
+(* plan_build_s is schedule metadata like the pool's timestamps, so
+   [prepare] reads it from Engine.Clock *)
+let test_plan_build_s_from_clock () =
+  let t = ref 100.0 in
+  let fake () =
+    t := !t +. 2.5;
+    !t
+  in
+  let p =
+    Engine.Clock.with_source fake (fun () ->
+        Driver.prepare { Driver.default_request with quick = true; seed = 91 })
+  in
+  Alcotest.(check (float 0.0)) "build_s is one clock tick" 2.5 p.Driver.p_build_s;
+  Alcotest.(check bool) "no plan is reused" false p.Driver.p_hit
+
+(* No plan outlives its request: distinct requests to one session leave
+   the live heap flat.  The session has no cache, so every run executes
+   and neither L0 nor the cache index records anything. *)
+let test_distinct_requests_keep_heap_flat () =
+  let session = Driver.session () in
+  let verify seed =
+    assert_ok
+      (parse_response
+         (Driver.handle_one session
+            (Printf.sprintf {|{"op":"verify","quick":true,"seed":%d}|} seed)))
+  in
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  List.iter verify [ 4101; 4102 ];
+  let before = live_bytes () in
+  List.iter verify [ 4103; 4104; 4105; 4106; 4107; 4108 ];
+  let grown = live_bytes () - before in
+  if grown >= 1 lsl 20 then
+    Alcotest.failf "six distinct requests grew the live heap by %d bytes" grown
 
 (* ------------------------------------------------------------------ *)
 (* Cross-process proof-cache sharing                                   *)
@@ -974,10 +1011,14 @@ let () =
         [
           Alcotest.test_case "repeat determinism" `Slow test_repeat_determinism;
           Alcotest.test_case "bad payloads" `Quick test_bad_payloads;
+          Alcotest.test_case "negative session settings" `Quick
+            test_session_rejects_negative;
           Alcotest.test_case "source digest gate" `Quick test_source_digest_gate;
           Alcotest.test_case "replay lifecycle" `Quick test_replay_lifecycle;
-          Alcotest.test_case "plan memo" `Quick test_plan_memo;
           Alcotest.test_case "plan fields in summary" `Quick test_plan_fields_in_summary;
+          Alcotest.test_case "plan build time" `Quick test_plan_build_s_from_clock;
+          Alcotest.test_case "distinct requests keep the heap flat" `Quick
+            test_distinct_requests_keep_heap_flat;
           Alcotest.test_case "summary counts stubbed calls" `Quick
             test_summary_stubbed_calls;
         ] );
