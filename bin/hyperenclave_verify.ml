@@ -222,15 +222,14 @@ let run_local (session : Serve.Driver.session) ?chaos ?engine_chaos ~json_out
 
 let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
     chaos_traces faults buggy_tlb lints timeout_ms retries engine_chaos_seed
-    engine_faults mc_depth mc_geometry mc_por overrides serve_socket client_socket
-    fleet scrub_summary =
+    engine_faults mc_depth mc_geometry mc_por serve_socket client_socket fleet
+    scrub_summary =
   let req =
     {
       Serve.Driver.geometry;
       seed;
       quick;
       lints;
-      overrides;
       mc =
         Option.map
           (fun depth ->
@@ -485,28 +484,6 @@ let mc_por =
                  either way — CI asserts it." );
         ])
 
-let overrides =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "overrides" ]
-              ~doc:
-                "Compositional code proofs (the default): once a callee is \
-                 proven, its callers execute the callee's specification as a \
-                 compiled stub instead of its body; dependency edges follow \
-                 the call graph and cache fingerprints cover only (own body + \
-                 directly-used callee specs).  Verdicts are identical to \
-                 --no-overrides — CI asserts it." );
-          ( false,
-            info [ "no-overrides" ]
-              ~doc:
-                "Monolithic code proofs: every same-layer callee runs its \
-                 body, layer-barrier dependency edges, reachable-closure \
-                 fingerprints — the pre-composition engine, byte-for-byte." );
-        ])
-
 let serve_socket =
   Arg.(
     value
@@ -558,7 +535,6 @@ let cmd =
       const run $ geometry $ seed $ quick $ jobs $ cache_dir $ json_out $ trace_out
       $ lint_json $ chaos $ chaos_traces $ faults $ buggy_tlb $ lints $ timeout_ms
       $ retries $ engine_chaos_seed $ engine_faults $ mc_depth $ mc_geometry
-      $ mc_por $ overrides $ serve_socket $ client_socket $ fleet
-      $ scrub_summary)
+      $ mc_por $ serve_socket $ client_socket $ fleet $ scrub_summary)
 
 let () = exit (Cmd.eval' cmd)

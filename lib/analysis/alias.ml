@@ -21,8 +21,7 @@
    interprocedural order.
 
    A footprint is {e exact} when it contains no unknown location;
-   only exact footprints back discharge certificates and override
-   frame certification ({!certify}). *)
+   only exact footprints back discharge certificates. *)
 
 module Syn = Mir.Syntax
 module StrMap = Map.Make (String)
@@ -54,9 +53,6 @@ type fp = { reads : LocSet.t; writes : LocSet.t }
 
 let fp_empty = { reads = LocSet.empty; writes = LocSet.empty }
 
-let fp_union a b =
-  { reads = LocSet.union a.reads b.reads; writes = LocSet.union a.writes b.writes }
-
 let exact (fp : fp) =
   (not (LocSet.mem Lunknown fp.reads)) && not (LocSet.mem Lunknown fp.writes)
 
@@ -74,14 +70,9 @@ let summary_equal a b =
 
 type info = { summary : summary; vars : LocSet.t StrMap.t }
 
-(* May the two points-to sets address overlapping storage?  [Lunknown]
-   overlaps everything; [witness] demands a definite common location
-   (what the Error-severity lint requires, so the lint only fires on
-   provable conflicts). *)
-let may_overlap a b =
-  LocSet.mem Lunknown a || LocSet.mem Lunknown b
-  || not (LocSet.is_empty (LocSet.inter a b))
-
+(* A definite common location of two points-to sets, never [Lunknown]:
+   what the Error-severity lint requires, so it only fires on provable
+   conflicts. *)
 let witness a b =
   LocSet.choose_opt (LocSet.remove Lunknown (LocSet.inter a b))
 
@@ -331,63 +322,3 @@ let footprint infos fn =
   match StrMap.find_opt fn infos with
   | Some i -> i.summary.fp
   | None -> { reads = LocSet.singleton Lunknown; writes = LocSet.singleton Lunknown }
-
-(* ------------------------------------------------------------------ *)
-(* Frame certification for compositional overrides                     *)
-
-(* [certify ~callee_fp ~frames ~retained] decides whether a
-   [points_to]-bearing spec override may replace the callee's body:
-   the callee's certified footprint must be exact, every global it
-   writes must lie within a declared frame, and every frame must be
-   disjoint from every object-memory path the callers retain.  Any
-   failure refuses the override (the engine then falls back to the
-   body, mirroring the quarantine path). *)
-let certify ~(callee_fp : fp) ~(frames : Mir.Path.t list)
-    ~(retained : Mir.Path.t list) =
-  if frames = [] then
-    (* no [points_to] facts declared — nothing to certify: the
-       fact-free oracle contracts stay installable whatever the
-       footprint says *)
-    Ok ()
-  else if not (exact callee_fp) then
-    Error
-      (Printf.sprintf
-         "callee footprint is inexact (reads {%s}, writes {%s})"
-         (locs_to_string callee_fp.reads)
-         (locs_to_string callee_fp.writes))
-  else
-    let uncovered =
-      LocSet.fold
-        (fun l acc ->
-          match l with
-          | Lglobal g
-            when not
-                   (List.exists
-                      (fun f -> Mir.Path.is_prefix f (Mir.Path.global g))
-                      frames) ->
-              g :: acc
-          | _ -> acc)
-        callee_fp.writes []
-    in
-    match uncovered with
-    | g :: _ ->
-        Error
-          (Printf.sprintf "callee writes global %s outside the declared frames"
-             g)
-    | [] -> (
-        let clash =
-          List.find_map
-            (fun f ->
-              List.find_map
-                (fun r ->
-                  if Mir.Path.disjoint f r then None else Some (f, r))
-                retained)
-            frames
-        in
-        match clash with
-        | Some (f, r) ->
-            Error
-              (Printf.sprintf
-                 "frame %s overlaps caller-retained path %s"
-                 (Mir.Path.to_string f) (Mir.Path.to_string r))
-        | None -> Ok ())

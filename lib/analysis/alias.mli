@@ -6,8 +6,7 @@
     read or write through a dereference, with callee footprints
     substituted actual-for-formal — plus return-value points-to sets
     and parameter escape sets.  {!Alias_lint} turns these into
-    findings and discharge certificates; {!certify} gates
-    [points_to]-bearing compositional spec overrides. *)
+    findings and discharge certificates. *)
 
 module StrMap : Map.S with type key = string
 
@@ -27,7 +26,6 @@ val locs_to_string : LocSet.t -> string
 type fp = { reads : LocSet.t; writes : LocSet.t }
 
 val fp_empty : fp
-val fp_union : fp -> fp -> fp
 
 val exact : fp -> bool
 (** No {!Lunknown} on either side: the footprint is a proof, not a
@@ -40,9 +38,6 @@ type summary = { fp : fp; ret : LocSet.t; esc : IntSet.t }
 val summary_bot : summary
 
 type info = { summary : summary; vars : LocSet.t StrMap.t }
-
-val may_overlap : LocSet.t -> LocSet.t -> bool
-(** Shared location, or either side unknown. *)
 
 val witness : LocSet.t -> LocSet.t -> loc option
 (** A definite common location (never {!Lunknown}); what the
@@ -57,16 +52,3 @@ val analyze :
 val footprint : info StrMap.t -> string -> fp
 (** The function's certified footprint; fully unknown when the
     function was not analyzed. *)
-
-val certify :
-  callee_fp:fp ->
-  frames:Mir.Path.t list ->
-  retained:Mir.Path.t list ->
-  (unit, string) result
-(** Decide whether a [points_to]-bearing spec override may replace the
-    callee's body: the callee footprint must be exact, every global it
-    writes must lie within a declared frame, and every frame must be
-    disjoint from every object-memory path the callers retain.  An
-    empty frame list certifies trivially (a fact-free contract claims
-    nothing).  The [Error] carries the refusal reason; the engine then
-    falls back to the callee's body. *)

@@ -5,8 +5,6 @@ module Syn = Mir.Syntax
 
 type stats = { functions : int; loans : int; findings : int }
 
-let empty_stats = { functions = 0; loans = 0; findings = 0 }
-
 let run ?(lints = Lint.borrow) (body : Syn.body) =
   let selection = List.filter (fun k -> List.mem k Lint.borrow) lints in
   if selection = [] then []

@@ -6,8 +6,6 @@
 
 type stats = { functions : int; loans : int; findings : int }
 
-val empty_stats : stats
-
 val run : ?lints:Lint.kind list -> Mir.Syntax.body -> Lint.finding list
 (** Borrow findings restricted to the selected kinds (non-borrow kinds
     in the selection are ignored). *)

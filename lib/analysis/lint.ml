@@ -114,8 +114,6 @@ let finding_to_string f =
   in
   Printf.sprintf "%s: [%s] %s%s" f.where (to_string f.kind) f.detail note
 
-let pp_finding fmt f = Format.pp_print_string fmt (finding_to_string f)
-
 (* Stable presentation order: lint catalogue order first, then program
    position.  [where] strings are "bbN" / "bbN[M]" so a string compare
    is not positional; keep the input order within a kind (every scan

@@ -107,7 +107,6 @@ val reconcile : finding list -> finding list
     output still shows what was proved). *)
 
 val finding_to_string : finding -> string
-val pp_finding : Format.formatter -> finding -> unit
 
 val sort : finding list -> finding list
 (** Catalogue order, stable within a kind. *)

@@ -295,12 +295,6 @@ let args_for pool fn (d : Absdata.t) : _ Value.t list list =
 
 let eq : Absdata.t Refine.equiv = Refine.equiv Absdata.equal
 
-(* A user-authored refinement of a function's generated oracle spec:
-   [Installed] once its declared frame certified against the alias
-   footprints, [Refused] (with the reason) otherwise — a refused
-   function gets {e no} override at all, so callers run its body. *)
-type contract_entry = Installed of Absdata.t Spec.t | Refused of string
-
 type ctx = {
   ctx_layout : Layout.t;
   (* the input pool every battery draws from: built with the first
@@ -313,17 +307,16 @@ type ctx = {
      whose obligations all hit the proof cache builds none. *)
   ctx_checks : (string, (string * Absdata.t Refine.check) option) Hashtbl.t;
   (* per-layer override-composed compiled environments: every spec-owned
-     function of the layer is linked as a {!Spec} override, so same-layer
-     calls execute callee contracts instead of callee bodies.  Shares
-     {!Layers.compile_memo}, whose keys include call-site linkage. *)
+     function of the layer is linked as a stub of its oracle spec
+     ({!spec_stub}), so same-layer calls execute callee specs instead of
+     callee bodies.  Shares {!Layers.compile_memo}, whose keys include
+     call-site linkage. *)
   ctx_cenvs : (string, Absdata.t Mir.Compile.t) Hashtbl.t;
-  (* refined contracts, keyed by function ({!refine_contract}) *)
-  ctx_contracts : (string, contract_entry) Hashtbl.t;
   ctx_mu : Mutex.t;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Alias footprints and frame certification                            *)
+(* Alias footprints                                                    *)
 
 let trusted_prims =
   List.map (fun (s : Absdata.t Mirverif.Spec.t) -> s.Mirverif.Spec.name) Trusted.all
@@ -346,10 +339,10 @@ let prim_summary g =
   else None
 
 (* Andersen summaries of the whole memory module, one map per layout,
-   shared by every certification query and every alias-phase
-   obligation.  Computed on first use, by whichever domain asks first,
-   under a mutex (a bare [Lazy.force] raises [Lazy.Undefined] when
-   another domain is forcing the same suspension). *)
+   shared by every alias-phase obligation.  Computed on first use, by
+   whichever domain asks first, under a mutex (a bare [Lazy.force]
+   raises [Lazy.Undefined] when another domain is forcing the same
+   suspension). *)
 let alias_mu = Mutex.create ()
 
 let alias_cache : (Layout.t, Analysis.Alias.info Analysis.Alias.StrMap.t) Hashtbl.t =
@@ -366,51 +359,6 @@ let alias_summaries layout =
           in
           Hashtbl.add alias_cache layout infos;
           infos)
-
-let alias_infos ctx = alias_summaries ctx.ctx_layout
-
-let footprint ctx fn = Analysis.Alias.footprint (alias_infos ctx) fn
-
-(* Is [fn] checked through a battery that allocates object memory?
-   Method batteries define the [self_obj] global and pass a pointer to
-   it (see {!method_cases}), so the caller retains that path across
-   every same-layer call. *)
-let battery_paths fn =
-  if String.contains fn ':' then [ Mir.Path.global "self_obj" ] else []
-
-(* Everything the same-layer callers of [fn] retain: the globals of
-   their own certified footprints plus the object memory their case
-   batteries allocate. *)
-let retained_paths ctx fn =
-  let layout = ctx.ctx_layout in
-  let callers =
-    match Layers.layer_of_function layout fn with
-    | None -> []
-    | Some lname ->
-        List.filter
-          (fun g -> g <> fn && List.mem fn (Layers.same_layer_callees layout g))
-          (Layers.functions_of_layer layout lname)
-  in
-  let infos = alias_infos ctx in
-  let global_paths fn' =
-    let fp = Analysis.Alias.footprint infos fn' in
-    Analysis.Alias.LocSet.fold
-      (fun l acc ->
-        match l with
-        | Analysis.Alias.Lglobal g -> Mir.Path.global g :: acc
-        | _ -> acc)
-      (Analysis.Alias.LocSet.union fp.Analysis.Alias.reads
-         fp.Analysis.Alias.writes)
-      []
-  in
-  List.sort_uniq Mir.Path.compare
-    (List.concat_map (fun g -> battery_paths g @ global_paths g) callers)
-
-let certify_frames ctx fn ~frames =
-  if frames = [] then Ok ()
-  else
-    Analysis.Alias.certify ~callee_fp:(footprint ctx fn) ~frames
-      ~retained:(retained_paths ctx fn)
 
 let build_check ctx fn =
   match Layers.layer_of_function ctx.ctx_layout fn with
@@ -444,27 +392,55 @@ let check_function ctx fn =
           Hashtbl.add ctx.ctx_checks fn r;
           r)
 
+(* ------------------------------------------------------------------ *)
+(* Override composition                                                *)
+
+(* Object-view argument resolution: a concrete pointer dereferences
+   through the caller's memory, a trusted pointer loads from the
+   abstract state, and everything else (plain data, RData handles —
+   whose pointees are deliberately opaque) passes through unchanged. *)
+let resolve_arg abs mem (v : Absdata.t Value.t) =
+  match v with
+  | Value.Ptr (Value.Concrete path) -> (
+      match Mir.Mem.read mem path with
+      | Ok pointee -> Ok pointee
+      | Error msg -> Error ("points-to resolution: " ^ msg))
+  | Value.Ptr (Value.Trusted t) -> (
+      match t.Value.tp_load abs with
+      | Ok pointee -> Ok pointee
+      | Error msg -> Error ("trusted pointee load: " ^ msg))
+  | v -> Ok v
+
+(* A proven callee's call-site stub: its oracle spec, run on the
+   pointee values of its pointer arguments (resolved right to left, so
+   the rightmost unresolvable argument names the error).  A spec
+   undefined on the input faults the caller; it never fabricates a
+   result. *)
+let spec_stub (s : Absdata.t Mirverif.Spec.t) =
+  {
+    Mir.Compile.ov_name = s.Mirverif.Spec.name;
+    ov_exec =
+      (fun abs mem args ->
+        let resolved =
+          List.fold_right
+            (fun v acc ->
+              Result.bind acc (fun rest ->
+                  Result.map (fun v -> v :: rest) (resolve_arg abs mem v)))
+            args (Ok [])
+        in
+        Result.bind resolved (Mirverif.Spec.apply s abs));
+  }
+
 (* Composed environment for one layer: the layer's interpreter
-   environment with every spec-owned function of the layer linked as an
-   override.  The check's entry function still runs its own body
-   ({!Mir.Compile.call} enters via the body table), so a function is
-   never proven against a stub of itself. *)
+   environment with every spec-owned function of the layer linked as a
+   stub of its spec.  The check's entry function still runs its own
+   body ({!Mir.Compile.call} enters via the body table), so a function
+   is never proven against a stub of itself. *)
 let build_composed ctx lname =
   let layout = ctx.ctx_layout in
   let overrides =
     List.filter_map
-      (fun fn ->
-        match Mem_spec.find layout fn with
-        | None -> None
-        | Some s -> (
-            match Hashtbl.find_opt ctx.ctx_contracts fn with
-            | Some (Installed c) -> Some (Spec.override c)
-            | Some (Refused _) ->
-                (* certification refused the refined contract: no
-                   override at all, callers run the body (the linkage
-                   flips o→b, which re-keys the compile memo) *)
-                None
-            | None -> Some (Spec.override (Spec.of_spec s))))
+      (fun fn -> Option.map spec_stub (Mem_spec.find layout fn))
       (Layers.functions_of_layer layout lname)
   in
   Mir.Compile.compile ~cache:Layers.compile_memo ~overrides
@@ -484,34 +460,6 @@ let composed_for ctx lname =
           Hashtbl.add ctx.ctx_cenvs lname cenv;
           cenv)
 
-(* Install a user-authored refinement of [fn]'s contract, gated by
-   frame certification: the contract's declared frame (its [points_to]
-   paths, or an explicit [Spec.override ~frames] choice re-declared
-   here via the facts) must certify against the callee's footprint and
-   the callers' retained paths.  On refusal the function is stripped
-   of its override entirely — callers fall back to its body, mirroring
-   the quarantine path — and the [Error] carries the reason.  Either
-   way the layer's composed environment is rebuilt on next use. *)
-let refine_contract ctx fn contract =
-  let frames = Spec.frames contract in
-  let decision = certify_frames ctx fn ~frames in
-  Mutex.lock ctx.ctx_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ctx.ctx_mu)
-    (fun () ->
-      (match decision with
-      | Ok () -> Hashtbl.replace ctx.ctx_contracts fn (Installed contract)
-      | Error reason -> Hashtbl.replace ctx.ctx_contracts fn (Refused reason));
-      (match Layers.layer_of_function ctx.ctx_layout fn with
-      | Some lname -> Hashtbl.remove ctx.ctx_cenvs lname
-      | None -> ());
-      decision)
-
-let refusal ctx fn =
-  match Hashtbl.find_opt ctx.ctx_contracts fn with
-  | Some (Refused reason) -> Some reason
-  | _ -> None
-
 let ctx ?(seed = 2024) layout =
   (* warming the layout-keyed compile/stack/boot caches makes a ctx
      built up front safe to share across domains *)
@@ -519,7 +467,6 @@ let ctx ?(seed = 2024) layout =
   { ctx_layout = layout; ctx_pool = lazy (make_pool ~seed layout);
     ctx_checks = Hashtbl.create 64;
     ctx_cenvs = Hashtbl.create 16;
-    ctx_contracts = Hashtbl.create 8;
     ctx_mu = Mutex.create () }
 
 let run_function ctx fn =
@@ -530,7 +477,7 @@ let run_function ctx fn =
 
 (* Compositional path: the identical case battery against the
    override-composed environment, so same-layer callees execute their
-   contracts instead of their bodies.  Sound only once those callees
+   specs instead of their bodies.  Sound only once those callees
    are themselves proven — the engine gates this behind the callee
    obligations' outcomes and falls back to {!run_function}. *)
 let run_function_composed ctx fn =

@@ -25,56 +25,26 @@ val check_function :
   ctx -> string -> (string * Hyperenclave.Absdata.t Mirverif.Refine.check) option
 (** [(layer, check)] for one function; [None] if no spec owns it. *)
 
-(** {1 Alias footprints and contract refinement}
+(** {1 Alias footprints}
 
     The interprocedural alias analysis ({!Analysis.Alias}) runs once
     per layout over the whole memory module, with the trusted
-    primitives modelled as abstract-state effects.  Its certified
-    footprints gate user-authored spec refinements: a
-    [points_to]-bearing contract is only compiled to an override when
-    its declared frame certifies. *)
+    primitives modelled as abstract-state effects.  The engine's alias
+    phase reads its footprints. *)
 
 val prim_summary : string -> Analysis.Alias.summary option
 (** The footprint model of the trusted primitives: every primitive
     reads and writes the abstract state ({!Analysis.Alias.Labs}) and
-    nothing else.  [None] for non-primitives.  The engine's alias
-    phase uses the same model so its footprints agree with the ones
-    gating contract refinement here. *)
+    nothing else.  [None] for non-primitives. *)
 
 val alias_summaries :
   Hyperenclave.Layout.t -> Analysis.Alias.info Analysis.Alias.StrMap.t
 (** [Analysis.Alias.analyze ~prim:prim_summary] over the layout's
     compiled memory module, memoized per layout: computed on first use
-    by whichever domain asks first, under a mutex, and shared by every
-    ctx of the layout and by the engine's alias-phase obligations. *)
+    by whichever domain asks first, under a mutex, and shared by the
+    engine's alias-phase obligations. *)
 
-val footprint : ctx -> string -> Analysis.Alias.fp
-(** The function's certified may-read/may-write footprint. *)
-
-val retained_paths : ctx -> string -> Mir.Path.t list
-(** Object-memory paths the same-layer callers of [fn] retain: the
-    globals of their own footprints plus the paths their case
-    batteries allocate ([self_obj] for method batteries).  Frames must
-    be disjoint from all of these. *)
-
-val certify_frames :
-  ctx -> string -> frames:Mir.Path.t list -> (unit, string) result
-(** {!Analysis.Alias.certify} against [fn]'s footprint and its
-    callers' retained paths; an empty frame list certifies trivially
-    (the oracle contracts declare no facts). *)
-
-val refine_contract :
-  ctx -> string -> Hyperenclave.Absdata.t Spec.t -> (unit, string) result
-(** Install a user-authored refinement of [fn]'s contract, gated by
-    frame certification.  [Ok]: subsequent composed runs execute the
-    refined contract at call sites of [fn].  [Error reason]: the
-    override is {e refused} and [fn] is stripped of any override, so
-    callers run its body — the composed report stays identical to the
-    monolithic one rather than trusting an uncertified frame.  Either
-    way the layer's composed environment is rebuilt on next use. *)
-
-val refusal : ctx -> string -> string option
-(** The refusal reason recorded by {!refine_contract}, if any. *)
+(** {1 Running the batteries} *)
 
 val run_function : ctx -> string -> (string * Mirverif.Report.t) option
 (** Run the conformance check of a single function — the obligation
@@ -82,18 +52,19 @@ val run_function : ctx -> string -> (string * Mirverif.Report.t) option
 
 val run_function_composed : ctx -> string -> (string * Mirverif.Report.t) option
 (** The identical battery against the override-composed environment:
-    same-layer callees execute their {!Spec} contracts instead of their
-    bodies ({!Mir.Compile.override} linkage).  Sound only once those
-    callees are proven — the engine gates each caller on its callees'
-    obligation outcomes and falls back to {!run_function} while the
-    gate is closed (e.g. a quarantined callee under engine chaos). *)
+    same-layer callees execute stubs of their generated oracle specs
+    instead of their bodies ({!Mir.Compile.override} linkage; a stub
+    resolves pointer arguments through the caller's memory first).
+    Sound only once those callees are proven — the engine gates each
+    caller on its callees' obligation outcomes and falls back to
+    {!run_function} while the gate is closed (e.g. a quarantined callee
+    under engine chaos). *)
 
 val composed_for : ctx -> string -> Hyperenclave.Absdata.t Mir.Compile.t
 (** The layer's override-composed environment, the one
     {!run_function_composed} runs against: every spec-owned function of
-    the layer linked as its installed contract (or as its body, if its
-    refinement was refused).  Built on first use under the ctx's mutex
-    and kept until a {!refine_contract} of the layer. *)
+    the layer linked as a stub of its spec.  Built on first use under
+    the ctx's mutex and kept for the ctx's lifetime. *)
 
 val run_function_interp : ctx -> string -> (string * Mirverif.Report.t) option
 (** The same battery under the reference {!Mir.Interp} semantics

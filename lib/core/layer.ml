@@ -43,11 +43,6 @@ let env_on_top stack =
   in
   Mir.Interp.env ~prims (Mir.Syntax.program_of_bodies [])
 
-let all_code stack = List.concat_map (fun l -> l.code) stack
-
-let spec_names stack =
-  List.concat_map (fun l -> List.map (fun (s : _ Spec.t) -> s.Spec.name) l.exports) stack
-
 type stratification_issue = {
   layer : string;
   body : string;

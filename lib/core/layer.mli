@@ -41,9 +41,6 @@ val env_on_top : 'abs stack -> 'abs Mir.Interp.env
     bodies, every export of every layer available as a primitive
     (higher layers shadowing lower ones). *)
 
-val all_code : 'abs stack -> Mir.Syntax.body list
-val spec_names : 'abs stack -> string list
-
 val calls_of_body : Mir.Syntax.body -> string list
 (** Callee names of every [Call] terminator in the body, in block
     order (with duplicates).  The syntactic call-graph edge set used by

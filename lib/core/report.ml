@@ -63,10 +63,4 @@ let pp fmt r =
   if nfail > 5 then
     Format.fprintf fmt "@,    ... and %d more failures" (nfail - 5)
 
-let pp_summary fmt rs =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun r -> Format.fprintf fmt "%a@," pp r) rs;
-  let all = merge "TOTAL" rs in
-  Format.fprintf fmt "%a@]" pp all
-
 let to_string r = Format.asprintf "@[<v>%a@]" pp r

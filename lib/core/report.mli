@@ -38,5 +38,4 @@ val merge_by_name : t list -> t list
     results are folded back into one per-check line. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_summary : Format.formatter -> t list -> unit
 val to_string : t -> string

@@ -16,7 +16,6 @@ type t = {
   security : bool;
   lints : Analysis.Lint.kind list;
   model_check : mc_request option;
-  overrides : bool;
   override_counts : (string * int) list;
 }
 
@@ -253,62 +252,10 @@ let code_proof_outcome fn = function
       Obligation.outcome
         [ Report.add_failure (Report.empty fn) ~case:fn ~reason:"no spec owns this function" ]
 
-(* Legacy monolithic plan shape, preserved byte-for-byte behind
-   [--no-overrides]: layer-barrier dependency edges, and fingerprints
-   digesting the whole MIR closure at and below the function's layer. *)
-let monolithic_code_proof_obligations ?(seed = 2024) layout =
-  let ctx = Check.Code_proof.ctx ~seed layout in
-  let out = Layers.compiled layout in
-  let base_fp = Printf.sprintf "%s;seed=%d" (layout_fp layout) seed in
-  (* MIR accumulated bottom-up: a function's fingerprint digests its
-     own layer's MIR plus everything below, so editing one Rustlite
-     function invalidates exactly that layer and the layers above *)
-  let mir_below = Buffer.create 4096 in
-  let _, obls =
-    List.fold_left
-      (fun ((prev_layer_ids : string list), acc) lname ->
-        let fns = Layers.functions_of_layer layout lname in
-        if fns = [] then (prev_layer_ids, acc)
-        else begin
-          List.iter
-            (fun fn ->
-              match Mir.Syntax.find_body out.Rustlite.Pipeline.program fn with
-              | Some body ->
-                  Buffer.add_string mir_below (Mir.Pp.body_to_string body);
-                  Buffer.add_char mir_below '\n'
-              | None -> ())
-            fns;
-          let mir_digest = Digest.to_hex (Digest.string (Buffer.contents mir_below)) in
-          let ids =
-            List.map
-              (fun fn ->
-                let id = code_proof_id ~layer:lname fn in
-                let fingerprint =
-                  Printf.sprintf "%s;fn=%s;mir<=%s=%s" base_fp fn lname mir_digest
-                in
-                let outcome_of = code_proof_outcome fn in
-                (* degradation ladder: when the compiled-closure battery
-                   crashes, the supervisor re-discharges the obligation
-                   under the reference interpreter — the same cases over
-                   the same fingerprinted inputs, pinned observationally
-                   equivalent by the differential suite *)
-                Obligation.v ~id ~phase:"code-proofs" ~deps:prev_layer_ids ~fingerprint
-                  ~fallback:(fun () ->
-                    outcome_of (Check.Code_proof.run_function_interp ctx fn))
-                  (fun () -> outcome_of (Check.Code_proof.run_function ctx fn)))
-              fns
-          in
-          (List.map (fun (o : Obligation.t) -> o.Obligation.id) ids, acc @ [ (lname, ids) ])
-        end)
-      ([], []) Mem_spec.layer_names
-  in
-  obls
-
-(* Override-composed plan shape.  Dependency edges follow the call
-   graph instead of layer barriers — a caller waits on exactly the
-   spec-owned functions it calls directly, because those are the specs
-   its composed run executes — and fingerprints shrink from the
-   reachable-closure digest to (own body + directly-used callee
+(* Override-composed code proofs.  Dependency edges follow the call
+   graph — a caller waits on exactly the spec-owned functions it calls
+   directly, because those are the specs its composed run executes —
+   and fingerprints digest only (own body + directly-used callee
    specs), so editing one function invalidates exactly itself and its
    direct callers.  The composed executor is gated on the callees
    actually being proven: each callee obligation marks itself in the
@@ -319,7 +266,7 @@ let monolithic_code_proof_obligations ?(seed = 2024) layout =
    rather than assuming an unproven spec.  Both executors produce
    identical verdicts (pinned by the differential suite), so the
    choice is invisible to reports, stdout, and the cache. *)
-let composed_code_proof_obligations ?(seed = 2024) layout =
+let code_proof_obligations ?(seed = 2024) layout =
   let ctx = Check.Code_proof.ctx ~seed layout in
   let base_fp = Printf.sprintf "%s;seed=%d" (layout_fp layout) seed in
   let proven : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -368,6 +315,9 @@ let composed_code_proof_obligations ?(seed = 2024) layout =
                     callees
                 in
                 let outcome_of = code_proof_outcome fn in
+                (* degradation ladder: when the compiled-closure battery
+                   crashes, the supervisor re-discharges the obligation
+                   under the reference interpreter, over the same cases *)
                 Obligation.v ~id ~phase:"code-proofs" ~deps ~fingerprint
                   ~fallback:(fun () ->
                     outcome_of (Check.Code_proof.run_function_interp ctx fn))
@@ -379,12 +329,8 @@ let composed_code_proof_obligations ?(seed = 2024) layout =
               fns ))
     Mem_spec.layer_names
 
-let code_proof_obligations ?(seed = 2024) ?(overrides = true) layout =
-  if overrides then composed_code_proof_obligations ~seed layout
-  else monolithic_code_proof_obligations ~seed layout
-
 (* Per-function same-layer stub counts: the number of call-graph edges
-   override composition replaces with contract stubs.  Deterministic
+   override composition replaces with spec stubs.  Deterministic
    in the layout alone, reported through [--json-out]. *)
 let override_counts layout =
   List.concat_map
@@ -680,13 +626,12 @@ let mc_obligations req =
 (* Assembly                                                            *)
 
 let build ?(quick = false) ?(security = true)
-    ?(lints = Analysis.Lint.catalogue) ?model_check ?(overrides = true) ~seed
-    layout =
+    ?(lints = Analysis.Lint.catalogue) ?model_check ~seed layout =
   Layers.warm layout;
   if security then
     (* forces the attack module's lazily built layout from this domain *)
     ignore (Security.Attacks.run Security.Attacks.healthy);
-  let by_layer = code_proof_obligations ~seed ~overrides layout in
+  let by_layer = code_proof_obligations ~seed layout in
   let code = List.concat_map snd by_layer in
   let top_ids = last_layer_ids by_layer in
   let pt_ids =
@@ -728,13 +673,13 @@ let build ?(quick = false) ?(security = true)
     Dag.build_exn
       (analysis @ absint @ borrow @ alias @ code @ refine @ security_obls @ mc)
   in
-  { dag; layout; seed; quick; security; lints; model_check; overrides;
+  { dag; layout; seed; quick; security; lints; model_check;
     override_counts = override_counts layout }
 
 (* ------------------------------------------------------------------ *)
 (* Timed build (bench-only shim)                                       *)
 
-let build_memo ?quick ?security ?lints ?model_check ?overrides ~seed layout =
+let build_memo ?quick ?security ?lints ?model_check ~seed layout =
   let t0 = Clock.now () in
-  let plan = build ?quick ?security ?lints ?model_check ?overrides ~seed layout in
+  let plan = build ?quick ?security ?lints ?model_check ~seed layout in
   (plan, false, Clock.now () -. t0)

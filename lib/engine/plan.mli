@@ -4,11 +4,11 @@
     Obligation granularity mirrors the paper's proof structure: one
     node per code-proof function, per refinement-simulation shard, per
     invariant/noninterference state batch, per attack scenario.  Edges
-    encode layer stratification (a layer's code proofs depend on the
-    function-bearing layer below) and phase dependencies (refinement
-    waits on the page-table layer's proofs; security phases wait on
-    the invariant batches; trace-NI on that observer's three NI
-    lemmas).
+    encode the call graph (a function's code proof depends on those of
+    the spec-owned functions it calls) and phase dependencies
+    (refinement waits on the page-table layer's proofs; security
+    phases wait on the invariant batches; trace-NI on that observer's
+    three NI lemmas).
 
     Each obligation's RNG stream is split deterministically from the
     run seed and the obligation id, and its fingerprint digests every
@@ -34,14 +34,9 @@ type t = {
   security : bool;
   lints : Analysis.Lint.kind list;
   model_check : mc_request option;
-  overrides : bool;
-      (** code proofs use override composition (callee contracts as
-          compiled stubs, call-graph dependency edges, shrunk
-          fingerprints); [false] restores the legacy monolithic plan
-          shape exactly ([--no-overrides]) *)
   override_counts : (string * int) list;
       (** per spec-owned function, bottom-up: how many same-layer
-          call-graph edges override composition replaces with contract
+          call-graph edges override composition replaces with spec
           stubs (zeros included, so rollup keys are stable) *)
 }
 
@@ -55,7 +50,6 @@ val build :
   ?security:bool ->
   ?lints:Analysis.Lint.kind list ->
   ?model_check:mc_request ->
-  ?overrides:bool ->
   seed:int ->
   Hyperenclave.Layout.t ->
   t
@@ -80,7 +74,6 @@ val build_memo :
   ?security:bool ->
   ?lints:Analysis.Lint.kind list ->
   ?model_check:mc_request ->
-  ?overrides:bool ->
   seed:int ->
   Hyperenclave.Layout.t ->
   t * bool * float
@@ -133,25 +126,21 @@ val alias_obligations :
     callee closure, like {!absint_obligations}'s secret-flow domain. *)
 
 val code_proof_obligations :
-  ?seed:int -> ?overrides:bool -> Hyperenclave.Layout.t ->
-  (string * Obligation.t list) list
+  ?seed:int -> Hyperenclave.Layout.t -> (string * Obligation.t list) list
 (** Per-layer code-proof obligations, bottom-up; exposed for tests and
     for cache-invalidation experiments.
 
-    With [~overrides:true] (the default), dependency edges follow the
-    call graph — a caller waits on exactly the spec-owned functions it
-    calls directly — and each fingerprint digests only the function's
-    own body plus its directly-used callee specs, so editing one
-    function invalidates exactly itself and its direct callers.  The
-    obligation thunk runs the override-composed battery (same-layer
-    callees as contract stubs) once every stubbed callee has completed
-    without failures, observed through the pool's [on_outcome] hook;
-    otherwise — no stubs, or a callee crashed/was quarantined — it
-    falls back to the monolithic battery, whose verdicts are identical
-    (pinned by the differential suite).
-
-    With [~overrides:false], the legacy shape: layer-barrier edges and
-    reachable-closure fingerprints, byte-for-byte. *)
+    Dependency edges follow the call graph — a caller waits on exactly
+    the spec-owned functions it calls directly — and each fingerprint
+    digests only the function's own body plus its directly-used callee
+    specs, so editing one function invalidates exactly itself and its
+    direct callers.  The obligation thunk runs the override-composed
+    battery (same-layer callees as stubs of their specs) once every
+    stubbed callee has completed without failures, observed through
+    the pool's [on_outcome] hook; otherwise — no stubs, or a callee
+    crashed/was quarantined — it falls back to the monolithic battery
+    ({!Check.Code_proof.run_function}), whose verdicts are identical
+    (pinned by the differential suite). *)
 
 val override_counts : Hyperenclave.Layout.t -> (string * int) list
 (** Per spec-owned function (bottom-up, zeros included): the number of

@@ -292,18 +292,3 @@ let run ?(flush = true) ?(faults = Plan.all_kinds) ?(len = 40) ~seed ~traces
               } )
   in
   go zero 0
-
-let to_report stats cx =
-  let r = Report.empty "chaos traces" in
-  let r = ref r in
-  for _ = 1 to stats.traces - (match cx with Some _ -> 1 | None -> 0) do
-    r := Report.add_pass !r
-  done;
-  (match cx with
-  | None -> ()
-  | Some cx ->
-      r :=
-        Report.add_failure !r
-          ~case:(Printf.sprintf "seed %d" cx.cx_seed)
-          ~reason:(Format.asprintf "%a" pp_failure cx.cx_failure));
-  !r

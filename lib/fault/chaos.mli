@@ -95,5 +95,3 @@ val run :
 (** Replay [traces] seed-derived traces ([seed], [seed+1], ...); stop
     at the first failure and return it shrunk.  [len] defaults to 40
     events per trace. *)
-
-val to_report : stats -> counterexample option -> Mirverif.Report.t

@@ -46,7 +46,7 @@ val callees : Layout.t -> string -> string list
 val same_layer_callees : Layout.t -> string -> string list
 (** The subset of {!callees} living in [fn]'s own layer: exactly the
     calls that the monolithic checker executes as bodies and the
-    override-composed checker executes as contracts.  (Lower-layer
+    override-composed checker executes as spec stubs.  (Lower-layer
     callees are primitives in both modes.) *)
 
 val verified_function_count : Layout.t -> int

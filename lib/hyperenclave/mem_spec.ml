@@ -433,10 +433,6 @@ let hc_create_sem k d elrange_base elrange_pages mbuf_va =
 (* ------------------------------------------------------------------ *)
 (* Value encodings                                                     *)
 
-let walk_res ~status ~level ~frame ~index ~entry =
-  M.strukt
-    [ M.u64 status; M.of_int level; M.of_int frame; M.of_int index; M.u64 entry ]
-
 let walk_out_value w =
   M.strukt [ M.u64 w.w_status; M.u64 w.w_level; M.u64 w.w_frame; M.u64 w.w_index; M.u64 w.w_entry ]
 

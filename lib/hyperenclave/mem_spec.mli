@@ -36,8 +36,3 @@ val functions_of_layer : Layout.t -> string -> string list
 val enclave_to_value : Enclave.t -> 'abs Mir.Value.t
 (** Encode an {!Enclave.t} as the [Enclave] struct the Rustlite code
     declares (field order matters). *)
-
-val walk_res :
-  status:int64 -> level:int -> frame:int -> index:int -> entry:Mir.Word.t ->
-  'abs Mir.Value.t
-(** Build a [WalkRes] struct value. *)

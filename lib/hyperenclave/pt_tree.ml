@@ -13,11 +13,6 @@ type state = {
   root : node;
 }
 
-let root_frame st =
-  match st.root with
-  | Table { frame; _ } -> Ok frame
-  | Term _ -> Error "root is not a table"
-
 let empty_table geom ~frame =
   Table { frame; entries = Array.make (Geometry.entries_per_table geom) None }
 

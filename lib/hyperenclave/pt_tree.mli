@@ -22,8 +22,6 @@ type state = {
   root : node;  (** always a [Table] *)
 }
 
-val root_frame : state -> (int, string) result
-
 val create : Geometry.t -> Layout.t -> Frame_alloc.t -> (state, string) result
 (** Allocate a fresh empty root table. *)
 

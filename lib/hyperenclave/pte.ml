@@ -19,14 +19,5 @@ let flags (g : Geometry.t) e = Flags.decode g e
 let is_present (g : Geometry.t) e = Word.bit e g.fb_present
 let is_huge (g : Geometry.t) e = Word.bit e g.fb_huge
 
-let set_flags (g : Geometry.t) e f =
-  let masked =
-    Word.insert
-      (Word.insert e ~lo:0 ~len:g.page_shift Word.zero)
-      ~lo:g.page_shift ~len:(addr_len g)
-      (Word.extract e ~lo:g.page_shift ~len:(addr_len g))
-  in
-  Word.logor masked (Flags.encode g f)
-
 let pp g fmt e =
   Format.fprintf fmt "pte{%a %a}" Word.pp (addr g e) Flags.pp (flags g e)

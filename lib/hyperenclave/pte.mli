@@ -17,7 +17,5 @@ val addr : Geometry.t -> Mir.Word.t -> Mir.Word.t
 val flags : Geometry.t -> Mir.Word.t -> Flags.t
 val is_present : Geometry.t -> Mir.Word.t -> bool
 val is_huge : Geometry.t -> Mir.Word.t -> bool
-val set_flags : Geometry.t -> Mir.Word.t -> Flags.t -> Mir.Word.t
-(** Replace the flag bits, keeping the address. *)
 
 val pp : Geometry.t -> Format.formatter -> Mir.Word.t -> unit

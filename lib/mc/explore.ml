@@ -8,17 +8,15 @@ type config = {
   depth : int;
   flush : bool;
   por : bool;
-  checks : bool;
-  ni : bool;
-  observers : Principal.t list;
-  ni_seed : int;
 }
 
-let config ?(depth = 4) ?(flush = true) ?(por = true) ?(checks = true)
-    ?(ni = true) ?(observers = [ Principal.Os; Principal.Enclave 1; Principal.Enclave 2 ])
-    ?(ni_seed = 2024) layout =
-  { layout; universe = Universe.events layout; depth; flush; por; checks;
-    ni; observers; ni_seed }
+let config ?(depth = 4) ?(flush = true) ?(por = true) layout =
+  { layout; universe = Universe.events layout; depth; flush; por }
+
+(* The principals whose views the noninterference checks compare, and
+   the seed of each state's perturbed-secrets twin. *)
+let observers = [ Principal.Os; Principal.Enclave 1; Principal.Enclave 2 ]
+let ni_seed = 2024
 
 type violation = {
   v_kind : string;
@@ -93,12 +91,12 @@ let edge_violates cfg ~kind ~before ~after ev =
         (fun p ->
           (not (integrity_exempt ~before p ev))
           && view_changed p ~before:(before, Observation.observe before p) after)
-        cfg.observers
+        observers
   | "ni-pair" | "ni-consistency" ->
       List.exists
         (fun p ->
           let twin =
-            Check.Gen.perturb_secrets ~seed:cfg.ni_seed ~observer:p after
+            Check.Gen.perturb_secrets ~seed:ni_seed ~observer:p after
           in
           match Observation.indistinguishable p after twin with
           | Error _ | Ok false -> String.equal kind "ni-pair"
@@ -122,7 +120,7 @@ let edge_violates cfg ~kind ~before ~after ev =
                          | Error _, Error _ -> false
                          | Ok _, Error _ | Error _, Ok _ -> true))
                    cfg.universe)
-        cfg.observers
+        observers
   | _ -> false
 
 (* Replay [events] from boot, skipping disabled events (the
@@ -199,105 +197,97 @@ let successor_row cfg uni st =
 (* Checks on a newly discovered state. *)
 let check_state ctx ~key ~trace_rev st =
   let cfg = ctx.cfg in
-  if cfg.checks then begin
-    (match Invariants.check st.State.mon with
-    | Ok () -> ()
-    | Error r -> record ctx ~kind:"invariant" ~detail:r ~key ~trace_rev);
-    (match Chaos.tlb_consistent st with
-    | Ok () -> ()
-    | Error r -> record ctx ~kind:"tlb-consistency" ~detail:r ~key ~trace_rev);
-    if cfg.ni then begin
-      let row = successor_row cfg ctx.uni st in
-      List.iter
-        (fun p ->
-          let twin = Check.Gen.perturb_secrets ~seed:cfg.ni_seed ~observer:p st in
-          match Observation.indistinguishable p st twin with
-          | Error msg ->
-              record ctx ~kind:"ni-pair" ~key ~trace_rev
-                ~detail:
-                  (Printf.sprintf "observing %s failed: %s"
-                     (Principal.to_string p) msg)
-          | Ok false ->
-              record ctx ~kind:"ni-pair" ~key ~trace_rev
-                ~detail:
-                  (Printf.sprintf "%s distinguishes its own perturbed twin"
-                     (Principal.to_string p))
-          | Ok true ->
-              Array.iter
-                (function
-                  | None -> ()
-                  | Some (a, enabled, succ) -> (
-                      (* skip actions disabled in both runs cheaply *)
-                      if
-                        enabled
-                        || Result.is_ok (Transition.precondition twin a)
-                      then
+  (match Invariants.check st.State.mon with
+  | Ok () -> ()
+  | Error r -> record ctx ~kind:"invariant" ~detail:r ~key ~trace_rev);
+  (match Chaos.tlb_consistent st with
+  | Ok () -> ()
+  | Error r -> record ctx ~kind:"tlb-consistency" ~detail:r ~key ~trace_rev);
+  let row = successor_row cfg ctx.uni st in
+  List.iter
+    (fun p ->
+      let twin = Check.Gen.perturb_secrets ~seed:ni_seed ~observer:p st in
+      match Observation.indistinguishable p st twin with
+      | Error msg ->
+          record ctx ~kind:"ni-pair" ~key ~trace_rev
+            ~detail:
+              (Printf.sprintf "observing %s failed: %s"
+                 (Principal.to_string p) msg)
+      | Ok false ->
+          record ctx ~kind:"ni-pair" ~key ~trace_rev
+            ~detail:
+              (Printf.sprintf "%s distinguishes its own perturbed twin"
+                 (Principal.to_string p))
+      | Ok true ->
+          Array.iter
+            (function
+              | None -> ()
+              | Some (a, enabled, succ) -> (
+                  (* skip actions disabled in both runs cheaply *)
+                  if
+                    enabled
+                    || Result.is_ok (Transition.precondition twin a)
+                  then
+                    match
+                      ( Lazy.force succ,
+                        Transition.step ~flush:cfg.flush twin a )
+                    with
+                    | Error _, Error _ -> ()
+                    | Ok u, Ok v -> (
                         match
-                          ( Lazy.force succ,
-                            Transition.step ~flush:cfg.flush twin a )
+                          Observation.indistinguishable_after p
+                            ~before:(st, twin) u v
                         with
-                        | Error _, Error _ -> ()
-                        | Ok u, Ok v -> (
-                            match
-                              Observation.indistinguishable_after p
-                                ~before:(st, twin) u v
-                            with
-                            | Ok true -> ()
-                            | Ok false ->
-                                record ctx ~kind:"ni-consistency" ~key
-                                  ~trace_rev
-                                  ~detail:
-                                    (Printf.sprintf
-                                       "%s distinguishes the runs after %s"
-                                       (Principal.to_string p)
-                                       (Transition.action_to_string a))
-                            | Error msg ->
-                                record ctx ~kind:"ni-consistency" ~key
-                                  ~trace_rev
-                                  ~detail:
-                                    (Printf.sprintf
-                                       "observing %s after %s failed: %s"
-                                       (Principal.to_string p)
-                                       (Transition.action_to_string a)
-                                       msg))
-                        | Ok _, Error e | Error e, Ok _ ->
-                            record ctx ~kind:"ni-consistency" ~key ~trace_rev
+                        | Ok true -> ()
+                        | Ok false ->
+                            record ctx ~kind:"ni-consistency" ~key
+                              ~trace_rev
                               ~detail:
                                 (Printf.sprintf
-                                   "enabledness of %s diverges between \
-                                    %s-indistinguishable states: %s"
+                                   "%s distinguishes the runs after %s"
+                                   (Principal.to_string p)
+                                   (Transition.action_to_string a))
+                        | Error msg ->
+                            record ctx ~kind:"ni-consistency" ~key
+                              ~trace_rev
+                              ~detail:
+                                (Printf.sprintf
+                                   "observing %s after %s failed: %s"
+                                   (Principal.to_string p)
                                    (Transition.action_to_string a)
-                                   (Principal.to_string p) e)))
-                row)
-        cfg.observers
-    end
-  end
+                                   msg))
+                    | Ok _, Error e | Error e, Ok _ ->
+                        record ctx ~kind:"ni-consistency" ~key ~trace_rev
+                          ~detail:
+                            (Printf.sprintf
+                               "enabledness of %s diverges between \
+                                %s-indistinguishable states: %s"
+                               (Transition.action_to_string a)
+                               (Principal.to_string p) e)))
+            row)
+    observers
 
 (* Checks on an executed transition.  [views] pairs each observer
    with its observation of [before], computed on first use. *)
 let check_edge ctx ~views ~akey ~atrace_rev ~before ~after ev =
-  let cfg = ctx.cfg in
-  if cfg.checks then begin
-    (match ev with
-    | Chaos.Inject _ -> ()
-    | Chaos.Act a -> (
-        match Chaos.transactional ~before ~after a with
-        | Ok () -> ()
-        | Error (check, reason) ->
-            record ctx ~kind:check ~detail:reason ~key:akey ~trace_rev:atrace_rev));
-    if cfg.ni then
-      List.iter
-        (fun (p, obs) ->
-          if
-            (not (integrity_exempt ~before p ev))
-            && view_changed p ~before:(before, Lazy.force obs) after
-          then
-            record ctx ~kind:"integrity" ~key:akey ~trace_rev:atrace_rev
-              ~detail:
-                (Printf.sprintf "%s's view changed across %s"
-                   (Principal.to_string p) (Chaos.event_to_string ev)))
-        views
-  end
+  (match ev with
+  | Chaos.Inject _ -> ()
+  | Chaos.Act a -> (
+      match Chaos.transactional ~before ~after a with
+      | Ok () -> ()
+      | Error (check, reason) ->
+          record ctx ~kind:check ~detail:reason ~key:akey ~trace_rev:atrace_rev));
+  List.iter
+    (fun (p, obs) ->
+      if
+        (not (integrity_exempt ~before p ev))
+        && view_changed p ~before:(before, Lazy.force obs) after
+      then
+        record ctx ~kind:"integrity" ~key:akey ~trace_rev:atrace_rev
+          ~detail:
+            (Printf.sprintf "%s's view changed across %s"
+               (Principal.to_string p) (Chaos.event_to_string ev)))
+    views
 
 let run cfg =
   let uni = Array.of_list cfg.universe in
@@ -329,7 +319,7 @@ let run cfg =
     let d = entry.vdepth in
     if d < cfg.depth then begin
       let views =
-        List.map (fun p -> (p, lazy (Observation.observe it.st p))) cfg.observers
+        List.map (fun p -> (p, lazy (Observation.observe it.st p))) observers
       in
       for i = 0 to n - 1 do
         if (not (IntSet.mem i entry.expl)) && enabled_at it.st uni.(i) then

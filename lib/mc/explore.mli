@@ -45,25 +45,14 @@ type config = {
   depth : int;  (** exploration bound, in events from boot *)
   flush : bool;  (** [false] = the buggy monitor ([--buggy-tlb]) *)
   por : bool;  (** sleep-set partial-order reduction *)
-  checks : bool;  (** run the violation checks (off to time bare exploration) *)
-  ni : bool;  (** include the step-noninterference checks *)
-  observers : Security.Principal.t list;
-  ni_seed : int;  (** seed for the perturbed-secrets twins *)
 }
 
 val config :
-  ?depth:int ->
-  ?flush:bool ->
-  ?por:bool ->
-  ?checks:bool ->
-  ?ni:bool ->
-  ?observers:Security.Principal.t list ->
-  ?ni_seed:int ->
-  Hyperenclave.Layout.t ->
-  config
-(** Defaults: depth 4, correct monitor, reduction and all checks on,
-    observers OS + enclaves 1 and 2, twin seed 2024, universe
-    {!Universe.events}. *)
+  ?depth:int -> ?flush:bool -> ?por:bool -> Hyperenclave.Layout.t -> config
+(** Defaults: depth 4, correct monitor, reduction on, universe
+    {!Universe.events}.  Every check runs, with observers OS and
+    enclaves 1 and 2, and perturbed-secrets twins drawn from seed
+    2024. *)
 
 type violation = {
   v_kind : string;

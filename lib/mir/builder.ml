@@ -32,15 +32,6 @@ let create ~name ~params ~ret_ty =
     fresh = 0;
   }
 
-let declare_return_local b =
-  b.locals_rev <-
-    List.map
-      (fun d ->
-        if String.equal d.Syntax.lname Syntax.return_var then
-          { d with Syntax.lkind = Syntax.Klocal }
-        else d)
-      b.locals_rev
-
 let declare b kind ?name ty =
   let name =
     match name with
@@ -113,7 +104,6 @@ let extend (p : Syntax.place) elem = { p with Syntax.elems = p.Syntax.elems @ [ 
 
 let pfield p i = extend p (Syntax.Pfield i)
 let pindex p var = extend p (Syntax.Pindex var)
-let pconst_index p i = extend p (Syntax.Pconst_index i)
 let pderef p = extend p Syntax.Deref
 let pdowncast p d = extend p (Syntax.Downcast d)
 
@@ -123,6 +113,5 @@ let move var = Syntax.Move (pvar var)
 let cword ity w = Syntax.Const (Syntax.Cint (Word.norm (Ty.width ity) w, ity))
 let cint ity i = cword ity (Word.of_int (Ty.width ity) i)
 let cu64 i = cint Ty.U64 i
-let cusize i = cint Ty.Usize i
 let cbool bv = Syntax.Const (Syntax.Cbool bv)
 let cunit = Syntax.Const Syntax.Cunit

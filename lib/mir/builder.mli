@@ -15,9 +15,6 @@ val create :
   t
 (** Declares the return slot ["_0"] (as a temp) and the parameters. *)
 
-val declare_return_local : t -> unit
-(** Reclassify the return slot as address-taken. *)
-
 val temp : t -> ?name:string -> Ty.t -> string
 (** Declare a fresh temporary; generated names are ["_t0"], ["_t1"], … *)
 
@@ -45,7 +42,6 @@ val finish : t -> Syntax.body
 val pvar : string -> Syntax.place
 val pfield : Syntax.place -> int -> Syntax.place
 val pindex : Syntax.place -> string -> Syntax.place
-val pconst_index : Syntax.place -> int -> Syntax.place
 val pderef : Syntax.place -> Syntax.place
 val pdowncast : Syntax.place -> int -> Syntax.place
 
@@ -55,6 +51,5 @@ val move : string -> Syntax.operand
 val cint : Ty.int_ty -> int -> Syntax.operand
 val cword : Ty.int_ty -> Word.t -> Syntax.operand
 val cu64 : int -> Syntax.operand
-val cusize : int -> Syntax.operand
 val cbool : bool -> Syntax.operand
 val cunit : Syntax.operand

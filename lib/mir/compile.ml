@@ -71,11 +71,6 @@ and 'abs override = {
   ov_name : string;
   ov_exec :
     'abs -> 'abs Mem.t -> 'abs Value.t list -> ('abs * 'abs Value.t, string) result;
-  ov_frames : Path.t list;
-      (* object-memory paths the stub claims as its write frame;
-         metadata for footprint certification, not consulted at call
-         time (and so deliberately outside the linkage memo key — a
-         refused override changes linkage o→b, which re-keys) *)
 }
 
 type 'abs t = {
@@ -688,12 +683,6 @@ let compile ?cache ?(overrides = []) (env : 'abs Interp.env) : 'abs t =
       StrMap.empty
   in
   { ct_prims = prims; ct_bodies = bodies; ct_overrides = ovs }
-
-let cache_size c =
-  Mutex.lock c.mu;
-  let n = Hashtbl.length c.tbl in
-  Mutex.unlock c.mu;
-  n
 
 (* ------------------------------------------------------------------ *)
 (* Entry point: observationally identical to [Interp.call]             *)

@@ -30,15 +30,6 @@ type 'abs override = {
   ov_name : string;
   ov_exec :
     'abs -> 'abs Mem.t -> 'abs Value.t list -> ('abs * 'abs Value.t, string) result;
-  ov_frames : Path.t list;
-      (** Object-memory paths the stub claims as its write frame
-          (the [points_to] facts of a [Check.Spec] contract).  Pure
-          metadata for the alias analysis' footprint certification:
-          installation is refused unless the framed paths are provably
-          disjoint from everything the callers retain.  Not consulted
-          at call time, and deliberately outside the linkage memo key
-          (a refused override flips the call-site linkage from
-          override to body, which re-keys the compilation). *)
 }
 (** A specification stub linked {e over} a body: every call site whose
     callee has an override executes [ov_exec] instead of entering the
@@ -55,7 +46,6 @@ type 'abs cache
     compile each body exactly once across environments. *)
 
 val cache : unit -> 'abs cache
-val cache_size : 'abs cache -> int
 
 val compile : ?cache:'abs cache -> ?overrides:'abs override list -> 'abs Interp.env -> 'abs t
 (** Compile every body of the environment's program.  With [cache],

@@ -25,30 +25,10 @@ let base_compare a b =
 
 let proj_equal (a : proj) (b : proj) = a = b
 
-let proj_compare (a : proj) (b : proj) =
-  match (a, b) with
-  | Field x, Field y | Index x, Index y -> Int.compare x y
-  | Field _, Index _ -> -1
-  | Index _, Field _ -> 1
-
 let equal a b =
   base_equal a.base b.base
   && List.length a.projs = List.length b.projs
   && List.for_all2 proj_equal a.projs b.projs
-
-let compare a b =
-  let c = base_compare a.base b.base in
-  if c <> 0 then c else List.compare proj_compare a.projs b.projs
-
-let rec projs_prefix ps qs =
-  match (ps, qs) with
-  | [], _ -> true
-  | _ :: _, [] -> false
-  | p :: ps', q :: qs' -> proj_equal p q && projs_prefix ps' qs'
-
-let is_prefix p q = base_equal p.base q.base && projs_prefix p.projs q.projs
-
-let disjoint p q = not (is_prefix p q) && not (is_prefix q p)
 
 let pp_base fmt = function
   | Global name -> Format.fprintf fmt "@%s" name

@@ -28,15 +28,6 @@ val extend : t -> proj -> t
 (** [extend p pr] appends projection [pr] (at the end). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val is_prefix : t -> t -> bool
-(** [is_prefix p q] holds when [q] addresses a sub-object of (or the
-    same object as) [p]; used by the frame condition on assignment. *)
-
-val disjoint : t -> t -> bool
-(** Neither path is a prefix of the other: updates through one cannot be
-    seen through the other. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

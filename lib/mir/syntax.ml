@@ -97,7 +97,6 @@ let program_of_bodies bodies =
 let find_body prog name = StrMap.find_opt name prog
 let body_names prog = List.map fst (StrMap.bindings prog)
 let fold_bodies f prog init = StrMap.fold f prog init
-let add_body prog b = StrMap.add b.fname b prog
 let union a b = StrMap.union (fun _ _ rhs -> Some rhs) a b
 
 let local_kind_of body name =
@@ -105,11 +104,6 @@ let local_kind_of body name =
   |> Option.map (fun d -> d.lkind)
 
 let place_of_var var = { var; elems = [] }
-
-let statement_count body =
-  Array.fold_left (fun n blk -> n + List.length blk.stmts) 0 body.blocks
-
-let block_count body = Array.length body.blocks
 
 let mir_line_count body =
   let per_block = Array.fold_left (fun n blk -> n + List.length blk.stmts + 2) 0 body.blocks in

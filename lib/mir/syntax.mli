@@ -114,15 +114,11 @@ val program_of_bodies : body list -> program
 val find_body : program -> string -> body option
 val body_names : program -> string list
 val fold_bodies : (string -> body -> 'a -> 'a) -> program -> 'a -> 'a
-val add_body : program -> body -> program
 val union : program -> program -> program
 (** Right-biased union of two programs. *)
 
 val local_kind_of : body -> string -> local_kind option
 val place_of_var : string -> place
-
-val statement_count : body -> int
-val block_count : body -> int
 
 val mir_line_count : body -> int
 (** Printable-line count of the body — one line per statement,

@@ -22,8 +22,6 @@ let to_int x =
     invalid_arg (Printf.sprintf "Word.to_int: %Ld out of OCaml int range" x)
   else Int64.to_int x
 
-let of_int64 w x = norm w x
-
 let add w a b = norm w (Int64.add a b)
 let sub w a b = norm w (Int64.sub a b)
 let mul w a b = norm w (Int64.mul a b)
@@ -85,7 +83,6 @@ let to_hex x =
   Bytes.unsafe_to_string b
 
 let pp fmt x = Format.pp_print_string fmt (to_hex x)
-let pp_dec fmt x = Format.fprintf fmt "%Lu" x
 
 (* Unsigned 64-bit overflow predicates and saturating arithmetic: the
    transfer hooks the abstract interpreter (lib/analysis) evaluates

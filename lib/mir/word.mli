@@ -29,8 +29,6 @@ val to_int : t -> int
 (** [to_int x] is the value as an OCaml [int]; raises [Invalid_argument]
     if [x] does not fit in a non-negative OCaml int. *)
 
-val of_int64 : width -> int64 -> t
-
 val add : width -> t -> t -> t
 val sub : width -> t -> t -> t
 val mul : width -> t -> t -> t
@@ -95,5 +93,4 @@ val mul_sat : t -> t -> t
 val pp : Format.formatter -> t -> unit
 (** Hexadecimal rendering, e.g. [0x1f]. *)
 
-val pp_dec : Format.formatter -> t -> unit
 val to_hex : t -> string

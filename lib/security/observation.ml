@@ -75,14 +75,6 @@ let view_equal a b =
        a.pages b.pages
   && a.oracle_pos = b.oracle_pos
 
-let pp_view fmt v =
-  Format.fprintf fmt
-    "@[<v>active: %b, cpu: %a, saved: %a, oracle@%d@,%d mappings, %d private pages@]"
-    v.is_active
-    (Format.pp_print_option State.pp_regs)
-    v.cpu_regs State.pp_regs v.saved_regs v.oracle_pos (List.length v.mappings)
-    (List.length v.pages)
-
 let indistinguishable p st1 st2 =
   let* v1 = observe st1 p in
   let* v2 = observe st2 p in

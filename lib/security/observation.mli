@@ -25,7 +25,6 @@ val observe : State.t -> Principal.t -> (view, string) result
     observes only the CPU-facing components. *)
 
 val view_equal : view -> view -> bool
-val pp_view : Format.formatter -> view -> unit
 
 val indistinguishable : Principal.t -> State.t -> State.t -> (bool, string) result
 (** V(p, σ1) = V(p, σ2). *)

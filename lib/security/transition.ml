@@ -254,12 +254,6 @@ let precondition (st : State.t) action =
 let enabled_of st actions =
   List.filter (fun a -> Result.is_ok (precondition st a)) actions
 
-let cpu_local = function
-  | Const _ | Compute _ | Load _ | Store _ -> true
-  | Hc_create _ | Hc_add_page _ | Hc_remove_page _ | Hc_init_done _ | Hc_enter _
-  | Hc_exit ->
-      false
-
 let configures (st : State.t) p action =
   match action with
   | Const _ | Compute _ | Load _ | Store _ -> false
@@ -273,5 +267,3 @@ let configures (st : State.t) p action =
       Principal.equal p (Principal.Enclave eid) || Principal.equal p Principal.Os
   | Hc_exit ->
       Principal.equal p st.State.active || Principal.equal p Principal.Os
-
-let mon_step f (st : State.t) = { st with State.mon = f st.State.mon }

@@ -54,17 +54,9 @@ val enabled_of : State.t -> action list -> action list
     the sublist of [actions] whose {!precondition} holds, in input
     order. *)
 
-val cpu_local : action -> bool
-(** Register operations, loads and stores — the moves Lemmas 5.2–5.4
-    quantify over directly. *)
-
 val configures : State.t -> Principal.t -> action -> bool
 (** Whether the action legitimately reshapes [p]'s own view: a
     hypercall that creates, populates, seals or activates [p], or an
     activity transfer involving [p].  The per-primitive integrity
     property excludes these (they are covered by the pairwise
     consistency lemma instead). *)
-
-val mon_step :
-  (Hyperenclave.Absdata.t -> Hyperenclave.Absdata.t) -> State.t -> State.t
-(** Lift a monitor-state transformation (used by attack scenarios). *)

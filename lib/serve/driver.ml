@@ -37,7 +37,6 @@ type request = {
   seed : int;
   quick : bool;
   lints : Analysis.Lint.kind list;
-  overrides : bool;
   mc : mc_spec option;
   source_digest : string option;
       (* optional tenant assertion: refused if the module the daemon
@@ -50,7 +49,6 @@ let default_request =
     seed = 2024;
     quick = false;
     lints = Analysis.Lint.catalogue;
-    overrides = true;
     mc = None;
     source_digest = None;
   }
@@ -65,7 +63,6 @@ let json_of_request r =
        ("seed", Int r.seed);
        ("quick", Bool r.quick);
        ("lints", Str (lints_string r.lints));
-       ("overrides", Bool r.overrides);
        ( "model_check",
          match r.mc with
          | None -> Null
@@ -115,7 +112,6 @@ let request_of_json j : (request, string) result =
     | Ok ks -> Ok ks
     | Error msg -> Error ("bad lints: " ^ msg)
   in
-  let* overrides = field j "overrides" Jsonx.to_bool_opt ~default:true in
   let* source_digest =
     field j "source_digest" (fun v -> Option.map Option.some (Jsonx.to_string_opt v))
       ~default:None
@@ -136,7 +132,7 @@ let request_of_json j : (request, string) result =
         Ok (Some { mc_depth = depth; mc_por = por; mc_geometry = geometry;
                    mc_buggy_tlb = buggy_tlb })
   in
-  Ok { geometry; seed; quick; lints; overrides; mc; source_digest }
+  Ok { geometry; seed; quick; lints; mc; source_digest }
 
 let request_of_string s =
   match Jsonx.parse s with
@@ -239,7 +235,7 @@ let prepare req =
   let t0 = Engine.Clock.now () in
   let plan =
     Engine.Plan.build ~quick:req.quick ~security ~lints:req.lints ?model_check
-      ~overrides:req.overrides ~seed:req.seed layout
+      ~seed:req.seed layout
   in
   { p_req = req; p_key = request_key req; p_plan = plan; p_hit = false;
     p_build_s = Engine.Clock.now () -. t0 }

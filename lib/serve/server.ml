@@ -36,7 +36,6 @@ type config = {
   jobs : int;  (* pool domains per worker *)
   retries : int;
   timeout_ms : int;
-  prewarm : bool;  (* warm the default layout's memos at worker start *)
 }
 
 let default_config ~socket =
@@ -47,7 +46,6 @@ let default_config ~socket =
     jobs = 1;
     retries = 2;
     timeout_ms = 0;
-    prewarm = true;
   }
 
 let log fmt = Format.eprintf ("serve: " ^^ fmt ^^ "@.")
@@ -59,18 +57,15 @@ let make_session cfg =
   Driver.session ?cache_dir:cfg.cache_dir ~jobs:cfg.jobs ~retries:cfg.retries
     ~timeout_ms:cfg.timeout_ms ()
 
-let prewarm_session cfg =
-  if cfg.prewarm then
-    Hyperenclave.Layers.warm
-      (Driver.layout_of_geometry Driver.default_request.Driver.geometry)
-
 (* Blocking loop over the dispatcher socketpair: one frame in = one
    request, one frame out = its response.  EOF = dispatcher shut us
    down.  A driver exception turns into an error response — the worker
    survives to take the next request. *)
 let worker_loop cfg fd =
   let session = make_session cfg in
-  prewarm_session cfg;
+  (* warm the default layout's memos before the first request *)
+  Hyperenclave.Layers.warm
+    (Driver.layout_of_geometry Driver.default_request.Driver.geometry);
   let rec loop () =
     match Protocol.read_frame fd with
     | Ok None | Error _ -> ()

@@ -211,7 +211,6 @@ let engine_chaos_json = function
 let overrides_json (plan : Engine.Plan.t) =
   Jsonx.Obj
     [
-      ("enabled", Jsonx.Bool plan.Engine.Plan.overrides);
       ( "stubbed_calls_total",
         Int
           (List.fold_left

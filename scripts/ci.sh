@@ -98,29 +98,21 @@ diff "$workdir/serial-lints.json" "$workdir/cold-lints.json" || {
 echo "ci: engine output identical across jobs 1/4 and warm cache"
 
 # --- override-composition gate --------------------------------------
-# Verdict invariance: disabling callee-spec overrides (--no-overrides,
-# the monolithic executor) must leave the verification output
-# byte-identical — composition may never show up in verdicts.  That
-# the default plan stubs same-layer calls is pinned by the serve
-# suite's 'summary counts stubbed calls' test, and the engine
-# 'overrides' unit group pins the rest: the proven gate opens
-# only after callee spec-proofs, a quarantined callee falls the caller
-# back to the body (never a vacuous pass), and fingerprints digest own
-# body + direct callee specs only, so editing one mid-stack function
-# invalidates exactly itself and its direct callers.  The same group
-# pins the alias-certification path: a fact-free contract refinement
-# certifies and installs, while a points_to override whose frame
-# overlaps a caller-retained path is refused and the caller's composed
-# run stays byte-identical to the monolithic verdict.  It also counts
-# the override cost: on tiny and x86_64, no function's composed
+# Composition may never show up in verdicts: test/differential, which
+# 'dune runtest' runs above, holds every function's composed report
+# (same-layer callees stubbed by their oracle specs) equal to its
+# monolithic one.  That the default plan stubs same-layer calls is
+# pinned by the serve suite's 'summary counts stubbed calls' test, and
+# the engine 'overrides' unit group pins the rest: the proven gate
+# opens only after callee spec-proofs, a quarantined callee falls the
+# caller back to the body (never a vacuous pass), and fingerprints
+# digest own body + direct callee specs only, so editing one mid-stack
+# function invalidates exactly itself and its direct callers.  It also
+# counts the override cost: on tiny and x86_64, no function's composed
 # battery executes more MIR steps than its monolithic one.
-dune exec bin/hyperenclave_verify.exe -- \
-  --quick --seed 2024 --jobs 1 --no-overrides > "$workdir/mono.out"
-diff "$workdir/serial.out" "$workdir/mono.out" || {
-  echo "ci: override-composed verdicts differ from monolithic" >&2; exit 1; }
 dune exec test/engine/test_engine.exe -- test overrides > /dev/null || {
   echo "ci: override gate/fingerprint/step-count unit group failed" >&2; exit 1; }
-echo "ci: override gate ok (verdicts invariant, composed batteries run no more MIR steps)"
+echo "ci: override gate ok (proven gate, fingerprints, composed batteries run no more MIR steps)"
 
 hits=$(sed -n 's/^  "cache_hits": *\([0-9][0-9]*\).*/\1/p' "$workdir/warm.json")
 [ -n "$hits" ] && [ "$hits" -gt 0 ] || {
@@ -298,7 +290,7 @@ serve_args() {
   case $1 in
     0) echo "--quick --seed 2024" ;;
     1) echo "--quick --seed 2024 --lints body" ;;
-    2) echo "--quick --seed 2024 --no-overrides" ;;
+    2) echo "--quick --seed 7" ;;
     3) echo "--quick --seed 2024 --model-check 4" ;;
     4) echo "--quick --geometry x86_64 --lints body" ;;
   esac

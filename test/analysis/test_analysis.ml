@@ -437,7 +437,7 @@ let test_borrow_lint_report () =
   Alcotest.(check int) "deselected kind suppressed" 0 (List.length fs)
 
 (* ------------------------------------------------------------------ *)
-(* Alias analysis: footprints, the aliased-frame lint, certify         *)
+(* Alias analysis: footprints and the aliased-frame lint                *)
 
 module Alias = Analysis.Alias
 
@@ -630,55 +630,6 @@ let test_alias_seed_footprints_exact () =
       (Analysis.Callgraph.sccs (Analysis.Callgraph.build program))
   in
   Alcotest.(check int) "exact footprints over the SCCs" 50 counted
-
-let test_alias_certify () =
-  let set locs = Alias.LocSet.of_list locs in
-  let fp_exact =
-    { Alias.reads = set [ Alias.Lglobal "g" ]; writes = set [ Alias.Lglobal "g" ] }
-  in
-  (match
-     Alias.certify ~callee_fp:fp_exact
-       ~frames:[ Mir.Path.global "g" ]
-       ~retained:[ Mir.Path.global "other" ]
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "exact disjoint frame refused: %s" e);
-  (* empty frames certify trivially whatever the footprint *)
-  let fp_unknown =
-    { Alias.reads = set [ Alias.Lunknown ]; writes = set [ Alias.Lunknown ] }
-  in
-  (match Alias.certify ~callee_fp:fp_unknown ~frames:[] ~retained:[] with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "fact-free contract refused: %s" e);
-  (* refusal 1: inexact footprint *)
-  (match
-     Alias.certify ~callee_fp:fp_unknown
-       ~frames:[ Mir.Path.global "g" ]
-       ~retained:[]
-   with
-  | Ok () -> Alcotest.fail "inexact footprint certified"
-  | Error e ->
-      Alcotest.(check bool) "reason says inexact" true (has_substring e "inexact"));
-  (* refusal 2: a written global outside every declared frame *)
-  (match
-     Alias.certify ~callee_fp:fp_exact
-       ~frames:[ Mir.Path.global "h" ]
-       ~retained:[]
-   with
-  | Ok () -> Alcotest.fail "out-of-frame write certified"
-  | Error e ->
-      Alcotest.(check bool) "reason names the frames" true
-        (has_substring e "frame"));
-  (* refusal 3: a frame overlapping a caller-retained path *)
-  match
-    Alias.certify ~callee_fp:fp_exact
-      ~frames:[ Mir.Path.global "g" ]
-      ~retained:[ Mir.Path.global "g" ]
-  with
-  | Ok () -> Alcotest.fail "retained overlap certified"
-  | Error e ->
-      Alcotest.(check bool) "reason says overlap" true
-        (has_substring e "overlap")
 
 (* ------------------------------------------------------------------ *)
 (* Callgraph SCC properties (Tarjan)                                   *)
@@ -891,7 +842,6 @@ let () =
         [
           Alcotest.test_case "alias-footprint fires" `Quick test_alias_footprint_fires;
           Alcotest.test_case "footprints exact" `Quick test_alias_footprints_exact;
-          Alcotest.test_case "certify" `Quick test_alias_certify;
           Alcotest.test_case "dead-block discharge" `Quick
             test_alias_dead_block_discharge;
           Alcotest.test_case "seed footprints exact" `Quick

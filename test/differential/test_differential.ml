@@ -155,7 +155,7 @@ let test_fuel_ladder_equivalence () =
 
 (* Verdict invariance of compositional verification: for every one of
    the 49+1 functions, the full code-proof battery with same-layer
-   callees stubbed by their contracts ({!Check.Code_proof.
+   callees stubbed by their oracle specs ({!Check.Code_proof.
    run_function_composed}) must render the identical report —
    pass/skip/fail per case, reasons included — as the monolithic run
    that executes callee bodies.  This is the equivalence that lets the

@@ -1,5 +1,5 @@
 (* Tests of the parallel incremental verification engine: DAG
-   validation and stratification edges, scheduling determinism (same
+   validation and call-graph edges, scheduling determinism (same
    reports at any job count), and the content-addressed proof cache
    (cold populates, warm replays, a fingerprint edit invalidates only
    the obligation and its dependents). *)
@@ -57,7 +57,7 @@ let test_dag_order_and_reaches () =
   Alcotest.(check (list string)) "dependents of a" [ "b" ] (Dag.dependents_of dag "a")
 
 (* ------------------------------------------------------------------ *)
-(* The real plan: shape and stratification                             *)
+(* The real plan: shape and edges                                     *)
 
 let plan =
   let mc =
@@ -91,27 +91,8 @@ let test_plan_one_obligation_per_function () =
   Alcotest.(check int) "code-proof obligations" 50
     (List.length (ids_with_prefix "code-proof/"))
 
-(* Legacy shape (--no-overrides): layer-barrier edges, byte-for-byte
-   the pre-composition plan. *)
-let test_code_proofs_respect_stratification () =
-  let by_layer = Plan.code_proof_obligations ~seed:2024 ~overrides:false layout in
-  let legacy_dag = Dag.build_exn (List.concat_map snd by_layer) in
-  match (by_layer, List.rev by_layer) with
-  | (bottom, b_obls) :: _, (top, t_obls) :: _ when bottom <> top ->
-      let b = (List.hd b_obls : Obligation.t).id in
-      let t = (List.hd t_obls : Obligation.t).id in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s reaches %s" t b)
-        true
-        (Dag.reaches legacy_dag ~src:t ~dst:b);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s does not reach %s" b t)
-        false
-        (Dag.reaches legacy_dag ~src:b ~dst:t)
-  | _ -> Alcotest.fail "expected at least two function-bearing layers"
-
-(* Composed shape (the default): one dependency edge per direct
-   spec-owned callee — no more, no less — and never a back edge. *)
+(* One dependency edge per direct spec-owned callee — no more, no
+   less — and never a back edge. *)
 let test_code_proofs_follow_call_graph () =
   let fn_of id =
     match String.split_on_char '/' id with
@@ -208,9 +189,6 @@ let test_plan_cache_keys_pinned () =
   in
   check "default" 333 "8429c35496762a96be5a6ec6f0c0fd04"
     "de201071d77e4d01284a883db4131c56" (Plan.build ~seed:2024 layout);
-  check "no overrides" 333 "c37e927f201120fe9d403520d1f5edbc"
-    "e7283724756ffc0f33e1c8f6b58258f3"
-    (Plan.build ~overrides:false ~seed:2024 layout);
   check "x86_64, no security" 310 "b8c1fc97d5c5c123033f5aec09ec7aa7"
     "f3f52071aa64adac14a010d2ed3d3557"
     (Plan.build ~security:false ~seed:2024 (Layout.default Geometry.x86_64))
@@ -837,20 +815,17 @@ let test_override_gate_quarantined_callee () =
   let caller = find (code_proof_id_of caller_fn) in
   let out = caller.Obligation.run () in
   let mono =
-    let legacy =
-      List.concat_map snd
-        (Plan.code_proof_obligations ~seed:2024 ~overrides:false layout)
-    in
-    (List.find
-       (fun (o : Obligation.t) -> o.id = code_proof_id_of caller_fn)
-       legacy)
-      .Obligation.run ()
+    match
+      Check.Code_proof.run_function (Check.Code_proof.ctx ~seed:2024 layout) caller_fn
+    with
+    | Some (_, r) -> Report.to_string r
+    | None -> Alcotest.failf "%s owns no spec" caller_fn
   in
   Alcotest.(check bool) "quarantine fallback is not vacuous" true
     (List.exists (fun (r : Report.t) -> r.Report.total > 0) out.Obligation.reports);
   Alcotest.(check string)
     "fallback equals the monolithic verdict"
-    (report_text mono) (report_text out)
+    mono (report_text out)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -899,103 +874,12 @@ let test_override_fingerprints_shrink () =
         fns)
     obls
 
-(* a fact-free refinement (frames = []) certifies trivially, installs,
-   and leaves the composed verdicts untouched: the refined contract is
-   the oracle spec plus an always-true postcondition *)
-let test_refine_contract_certified () =
-  let ctx = Check.Code_proof.ctx ~seed:2024 layout in
-  let caller_fn, stub_fns = caller_with_stubs () in
-  let callee = List.hd stub_fns in
-  let composed_report fn =
-    match Check.Code_proof.run_function_composed ctx fn with
-    | Some (_, r) -> Report.to_string r
-    | None -> Alcotest.failf "%s owns no spec" fn
-  in
-  let baseline = composed_report caller_fn in
-  let spec =
-    match Mem_spec.find layout callee with
-    | Some s -> s
-    | None -> Alcotest.failf "no spec for %s" callee
-  in
-  let refined =
-    Check.Spec.ensures ~label:"noop" (fun _ _ _ -> true) (Check.Spec.of_spec spec)
-  in
-  (match Check.Code_proof.refine_contract ctx callee refined with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "fact-free refinement refused: %s" e);
-  Alcotest.(check bool) "no refusal recorded" true
-    (Check.Code_proof.refusal ctx callee = None);
-  Alcotest.(check string) "composed verdicts unchanged" baseline
-    (composed_report caller_fn)
-
-(* the planted footprint-violating override: a [points_to] fact on
-   [self_obj], the very path the method callers' batteries retain.
-   Certification must refuse it, and the caller's composed run must
-   execute the callee's body — byte-identical to the monolithic
-   verdict, never a stub trusted on an uncertified frame *)
-let test_refine_contract_refused () =
-  let ctx = Check.Code_proof.ctx ~seed:2024 layout in
-  let callee = "Enclave::in_elrange" in
-  let caller = "Enclave::add_page" in
-  (* the refusal is real on the seed stack: the method callers retain
-     self_obj, so the frame below cannot be disjoint from it *)
-  Alcotest.(check bool) "method callers retain self_obj" true
-    (List.exists
-       (fun p -> Mir.Path.equal p (Mir.Path.global "self_obj"))
-       (Check.Code_proof.retained_paths ctx callee));
-  let mono =
-    match Check.Code_proof.run_function ctx caller with
-    | Some (_, r) -> Report.to_string r
-    | None -> Alcotest.failf "%s owns no spec" caller
-  in
-  let spec =
-    match Mem_spec.find layout callee with
-    | Some s -> s
-    | None -> Alcotest.failf "no spec for %s" callee
-  in
-  let refined =
-    Check.Spec.points_to ~label:"self-invariant" (Mir.Path.global "self_obj")
-      (fun _ -> true)
-      (Check.Spec.of_spec spec)
-  in
-  (match Check.Code_proof.refine_contract ctx callee refined with
-  | Ok () -> Alcotest.fail "uncertified points_to override was installed"
-  | Error _ -> ());
-  (match Check.Code_proof.refusal ctx callee with
-  | Some _ -> ()
-  | None -> Alcotest.fail "refusal not recorded");
-  let composed_r =
-    match Check.Code_proof.run_function_composed ctx caller with
-    | Some (_, r) -> r
-    | None -> Alcotest.failf "%s owns no spec" caller
-  in
-  Alcotest.(check string) "refused override falls back to the body" mono
-    (Report.to_string composed_r);
-  Alcotest.(check bool) "composed run is not vacuous" true
-    (composed_r.Report.total > 0)
-
-(* certify_frames end-to-end on the real stack: an in-frame write-free
-   callee certifies against a frame disjoint from everything retained *)
-let test_certify_frames_disjoint () =
-  let ctx = Check.Code_proof.ctx ~seed:2024 layout in
-  let callee = "Enclave::in_elrange" in
-  match
-    Check.Code_proof.certify_frames ctx callee
-      ~frames:[ Mir.Path.global "nonexistent_scratch" ]
-  with
-  | Ok () -> ()
-  | Error e ->
-      (* acceptable only if the refusal is about footprint exactness,
-         never about the (provably disjoint) frame *)
-      Alcotest.(check bool) ("unexpected refusal: " ^ e) true
-        (contains e "inexact")
-
 (* override cost, counted: stubbing proven same-layer callees with
-   their contracts never makes a battery execute more MIR steps than
+   their specs never makes a battery execute more MIR steps than
    running their bodies.  Both sides run the engine's own linkage
    ([Layers.compiled_for] and [Code_proof.composed_for]) over the cases
    the battery executes (those where the spec is defined); the OCaml
-   cost of evaluating a contract is not a MIR step, so this counts the
+   cost of evaluating a spec is not a MIR step, so this counts the
    code the composition skips, not its wall-clock *)
 let test_override_steps_never_grow () =
   List.iter
@@ -1093,8 +977,6 @@ let () =
           Alcotest.test_case "all phases present" `Quick test_plan_has_all_phases;
           Alcotest.test_case "one obligation per function" `Quick
             test_plan_one_obligation_per_function;
-          Alcotest.test_case "stratification edges" `Quick
-            test_code_proofs_respect_stratification;
           Alcotest.test_case "call-graph edges" `Quick
             test_code_proofs_follow_call_graph;
           Alcotest.test_case "phase dependencies" `Quick test_phase_dependencies;
@@ -1136,12 +1018,6 @@ let () =
             test_override_gate_opens_after_callees;
           Alcotest.test_case "quarantined callee falls back" `Quick
             test_override_gate_quarantined_callee;
-          Alcotest.test_case "refinement certified" `Quick
-            test_refine_contract_certified;
-          Alcotest.test_case "refinement refused" `Quick
-            test_refine_contract_refused;
-          Alcotest.test_case "certify disjoint frame" `Quick
-            test_certify_frames_disjoint;
           Alcotest.test_case "fingerprints shrink to direct callees" `Quick
             test_override_fingerprints_shrink;
           Alcotest.test_case "composed batteries run no more MIR steps" `Quick

@@ -214,11 +214,8 @@ let test_por_preserves_outcome () =
     [ true; false ]
 
 let test_por_prunes_interleavings () =
-  let il_por = Explore.interleavings (Explore.config ~depth:4 ~checks:false layout) in
-  let il_full =
-    Explore.interleavings
-      (Explore.config ~depth:4 ~checks:false ~por:false layout)
-  in
+  let il_por = Explore.interleavings (Explore.config ~depth:4 layout) in
+  let il_full = Explore.interleavings (Explore.config ~depth:4 ~por:false layout) in
   let factor = 1. -. (float_of_int il_por /. float_of_int il_full) in
   if factor < 0.30 then
     Alcotest.failf "POR pruned only %.1f%% of interleavings (%d of %d)"

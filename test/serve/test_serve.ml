@@ -176,10 +176,16 @@ let test_jsonx_depth () =
 (* ------------------------------------------------------------------ *)
 (* Request decode                                                      *)
 
+(* An empty request decodes to the defaults; so does one that carries
+   only the retired "overrides" field, which is ignored like any other
+   unknown key. *)
 let test_request_defaults () =
-  match Driver.request_of_string "{}" with
-  | Ok r -> Alcotest.(check bool) "defaults" true (r = Driver.default_request)
-  | Error msg -> Alcotest.fail msg
+  List.iter
+    (fun payload ->
+      match Driver.request_of_string payload with
+      | Ok r -> Alcotest.(check bool) payload true (r = Driver.default_request)
+      | Error msg -> Alcotest.fail msg)
+    [ "{}"; {|{"overrides":false}|}; {|{"overrides":true}|} ]
 
 let test_request_roundtrip () =
   let r =
@@ -188,7 +194,6 @@ let test_request_roundtrip () =
       Driver.geometry = "x86_64";
       seed = 7;
       quick = true;
-      overrides = false;
       mc =
         Some
           {
@@ -244,13 +249,13 @@ let status_of j = Option.get (Jsonx.to_int_opt (rfield j "status"))
 let executed_of j =
   Option.get (Jsonx.to_int_opt (rfield (rfield j "summary") "executed"))
 
-(* The phase-selection matrix: lint subsets, overrides off, model
-   checking on (with and without POR, on both mc geometries), the big
-   geometry.  Every request is --quick-sized. *)
+(* The phase-selection matrix: lint subsets, model checking on (with
+   and without POR, on both mc geometries), the big geometry.  Every
+   request is --quick-sized. *)
 let matrix =
   [
     {|{"op":"verify","quick":true,"seed":11,"lints":"body"}|};
-    {|{"op":"verify","quick":true,"seed":12,"lints":"all","overrides":false}|};
+    {|{"op":"verify","quick":true,"seed":12,"lints":"all"}|};
     {|{"op":"verify","quick":true,"seed":13,"lints":"borrow","model_check":{"depth":3}}|};
     {|{"op":"verify","quick":true,"seed":14,"geometry":"x86_64","lints":"body"}|};
     {|{"op":"verify","quick":true,"seed":15,"lints":"interprocedural",
@@ -453,7 +458,7 @@ let test_cache_two_process () =
    dispatched again before a request that arrived after it. *)
 let test_respawn_requeues_at_front () =
   let cfg =
-    { (Server.default_config ~socket:"unused") with Server.fleet = 1; prewarm = false }
+    { (Server.default_config ~socket:"unused") with Server.fleet = 1 }
   in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
@@ -504,7 +509,7 @@ let test_respawn_requeues_at_front () =
    still queued is answered with an error too. *)
 let test_respawn_bounded () =
   let cfg =
-    { (Server.default_config ~socket:"unused") with Server.fleet = 1; prewarm = false }
+    { (Server.default_config ~socket:"unused") with Server.fleet = 1 }
   in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let client, client_peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -563,7 +568,7 @@ let test_respawn_bounded () =
    reads EOF even while the replacement worker lives. *)
 let test_respawn_closes_client_fds () =
   let cfg =
-    { (Server.default_config ~socket:"unused") with Server.fleet = 1; prewarm = false }
+    { (Server.default_config ~socket:"unused") with Server.fleet = 1 }
   in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
@@ -609,7 +614,7 @@ let test_respawn_closes_client_fds () =
 (* Daemons over a Unix socket                                          *)
 
 let daemon_config ~socket ~fleet =
-  { (Server.default_config ~socket) with Server.fleet; prewarm = false }
+  { (Server.default_config ~socket) with Server.fleet }
 
 (* Fork a daemon of [fleet] workers on a fresh socket, run [f socket]
    against it, then shut it down. *)
@@ -962,7 +967,7 @@ let test_render_failing_output () =
   fig5b                  UNEXPECTED: accepted
 |} text
 
-(* The default plan stubs same-layer callees with their contracts, and
+(* The default plan stubs same-layer callees with their specs, and
    the summary says so. *)
 let test_summary_stubbed_calls () =
   let p = Driver.prepare Driver.default_request in
