@@ -19,12 +19,12 @@
                        one obligation visiting each state once, with
                        partial-order reduction (--mc-por/--no-mc-por)
 
-   Phases 3-9 and 11 are reified as an obligation DAG (lib/engine) and run on
-   a Domain worker pool (--jobs), optionally against a
+   Phases 3-9 and 11 are reified as an obligation DAG (lib/engine) and run
+   in dependency order on the calling domain, optionally against a
    content-addressed proof cache (--cache DIR).  Stdout carries only
-   verification content — no job counts, timings or cache statistics —
-   so the output is byte-identical at any job count and cache state;
-   scheduling metadata goes to stderr, --json-out and --trace-out.
+   verification content — no timings or cache statistics — so the
+   output is byte-identical at any cache state; run metadata goes to
+   stderr, --json-out and --trace-out.
 
    The flags build one [Serve.Driver.request].  A one-shot run hands it
    to [Serve.Driver.run], the same function that answers the --serve
@@ -101,7 +101,7 @@ let chaos_phase ~quick ~seed ~traces ~kinds ~buggy_tlb (req : Serve.Driver.reque
 (* ------------------------------------------------------------------ *)
 (* Serve / client modes                                                *)
 
-let run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms =
+let run_serve ~socket ~fleet ~cache_dir ~retries ~timeout_ms =
   if fleet < 1 then begin
     Format.eprintf "hyperenclave-verify: --fleet must be at least 1 (got %d)@." fleet;
     2
@@ -112,7 +112,6 @@ let run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms =
         (Serve.Server.default_config ~socket) with
         Serve.Server.fleet;
         cache_dir;
-        jobs;
         retries;
         timeout_ms;
       }
@@ -168,8 +167,8 @@ let run_local (session : Serve.Driver.session) ?chaos ?engine_chaos ~json_out
   print_string r.stdout;
   let execs = r.execs and stats = r.stats in
   let count_cache = Serve.Summary.count_cache in
-  Format.eprintf "engine: %d obligations, jobs=%d, cache %s, %d hits, %d misses, %.3fs@."
-    (List.length execs) session.jobs
+  Format.eprintf "engine: %d obligations, cache %s, %d hits, %d misses, %.3fs@."
+    (List.length execs)
     (if session.cache = None then "off" else "on")
     (count_cache execs Engine.Pool.Hit)
     (count_cache execs Engine.Pool.Miss)
@@ -220,7 +219,7 @@ let run_local (session : Serve.Driver.session) ?chaos ?engine_chaos ~json_out
 
 (* ------------------------------------------------------------------ *)
 
-let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
+let run geometry seed quick (_jobs : int) cache_dir json_out trace_out lint_json chaos
     chaos_traces faults buggy_tlb lints timeout_ms retries engine_chaos_seed
     engine_faults mc_depth mc_geometry mc_por serve_socket client_socket fleet
     scrub_summary =
@@ -244,7 +243,7 @@ let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
     }
   in
   match (serve_socket, client_socket) with
-  | Some socket, _ -> run_serve ~socket ~fleet ~cache_dir ~jobs ~retries ~timeout_ms
+  | Some socket, _ -> run_serve ~socket ~fleet ~cache_dir ~retries ~timeout_ms
   | None, Some socket ->
       if chaos || engine_chaos_seed <> None then begin
         Format.eprintf
@@ -254,7 +253,7 @@ let run geometry seed quick jobs cache_dir json_out trace_out lint_json chaos
       end
       else run_client ~socket ~scrub_summary ~json_out req
   | None, None ->
-      let session = Serve.Driver.session ?cache_dir ~jobs ~retries ~timeout_ms () in
+      let session = Serve.Driver.session ?cache_dir ~retries ~timeout_ms () in
       let chaos =
         if chaos then
           Some
@@ -280,8 +279,8 @@ let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller state budgets.")
 
 (* A count below its minimum is a usage error naming the flag, before
    any phase runs: zero chaos traces would pass vacuously, a zero depth
-   or job count would silently run as 1, and a negative deadline or
-   retry count would silently run as none. *)
+   would silently run as 1, and a negative deadline or retry count
+   would silently run as none. *)
 let int_at_least min =
   let parse s =
     match int_of_string_opt s with
@@ -294,15 +293,16 @@ let int_at_least min =
 let positive_int = int_at_least 1
 let non_negative_int = int_at_least 0
 
+(* --jobs is kept, accepting only 1, for callers that still pass it. *)
 let jobs =
+  let parse s =
+    if int_of_string_opt s = Some 1 then Ok 1
+    else Error (`Msg (Printf.sprintf "must be 1 (got '%s'): the pool runs on one domain" s))
+  in
   Arg.(
     value
-    & opt positive_int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the obligation pool, at least 1; the pool never \
-           runs more domains than the hardware has cores.  Results are \
-           byte-identical at any N.")
+    & opt (conv (parse, Format.pp_print_int)) 1
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Accepted only as 1: the obligation pool runs on one domain.")
 
 let cache_dir =
   Arg.(
@@ -521,11 +521,11 @@ let scrub_summary =
     & info [ "scrub-summary" ]
         ~doc:
           "Write --json-out through the deterministic projection: drop every \
-           scheduling-dependent field (job counts, cache statistics, wall \
-           clocks, worker utilization), leaving only verification content — \
-           byte-identical for the same request at any job count, fleet size \
-           or cache state.  CI diffs daemon responses against one-shot runs \
-           through this projection.")
+           run-dependent field (job count, cache statistics, wall clocks, \
+           worker utilization), leaving only verification content — \
+           byte-identical for the same request at any fleet size or cache \
+           state.  CI diffs daemon responses against one-shot runs through \
+           this projection.")
 
 let cmd =
   Cmd.v

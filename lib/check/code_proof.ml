@@ -298,12 +298,11 @@ let eq : Absdata.t Refine.equiv = Refine.equiv Absdata.equal
 type ctx = {
   ctx_layout : Layout.t;
   (* the input pool every battery draws from: built with the first
-     battery, under [ctx_mu], so a fully cached run builds none *)
+     battery, so a fully cached run builds none *)
   ctx_pool : pool Lazy.t;
   (* per-function check memo: generated cases are deterministic given
      (seed, layout), so each function's check is built once per ctx
-     instead of once per obligation run.  Built on first use, by
-     whichever domain runs the function first, under [ctx_mu]; a run
+     instead of once per obligation run.  Built on first use; a run
      whose obligations all hit the proof cache builds none. *)
   ctx_checks : (string, (string * Absdata.t Refine.check) option) Hashtbl.t;
   (* per-layer override-composed compiled environments: every spec-owned
@@ -312,7 +311,6 @@ type ctx = {
      callee bodies.  Shares {!Layers.compile_memo}, whose keys include
      call-site linkage. *)
   ctx_cenvs : (string, Absdata.t Mir.Compile.t) Hashtbl.t;
-  ctx_mu : Mutex.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -339,26 +337,20 @@ let prim_summary g =
   else None
 
 (* Andersen summaries of the whole memory module, one map per layout,
-   shared by every alias-phase obligation.  Computed on first use, by
-   whichever domain asks first, under a mutex (a bare [Lazy.force]
-   raises [Lazy.Undefined] when another domain is forcing the same
-   suspension). *)
-let alias_mu = Mutex.create ()
-
+   shared by every alias-phase obligation and computed on first use. *)
 let alias_cache : (Layout.t, Analysis.Alias.info Analysis.Alias.StrMap.t) Hashtbl.t =
   Hashtbl.create 4
 
 let alias_summaries layout =
-  Mutex.protect alias_mu (fun () ->
-      match Hashtbl.find_opt alias_cache layout with
-      | Some infos -> infos
-      | None ->
-          let infos =
-            Analysis.Alias.analyze ~prim:prim_summary
-              (Layers.compiled layout).Rustlite.Pipeline.program
-          in
-          Hashtbl.add alias_cache layout infos;
-          infos)
+  match Hashtbl.find_opt alias_cache layout with
+  | Some infos -> infos
+  | None ->
+      let infos =
+        Analysis.Alias.analyze ~prim:prim_summary
+          (Layers.compiled layout).Rustlite.Pipeline.program
+      in
+      Hashtbl.add alias_cache layout infos;
+      infos
 
 let build_check ctx fn =
   match Layers.layer_of_function ctx.ctx_layout fn with
@@ -379,18 +371,12 @@ let build_check ctx fn =
       Some (lname, Refine.check ~fn ~spec ~eq cases)
 
 let check_function ctx fn =
-  Mutex.lock ctx.ctx_mu;
   match Hashtbl.find_opt ctx.ctx_checks fn with
-  | Some r ->
-      Mutex.unlock ctx.ctx_mu;
-      r
+  | Some r -> r
   | None ->
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock ctx.ctx_mu)
-        (fun () ->
-          let r = build_check ctx fn in
-          Hashtbl.add ctx.ctx_checks fn r;
-          r)
+      let r = build_check ctx fn in
+      Hashtbl.add ctx.ctx_checks fn r;
+      r
 
 (* ------------------------------------------------------------------ *)
 (* Override composition                                                *)
@@ -447,27 +433,20 @@ let build_composed ctx lname =
     (Layers.env_for layout ~layer:lname)
 
 let composed_for ctx lname =
-  Mutex.lock ctx.ctx_mu;
   match Hashtbl.find_opt ctx.ctx_cenvs lname with
-  | Some cenv ->
-      Mutex.unlock ctx.ctx_mu;
-      cenv
+  | Some cenv -> cenv
   | None ->
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock ctx.ctx_mu)
-        (fun () ->
-          let cenv = build_composed ctx lname in
-          Hashtbl.add ctx.ctx_cenvs lname cenv;
-          cenv)
+      let cenv = build_composed ctx lname in
+      Hashtbl.add ctx.ctx_cenvs lname cenv;
+      cenv
 
 let ctx ?(seed = 2024) layout =
-  (* warming the layout-keyed compile/stack/boot caches makes a ctx
-     built up front safe to share across domains *)
+  (* a prewarm: a ctx built up front pays for the layout's front end
+     and boot here, not in its first battery *)
   Layers.warm layout;
   { ctx_layout = layout; ctx_pool = lazy (make_pool ~seed layout);
     ctx_checks = Hashtbl.create 64;
-    ctx_cenvs = Hashtbl.create 16;
-    ctx_mu = Mutex.create () }
+    ctx_cenvs = Hashtbl.create 16 }
 
 let run_function ctx fn =
   Option.map

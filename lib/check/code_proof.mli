@@ -14,10 +14,10 @@ type ctx
     check memo — case generation is deterministic given (seed, layout),
     so each function's check is built exactly once per ctx instead of
     once per obligation run.  Build one ctx up front and reuse it
-    across per-function runs — including runs on other domains.
-    Building a ctx generates no cases: the input pool, each function's
-    check and each layer's composed environment are built on first use,
-    by whichever domain asks first, under the ctx's mutex. *)
+    across per-function runs.  Building a ctx generates no cases: the
+    input pool, each function's check and each layer's composed
+    environment are built on first use, so the reports do not depend
+    on the order the functions run in. *)
 
 val ctx : ?seed:int -> Hyperenclave.Layout.t -> ctx
 
@@ -41,14 +41,13 @@ val alias_summaries :
   Hyperenclave.Layout.t -> Analysis.Alias.info Analysis.Alias.StrMap.t
 (** [Analysis.Alias.analyze ~prim:prim_summary] over the layout's
     compiled memory module, memoized per layout: computed on first use
-    by whichever domain asks first, under a mutex, and shared by the
-    engine's alias-phase obligations. *)
+    and shared by the engine's alias-phase obligations. *)
 
 (** {1 Running the batteries} *)
 
 val run_function : ctx -> string -> (string * Mirverif.Report.t) option
 (** Run the conformance check of a single function — the obligation
-    granularity of the parallel engine. *)
+    granularity of the engine. *)
 
 val run_function_composed : ctx -> string -> (string * Mirverif.Report.t) option
 (** The identical battery against the override-composed environment:
@@ -63,8 +62,8 @@ val run_function_composed : ctx -> string -> (string * Mirverif.Report.t) option
 val composed_for : ctx -> string -> Hyperenclave.Absdata.t Mir.Compile.t
 (** The layer's override-composed environment, the one
     {!run_function_composed} runs against: every spec-owned function of
-    the layer linked as a stub of its spec.  Built on first use under
-    the ctx's mutex and kept for the ctx's lifetime. *)
+    the layer linked as a stub of its spec.  Built on first use and
+    kept for the ctx's lifetime. *)
 
 val run_function_interp : ctx -> string -> (string * Mirverif.Report.t) option
 (** The same battery under the reference {!Mir.Interp} semantics

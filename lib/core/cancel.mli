@@ -4,9 +4,7 @@
     iteration boundaries.  By default it is a no-op; a supervising
     harness installs a hook with {!set_hook} that raises
     {!Deadline_exceeded} once the current obligation's deadline has
-    passed.  The hook is installed once, globally, but is expected to
-    read per-domain state (e.g. a domain-local deadline), so workers
-    cancel independently. *)
+    passed. *)
 
 exception Deadline_exceeded
 (** Raised (by the installed hook) from {!poll} when the supervising

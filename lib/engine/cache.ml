@@ -16,14 +16,13 @@ let magic = "MVEC2\n" ^ Sys.ocaml_version ^ "\n"
    write, not one per obligation. *)
 type t = {
   dir : string;
-  mu : Mutex.t;
   index : (string, Obligation.outcome) Hashtbl.t;  (* from pack files *)
   pending : (string, Obligation.outcome) Hashtbl.t;  (* stashed, not yet flushed *)
   packs : (string, unit) Hashtbl.t;
       (* pack basenames already merged into [index] (our own flushes
          included), so {!refresh} loads only packs other processes
-         wrote since; guarded by mu *)
-  mutable failures : (string * string) list;  (* (op, message), newest first; guarded by mu *)
+         wrote since *)
+  mutable failures : (string * string) list;  (* (op, message), newest first *)
   mutable chaos : Engine_chaos.t option;
 }
 
@@ -34,11 +33,7 @@ type t = {
    Stack_overflow are not IO weather and are never absorbed. *)
 let fatal = function Out_of_memory | Stack_overflow -> true | _ -> false
 
-let write_failures t =
-  Mutex.lock t.mu;
-  let fs = List.rev t.failures in
-  Mutex.unlock t.mu;
-  fs
+let write_failures t = List.rev t.failures
 
 let write_failure_count t = List.length (write_failures t)
 
@@ -105,35 +100,23 @@ let create ~dir =
           Hashtbl.replace packs f ()
       | None -> ())
     (pack_basenames dir);
-  { dir; mu = Mutex.create (); index; pending = Hashtbl.create 64; packs;
-    failures = []; chaos = None }
+  { dir; index; pending = Hashtbl.create 64; packs; failures = []; chaos = None }
 
 (* Pick up packs flushed by other processes since [create] (or the last
-   refresh): the fleet's warm-sharing path.  Pack reads happen outside
-   the mutex (pure IO on immutable files); only the merge is locked.
-   Returns the number of new packs merged. *)
+   refresh): the fleet's warm-sharing path.  Returns the number of new
+   packs merged. *)
 let refresh t =
-  Mutex.lock t.mu;
-  let seen = Hashtbl.copy t.packs in
-  Mutex.unlock t.mu;
-  let fresh =
-    List.filter_map
-      (fun f ->
-        if Hashtbl.mem seen f then None
-        else
-          match read_pack (Filename.concat t.dir f) with
-          | Some entries -> Some (f, entries)
-          | None -> None)
-      (pack_basenames t.dir)
-  in
-  Mutex.lock t.mu;
-  List.iter
-    (fun (f, entries) ->
-      Array.iter (fun (k, o) -> Hashtbl.replace t.index k o) entries;
-      Hashtbl.replace t.packs f ())
-    fresh;
-  Mutex.unlock t.mu;
-  List.length fresh
+  List.fold_left
+    (fun merged f ->
+      if Hashtbl.mem t.packs f then merged
+      else
+        match read_pack (Filename.concat t.dir f) with
+        | Some entries ->
+            Array.iter (fun (k, o) -> Hashtbl.replace t.index k o) entries;
+            Hashtbl.replace t.packs f ();
+            merged + 1
+        | None -> merged)
+    0 (pack_basenames t.dir)
 
 let key (o : Obligation.t) =
   Digest.to_hex
@@ -143,19 +126,12 @@ let key (o : Obligation.t) =
 
 let find t (o : Obligation.t) : Obligation.outcome option =
   let k = key o in
-  Mutex.lock t.mu;
-  let r =
-    match Hashtbl.find_opt t.pending k with
-    | Some _ as r -> r
-    | None -> Hashtbl.find_opt t.index k
-  in
-  Mutex.unlock t.mu;
-  r
+  match Hashtbl.find_opt t.pending k with
+  | Some _ as r -> r
+  | None -> Hashtbl.find_opt t.index k
 
 let stash t (o : Obligation.t) (outcome : Obligation.outcome) =
-  Mutex.lock t.mu;
-  Hashtbl.replace t.pending (key o) outcome;
-  Mutex.unlock t.mu
+  Hashtbl.replace t.pending (key o) outcome
 
 (* Serialize pack flushes across processes sharing the directory with
    an advisory [lockf] on [<dir>/.lock].  Readers never take it — the
@@ -186,44 +162,35 @@ let with_flush_lock t f =
             f)
 
 let flush t =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
-      if Hashtbl.length t.pending > 0 then begin
-        let entries =
-          Array.of_seq (Seq.map (fun (k, o) -> (k, o)) (Hashtbl.to_seq t.pending))
-        in
-        (try
-           with_flush_lock t (fun () ->
-               (* write-then-rename under a per-run unique name: concurrent
-                  runs each produce their own pack, readers see whole files *)
-               let tmp = Filename.temp_file ~temp_dir:t.dir "pack-" ".tmp" in
-               let oc = open_out_bin tmp in
-               let payload = Marshal.to_string entries [] in
-               Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-                   output_string oc magic;
-                   output_string oc (Digest.string payload);
-                   output_string oc payload);
-               let pack_base =
-                 Filename.chop_suffix (Filename.basename tmp) ".tmp" ^ ".pack"
-               in
-               let pack = Filename.concat t.dir pack_base in
-               Sys.rename tmp pack;
-               Hashtbl.replace t.packs pack_base ();
-               Option.iter (fun ch -> Engine_chaos.tear_pack ch ~path:pack) t.chaos)
-         with e when not (fatal e) ->
-           t.failures <- ("flush", Printexc.to_string e) :: t.failures);
-        Array.iter (fun (k, o) -> Hashtbl.replace t.index k o) entries;
-        Hashtbl.reset t.pending
-      end)
+  if Hashtbl.length t.pending > 0 then begin
+    let entries =
+      Array.of_seq (Seq.map (fun (k, o) -> (k, o)) (Hashtbl.to_seq t.pending))
+    in
+    (try
+       with_flush_lock t (fun () ->
+           (* write-then-rename under a per-run unique name: concurrent
+              runs each produce their own pack, readers see whole files *)
+           let tmp = Filename.temp_file ~temp_dir:t.dir "pack-" ".tmp" in
+           let oc = open_out_bin tmp in
+           let payload = Marshal.to_string entries [] in
+           Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+               output_string oc magic;
+               output_string oc (Digest.string payload);
+               output_string oc payload);
+           let pack_base =
+             Filename.chop_suffix (Filename.basename tmp) ".tmp" ^ ".pack"
+           in
+           let pack = Filename.concat t.dir pack_base in
+           Sys.rename tmp pack;
+           Hashtbl.replace t.packs pack_base ();
+           Option.iter (fun ch -> Engine_chaos.tear_pack ch ~path:pack) t.chaos)
+     with e when not (fatal e) ->
+       t.failures <- ("flush", Printexc.to_string e) :: t.failures);
+    Array.iter (fun (k, o) -> Hashtbl.replace t.index k o) entries;
+    Hashtbl.reset t.pending
+  end
 
 let entry_count t =
-  Mutex.lock t.mu;
-  let n =
-    Hashtbl.fold
-      (fun k _ n -> if Hashtbl.mem t.index k then n else n + 1)
-      t.pending (Hashtbl.length t.index)
-  in
-  Mutex.unlock t.mu;
-  n
+  Hashtbl.fold
+    (fun k _ n -> if Hashtbl.mem t.index k then n else n + 1)
+    t.pending (Hashtbl.length t.index)

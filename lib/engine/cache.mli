@@ -21,9 +21,8 @@
     and the unreadable pack is unlinked — its keys already encode
     version and fingerprint, so it can never become valid again.  A
     corrupt cache can cost time, never a verdict.  Writes are
-    write-to-temp + atomic rename, safe under concurrent workers and
-    concurrent runs.  {!stash}/{!find} are mutex-guarded and safe from
-    worker domains. *)
+    write-to-temp + atomic rename, safe under the fleet's worker
+    processes and concurrent runs sharing the directory. *)
 
 type t
 

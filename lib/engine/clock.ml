@@ -4,27 +4,24 @@
    clock lives in exactly one place.
 
    [Unix.gettimeofday] is wall time and may step backwards under NTP;
-   the monotonic clamp below makes the published sequence non-decreasing
-   across domains, which is all the schedule metadata needs. *)
+   the monotonic clamp below makes the published sequence
+   non-decreasing, which is all the schedule metadata needs. *)
 
 let gettimeofday = Unix.gettimeofday
 
-(* last value handed out; CAS loop so concurrent domains never observe
-   time running backwards *)
-let last = Atomic.make neg_infinity
+(* last value handed out *)
+let last = ref neg_infinity
 
-let rec clamp t =
-  let l = Atomic.get last in
-  if t >= l then if Atomic.compare_and_set last l t then t else clamp t
-  else l
+let real () =
+  let t = gettimeofday () in
+  if t >= !last then last := t;
+  !last
 
-let real () = clamp (gettimeofday ())
+let source = ref real
 
-let source = Atomic.make real
-
-let now () = (Atomic.get source) ()
+let now () = !source ()
 
 let with_source f thunk =
-  let prev = Atomic.get source in
-  Atomic.set source f;
-  Fun.protect ~finally:(fun () -> Atomic.set source prev) thunk
+  let prev = !source in
+  source := f;
+  Fun.protect ~finally:(fun () -> source := prev) thunk

@@ -4,8 +4,8 @@
     pool's wall-clock origin) come from {!now}, so swapping the clock —
     for deterministic tests, or for a different OS clock — happens in
     one place.  The default source is [Unix.gettimeofday] behind a
-    monotonic clamp: concurrent domains never observe the published
-    time running backwards, even if the wall clock steps. *)
+    monotonic clamp: the published time never runs backwards, even if
+    the wall clock steps. *)
 
 val now : unit -> float
 (** Seconds from the current source (default: monotonically clamped

@@ -2,18 +2,15 @@
    verification engine itself.
 
    [lib/fault] perturbs the *monitor under verification*; this module
-   perturbs the *engine* — obligations crash or hang, worker domains
-   die, cache pack files tear, and the clock skews — so CI can assert
+   perturbs the *engine* — obligations crash or hang, the pool's worker
+   dies, cache pack files tear, and the clock skews — so CI can assert
    that the supervised pool still terminates and produces verdicts
    byte-identical to a clean run.
 
    Every decision is a pure function of (seed, site tag): which
    obligation faults, with what kind, and for how many attempts is
-   independent of scheduling, job count, and wall-clock, so a fixed
-   seed replays the exact same fault plan.  The only
-   schedule-dependent aspect is *which worker* observes a fault (e.g.
-   who picks up a kill-marked obligation first) — never *what* is
-   injected or what the verdicts are.
+   independent of run order and wall-clock, so a fixed seed replays
+   the exact same fault plan.
 
    Injection is bounded by construction: an obligation is never
    faulted on more consecutive attempts than the supervisor's retry
@@ -32,13 +29,10 @@ type t = {
   seed : int;
   kinds : Plan.engine_kind list;
   rate : int;  (* one in [rate] obligations draws a fault *)
-  counters : (Plan.engine_kind * int Atomic.t) list;
-  (* per-site visit counts: makes "fault only the first occurrence"
-     decisions deterministic in *count* even when the visiting worker
-     varies with the schedule *)
+  counters : (Plan.engine_kind * int ref) list;
+  (* per-site visit counts, for "fault only the first occurrence" *)
   visits : (string, int) Hashtbl.t;
-  visits_mu : Mutex.t;
-  skew : float Atomic.t;  (* cumulative injected clock skew, seconds *)
+  mutable skew : float;  (* cumulative injected clock skew, seconds *)
 }
 
 let create ?(kinds = Plan.all_engine_kinds) ?(rate = 8) ~seed () =
@@ -47,23 +41,20 @@ let create ?(kinds = Plan.all_engine_kinds) ?(rate = 8) ~seed () =
     seed;
     kinds;
     rate;
-    counters = List.map (fun k -> (k, Atomic.make 0)) Plan.all_engine_kinds;
+    counters = List.map (fun k -> (k, ref 0)) Plan.all_engine_kinds;
     visits = Hashtbl.create 64;
-    visits_mu = Mutex.create ();
-    skew = Atomic.make 0.0;
+    skew = 0.0;
   }
 
 let seed t = t.seed
 let kinds t = t.kinds
 let enabled t k = List.mem k t.kinds
 
-let note t k = Atomic.incr (List.assoc k t.counters)
+let note t k = incr (List.assoc k t.counters)
 
-let injected t =
-  List.map (fun (k, c) -> (k, Atomic.get c)) t.counters
+let injected t = List.map (fun (k, c) -> (k, !c)) t.counters
 
-let injected_total t =
-  List.fold_left (fun n (_, c) -> n + Atomic.get c) 0 t.counters
+let injected_total t = List.fold_left (fun n (_, c) -> n + !c) 0 t.counters
 
 (* Deterministic per-site stream: seed and tag in, well-mixed
    non-negative int out.  The same multiplicative fold as
@@ -75,12 +66,10 @@ let hash t tag =
   let w, _ = Check.Rng.next (Check.Rng.make (!h land 0x3FFF_FFFF)) in
   Int64.to_int (Int64.logand w 0x3FFF_FFFFL)
 
-(* true exactly on the first visit of [site], across all workers *)
+(* true exactly on the first visit of [site] *)
 let first_visit t site =
-  Mutex.lock t.visits_mu;
   let n = Option.value ~default:0 (Hashtbl.find_opt t.visits site) in
   Hashtbl.replace t.visits site (n + 1);
-  Mutex.unlock t.visits_mu;
   n = 0
 
 (* ------------------------------------------------------------------ *)
@@ -146,17 +135,13 @@ let max_skew = 0.2 (* seconds, cumulative — small against any sane deadline *)
 let skewed_source t =
   if not (enabled t Plan.Clock_skew) then Clock.real
   else
-    let calls = Atomic.make 0 in
+    let calls = ref 0 in
     fun () ->
-      let n = Atomic.fetch_and_add calls 1 in
-      if n land 255 = 0 && Atomic.get t.skew < max_skew then begin
+      let n = !calls in
+      incr calls;
+      if n land 255 = 0 && t.skew < max_skew then begin
         let bump = float_of_int (hash t (Printf.sprintf "skew/%d" n) mod 997) *. 1e-5 in
-        let rec add () =
-          let s = Atomic.get t.skew in
-          if s < max_skew && not (Atomic.compare_and_set t.skew s (s +. bump)) then
-            add ()
-        in
-        add ();
+        t.skew <- t.skew +. bump;
         note t Plan.Clock_skew
       end;
-      Clock.real () +. Atomic.get t.skew
+      Clock.real () +. t.skew

@@ -2,21 +2,21 @@
     verification engine itself.
 
     Where [lib/fault] perturbs the monitor under verification, this
-    module perturbs the engine — obligations crash or hang, worker
-    domains die, cache pack files tear, and the clock skews — so CI
+    module perturbs the engine — obligations crash or hang, the pool's
+    worker dies, cache pack files tear, and the clock skews — so CI
     can assert that the supervised pool ({!Supervisor}, {!Pool}) still
     terminates with verdicts byte-identical to a clean run.
 
     Every decision is a pure function of (seed, site tag): what is
     injected, on which obligation, and for how many attempts is
-    independent of scheduling and job count.  Injection is bounded by
+    independent of run order.  Injection is bounded by
     construction — persistence never exceeds the supervisor's retry
     budget (the supervisor clamps it), and a kill-marked obligation
     kills only its first executor — so a chaos run always recovers to
     the clean verdicts. *)
 
 exception Worker_killed of string
-(** Raised at pool hook points to simulate a worker domain dying.
+(** Raised at pool hook points to simulate the pool's worker dying.
     Deliberately *not* absorbed by the supervisor's per-obligation
     crash handling: it propagates to the pool's worker wrapper, which
     respawns the worker (up to a limit) and re-enqueues the in-flight

@@ -4,9 +4,8 @@
     function, per refinement-simulation shard, per invariant /
     noninterference state batch, and per attack scenario.  An
     obligation is pure: [run] depends only on the inputs captured at
-    plan-build time, so executing it on any worker domain, in any
-    order, or replaying it from the proof cache yields the same
-    outcome. *)
+    plan-build time, so executing it in any order, or replaying it
+    from the proof cache, yields the same outcome. *)
 
 type outcome = {
   reports : Mirverif.Report.t list;

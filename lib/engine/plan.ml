@@ -270,20 +270,10 @@ let code_proof_obligations ?(seed = 2024) layout =
   let ctx = Check.Code_proof.ctx ~seed layout in
   let base_fp = Printf.sprintf "%s;seed=%d" (layout_fp layout) seed in
   let proven : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let proven_mu = Mutex.create () in
   let mark fn (o : Obligation.outcome) =
-    if Obligation.failure_count o = 0 then begin
-      Mutex.lock proven_mu;
-      if not (Hashtbl.mem proven fn) then Hashtbl.add proven fn ();
-      Mutex.unlock proven_mu
-    end
+    if Obligation.failure_count o = 0 then Hashtbl.replace proven fn ()
   in
-  let is_proven fn =
-    Mutex.lock proven_mu;
-    let r = Hashtbl.mem proven fn in
-    Mutex.unlock proven_mu;
-    r
-  in
+  let is_proven fn = Hashtbl.mem proven fn in
   List.filter_map
     (fun lname ->
       let fns = Layers.functions_of_layer layout lname in
@@ -628,9 +618,6 @@ let mc_obligations req =
 let build ?(quick = false) ?(security = true)
     ?(lints = Analysis.Lint.catalogue) ?model_check ~seed layout =
   Layers.warm layout;
-  if security then
-    (* forces the attack module's lazily built layout from this domain *)
-    ignore (Security.Attacks.run Security.Attacks.healthy);
   let by_layer = code_proof_obligations ~seed layout in
   let code = List.concat_map snd by_layer in
   let top_ids = last_layer_ids by_layer in
@@ -661,13 +648,7 @@ let build ?(quick = false) ?(security = true)
   let mc =
     match model_check with
     | None -> []
-    | Some req ->
-        (* the model checker explores its own layout, whatever the
-           plan's; boot it here, in the plan-building domain, because
-           [Boot.booted] is an unguarded memo that the exploration
-           would otherwise fill from a worker domain *)
-        ignore (Boot.booted req.mc_layout);
-        mc_obligations req
+    | Some req -> mc_obligations req
   in
   let dag =
     Dag.build_exn

@@ -12,8 +12,8 @@
 
     Each obligation's RNG stream is split deterministically from the
     run seed and the obligation id, and its fingerprint digests every
-    input the outcome depends on, so results are byte-identical at any
-    job count and cache entries invalidate exactly when an input
+    input the outcome depends on, so results are byte-identical in any
+    run order and cache entries invalidate exactly when an input
     changes. *)
 
 type mc_request = {
@@ -53,10 +53,8 @@ val build :
   seed:int ->
   Hyperenclave.Layout.t ->
   t
-(** [build ~seed layout] constructs the DAG and warms every unguarded
-    layout-keyed memo table ([Layers.warm], the boot state of the
-    model-check layout, the attack module's lazy layout) in the calling
-    domain, so worker domains only read shared state.  It computes only
+(** [build ~seed layout] constructs the DAG after the [Layers.warm]
+    prewarm of the layout's memo tables.  It computes only
     what a cache lookup needs — ids, edges and fingerprints over
     [Layers.body_digest], [Layers.callees] and the spec index, each
     built once per layout — and nothing a lookup does not read: each

@@ -1,30 +1,20 @@
-(** OCaml 5 [Domain] worker pool over an obligation DAG, with one
-    shared ready queue.
+(** The obligation scheduler: runs a DAG on the calling domain.
 
-    [run ~jobs dag] executes every obligation, respecting dependency
-    edges, on up to [jobs] domains.  One mutex guards a FIFO queue of
-    ready obligation ids: a worker takes an id under the lock, runs the
-    obligation outside it (cache lookup, supervision, then the
-    obligation's [on_outcome] hook), and publishes under the lock,
-    releasing each dependent whose last dependency this was.  Idle
-    workers wait on one condition variable; a publisher signals once
-    per released id beyond the one it takes itself, and the pool
-    broadcasts only when the run ends, a worker dies for good, or a
-    scheduler failure stops it.
+    [run dag] executes every obligation, respecting dependency edges.
+    A FIFO queue holds the ready obligation ids and a count of unmet
+    dependencies per obligation tracks the rest: the pool takes the
+    next id, runs it (cache lookup, supervision, then the obligation's
+    [on_outcome] hook), records the result and queues each dependent
+    whose last dependency this was.  A process gets its parallelism
+    from the daemon's forked fleet, not from a second domain.
 
-    [jobs] caps concurrency; the pool additionally never spawns more
-    domains than [Domain.recommended_domain_count ()], because active
-    domains beyond the hardware only add stop-the-world GC
-    synchronization to CPU-bound work.  [jobs = 1] (or a one-core
-    clamp) runs inline on the calling domain with no spawn at all.
-    [~oversubscribe:true] bypasses the clamp (tests use it to exercise
-    the multi-domain path on any machine).
+    [?jobs] is accepted only as [1], the value the end-to-end benchmark
+    still passes; any other value raises [Invalid_argument].
 
-    Results come back in the DAG's insertion order, so the merged
-    output is byte-identical at any job count; only the trace metadata
-    (worker ids, timestamps — all read from {!Clock}) reflects the
-    actual schedule.  An obligation no worker published yields an
-    explicit crash outcome, not an exception.
+    Results come back in the DAG's insertion order; only the trace
+    metadata (timestamps, read from {!Clock}) reflects the run.  An
+    obligation that was never run yields an explicit crash outcome, not
+    an exception.
 
     With [?cache], each obligation is first looked up in the
     content-addressed proof cache and executed only on a miss; outcomes
@@ -38,13 +28,13 @@
     quarantined outcomes are never cached; clean and fallback outcomes
     are.  Each [exec] carries the supervision {!Supervisor.trail}.
 
-    When [sup.chaos] is armed, workers additionally pass kill points
-    before executing and before publishing an obligation; a chaos kill
-    tears the worker down mid-flight.  The obligation it held goes back
-    on the queue (it runs again, and is published exactly once) and the
-    worker respawns while the shared [?max_respawns] budget (default
-    32) lasts; past it the worker stays dead and the survivors drain
-    the queue. *)
+    When [sup.chaos] is armed, the worker additionally passes kill
+    points before executing and before recording an obligation; a
+    chaos kill abandons the obligation mid-flight.  It goes back on the
+    queue (it runs again, and is recorded exactly once) and the worker
+    restarts in place while the [?max_respawns] budget (default 32)
+    lasts; past it the worker stays dead, and every obligation not yet
+    run gets the crash outcome. *)
 
 type cache_status = Hit | Miss | Off
 
@@ -54,7 +44,7 @@ type exec = {
   obligation : Obligation.t;
   outcome : Obligation.outcome;
   cache : cache_status;
-  worker : int;  (** worker that ran (or replayed) it *)
+  worker : int;  (** [0], or [-1] for an obligation that never ran *)
   started : float;  (** seconds since pool start *)
   finished : float;
   trail : Supervisor.trail;
@@ -63,17 +53,17 @@ type exec = {
 }
 
 type stats = {
-  respawns : int;  (** workers killed by chaos and restarted *)
-  lost_workers : int;  (** workers dead past the respawn budget *)
+  respawns : int;  (** chaos kills the worker restarted from *)
+  lost_workers : int;  (** [1] when a kill came past the respawn budget *)
 }
 
 val run :
-  ?cache:Cache.t -> ?oversubscribe:bool -> ?sup:Supervisor.config ->
-  ?max_respawns:int -> jobs:int -> Dag.t -> exec list
+  ?cache:Cache.t -> ?sup:Supervisor.config -> ?max_respawns:int -> ?jobs:int ->
+  Dag.t -> exec list
 
 val run_with_stats :
-  ?cache:Cache.t -> ?oversubscribe:bool -> ?sup:Supervisor.config ->
-  ?max_respawns:int -> jobs:int -> Dag.t -> exec list * stats
+  ?cache:Cache.t -> ?sup:Supervisor.config -> ?max_respawns:int -> ?jobs:int ->
+  Dag.t -> exec list * stats
 
 val wall_of : exec list -> float
 (** Latest finish time = the pool's wall-clock. *)

@@ -9,19 +9,18 @@
    existing callers and byte-identical-output guarantees are
    untouched.
 
-   Timeouts are cooperative: OCaml domains cannot be killed
-   asynchronously, so the supervisor arms a per-domain deadline
-   ([Domain.DLS]) and installs the global [Mirverif.Cancel] hook; check
-   batteries poll at case boundaries and the poll raises
-   [Deadline_exceeded] once the deadline passes.  A computation that
-   never polls can overrun its deadline — the deadline bounds *check*
-   work, which all polls.
+   Timeouts are cooperative: OCaml code cannot be interrupted
+   asynchronously, so the supervisor arms one deadline slot and
+   installs the global [Mirverif.Cancel] hook; check batteries poll at
+   case boundaries and the poll raises [Deadline_exceeded] once the
+   deadline passes.  A computation that never polls can overrun its
+   deadline — the deadline bounds *check* work, which all polls.
 
    Determinism: every retry/backoff/quarantine decision is a pure
    function of (config, obligation id, attempt number).  Backoff
    durations come from a per-(seed, id, attempt) hash stream, not a
-   shared RNG, so the decisions replay identically at any job count and
-   under any schedule; only wall-clock timestamps differ. *)
+   shared RNG, so the decisions replay identically whatever order the
+   obligations run in; only wall-clock timestamps differ. *)
 
 module Plan = Fault.Plan
 
@@ -67,14 +66,11 @@ let default =
 (* ------------------------------------------------------------------ *)
 (* Deadlines                                                           *)
 
-(* One deadline slot per domain: workers cancel independently, and the
-   single global hook just reads whichever slot belongs to the polling
-   domain. *)
-let deadline : float option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The deadline of the attempt in flight, read by the global hook. *)
+let deadline : float option ref = ref None
 
 let hook () =
-  match !(Domain.DLS.get deadline) with
+  match !deadline with
   | Some d when Clock.now () > d -> raise Mirverif.Cancel.Deadline_exceeded
   | _ -> ()
 
@@ -82,9 +78,8 @@ let with_deadline cfg thunk =
   match cfg.timeout with
   | None -> thunk ()
   | Some dt ->
-      let slot = Domain.DLS.get deadline in
-      slot := Some (Clock.now () +. dt);
-      Fun.protect ~finally:(fun () -> slot := None) thunk
+      deadline := Some (Clock.now () +. dt);
+      Fun.protect ~finally:(fun () -> deadline := None) thunk
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic backoff                                               *)

@@ -7,19 +7,18 @@
     byte-identical to the unsupervised pool: one attempt, any exception
     absorbed into the legacy one-failure crash report, never cached.
 
-    Timeouts are cooperative.  OCaml domains cannot be interrupted
-    asynchronously, so the supervisor arms a per-domain deadline
-    ([Domain.DLS]) and installs the global [Mirverif.Cancel] hook;
-    check batteries poll at case/trial boundaries, and once the
-    {!Clock} passes the deadline the poll raises
-    [Mirverif.Cancel.Deadline_exceeded], which the supervisor converts
-    into a timed-out attempt.
+    Timeouts are cooperative.  OCaml code cannot be interrupted
+    asynchronously, so the supervisor arms one deadline slot and
+    installs the global [Mirverif.Cancel] hook; check batteries poll at
+    case/trial boundaries, and once the {!Clock} passes the deadline
+    the poll raises [Mirverif.Cancel.Deadline_exceeded], which the
+    supervisor converts into a timed-out attempt.
 
     Every retry, backoff, and quarantine decision is a pure function of
     (config, obligation id, attempt number) — backoff jitter comes from
     a per-(seed, id, attempt) hash stream, never a shared RNG — so
-    supervision decisions are identical at any job count and under any
-    schedule.
+    supervision decisions do not depend on the order obligations run
+    in.
 
     The ladder, in order: a crashed attempt is retried (with backoff)
     up to [retries] times; if every attempt crashed and the obligation
@@ -27,9 +26,9 @@
     replacing the compiled-closure battery), the fallback runs once and
     its outcome — flagged as a divergence — stands in; otherwise the
     obligation is quarantined with a structured failure report.
-    Corrupt cache entries (evict + recompute) and dead workers
-    (respawn in place; past the budget, the survivors drain the shared
-    ready queue) are handled by {!Cache} and {!Pool} respectively. *)
+    Corrupt cache entries (evict + recompute) and a dead worker
+    (respawn in place while the budget lasts) are handled by {!Cache}
+    and {!Pool} respectively. *)
 
 type status = Ran_ok | Crashed of string  (** raw exception text *) | Timed_out
 

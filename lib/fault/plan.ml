@@ -74,7 +74,7 @@ let kinds_of_string ~what ~all ~to_string s =
 type engine_kind =
   | Obl_crash  (** an obligation raises mid-run *)
   | Obl_hang  (** an obligation stops making progress until its deadline *)
-  | Worker_kill  (** a worker domain dies between obligations or before publishing *)
+  | Worker_kill  (** the pool's worker dies before running or recording an obligation *)
   | Torn_pack  (** a cache pack file is truncated mid-write *)
   | Clock_skew  (** the engine clock jumps forward in small steps *)
 

@@ -72,8 +72,8 @@ type engine_kind =
   | Obl_crash  (** an obligation raises mid-run *)
   | Obl_hang  (** an obligation stops making progress until its deadline *)
   | Worker_kill
-      (** a worker domain dies between obligations or after computing a
-          result but before publishing it *)
+      (** the pool's worker dies before running an obligation, or after
+          computing its result but before recording it *)
   | Torn_pack  (** a cache pack file is truncated mid-write *)
   | Clock_skew  (** the engine clock jumps forward in small steps *)
 

@@ -72,24 +72,20 @@ let env_for layout ~layer = Layer.env_for (stack layout) ~layer
 (* Closure-compiled environments for the verification hot path.  One
    compiled form per (layout, layer), backed by a shared per-body memo
    so bodies reused across layers compile once.  Compiled on first use,
-   by whichever domain runs the layer's first code-proof obligation, so
-   a run whose obligations all hit the proof cache compiles nothing.
-   Guarded by a mutex; the per-body memo has its own. *)
+   by the layer's first code-proof obligation, so a run whose
+   obligations all hit the proof cache compiles nothing. *)
 let compile_memo : Absdata.t Mir.Compile.cache = Mir.Compile.cache ()
-
-let cenv_mutex = Mutex.create ()
 
 let cenv_cache : (Layout.t * string, Absdata.t Mir.Compile.t) Hashtbl.t =
   Hashtbl.create 32
 
 let compiled_for layout ~layer =
-  Mutex.protect cenv_mutex (fun () ->
-      match Hashtbl.find_opt cenv_cache (layout, layer) with
-      | Some ct -> ct
-      | None ->
-          let ct = Mir.Compile.compile ~cache:compile_memo (env_for layout ~layer) in
-          Hashtbl.add cenv_cache (layout, layer) ct;
-          ct)
+  match Hashtbl.find_opt cenv_cache (layout, layer) with
+  | Some ct -> ct
+  | None ->
+      let ct = Mir.Compile.compile ~cache:compile_memo (env_for layout ~layer) in
+      Hashtbl.add cenv_cache (layout, layer) ct;
+      ct
 
 let layer_of_function layout name =
   Option.map (fun (t : Mem_spec.t) -> t.Mem_spec.layer) (Mem_spec.lookup layout name)
@@ -97,10 +93,8 @@ let layer_of_function layout name =
 let functions_of_layer = Mem_spec.functions_of_layer
 
 (* Per body of the compiled module: its spec-owned callees and the
-   subset in its own layer.  Built once per layout under a mutex, like
-   the spec index; a published table is only read. *)
-let calls_mu = Mutex.create ()
-
+   subset in its own layer.  Built once per layout, like the spec
+   index. *)
 let calls_cache : (Layout.t, (string, string list * string list) Hashtbl.t) Hashtbl.t =
   Hashtbl.create 4
 
@@ -132,13 +126,12 @@ let build_calls layout =
 
 let calls layout fn =
   let t =
-    Mutex.protect calls_mu (fun () ->
-        match Hashtbl.find_opt calls_cache layout with
-        | Some t -> t
-        | None ->
-            let t = build_calls layout in
-            Hashtbl.add calls_cache layout t;
-            t)
+    match Hashtbl.find_opt calls_cache layout with
+    | Some t -> t
+    | None ->
+        let t = build_calls layout in
+        Hashtbl.add calls_cache layout t;
+        t
   in
   Option.value ~default:([], []) (Hashtbl.find_opt t fn)
 
@@ -153,9 +146,6 @@ let layer_count = List.length Mem_spec.layer_names
 let stratification_ok layout = Layer.check_stratified (stack layout)
 
 let warm layout =
-  (* populate every unguarded layout-keyed memo table from a single
-     domain; the tables are plain Hashtbls, so the first insertion must
-     not race with reads from worker domains *)
   ignore (compiled layout);
   ignore (digests layout);
   ignore (stack layout);

@@ -29,9 +29,8 @@ val compile_memo : Absdata.t Mir.Compile.cache
 
 val compiled_for : Layout.t -> layer:string -> Absdata.t Mir.Compile.t
 (** Closure-compiled environment for one layer, compiled on first use
-    by whichever domain asks first (memoized per [(layout, layer)],
-    mutex-guarded).  {!warm} does not compile it: a run whose
-    obligations all hit the proof cache never asks. *)
+    (memoized per [(layout, layer)]).  {!warm} does not compile it: a
+    run whose obligations all hit the proof cache never asks. *)
 
 val layer_of_function : Layout.t -> string -> string option
 val functions_of_layer : Layout.t -> string -> string list
@@ -41,7 +40,7 @@ val callees : Layout.t -> string -> string list
 (** Spec-owned functions [fn] calls directly (first-call-site order,
     deduplicated, self-calls excluded) — the call-graph edges the
     engine turns into override dependencies and fingerprint
-    ingredients.  Indexed once per layout, mutex-guarded. *)
+    ingredients.  Indexed once per layout. *)
 
 val same_layer_callees : Layout.t -> string -> string list
 (** The subset of {!callees} living in [fn]'s own layer: exactly the
@@ -56,9 +55,10 @@ val stratification_ok : Layout.t -> Mirverif.Layer.stratification_issue list
 (** Syntactic no-upcall check over the stack (empty = ok). *)
 
 val warm : Layout.t -> unit
-(** Force the unguarded layout-keyed memo tables ({!compiled},
-    {!body_digest}, {!stack}, the boot state) from the calling domain.
-    The parallel verification engine calls this before spawning
-    workers: afterwards the tables are only read, which is safe
-    concurrently.  Closure compilation ({!compiled_for}) and the
-    spec and call indexes fill themselves under their own mutexes. *)
+(** A prewarm: fill the layout-keyed memos ({!compiled},
+    {!body_digest}, {!stack}, the boot state) now rather than on first
+    use.  Plan build calls it, so the front end's cost lands in plan
+    build and not in the first obligation that reads a memo, and a
+    fleet worker calls it at start-up, so its first request does not
+    pay for it.  Closure compilation ({!compiled_for}) stays on first
+    use. *)

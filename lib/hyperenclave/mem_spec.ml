@@ -703,10 +703,8 @@ let build_all layout =
             Ok (d, M.strukt [ M.u64 status; M.u64 gpt; M.u64 ept ]));
       ]
 
-(* The specs of a layout and their lookups, built once per layout.  A
-   miss is filled under a mutex: a model-check layout or a test can
-   reach a layout for the first time from a worker domain.  A published
-   index is never mutated, so lookups read it without the lock. *)
+(* The specs of a layout and their lookups, built once per layout on
+   first use and never mutated afterwards. *)
 type index = {
   specs : t list;
   by_name : (string, t) Hashtbl.t;
@@ -727,17 +725,15 @@ let build_index layout =
   Hashtbl.filter_map_inplace (fun _ names -> Some (List.rev names)) by_layer;
   { specs; by_name; by_layer }
 
-let index_mu = Mutex.create ()
 let indexes : (Layout.t, index) Hashtbl.t = Hashtbl.create 4
 
 let index layout =
-  Mutex.protect index_mu (fun () ->
-      match Hashtbl.find_opt indexes layout with
-      | Some ix -> ix
-      | None ->
-          let ix = build_index layout in
-          Hashtbl.add indexes layout ix;
-          ix)
+  match Hashtbl.find_opt indexes layout with
+  | Some ix -> ix
+  | None ->
+      let ix = build_index layout in
+      Hashtbl.add indexes layout ix;
+      ix
 
 let all layout = (index layout).specs
 let lookup layout name = Hashtbl.find_opt (index layout).by_name name

@@ -17,8 +17,7 @@ type t = { layer : string; spec : Absdata.t Mirverif.Spec.t }
 
 val all : Layout.t -> t list
 (** Every function's spec, tagged with the layer that owns it, bottom
-    layer first.  Built once per layout, like the lookups below; safe
-    to call from any domain. *)
+    layer first.  Built once per layout, like the lookups below. *)
 
 val layer_names : string list
 (** Bottom-first order of the 15 layers, ["Trusted"] to

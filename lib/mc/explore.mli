@@ -98,7 +98,7 @@ val interleavings : config -> int
     The model-check obligation's outcome travels through
     {!Engine.Obligation.outcome.log} — and the proof cache — as
     deterministic text; the driver parses it back into the rollup it
-    prints, whatever the job count and cache state. *)
+    prints, whatever the cache state. *)
 
 type parsed_violation = {
   p_kind : string;

@@ -50,7 +50,7 @@ and 'abs rframe = {
 }
 
 (* Mutable machine state threaded through every compiled closure.  One
-   record per [call]; never shared across calls or domains. *)
+   record per [call]; never shared across calls. *)
 and 'abs rt = {
   rt_prims : 'abs Interp.prim StrMap.t;
   rt_bodies : 'abs cbody StrMap.t;
@@ -81,11 +81,10 @@ type 'abs t = {
 
 (* A shared memo table: bodies compile once per digest+linkage key and
    are reused across environments (and across chaos-perturbed copies
-   of the same environment).  Guarded by a mutex because environments
-   compile on first use, in whichever worker domain needs them. *)
-type 'abs cache = { mu : Mutex.t; tbl : (string, 'abs cbody) Hashtbl.t }
+   of the same environment). *)
+type 'abs cache = (string, 'abs cbody) Hashtbl.t
 
-let cache () = { mu = Mutex.create (); tbl = Hashtbl.create 64 }
+let cache () = Hashtbl.create 64
 
 exception Verr of Interp.error
 
@@ -666,17 +665,13 @@ let compile ?cache ?(overrides = []) (env : 'abs Interp.env) : 'abs t =
     let key = body_key body ~linkage_of in
     match cache with
     | None -> compile_body ~linkage_of body ~key
-    | Some c ->
-        Mutex.protect c.mu (fun () ->
-            match Hashtbl.find_opt c.tbl key with
-            | Some cb -> cb
-            | None ->
-                (* compiling outside the lock would be nicer, but
-                   compilation is cheap and this keeps duplicate work
-                   out entirely *)
-                let cb = compile_body ~linkage_of body ~key in
-                Hashtbl.add c.tbl key cb;
-                cb)
+    | Some c -> (
+        match Hashtbl.find_opt c key with
+        | Some cb -> cb
+        | None ->
+            let cb = compile_body ~linkage_of body ~key in
+            Hashtbl.add c key cb;
+            cb)
   in
   let bodies =
     Syntax.fold_bodies (fun name body m -> StrMap.add name (compile_one body) m) prog

@@ -42,8 +42,8 @@ type 'abs override = {
 
 type 'abs cache
 (** A shared memo table keyed by body digest + call-site linkage.
-    Thread-safe (mutex-guarded); share one per abstract-state type to
-    compile each body exactly once across environments. *)
+    Share one per abstract-state type to compile each body exactly once
+    across environments. *)
 
 val cache : unit -> 'abs cache
 

@@ -167,31 +167,23 @@ let mc_request_of (m : mc_spec) : Engine.Plan.mc_request =
 (* Module digest per geometry, memoized: what the daemon reports back
    and checks tenant [source_digest] assertions against. *)
 let source_digests : (string, string) Hashtbl.t = Hashtbl.create 4
-let source_digest_mu = Mutex.create ()
 
 let source_digest_of geometry =
-  Mutex.lock source_digest_mu;
-  let d =
-    match Hashtbl.find_opt source_digests geometry with
-    | Some d -> d
-    | None ->
-        let d =
-          Digest.to_hex
-            (Digest.string
-               (Hyperenclave.Mem_source.source (layout_of_geometry geometry)))
-        in
-        Hashtbl.replace source_digests geometry d;
-        d
-  in
-  Mutex.unlock source_digest_mu;
-  d
+  match Hashtbl.find_opt source_digests geometry with
+  | Some d -> d
+  | None ->
+      let d =
+        Digest.to_hex
+          (Digest.string (Hyperenclave.Mem_source.source (layout_of_geometry geometry)))
+      in
+      Hashtbl.replace source_digests geometry d;
+      d
 
 (* ------------------------------------------------------------------ *)
 (* Session                                                             *)
 
 type session = {
   cache : Engine.Cache.t option;
-  jobs : int;
   retries : int;
   timeout_ms : int;
   replay : (string, string) Hashtbl.t;  (* L0: request_key -> response bytes *)
@@ -201,12 +193,13 @@ type session = {
 
 let replay_capacity = 64
 
+(* [?jobs] is accepted only as 1: the pool runs on the calling domain. *)
 let session ?cache_dir ?(jobs = 1) ?(retries = 2) ?(timeout_ms = 0) () =
+  if jobs <> 1 then invalid_arg "Driver.session: jobs must be 1";
   if retries < 0 then invalid_arg "Driver.session: retries must be at least 0";
   if timeout_ms < 0 then invalid_arg "Driver.session: timeout_ms must be at least 0";
   {
     cache = Option.map (fun dir -> Engine.Cache.create ~dir) cache_dir;
-    jobs = max 1 jobs;
     retries;
     timeout_ms;
     replay = Hashtbl.create replay_capacity;
@@ -278,8 +271,7 @@ let run ?chaos ?engine_chaos session p =
     }
   in
   let run_pool () =
-    Engine.Pool.run_with_stats ?cache:session.cache ~sup ~jobs:session.jobs
-      plan.Engine.Plan.dag
+    Engine.Pool.run_with_stats ?cache:session.cache ~sup plan.Engine.Plan.dag
   in
   let execs, stats =
     match engine_chaos with
@@ -304,8 +296,7 @@ let run ?chaos ?engine_chaos session p =
   in
   let summary =
     lazy
-      (Summary.summary_json ~failures ~jobs:session.jobs
-         ~cache_enabled:(session.cache <> None)
+      (Summary.summary_json ~failures ~cache_enabled:(session.cache <> None)
          ~sup_totals:
            (Engine.Supervisor.totals
               (List.map (fun (e : Engine.Pool.exec) -> e.trail) execs))

@@ -1,9 +1,8 @@
 (* Phase rendering for [Driver.run], the one run path of the one-shot
    CLI and the serve daemon: the exact bytes the sequential pass always
    printed, written to a buffer after the pool has run.  Stdout carries
-   only verification content — no job counts, timings or cache
-   statistics — so the text is byte-identical at any job count, cache
-   state or fleet size. *)
+   only verification content — no timings or cache statistics — so the
+   text is byte-identical at any cache state or fleet size. *)
 
 module Report = Mirverif.Report
 

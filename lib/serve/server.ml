@@ -33,7 +33,6 @@ type config = {
   socket : string;
   fleet : int;  (* worker processes, at least 1 *)
   cache_dir : string option;
-  jobs : int;  (* pool domains per worker *)
   retries : int;
   timeout_ms : int;
 }
@@ -43,7 +42,6 @@ let default_config ~socket =
     socket;
     fleet = 2;
     cache_dir = None;
-    jobs = 1;
     retries = 2;
     timeout_ms = 0;
   }
@@ -54,8 +52,7 @@ let log fmt = Format.eprintf ("serve: " ^^ fmt ^^ "@.")
 (* Worker process                                                      *)
 
 let make_session cfg =
-  Driver.session ?cache_dir:cfg.cache_dir ~jobs:cfg.jobs ~retries:cfg.retries
-    ~timeout_ms:cfg.timeout_ms ()
+  Driver.session ?cache_dir:cfg.cache_dir ~retries:cfg.retries ~timeout_ms:cfg.timeout_ms ()
 
 (* Blocking loop over the dispatcher socketpair: one frame in = one
    request, one frame out = its response.  EOF = dispatcher shut us
@@ -384,8 +381,6 @@ let serve cfg =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket);
   Unix.listen listen_fd 64;
-  (* fork the whole fleet before anything can spawn a Domain: a forked
-     multicore runtime must be single-domain *)
   let workers =
     let acc = ref [] in
     for i = 0 to cfg.fleet - 1 do
@@ -415,7 +410,7 @@ let serve cfg =
   let stop_signal _ = st.stop <- true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
-  log "listening on %s (fleet %d, jobs %d, cache %s)" cfg.socket cfg.fleet cfg.jobs
+  log "listening on %s (fleet %d, cache %s)" cfg.socket cfg.fleet
     (match cfg.cache_dir with Some d -> d | None -> "off");
   let all_idle () = Array.for_all (fun w -> w.w_job = None) st.workers in
   let running () =

@@ -56,7 +56,7 @@ let severity_to_string = function
 (* Numeric program-point key: [where] strings are "bbN[M]" /
    "bbN[term]" / "bbN", and a plain string compare puts bb10 before
    bb2.  Parsing the block/statement indices makes the JSON order
-   positional and byte-stable across --jobs and scheduler timing. *)
+   positional and byte-stable across cache states and timing. *)
 let where_key w =
   match Scanf.sscanf_opt w "bb%d[%d]" (fun b s -> (b, s)) with
   | Some k -> k
@@ -224,9 +224,10 @@ let overrides_json (plan : Engine.Plan.t) =
              plan.Engine.Plan.override_counts) );
     ]
 
-let summary_json ~failures ~jobs ~cache_enabled ~sup_totals ~stats
+let summary_json ~failures ?(jobs = 1) ~cache_enabled ~sup_totals ~stats
     ~cache_write_failures ~engine_chaos ~model_check ~plan ~plan_build_s
     ~plan_cache_hit execs =
+  if jobs <> 1 then invalid_arg "Summary.summary_json: jobs must be 1";
   let hits = count_cache execs Engine.Pool.Hit in
   let misses = count_cache execs Engine.Pool.Miss in
   let t, p, s, f =
@@ -271,10 +272,10 @@ let summary_json ~failures ~jobs ~cache_enabled ~sup_totals ~stats
 (* Scrubbed projection                                                 *)
 
 (* The deterministic projection of a summary: every field whose value
-   reflects scheduling rather than verification — job counts, cache
+   reflects the run rather than verification — the job count, cache
    statistics, wall clocks, worker utilization, supervision counters —
    is dropped, leaving only content that is byte-identical for the same
-   request at any job count, fleet size or cache state.  The serve CI
+   request at any fleet size or cache state.  The serve CI
    gate diffs daemon responses against one-shot --json-out through
    this projection (both sides via --scrub-summary); after scrubbing,
    the summary is float-free by construction, so a parse/re-emit round

@@ -462,7 +462,7 @@ let test_absint_obligations () =
         is_secret has_layout)
     obls;
   (* the whole absint DAG executes green on the seed *)
-  let execs = Engine.Pool.run ~jobs:2 (Engine.Dag.build_exn obls) in
+  let execs = Engine.Pool.run (Engine.Dag.build_exn obls) in
   Alcotest.(check int) "all obligations ran" (List.length obls) (List.length execs);
   List.iter
     (fun (e : Engine.Pool.exec) ->

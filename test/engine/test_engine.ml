@@ -1,6 +1,6 @@
-(* Tests of the parallel incremental verification engine: DAG
-   validation and call-graph edges, scheduling determinism (same
-   reports at any job count), and the content-addressed proof cache
+(* Tests of the incremental verification engine: DAG validation and
+   call-graph edges, the scheduler (dependency order, exactly-once
+   runs, crash isolation), and the content-addressed proof cache
    (cold populates, warm replays, a fingerprint edit invalidates only
    the obligation and its dependents). *)
 
@@ -220,11 +220,13 @@ let test_plan_build_allocation () =
   if mib >= 10. then
     Alcotest.failf "Layers.warm + Plan.build allocated %.1f MiB (bound 10)" mib
 
-(* Layers compile on first use, in whichever worker domain runs their
-   first code-proof obligation.  On a layout on which only plan build
-   ran, two domains run the monolithic battery of one function and the
-   composed battery of a same-layer caller at once, so both compile
-   the layer concurrently; the reports must equal a sequential run's. *)
+(* Layers compile on first use, in their first code-proof obligation,
+   and the shared per-body memo serves both the monolithic and the
+   composed environment.  On a layout on which only plan build ran, a
+   same-layer caller's composed battery runs before its callee's
+   monolithic one, so the composed environment compiles the layer
+   first; both reports must equal those of a fresh ctx run in the
+   opposite order. *)
 let test_first_use_compile_race () =
   let fresh = fresh_layout 10 in
   ignore (Plan.build ~seed:2024 fresh);
@@ -246,11 +248,8 @@ let test_first_use_compile_race () =
     | None -> Alcotest.fail "function owns no spec"
   in
   let ctx = Check.Code_proof.ctx ~seed:2024 fresh in
-  let d1 = Domain.spawn (fun () -> text (Check.Code_proof.run_function ctx callee)) in
-  let d2 =
-    Domain.spawn (fun () -> text (Check.Code_proof.run_function_composed ctx caller))
-  in
-  let callee_r = Domain.join d1 and caller_r = Domain.join d2 in
+  let caller_r = text (Check.Code_proof.run_function_composed ctx caller) in
+  let callee_r = text (Check.Code_proof.run_function ctx callee) in
   let seq = Check.Code_proof.ctx ~seed:2024 fresh in
   Alcotest.(check string) (callee ^ ", monolithic")
     (text (Check.Code_proof.run_function seq callee))
@@ -262,11 +261,9 @@ let test_first_use_compile_race () =
     (text (Check.Code_proof.run_function seq caller))
     caller_r
 
-(* Two domains ask for the alias summaries of a layout no other test
-   analyzes, released together so one asks while the other computes:
-   both get the map a sequential analysis returns, the same physical
-   map, and no exception escapes (a bare [Lazy.force] shared between
-   domains raises [Lazy.Undefined] here). *)
+(* The alias summaries of a layout no other test analyzes are computed
+   on the first call: it returns the map a direct analysis returns, and
+   a second call returns the same physical map. *)
 let test_first_use_alias_race () =
   let module A = Analysis.Alias in
   let fresh = fresh_layout 11 in
@@ -286,17 +283,8 @@ let test_first_use_alias_race () =
                    (A.StrMap.bindings i.A.vars))))
     |> String.concat "\n"
   in
-  let ready = Atomic.make 0 in
-  let ask () =
-    Domain.spawn (fun () ->
-        Atomic.incr ready;
-        while Atomic.get ready < 2 do
-          Domain.cpu_relax ()
-        done;
-        Check.Code_proof.alias_summaries fresh)
-  in
-  let d1 = ask () and d2 = ask () in
-  let m1 = Domain.join d1 and m2 = Domain.join d2 in
+  let m1 = Check.Code_proof.alias_summaries fresh in
+  let m2 = Check.Code_proof.alias_summaries fresh in
   let expected =
     text
       (A.analyze ~prim:Check.Code_proof.prim_summary
@@ -305,8 +293,7 @@ let test_first_use_alias_race () =
   Alcotest.(check int) "every function summarized"
     (Layers.verified_function_count fresh)
     (A.StrMap.cardinal m1);
-  Alcotest.(check string) "first domain" expected (text m1);
-  Alcotest.(check string) "second domain" expected (text m2);
+  Alcotest.(check string) "first call" expected (text m1);
   Alcotest.(check bool) "one shared map" true (m1 == m2)
 
 let tiny3 =
@@ -382,7 +369,7 @@ let test_mc_plan_is_one_exploration () =
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling determinism                                              *)
+(* Scheduler                                                           *)
 
 let render execs =
   String.concat "\n"
@@ -391,28 +378,6 @@ let render execs =
          e.obligation.Obligation.id
          :: List.map Report.to_string e.outcome.Obligation.reports)
        execs)
-
-let test_jobs_invariant_reports () =
-  let r1 = render (Pool.run ~jobs:1 plan.Plan.dag) in
-  (* oversubscribe past the hardware clamp so the multi-domain path is
-     exercised even on a one-core CI machine *)
-  let r4 = render (Pool.run ~oversubscribe:true ~jobs:4 plan.Plan.dag) in
-  Alcotest.(check string) "jobs=1 and jobs=4 produce identical reports" r1 r4
-
-(* the pool never runs more domains than the hardware has, unless told
-   to oversubscribe; jobs=1 runs inline on the calling domain *)
-let test_pool_clamps_to_cores () =
-  let workers jobs =
-    List.sort_uniq compare
-      (List.map (fun (e : Pool.exec) -> e.Pool.worker) (Pool.run ~jobs plan.Plan.dag))
-  in
-  let cores = Domain.recommended_domain_count () in
-  List.iter
-    (fun w ->
-      if w >= cores then
-        Alcotest.failf "jobs=%d ran worker %d on %d cores" (cores + 2) w cores)
-    (workers (cores + 2));
-  Alcotest.(check (list int)) "jobs=1 runs only worker 0" [ 0 ] (workers 1)
 
 let test_stream_seed_deterministic () =
   Alcotest.(check int) "same tag, same stream"
@@ -428,7 +393,7 @@ let test_pool_survives_crash () =
         failwith "deliberate")
   in
   let dag = Dag.build_exn [ boom; pass_obl ~deps:[ "boom" ] "after" ] in
-  let execs = Pool.run ~oversubscribe:true ~jobs:2 dag in
+  let execs = Pool.run dag in
   Alcotest.(check int) "both obligations complete" 2 (List.length execs);
   let crash = List.hd execs in
   Alcotest.(check int) "crash becomes one failure" 1
@@ -442,14 +407,12 @@ let test_pool_survives_crash () =
    proofs' proven gate reads the order, and it would fall back to the
    monolithic battery in silence.  So on seeded random DAGs each
    obligation checks, as it starts, that the [on_outcome] of every
-   dependency has fired, and counts its runs.  Every third obligation
-   sleeps a millisecond, so that at jobs >= 2 another worker takes a
-   dependent released too early. *)
+   dependency has fired, and counts its runs. *)
 let test_pool_honours_dag () =
   let n = 48 in
   let id i = Printf.sprintf "n-%02d" i in
-  let check_run ~seed ~jobs ~kills =
-    let what = Printf.sprintf "seed %d, jobs=%d, kills=%b" seed jobs kills in
+  let check_run ~seed ~kills =
+    let what = Printf.sprintf "seed %d, kills=%b" seed kills in
     let rng = Random.State.make [| seed |] in
     let deps =
       Array.init n (fun i ->
@@ -459,15 +422,14 @@ let test_pool_honours_dag () =
               (List.init (Random.State.int rng 4) (fun _ ->
                    i - 1 - Random.State.int rng (min i 8))))
     in
-    let fired = Array.init n (fun _ -> Atomic.make false) in
-    let runs = Array.init n (fun _ -> Atomic.make 0) in
+    let fired = Array.make n false in
+    let runs = Array.make n 0 in
     let obl i =
       Obligation.v ~id:(id i) ~phase:"test" ~deps:(List.map id deps.(i)) ~fingerprint:"fp"
-        ~on_outcome:(fun _ -> Atomic.set fired.(i) true)
+        ~on_outcome:(fun _ -> fired.(i) <- true)
         (fun () ->
-          Atomic.incr runs.(i);
-          let early = List.filter (fun d -> not (Atomic.get fired.(d))) deps.(i) in
-          if i mod 3 = 0 then Unix.sleepf 0.001;
+          runs.(i) <- runs.(i) + 1;
+          let early = List.filter (fun d -> not fired.(d)) deps.(i) in
           let r = Report.empty (id i) in
           Obligation.outcome
             [
@@ -486,8 +448,7 @@ let test_pool_honours_dag () =
       else Engine.Supervisor.default
     in
     let execs, stats =
-      Pool.run_with_stats ~sup ~oversubscribe:true ~max_respawns:1_000 ~jobs
-        (Dag.build_exn (List.init n obl))
+      Pool.run_with_stats ~sup ~max_respawns:1_000 (Dag.build_exn (List.init n obl))
     in
     Alcotest.(check (list string)) (what ^ ": results in DAG order") (List.init n id)
       (List.map (fun (e : Pool.exec) -> e.obligation.Obligation.id) execs);
@@ -497,7 +458,7 @@ let test_pool_honours_dag () =
           Alcotest.failf "%s: %s started early: %s" what e.obligation.Obligation.id
             (String.concat "; " (List.map Report.to_string e.outcome.Obligation.reports)))
       execs;
-    let counts = Array.to_list (Array.map Atomic.get runs) in
+    let counts = Array.to_list runs in
     if kills then begin
       Alcotest.(check bool) (what ^ ": workers were killed") true (stats.Pool.respawns > 0);
       Alcotest.(check int) (what ^ ": no worker lost") 0 stats.Pool.lost_workers;
@@ -508,10 +469,7 @@ let test_pool_honours_dag () =
         counts
   in
   List.iter
-    (fun seed ->
-      List.iter
-        (fun jobs -> List.iter (fun kills -> check_run ~seed ~jobs ~kills) [ false; true ])
-        [ 1; 2; 4 ])
+    (fun seed -> List.iter (fun kills -> check_run ~seed ~kills) [ false; true ])
     [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
@@ -538,17 +496,17 @@ let test_cache_round_trip () =
         counted counter ~fingerprint:"c-v1" "c";
       ]
   in
-  let cold = Pool.run ~cache ~jobs:1 (build_dag "a-v1") in
+  let cold = Pool.run ~cache (build_dag "a-v1") in
   Alcotest.(check int) "cold run executes all" 3 !counter;
   Alcotest.(check bool) "cold run all misses" true
     (List.for_all (( = ) Pool.Miss) (statuses cold));
   Alcotest.(check int) "cold run stores all" 3 (Cache.entry_count cache);
-  let warm = Pool.run ~cache ~jobs:1 (build_dag "a-v1") in
+  let warm = Pool.run ~cache (build_dag "a-v1") in
   Alcotest.(check int) "warm run executes nothing" 3 !counter;
   Alcotest.(check bool) "warm run all hits" true
     (List.for_all (( = ) Pool.Hit) (statuses warm));
   Alcotest.(check string) "warm replays the same reports" (render cold) (render warm);
-  let edited = Pool.run ~cache ~jobs:1 (build_dag "a-v2") in
+  let edited = Pool.run ~cache (build_dag "a-v2") in
   Alcotest.(check int) "edit re-executes only a and b" 5 !counter;
   Alcotest.(check (list string))
     "a misses, b misses, c hits"
@@ -557,8 +515,8 @@ let test_cache_round_trip () =
 
 let test_cache_warm_real_plan () =
   let cache = Cache.create ~dir:(fresh_dir ()) in
-  let cold = Pool.run ~cache ~oversubscribe:true ~jobs:2 plan.Plan.dag in
-  let warm = Pool.run ~cache ~oversubscribe:true ~jobs:2 plan.Plan.dag in
+  let cold = Pool.run ~cache plan.Plan.dag in
+  let warm = Pool.run ~cache plan.Plan.dag in
   Alcotest.(check bool)
     "warm run re-executes zero obligations (code proofs included)" true
     (List.for_all (( = ) Pool.Hit) (statuses warm));
@@ -631,17 +589,17 @@ let test_cache_skips_crash_outcomes () =
         if !attempts = 1 then failwith "transient";
         Obligation.outcome [ Report.add_pass (Report.empty "flaky") ])
   in
-  let first = Pool.run ~cache ~jobs:1 (Dag.build_exn [ flaky ]) in
+  let first = Pool.run ~cache (Dag.build_exn [ flaky ]) in
   Alcotest.(check int) "first run crashes" 1
     (Obligation.failure_count (List.hd first).Pool.outcome);
   Alcotest.(check int) "crash not stored" 0 (Cache.entry_count cache);
-  let second = Pool.run ~cache ~jobs:1 (Dag.build_exn [ flaky ]) in
+  let second = Pool.run ~cache (Dag.build_exn [ flaky ]) in
   Alcotest.(check string) "second run re-executes" "miss"
     (Pool.cache_status_to_string (List.hd second).Pool.cache);
   Alcotest.(check int) "second run passes" 0
     (Obligation.failure_count (List.hd second).Pool.outcome);
   Alcotest.(check int) "success stored" 1 (Cache.entry_count cache);
-  let third = Pool.run ~cache ~jobs:1 (Dag.build_exn [ flaky ]) in
+  let third = Pool.run ~cache (Dag.build_exn [ flaky ]) in
   Alcotest.(check string) "third run hits" "hit"
     (Pool.cache_status_to_string (List.hd third).Pool.cache);
   Alcotest.(check int) "no further execution" 2 !attempts
@@ -658,7 +616,7 @@ let test_cache_pack_file_round_trip () =
     Dag.build_exn
       [ counted counter ~fingerprint:"p1" "a"; counted counter ~fingerprint:"p2" "b" ]
   in
-  ignore (Pool.run ~cache ~jobs:1 (dag ()));
+  ignore (Pool.run ~cache (dag ()));
   let packs () =
     Array.to_list (Sys.readdir dir)
     |> List.filter (fun f -> Filename.check_suffix f ".pack")
@@ -666,7 +624,7 @@ let test_cache_pack_file_round_trip () =
   Alcotest.(check int) "cold run writes one pack" 1 (List.length (packs ()));
   let reloaded = Cache.create ~dir in
   Alcotest.(check int) "reloaded index sees both entries" 2 (Cache.entry_count reloaded);
-  let warm = Pool.run ~cache:reloaded ~jobs:1 (dag ()) in
+  let warm = Pool.run ~cache:reloaded (dag ()) in
   Alcotest.(check bool) "fresh cache replays from the pack" true
     (List.for_all (( = ) Pool.Hit) (statuses warm));
   Alcotest.(check int) "warm run executes nothing" 2 !counter;
@@ -678,7 +636,7 @@ let test_cache_pack_file_round_trip () =
   let after = Cache.create ~dir in
   Alcotest.(check int) "corrupt pack loads nothing" 0 (Cache.entry_count after);
   Alcotest.(check bool) "corrupt pack evicted" false (Sys.file_exists pack);
-  let redo = Pool.run ~cache:after ~jobs:1 (dag ()) in
+  let redo = Pool.run ~cache:after (dag ()) in
   Alcotest.(check bool) "post-eviction run misses and re-executes" true
     (List.for_all (( = ) Pool.Miss) (statuses redo));
   Alcotest.(check int) "re-executed both" 4 !counter
@@ -691,7 +649,7 @@ let test_cache_pack_file_round_trip () =
 let test_cache_pack_corruption () =
   let dir = fresh_dir () in
   let execs =
-    Pool.run ~cache:(Cache.create ~dir) ~jobs:1 (Plan.build ~seed:2024 layout).Plan.dag
+    Pool.run ~cache:(Cache.create ~dir) (Plan.build ~seed:2024 layout).Plan.dag
   in
   let pack = only_pack dir in
   let good = In_channel.with_open_bin pack In_channel.input_all in
@@ -939,7 +897,7 @@ let test_clock_mockable () =
   in
   let execs =
     Engine.Clock.with_source fake (fun () ->
-        Pool.run ~jobs:1 (Dag.build_exn [ pass_obl "a"; pass_obl ~deps:[ "a" ] "b" ]))
+        Pool.run (Dag.build_exn [ pass_obl "a"; pass_obl ~deps:[ "a" ] "b" ]))
   in
   (* fake clock ticks: t0=1, then started/finished pairs 2,3 and 4,5 *)
   Alcotest.(check (list (pair (float 0.0) (float 0.0))))
@@ -992,10 +950,8 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "jobs-invariant reports" `Quick test_jobs_invariant_reports;
           Alcotest.test_case "stream seeds" `Quick test_stream_seed_deterministic;
           Alcotest.test_case "crash isolation" `Quick test_pool_survives_crash;
-          Alcotest.test_case "domains clamped to cores" `Quick test_pool_clamps_to_cores;
           Alcotest.test_case "dependency order, exactly once" `Quick test_pool_honours_dag;
         ] );
       ( "cache",

@@ -225,7 +225,7 @@ let test_pool_caches_fallback_not_quarantine () =
     Obligation.v ~id:"hopeless" ~phase:"test" ~fingerprint:"fp-h" (fun () ->
         failwith "always")
   in
-  let execs = Pool.run ~cache ~jobs:1 (Dag.build_exn [ ladder; hopeless ]) in
+  let execs = Pool.run ~cache (Dag.build_exn [ ladder; hopeless ]) in
   Alcotest.(check int) "only the fallback outcome is cached" 1 (Cache.entry_count cache);
   (match execs with
   | [ l; h ] ->
@@ -234,7 +234,7 @@ let test_pool_caches_fallback_not_quarantine () =
       Alcotest.(check string) "hopeless quarantined" "quarantined"
         (Supervisor.resolution_to_string h.Pool.trail.Supervisor.resolution)
   | _ -> Alcotest.fail "expected two execs");
-  let warm = Pool.run ~cache ~jobs:1 (Dag.build_exn [ ladder; hopeless ]) in
+  let warm = Pool.run ~cache (Dag.build_exn [ ladder; hopeless ]) in
   Alcotest.(check (list string)) "warm: ladder hits, hopeless re-runs"
     [ "hit"; "miss" ]
     (List.map (fun (e : Pool.exec) -> Pool.cache_status_to_string e.Pool.cache) warm)
@@ -338,8 +338,7 @@ let test_chaos_clamped_by_retry_budget () =
     (statuses_of r.Supervisor.trail)
 
 (* ------------------------------------------------------------------ *)
-(* Chaos through the pool: verdicts identical to a clean run, at any
-   job count                                                           *)
+(* Chaos through the pool: verdicts identical to a clean run           *)
 
 let render execs =
   String.concat "\n"
@@ -379,18 +378,14 @@ let chaos_cfg seed =
 
 let test_chaos_pool_verdicts_clean_and_deterministic () =
   let dag () = Dag.build_exn (chain 48) in
-  let clean = Pool.run ~jobs:1 (dag ()) in
-  let c1, s1 = Pool.run_with_stats ~sup:(chaos_cfg 9) ~jobs:1 (dag ()) in
-  let c4, _ = Pool.run_with_stats ~sup:(chaos_cfg 9) ~oversubscribe:true ~jobs:4 (dag ()) in
+  let clean = Pool.run (dag ()) in
+  let c1 = Pool.run ~sup:(chaos_cfg 9) (dag ()) in
+  let c2 = Pool.run ~sup:(chaos_cfg 9) (dag ()) in
   Alcotest.(check string) "chaos verdicts = clean verdicts" (render clean) (render c1);
-  Alcotest.(check string) "jobs=1 and jobs=4 verdicts agree" (render c1) (render c4);
-  Alcotest.(check bool) "supervision decisions are schedule-independent" true
-    (decisions c1 = decisions c4);
+  Alcotest.(check bool) "supervision decisions replay from the seed" true
+    (decisions c1 = decisions c2);
   Alcotest.(check bool) "chaos actually injected" true
-    (let ch = match (chaos_cfg 9).Supervisor.chaos with Some c -> c | None -> assert false in
-     ignore ch;
-     List.exists (fun (_, res, _, _) -> res <> "completed") (decisions c1));
-  ignore s1
+    (List.exists (fun (_, res, _, _) -> res <> "completed") (decisions c1))
 
 (* the property behind --engine-chaos on composed code proofs: the
    real composed code-proof DAG, run under fault injection, must render
@@ -425,14 +420,9 @@ let test_chaos_composed_verdicts_match_monolithic () =
         Some (Chaos.create ~kinds:[ Plan.Obl_crash; Plan.Worker_kill ] ~seed ());
     }
   in
-  let chaotic1 = Pool.run ~sup:(cfg 7) ~jobs:1 (composed ()) in
-  let chaotic4 =
-    Pool.run ~sup:(cfg 7) ~oversubscribe:true ~jobs:4 (composed ())
-  in
+  let chaotic1 = Pool.run ~sup:(cfg 7) (composed ()) in
   Alcotest.(check string) "chaos composed verdicts = clean monolithic"
     mono (render chaotic1);
-  Alcotest.(check string) "jobs=1 and jobs=4 agree under chaos"
-    (render chaotic1) (render chaotic4);
   Alcotest.(check bool) "chaos actually injected" true
     (List.exists
        (fun (e : Pool.exec) ->
@@ -466,7 +456,7 @@ let test_worker_respawn_completes_everything () =
   let dag =
     Dag.build_exn [ pass_obl ~fingerprint:"fp" "victim"; pass_obl ~deps:[ "victim" ] "after" ]
   in
-  let execs, stats = Pool.run_with_stats ~sup:(kill_cfg seed) ~jobs:1 dag in
+  let execs, stats = Pool.run_with_stats ~sup:(kill_cfg seed) dag in
   Alcotest.(check int) "both obligations complete" 2 (List.length execs);
   Alcotest.(check bool) "no failures" true
     (List.for_all (fun (e : Pool.exec) -> Obligation.failure_count e.Pool.outcome = 0) execs);
@@ -485,7 +475,7 @@ let test_worker_kill_after_compute_exactly_once () =
         Obligation.outcome [ Report.add_pass (Report.empty "victim") ])
   in
   let dag = Dag.build_exn [ victim; pass_obl ~deps:[ "victim" ] "after" ] in
-  let execs, stats = Pool.run_with_stats ~sup:(kill_cfg seed) ~jobs:1 dag in
+  let execs, stats = Pool.run_with_stats ~sup:(kill_cfg seed) dag in
   Alcotest.(check int) "one exec per obligation" 2 (List.length execs);
   Alcotest.(check bool) "no failures" true
     (List.for_all (fun (e : Pool.exec) -> Obligation.failure_count e.Pool.outcome = 0) execs);
@@ -499,7 +489,7 @@ let test_dead_worker_synthesizes_crash_outcome () =
   let seed = kill_seed ~site:"pre-exec" ~id:"victim" in
   let dag = Dag.build_exn [ pass_obl ~fingerprint:"fp" "victim" ] in
   let execs, stats =
-    Pool.run_with_stats ~sup:(kill_cfg seed) ~max_respawns:0 ~jobs:1 dag
+    Pool.run_with_stats ~sup:(kill_cfg seed) ~max_respawns:0 dag
   in
   Alcotest.(check int) "worker permanently lost" 1 stats.Pool.lost_workers;
   match execs with
@@ -512,28 +502,6 @@ let test_dead_worker_synthesizes_crash_outcome () =
       Alcotest.(check string) "trail says quarantined" "quarantined"
         (Supervisor.resolution_to_string e.Pool.trail.Supervisor.resolution)
   | _ -> Alcotest.fail "expected exactly one exec"
-
-(* with survivors, a dead worker's queued obligations drain onto them *)
-let test_dead_worker_drains_to_survivors () =
-  let seed = kill_seed ~site:"pre-exec" ~id:"victim" in
-  let dag =
-    Dag.build_exn
-      (pass_obl ~fingerprint:"fp" "victim"
-       :: List.init 12 (fun i -> pass_obl ~fingerprint:"fp" (Printf.sprintf "bg-%02d" i)))
-  in
-  let execs, stats =
-    Pool.run_with_stats ~sup:(kill_cfg seed) ~max_respawns:0 ~oversubscribe:true
-      ~jobs:3 dag
-  in
-  Alcotest.(check int) "a worker died for good" 1 stats.Pool.lost_workers;
-  let unfinished =
-    List.filter (fun (e : Pool.exec) -> e.Pool.worker = -1) execs
-  in
-  (* only the obligation the dead worker held in-flight may be lost;
-     everything queued was taken and completed by the survivors *)
-  Alcotest.(check bool) "at most the in-flight obligation lost" true
-    (List.length unfinished <= 1);
-  Alcotest.(check int) "all obligations accounted for" 13 (List.length execs)
 
 (* ------------------------------------------------------------------ *)
 (* Cache corruption fixtures and write-failure surfacing               *)
@@ -551,13 +519,13 @@ let test_torn_pack_evicted_and_recomputed () =
       [ counted counter ~fingerprint:"t1" "a"; counted counter ~fingerprint:"t2" "b" ]
   in
   (* clean baseline for verdict comparison *)
-  let clean = Pool.run ~jobs:1 (dag ()) in
+  let clean = Pool.run (dag ()) in
   (* cold run whose pack write is torn by chaos *)
   let cache = Cache.create ~dir in
   let sup =
     { Supervisor.default with chaos = Some (Chaos.create ~kinds:[ Plan.Torn_pack ] ~seed:1 ()) }
   in
-  ignore (Pool.run ~cache ~sup ~jobs:1 (dag ()));
+  ignore (Pool.run ~cache ~sup (dag ()));
   (* counter also saw the 2 baseline executions *)
   Alcotest.(check int) "both executed cold" 4 !counter;
   (* next process: the torn pack must load as nothing and be evicted *)
@@ -565,7 +533,7 @@ let test_torn_pack_evicted_and_recomputed () =
   Alcotest.(check int) "torn pack evicted wholesale" 0 (Cache.entry_count reloaded);
   Alcotest.(check bool) "no pack file survives" true
     (Array.for_all (fun f -> not (Filename.check_suffix f ".pack")) (Sys.readdir dir));
-  let redo = Pool.run ~cache:reloaded ~jobs:1 (dag ()) in
+  let redo = Pool.run ~cache:reloaded (dag ()) in
   Alcotest.(check int) "recomputed cold" 6 !counter;
   Alcotest.(check string) "verdicts match the clean-cache run" (render clean) (render redo)
 
@@ -686,8 +654,6 @@ let () =
             test_worker_kill_after_compute_exactly_once;
           Alcotest.test_case "dead worker synthesized crash" `Quick
             test_dead_worker_synthesizes_crash_outcome;
-          Alcotest.test_case "dead worker drains to survivors" `Quick
-            test_dead_worker_drains_to_survivors;
         ] );
       ( "cache",
         [

@@ -76,23 +76,40 @@ let test_exhaustive_pte_ops () =
     (List.init ppages (fun _ -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* 2. The frame allocator over its full bitmap state space: the tiny
-      pool has 24 frames; enumerate all 2^12 states of the low half
-      (the half boot actually uses) and check alloc/free/is_allocated
-      against the code for each.                                       *)
+(* 2. The frame allocator.  The tiny pool has 24 frames, so its bitmap
+      has 2^24 states; two suites cover the parts that matter:
+      - all 2^12 states of the low half (the half boot actually uses);
+      - every state whose set bits form a prefix with at most one hole
+        (325 states), which reach the full pool and the frames just
+        below it.
+      Each checks alloc, and free / is_allocated per frame, code
+      against spec.                                                    *)
+
+(* Code against spec on one bitmap: [frame_alloc], then [frame_free]
+   and [frame_is_allocated] on frames [0, frames).  Returns the
+   abstract state it checked. *)
+let frame_state_agrees env bits ~frames =
+  let falloc =
+    ok "bitmap"
+      (Frame_alloc.set_bitmap_word
+         (Frame_alloc.create ~nframes:layout.Layout.frame_count)
+         0 (Int64.of_int bits))
+  in
+  let d = { (Absdata.create layout) with Absdata.falloc } in
+  if not (agree env d "frame_alloc" []) then
+    Alcotest.failf "frame_alloc disagrees on bitmap %x" bits;
+  for i = 0 to frames - 1 do
+    if not (agree env d "frame_free" [ Mir.Value.int Mir.Ty.U64 i ]) then
+      Alcotest.failf "frame_free disagrees on bitmap %x frame %d" bits i;
+    if not (agree env d "frame_is_allocated" [ Mir.Value.int Mir.Ty.U64 i ]) then
+      Alcotest.failf "frame_is_allocated disagrees on bitmap %x frame %d" bits i
+  done;
+  d
 
 let test_exhaustive_frame_alloc () =
   let env = env_for "FrameAlloc" in
   for bits = 0 to (1 lsl 12) - 1 do
-    let falloc =
-      ok "bitmap"
-        (Frame_alloc.set_bitmap_word
-           (Frame_alloc.create ~nframes:layout.Layout.frame_count)
-           0 (Int64.of_int bits))
-    in
-    let d = { (Absdata.create layout) with Absdata.falloc } in
-    if not (agree env d "frame_alloc" []) then
-      Alcotest.failf "frame_alloc disagrees on bitmap %x" bits;
+    let d = frame_state_agrees env bits ~frames:12 in
     (* spot the first-free answer against a direct computation *)
     (match run_code env d "frame_alloc" [] with
     | Ok o ->
@@ -106,15 +123,25 @@ let test_exhaustive_frame_alloc () =
           | _ -> -1
         in
         Alcotest.(check int) (Printf.sprintf "lowest free of %x" bits) expected got
-    | Error e -> Alcotest.failf "frame_alloc run: %s" (Mir.Interp.error_to_string e));
-    (* free / is_allocated on every frame of the enumerated half *)
-    for i = 0 to 11 do
-      if not (agree env d "frame_free" [ Mir.Value.int Mir.Ty.U64 i ]) then
-        Alcotest.failf "frame_free disagrees on bitmap %x frame %d" bits i;
-      if not (agree env d "frame_is_allocated" [ Mir.Value.int Mir.Ty.U64 i ]) then
-        Alcotest.failf "frame_is_allocated disagrees on bitmap %x frame %d" bits i
-    done
+    | Error e -> Alcotest.failf "frame_alloc run: %s" (Mir.Interp.error_to_string e))
   done
+
+(* Frames [0, k) allocated, optionally with one of them free again, for
+   every k up to the pool size: 25 prefixes and 300 one-hole states.
+   The full bitmap is where [frame_alloc] answers "out of frames", and
+   frame 24 is one past the pool. *)
+let test_frame_alloc_full_pool () =
+  let env = env_for "FrameAlloc" in
+  let n = layout.Layout.frame_count in
+  let states =
+    List.concat_map
+      (fun k ->
+        let prefix = (1 lsl k) - 1 in
+        prefix :: List.init k (fun hole -> prefix land lnot (1 lsl hole)))
+      (List.init (n + 1) Fun.id)
+  in
+  Alcotest.(check int) "states enumerated" 325 (List.length states);
+  List.iter (fun bits -> ignore (frame_state_agrees env bits ~frames:(n + 1))) states
 
 (* ------------------------------------------------------------------ *)
 (* 3. map_page over the entire (va page, pa page, flags/8) input cube
@@ -299,6 +326,7 @@ let () =
           Alcotest.test_case "pte ops: all flags x all pages" `Quick test_exhaustive_pte_ops;
           Alcotest.test_case "frame allocator: 4096 bitmap states" `Slow
             test_exhaustive_frame_alloc;
+          Alcotest.test_case "frame allocator: full pool" `Slow test_frame_alloc_full_pool;
           Alcotest.test_case "map_page: full input cube" `Slow test_exhaustive_map_page;
           Alcotest.test_case "single-mapping queries: all pairs" `Quick
             test_exhaustive_single_mapping_queries;

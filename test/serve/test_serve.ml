@@ -284,6 +284,17 @@ let refused j = Jsonx.member "ok" j = Some (Jsonx.Bool false)
 
 (* A negative retry count or deadline is refused, not run as zero. *)
 let test_session_rejects_negative () =
+  (* the pool runs on one domain: any other job count is refused, not
+     clamped to 1 *)
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises (Printf.sprintf "session jobs %d" jobs)
+        (Invalid_argument "Driver.session: jobs must be 1") (fun () ->
+          ignore (Driver.session ~jobs ()));
+      Alcotest.check_raises (Printf.sprintf "pool jobs %d" jobs)
+        (Invalid_argument "Pool.run: jobs must be 1") (fun () ->
+          ignore (Engine.Pool.run ~jobs (Engine.Dag.build_exn []))))
+    [ 0; 2 ];
   Alcotest.check_raises "negative retries"
     (Invalid_argument "Driver.session: retries must be at least 0") (fun () ->
       ignore (Driver.session ~retries:(-3) ()));
@@ -972,7 +983,7 @@ let test_render_failing_output () =
 let test_summary_stubbed_calls () =
   let p = Driver.prepare Driver.default_request in
   let summary =
-    Summary.summary_json ~failures:0 ~jobs:1 ~cache_enabled:false
+    Summary.summary_json ~failures:0 ~cache_enabled:false
       ~sup_totals:(Engine.Supervisor.totals []) ~stats:{ Engine.Pool.respawns = 0; lost_workers = 0 }
       ~cache_write_failures:0 ~engine_chaos:None ~model_check:None ~plan:p.Driver.p_plan
       ~plan_build_s:0.0 ~plan_cache_hit:false []
