@@ -171,9 +171,8 @@ let region_pages layout base pages =
       Int64.add base
         (Int64.mul (Int64.of_int (Geometry.page_size layout.Layout.geom)) (Int64.of_int i)))
 
-let perturb_secrets ~seed ~observer (st : State.t) =
+let perturb_memory ~seed ~observer (d : Absdata.t) =
   let rng = Rng.make seed in
-  let d = st.State.mon in
   let layout = d.Absdata.layout in
   (* 1. EPC pages of enclaves other than the observer *)
   let secret_epc =
@@ -205,6 +204,9 @@ let perturb_secrets ~seed ~observer (st : State.t) =
     scribble_pages rng phys
       (region_pages layout layout.Layout.mbuf_base layout.Layout.mbuf_pages)
   in
+  ({ d with Absdata.phys }, rng)
+
+let perturb_registers rng ~observer (st : State.t) =
   (* 4. saved contexts of other principals *)
   let randomize_regs rng =
     let regs = State.zero_regs () in
@@ -230,7 +232,11 @@ let perturb_secrets ~seed ~observer (st : State.t) =
     if Principal.equal st.State.active observer then (st.State.regs, rng)
     else randomize_regs rng
   in
-  { st with State.mon = { d with Absdata.phys }; ctx; regs }
+  { st with State.ctx; regs }
+
+let perturb_secrets ~seed ~observer (st : State.t) =
+  let mon, rng = perturb_memory ~seed ~observer st.State.mon in
+  perturb_registers rng ~observer { st with State.mon }
 
 let secret_pairs_range ~lo ~hi ~seed ~steps ~observer layout =
   List.init (hi - lo) (fun j ->

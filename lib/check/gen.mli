@@ -40,7 +40,25 @@ val ensure_enclave_active :
 val perturb_secrets :
   seed:int -> observer:Security.Principal.t -> Security.State.t ->
   Security.State.t
-(** Rewrite state components outside the observer's view. *)
+(** Rewrite state components outside the observer's view:
+    {!perturb_memory} of [st.mon], then {!perturb_registers} with the
+    generator it returns. *)
+
+val perturb_memory :
+  seed:int -> observer:Security.Principal.t -> Hyperenclave.Absdata.t ->
+  Hyperenclave.Absdata.t * Rng.t
+(** The monitor half of {!perturb_secrets}: scribble over other
+    enclaves' EPC pages, over normal memory when the observer is an
+    enclave, and over the marshalling buffer.  It reads only the
+    monitor, the observer and the seed, and returns the generator for
+    the register half. *)
+
+val perturb_registers :
+  Rng.t -> observer:Security.Principal.t -> Security.State.t ->
+  Security.State.t
+(** The register half of {!perturb_secrets}: randomize the saved
+    contexts of other principals, and the live registers when another
+    principal is active. *)
 
 val secret_pairs :
   ?n:int -> seed:int -> steps:int -> observer:Security.Principal.t ->

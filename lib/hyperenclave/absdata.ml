@@ -33,12 +33,41 @@ let enclave_ids d = List.map fst (IntMap.bindings d.enclaves)
 let enclave_count d = IntMap.cardinal d.enclaves
 
 let equal a b =
-  Phys_mem.equal a.phys b.phys
+  a == b
+  || Phys_mem.equal a.phys b.phys
   && Frame_alloc.equal a.falloc b.falloc
   && Epcm.equal a.epcm b.epcm
   && IntMap.equal Enclave.equal a.enclaves b.enclaves
   && a.next_eid = b.next_eid
   && Option.equal Int.equal a.os_ept_root b.os_ept_root
+
+(* Each component is folded in key order, so the hash depends on the
+   contents [equal] compares and not on the shape of a map. *)
+let hash d =
+  let mix h x = (h lxor x) * 0x100000001b3 in
+  let word h w = mix h (Int64.to_int w) in
+  let h =
+    Phys_mem.fold_nonzero
+      (fun a v h -> word (word h a) v)
+      d.phys
+      (word 0 (Phys_mem.limit d.phys))
+  in
+  let h =
+    List.fold_left mix
+      (mix h (Frame_alloc.nframes d.falloc))
+      (Frame_alloc.allocated_list d.falloc)
+  in
+  let h =
+    Epcm.fold
+      (fun page st h ->
+        match st with
+        | Epcm.Free -> h
+        | Epcm.Valid { eid; va } -> word (mix (mix h page) eid) va)
+      d.epcm
+      (mix h (Epcm.npages d.epcm))
+  in
+  let h = IntMap.fold (fun _ e h -> mix h (Hashtbl.hash e)) d.enclaves h in
+  mix (mix h d.next_eid) (Option.value ~default:(-1) d.os_ept_root)
 
 let pp fmt d =
   Format.fprintf fmt "@[<v>%a@,allocated frames: %d, EPC valid: %d, enclaves: %d@]"

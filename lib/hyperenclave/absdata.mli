@@ -31,6 +31,11 @@ val enclave_count : t -> int
 
 val equal : t -> t -> bool
 (** Structural equality of the full abstract state, used as the
-    abstract-state equivalence in refinement checks. *)
+    abstract-state equivalence in refinement checks.  Physically equal
+    arguments are equal at once. *)
+
+val hash : t -> int
+(** A hash of the contents {!equal} compares: [equal a b] implies
+    [hash a = hash b]. *)
 
 val pp : Format.formatter -> t -> unit

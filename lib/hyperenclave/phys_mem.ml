@@ -71,6 +71,7 @@ let equal_range a b addr ~bytes_len =
 
 let equal a b = Word.equal a.limit b.limit && IntMap.equal Word.equal a.words b.words
 
-let nonzero_words m =
-  IntMap.bindings m.words
-  |> List.map (fun (i, v) -> (Int64.shift_left (Int64.of_int i) 3, v))
+let fold_nonzero f m acc =
+  IntMap.fold (fun i v acc -> f (Int64.shift_left (Int64.of_int i) 3) v acc) m.words acc
+
+let nonzero_words m = List.rev (fold_nonzero (fun a v acc -> (a, v) :: acc) m [])

@@ -31,3 +31,7 @@ val equal_range : t -> t -> Mir.Word.t -> bytes_len:int -> bool
 val equal : t -> t -> bool
 val nonzero_words : t -> (Mir.Word.t * Mir.Word.t) list
 (** [(address, value)] pairs of all nonzero words, address-ordered. *)
+
+val fold_nonzero : (Mir.Word.t -> Mir.Word.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the nonzero words as [f address value], in address
+    order. *)

@@ -31,7 +31,7 @@ type stats = { explored : int; transitions : int; deduped : int; pruned : int }
 
 (* A queued state, with its discovery trace, depth and sleep set. *)
 type item = {
-  st : State.t;
+  node : Memo.node;
   key : string;
   trace_rev : Chaos.event list;
   idepth : int;
@@ -44,15 +44,16 @@ type outcome = {
   violations : violation list;
 }
 
-let exec ~flush st = function
-  | Chaos.Act a -> Transition.step ~flush st a
-  | Chaos.Inject f -> Fault.Inject.apply f st
+let exec memo n = function
+  | Chaos.Act a -> Memo.step memo n a
+  | Chaos.Inject f ->
+      Result.map (Memo.derive memo ~parent:n) (Fault.Inject.apply f (Memo.state n))
 
 (* Enabledness without execution: the total enumerator for actions, an
    applicability probe for fault plans. *)
-let enabled_at st = function
-  | Chaos.Act a -> Result.is_ok (Transition.precondition st a)
-  | Chaos.Inject f -> Result.is_ok (Fault.Inject.apply f st)
+let enabled_at n = function
+  | Chaos.Act a -> Result.is_ok (Transition.precondition (Memo.state n) a)
+  | Chaos.Inject f -> Result.is_ok (Fault.Inject.apply f (Memo.state n))
 
 (* Is [p] exempt from the integrity lemma across [ev] from [before]:
    the step is its own, or configures its view? *)
@@ -61,44 +62,33 @@ let integrity_exempt ~before p = function
       Principal.equal p before.State.active || Transition.configures before p a
   | Chaos.Inject _ -> false
 
-(* Did [p]'s view change across [before --> after], where [obs] is
-   [Observation.observe before p]?  Views compare as their digests
-   would, so two equal observation errors count as unchanged. *)
-let view_changed p ~before:(before, obs) after =
-  match Observation.unchanged_after p ~before:(before, obs) after with
-  | Ok same -> not same
-  | Error _ ->
-      State_key.view_digest obs
-      <> State_key.view_digest (Observation.observe after p)
-
 (* Does [after] exhibit a violation of [kind] for the transition
    [before --ev--> after]?  Used both during exploration and as the
-   ddmin replay predicate, so a shrunk witness provably still violates
-   the same property. *)
-let edge_violates cfg ~kind ~before ~after ev =
+   ddmin replay predicate, with the same memoized comparisons, so a
+   shrunk witness provably still violates the same property. *)
+let edge_violates cfg memo ~kind ~before ~after ev =
+  let st = Memo.state after in
   match kind with
-  | "invariant" -> Result.is_error (Invariants.check after.State.mon)
-  | "tlb-consistency" -> Result.is_error (Chaos.tlb_consistent after)
+  | "invariant" -> Result.is_error (Memo.invariants after)
+  | "tlb-consistency" -> Result.is_error (Chaos.tlb_consistent st)
   | "transactionality" | "status-code" -> (
       match ev with
       | Chaos.Inject _ -> false
       | Chaos.Act a -> (
-          match Chaos.transactional ~before ~after a with
+          match Chaos.transactional ~before:(Memo.state before) ~after:st a with
           | Ok () -> false
           | Error (check, _) -> String.equal check kind))
   | "integrity" ->
       List.exists
         (fun p ->
-          (not (integrity_exempt ~before p ev))
-          && view_changed p ~before:(before, Observation.observe before p) after)
+          (not (integrity_exempt ~before:(Memo.state before) p ev))
+          && not (Memo.unchanged memo p ~before after))
         observers
   | "ni-pair" | "ni-consistency" ->
       List.exists
         (fun p ->
-          let twin =
-            Check.Gen.perturb_secrets ~seed:ni_seed ~observer:p after
-          in
-          match Observation.indistinguishable p after twin with
+          let twin = Memo.twin memo ~observer:p after in
+          match Memo.indistinguishable memo p after twin with
           | Error _ | Ok false -> String.equal kind "ni-pair"
           | Ok true ->
               String.equal kind "ni-consistency"
@@ -106,15 +96,9 @@ let edge_violates cfg ~kind ~before ~after ev =
                    (function
                      | Chaos.Inject _ -> false
                      | Chaos.Act a -> (
-                         match
-                           ( Transition.step ~flush:cfg.flush after a,
-                             Transition.step ~flush:cfg.flush twin a )
-                         with
+                         match (Memo.step memo after a, Memo.step memo twin a) with
                          | Ok u, Ok v -> (
-                             match
-                               Observation.indistinguishable_after p
-                                 ~before:(after, twin) u v
-                             with
+                             match Memo.indistinguishable memo p u v with
                              | Ok true -> false
                              | Ok false | Error _ -> true)
                          | Error _, Error _ -> false
@@ -123,19 +107,18 @@ let edge_violates cfg ~kind ~before ~after ev =
         observers
   | _ -> false
 
-(* Replay [events] from boot, skipping disabled events (the
+(* Replay [events] from [boot], skipping disabled events (the
    {!Chaos.replay} convention, which ddmin relies on: deleting a chunk
    may disable a later event without invalidating the trace). *)
-let trace_violates cfg ~kind events =
-  let rec go st = function
+let trace_violates cfg memo ~boot ~kind events =
+  let rec go n = function
     | [] -> false
     | ev :: rest -> (
-        match exec ~flush:cfg.flush st ev with
-        | Error _ -> go st rest
-        | Ok st' ->
-            edge_violates cfg ~kind ~before:st ~after:st' ev || go st' rest)
+        match exec memo n ev with
+        | Error _ -> go n rest
+        | Ok n' -> edge_violates cfg memo ~kind ~before:n ~after:n' ev || go n' rest)
   in
-  go (State.boot cfg.layout) events
+  go boot events
 
 (* Per-visited-state bookkeeping.  [expl] is the set of transition
    indices already executed from this state (the explored-set
@@ -152,6 +135,8 @@ type entry = {
 
 type ctx = {
   cfg : config;
+  memo : Memo.t;
+  boot : Memo.node;
   uni : Chaos.event array;
   commute : bool array array;
   visited : (string, entry) Hashtbl.t;
@@ -171,7 +156,7 @@ let record ctx ~kind ~detail ~key ~trace_rev =
     let trace = List.rev trace_rev in
     let witness, evals =
       Check.Shrink.evaluations
-        ~check:(fun evs -> trace_violates ctx.cfg ~kind evs)
+        ~check:(fun evs -> trace_violates ctx.cfg ctx.memo ~boot:ctx.boot ~kind evs)
         trace
     in
     ctx.violations <-
@@ -183,31 +168,31 @@ let record ctx ~kind ~detail ~key ~trace_rev =
 (* The real state's side of the ni-consistency check, computed once
    per state and shared by every observer: for each action event, its
    precondition and, on first use, its step. *)
-let successor_row cfg uni st =
+let successor_row memo uni n =
   Array.map
     (function
       | Chaos.Inject _ -> None
       | Chaos.Act a ->
           Some
             ( a,
-              Result.is_ok (Transition.precondition st a),
-              lazy (Transition.step ~flush:cfg.flush st a) ))
+              Result.is_ok (Transition.precondition (Memo.state n) a),
+              lazy (Memo.step memo n a) ))
     uni
 
 (* Checks on a newly discovered state. *)
-let check_state ctx ~key ~trace_rev st =
-  let cfg = ctx.cfg in
-  (match Invariants.check st.State.mon with
+let check_state ctx ~key ~trace_rev n =
+  let memo = ctx.memo in
+  (match Memo.invariants n with
   | Ok () -> ()
   | Error r -> record ctx ~kind:"invariant" ~detail:r ~key ~trace_rev);
-  (match Chaos.tlb_consistent st with
+  (match Chaos.tlb_consistent (Memo.state n) with
   | Ok () -> ()
   | Error r -> record ctx ~kind:"tlb-consistency" ~detail:r ~key ~trace_rev);
-  let row = successor_row cfg ctx.uni st in
+  let row = successor_row memo ctx.uni n in
   List.iter
     (fun p ->
-      let twin = Check.Gen.perturb_secrets ~seed:ni_seed ~observer:p st in
-      match Observation.indistinguishable p st twin with
+      let twin = Memo.twin memo ~observer:p n in
+      match Memo.indistinguishable memo p n twin with
       | Error msg ->
           record ctx ~kind:"ni-pair" ~key ~trace_rev
             ~detail:
@@ -226,18 +211,12 @@ let check_state ctx ~key ~trace_rev st =
                   (* skip actions disabled in both runs cheaply *)
                   if
                     enabled
-                    || Result.is_ok (Transition.precondition twin a)
+                    || Result.is_ok (Transition.precondition (Memo.state twin) a)
                   then
-                    match
-                      ( Lazy.force succ,
-                        Transition.step ~flush:cfg.flush twin a )
-                    with
+                    match (Lazy.force succ, Memo.step memo twin a) with
                     | Error _, Error _ -> ()
                     | Ok u, Ok v -> (
-                        match
-                          Observation.indistinguishable_after p
-                            ~before:(st, twin) u v
-                        with
+                        match Memo.indistinguishable memo p u v with
                         | Ok true -> ()
                         | Ok false ->
                             record ctx ~kind:"ni-consistency" ~key
@@ -267,27 +246,27 @@ let check_state ctx ~key ~trace_rev st =
             row)
     observers
 
-(* Checks on an executed transition.  [views] pairs each observer
-   with its observation of [before], computed on first use. *)
-let check_edge ctx ~views ~akey ~atrace_rev ~before ~after ev =
+(* Checks on an executed transition. *)
+let check_edge ctx ~akey ~atrace_rev ~before ~after ev =
+  let st = Memo.state before in
   (match ev with
   | Chaos.Inject _ -> ()
   | Chaos.Act a -> (
-      match Chaos.transactional ~before ~after a with
+      match Chaos.transactional ~before:st ~after:(Memo.state after) a with
       | Ok () -> ()
       | Error (check, reason) ->
           record ctx ~kind:check ~detail:reason ~key:akey ~trace_rev:atrace_rev));
   List.iter
-    (fun (p, obs) ->
+    (fun p ->
       if
-        (not (integrity_exempt ~before p ev))
-        && view_changed p ~before:(before, Lazy.force obs) after
+        (not (integrity_exempt ~before:st p ev))
+        && not (Memo.unchanged ctx.memo p ~before after)
       then
         record ctx ~kind:"integrity" ~key:akey ~trace_rev:atrace_rev
           ~detail:
             (Printf.sprintf "%s's view changed across %s"
                (Principal.to_string p) (Chaos.event_to_string ev)))
-    views
+    observers
 
 let run cfg =
   let uni = Array.of_list cfg.universe in
@@ -295,8 +274,11 @@ let run cfg =
   let commute =
     Array.init n (fun i -> Array.init n (fun j -> Footprint.commutes uni.(i) uni.(j)))
   in
+  let memo = Memo.create ~flush:cfg.flush ~seed:ni_seed in
+  let boot = Memo.node memo (State.boot cfg.layout) in
   let ctx =
-    { cfg; uni; commute; visited = Hashtbl.create 4096; queue = Queue.create ();
+    { cfg; memo; boot; uni; commute; visited = Hashtbl.create 4096;
+      queue = Queue.create ();
       s_explored = 0; s_transitions = 0; s_deduped = 0; s_pruned = 0;
       violations = []; vseen = Hashtbl.create 16 }
   in
@@ -304,13 +286,12 @@ let run cfg =
     Hashtbl.add ctx.visited it.key
       { expl = IntSet.empty; vdepth = it.idepth; cover = it.sleep };
     ctx.s_explored <- ctx.s_explored + 1;
-    check_state ctx ~key:it.key ~trace_rev:it.trace_rev it.st;
+    check_state ctx ~key:it.key ~trace_rev:it.trace_rev it.node;
     if it.idepth < cfg.depth then Queue.push it ctx.queue
   in
-  let boot = State.boot cfg.layout in
   discover
-    { st = boot; key = State_key.digest boot; trace_rev = []; idepth = 0;
-      sleep = IntSet.empty };
+    { node = boot; key = State_key.digest (Memo.state boot); trace_rev = [];
+      idepth = 0; sleep = IntSet.empty };
   while not (Queue.is_empty ctx.queue) do
     Mirverif.Cancel.poll ();
     let it = Queue.pop ctx.queue in
@@ -318,11 +299,8 @@ let run cfg =
     (* expand with the first-visit (minimal, by BFS order) depth *)
     let d = entry.vdepth in
     if d < cfg.depth then begin
-      let views =
-        List.map (fun p -> (p, lazy (Observation.observe it.st p))) observers
-      in
       for i = 0 to n - 1 do
-        if (not (IntSet.mem i entry.expl)) && enabled_at it.st uni.(i) then
+        if (not (IntSet.mem i entry.expl)) && enabled_at it.node uni.(i) then
           if cfg.por && IntSet.mem i it.sleep then
             ctx.s_pruned <- ctx.s_pruned + 1
           else begin
@@ -336,7 +314,7 @@ let run cfg =
                   (IntSet.union it.sleep entry.expl)
               else IntSet.empty
             in
-            match exec ~flush:cfg.flush it.st uni.(i) with
+            match exec memo it.node uni.(i) with
             | Error msg ->
                 (* enabled_at said yes, step said no: the enumerator
                    and the semantics disagree *)
@@ -346,15 +324,15 @@ let run cfg =
                   ~detail:
                     (Printf.sprintf "%s enabled but step failed: %s"
                        (Chaos.event_to_string uni.(i)) msg)
-            | Ok st' -> (
+            | Ok n' -> (
                 entry.expl <- IntSet.add i entry.expl;
                 ctx.s_transitions <- ctx.s_transitions + 1;
-                let key' = State_key.digest st' in
+                let key' = State_key.digest (Memo.state n') in
                 let trace_rev' = uni.(i) :: it.trace_rev in
-                check_edge ctx ~views ~akey:key' ~atrace_rev:trace_rev'
-                  ~before:it.st ~after:st' uni.(i);
+                check_edge ctx ~akey:key' ~atrace_rev:trace_rev'
+                  ~before:it.node ~after:n' uni.(i);
                 let it' =
-                  { st = st'; key = key'; trace_rev = trace_rev';
+                  { node = n'; key = key'; trace_rev = trace_rev';
                     idepth = d + 1; sleep = sleep' }
                 in
                 match Hashtbl.find_opt ctx.visited key' with
@@ -395,16 +373,17 @@ let interleavings cfg =
     Array.init n (fun i ->
         Array.init n (fun j -> Footprint.commutes uni.(i) uni.(j)))
   in
+  let memo = Memo.create ~flush:cfg.flush ~seed:ni_seed in
   let count = ref 0 in
-  let rec go st depth sleep =
+  let rec go node depth sleep =
     if depth < cfg.depth then begin
       Mirverif.Cancel.poll ();
       let explored = ref IntSet.empty in
       for i = 0 to n - 1 do
-        if enabled_at st uni.(i) && not (cfg.por && IntSet.mem i sleep) then
-          match exec ~flush:cfg.flush st uni.(i) with
+        if enabled_at node uni.(i) && not (cfg.por && IntSet.mem i sleep) then
+          match exec memo node uni.(i) with
           | Error _ -> ()
-          | Ok st' ->
+          | Ok node' ->
               incr count;
               let sleep' =
                 if cfg.por then
@@ -414,11 +393,11 @@ let interleavings cfg =
                 else IntSet.empty
               in
               explored := IntSet.add i !explored;
-              go st' (depth + 1) sleep'
+              go node' (depth + 1) sleep'
       done
     end
   in
-  go (State.boot cfg.layout) 0 IntSet.empty;
+  go (Memo.node memo (State.boot cfg.layout)) 0 IntSet.empty;
   !count
 
 (* ---- serialization through obligation logs ---- *)

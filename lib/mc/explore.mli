@@ -23,16 +23,22 @@
     unchanged).  Violating interleavings are minimized with
     {!Check.Shrink} ddmin before reporting.
 
+    Each run keeps one {!Memo}: every monitor it meets (real states,
+    perturbed twins, successors) is interned by content and gets a
+    small id, and the results that read only the monitor are computed
+    once per id: the invariants, the four hypercall effects, the
+    memory half of a twin, and the memory half of each observer's view,
+    which becomes an exact view id.  Two views are then equal iff their
+    CPU halves are ({!Security.Observation.cpu_equal}) and their
+    memory-view ids match; an integrity check counts two observation
+    errors as the same view iff their messages are equal.  The memo
+    lives for one {!run} call, so nothing outlives it.
+
     Each state's successor row — every action's precondition and, on
     first use, its step — is computed once and shared by the observers;
-    only the twin's side is stepped per observer.  Views after a step
-    are compared with {!Security.Observation.indistinguishable_after}
-    and {!Security.Observation.unchanged_after}, which compare only
-    the CPU-facing components when the step kept the monitor state; a
-    state's own observations are made once per expansion, when its
-    first outgoing edge needs them.  The ddmin replay predicate uses
-    the same comparisons, so a shrunk witness violates exactly the
-    property that was recorded.
+    only the twin's side is stepped per observer.  The ddmin replay
+    predicate uses the same memo and the same comparisons, so a shrunk
+    witness violates exactly the property that was recorded.
 
     Exploration is deterministic: same config, same outcome, bit for
     bit.  The engine runs it as one obligation, so each reachable state

@@ -151,47 +151,3 @@ let to_string st =
   Buffer.contents buf
 
 let digest st = Digest.to_hex (Digest.string (to_string st))
-
-(* ------------------------------------------------------------------ *)
-(* View digests (for the integrity lemma)                              *)
-
-let view_string (v : Observation.view) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (if v.Observation.is_active then "active|" else "inactive|");
-  (match v.Observation.cpu_regs with
-  | None -> Buffer.add_string buf "cpu=-|"
-  | Some regs ->
-      Buffer.add_string buf "cpu=";
-      add_regs buf regs;
-      Buffer.add_char buf '|');
-  Buffer.add_string buf "saved=";
-  add_regs buf v.Observation.saved_regs;
-  Buffer.add_string buf "|maps=";
-  List.iter
-    (fun (va, hpa, flags) ->
-      add_word buf va;
-      Buffer.add_string buf "->";
-      add_word buf hpa;
-      Buffer.add_char buf '[';
-      add_flags buf flags;
-      Buffer.add_char buf ']')
-    v.Observation.mappings;
-  Buffer.add_string buf "|pages=";
-  List.iter
-    (fun (base, words) ->
-      add_word buf base;
-      Buffer.add_char buf '{';
-      List.iter
-        (fun w ->
-          add_word buf w;
-          Buffer.add_char buf ',')
-        words;
-      Buffer.add_char buf '}')
-    v.Observation.pages;
-  Buffer.add_string buf "|oracle=";
-  add_int buf v.Observation.oracle_pos;
-  Buffer.contents buf
-
-let view_digest = function
-  | Ok v -> Digest.to_hex (Digest.string (view_string v))
-  | Error msg -> Digest.to_hex (Digest.string ("observe-error:" ^ msg))

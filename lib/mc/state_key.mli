@@ -33,8 +33,3 @@ val to_string : Security.State.t -> string
 
 val digest : Security.State.t -> string
 (** Hex digest of {!to_string} — the visited-set key. *)
-
-val view_digest : (Security.Observation.view, string) result -> string
-(** Hex digest of one principal's observation (errors digest as their
-    message): the integrity lemma compares these across a step instead
-    of re-comparing whole views. *)

@@ -23,8 +23,7 @@ let page_contents d hpa =
   in
   go 0 []
 
-let reachable_of (st : State.t) p =
-  let d = st.State.mon in
+let reachable_of d p =
   match p with
   | Principal.Os -> Nested.os_reachable d
   | Principal.Enclave eid -> (
@@ -32,10 +31,13 @@ let reachable_of (st : State.t) p =
       | Error _ -> Ok [] (* principal not created yet: empty address space *)
       | Ok e -> Nested.enclave_reachable d e)
 
-let observe (st : State.t) p =
-  let d = st.State.mon in
-  let is_active = Principal.equal st.State.active p in
-  let* reach = reachable_of st p in
+type memory = {
+  m_mappings : (Word.t * Word.t * Flags.t) list;
+  m_pages : (Word.t * Word.t list) list;
+}
+
+let observe_memory (d : Absdata.t) p =
+  let* reach = reachable_of d p in
   let non_shared =
     List.filter
       (fun (_, hpa, _) ->
@@ -54,11 +56,20 @@ let observe (st : State.t) p =
   in
   Ok
     {
+      m_mappings = reach;
+      m_pages = List.sort (fun (a, _) (b, _) -> Word.compare_u a b) pages;
+    }
+
+let observe (st : State.t) p =
+  let* m = observe_memory st.State.mon p in
+  let is_active = Principal.equal st.State.active p in
+  Ok
+    {
       is_active;
       cpu_regs = (if is_active then Some (Array.copy st.State.regs) else None);
       saved_regs = State.saved_ctx st p;
-      mappings = reach;
-      pages = List.sort (fun (a, _) (b, _) -> Word.compare_u a b) pages;
+      mappings = m.m_mappings;
+      pages = m.m_pages;
       oracle_pos = Oracle.position (State.oracle_of st p);
     }
 

@@ -22,9 +22,38 @@ type view = {
 
 val observe : State.t -> Principal.t -> (view, string) result
 (** A principal that does not exist yet (enclave id never created)
-    observes only the CPU-facing components. *)
+    observes only the CPU-facing components.  [observe] is
+    {!observe_memory} of [st.mon] composed with the CPU half, and only
+    the memory half can fail. *)
 
 val view_equal : view -> view -> bool
+
+(** {1 The memory half and the CPU half}
+
+    A view splits in two.  Its memory half, the mappings (3) and the
+    page contents (4), reads only the monitor's abstract state, so it
+    is a function of [st.mon] and the principal.  Its CPU half (1, 2
+    and 5) reads only [active], [regs], [ctx] and [oracles].  Hence
+    the law, for [observe s p = Ok v] and [observe s' p = Ok v']:
+
+    [view_equal v v'] iff [cpu_equal p s s'] and the memory halves of
+    [s.mon] and [s'.mon] are equal.
+
+    The model checker relies on it to observe each distinct monitor
+    once per observer (see [Mc.Memo]). *)
+
+type memory = {
+  m_mappings : (Mir.Word.t * Mir.Word.t * Hyperenclave.Flags.t) list;
+  m_pages : (Mir.Word.t * Mir.Word.t list) list;
+}
+
+val observe_memory :
+  Hyperenclave.Absdata.t -> Principal.t -> (memory, string) result
+(** The memory half of {!observe}: [observe st p] fails with this
+    error, or carries these mappings and pages. *)
+
+val cpu_equal : Principal.t -> State.t -> State.t -> bool
+(** The CPU halves of [p]'s views of the two states are equal. *)
 
 val indistinguishable : Principal.t -> State.t -> State.t -> (bool, string) result
 (** V(p, σ1) = V(p, σ2). *)

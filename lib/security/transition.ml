@@ -85,7 +85,17 @@ let in_mbuf (st : State.t) hpa =
     (Layout.region_of st.State.mon.Absdata.layout hpa)
     Layout.Mbuf
 
-let step ?(flush = true) (st : State.t) action =
+let hypercall d = function
+  | Hc_create { elrange_base; elrange_pages; mbuf_va } ->
+      Hypercall.create d ~elrange_base ~elrange_pages ~mbuf_va
+  | Hc_add_page { eid; va } -> { (Hypercall.add_page d ~eid ~va) with value = 0 }
+  | Hc_remove_page { eid; va } ->
+      { (Hypercall.remove_page d ~eid ~va) with value = 0 }
+  | Hc_init_done { eid } -> { (Hypercall.init_done d ~eid) with value = 0 }
+  | (Const _ | Compute _ | Load _ | Store _ | Hc_enter _ | Hc_exit) as a ->
+      invalid_arg ("Transition.hypercall: " ^ action_to_string a)
+
+let step_with ~hypercall ?(flush = true) (st : State.t) action =
   match action with
   | Const { dst; value } -> State.with_reg st dst value
   | Compute { dst; src1; src2 } ->
@@ -112,18 +122,18 @@ let step ?(flush = true) (st : State.t) action =
           let* value = State.reg st src in
           let* phys = Phys_mem.write64 st.State.mon.Absdata.phys hpa value in
           Ok { st with State.mon = { st.State.mon with Absdata.phys } }
-  | Hc_create { elrange_base; elrange_pages; mbuf_va } ->
+  | Hc_create _ ->
       let* () = require_os st in
-      let o = Hypercall.create st.State.mon ~elrange_base ~elrange_pages ~mbuf_va in
+      let o = hypercall st.State.mon action in
       let* st = set_status { st with State.mon = o.Hypercall.d } o.Hypercall.status in
       State.with_reg st 1 (Int64.of_int o.Hypercall.value)
-  | Hc_add_page { eid; va } ->
+  | Hc_add_page _ | Hc_init_done _ ->
       let* () = require_os st in
-      let o = Hypercall.add_page st.State.mon ~eid ~va in
+      let o = hypercall st.State.mon action in
       set_status { st with State.mon = o.Hypercall.d } o.Hypercall.status
   | Hc_remove_page { eid; va } ->
       let* () = require_os st in
-      let o = Hypercall.remove_page st.State.mon ~eid ~va in
+      let o = hypercall st.State.mon action in
       let st = { st with State.mon = o.Hypercall.d } in
       (* TLB consistency: the removed translation must be invalidated.
          [flush:false] models the buggy monitor the stale-TLB tests
@@ -140,10 +150,6 @@ let step ?(flush = true) (st : State.t) action =
         else st
       in
       set_status st o.Hypercall.status
-  | Hc_init_done { eid } ->
-      let* () = require_os st in
-      let o = Hypercall.init_done st.State.mon ~eid in
-      set_status { st with State.mon = o.Hypercall.d } o.Hypercall.status
   | Hc_enter { eid } ->
       let* () = require_os st in
       let* e = Absdata.find_enclave st.State.mon eid in
@@ -168,6 +174,7 @@ let step ?(flush = true) (st : State.t) action =
               ctx = Principal.Map.remove Principal.Os ctx;
             })
 
+let step ?flush st action = step_with ~hypercall ?flush st action
 let enabled st action = Result.is_ok (step st action)
 
 (* ------------------------------------------------------------------ *)

@@ -37,7 +37,26 @@ val action_to_string : action -> string
 val step : ?flush:bool -> State.t -> action -> (State.t, string) result
 (** [flush] (default true) controls whether mapping-removing hypercalls
     invalidate the affected TLB entries; [flush:false] models the buggy
-    monitor used by the stale-TLB demonstrations. *)
+    monitor used by the stale-TLB demonstrations.
+    [step = step_with ~hypercall]. *)
+
+val hypercall :
+  Hyperenclave.Absdata.t -> action -> int Hyperenclave.Hypercall.outcome
+(** The monitor half of the four status-reporting hypercalls
+    ([Hc_create], [Hc_add_page], [Hc_remove_page], [Hc_init_done]): the
+    functional model of {!Hyperenclave.Hypercall} applied to the
+    monitor alone, with the new enclave id as [Hc_create]'s value and 0
+    as the others'.  Raises [Invalid_argument] on any other action. *)
+
+val step_with :
+  hypercall:(Hyperenclave.Absdata.t -> action -> int Hyperenclave.Hypercall.outcome) ->
+  ?flush:bool -> State.t -> action -> (State.t, string) result
+(** {!step} with its hypercall effect supplied: [step_with] applies
+    [hypercall] to [st.mon] exactly where {!step} applies {!hypercall},
+    and only to the four status-reporting hypercalls, after the
+    caller check.  The model checker passes a memoized {!hypercall};
+    another model of the hypercalls (a low spec, say) plugs in here
+    too. *)
 
 val enabled : State.t -> action -> bool
 

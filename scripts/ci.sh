@@ -51,8 +51,9 @@
 # The serving gate starts a --serve daemon with a 2-process fleet,
 # whose dispatcher hands each worker one request at a time, pushes 50
 # mixed requests through --client (killing a fleet worker halfway),
-# and requires every response byte-identical to a one-shot run of the
-# same flags, the warm path to re-execute nothing, and the killed
+# among them a depth-5 --buggy-tlb exploration whose response carries
+# violations and shrunk witnesses, and requires every response
+# byte-identical to a one-shot run of the same flags, the warm path to re-execute nothing, and the killed
 # worker respawned without a dropped response; a --fleet below 1 must
 # be refused; and a daemon whose workers all die at start-up (its
 # --cache sits under a regular file) must answer a client with an
@@ -293,9 +294,10 @@ serve_args() {
     2) echo "--quick --seed 7" ;;
     3) echo "--quick --seed 2024 --model-check 4" ;;
     4) echo "--quick --geometry x86_64 --lints body" ;;
+    5) echo "--quick --seed 2024 --model-check 5 --buggy-tlb" ;;
   esac
 }
-for c in 0 1 2 3 4; do
+for c in 0 1 2 3 4 5; do
   # shellcheck disable=SC2046
   "$exe" $(serve_args "$c") --scrub-summary \
     --json-out "$workdir/serve-ref-$c.json" > "$workdir/serve-ref-$c.out"
@@ -310,7 +312,7 @@ while [ "$i" -lt 100 ] && ! [ -S "$sock" ]; do sleep 0.1; i=$((i + 1)); done
 w0=""
 i=0
 while [ "$i" -lt 50 ]; do
-  c=$((i % 5))
+  c=$((i % 6))
   # shellcheck disable=SC2046
   "$exe" --client "$sock" $(serve_args "$c") --scrub-summary \
     --json-out "$workdir/serve-cli.json" > "$workdir/serve-cli.out"
@@ -330,7 +332,7 @@ while [ "$i" -lt 50 ]; do
   fi
   i=$((i + 1))
 done
-for c in 0 1 2 3 4; do
+for c in 0 1 2 3 4 5; do
   # shellcheck disable=SC2046
   "$exe" --client "$sock" $(serve_args "$c") \
     --json-out "$workdir/serve-warm-$c.json" > /dev/null
@@ -379,6 +381,6 @@ grep -q 'daemon error:' "$workdir/dying-client.err" || {
   exit 1; }
 kill "$dying_pid"
 wait "$dying_pid" 2> /dev/null || true
-echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 5 configs, warm path executed 0, killed worker respawned, --fleet 0 refused, dying workers answered with an error)"
+echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 6 configs, warm path executed 0, killed worker respawned, --fleet 0 refused, dying workers answered with an error)"
 
 echo "ci: all green"

@@ -4,9 +4,10 @@
    semantics, POR soundness (same reachable states and the same
    violation set with and without reduction), rediscovery of the
    planted stale-TLB bug with its 4-event ddmin witness, determinism
-   and serialization of the outcome, and a plain reference BFS that
-   must reach the same states and the same invariant and
-   TLB-consistency violations as [Explore.run]. *)
+   and serialization of the outcome, a plain reference BFS that must
+   reach the same states and the same invariant and TLB-consistency
+   violations as [Explore.run], and the explorer's monitor memo
+   ([Mc.Memo]) against the plain functions it stands in for. *)
 
 open Hyperenclave
 open Security
@@ -345,6 +346,241 @@ let test_reference_explorer_agrees () =
       check ~what:"tiny" ~depth:5 ~flush layout (tiny_depth5 flush))
     [ true; false ]
 
+(* ------------------------------------------------------------------ *)
+(* The monitor memo against the plain functions                        *)
+
+let observers = [ Principal.Os; Principal.Enclave 1; Principal.Enclave 2 ]
+let verdict = Alcotest.(result bool string)
+
+(* What [Memo.unchanged] must answer: the plain views are equal, or both
+   observations fail with the same message. *)
+let plain_unchanged p st st' =
+  match (Observation.observe st p, Observation.observe st' p) with
+  | Ok v, Ok v' -> Observation.view_equal v v'
+  | Error e, Error e' -> String.equal e e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Every state a depth-4 reference BFS reaches, on tiny (both monitors)
+   and tiny3: the memo's twin, its invariant result, its steps along
+   every universe action, its state/twin and successor-pair verdicts and
+   its integrity verdicts equal the plain functions'.  The twin pairs
+   are all indistinguishable on the seed monitors, so pairs of distinct
+   reachable states are compared too, and the sample must contain both
+   verdicts.  Each (monitor, observer) memory half is computed once. *)
+let test_memo_agrees () =
+  let check_config ~what ~flush layout =
+    let what fmt = Printf.ksprintf (fun s -> Printf.sprintf "%s (flush=%b): %s" what flush s) fmt in
+    let memo = Mc.Memo.create ~flush ~seed:2024 in
+    let seen = Hashtbl.create 1024 in
+    let node st =
+      let n = Mc.Memo.node memo st in
+      Hashtbl.replace seen (Mc.Memo.id n) n;
+      n
+    in
+    let keep r =
+      Result.map (fun n -> Hashtbl.replace seen (Mc.Memo.id n) n; n) r
+    in
+    let step_plain st a = Transition.step ~flush st a in
+    let states, _ = reference_explore ~depth:4 ~flush layout in
+    let actions =
+      List.filter_map
+        (function Chaos.Act a -> Some a | Chaos.Inject _ -> None)
+        (Mc.Universe.events layout)
+    in
+    List.iteri
+      (fun i st ->
+        let n = node st in
+        Alcotest.check Alcotest.(result unit string) (what "state %d: invariants" i)
+          (Invariants.check st.State.mon) (Mc.Memo.invariants n);
+        (* steps and integrity *)
+        List.iter
+          (fun a ->
+            let label = what "state %d, %s" i (Transition.action_to_string a) in
+            match (step_plain st a, keep (Mc.Memo.step memo n a)) with
+            | Error e, Error e' -> Alcotest.(check string) (label ^ ": error") e e'
+            | Ok st', Ok n' ->
+                Alcotest.(check bool) (label ^ ": step") true
+                  (State.equal st' (Mc.Memo.state n'));
+                List.iter
+                  (fun p ->
+                    let plain = plain_unchanged p st st' in
+                    (match
+                       Observation.unchanged_after p
+                         ~before:(st, Observation.observe st p) st'
+                     with
+                    | Ok same -> Alcotest.(check bool) (label ^ ": unchanged_after") same plain
+                    | Error _ -> ());
+                    Alcotest.(check bool)
+                      (label ^ ": integrity of " ^ Principal.to_string p)
+                      plain
+                      (Mc.Memo.unchanged memo p ~before:n n'))
+                  observers
+            | Ok _, Error e | Error e, Ok _ ->
+                Alcotest.failf "%s: enabledness differs: %s" label e)
+          actions;
+        (* twins, state/twin and successor-pair verdicts *)
+        List.iter
+          (fun p ->
+            let label = what "state %d, %s" i (Principal.to_string p) in
+            let twin_plain = Check.Gen.perturb_secrets ~seed:2024 ~observer:p st in
+            let twin = Mc.Memo.twin memo ~observer:p n in
+            Hashtbl.replace seen (Mc.Memo.id twin) twin;
+            Alcotest.(check bool) (label ^ ": twin") true
+              (State.equal twin_plain (Mc.Memo.state twin));
+            let pair = Observation.indistinguishable p st twin_plain in
+            Alcotest.check verdict (label ^ ": state/twin") pair
+              (Mc.Memo.indistinguishable memo p n twin);
+            List.iter
+              (fun a ->
+                match
+                  ( step_plain st a,
+                    step_plain twin_plain a,
+                    keep (Mc.Memo.step memo n a),
+                    keep (Mc.Memo.step memo twin a) )
+                with
+                | Ok u, Ok v, Ok u', Ok v' ->
+                    let plain =
+                      if pair = Ok true then
+                        Observation.indistinguishable_after p
+                          ~before:(st, twin_plain) u v
+                      else Observation.indistinguishable p u v
+                    in
+                    Alcotest.check verdict
+                      (label ^ ": after " ^ Transition.action_to_string a)
+                      plain
+                      (Mc.Memo.indistinguishable memo p u' v')
+                | _ -> ())
+              actions)
+          observers)
+      states;
+    (* pairs of distinct reachable states: a memo answering "same"
+       regardless fails here *)
+    let arr = Array.of_list states in
+    let k = Array.length arr in
+    let answers = Hashtbl.create 4 in
+    for i = 0 to k - 1 do
+      let j = (i * 7 + 3) mod k in
+      if i <> j then
+        List.iter
+          (fun p ->
+            let a = node arr.(i) and b = node arr.(j) in
+            let label = what "states %d/%d, %s" i j (Principal.to_string p) in
+            let plain = Observation.indistinguishable p arr.(i) arr.(j) in
+            Hashtbl.replace answers plain ();
+            Alcotest.check verdict (label ^ ": indistinguishable") plain
+              (Mc.Memo.indistinguishable memo p a b);
+            Alcotest.(check bool) (label ^ ": unchanged")
+              (plain_unchanged p arr.(i) arr.(j))
+              (Mc.Memo.unchanged memo p ~before:a b);
+            Alcotest.(check bool) (label ^ ": same id iff equal monitors")
+              (Absdata.equal arr.(i).State.mon arr.(j).State.mon)
+              (Mc.Memo.id a = Mc.Memo.id b))
+          observers
+    done;
+    Alcotest.(check bool) (what "distinct pairs meet both verdicts") true
+      (Hashtbl.mem answers (Ok true) && Hashtbl.mem answers (Ok false));
+    (* every memory half it needed, computed once *)
+    Hashtbl.iter
+      (fun _ n ->
+        List.iter (fun p -> ignore (Mc.Memo.indistinguishable memo p n n)) observers)
+      seen;
+    Alcotest.(check int) (what "every monitor interned once")
+      (Hashtbl.length seen) (Mc.Memo.monitors memo);
+    Alcotest.(check int) (what "each memory view computed once")
+      (3 * Hashtbl.length seen) (Mc.Memo.views_computed memo)
+  in
+  check_config ~what:"tiny" ~flush:true layout;
+  check_config ~what:"tiny" ~flush:false layout;
+  check_config ~what:"tiny3" ~flush:true tiny3;
+  (* Corrupted monitors, which no reachable state shows: the Fig. 5
+     attacks fail invariants, and flipping a flag bit of a page-table
+     entry changes only a mapping's flags or makes an observation fail.
+     Every pair within a group is compared. *)
+  let memo = Mc.Memo.create ~flush:true ~seed:2024 in
+  let attacks =
+    List.map
+      (fun (sc : Attacks.scenario) ->
+        match sc.Attacks.build () with
+        | Ok mon -> (sc.Attacks.name, { (State.boot layout) with State.mon })
+        | Error msg -> Alcotest.failf "%s: %s" sc.Attacks.name msg)
+      Attacks.all
+  in
+  let flips (label, st) =
+    (label, st)
+    :: List.concat_map
+         (fun table ->
+           List.concat_map
+             (fun index ->
+               List.filter_map
+                 (fun bit ->
+                   Result.to_option
+                     (Result.map
+                        (fun st' ->
+                          (Printf.sprintf "%s, table %d entry %d bit %d" label table
+                             index bit, st'))
+                        (Fault.Inject.apply
+                           (Fault.Plan.Flip_pt_bit { table; index; bit }) st)))
+                 [ 1; 2; 3 ])
+             [ 0; 1; 2; 3 ])
+         [ 0; 1; 2; 3; 4; 5 ]
+  in
+  let reached = Lazy.force reachable in
+  let groups =
+    [ attacks; flips (List.hd reached); flips (List.nth reached 5) ]
+  in
+  let distinct_errors = ref 0 in
+  List.iter
+    (fun group ->
+      List.iter
+        (fun (name, st) ->
+          let n = Mc.Memo.node memo st in
+          Alcotest.check Alcotest.(result unit string) (name ^ ": invariants")
+            (Invariants.check st.State.mon) (Mc.Memo.invariants n);
+          List.iter
+            (fun (name', st') ->
+              let n' = Mc.Memo.node memo st' in
+              List.iter
+                (fun p ->
+                  let label =
+                    Printf.sprintf "%s / %s, %s" name name' (Principal.to_string p)
+                  in
+                  (match (Observation.observe st p, Observation.observe st' p) with
+                  | Error e, Error e' when not (String.equal e e') -> incr distinct_errors
+                  | _ -> ());
+                  Alcotest.check verdict (label ^ ": indistinguishable")
+                    (Observation.indistinguishable p st st')
+                    (Mc.Memo.indistinguishable memo p n n');
+                  Alcotest.(check bool) (label ^ ": unchanged")
+                    (plain_unchanged p st st')
+                    (Mc.Memo.unchanged memo p ~before:n n'))
+                observers)
+            group)
+        group)
+    groups;
+  Alcotest.(check bool) "two observations fail with different messages" true
+    (!distinct_errors > 0);
+  (* interning keys by content: physical memory rebuilt in reverse
+     address order is a map of another shape, with the same id *)
+  List.iter
+    (fun (label, st) ->
+      let mon = st.State.mon in
+      let phys = mon.Absdata.phys in
+      let rebuilt =
+        List.fold_left
+          (fun m (a, v) ->
+            match Phys_mem.write64 m a v with
+            | Ok m -> m
+            | Error msg -> Alcotest.failf "%s: %s" label msg)
+          (Phys_mem.create ~limit:(Phys_mem.limit phys))
+          (List.rev (Phys_mem.nonzero_words phys))
+      in
+      let copy = { st with State.mon = { mon with Absdata.phys = rebuilt } } in
+      Alcotest.(check int) (label ^ ": same hash, memory rebuilt")
+        (Absdata.hash mon) (Absdata.hash copy.State.mon);
+      Alcotest.(check int) (label ^ ": same id, memory rebuilt")
+        (Mc.Memo.id (Mc.Memo.node memo st)) (Mc.Memo.id (Mc.Memo.node memo copy)))
+    reached
+
 let test_log_roundtrip () =
   let o = Explore.run (Explore.config ~depth:4 ~flush:false layout) in
   let p = Explore.parse_log (Explore.to_log o) in
@@ -405,5 +641,7 @@ let () =
           Alcotest.test_case "reference explorer agrees" `Slow
             test_reference_explorer_agrees;
           Alcotest.test_case "log roundtrip" `Slow test_log_roundtrip;
+          Alcotest.test_case "monitor memo agrees with Observation" `Slow
+            test_memo_agrees;
         ] );
     ]
