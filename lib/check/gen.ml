@@ -138,19 +138,6 @@ let ensure_enclave_active ?prefer layout st =
       in
       match try_enter with Some st' -> st' | None -> build_and_enter st 1)
 
-let states_range ~lo ~hi ~seed ~steps layout =
-  List.init (hi - lo) (fun j ->
-      let i = lo + j in
-      let st = trace ~seed:(seed + i) ~steps layout in
-      if i mod 2 = 1 then
-        (Printf.sprintf "trace[seed=%d+%d,enclave]" seed i, ensure_enclave_active layout st)
-      else (Printf.sprintf "trace[seed=%d+%d]" seed i, st))
-
-let states ?(n = 20) ~seed ~steps layout = states_range ~lo:0 ~hi:n ~seed ~steps layout
-
-let absdata_states ?n ~seed ~steps layout =
-  List.map (fun (label, st) -> (label, st.State.mon)) (states ?n ~seed ~steps layout)
-
 (* ------------------------------------------------------------------ *)
 (* Secret perturbation                                                 *)
 
@@ -238,25 +225,80 @@ let perturb_secrets ~seed ~observer (st : State.t) =
   let mon, rng = perturb_memory ~seed ~observer st.State.mon in
   perturb_registers rng ~observer { st with State.mon }
 
-let secret_pairs_range ~lo ~hi ~seed ~steps ~observer layout =
-  List.init (hi - lo) (fun j ->
-      let i = lo + j in
-      let st = trace ~seed:(seed + i) ~steps layout in
-      (* alternate OS-active and enclave-active bases so both the
-         active (5.3) and inactive (5.4) lemmas get non-vacuous cases;
-         when the observer is an enclave, make it the one that runs *)
-      let st =
-        if i mod 2 = 1 then
-          match observer with
-          | Principal.Enclave eid -> ensure_enclave_active ~prefer:eid layout st
-          | Principal.Os -> ensure_enclave_active layout st
-        else st
-      in
-      let st' = perturb_secrets ~seed:(seed + 7919 + i) ~observer st in
-      (Printf.sprintf "pair[seed=%d+%d]" seed i, st, st'))
+(* ------------------------------------------------------------------ *)
+(* Security corpus                                                     *)
+
+module Corpus = struct
+  type t = {
+    seed : int;
+    steps : int;
+    layout : Layout.t;
+    traces : (int, State.t) Hashtbl.t;  (** offset [k]: the trace of seed + k *)
+    active : (int * int option, State.t) Hashtbl.t;
+        (** (offset, preferred enclave): the trace switched into an enclave *)
+    pairs : (int * Principal.t * int, string * State.t * State.t) Hashtbl.t;
+        (** (seed offset, observer, index): a secret pair *)
+  }
+
+  let create ~seed ~steps layout =
+    { seed; steps; layout; traces = Hashtbl.create 32; active = Hashtbl.create 32;
+      pairs = Hashtbl.create 64 }
+
+  let traces c = Hashtbl.length c.traces
+
+  (* An entry is added once computed, never before: a computation that
+     raises leaves the table as it was, for the next reader to retry. *)
+  let memo tbl key compute =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        Hashtbl.add tbl key v;
+        v
+
+  let trace c k =
+    memo c.traces k (fun () -> trace ~seed:(c.seed + k) ~steps:c.steps c.layout)
+
+  let enclave_active ?prefer c k =
+    memo c.active (k, prefer) (fun () ->
+        ensure_enclave_active ?prefer c.layout (trace c k))
+
+  let state c i =
+    if i mod 2 = 1 then
+      (Printf.sprintf "trace[seed=%d+%d,enclave]" c.seed i, enclave_active c i)
+    else (Printf.sprintf "trace[seed=%d+%d]" c.seed i, trace c i)
+
+  let states c ~lo ~hi = List.init (hi - lo) (fun j -> state c (lo + j))
+
+  let pair c ~off ~observer i =
+    memo c.pairs (off, observer, i) (fun () ->
+        let k = off + i in
+        (* alternate OS-active and enclave-active bases so both the
+           active (5.3) and inactive (5.4) lemmas get non-vacuous cases;
+           when the observer is an enclave, make it the one that runs *)
+        let st =
+          if i mod 2 = 1 then
+            match observer with
+            | Principal.Enclave eid -> enclave_active ~prefer:eid c k
+            | Principal.Os -> enclave_active c k
+          else trace c k
+        in
+        let st' = perturb_secrets ~seed:(c.seed + k + 7919) ~observer st in
+        (Printf.sprintf "pair[seed=%d+%d]" (c.seed + off) i, st, st'))
+
+  let pairs c ~off ~observer ~n = List.init n (pair c ~off ~observer)
+end
+
+let states_range ~lo ~hi ~seed ~steps layout =
+  Corpus.states (Corpus.create ~seed ~steps layout) ~lo ~hi
+
+let states ?(n = 20) ~seed ~steps layout = states_range ~lo:0 ~hi:n ~seed ~steps layout
+
+let absdata_states ?n ~seed ~steps layout =
+  List.map (fun (label, st) -> (label, st.State.mon)) (states ?n ~seed ~steps layout)
 
 let secret_pairs ?(n = 20) ~seed ~steps ~observer layout =
-  secret_pairs_range ~lo:0 ~hi:n ~seed ~steps ~observer layout
+  Corpus.pairs (Corpus.create ~seed ~steps layout) ~off:0 ~observer ~n
 
 let schedules ?(n = 10) ?(len = 12) ~seed layout =
   List.init n (fun i ->

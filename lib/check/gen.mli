@@ -10,27 +10,16 @@
     observer: other principals' EPC page contents, saved register
     contexts, an inactive observer's live registers, normal memory when
     the observer is an enclave, and marshalling-buffer bytes (whose
-    data is declassified through the oracle, not memory). *)
+    data is declassified through the oracle, not memory).
+
+    One path generates them all: a {!Corpus} holds each trace, each
+    enclave-active variant and each secret pair it has built, and the
+    list generators ({!states_range}, {!states}, {!absdata_states},
+    {!secret_pairs}) are wrappers over a corpus made for the call and
+    dropped on return. *)
 
 val trace : seed:int -> steps:int -> Hyperenclave.Layout.t -> Security.State.t
 (** Run a random [steps]-long action trace from boot. *)
-
-val states :
-  ?n:int -> seed:int -> steps:int -> Hyperenclave.Layout.t ->
-  (string * Security.State.t) list
-(** Labelled reachable states ([n] defaults to 20). *)
-
-val states_range :
-  lo:int -> hi:int -> seed:int -> steps:int -> Hyperenclave.Layout.t ->
-  (string * Security.State.t) list
-(** States [lo..hi-1] of the same sequence {!states} enumerates: the
-    obligation engine shards a state battery into index ranges and the
-    concatenation of the shards is byte-identical to the whole. *)
-
-val absdata_states :
-  ?n:int -> seed:int -> steps:int -> Hyperenclave.Layout.t ->
-  (string * Hyperenclave.Absdata.t) list
-(** The monitor components of {!states}. *)
 
 val ensure_enclave_active :
   ?prefer:int -> Hyperenclave.Layout.t -> Security.State.t -> Security.State.t
@@ -60,19 +49,67 @@ val perturb_registers :
     contexts of other principals, and the live registers when another
     principal is active. *)
 
+(** The states and pairs of one base seed, step count and layout, each
+    generated once however many readers ask for it.
+
+    A verification plan makes one corpus, empty, and its invariant,
+    noninterference and trace-noninterference obligations read their
+    inputs from it, so the corpus fills only as those obligations run:
+    a run that replays them all from the proof cache generates
+    nothing.  The corpus owns its seed, step count and layout; readers
+    pass only an index, a seed offset and an observer, so no reader
+    can meet a corpus built for other parameters.  Every value it
+    holds is an immutable state, safe to share between obligations.
+    An entry is stored only once computed: a generation that raises
+    stores nothing, and the next reader computes it again.  Nothing is
+    global; the tables go with the corpus. *)
+module Corpus : sig
+  type t
+
+  val create : seed:int -> steps:int -> Hyperenclave.Layout.t -> t
+  (** An empty corpus. *)
+
+  val states : t -> lo:int -> hi:int -> (string * Security.State.t) list
+  (** Labelled reachable states [lo..hi-1]: state [i] is the
+      [steps]-long {!trace} of [seed + i], switched into an enclave
+      ({!ensure_enclave_active}) when [i] is odd. *)
+
+  val pairs :
+    t -> off:int -> observer:Security.Principal.t -> n:int ->
+    (string * Security.State.t * Security.State.t) list
+  (** The first [n] pairs (σ, perturb σ) of base seed [seed + off],
+      indistinguishable to [observer] by construction: pair [i] starts
+      from the trace of [seed + off + i], switched into an enclave (the
+      observer, when it is one) when [i] is odd, and perturbs it with
+      {!perturb_secrets} at seed [seed + off + i + 7919]. *)
+
+  val traces : t -> int
+  (** Traces generated so far: one per distinct [seed + k] read. *)
+end
+
+val states :
+  ?n:int -> seed:int -> steps:int -> Hyperenclave.Layout.t ->
+  (string * Security.State.t) list
+(** Labelled reachable states ([n] defaults to 20): [Corpus.states] of
+    a fresh corpus. *)
+
+val states_range :
+  lo:int -> hi:int -> seed:int -> steps:int -> Hyperenclave.Layout.t ->
+  (string * Security.State.t) list
+(** States [lo..hi-1] of the same sequence {!states} enumerates. *)
+
+val absdata_states :
+  ?n:int -> seed:int -> steps:int -> Hyperenclave.Layout.t ->
+  (string * Hyperenclave.Absdata.t) list
+(** The monitor components of {!states}. *)
+
 val secret_pairs :
   ?n:int -> seed:int -> steps:int -> observer:Security.Principal.t ->
   Hyperenclave.Layout.t ->
   (string * Security.State.t * Security.State.t) list
 (** Pairs (σ, perturb σ), indistinguishable to [observer] by
-    construction. *)
-
-val secret_pairs_range :
-  lo:int -> hi:int -> seed:int -> steps:int ->
-  observer:Security.Principal.t -> Hyperenclave.Layout.t ->
-  (string * Security.State.t * Security.State.t) list
-(** Pairs [lo..hi-1] of the {!secret_pairs} sequence (sharding, as for
-    {!states_range}). *)
+    construction ([n] defaults to 20): [Corpus.pairs ~off:0] of a fresh
+    corpus. *)
 
 val schedules :
   ?n:int -> ?len:int -> seed:int -> Hyperenclave.Layout.t ->

@@ -46,8 +46,8 @@ type t = {
           the override-composition proven gate: a callee marks itself
           proven here, so its callers (DAG dependents) observe the mark
           no matter how the callee's outcome was obtained.  Must be
-          thread-safe and idempotent: under engine chaos a respawned
-          worker can re-execute an obligation whose hook already ran. *)
+          idempotent: under engine chaos a restarted worker can
+          re-execute an obligation whose hook already ran. *)
 }
 
 val v :

@@ -17,6 +17,7 @@ type t = {
   lints : Analysis.Lint.kind list;
   model_check : mc_request option;
   override_counts : (string * int) list;
+  corpus : Check.Gen.Corpus.t;
 }
 
 let phases =
@@ -437,7 +438,7 @@ let inv_steps = 35
 let inv_states ~quick = if quick then 8 else 25
 let inv_batch_size = 5
 
-let invariant_obligations ~seed ~quick ~deps layout =
+let invariant_obligations ~seed ~quick ~deps ~corpus layout =
   let n = inv_states ~quick in
   let batches = (n + inv_batch_size - 1) / inv_batch_size in
   List.init batches (fun b ->
@@ -448,36 +449,12 @@ let invariant_obligations ~seed ~quick ~deps layout =
           seed lo hi inv_steps
       in
       Obligation.v ~id ~phase:"invariants" ~deps ~fingerprint (fun () ->
-          let states = Check.Gen.states_range ~lo ~hi ~seed ~steps:inv_steps layout in
-          let inv_report =
-            List.fold_left
-              (fun rep (label, st) ->
-                match Security.Invariants.check st.Security.State.mon with
-                | Ok () -> Report.add_pass rep
-                | Error reason -> Report.add_failure rep ~case:label ~reason)
-              (Report.empty "invariants on reachable states")
-              states
+          let inv, preservation =
+            Security.Invariants.check_reachable
+              ~states:(Check.Gen.Corpus.states corpus ~lo ~hi)
+              ~actions:(Check.Gen.action_battery layout)
           in
-          let actions = Check.Gen.action_battery layout in
-          let preservation =
-            List.fold_left
-              (fun rep (label, st) ->
-                List.fold_left
-                  (fun rep a ->
-                    match Security.Transition.step st a with
-                    | Error _ -> Report.add_skip rep
-                    | Ok st' -> (
-                        match Security.Invariants.check st'.Security.State.mon with
-                        | Ok () -> Report.add_pass rep
-                        | Error reason ->
-                            Report.add_failure rep
-                              ~case:(label ^ " / " ^ Security.Transition.action_to_string a)
-                              ~reason))
-                  rep actions)
-              (Report.empty "invariant preservation")
-              states
-          in
-          Obligation.outcome [ inv_report; preservation ]))
+          Obligation.outcome [ inv; preservation ]))
 
 let ni_pairs ~quick = if quick then 6 else 15
 
@@ -488,7 +465,7 @@ let lemma_tag = function
   | Local_consistency -> "local-consistency"
   | Inactive_consistency -> "inactive-consistency"
 
-let noninterference_obligations ~seed ~quick ~deps layout =
+let noninterference_obligations ~seed ~quick ~deps ~corpus layout =
   let n = ni_pairs ~quick in
   let nstates = inv_states ~quick in
   List.concat_map
@@ -506,19 +483,13 @@ let noninterference_obligations ~seed ~quick ~deps layout =
               let report =
                 match lemma with
                 | Integrity ->
-                    let states =
-                      Check.Gen.states_range ~lo:0 ~hi:nstates ~seed ~steps:inv_steps layout
-                    in
+                    let states = Check.Gen.Corpus.states corpus ~lo:0 ~hi:nstates in
                     Security.Noninterference.check_integrity ~observer ~states ~actions
                 | Local_consistency ->
-                    let pairs =
-                      Check.Gen.secret_pairs ~n ~seed ~steps:inv_steps ~observer layout
-                    in
+                    let pairs = Check.Gen.Corpus.pairs corpus ~off:0 ~observer ~n in
                     Security.Noninterference.check_local_consistency ~observer ~pairs ~actions
                 | Inactive_consistency ->
-                    let pairs =
-                      Check.Gen.secret_pairs ~n ~seed ~steps:inv_steps ~observer layout
-                    in
+                    let pairs = Check.Gen.Corpus.pairs corpus ~off:0 ~observer ~n in
                     Security.Noninterference.check_inactive_consistency ~observer ~pairs
                       ~actions
               in
@@ -526,7 +497,7 @@ let noninterference_obligations ~seed ~quick ~deps layout =
         [ Integrity; Local_consistency; Inactive_consistency ])
     observers
 
-let trace_ni_obligations ~seed ~quick ~deps_for layout =
+let trace_ni_obligations ~seed ~quick ~deps_for ~corpus layout =
   let n_sched = if quick then 5 else 12 in
   let n_pairs = if quick then 5 else 12 in
   List.map
@@ -539,10 +510,7 @@ let trace_ni_obligations ~seed ~quick ~deps_for layout =
       in
       Obligation.v ~id ~phase:"trace-ni" ~deps:(deps_for obs) ~fingerprint (fun () ->
           let schedules = Check.Gen.schedules ~n:n_sched ~len:15 ~seed layout in
-          let pairs =
-            Check.Gen.secret_pairs ~n:n_pairs ~seed:(seed + 1) ~steps:inv_steps ~observer
-              layout
-          in
+          let pairs = Check.Gen.Corpus.pairs corpus ~off:1 ~observer ~n:n_pairs in
           Obligation.outcome
             [ Security.Noninterference.check_trace ~observer ~pairs ~schedules ]))
     observers
@@ -625,18 +593,19 @@ let build ?(quick = false) ?(security = true)
     match function_layer_ids by_layer "PtQuery" with [] -> top_ids | ids -> ids
   in
   let refine = refinement_obligations ~seed ~quick ~deps:pt_ids layout in
+  let corpus = Check.Gen.Corpus.create ~seed ~steps:inv_steps layout in
   let security_obls =
     if not security then []
     else begin
-      let inv = invariant_obligations ~seed ~quick ~deps:top_ids layout in
+      let inv = invariant_obligations ~seed ~quick ~deps:top_ids ~corpus layout in
       let inv_ids = List.map (fun (o : Obligation.t) -> o.Obligation.id) inv in
-      let ni = noninterference_obligations ~seed ~quick ~deps:inv_ids layout in
+      let ni = noninterference_obligations ~seed ~quick ~deps:inv_ids ~corpus layout in
       let ni_ids_for obs =
         List.map
           (fun lemma -> Printf.sprintf "noninterference/%s/%s" (lemma_tag lemma) obs)
           [ Integrity; Local_consistency; Inactive_consistency ]
       in
-      let tni = trace_ni_obligations ~seed ~quick ~deps_for:ni_ids_for layout in
+      let tni = trace_ni_obligations ~seed ~quick ~deps_for:ni_ids_for ~corpus layout in
       let att = attack_obligations ~deps:inv_ids Security.Attacks.all in
       inv @ ni @ tni @ att
     end
@@ -655,7 +624,7 @@ let build ?(quick = false) ?(security = true)
       (analysis @ absint @ borrow @ alias @ code @ refine @ security_obls @ mc)
   in
   { dag; layout; seed; quick; security; lints; model_check;
-    override_counts = override_counts layout }
+    override_counts = override_counts layout; corpus }
 
 (* ------------------------------------------------------------------ *)
 (* Timed build (bench-only shim)                                       *)

@@ -38,6 +38,11 @@ type t = {
       (** per spec-owned function, bottom-up: how many same-layer
           call-graph edges override composition replaces with spec
           stubs (zeros included, so rollup keys are stable) *)
+  corpus : Check.Gen.Corpus.t;
+      (** the states and secret pairs of phases 6-8, created empty and
+          filled only by the invariant, noninterference and trace-NI
+          obligations that execute, each trace generated once per plan
+          ({!Check.Gen.Corpus}); it goes with the plan *)
 }
 
 val phases : string list

@@ -290,7 +290,7 @@ let run cfg =
     if it.idepth < cfg.depth then Queue.push it ctx.queue
   in
   discover
-    { node = boot; key = State_key.digest (Memo.state boot); trace_rev = [];
+    { node = boot; key = Memo.digest boot; trace_rev = [];
       idepth = 0; sleep = IntSet.empty };
   while not (Queue.is_empty ctx.queue) do
     Mirverif.Cancel.poll ();
@@ -327,7 +327,7 @@ let run cfg =
             | Ok n' -> (
                 entry.expl <- IntSet.add i entry.expl;
                 ctx.s_transitions <- ctx.s_transitions + 1;
-                let key' = State_key.digest (Memo.state n') in
+                let key' = Memo.digest n' in
                 let trace_rev' = uni.(i) :: it.trace_rev in
                 check_edge ctx ~akey:key' ~atrace_rev:trace_rev'
                   ~before:it.node ~after:n' uni.(i);

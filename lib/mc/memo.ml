@@ -8,6 +8,7 @@ type entry = {
   mon : Absdata.t;
   eid : int;
   mutable inv : (unit, string) result option;
+  mutable key : string option;  (** [State_key.mon_string mon] *)
   mutable views : (Principal.t * (int, string) result) list;
   mutable twins : (Principal.t * (entry * Check.Rng.t)) list;
   mutable effects : (Transition.action * (int Hypercall.outcome * entry)) list;
@@ -40,7 +41,8 @@ let intern m d =
   | Some e -> e
   | None ->
       let e =
-        { mon = d; eid = m.count; inv = None; views = []; twins = []; effects = [] }
+        { mon = d; eid = m.count; inv = None; key = None; views = []; twins = [];
+          effects = [] }
       in
       m.count <- m.count + 1;
       Hashtbl.replace m.by_hash h (e :: same);
@@ -103,6 +105,15 @@ let invariants n =
     (fun () -> n.e.inv)
     (fun v -> n.e.inv <- Some v)
     (fun () -> Invariants.check n.e.mon)
+
+let digest n =
+  let mon =
+    memo
+      (fun () -> n.e.key)
+      (fun v -> n.e.key <- Some v)
+      (fun () -> State_key.mon_string n.e.mon)
+  in
+  State_key.digest_with ~mon n.st
 
 (* An exact, injective encoding of a memory half: equal encodings iff
    equal mappings (address, target, flags) and equal page contents. *)

@@ -1,9 +1,10 @@
 (** One exploration's memo of the functions that read only the monitor.
 
-    The invariants, the hypercall effects, the memory half of every
-    view and the memory half of a perturbed twin read only a state's
-    monitor, [st.mon], yet the explorer meets the same few monitors in
-    many states.  A memo interns every monitor it meets by content
+    The invariants, the hypercall effects, the monitor part of the
+    state key, the memory half of every view and the memory half of a
+    perturbed twin read only a state's monitor, [st.mon], yet the
+    explorer meets the same few monitors in many states.  A memo
+    interns every monitor it meets by content
     ({!Hyperenclave.Absdata.hash}, then {!Hyperenclave.Absdata.equal}):
     each distinct monitor gets one canonical object and a small id, and
     each monitor-only result is computed once per id.  A state whose
@@ -11,9 +12,10 @@
     id without a lookup.
 
     Each memoized result equals the plain function's: test/mc checks
-    {!step}, {!twin}, {!invariants}, {!indistinguishable} and
-    {!unchanged} against [Transition.step], [Gen.perturb_secrets],
-    [Invariants.check] and the {!Security.Observation} comparisons.
+    {!step}, {!twin}, {!invariants}, {!digest}, {!indistinguishable}
+    and {!unchanged} against [Transition.step], [Gen.perturb_secrets],
+    [Invariants.check], [State_key.digest] and the
+    {!Security.Observation} comparisons.
 
     The explorer makes one memo per [Explore.run] (and per
     [Explore.interleavings]) call and drops it on return; nothing in
@@ -54,6 +56,10 @@ val twin : t -> observer:Security.Principal.t -> node -> node
 
 val invariants : node -> (unit, string) result
 (** [Invariants.check] of the node's monitor, once per id. *)
+
+val digest : node -> string
+(** [State_key.digest (state n)]: the monitor part of the key
+    ([State_key.mon_string]) is serialized once per id. *)
 
 val indistinguishable :
   t -> Security.Principal.t -> node -> node -> (bool, string) result

@@ -112,9 +112,14 @@ let add_mon buf (d : Absdata.t) =
       Buffer.add_string buf "|ept=";
       add_int buf r
 
-let to_string st =
-  let st = canonicalize st in
+let mon_string d =
   let buf = Buffer.create 1024 in
+  add_mon buf d;
+  Buffer.contents buf
+
+let to_string_with ~mon st =
+  let st = canonicalize st in
+  let buf = Buffer.create (String.length mon + 256) in
   Buffer.add_string buf "active=";
   add_principal buf st.State.active;
   Buffer.add_string buf "|regs=";
@@ -147,7 +152,9 @@ let to_string st =
       add_flags buf e.Tlb.flags;
       Buffer.add_char buf ']')
     (Tlb.to_list st.State.tlb);
-  add_mon buf st.State.mon;
+  Buffer.add_string buf mon;
   Buffer.contents buf
 
-let digest st = Digest.to_hex (Digest.string (to_string st))
+let to_string st = to_string_with ~mon:(mon_string st.State.mon) st
+let digest_with ~mon st = Digest.to_hex (Digest.string (to_string_with ~mon st))
+let digest st = digest_with ~mon:(mon_string st.State.mon) st

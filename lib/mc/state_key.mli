@@ -33,3 +33,11 @@ val to_string : Security.State.t -> string
 
 val digest : Security.State.t -> string
 (** Hex digest of {!to_string} — the visited-set key. *)
+
+val mon_string : Hyperenclave.Absdata.t -> string
+(** The monitor part of {!to_string}, which ends with it: a function of
+    the monitor alone, equal for [Absdata.equal] monitors. *)
+
+val digest_with : mon:string -> Security.State.t -> string
+(** [digest st] when [mon] is [mon_string st.mon]: the explorer passes
+    the monitor part its memo serialized once per distinct monitor. *)

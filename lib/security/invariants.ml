@@ -230,3 +230,36 @@ let invariants =
     ]
 
 let check d = Mirverif.Invariant.check_all invariants (d, walks d)
+
+let check_reachable ~states ~actions =
+  let module Report = Mirverif.Report in
+  List.fold_left
+    (fun (inv, pres) (label, (st : State.t)) ->
+      let verdict = check st.State.mon in
+      let inv =
+        match verdict with
+        | Ok () -> Report.add_pass inv
+        | Error reason -> Report.add_failure inv ~case:label ~reason
+      in
+      let pres =
+        List.fold_left
+          (fun rep a ->
+            match Transition.step st a with
+            | Error _ -> Report.add_skip rep
+            | Ok st' -> (
+                (* [check] reads only the monitor, so a step that keeps
+                   the pre-state's monitor object keeps its verdict *)
+                let verdict' =
+                  if st'.State.mon == st.State.mon then verdict else check st'.State.mon
+                in
+                match verdict' with
+                | Ok () -> Report.add_pass rep
+                | Error reason ->
+                    Report.add_failure rep
+                      ~case:(label ^ " / " ^ Transition.action_to_string a)
+                      ~reason))
+          pres actions
+      in
+      (inv, pres))
+    (Report.empty "invariants on reachable states", Report.empty "invariant preservation")
+    states

@@ -26,3 +26,17 @@ val no_huge : Hyperenclave.Absdata.t -> root:int -> (unit, string) result
 
 val check : Hyperenclave.Absdata.t -> (unit, string) result
 (** All invariants, first failure reported as ["name: detail"]. *)
+
+val check_reachable :
+  states:(string * State.t) list ->
+  actions:Transition.action list ->
+  Mirverif.Report.t * Mirverif.Report.t
+(** Phase 6 on a batch of labelled states: ["invariants on reachable
+    states"] runs {!check} on each state's monitor (a failure's case is
+    the state's label), and ["invariant preservation"] on the monitor
+    of each enabled successor [Transition.step st a], for every action
+    in order (a disabled step is a skip; a failure's case is
+    ["label / action"]).  A successor whose monitor is the pre-state's
+    own object ([==]) reuses the pre-state's verdict, which is exact
+    because {!check} reads only the monitor; a reused failure carries
+    the pre-state's reason under the successor's own case. *)

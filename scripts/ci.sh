@@ -15,11 +15,12 @@
 # outcome does not hold.
 #
 # The engine gate runs the pass three times: without a cache, against a
-# cold cache and against the now-warm cache.  Stdout must be
-# byte-identical across all three (cache state may not influence
-# verification output), the warm run must
-# report cache hits, and it must re-execute zero code-proof and zero
-# static-analysis obligations.
+# cold cache and against the now-warm cache, at --quick budgets and
+# again at the default ones (whose security corpus holds 25 traces
+# instead of 8).  Stdout must be byte-identical across each triple
+# (cache state may not influence verification output), and each warm
+# run must report cache hits and re-execute zero code-proof,
+# static-analysis, invariant, noninterference and trace-NI obligations.
 #
 # The static-analysis gate additionally requires the lint phase, the
 # abstract-interpretation phase (interval bounds + secret-flow taint,
@@ -93,7 +94,16 @@ diff "$workdir/serial.out" "$workdir/cold.out"
 diff "$workdir/serial.out" "$workdir/warm.out"
 diff "$workdir/serial-lints.json" "$workdir/cold-lints.json" || {
   echo "ci: --lint-json output depends on cache state" >&2; exit 1; }
-echo "ci: engine output identical with no cache, a cold cache and a warm cache"
+
+dune exec bin/hyperenclave_verify.exe -- --seed 2024 > "$workdir/serial-default.out"
+dune exec bin/hyperenclave_verify.exe -- \
+  --seed 2024 --cache "$workdir/pcache-default" > "$workdir/cold-default.out"
+dune exec bin/hyperenclave_verify.exe -- \
+  --seed 2024 --cache "$workdir/pcache-default" \
+  --json-out "$workdir/warm-default.json" > "$workdir/warm-default.out"
+diff "$workdir/serial-default.out" "$workdir/cold-default.out"
+diff "$workdir/serial-default.out" "$workdir/warm-default.out"
+echo "ci: engine output identical with no cache, a cold cache and a warm cache (quick and default budgets)"
 
 # --- override-composition gate --------------------------------------
 # Composition may never show up in verdicts: test/differential, which
@@ -115,19 +125,16 @@ echo "ci: override gate ok (proven gate, fingerprints, composed batteries run no
 hits=$(sed -n 's/^  "cache_hits": *\([0-9][0-9]*\).*/\1/p' "$workdir/warm.json")
 [ -n "$hits" ] && [ "$hits" -gt 0 ] || {
   echo "ci: warm run reported no cache hits" >&2; exit 1; }
-grep '"phase": "code-proofs"' "$workdir/warm.json" | grep -q '"executed": 0' || {
-  echo "ci: warm run re-executed code-proof obligations" >&2; exit 1; }
-grep '"phase": "analysis"' "$workdir/warm.json" | grep -q '"executed": 0' || {
-  echo "ci: warm run re-executed static-analysis obligations" >&2; exit 1; }
-grep '"phase": "absint"' "$workdir/warm.json" | grep -q '"executed": 0' || {
-  echo "ci: warm run re-executed abstract-interpretation obligations" >&2; exit 1; }
-grep '"phase": "borrow"' "$workdir/warm.json" | grep -q '"executed": 0' || {
-  echo "ci: warm run re-executed borrow-check obligations" >&2; exit 1; }
-grep '"phase": "alias"' "$workdir/warm.json" | grep -q '"executed": 0' || {
-  echo "ci: warm run re-executed alias-analysis obligations" >&2; exit 1; }
-grep -q '"verdict": "pass"' "$workdir/warm.json" || {
-  echo "ci: warm run verdict is not pass" >&2; exit 1; }
-echo "ci: warm cache replayed $hits obligations, zero code proofs or lints re-executed"
+for warm in warm warm-default; do
+  for phase in code-proofs analysis absint borrow alias \
+      invariants noninterference trace-ni; do
+    grep "\"phase\": \"$phase\"" "$workdir/$warm.json" | grep -q '"executed": 0' || {
+      echo "ci: $warm run re-executed $phase obligations" >&2; exit 1; }
+  done
+  grep -q '"verdict": "pass"' "$workdir/$warm.json" || {
+    echo "ci: $warm run verdict is not pass" >&2; exit 1; }
+done
+echo "ci: warm cache replayed $hits obligations, zero code proofs, lints or security checks re-executed"
 
 # --- static-analysis gate -------------------------------------------
 grep -E -q 'lint checks: [0-9]+ passed, 0 findings' "$workdir/serial.out" || {

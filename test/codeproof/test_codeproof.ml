@@ -492,6 +492,57 @@ let test_model_agrees_with_low_spec_hc_create () =
           | _ -> Alcotest.fail "hc_create result shape"))
     cases
 
+(* ROADMAP item 14's known divergence, pinned as a ratchet and not as a
+   property: [hc_create] from the booted tiny state with k frames free.
+   With none free, the model and the low spec both fail with status 2
+   (no-memory) and change nothing; with four, both succeed.  With one to
+   three free, both fail with status 2, but the model rolls back and the
+   low spec (like the code) spends every free frame on partial tables.
+   The change that settles item 14 must flip the k = 1..3 rows. *)
+let test_model_vs_low_spec_hc_create_exhaustion () =
+  let spec = Option.get (Mem_spec.find layout "hc_create") in
+  let drained k =
+    let d = Boot.booted layout in
+    let rec go falloc =
+      if Frame_alloc.free_count falloc <= k then falloc
+      else go (fst (ok "drain" (Frame_alloc.alloc falloc)))
+    in
+    { d with Absdata.falloc = go d.Absdata.falloc }
+  in
+  for k = 0 to 4 do
+    let d = drained k in
+    Alcotest.(check int) (Printf.sprintf "%d frames free" k) k
+      (Frame_alloc.free_count d.Absdata.falloc);
+    let model = Hypercall.create d ~elrange_base:0L ~elrange_pages:2 ~mbuf_va:0x100L in
+    let d_spec, status =
+      match
+        Mirverif.Spec.apply spec d
+          [ Marshal_v.u64 0L; Marshal_v.of_int 2; Marshal_v.u64 0x100L ]
+      with
+      | Ok (d_spec, Mir.Value.Struct (0, status :: _)) -> (d_spec, status)
+      | Ok _ -> Alcotest.fail "hc_create result shape"
+      | Error msg -> Alcotest.failf "hc_create spec undefined: %s" msg
+    in
+    let what fmt = Printf.ksprintf (Printf.sprintf "%d free: %s" k) fmt in
+    let expected_status = if k = 4 then 0 else 2 in
+    Alcotest.(check int) (what "model status") expected_status
+      (Hypercall.status_code model.Hypercall.status |> Int64.to_int);
+    Alcotest.(check bool) (what "spec status") true
+      (Mir.Value.equal status (Marshal_v.u64 (Int64.of_int expected_status)));
+    if k < 4 then begin
+      Alcotest.(check bool) (what "model leaves the monitor unchanged") true
+        (Absdata.equal model.Hypercall.d d);
+      Alcotest.(check bool)
+        (what "spec leaves the monitor unchanged (known divergence for k = 1..3)")
+        (k = 0) (Absdata.equal d_spec d);
+      Alcotest.(check int) (what "frames free after the spec") 0
+        (Frame_alloc.free_count d_spec.Absdata.falloc)
+    end
+    else
+      Alcotest.(check bool) (what "same memory after success") true
+        (Phys_mem.equal d_spec.Absdata.phys model.Hypercall.d.Absdata.phys)
+  done
+
 (* And Pt_flat itself refines Pt_tree (checked as a property in the
    hyperenclave suite); here: spot-check the three-level tower
    low-spec -> Pt_flat -> Pt_tree on one workload. *)
@@ -559,5 +610,7 @@ let () =
             test_model_agrees_with_low_spec_remove_page;
           Alcotest.test_case "model vs low spec: hc_create" `Quick
             test_model_agrees_with_low_spec_hc_create;
+          Alcotest.test_case "model vs low spec: hc_create, 0-4 frames free" `Quick
+            test_model_vs_low_spec_hc_create_exhaustion;
         ] );
     ]

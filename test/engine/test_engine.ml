@@ -909,6 +909,287 @@ let test_clock_mockable () =
   Alcotest.(check bool) "real clock restored" true (Engine.Clock.now () > 1e6)
 
 (* ------------------------------------------------------------------ *)
+(* The security corpus                                                 *)
+
+(* A report in full: [Report.to_string] shows five failures at most. *)
+let report_text r =
+  String.concat "\n"
+    (Report.to_string r
+    :: List.map
+         (fun (f : Report.failure) -> Printf.sprintf "%s: %s" f.Report.case f.Report.reason)
+         (Report.failures r))
+
+let outcome_text (o : Obligation.outcome) =
+  String.concat "\n" (o.Obligation.log :: List.map report_text o.Obligation.reports)
+
+(* Phase 6 without verdict reuse: one [Invariants.check] per state and
+   per enabled successor. *)
+let plain_phase6 ~states ~actions =
+  let verdict rep ~case (st : Security.State.t) =
+    match Security.Invariants.check st.Security.State.mon with
+    | Ok () -> Report.add_pass rep
+    | Error reason -> Report.add_failure rep ~case ~reason
+  in
+  ( List.fold_left
+      (fun rep (label, st) -> verdict rep ~case:label st)
+      (Report.empty "invariants on reachable states") states,
+    List.fold_left
+      (fun rep (label, st) ->
+        List.fold_left
+          (fun rep a ->
+            match Security.Transition.step st a with
+            | Error _ -> Report.add_skip rep
+            | Ok st' ->
+                verdict rep
+                  ~case:(label ^ " / " ^ Security.Transition.action_to_string a)
+                  st')
+          rep actions)
+      (Report.empty "invariant preservation") states )
+
+(* The states and secret pairs of phases 6-8 generated one trace at a
+   time, with no corpus: [Gen.trace], [Gen.ensure_enclave_active] and
+   [Gen.perturb_secrets], as the plan used them before it shared them. *)
+let plain_states ~seed ~steps ~lo ~hi =
+  List.init (hi - lo) (fun j ->
+      let i = lo + j in
+      let st = Check.Gen.trace ~seed:(seed + i) ~steps layout in
+      if i mod 2 = 1 then
+        ( Printf.sprintf "trace[seed=%d+%d,enclave]" seed i,
+          Check.Gen.ensure_enclave_active layout st )
+      else (Printf.sprintf "trace[seed=%d+%d]" seed i, st))
+
+let plain_pairs ~seed ~steps ~observer ~n =
+  List.init n (fun i ->
+      let st = Check.Gen.trace ~seed:(seed + i) ~steps layout in
+      let st =
+        match observer with
+        | _ when i mod 2 = 0 -> st
+        | Security.Principal.Enclave eid ->
+            Check.Gen.ensure_enclave_active ~prefer:eid layout st
+        | Security.Principal.Os -> Check.Gen.ensure_enclave_active layout st
+      in
+      ( Printf.sprintf "pair[seed=%d+%d]" seed i,
+        st,
+        Check.Gen.perturb_secrets ~seed:(seed + 7919 + i) ~observer st ))
+
+(* The value of [;key=] in a fingerprint. *)
+let fp_field fp key =
+  let pat = ";" ^ key ^ "=" in
+  let n = String.length fp and m = String.length pat in
+  let rec find i =
+    if i + m > n then Alcotest.failf "no %s in fingerprint %s" key fp
+    else if String.sub fp i m = pat then i + m
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = Option.value ~default:n (String.index_from_opt fp start ';') in
+  String.sub fp start (stop - start)
+
+let fp_int fp key = int_of_string (fp_field fp key)
+
+let observer_of name =
+  match
+    List.find_opt
+      (fun p -> Security.Principal.to_string p = name)
+      Security.Principal.[ Os; Enclave 1; Enclave 2 ]
+  with
+  | Some p -> p
+  | None -> Alcotest.failf "unknown observer %s" name
+
+(* What an invariants, noninterference or trace-NI obligation reports
+   when its inputs come from the plain generators, read off its
+   fingerprint (the schedule length, 15, is a constant of the plan). *)
+let plain_outcome (o : Obligation.t) =
+  let fp = o.Obligation.fingerprint in
+  let seed = fp_int fp "seed" and steps = fp_int fp "steps" in
+  let actions = Check.Gen.action_battery layout in
+  let reports =
+    match o.Obligation.phase with
+    | "invariants" ->
+        let lo, hi = Scanf.sscanf (fp_field fp "states") "%d..%d" (fun lo hi -> (lo, hi)) in
+        let inv, pres = plain_phase6 ~states:(plain_states ~seed ~steps ~lo ~hi) ~actions in
+        [ inv; pres ]
+    | "noninterference" -> (
+        let observer = observer_of (fp_field fp "observer") in
+        let pairs () = plain_pairs ~seed ~steps ~observer ~n:(fp_int fp "pairs") in
+        match fp_field fp "lemma" with
+        | "integrity" ->
+            let states = plain_states ~seed ~steps ~lo:0 ~hi:(fp_int fp "states") in
+            [ Security.Noninterference.check_integrity ~observer ~states ~actions ]
+        | "local-consistency" ->
+            [ Security.Noninterference.check_local_consistency ~observer ~pairs:(pairs ())
+                ~actions ]
+        | "inactive-consistency" ->
+            [ Security.Noninterference.check_inactive_consistency ~observer
+                ~pairs:(pairs ()) ~actions ]
+        | lemma -> Alcotest.failf "unknown lemma %s" lemma)
+    | "trace-ni" ->
+        let observer = observer_of (fp_field fp "observer") in
+        let pairs = plain_pairs ~seed:(seed + 1) ~steps ~observer ~n:(fp_int fp "pairs") in
+        let schedules = Check.Gen.schedules ~n:(fp_int fp "schedules") ~len:15 ~seed layout in
+        [ Security.Noninterference.check_trace ~observer ~pairs ~schedules ]
+    | phase -> Alcotest.failf "%s: not a corpus phase" phase
+  in
+  outcome_text (Obligation.outcome reports)
+
+let corpus_obligations (plan : Plan.t) =
+  List.filter
+    (fun (o : Obligation.t) ->
+      List.mem o.Obligation.phase [ "invariants"; "noninterference"; "trace-ni" ])
+    (Dag.obligations plan.Plan.dag)
+
+let same_states what expected actual =
+  Alcotest.(check (list string)) (what ^ ": labels") (List.map fst expected)
+    (List.map fst actual);
+  List.iter2
+    (fun (label, st) (_, st') ->
+      if not (Security.State.equal st st') then Alcotest.failf "%s: %s differs" what label)
+    expected actual
+
+let same_pairs what expected actual =
+  Alcotest.(check (list string)) (what ^ ": labels")
+    (List.map (fun (l, _, _) -> l) expected)
+    (List.map (fun (l, _, _) -> l) actual);
+  List.iter2
+    (fun (label, a, b) (_, a', b') ->
+      if not (Security.State.equal a a' && Security.State.equal b b') then
+        Alcotest.failf "%s: %s differs" what label)
+    expected actual
+
+(* Every invariants, noninterference and trace-NI obligation reports
+   the same, byte for byte, whatever ran before it on its plan's
+   corpus: run in DAG order on one fresh plan, in reverse order on
+   another, and alone on a plan of its own; and each equals the
+   unshared reference.  An all-pass report shows only counts, so the
+   states and pairs the two ordered runs left in their corpora must
+   also equal the plain generators' one by one.  The DAG-order plan
+   holds one trace per distinct seed the phases read. *)
+let test_security_corpus_agrees () =
+  List.iter
+    (fun (seed, quick) ->
+      let what id = Printf.sprintf "seed %d%s, %s" seed (if quick then " quick" else "") id in
+      let fresh () = Plan.build ~quick ~seed layout in
+      let run_all order =
+        let plan = fresh () in
+        let obls = corpus_obligations plan in
+        let texts =
+          List.map
+            (fun (o : Obligation.t) -> (o.Obligation.id, outcome_text (o.Obligation.run ())))
+            (order obls)
+        in
+        (plan, obls, texts)
+      in
+      let plan, obls, forward = run_all Fun.id in
+      let plan_rev, _, backward = run_all List.rev in
+      Alcotest.(check int) (what "security obligations") (if quick then 14 else 17)
+        (List.length obls);
+      let param phase key =
+        match List.find_opt (fun (o : Obligation.t) -> o.Obligation.phase = phase) obls with
+        | Some o -> fp_int o.Obligation.fingerprint key
+        | None -> Alcotest.failf "no %s obligation" phase
+      in
+      let steps = param "noninterference" "steps" in
+      let nstates = param "noninterference" "states" in
+      let npairs = param "noninterference" "pairs" and ntrace = param "trace-ni" "pairs" in
+      (* seeds read: the states [0, states), the pairs [0, pairs) and
+         the trace-NI pairs [1, 1 + pairs] *)
+      Alcotest.(check int) (what "traces generated, one per seed")
+        (max nstates (max npairs (1 + ntrace)))
+        (Check.Gen.Corpus.traces plan.Plan.corpus);
+      let states = plain_states ~seed ~steps ~lo:0 ~hi:nstates in
+      let pairs =
+        List.map
+          (fun observer ->
+            ( observer,
+              plain_pairs ~seed ~steps ~observer ~n:npairs,
+              plain_pairs ~seed:(seed + 1) ~steps ~observer ~n:ntrace ))
+          Security.Principal.[ Os; Enclave 1; Enclave 2 ]
+      in
+      List.iter
+        (fun (order, (p : Plan.t)) ->
+          let c = p.Plan.corpus in
+          same_states (what (order ^ " states")) states
+            (Check.Gen.Corpus.states c ~lo:0 ~hi:nstates);
+          List.iter
+            (fun (observer, ni, tni) ->
+              let obs = Security.Principal.to_string observer in
+              same_pairs (what (order ^ " pairs vs " ^ obs)) ni
+                (Check.Gen.Corpus.pairs c ~off:0 ~observer ~n:npairs);
+              same_pairs (what (order ^ " trace pairs vs " ^ obs)) tni
+                (Check.Gen.Corpus.pairs c ~off:1 ~observer ~n:ntrace))
+            pairs)
+        [ ("DAG order", plan); ("reverse order", plan_rev) ];
+      List.iter
+        (fun (o : Obligation.t) ->
+          let id = o.Obligation.id in
+          let alone =
+            match Dag.find (fresh ()).Plan.dag id with
+            | Some o -> outcome_text (o.Obligation.run ())
+            | None -> Alcotest.failf "%s missing from a fresh plan" id
+          in
+          let plain = plain_outcome o in
+          Alcotest.(check string) (what (id ^ ": DAG order")) plain (List.assoc id forward);
+          Alcotest.(check string) (what (id ^ ": reverse order")) plain (List.assoc id backward);
+          Alcotest.(check string) (what (id ^ ": alone")) plain alone)
+        obls)
+    [ (2024, false); (2024, true); (7, false); (7, true); (31337, false); (31337, true) ]
+
+(* Phase 6 on states that fail invariants (the Fig. 5 scenarios and the
+   shallow copy, plus the healthy one), with the OS and an enclave
+   active: the shared-verdict function reports exactly what one
+   [Invariants.check] per successor reports.  The states must exercise
+   both sides of the reuse: successors that keep the pre-state's
+   failing monitor, and monitor-changing successors whose verdict
+   differs from the pre-state's. *)
+let test_phase6_failing_states () =
+  let states =
+    List.concat_map
+      (fun (sc : Security.Attacks.scenario) ->
+        match sc.Security.Attacks.build () with
+        | Error msg -> Alcotest.failf "%s: %s" sc.Security.Attacks.name msg
+        | Ok mon ->
+            let st = { (Security.State.boot layout) with Security.State.mon } in
+            [ (sc.Security.Attacks.name, st);
+              (sc.Security.Attacks.name ^ ",enclave", Check.Gen.ensure_enclave_active layout st) ])
+      Security.Attacks.all
+  in
+  let actions = Check.Gen.action_battery layout in
+  let inv, pres = Security.Invariants.check_reachable ~states ~actions in
+  let inv', pres' = plain_phase6 ~states ~actions in
+  Alcotest.(check string) "invariants on the states" (report_text inv') (report_text inv);
+  Alcotest.(check string) "invariant preservation" (report_text pres') (report_text pres);
+  let kept = ref 0 and changed = ref 0 in
+  List.iter
+    (fun (_, (st : Security.State.t)) ->
+      let v = Security.Invariants.check st.Security.State.mon in
+      List.iter
+        (fun a ->
+          match Security.Transition.step st a with
+          | Error _ -> ()
+          | Ok st' ->
+              if Result.is_error v && st'.Security.State.mon == st.Security.State.mon then incr kept
+              else if Security.Invariants.check st'.Security.State.mon <> v then incr changed)
+        actions)
+    states;
+  Alcotest.(check bool) "a successor keeps a failing monitor" true (!kept > 0);
+  Alcotest.(check bool) "a monitor-changing successor changes the verdict" true (!changed > 0);
+  Alcotest.(check bool) "failures reported" true (Report.failure_count pres > 0)
+
+(* A run that replays every security obligation from the cache
+   generates no trace: the corpus fills only as obligations execute. *)
+let test_warm_plan_generates_nothing () =
+  let cache = Cache.create ~dir:(fresh_dir ()) in
+  let cold = Plan.build ~quick:true ~seed:2024 layout in
+  ignore (Pool.run ~cache cold.Plan.dag);
+  Alcotest.(check int) "cold plan: one trace per seed read" 8
+    (Check.Gen.Corpus.traces cold.Plan.corpus);
+  let warm = Plan.build ~quick:true ~seed:2024 layout in
+  let execs = Pool.run ~cache warm.Plan.dag in
+  Alcotest.(check bool) "warm run replays every obligation" true
+    (List.for_all (( = ) Pool.Hit) (statuses execs));
+  Alcotest.(check int) "warm plan: no trace" 0 (Check.Gen.Corpus.traces warm.Plan.corpus)
+
+(* ------------------------------------------------------------------ *)
 (* JSON emission                                                       *)
 
 let test_jsonx () =
@@ -978,6 +1259,13 @@ let () =
             test_override_fingerprints_shrink;
           Alcotest.test_case "composed batteries run no more MIR steps" `Quick
             test_override_steps_never_grow;
+        ] );
+      ( "corpus",
+        [
+          Alcotest.test_case "security corpus agrees" `Slow test_security_corpus_agrees;
+          Alcotest.test_case "phase 6 on failing states" `Quick test_phase6_failing_states;
+          Alcotest.test_case "warm plan generates no trace" `Quick
+            test_warm_plan_generates_nothing;
         ] );
       ( "clock",
         [

@@ -581,6 +581,53 @@ let test_memo_agrees () =
         (Mc.Memo.id (Mc.Memo.node memo st)) (Mc.Memo.id (Mc.Memo.node memo copy)))
     reached
 
+(* The explorer's keys: [Memo.digest], which serializes each interned
+   monitor once, equals [State_key.digest] on every state a depth-4
+   reference BFS reaches and on each of its successors, and on a state
+   whose physical memory was rebuilt in another order (same monitor id,
+   another object). *)
+let test_memo_digest_agrees () =
+  let check_config ~what ~flush layout =
+    let memo = Mc.Memo.create ~flush ~seed:2024 in
+    let agree label n st =
+      Alcotest.(check string) (Printf.sprintf "%s (flush=%b): %s" what flush label)
+        (State_key.digest st) (Mc.Memo.digest n)
+    in
+    let states, _ = reference_explore ~depth:4 ~flush layout in
+    List.iteri
+      (fun i st ->
+        let n = Mc.Memo.node memo st in
+        agree (Printf.sprintf "state %d" i) n st;
+        List.iter
+          (function
+            | Chaos.Inject _ -> ()
+            | Chaos.Act a -> (
+                match (Transition.step ~flush st a, Mc.Memo.step memo n a) with
+                | Ok st', Ok n' ->
+                    agree
+                      (Printf.sprintf "state %d, %s" i (Transition.action_to_string a))
+                      n' st'
+                | _ -> ()))
+          (Mc.Universe.events layout))
+      states;
+    List.iteri
+      (fun i st ->
+        let phys = st.State.mon.Absdata.phys in
+        let rebuilt =
+          List.fold_left
+            (fun m (a, v) ->
+              match Phys_mem.write64 m a v with Ok m -> m | Error msg -> Alcotest.fail msg)
+            (Phys_mem.create ~limit:(Phys_mem.limit phys))
+            (List.rev (Phys_mem.nonzero_words phys))
+        in
+        let copy = { st with State.mon = { st.State.mon with Absdata.phys = rebuilt } } in
+        agree (Printf.sprintf "state %d, memory rebuilt" i) (Mc.Memo.node memo copy) copy)
+      states
+  in
+  check_config ~what:"tiny" ~flush:true layout;
+  check_config ~what:"tiny" ~flush:false layout;
+  check_config ~what:"tiny3" ~flush:true tiny3
+
 let test_log_roundtrip () =
   let o = Explore.run (Explore.config ~depth:4 ~flush:false layout) in
   let p = Explore.parse_log (Explore.to_log o) in
@@ -643,5 +690,7 @@ let () =
           Alcotest.test_case "log roundtrip" `Slow test_log_roundtrip;
           Alcotest.test_case "monitor memo agrees with Observation" `Slow
             test_memo_agrees;
+          Alcotest.test_case "memo digest agrees with State_key" `Slow
+            test_memo_digest_agrees;
         ] );
     ]
