@@ -21,7 +21,10 @@
    - interprocedural call summaries, context-sensitive on the abstract
      arguments and memoized per context (bounded, with a top-context
      fallback), arguments tagged through [D.label_arg] so a callee's
-     summary effect can name which argument reaches a sink.
+     summary effect can name which argument reaches a sink;
+   - a summary table that several analyses of one program share, read
+     and filled only where that leaves each analysis's result exactly
+     that of a fresh context (see [run]).
 
    The three MIRlight pointer kinds ([Ref], [Address_of]/raw, and
    opaque layer handles) are all monitor-local: dereferencing yields
@@ -585,17 +588,46 @@ module Make (D : DOMAIN) = struct
     mutable summaries : int; (* callee contexts analyzed *)
   }
 
+  (* (function, context key) pairs *)
+  module Ids = Set.Make (struct
+    type t = string * string
+
+    let compare = compare
+  end)
+
+  (* A memoized summary and, in a context with a table, the (function,
+     context) pairs its computation touched, its own included: what a
+     context that reuses it must count against its budget. *)
+  type entry = { summary : summary; ids : Ids.t }
+
+  (* Summaries computed without a budget fallback or a recursion cut,
+     transitively: each is a function of its (function, context) pair
+     alone, whichever analysis computed it. *)
+  type table = {
+    entries : (string * string, entry) Hashtbl.t;
+    mutable reruns : int; (* runs analyzed again without it *)
+  }
+
+  let create_table () = { entries = Hashtbl.create 128; reruns = 0 }
+
+  (* Each entry is computed once: a later run finds it in the table. *)
+  let table_summaries t = Hashtbl.length t.entries
+  let table_reruns t = t.reruns
+
   type ctx = {
     program : Syn.program;
     prim : func:string -> args:value list -> (value * D.eff) option;
     max_contexts : int;
-    memo : (string * string, summary) Hashtbl.t;
+    memo : (string * string, entry) Hashtbl.t;
     contexts : (string, string list) Hashtbl.t; (* keys seen per function *)
     in_progress : (string * string, unit) Hashtbl.t;
     stats : stats;
+    table : table option;
+    mutable reads : (string * string, Ids.t) Hashtbl.t option;
+        (* with a table: the entries the summary being computed read *)
   }
 
-  let create_ctx ?(max_contexts = 8) ~prim program =
+  let make_ctx ?(max_contexts = 8) ?table ~prim program =
     {
       program;
       prim;
@@ -604,9 +636,42 @@ module Make (D : DOMAIN) = struct
       contexts = Hashtbl.create 16;
       in_progress = Hashtbl.create 16;
       stats = { iterations = 0; widenings = 0; max_visits = 0; summaries = 0 };
+      table;
+      reads = None;
     }
 
+  let create_ctx ?max_contexts ~prim program = make_ctx ?max_contexts ~prim program
   let stats ctx = ctx.stats
+
+  (* Raised, in a context with a table, at the first step whose result
+     depends on what the context met before: a budget fallback or a
+     recursion cut.  [run] then starts again without the table. *)
+  exception Inexact
+
+  let inexact ctx = if Option.is_some ctx.table then raise Inexact
+
+  (* [e], read under [id] by the summary being computed. *)
+  let read ctx id e =
+    (match ctx.reads with Some r -> Hashtbl.replace r id e.ids | None -> ());
+    e.summary
+
+  (* The table's entry for [id], once every pair its computation touched
+     is admitted into this context's budget, as computing it here would
+     have added them. *)
+  let reuse ctx id =
+    match Option.bind ctx.table (fun t -> Hashtbl.find_opt t.entries id) with
+    | None -> None
+    | Some e ->
+        Ids.iter
+          (fun (func, key) ->
+            let seen = try Hashtbl.find ctx.contexts func with Not_found -> [] in
+            if not (List.mem key seen) then begin
+              if List.length seen >= ctx.max_contexts then raise Inexact;
+              Hashtbl.replace ctx.contexts func (key :: seen)
+            end)
+          e.ids;
+        Hashtbl.replace ctx.memo id e;
+        Some e
 
   type soln = { before : env option array }
 
@@ -628,31 +693,47 @@ module Make (D : DOMAIN) = struct
         let key, entry =
           if List.mem key seen || List.length seen < ctx.max_contexts then
             (key, entry)
-          else
+          else begin
+            inexact ctx;
             (* context budget exhausted: fall back to the top context *)
             let entry = List.mapi (fun i _ -> Leaf (D.label_arg i D.top)) pad in
             (String.concat ";" (List.map key_v entry), entry)
+          end
         in
         let id = (func, key) in
         (match Hashtbl.find_opt ctx.memo id with
-        | Some s -> Some s
-        | None ->
-            if Hashtbl.mem ctx.in_progress id then
+        | Some e -> Some (read ctx id e)
+        | None -> (
+            if Hashtbl.mem ctx.in_progress id then begin
+              inexact ctx;
               (* recursion: sound cycle cut *)
               Some { ret = top_v; eff = D.eff_top ~arity:nparams }
-            else begin
-              Hashtbl.replace ctx.in_progress id ();
-              if not (List.mem key seen) then
-                Hashtbl.replace ctx.contexts func (key :: seen);
-              ctx.stats.summaries <- ctx.stats.summaries + 1;
-              let soln = solve ctx body ~entry in
-              let ret = return_value body soln in
-              let eff = effects ctx body soln in
-              Hashtbl.remove ctx.in_progress id;
-              let s = { ret; eff } in
-              Hashtbl.replace ctx.memo id s;
-              Some s
-            end)
+            end
+            else
+              match reuse ctx id with
+              | Some e -> Some (read ctx id e)
+              | None ->
+                  Hashtbl.replace ctx.in_progress id ();
+                  if not (List.mem key seen) then
+                    Hashtbl.replace ctx.contexts func (key :: seen);
+                  ctx.stats.summaries <- ctx.stats.summaries + 1;
+                  let outer = ctx.reads in
+                  if Option.is_some ctx.table then ctx.reads <- Some (Hashtbl.create 8);
+                  let soln = solve ctx body ~entry in
+                  let ret = return_value body soln in
+                  let eff = effects ctx body soln in
+                  let ids =
+                    match ctx.reads with
+                    | Some r ->
+                        Hashtbl.fold (fun _ -> Ids.union) r (Ids.singleton id)
+                    | None -> Ids.empty
+                  in
+                  ctx.reads <- outer;
+                  Hashtbl.remove ctx.in_progress id;
+                  let e = { summary = { ret; eff }; ids } in
+                  Hashtbl.replace ctx.memo id e;
+                  Option.iter (fun t -> Hashtbl.replace t.entries id e) ctx.table;
+                  Some (read ctx id e)))
 
   (* Call result and effect in the caller's frame; [None] when [func]
      has no body here (primitive or unknown extern). *)
@@ -885,4 +966,32 @@ module Make (D : DOMAIN) = struct
     | Some body ->
         let entry = List.map (fun _ -> top_v) body.Syn.params in
         Some (body, solve ctx body ~entry)
+
+  (* With a table, [f] first runs on a context that reads and fills it,
+     and is abandoned at its first [Inexact] step for a rerun on a fresh
+     context without it; absint.mli says why a completed first run
+     returns what the rerun would. *)
+  let run ?table ~prim program f =
+    let plain () =
+      let ctx = make_ctx ~prim program in
+      let r = f ctx in
+      (r, ctx.stats)
+    in
+    match table with
+    | None -> plain ()
+    | Some t -> (
+        let ctx = make_ctx ~table:t ~prim program in
+        match f ctx with
+        | r -> (r, ctx.stats)
+        | exception Inexact ->
+            t.reruns <- t.reruns + 1;
+            let r, b = plain () in
+            let a = ctx.stats in
+            ( r,
+              {
+                iterations = a.iterations + b.iterations;
+                widenings = a.widenings + b.widenings;
+                max_visits = max a.max_visits b.max_visits;
+                summaries = a.summaries + b.summaries;
+              } ))
 end

@@ -6,7 +6,8 @@
     ({!DOMAIN.interval} / {!DOMAIN.with_interval}); loops converge via
     widening-to-thresholds at retreating-edge targets followed by a
     bounded narrowing sweep; calls are summarized per abstract calling
-    context (bounded, memoized), with the trusted primitives modelled
+    context (bounded, memoized, and shared between analyses through a
+    summary table, {!Make.run}), with the trusted primitives modelled
     by the client through [ctx.prim]. *)
 
 module type DOMAIN = sig
@@ -142,4 +143,66 @@ module Make (D : DOMAIN) : sig
 
   val analyze : ctx -> string -> (Mir.Syntax.body * soln) option
   (** Solve a function under unconstrained (top) parameters. *)
+
+  (** {2 Summary tables}
+
+      A context memoizes callee summaries for its own analysis only,
+      and allows each function 8 calling contexts: past them a call
+      falls back to the function's top context, and a call that
+      re-enters a context still being summarized is cut to top.  Both
+      make a summary depend on what the context met before.  A single
+      context shared by several analyses would therefore make each
+      result depend on the order they ran in.
+
+      A table shares summaries between analyses ({!run}s) of one
+      program under one [prim] model; the caller keeps it with that
+      pair.  It holds only summaries whose computation made no
+      fallback and no cut, transitively.  Each is then the only exact
+      summary of its (function, context) pair, whichever run computed
+      it, and it carries every pair its computation touched.  The
+      rule:
+
+      - A run first goes through the table, with its own context and
+        budget as before.  The recursion check comes before the table
+        lookup.
+      - Reusing an entry admits all the pairs it carries into the
+        run's per-function context sets, as computing it there would
+        have added them.
+      - Each summary the run computes is added to the table once it is
+        complete.
+      - If an admission takes a function past the budget, or the run
+        itself falls back or cuts, the run is abandoned.  It runs
+        again on a fresh context without the table: the plain path.
+
+      Why a completed first run is exact: every summary it read is
+      its pair's exact one, and the pairs it counted are exactly those
+      a fresh run touches, never more than the budget allows.  A fresh
+      run therefore falls back and cuts nowhere either, and reads the
+      same summaries.  Its result is the same. *)
+
+  type table
+
+  val create_table : unit -> table
+  (** An empty table. *)
+
+  val table_summaries : table -> int
+  (** Summaries the table holds.  Each was computed once, by the first
+      run that needed it; a rerun, made without the table, adds none. *)
+
+  val table_reruns : table -> int
+  (** Runs that were abandoned and analyzed again without the table. *)
+
+  val run :
+    ?table:table ->
+    prim:(func:string -> args:value list -> (value * D.eff) option) ->
+    Mir.Syntax.program ->
+    (ctx -> 'a) ->
+    'a * stats
+  (** [run ?table ~prim program f] is [f ctx] on a fresh context
+      ({!create_ctx} with the default budget) and the work it did.
+      With a [table], [f] first runs through it, and is run again on a
+      fresh context when that first run is abandoned (see above); [f]
+      must therefore return its results rather than record them
+      elsewhere.  The stats then add up both runs.  The result always
+      equals that of a run without the table. *)
 end

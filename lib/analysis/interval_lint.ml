@@ -211,7 +211,7 @@ let has_site body =
     body.Syn.blocks
   || Arith_lint.sites body <> []
 
-let check program ~funcs =
+let check ?table program ~funcs =
   let solve =
     List.exists
       (fun fn ->
@@ -223,15 +223,15 @@ let check program ~funcs =
   let findings, checks, discharged, iterations =
     if not solve then ([], 0, 0, 0)
     else
-      let ctx = A.create_ctx ~prim:(fun ~func:_ ~args:_ -> None) program in
-      let fs, cs, ds =
-        List.fold_left
-          (fun (fs, cs, ds) fn ->
-            let f, c, d = check_function ctx fn in
-            (fs @ f, cs + c, ds + d))
-          ([], 0, 0) funcs
+      let (fs, cs, ds), s =
+        A.run ?table ~prim:(fun ~func:_ ~args:_ -> None) program (fun ctx ->
+            List.fold_left
+              (fun (fs, cs, ds) fn ->
+                let f, c, d = check_function ctx fn in
+                (fs @ f, cs + c, ds + d))
+              ([], 0, 0) funcs)
       in
-      (fs, cs, ds, (A.stats ctx).A.iterations)
+      (fs, cs, ds, s.A.iterations)
   in
   let errors =
     List.filter

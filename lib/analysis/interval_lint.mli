@@ -22,7 +22,7 @@ val overflow_free : Mir.Syntax.bin_op -> Interval.t -> Interval.t -> bool
 (** Can [op] on operands within the given intervals never wrap? *)
 
 val check :
-  Mir.Syntax.program -> funcs:string list ->
+  ?table:A.table -> Mir.Syntax.program -> funcs:string list ->
   (string * Lint.finding) list * stats
 (** Analyze the given functions (one SCC) and return the findings
     tagged with the containing function's name.
@@ -33,4 +33,10 @@ val check :
     destination or rvalue, a [Set_discriminant], a call's destination
     or arguments, a [Drop]).  Its members are then solved in order in
     one fresh context.  Any other SCC cannot have a finding; it is not
-    solved and reports 0 [iterations]. *)
+    solved and reports 0 [iterations].
+
+    With [table] ({!Absint.Make.run}), the solve reuses callee
+    summaries that earlier checks of the same [program] computed
+    through it, and the result is that of a check without it, whatever
+    ran before; [iterations] counts this check's own block transfers
+    (both runs when the first was abandoned). *)

@@ -94,10 +94,11 @@ let check_function ctx cfg fn =
         };
       List.rev_map (fun f -> (fn, f)) !findings |> List.rev
 
-let check cfg ~funcs =
-  let ctx = A.create_ctx ~prim:cfg.prim cfg.program in
-  let findings = List.concat_map (check_function ctx cfg) funcs in
-  let s = A.stats ctx in
+let check ?table cfg ~funcs =
+  let findings, s =
+    A.run ?table ~prim:cfg.prim cfg.program (fun ctx ->
+        List.concat_map (check_function ctx cfg) funcs)
+  in
   ( findings,
     {
       functions = List.length funcs;

@@ -27,6 +27,14 @@ type stats = {
   summaries : int;
 }
 
-val check : config -> funcs:string list -> (string * Lint.finding) list * stats
-(** Analyze the given functions (one SCC) and return the findings
-    tagged with the containing function's name. *)
+val check :
+  ?table:A.table -> config -> funcs:string list -> (string * Lint.finding) list * stats
+(** Analyze the given functions (one SCC) in one context and return the
+    findings tagged with the containing function's name.
+
+    With [table] ({!Absint.Make.run}), callee summaries that earlier
+    checks computed through it are reused, and the findings are those
+    of a check without it, whatever ran before.  The table must only
+    ever serve checks of this [config]'s program and [prim] model.  The
+    stats count this check's own work: [summaries] and [iterations]
+    add up both runs when the first was abandoned. *)

@@ -8,6 +8,11 @@ type mc_request = {
   mc_layout : Layout.t;
 }
 
+type absint_tables = {
+  interval : Analysis.Interval_lint.A.table;
+  secret_flow : Analysis.Secret_flow.A.table;
+}
+
 type t = {
   dag : Dag.t;
   layout : Layout.t;
@@ -18,6 +23,7 @@ type t = {
   model_check : mc_request option;
   override_counts : (string * int) list;
   corpus : Check.Gen.Corpus.t;
+  absint_tables : absint_tables;
 }
 
 let phases =
@@ -188,7 +194,18 @@ let scc_obligations ~phase layout domains =
 
 let absint_version = "mirlight-absint-v1"
 
-let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
+let absint_tables () =
+  {
+    interval = Analysis.Interval_lint.A.create_table ();
+    secret_flow = Analysis.Secret_flow.A.create_table ();
+  }
+
+(* Each domain's obligations share one summary table, which fills only
+   as they execute and leaves every outcome that of a fresh context
+   (see [Analysis.Absint.Make.run]), so fingerprints need not mention
+   it. *)
+let absint_obligations ?(lints = Analysis.Lint.catalogue) ?(tables = absint_tables ())
+    layout =
   let program = (Layers.compiled layout).Rustlite.Pipeline.program in
   (* the taint verdict additionally depends on the layout (the
      secret/sink policy is derived from it); intervals don't, so their
@@ -196,13 +213,14 @@ let absint_obligations ?(lints = Analysis.Lint.catalogue) layout =
   let interval =
     ( "interval",
       Printf.sprintf "%s;domain=interval" absint_version,
-      fun members -> fst (Analysis.Interval_lint.check program ~funcs:members) )
+      fun members ->
+        fst (Analysis.Interval_lint.check ~table:tables.interval program ~funcs:members) )
   and secret_flow =
     ( "secret-flow",
       Printf.sprintf "%s;domain=secret-flow;%s" absint_version (layout_fp layout),
       fun members ->
         fst
-          (Analysis.Secret_flow.check
+          (Analysis.Secret_flow.check ~table:tables.secret_flow
              (Security.Labels.secret_flow_config layout program)
              ~funcs:members) )
   in
@@ -497,6 +515,8 @@ let noninterference_obligations ~seed ~quick ~deps ~corpus layout =
         [ Integrity; Local_consistency; Inactive_consistency ])
     observers
 
+let trace_ni_schedule_len = 15
+
 let trace_ni_obligations ~seed ~quick ~deps_for ~corpus layout =
   let n_sched = if quick then 5 else 12 in
   let n_pairs = if quick then 5 else 12 in
@@ -505,11 +525,14 @@ let trace_ni_obligations ~seed ~quick ~deps_for ~corpus layout =
       let obs = Security.Principal.to_string observer in
       let id = Printf.sprintf "trace-ni/%s" obs in
       let fingerprint =
-        Printf.sprintf "%s;trace-ni-v1;seed=%d;observer=%s;schedules=%d;pairs=%d;steps=%d"
-          (layout_fp layout) seed obs n_sched n_pairs inv_steps
+        Printf.sprintf
+          "%s;trace-ni-v1;seed=%d;observer=%s;schedules=%d;len=%d;pairs=%d;steps=%d"
+          (layout_fp layout) seed obs n_sched trace_ni_schedule_len n_pairs inv_steps
       in
       Obligation.v ~id ~phase:"trace-ni" ~deps:(deps_for obs) ~fingerprint (fun () ->
-          let schedules = Check.Gen.schedules ~n:n_sched ~len:15 ~seed layout in
+          let schedules =
+            Check.Gen.schedules ~n:n_sched ~len:trace_ni_schedule_len ~seed layout
+          in
           let pairs = Check.Gen.Corpus.pairs corpus ~off:1 ~observer ~n:n_pairs in
           Obligation.outcome
             [ Security.Noninterference.check_trace ~observer ~pairs ~schedules ]))
@@ -611,7 +634,8 @@ let build ?(quick = false) ?(security = true)
     end
   in
   let analysis = analysis_obligations ~lints layout in
-  let absint = absint_obligations ~lints layout in
+  let tables = absint_tables () in
+  let absint = absint_obligations ~lints ~tables layout in
   let borrow = borrow_obligations ~lints layout in
   let alias = alias_obligations ~lints layout in
   let mc =
@@ -624,7 +648,7 @@ let build ?(quick = false) ?(security = true)
       (analysis @ absint @ borrow @ alias @ code @ refine @ security_obls @ mc)
   in
   { dag; layout; seed; quick; security; lints; model_check;
-    override_counts = override_counts layout; corpus }
+    override_counts = override_counts layout; corpus; absint_tables = tables }
 
 (* ------------------------------------------------------------------ *)
 (* Timed build (bench-only shim)                                       *)

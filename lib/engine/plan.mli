@@ -26,6 +26,13 @@ type mc_request = {
     reduction on/off, and whether unmaps flush the TLB ([mc_flush =
     false] is the planted [--buggy-tlb] monitor). *)
 
+type absint_tables = {
+  interval : Analysis.Interval_lint.A.table;
+  secret_flow : Analysis.Secret_flow.A.table;
+}
+(** Phase 3b's callee-summary tables, one per abstract domain
+    ({!Analysis.Absint.Make.run}). *)
+
 type t = {
   dag : Dag.t;
   layout : Hyperenclave.Layout.t;
@@ -43,6 +50,11 @@ type t = {
           filled only by the invariant, noninterference and trace-NI
           obligations that execute, each trace generated once per plan
           ({!Check.Gen.Corpus}); it goes with the plan *)
+  absint_tables : absint_tables;
+      (** created empty, captured by the absint obligations and filled
+          only by those that execute, each callee summary computed once
+          per plan where that leaves every outcome that of a fresh
+          context; they go with the plan *)
 }
 
 val phases : string list
@@ -97,6 +109,7 @@ val analysis_obligations :
 
 val absint_obligations :
   ?lints:Analysis.Lint.kind list ->
+  ?tables:absint_tables ->
   Hyperenclave.Layout.t ->
   Obligation.t list
 (** One obligation per call-graph SCC per selected abstract domain
@@ -105,7 +118,14 @@ val absint_obligations :
     SCC membership and the MIRlight digests of the SCC's transitive
     callee closure (plus the layout for secret-flow, whose policy is
     derived from it): a warm cache re-executes nothing, and editing a
-    function invalidates exactly its SCC and the SCCs above it. *)
+    function invalidates exactly its SCC and the SCCs above it.
+
+    Each domain's obligations check through one summary table
+    ([tables], fresh ones by default), so an SCC reuses the callee
+    summaries its predecessors computed; each outcome is that of
+    {!Analysis.Secret_flow.check} or {!Analysis.Interval_lint.check}
+    without a table, in any run order, so the table is in no
+    fingerprint. *)
 
 val borrow_obligations :
   ?lints:Analysis.Lint.kind list ->

@@ -15,12 +15,15 @@
 # outcome does not hold.
 #
 # The engine gate runs the pass three times: without a cache, against a
-# cold cache and against the now-warm cache, at --quick budgets and
-# again at the default ones (whose security corpus holds 25 traces
-# instead of 8).  Stdout must be byte-identical across each triple
-# (cache state may not influence verification output), and each warm
-# run must report cache hits and re-execute zero code-proof,
-# static-analysis, invariant, noninterference and trace-NI obligations.
+# cold cache and against the now-warm cache, at --quick budgets, again
+# at the default ones (whose security corpus holds 25 traces instead of
+# 8), and on the x86_64 geometry at --quick.  Stdout must be
+# byte-identical across each triple (cache state may not influence
+# verification output), and so must the x86_64 --lint-json artifact: on
+# a cold run the static-analysis SCCs share their plan's summary tables,
+# on a warm one nothing executes.  Each warm run must report cache hits
+# and re-execute zero code-proof, static-analysis (absint included),
+# invariant, noninterference and trace-NI obligations.
 #
 # The static-analysis gate additionally requires the lint phase, the
 # abstract-interpretation phase (interval bounds + secret-flow taint,
@@ -103,7 +106,21 @@ dune exec bin/hyperenclave_verify.exe -- \
   --json-out "$workdir/warm-default.json" > "$workdir/warm-default.out"
 diff "$workdir/serial-default.out" "$workdir/cold-default.out"
 diff "$workdir/serial-default.out" "$workdir/warm-default.out"
-echo "ci: engine output identical with no cache, a cold cache and a warm cache (quick and default budgets)"
+
+x86="--geometry x86_64 --quick --seed 2024"
+# shellcheck disable=SC2086
+dune exec bin/hyperenclave_verify.exe -- $x86 \
+  --lint-json "$workdir/serial-x86-lints.json" > "$workdir/serial-x86.out"
+for run in cold warm; do
+  # shellcheck disable=SC2086
+  dune exec bin/hyperenclave_verify.exe -- $x86 --cache "$workdir/pcache-x86" \
+    --lint-json "$workdir/$run-x86-lints.json" \
+    --json-out "$workdir/$run-x86.json" > "$workdir/$run-x86.out"
+  diff "$workdir/serial-x86.out" "$workdir/$run-x86.out"
+  diff "$workdir/serial-x86-lints.json" "$workdir/$run-x86-lints.json" || {
+    echo "ci: x86_64 --lint-json output depends on cache state" >&2; exit 1; }
+done
+echo "ci: engine output identical with no cache, a cold cache and a warm cache (quick and default budgets, x86_64)"
 
 # --- override-composition gate --------------------------------------
 # Composition may never show up in verdicts: test/differential, which
@@ -125,7 +142,7 @@ echo "ci: override gate ok (proven gate, fingerprints, composed batteries run no
 hits=$(sed -n 's/^  "cache_hits": *\([0-9][0-9]*\).*/\1/p' "$workdir/warm.json")
 [ -n "$hits" ] && [ "$hits" -gt 0 ] || {
   echo "ci: warm run reported no cache hits" >&2; exit 1; }
-for warm in warm warm-default; do
+for warm in warm warm-default warm-x86; do
   for phase in code-proofs analysis absint borrow alias \
       invariants noninterference trace-ni; do
     grep "\"phase\": \"$phase\"" "$workdir/$warm.json" | grep -q '"executed": 0' || {

@@ -4,8 +4,10 @@
    with reconciliation, the call-graph SCC condensation, the taint
    domain's summary substitution, and the secret-flow policy — the
    seed 15-layer stack must be clean while the planted hypercall leak
-   fixtures must fire.  Finishes with absint obligation fingerprint
-   stability and an engine pool run over the absint DAG. *)
+   fixtures must fire — and the summary table shared between checks,
+   which must leave every check's findings those of a fresh context on
+   programs built to break it.  Finishes with absint obligation
+   fingerprint stability and an engine pool run over the absint DAG. *)
 
 module Syn = Mir.Syntax
 module B = Mir.Builder
@@ -259,6 +261,85 @@ let test_scc_partial_sites () =
     ([ escape ], [ 2; 2; 1; 0; 30 ])
     (run [ "idx_b"; "idx_a" ])
 
+(* The interval side of the summary table (see [table_src] below for
+   the secret-flow side): [eight] calls [ident] at 0..7 (and indexes
+   with the last, so its own check solves it), so [after_eight]'s
+   [ident(9)] is a ninth context and falls back to top, and its index
+   into a 16-array may escape; [alone] reads the same index
+   precisely. *)
+let fix_interval_table () =
+  let call b ~dest func args =
+    let next = B.fresh_block b in
+    B.terminate b (Syn.Call { dest = B.pvar dest; func; args; target = Some next });
+    B.switch_to b next
+  in
+  let ident =
+    let b = B.create ~name:"ident" ~params:[ ("_1", u64, Syn.Ktemp) ] ~ret_ty:u64 in
+    B.assign_var b Syn.return_var (Syn.Use (B.copy "_1"));
+    B.terminate b Syn.Return;
+    B.finish b
+  in
+  let eight =
+    let b = B.create ~name:"eight" ~params:[] ~ret_ty:u64 in
+    let arr = B.local b ~name:"arr" (Mir.Ty.Array (u64, 16)) in
+    let t = B.temp b u64 in
+    B.assign_var b arr (Syn.Repeat (B.cu64 0, 16));
+    for n = 0 to 7 do
+      call b ~dest:t "ident" [ B.cu64 n ]
+    done;
+    B.assign_var b Syn.return_var (Syn.Use (B.copy_place (B.pindex (B.pvar arr) t)));
+    B.terminate b Syn.Return;
+    B.finish b
+  in
+  let reader ~name ~eight_first =
+    let b = B.create ~name ~params:[] ~ret_ty:u64 in
+    let arr = B.local b ~name:"arr" (Mir.Ty.Array (u64, 16)) in
+    let t = B.temp b u64 in
+    B.assign_var b arr (Syn.Repeat (B.cu64 0, 16));
+    if eight_first then call b ~dest:t "eight" [];
+    call b ~dest:t "ident" [ B.cu64 9 ];
+    B.assign_var b Syn.return_var (Syn.Use (B.copy_place (B.pindex (B.pvar arr) t)));
+    B.terminate b Syn.Return;
+    B.finish b
+  in
+  Syn.program_of_bodies
+    [ ident; eight; reader ~name:"after_eight" ~eight_first:true;
+      reader ~name:"alone" ~eight_first:false ]
+
+(* Each function checked through one interval table, in either order
+   and alone, reports what a check without it reports; one order
+   analyzes [after_eight] again. *)
+let test_interval_table_exact () =
+  let module IL = Analysis.Interval_lint in
+  let program = fix_interval_table () in
+  let run ?table fn =
+    let tagged, (st : IL.stats) = IL.check ?table program ~funcs:[ fn ] in
+    ( List.map (fun (fn, f) -> fn ^ " " ^ Lint.finding_to_string f) tagged,
+      [ st.functions; st.bound_checks; st.findings; st.discharged ] )
+  in
+  let roots = [ "ident"; "eight"; "alone"; "after_eight" ] in
+  let expect = Alcotest.(pair (list string) (list int)) in
+  Alcotest.check expect "after_eight: fresh"
+    ( [ "after_eight bb2[0]: [interval-bounds] index _t0 = [0x0, 0xffffffffffffffff] \
+         may escape array bound 16" ],
+      [ 1; 1; 1; 0 ] )
+    (run "after_eight");
+  Alcotest.check expect "alone: fresh" ([], [ 1; 1; 0; 0 ]) (run "alone");
+  Alcotest.check expect "eight: fresh" ([], [ 1; 1; 0; 0 ]) (run "eight");
+  let reruns =
+    List.map
+      (fun (what, order) ->
+        let table = IL.A.create_table () in
+        List.iter
+          (fun fn ->
+            Alcotest.check expect (Printf.sprintf "%s: %s" what fn) (run fn) (run ~table fn))
+          order;
+        IL.A.table_reruns table)
+      ([ ("source order", roots); ("reverse order", List.rev roots) ]
+      @ List.map (fun fn -> ("alone", [ fn ])) roots)
+  in
+  Alcotest.(check bool) "a check is analyzed again" true (List.exists (( < ) 0) reruns)
+
 (* ------------------------------------------------------------------ *)
 (* Secret flow: planted hypercall leaks fire, sanctioned path clean    *)
 
@@ -347,6 +428,132 @@ let test_policy_classification () =
   | L.Read_secret _ -> Alcotest.fail "normal read should be public");
   Alcotest.(check bool) "hc_create is a boundary" true (L.boundary layout "hc_create");
   Alcotest.(check bool) "walk is not a boundary" false (L.boundary layout "walk")
+
+(* Three shapes around a one-line helper, built to break a summary
+   context shared between checks: a context allows each function 8
+   calling contexts and falls back to the top one past them, so a
+   shared context's summaries depend on what it met before.
+   - Eight public callers write their own mbuf word through [put_word],
+     and [hc_ninth] writes an EPC word to address 16, in normal memory
+     (fresh: [hc_ninth] leaks).
+   - [mid_eight] writes the same eight mbuf words.  [leaf_caller]
+     wraps [put_word(16, v)].  [hc_x] calls [mid_eight] and then
+     [leaf_caller] on a public mbuf word, so its summary of
+     [leaf_caller] falls back to the top context of [put_word], whose
+     target may be secure memory; [hc_y] passes [leaf_caller] an EPC
+     word of the same (top) interval (fresh: [hc_y] leaks).
+   - [hc_mid_leak] calls [mid_eight] before writing an EPC word to
+     address 16.  Fresh, that ninth context of [put_word] falls back,
+     so the leak is missed: the imprecision the budget has. *)
+let table_src =
+  {|
+fn put_word(dst: u64, v: u64) {
+    phys_write(dst, v);
+}
+fn hc_pub0() -> u64 { put_word(MBUF_PHYS, 1); OK }
+fn hc_pub1() -> u64 { put_word(MBUF_PHYS + 1, 1); OK }
+fn hc_pub2() -> u64 { put_word(MBUF_PHYS + 2, 1); OK }
+fn hc_pub3() -> u64 { put_word(MBUF_PHYS + 3, 1); OK }
+fn hc_pub4() -> u64 { put_word(MBUF_PHYS + 4, 1); OK }
+fn hc_pub5() -> u64 { put_word(MBUF_PHYS + 5, 1); OK }
+fn hc_pub6() -> u64 { put_word(MBUF_PHYS + 6, 1); OK }
+fn hc_pub7() -> u64 { put_word(MBUF_PHYS + 7, 1); OK }
+fn hc_ninth(off: u64) -> u64 {
+    let w = phys_read(EPC_BASE + (off & (PAGE_SIZE - 8)));
+    put_word(16, w);
+    OK
+}
+
+fn mid_eight() {
+    put_word(MBUF_PHYS, 1);
+    put_word(MBUF_PHYS + 1, 1);
+    put_word(MBUF_PHYS + 2, 1);
+    put_word(MBUF_PHYS + 3, 1);
+    put_word(MBUF_PHYS + 4, 1);
+    put_word(MBUF_PHYS + 5, 1);
+    put_word(MBUF_PHYS + 6, 1);
+    put_word(MBUF_PHYS + 7, 1);
+}
+fn leaf_caller(v: u64) {
+    put_word(16, v);
+}
+fn hc_x(off: u64) -> u64 {
+    mid_eight();
+    let w = phys_read(MBUF_PHYS + (off & (PAGE_SIZE - 8)));
+    leaf_caller(w);
+    OK
+}
+fn hc_y(off: u64) -> u64 {
+    let w = phys_read(EPC_BASE + (off & (PAGE_SIZE - 8)));
+    leaf_caller(w);
+    OK
+}
+
+fn hc_mid_leak(off: u64) -> u64 {
+    mid_eight();
+    let w = phys_read(EPC_BASE + (off & (PAGE_SIZE - 8)));
+    put_word(16, w);
+    OK
+}
+|}
+
+let table_roots =
+  [ "put_word" ]
+  @ List.init 8 (Printf.sprintf "hc_pub%d")
+  @ [ "hc_ninth"; "mid_eight"; "leaf_caller"; "hc_x"; "hc_y"; "hc_mid_leak" ]
+
+(* Each root checked through one summary table reports exactly what a
+   check without the table reports: in source order, in reverse order,
+   in every rotation of either, and alone.  One context shared by every
+   root would not: it gets both orders wrong.  In source order the
+   table is reused and a root is analyzed again. *)
+let test_summary_table_exact () =
+  let module SF = Analysis.Secret_flow in
+  let program = compile_extra table_src in
+  let cfg = Security.Labels.secret_flow_config layout program in
+  let text = List.map (fun (fn, f) -> fn ^ " " ^ Lint.finding_to_string f) in
+  let fresh = List.map (fun fn -> (fn, SF.check cfg ~funcs:[ fn ])) table_roots in
+  let expected fn = text (fst (List.assoc fn fresh)) in
+  List.iter
+    (fun (fn, n) ->
+      Alcotest.(check int) (fn ^ ": fresh findings") n (List.length (expected fn)))
+    [ ("hc_ninth", 1); ("hc_x", 0); ("hc_y", 1); ("hc_mid_leak", 0) ];
+  let through what order =
+    let table = SF.A.create_table () in
+    List.iter
+      (fun fn ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: %s" what fn)
+          (expected fn)
+          (text (fst (SF.check ~table cfg ~funcs:[ fn ]))))
+      order;
+    table
+  in
+  let rotate k l = List.filteri (fun i _ -> i >= k) l @ List.filteri (fun i _ -> i < k) l in
+  let forward = through "source order" table_roots in
+  List.iter
+    (fun (what, order) ->
+      List.iteri
+        (fun k _ -> ignore (through (Printf.sprintf "%s, rotation %d" what k) (rotate k order)))
+        order)
+    [ ("source order", table_roots); ("reverse order", List.rev table_roots) ];
+  List.iter (fun fn -> ignore (through "alone" [ fn ])) table_roots;
+  let fresh_summaries =
+    List.fold_left (fun n (_, (_, (s : SF.stats))) -> n + s.SF.summaries) 0 fresh
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "source order reuses summaries (%d computed, %d fresh)"
+       (SF.A.table_summaries forward) fresh_summaries)
+    true
+    (SF.A.table_summaries forward < fresh_summaries);
+  Alcotest.(check bool) "source order analyzes a root again" true
+    (SF.A.table_reruns forward > 0);
+  let all = List.sort compare (List.concat_map expected table_roots) in
+  List.iter
+    (fun (what, order) ->
+      Alcotest.(check bool) (what ^ ": one shared context is wrong") true
+        (List.sort compare (text (fst (SF.check cfg ~funcs:order))) <> all))
+    [ ("source order", table_roots); ("reverse order", List.rev table_roots) ]
 
 (* The seed stack carries secrets internally but must produce zero
    findings in either domain: every write is secure-internal or
@@ -486,11 +693,13 @@ let () =
           Alcotest.test_case "bounds + discharge" `Quick test_bounds_and_discharge;
           Alcotest.test_case "SCC with sites in one member" `Quick
             test_scc_partial_sites;
+          Alcotest.test_case "interval table stays exact" `Quick test_interval_table_exact;
         ] );
       ( "secret-flow",
         [
           Alcotest.test_case "policy classification" `Quick test_policy_classification;
           Alcotest.test_case "planted leaks fire" `Quick test_planted_leaks_fire;
+          Alcotest.test_case "summary table stays exact" `Quick test_summary_table_exact;
           Alcotest.test_case "seed stack clean" `Quick test_seed_stack_clean;
           Alcotest.test_case "iteration budget" `Quick
             test_seed_stack_iteration_budget;

@@ -187,8 +187,8 @@ let test_plan_cache_keys_pinned () =
     Alcotest.(check string) (what ^ ": cache keys") digest (cache_key_digest p);
     Alcotest.(check string) (what ^ ": on-disk keys") disk (disk_key_digest p)
   in
-  check "default" 333 "8429c35496762a96be5a6ec6f0c0fd04"
-    "de201071d77e4d01284a883db4131c56" (Plan.build ~seed:2024 layout);
+  check "default" 333 "bddf6ef9a3815e00ca999ad95d362f1b"
+    "89db291f894883b969d6516b0c6e5977" (Plan.build ~seed:2024 layout);
   check "x86_64, no security" 310 "b8c1fc97d5c5c123033f5aec09ec7aa7"
     "f3f52071aa64adac14a010d2ed3d3557"
     (Plan.build ~security:false ~seed:2024 (Layout.default Geometry.x86_64))
@@ -998,7 +998,7 @@ let observer_of name =
 
 (* What an invariants, noninterference or trace-NI obligation reports
    when its inputs come from the plain generators, read off its
-   fingerprint (the schedule length, 15, is a constant of the plan). *)
+   fingerprint. *)
 let plain_outcome (o : Obligation.t) =
   let fp = o.Obligation.fingerprint in
   let seed = fp_int fp "seed" and steps = fp_int fp "steps" in
@@ -1026,7 +1026,9 @@ let plain_outcome (o : Obligation.t) =
     | "trace-ni" ->
         let observer = observer_of (fp_field fp "observer") in
         let pairs = plain_pairs ~seed:(seed + 1) ~steps ~observer ~n:(fp_int fp "pairs") in
-        let schedules = Check.Gen.schedules ~n:(fp_int fp "schedules") ~len:15 ~seed layout in
+        let schedules =
+          Check.Gen.schedules ~n:(fp_int fp "schedules") ~len:(fp_int fp "len") ~seed layout
+        in
         [ Security.Noninterference.check_trace ~observer ~pairs ~schedules ]
     | phase -> Alcotest.failf "%s: not a corpus phase" phase
   in
@@ -1190,6 +1192,156 @@ let test_warm_plan_generates_nothing () =
   Alcotest.(check int) "warm plan: no trace" 0 (Check.Gen.Corpus.traces warm.Plan.corpus)
 
 (* ------------------------------------------------------------------ *)
+(* Phase 3b summary tables                                             *)
+
+let absint_of (plan : Plan.t) =
+  List.filter
+    (fun (o : Obligation.t) -> o.Obligation.phase = "absint")
+    (Dag.obligations plan.Plan.dag)
+
+(* What an absint obligation reports when its SCC is checked without a
+   table, read off its id [absint/<domain>/<members joined by +>]: the
+   findings of a plain check, and one report with a pass per member and
+   per discharge certificate and a failure per error, as the plan
+   renders them. *)
+let plain_absint layout (o : Obligation.t) =
+  let program = (Layers.compiled layout).Rustlite.Pipeline.program in
+  let domain, members =
+    match String.split_on_char '/' o.Obligation.id with
+    | [ "absint"; domain; scc ] -> (domain, String.split_on_char '+' scc)
+    | _ -> Alcotest.failf "%s: not an absint obligation" o.Obligation.id
+  in
+  let findings =
+    match domain with
+    | "secret-flow" ->
+        fst
+          (Analysis.Secret_flow.check
+             (Security.Labels.secret_flow_config layout program)
+             ~funcs:members)
+    | "interval" -> fst (Analysis.Interval_lint.check program ~funcs:members)
+    | d -> Alcotest.failf "unknown absint domain %s" d
+  in
+  let report =
+    List.fold_left
+      (fun rep (fn, (f : Analysis.Lint.finding)) ->
+        match f.Analysis.Lint.severity with
+        | Analysis.Lint.Info -> Report.add_pass rep
+        | Analysis.Lint.Error ->
+            Report.add_failure rep
+              ~case:
+                (Printf.sprintf "%s %s@%s"
+                   (Analysis.Lint.to_string f.Analysis.Lint.kind)
+                   fn f.Analysis.Lint.where)
+              ~reason:f.Analysis.Lint.detail)
+      (Report.empty o.Obligation.id) findings
+  in
+  Obligation.outcome ~findings
+    [ List.fold_left (fun rep _ -> Report.add_pass rep) report members ]
+
+let findings_text (o : Obligation.outcome) =
+  List.map
+    (fun (fn, f) -> fn ^ " " ^ Analysis.Lint.finding_to_string f)
+    o.Obligation.findings
+
+(* Every absint obligation reports exactly what a check without a table
+   reports, however much of its plan's tables earlier obligations
+   filled: run in DAG order on one fresh plan, in reverse order on
+   another, alone on fresh tables, and through the pool over a cache
+   that holds every other absint obligation (so only the rest execute,
+   for each half).  A cold default plan computes 82 secret-flow
+   summaries at seed 2024, against one closure per SCC without the
+   table, and analyzes no SCC again. *)
+let test_absint_table_agrees () =
+  List.iter
+    (fun (what, build, lay) ->
+      let plain =
+        List.map
+          (fun (o : Obligation.t) -> (o.Obligation.id, plain_absint lay o))
+          (absint_of (build ()))
+      in
+      let agree how (o : Obligation.t) (out : Obligation.outcome) =
+        let id = o.Obligation.id in
+        let expected = List.assoc id plain in
+        let label = Printf.sprintf "%s, %s: %s" what how id in
+        Alcotest.(check (list string)) (label ^ " findings") (findings_text expected)
+          (findings_text out);
+        Alcotest.(check string) (label ^ " report") (outcome_text expected) (outcome_text out)
+      in
+      let in_order how order =
+        let plan = build () in
+        List.iter (fun (o : Obligation.t) -> agree how o (o.Obligation.run ())) (order (absint_of plan));
+        plan
+      in
+      let forward = in_order "DAG order" Fun.id in
+      ignore (in_order "reverse order" List.rev);
+      List.iter
+        (fun (o : Obligation.t) ->
+          match
+            List.find_opt
+              (fun (o' : Obligation.t) -> o'.Obligation.id = o.Obligation.id)
+              (Plan.absint_obligations lay)
+          with
+          | Some alone -> agree "alone" alone (alone.Obligation.run ())
+          | None -> Alcotest.failf "%s missing from fresh absint obligations" o.Obligation.id)
+        (absint_of forward);
+      List.iter
+        (fun half ->
+          let plan = build () in
+          let obls = absint_of plan in
+          let cache = Cache.create ~dir:(fresh_dir ()) in
+          List.iteri
+            (fun i (o : Obligation.t) ->
+              if i mod 2 <> half then Cache.stash cache o (List.assoc o.Obligation.id plain))
+            obls;
+          Cache.flush cache;
+          let execs = Pool.run ~cache (Dag.build_exn obls) in
+          List.iteri
+            (fun i (e : Pool.exec) ->
+              let how = Printf.sprintf "half %d over a cache of the other" half in
+              Alcotest.(check bool) (how ^ ": executed iff not cached") true
+                (e.Pool.cache = if i mod 2 = half then Pool.Miss else Pool.Hit);
+              agree how e.Pool.obligation e.Pool.outcome)
+            execs)
+        [ 0; 1 ];
+      let tables = forward.Plan.absint_tables in
+      Alcotest.(check int) (what ^ ": no secret-flow SCC analyzed again") 0
+        (Analysis.Secret_flow.A.table_reruns tables.Plan.secret_flow);
+      Alcotest.(check int) (what ^ ": no interval SCC analyzed again") 0
+        (Analysis.Interval_lint.A.table_reruns tables.Plan.interval);
+      if what = "tiny" then
+        Alcotest.(check int) "tiny: secret-flow summaries computed" 82
+          (Analysis.Secret_flow.A.table_summaries tables.Plan.secret_flow))
+    [
+      ("tiny", (fun () -> Plan.build ~seed:2024 layout), layout);
+      ( "x86_64",
+        (fun () ->
+          Plan.build ~security:false ~seed:2024 (Layout.default Geometry.x86_64)),
+        Layout.default Geometry.x86_64 );
+    ]
+
+(* A run that replays every absint obligation from the cache computes
+   no summary: the tables fill only as obligations execute. *)
+let test_warm_plan_computes_no_summary () =
+  let cache = Cache.create ~dir:(fresh_dir ()) in
+  let counts (p : Plan.t) =
+    let t = p.Plan.absint_tables in
+    [
+      Analysis.Secret_flow.A.table_summaries t.Plan.secret_flow;
+      Analysis.Secret_flow.A.table_reruns t.Plan.secret_flow;
+      Analysis.Interval_lint.A.table_summaries t.Plan.interval;
+      Analysis.Interval_lint.A.table_reruns t.Plan.interval;
+    ]
+  in
+  let cold = Plan.build ~quick:true ~seed:2024 layout in
+  ignore (Pool.run ~cache cold.Plan.dag);
+  Alcotest.(check (list int)) "cold plan: summaries and reruns" [ 82; 0; 0; 0 ] (counts cold);
+  let warm = Plan.build ~quick:true ~seed:2024 layout in
+  let execs = Pool.run ~cache warm.Plan.dag in
+  Alcotest.(check bool) "warm run replays every obligation" true
+    (List.for_all (( = ) Pool.Hit) (statuses execs));
+  Alcotest.(check (list int)) "warm plan: no summary" [ 0; 0; 0; 0 ] (counts warm)
+
+(* ------------------------------------------------------------------ *)
 (* JSON emission                                                       *)
 
 let test_jsonx () =
@@ -1266,6 +1418,12 @@ let () =
           Alcotest.test_case "phase 6 on failing states" `Quick test_phase6_failing_states;
           Alcotest.test_case "warm plan generates no trace" `Quick
             test_warm_plan_generates_nothing;
+        ] );
+      ( "absint",
+        [
+          Alcotest.test_case "absint table agrees" `Quick test_absint_table_agrees;
+          Alcotest.test_case "warm plan computes no summary" `Quick
+            test_warm_plan_computes_no_summary;
         ] );
       ( "clock",
         [
