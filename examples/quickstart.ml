@@ -46,12 +46,12 @@ let () =
 
   (* 3-4. conformance check on a grid of inputs *)
   let cases =
-    List.concat_map
+    Seq.concat_map
       (fun a ->
-        List.map
+        Seq.map
           (fun b -> Mirverif.Refine.case () [ Mir.Value.u64 a; Mir.Value.u64 b ])
-          [ 0L; 1L; 6L; 35L; 36L; 1071L; 462L; 0xFFFF_FFFF_FFFF_FFFFL ])
-      [ 0L; 1L; 12L; 18L; 1071L; 462L; 97L ]
+          (List.to_seq [ 0L; 1L; 6L; 35L; 36L; 1071L; 462L; 0xFFFF_FFFF_FFFF_FFFFL ]))
+      (List.to_seq [ 0L; 1L; 12L; 18L; 1071L; 462L; 97L ])
   in
   let check =
     Mirverif.Refine.check ~fn:"gcd" ~spec

@@ -113,20 +113,22 @@ let make_pool ?(seed = 2024) layout =
 (* ------------------------------------------------------------------ *)
 (* Case builders                                                       *)
 
-(* args lists per state *)
-let cases_of pool mk =
-  List.concat_map
+(* A battery is a stream over the pool: each traversal rebuilds its
+   cases, state by state and in the same order, from the pool's
+   immutable inputs, and keeps none of them once they have run.  [mk]
+   gives the argument lists for one state. *)
+let case_stream pool mk =
+  Seq.concat_map
     (fun (label, d) ->
-      List.map
+      Seq.map
         (fun args ->
           Refine.case
             ~label:(fun () ->
               Printf.sprintf "%s %s" label
                 (String.concat "," (List.map Value.to_string args)))
             d args)
-        (mk d))
-    pool.states
-
+        (List.to_seq (mk d)))
+    (List.to_seq pool.states)
 
 let levels pool =
   List.init (pool.layout.Layout.geom.Geometry.levels + 2) (fun i -> Int64.of_int i)
@@ -149,7 +151,9 @@ let product2 xs ys = List.concat_map (fun x -> List.map (fun y -> [ x; y ]) ys) 
 let product3 xs ys zs =
   List.concat_map (fun x -> List.concat_map (fun y -> List.map (fun z -> [ x; y; z ]) zs) ys) xs
 
-(* Sample a list down to bound the case count (deterministic). *)
+(* Thin a list deterministically to every [len / n]-th element, which
+   keeps between [n] and [2n - 1] of them: [sample 5] keeps all 8 VAs
+   and [sample 3] keeps 4 of the 7 PTE words. *)
 let sample n xs =
   let len = List.length xs in
   if len <= n then xs
@@ -186,14 +190,14 @@ let enclave_values pool (d : Absdata.t) =
   @ [ synth Enclave.Created 0 1; synth Enclave.Initialized 0 1;
       synth Enclave.Created (pool.layout.Layout.frame_count + 2) 0 ]
 
-let method_cases pool mk_args =
+let method_stream pool mk_args =
   (* self passed as a pointer into object memory; the spec receives the
      struct by value (paper Sec. 3.4 case 1) *)
-  List.concat_map
+  Seq.concat_map
     (fun (label, d) ->
-      List.concat_map
+      Seq.concat_map
         (fun self_value ->
-          List.map
+          Seq.map
             (fun rest ->
               let self_path = Mir.Path.global "self_obj" in
               let mem = Mir.Mem.define (Mir.Path.Global "self_obj") self_value Mir.Mem.empty in
@@ -204,9 +208,9 @@ let method_cases pool mk_args =
                     (String.concat "," (List.map Value.to_string rest)))
                 ~spec_args:(self_value :: rest) ~mem d
                 (Value.ptr_path self_path :: rest))
-            (mk_args d))
-        (enclave_values pool d))
-    pool.states
+            (List.to_seq (mk_args d)))
+        (List.to_seq (enclave_values pool d)))
+    (List.to_seq pool.states)
 
 (* ------------------------------------------------------------------ *)
 (* Per-function case tables                                            *)
@@ -298,13 +302,9 @@ let eq : Absdata.t Refine.equiv = Refine.equiv Absdata.equal
 type ctx = {
   ctx_layout : Layout.t;
   (* the input pool every battery draws from: built with the first
-     battery, so a fully cached run builds none *)
+     battery, so a fully cached run builds none.  Batteries themselves
+     are streams over it, rebuilt by every run that traverses them. *)
   ctx_pool : pool Lazy.t;
-  (* per-function check memo: generated cases are deterministic given
-     (seed, layout), so each function's check is built once per ctx
-     instead of once per obligation run.  Built on first use; a run
-     whose obligations all hit the proof cache builds none. *)
-  ctx_checks : (string, (string * Absdata.t Refine.check) option) Hashtbl.t;
   (* per-layer override-composed compiled environments: every spec-owned
      function of the layer is linked as a stub of its oracle spec
      ({!spec_stub}), so same-layer calls execute callee specs instead of
@@ -352,7 +352,7 @@ let alias_summaries layout =
       Hashtbl.add alias_cache layout infos;
       infos
 
-let build_check ctx fn =
+let check_function ctx fn =
   match Layers.layer_of_function ctx.ctx_layout fn with
   | None -> None
   | Some lname ->
@@ -365,18 +365,10 @@ let build_check ctx fn =
       let cases =
         match fn with
         | "Enclave::in_elrange" | "Enclave::add_page" | "Enclave::remove_page" ->
-            method_cases pool (fun _ -> List.map (fun va -> [ u64 va ]) (sample 5 pool.vas))
-        | _ -> cases_of pool (args_for pool fn)
+            method_stream pool (fun _ -> List.map (fun va -> [ u64 va ]) (sample 5 pool.vas))
+        | _ -> case_stream pool (args_for pool fn)
       in
       Some (lname, Refine.check ~fn ~spec ~eq cases)
-
-let check_function ctx fn =
-  match Hashtbl.find_opt ctx.ctx_checks fn with
-  | Some r -> r
-  | None ->
-      let r = build_check ctx fn in
-      Hashtbl.add ctx.ctx_checks fn r;
-      r
 
 (* ------------------------------------------------------------------ *)
 (* Override composition                                                *)
@@ -445,7 +437,6 @@ let ctx ?(seed = 2024) layout =
      and boot here, not in its first battery *)
   Layers.warm layout;
   { ctx_layout = layout; ctx_pool = lazy (make_pool ~seed layout);
-    ctx_checks = Hashtbl.create 64;
     ctx_cenvs = Hashtbl.create 16 }
 
 let run_function ctx fn =
@@ -466,8 +457,8 @@ let run_function_composed ctx fn =
 
 (* Degraded path: the identical case battery under the reference
    interpreter.  The engine's supervisor runs this when the compiled
-   executor crashes — the battery is memoized in the ctx, so the only
-   extra cost is the (slower) interpreted execution itself. *)
+   executor crashes; the battery's stream yields the same cases again,
+   rebuilt from the ctx's input pool. *)
 let run_function_interp ctx fn =
   Option.map
     (fun (lname, c) ->

@@ -10,20 +10,22 @@
 
 type ctx
 (** Shared check context: the input pool (reachable states, argument
-    batteries), the warmed compile/stack caches, and a per-function
-    check memo — case generation is deterministic given (seed, layout),
-    so each function's check is built exactly once per ctx instead of
-    once per obligation run.  Build one ctx up front and reuse it
-    across per-function runs.  Building a ctx generates no cases: the
-    input pool, each function's check and each layer's composed
-    environment are built on first use, so the reports do not depend
-    on the order the functions run in. *)
+    batteries) and each layer's override-composed environment, both
+    built on first use, over the warmed compile/stack caches.  It keeps
+    nothing per function: a function's battery is a stream that each
+    run traverses, regenerating its cases from the input pool, so no
+    case outlives the run that checks it.  Case generation is
+    deterministic given (seed, layout), so the reports do not depend on
+    the order the functions run in, or on how often a battery runs.
+    Building a ctx generates no cases. *)
 
 val ctx : ?seed:int -> Hyperenclave.Layout.t -> ctx
 
 val check_function :
   ctx -> string -> (string * Hyperenclave.Absdata.t Mirverif.Refine.check) option
-(** [(layer, check)] for one function; [None] if no spec owns it. *)
+(** [(layer, check)] for one function; [None] if no spec owns it.  The
+    check's [cases] stream yields the same cases, in the same order,
+    each time it is traversed. *)
 
 (** {1 Alias footprints}
 
@@ -66,10 +68,11 @@ val composed_for : ctx -> string -> Hyperenclave.Absdata.t Mir.Compile.t
     kept for the ctx's lifetime. *)
 
 val run_function_interp : ctx -> string -> (string * Mirverif.Report.t) option
-(** The same battery under the reference {!Mir.Interp} semantics
-    instead of the compiled executor.  The engine's degradation ladder:
-    when a compiled run crashes, the supervisor retries through this
-    and flags the divergence. *)
+(** The same battery, regenerated from the ctx's input pool, under
+    the reference {!Mir.Interp} semantics instead of the compiled
+    executor.  The engine's degradation ladder: when a compiled run
+    crashes, the supervisor retries through this and flags the
+    divergence. *)
 
 val checks :
   ?seed:int -> Hyperenclave.Layout.t ->

@@ -30,7 +30,7 @@ let equiv ?(ret_eq = Mir.Value.equal) abs_eq = { abs_eq; ret_eq }
 type 'abs check = {
   fn : string;
   spec : 'abs Spec.t;
-  cases : 'abs case list;
+  cases : 'abs case Seq.t;
   eq : 'abs equiv;
   fuel : int;
 }
@@ -43,7 +43,7 @@ let check ?(fuel = 1_000_000) ~fn ~spec ~eq cases = { fn; spec; cases; eq; fuel 
    an obligation that has outrun its deadline.  A case's label is
    rendered only when the case fails. *)
 let run_battery ~call c =
-  List.fold_left
+  Seq.fold_left
     (fun report cs ->
       Cancel.poll ();
       let spec_args = Option.value ~default:cs.args cs.spec_args in

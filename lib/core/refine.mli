@@ -44,13 +44,16 @@ val equiv :
 type 'abs check = {
   fn : string;  (** body name, must exist in the environment's program *)
   spec : 'abs Spec.t;
-  cases : 'abs case list;
+  cases : 'abs case Seq.t;
+      (** the battery, as a stream: each traversal may regenerate the
+          cases, so it must yield the same cases in the same order every
+          time it is traversed, and no run keeps them past its fold *)
   eq : 'abs equiv;
   fuel : int;
 }
 
 val check :
-  ?fuel:int -> fn:string -> spec:'abs Spec.t -> eq:'abs equiv -> 'abs case list ->
+  ?fuel:int -> fn:string -> spec:'abs Spec.t -> eq:'abs equiv -> 'abs case Seq.t ->
   'abs check
 
 val run : ?ccache:'abs Mir.Compile.cache -> 'abs Mir.Interp.env -> 'abs check -> Report.t

@@ -6,7 +6,7 @@ module Report = Mirverif.Report
    code-proof hot path it is meant to stress: a perturbed environment
    only rewraps primitives (names unchanged), so compiling it against
    the shared memo in [Layers.compile_memo] reuses every compiled body
-   and only rebuilds the primitive table. *)
+   and only builds the link tables that bind them to its primitives. *)
 let ccall ?fuel env ~abs ~mem fn args =
   Mir.Compile.call ?fuel (Mir.Compile.compile ~cache:Layers.compile_memo env) ~abs ~mem fn args
 

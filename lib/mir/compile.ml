@@ -17,7 +17,9 @@
    undefined), so a shared [cache] compiles each body exactly once
    across environments — including the chaos-wrapped environments of
    [map_prims]-based fault injection, which change primitive behaviour
-   but not primitive names.
+   but not primitive names.  A compiled body names its callees only by
+   index: each environment links every body to its own primitives,
+   stubs and bodies through one small table per body.
 
    [Interp] stays the reference semantics; [call] here must be
    observationally identical: same outcome fields (abs, mem, ret,
@@ -32,7 +34,8 @@ type 'abs cbody = {
   cb_name : string;
   cb_key : string; (* memoization key: digest of MIR text + call-site linkage *)
   cb_nslots : int;
-  cb_bind : 'abs rt -> int -> 'abs Value.t list -> 'abs rframe;
+  cb_callees : string array; (* distinct callees, in call-site order *)
+  cb_bind : 'abs rt -> int -> 'abs link array -> 'abs Value.t list -> 'abs rframe;
   mutable cb_blocks : 'abs cblock array;
 }
 
@@ -47,14 +50,21 @@ and 'abs rframe = {
   slots : 'abs Value.t array; (* valid iff the matching [init] bit is set *)
   init : bool array;
   frame_id : int;
+  links : 'abs link array; (* the body's link table in the running environment *)
 }
+
+(* What one callee name resolves to in one environment.  A body's table
+   holds one entry per [cb_callees] name, and a call site reads its
+   callee's entry by index.  A callee body carries its own table. *)
+and 'abs link =
+  | Kprim of 'abs Interp.prim
+  | Kstub of 'abs override
+  | Kbody of 'abs cbody * 'abs link array
+  | Knone
 
 (* Mutable machine state threaded through every compiled closure.  One
    record per [call]; never shared across calls. *)
 and 'abs rt = {
-  rt_prims : 'abs Interp.prim StrMap.t;
-  rt_bodies : 'abs cbody StrMap.t;
-  rt_overrides : 'abs override StrMap.t;
   mutable rt_mem : 'abs Mem.t;
   mutable rt_abs : 'abs;
   mutable rt_steps : int;
@@ -73,11 +83,8 @@ and 'abs override = {
     'abs -> 'abs Mem.t -> 'abs Value.t list -> ('abs * 'abs Value.t, string) result;
 }
 
-type 'abs t = {
-  ct_prims : 'abs Interp.prim StrMap.t;
-  ct_bodies : 'abs cbody StrMap.t;
-  ct_overrides : 'abs override StrMap.t;
-}
+(* Every body of the environment with its link table, by name. *)
+type 'abs t = { ct_bodies : ('abs cbody * 'abs link array) StrMap.t }
 
 (* A shared memo table: bodies compile once per digest+linkage key and
    are reused across environments (and across chaos-perturbed copies
@@ -416,22 +423,22 @@ let rec exec_body (st : 'abs rt) (cb : 'abs cbody) (fr : 'abs rframe) : 'abs Val
 
 (* Enter a body: allocate the frame and run it.  Binding errors raise
    [Emsg] and fault at the call site (in the caller). *)
-and enter_body (st : 'abs rt) (cb : 'abs cbody) args : 'abs Value.t =
+and enter_body (st : 'abs rt) (cb : 'abs cbody) links args : 'abs Value.t =
   let fid = st.rt_next_frame in
   st.rt_next_frame <- fid + 1;
-  exec_body st cb (cb.cb_bind st fid args)
+  exec_body st cb (cb.cb_bind st fid links args)
 
 (* ------------------------------------------------------------------ *)
 (* Terminators                                                         *)
 
-(* Call-site linkage, decided at compile time from the environment's
-   override-name set, primitive-name set and body-name set; the actual
-   closure/body is fetched from the runtime state, so a memoized body
-   works under any environment with the same linkage shape
-   (chaos-wrapped primitives keep their names, so they hit the same
-   cache entry).  Overrides shadow both primitives and bodies: a call
-   site compiled with [Loverride] executes the callee's specification
-   stub instead of its body. *)
+(* Call-site linkage, decided per environment from its override-name
+   set, primitive-name set and body-name set.  It is part of a body's
+   memo key, and it picks each entry of the body's link table, so a
+   memoized body works under any environment with the same linkage
+   shape (chaos-wrapped primitives keep their names, so they hit the
+   same cache entry) and runs that environment's closures.  Overrides
+   shadow both primitives and bodies: a call site linked to a [Kstub]
+   executes the callee's specification stub instead of its body. *)
 type linkage = Lprim | Lbody | Loverride | Lundef
 
 let compile_return denv : 'abs rt -> 'abs rframe -> 'abs jump =
@@ -446,7 +453,7 @@ let compile_return denv : 'abs rt -> 'abs rframe -> 'abs jump =
         | Error _ -> Jret Value.Unit)
   | Vundecl _ -> fun _ _ -> Jret Value.Unit
 
-let compile_terminator denv ~linkage_of ~fn ~blk (term : Syntax.terminator) :
+let compile_terminator denv ~callee_index ~fn ~blk (term : Syntax.terminator) :
     'abs rt -> 'abs rframe -> 'abs jump =
   match term with
   | Syntax.Goto l | Syntax.Drop (_, l) ->
@@ -480,41 +487,29 @@ let compile_terminator denv ~linkage_of ~fn ~blk (term : Syntax.terminator) :
         in
         if Bool.equal b expected then j
         else raise (Verr (Interp.Assert_failed { fn; block = blk; msg }))
-  | Syntax.Call { dest; func; args; target } -> (
+  | Syntax.Call { dest; func; args; target } ->
+      let i = callee_index func in
       let cargs = compile_operands denv args in
       let cdest = compile_place denv dest in
       let store_result st fr ret = write_rlv st fr (cdest st fr) ret in
-      match linkage_of func with
-      | Lundef ->
-          fun st fr -> (
-            try
-              ignore (cargs st fr);
-              raise (Emsg (Printf.sprintf "call of undefined function %s" func))
-            with Emsg msg -> fault fn blk msg)
-      | Lprim ->
-          fun st fr -> (
-            try
-              let argv = cargs st fr in
-              let prim = StrMap.find func st.rt_prims in
+      fun st fr -> (
+        try
+          let argv = cargs st fr in
+          match fr.links.(i) with
+          | Kprim prim -> (
               match prim.Interp.prim_exec st.rt_abs argv with
-              | Error msg ->
-                  raise (Emsg (Printf.sprintf "primitive %s: %s" func msg))
+              | Error msg -> raise (Emsg (Printf.sprintf "primitive %s: %s" func msg))
               | Ok (abs, ret) -> (
                   match target with
                   | None -> raise (Emsg "call of primitive with no return target")
                   | Some l ->
                       st.rt_abs <- abs;
                       store_result st fr ret;
-                      Jgoto l)
-            with Emsg msg -> fault fn blk msg)
-      | Loverride ->
-          (* like a primitive call (one terminator tick, no callee
-             frame), but the stub additionally reads the object-view
-             memory so pointer arguments resolve to pointee values *)
-          fun st fr -> (
-            try
-              let argv = cargs st fr in
-              let ov = StrMap.find func st.rt_overrides in
+                      Jgoto l))
+          | Kstub ov -> (
+              (* like a primitive call (one terminator tick, no callee
+                 frame), but the stub additionally reads the object-view
+                 memory so pointer arguments resolve to pointee values *)
               match ov.ov_exec st.rt_abs st.rt_mem argv with
               | Error msg -> raise (Emsg (Printf.sprintf "override %s: %s" func msg))
               | Ok (abs, ret) -> (
@@ -523,20 +518,16 @@ let compile_terminator denv ~linkage_of ~fn ~blk (term : Syntax.terminator) :
                   | Some l ->
                       st.rt_abs <- abs;
                       store_result st fr ret;
-                      Jgoto l)
-            with Emsg msg -> fault fn blk msg)
-      | Lbody ->
-          fun st fr -> (
-            try
-              let argv = cargs st fr in
-              let cb = StrMap.find func st.rt_bodies in
-              let ret = enter_body st cb argv in
+                      Jgoto l))
+          | Kbody (cb, links) -> (
+              let ret = enter_body st cb links argv in
               match target with
               | None -> raise (Emsg "return to caller without destination")
               | Some l ->
                   store_result st fr ret;
-                  Jgoto l
-            with Emsg msg -> fault fn blk msg))
+                  Jgoto l)
+          | Knone -> raise (Emsg (Printf.sprintf "call of undefined function %s" func))
+        with Emsg msg -> fault fn blk msg)
 
 (* ------------------------------------------------------------------ *)
 (* Bodies                                                              *)
@@ -558,12 +549,13 @@ let compile_bind (body : Syntax.body) denv =
   let fname = body.Syntax.fname in
   let nslots = nslots body in
   let nparams = Array.length binders in
-  fun (st : 'abs rt) fid (args : 'abs Value.t list) ->
+  fun (st : 'abs rt) fid links (args : 'abs Value.t list) ->
     let fr =
       {
         slots = Array.make nslots Value.Unit;
         init = Array.make nslots false;
         frame_id = fid;
+        links;
       }
     in
     let rec go i args =
@@ -620,13 +612,30 @@ let body_key (body : Syntax.body) ~linkage_of =
     body.Syntax.blocks;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let compile_body ~linkage_of (body : Syntax.body) ~key : 'abs cbody =
+(* The body's distinct callees, in the order its call sites first name
+   them: the shape of its link table in every environment. *)
+let callees_of (body : Syntax.body) =
+  Array.fold_left
+    (fun acc (blk : Syntax.block) ->
+      match blk.Syntax.term with
+      | Syntax.Call { func; _ } when not (List.mem func acc) -> func :: acc
+      | _ -> acc)
+    [] body.Syntax.blocks
+  |> List.rev |> Array.of_list
+
+let compile_body (body : Syntax.body) ~key : 'abs cbody =
   let denv = denv_of_body body in
+  let callees = callees_of body in
+  let index =
+    snd (Array.fold_left (fun (i, m) f -> (i + 1, StrMap.add f i m)) (0, StrMap.empty) callees)
+  in
+  let callee_index func = StrMap.find func index in
   let cb =
     {
       cb_name = body.Syntax.fname;
       cb_key = key;
       cb_nslots = nslots body;
+      cb_callees = callees;
       cb_bind = compile_bind body denv;
       cb_blocks = [||];
     }
@@ -638,7 +647,7 @@ let compile_body ~linkage_of (body : Syntax.body) ~key : 'abs cbody =
         {
           c_stmts =
             Array.of_list (List.map (compile_statement denv ~fn ~blk) b.Syntax.stmts);
-          c_term = compile_terminator denv ~linkage_of ~fn ~blk b.Syntax.term;
+          c_term = compile_terminator denv ~callee_index ~fn ~blk b.Syntax.term;
         })
       body.Syntax.blocks;
   cb
@@ -664,20 +673,39 @@ let compile ?cache ?(overrides = []) (env : 'abs Interp.env) : 'abs t =
   let compile_one (body : Syntax.body) =
     let key = body_key body ~linkage_of in
     match cache with
-    | None -> compile_body ~linkage_of body ~key
+    | None -> compile_body body ~key
     | Some c -> (
         match Hashtbl.find_opt c key with
         | Some cb -> cb
         | None ->
-            let cb = compile_body ~linkage_of body ~key in
+            let cb = compile_body body ~key in
             Hashtbl.add c key cb;
             cb)
   in
+  (* every table is allocated before any is filled, so a (mutually)
+     recursive call links to its callee's table *)
   let bodies =
-    Syntax.fold_bodies (fun name body m -> StrMap.add name (compile_one body) m) prog
-      StrMap.empty
+    Syntax.fold_bodies
+      (fun name body m ->
+        let cb = compile_one body in
+        StrMap.add name (cb, Array.make (Array.length cb.cb_callees) Knone) m)
+      prog StrMap.empty
   in
-  { ct_prims = prims; ct_bodies = bodies; ct_overrides = ovs }
+  StrMap.iter
+    (fun _ (cb, links) ->
+      Array.iteri
+        (fun i func ->
+          links.(i) <-
+            (match linkage_of func with
+            | Loverride -> Kstub (StrMap.find func ovs)
+            | Lprim -> Kprim (StrMap.find func prims)
+            | Lbody ->
+                let callee, callee_links = StrMap.find func bodies in
+                Kbody (callee, callee_links)
+            | Lundef -> Knone))
+        cb.cb_callees)
+    bodies;
+  { ct_bodies = bodies }
 
 (* ------------------------------------------------------------------ *)
 (* Entry point: observationally identical to [Interp.call]             *)
@@ -686,12 +714,9 @@ let call ?(fuel = Interp.default_fuel) (ct : 'abs t) ~abs ~mem fn args :
     ('abs Interp.outcome, Interp.error) result =
   match StrMap.find_opt fn ct.ct_bodies with
   | None -> Error (Interp.Fault { fn; block = 0; msg = "no such function" })
-  | Some cb -> (
+  | Some (cb, links) -> (
       let st =
         {
-          rt_prims = ct.ct_prims;
-          rt_bodies = ct.ct_bodies;
-          rt_overrides = ct.ct_overrides;
           rt_mem = mem;
           rt_abs = abs;
           rt_steps = 0;
@@ -703,6 +728,6 @@ let call ?(fuel = Interp.default_fuel) (ct : 'abs t) ~abs ~mem fn args :
         (* the toplevel frame is bound before any fuel is consumed, and
            its binding errors fault in [fn] at bb0, exactly like
            [Interp.start] *)
-        let ret = try enter_body st cb args with Emsg msg -> fault fn 0 msg in
+        let ret = try enter_body st cb links args with Emsg msg -> fault fn 0 msg in
         Ok { Interp.abs = st.rt_abs; mem = st.rt_mem; ret; steps = st.rt_steps }
       with Verr e -> Error e)

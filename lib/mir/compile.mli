@@ -15,16 +15,21 @@
     differential suite in [test/differential] pins this equivalence on
     the full seed stack and the chaos fixtures.
 
-    Primitives are looked up by name at call time from the compiled
-    environment, exactly like {!Interp}; only the {e linkage} of each
-    call site (override / primitive / body / undefined) is baked in.  A
-    [map_prims]-wrapped environment therefore compiles to the same
-    bodies — fault injection keeps working, and a shared {!cache}
-    makes those compilations near-free. *)
+    A compiled body records its distinct callees, and each call site
+    holds its callee's index among them.  {!compile} gives every body of
+    the environment a link table that resolves those names to this
+    environment's override, primitive or body (or to nothing), so a call
+    reads its callee from the table instead of looking the name up.
+    Only the {e linkage} of each call site (override / primitive / body
+    / undefined) enters a compiled body's memo key; the closures it
+    calls come from the environment it runs in.  A [map_prims]-wrapped
+    environment therefore reuses the same compiled bodies — fault
+    injection keeps working, and a shared {!cache} makes those
+    compilations near-free. *)
 
 type 'abs t
 (** A compiled environment: every body of the program in closure form,
-    plus the primitive and override tables. *)
+    each with its link table. *)
 
 type 'abs override = {
   ov_name : string;
@@ -50,7 +55,8 @@ val cache : unit -> 'abs cache
 val compile : ?cache:'abs cache -> ?overrides:'abs override list -> 'abs Interp.env -> 'abs t
 (** Compile every body of the environment's program.  With [cache],
     bodies whose digest and linkage match a previous compilation are
-    reused; override linkage is part of the memo key, so the same
+    reused, and linked to this environment's primitives, overrides and
+    bodies; override linkage is part of the memo key, so the same
     shared cache serves monolithic and override-composed environments
     without mixing their compilations.  Overrides shadow primitives
     and bodies at call sites, but {!call}'s entry function always runs

@@ -1,11 +1,17 @@
 #!/bin/sh
-# CI gate: full build, the test suites, the benchmark smoke, a
-# deterministic chaos smoke, and the engine determinism/cache, override,
-# static-analysis, engine-chaos, model-checking and serving gates.
+# CI gate: full build, the test suites, the benchmark smoke, the
+# examples, a deterministic chaos smoke, and the engine
+# determinism/cache, override, static-analysis, engine-chaos,
+# model-checking and serving gates.
 #
 # The benchmark smoke runs every end-to-end workload of
 # bench/e2e (BENCHMARK.json) with n = 3 and checks every verdict, so a
 # change that breaks the harness fails here.
+#
+# Each of the five examples must run and exit 0.  Two of them,
+# verify_pipeline and custom_geometry, run the code proofs through
+# Code_proof.run_layer and run_all; every code-proof line they print
+# must report 0 failed.
 #
 # The chaos smoke replays 1000 fault-injected traces from a fixed seed
 # on both monitors: the correct one must survive every
@@ -71,6 +77,22 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 dune build @bench/e2e/smoke
+
+for ex in quickstart enclave_lifecycle mapping_attack verify_pipeline custom_geometry; do
+  out=$(dune exec "examples/$ex.exe") || {
+    echo "ci: example $ex failed" >&2; exit 1; }
+  case $ex in
+    verify_pipeline | custom_geometry)
+      proofs=$(printf '%s\n' "$out" | grep -E '[0-9]+ cases[,:] ') || {
+        echo "ci: example $ex printed no code-proof line" >&2; exit 1; }
+      if printf '%s\n' "$proofs" | grep -vqE ' 0 failed$'; then
+        echo "ci: example $ex reports failed code-proof cases:" >&2
+        printf '%s\n' "$proofs" >&2
+        exit 1
+      fi ;;
+  esac
+done
+echo "ci: the five examples run, and their code proofs report 0 failed"
 
 dune exec bin/hyperenclave_verify.exe -- \
   --quick --chaos --chaos-traces 1000 --seed 2024

@@ -62,8 +62,8 @@ let test_code_conformance () =
         Alcotest.failf "[%s] %s: no case passed (vacuous)" layer r.Report.name)
     results
 
-(* Batteries and composed environments are built on first use, so the
-   order functions run in decides which of them builds each memo.  One
+(* The input pool and composed environments are built on first use, so
+   the order functions run in decides which of them builds each.  One
    shared ctx run forward, then in reverse, must report exactly what a
    fresh ctx reports. *)
 let test_first_use_any_order () =
@@ -101,6 +101,63 @@ let test_code_conformance_x86 () =
     results2
 
 (* ------------------------------------------------------------------ *)
+(* The batteries                                                       *)
+
+(* One line per case of every function's battery at seed 2024: the
+   rendered label, the arguments, the spec arguments, the object memory
+   and [Absdata.hash] of the state.  A battery is a stream that each run
+   regenerates, so every one is traversed twice and the two traversals
+   must agree.  The cases of one state are adjacent, so each state is
+   hashed once. *)
+let battery_lines layout =
+  let ctx = Check.Code_proof.ctx ~seed:2024 layout in
+  let last = ref None in
+  let hash abs =
+    match !last with
+    | Some (a, h) when a == abs -> h
+    | _ ->
+        let h = Absdata.hash abs in
+        last := Some (abs, h);
+        h
+  in
+  let values vs = String.concat "," (List.map Mir.Value.to_string vs) in
+  let line fn (cs : Absdata.t Mirverif.Refine.case) =
+    Printf.sprintf "%s|%s|%s|%s|%s|%d\n" fn (cs.label ()) (values cs.args)
+      (match cs.spec_args with None -> "-" | Some args -> values args)
+      (Format.asprintf "%a" Mir.Mem.pp cs.mem)
+      (hash cs.abs)
+  in
+  List.concat_map
+    (fun fn ->
+      match Check.Code_proof.check_function ctx fn with
+      | None -> []
+      | Some (_, (c : Absdata.t Mirverif.Refine.check)) ->
+          let first = List.of_seq (Seq.map (line fn) c.cases) in
+          if List.of_seq (Seq.map (line fn) c.cases) <> first then
+            Alcotest.failf "%s: a second traversal yields other cases" fn;
+          first)
+    (List.concat_map (Layers.functions_of_layer layout) Mem_spec.layer_names)
+
+(* The digest of every case, and the totals of a run, pinned: a
+   generator change that adds, drops, reorders or alters one case fails
+   here.  Changing the batteries on purpose also changes the verdicts
+   that cached code-proof outcomes stand for, so it comes with a bump of
+   the phase's fingerprint version ([code-proof-compose-v1]). *)
+let check_batteries_pinned geometry ~digest ~totals () =
+  let layout = Layout.default geometry in
+  let lines = battery_lines layout in
+  let total, passed, skipped, failed = totals in
+  Alcotest.(check int) "cases in the batteries" total (List.length lines);
+  Alcotest.(check string) "battery digest" digest
+    (Digest.to_hex (Digest.string (String.concat "" lines)));
+  Alcotest.(check (list int)) "total, passed, skipped, failed"
+    [ total; passed; skipped; failed ]
+    (let t, p, s, f =
+       Check.Code_proof.total_cases (Check.Code_proof.run_all ~seed:2024 layout)
+     in
+     [ t; p; s; f ])
+
+(* ------------------------------------------------------------------ *)
 (* Block coverage                                                      *)
 
 (* The (function, block) pairs the top frame enters while every case of
@@ -125,7 +182,7 @@ let entered_blocks layout =
       | None -> ()
       | Some (layer, (c : Absdata.t Mirverif.Refine.check)) ->
           let env = Layers.env_for layout ~layer in
-          List.iter
+          Seq.iter
             (fun (cs : Absdata.t Mirverif.Refine.case) ->
               match Mir.Interp.start env ~abs:cs.abs ~mem:cs.mem c.fn cs.args with
               | Ok cfg -> go c.fuel cfg
@@ -582,6 +639,17 @@ let () =
           Alcotest.test_case "all 49 functions (tiny)" `Quick test_code_conformance;
           Alcotest.test_case "first use across domains" `Quick test_first_use_any_order;
           Alcotest.test_case "PtMap + PteOps (x86-64)" `Slow test_code_conformance_x86;
+        ] );
+      ( "batteries",
+        [
+          Alcotest.test_case "pinned (tiny)" `Quick
+            (check_batteries_pinned Geometry.tiny
+               ~digest:"fcb38b796b7321ebac722619fcf1dfc3"
+               ~totals:(10588, 10364, 224, 0));
+          Alcotest.test_case "pinned (x86-64)" `Quick
+            (check_batteries_pinned Geometry.x86_64
+               ~digest:"aa0007c996ddcc31c538677edf4dc31c"
+               ~totals:(10732, 10484, 248, 0));
         ] );
       ( "coverage",
         [

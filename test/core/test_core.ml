@@ -144,7 +144,8 @@ let env_for_middle = Layer.env_for stack ~layer:"middle"
 let test_refine_pass () =
   let check =
     Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal)
-      [ Refine.case 0 [ u64 5L ]; Refine.case 10 [ u64 7L ]; Refine.case 3 [ u64 0L ] ]
+      (List.to_seq
+         [ Refine.case 0 [ u64 5L ]; Refine.case 10 [ u64 7L ]; Refine.case 3 [ u64 0L ] ])
   in
   let r = Refine.run env_for_middle check in
   Alcotest.(check bool) "all pass" true (Report.ok r);
@@ -153,7 +154,7 @@ let test_refine_pass () =
 let test_refine_skip_on_precondition () =
   let check =
     Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal)
-      [ Refine.case 0 [ u64 1000L ] (* spec undefined: n > 100 *) ]
+      (Seq.return (Refine.case 0 [ u64 1000L ]) (* spec undefined: n > 100 *))
   in
   let r = Refine.run env_for_middle check in
   Alcotest.(check int) "skipped" 1 r.Report.skipped;
@@ -167,7 +168,7 @@ let test_refine_catches_wrong_code () =
   in
   let check =
     Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal)
-      [ Refine.case 0 [ u64 5L ] ]
+      (Seq.return (Refine.case 0 [ u64 5L ]))
   in
   let r = Refine.run buggy_env check in
   Alcotest.(check bool) "bug caught" false (Report.ok r)
@@ -180,7 +181,9 @@ let test_refine_labels_on_failure () =
     incr calls;
     "counted"
   in
-  let cases = [ Refine.case ~label 0 [ u64 5L ]; Refine.case ~label 0 [ u64 1000L ] ] in
+  let cases =
+    List.to_seq [ Refine.case ~label 0 [ u64 5L ]; Refine.case ~label 0 [ u64 1000L ] ]
+  in
   let r =
     Refine.run env_for_middle
       (Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal) cases)
@@ -195,7 +198,7 @@ let test_refine_labels_on_failure () =
   let r =
     Refine.run buggy_env
       (Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal)
-         [ Refine.case ~label 0 [ u64 5L ] ])
+         (Seq.return (Refine.case ~label 0 [ u64 5L ])))
   in
   Alcotest.(check int) "failing case renders its label once" 1 !calls;
   Alcotest.(check (list string)) "label is the failure's case" [ "counted" ]
@@ -212,7 +215,7 @@ let test_refine_catches_faulting_code () =
   let env = Mir.Interp.env ~prims:[] (Mir.Syntax.program_of_bodies [ faulty ]) in
   let check =
     Refine.check ~fn:"bump" ~spec:bump_spec ~eq:(Refine.equiv Int.equal)
-      [ Refine.case 0 [ u64 5L ] ]
+      (Seq.return (Refine.case 0 [ u64 5L ]))
   in
   let r = Refine.run env check in
   Alcotest.(check bool) "fault is a failure" false (Report.ok r);
@@ -246,10 +249,9 @@ let test_refine_spec_args_and_mem () =
   let mem = Mir.Mem.define (Mir.Path.Global "obj") (u64 99L) Mir.Mem.empty in
   let check =
     Refine.check ~fn:"read_ptr" ~spec ~eq:(Refine.equiv (fun _ _ -> true))
-      [
-        Refine.case ~spec_args:[ u64 99L ] ~mem 0
-          [ Mir.Value.ptr_path (Mir.Path.global "obj") ];
-      ]
+      (Seq.return
+         (Refine.case ~spec_args:[ u64 99L ] ~mem 0
+            [ Mir.Value.ptr_path (Mir.Path.global "obj") ]))
   in
   let r = Refine.run env check in
   Alcotest.(check bool) "pointer/value case passes" true (Report.ok r)

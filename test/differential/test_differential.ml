@@ -66,7 +66,7 @@ let test_seed_stack_equivalence () =
       | Some (lname, c) ->
           let env = Layers.env_for layout ~layer:lname in
           let cenv = Layers.compiled_for layout ~layer:lname in
-          List.iter
+          Seq.iter
             (fun (cs : Absdata.t Mirverif.Refine.case) ->
               let fuel = c.Mirverif.Refine.fuel in
               let ri = Interp.call ~fuel env ~abs:cs.abs ~mem:cs.mem fn cs.args in

@@ -845,7 +845,7 @@ let test_override_steps_never_grow () =
       let layout = Layout.default geometry in
       let ctx = Check.Code_proof.ctx ~seed:2024 layout in
       let battery_steps cenv (c : Absdata.t Mirverif.Refine.check) =
-        List.fold_left
+        Seq.fold_left
           (fun acc (cs : Absdata.t Mirverif.Refine.case) ->
             let spec_args = Option.value ~default:cs.args cs.spec_args in
             match Mirverif.Spec.apply c.spec cs.abs spec_args with

@@ -252,6 +252,54 @@ let test_plan_code_proofs_have_fallback () =
         Alcotest.failf "%s: fallback %b, expected %b" o.Obligation.id has expect)
     (Dag.obligations plan.Engine.Plan.dag)
 
+(* the fallback is the reference interpreter over the regenerated
+   battery: on every code-proof obligation of the default tiny plan,
+   run in dependency order with the pool's outcome hook (so composed
+   runs open as their callees are proven), it must reproduce the
+   live outcome exactly *)
+let test_plan_code_proof_fallback_agrees () =
+  let layout = Hyperenclave.Layout.default Hyperenclave.Geometry.tiny in
+  let plan = Engine.Plan.build ~seed:2024 layout in
+  let proofs =
+    List.filter
+      (fun (o : Obligation.t) -> o.Obligation.phase = "code-proofs")
+      (Dag.obligations plan.Engine.Plan.dag)
+  in
+  let finished = Hashtbl.create 64 in
+  let compare_one (o : Obligation.t) =
+    let id = o.Obligation.id in
+    let live = o.Obligation.run () in
+    let fallback =
+      match o.Obligation.fallback with
+      | Some f -> f ()
+      | None -> Alcotest.failf "%s: no fallback" id
+    in
+    Option.iter (fun hook -> hook live) o.Obligation.on_outcome;
+    Hashtbl.replace finished id ();
+    if fallback.Obligation.reports <> live.Obligation.reports then
+      Alcotest.failf "%s: fallback reports differ" id;
+    Alcotest.(check (list int)) (id ^ ": totals")
+      (let t, p, s, f = Obligation.case_totals [ live ] in [ t; p; s; f ])
+      (let t, p, s, f = Obligation.case_totals [ fallback ] in [ t; p; s; f ]);
+    Alcotest.(check int) (id ^ ": failures")
+      (Obligation.failure_count live) (Obligation.failure_count fallback);
+    Alcotest.(check string) (id ^ ": log") live.Obligation.log fallback.Obligation.log
+  in
+  let rec drain pending =
+    let ready, blocked =
+      List.partition
+        (fun (o : Obligation.t) -> List.for_all (Hashtbl.mem finished) o.Obligation.deps)
+        pending
+    in
+    List.iter compare_one ready;
+    match (ready, blocked) with
+    | _, [] -> ()
+    | [], o :: _ -> Alcotest.failf "%s: dependencies never finish" o.Obligation.id
+    | _ -> drain blocked
+  in
+  drain proofs;
+  Alcotest.(check int) "every code-proof obligation compared" 50 (Hashtbl.length finished)
+
 (* ------------------------------------------------------------------ *)
 (* Chaos decisions                                                     *)
 
@@ -630,6 +678,8 @@ let () =
             test_pool_caches_fallback_not_quarantine;
           Alcotest.test_case "plan wires code-proof fallbacks" `Quick
             test_plan_code_proofs_have_fallback;
+          Alcotest.test_case "code-proof fallback agrees with run" `Quick
+            test_plan_code_proof_fallback_agrees;
         ] );
       ( "chaos",
         [

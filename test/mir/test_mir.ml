@@ -712,6 +712,89 @@ let test_pp_program_layout () =
   Alcotest.(check string) "no bodies" ""
     (Mir.Pp.program_to_string (Mir.Syntax.program_of_bodies []))
 
+(* ------------------------------------------------------------------ *)
+(* Compile: link tables                                                *)
+
+(* fn f(x) -> u64 { p(x) + g(x) }, with [p] a primitive *)
+let body_f () =
+  let b = create ~name:"f" ~params:[ ("_1", Mir.Ty.Int Mir.Ty.U64, Mir.Syntax.Ktemp) ]
+      ~ret_ty:(Mir.Ty.Int Mir.Ty.U64)
+  in
+  let from_p = temp b (Mir.Ty.Int Mir.Ty.U64) in
+  let from_g = temp b (Mir.Ty.Int Mir.Ty.U64) in
+  let after_p = fresh_block b in
+  let after_g = fresh_block b in
+  terminate b
+    (Mir.Syntax.Call { dest = pvar from_p; func = "p"; args = [ copy "_1" ]; target = Some after_p });
+  switch_to b after_p;
+  terminate b
+    (Mir.Syntax.Call { dest = pvar from_g; func = "g"; args = [ copy "_1" ]; target = Some after_g });
+  switch_to b after_g;
+  assign_var b "_0" (Mir.Syntax.Binary (Mir.Syntax.Add, copy from_p, copy from_g));
+  terminate b Mir.Syntax.Return;
+  finish b
+
+(* fn g(x) -> u64 { x + 1 } *)
+let body_g () =
+  let b = create ~name:"g" ~params:[ ("_1", Mir.Ty.Int Mir.Ty.U64, Mir.Syntax.Ktemp) ]
+      ~ret_ty:(Mir.Ty.Int Mir.Ty.U64)
+  in
+  assign_var b "_0" (Mir.Syntax.Binary (Mir.Syntax.Add, copy "_1", cu64 1));
+  terminate b Mir.Syntax.Return;
+  finish b
+
+(* fn down(n) -> u64 { if n == 0 { p(n) } else { down(n - 1) } } *)
+let body_down () =
+  let b = create ~name:"down" ~params:[ ("_1", Mir.Ty.Int Mir.Ty.U64, Mir.Syntax.Ktemp) ]
+      ~ret_ty:(Mir.Ty.Int Mir.Ty.U64)
+  in
+  let n1 = temp b (Mir.Ty.Int Mir.Ty.U64) in
+  let base = fresh_block b in
+  let step = fresh_block b in
+  let ret = fresh_block b in
+  terminate b (Mir.Syntax.Switch_int (copy "_1", [ (0L, base) ], step));
+  switch_to b base;
+  terminate b
+    (Mir.Syntax.Call { dest = pvar "_0"; func = "p"; args = [ copy "_1" ]; target = Some ret });
+  switch_to b step;
+  assign_var b n1 (Mir.Syntax.Binary (Mir.Syntax.Sub, copy "_1", cu64 1));
+  terminate b
+    (Mir.Syntax.Call { dest = pvar "_0"; func = "down"; args = [ copy n1 ]; target = Some ret });
+  switch_to b ret;
+  terminate b Mir.Syntax.Return;
+  finish b
+
+(* One program compiled into environments that share a memo and differ
+   only in the closure behind the primitive [p] and, when composed, in
+   the stub linked over [g].  The memo hands every environment the same
+   compiled bodies, and each must still call its own [p] and its own
+   stub, also after another environment has been compiled. *)
+let test_compile_links_own_env () =
+  let program = Mir.Syntax.program_of_bodies [ body_f (); body_g (); body_down () ] in
+  let env p_ret =
+    Mir.Interp.env
+      ~prims:[ { Mir.Interp.prim_name = "p"; prim_exec = (fun () _ -> Ok ((), u64v p_ret)) } ]
+      program
+  in
+  let stub g_ret = { Mir.Compile.ov_name = "g"; ov_exec = (fun () _ _ -> Ok ((), u64v g_ret)) } in
+  let cache = Mir.Compile.cache () in
+  let returns what ct fn arg expected =
+    expect_ret what (Mir.Compile.call ct ~abs:() ~mem:Mir.Mem.empty fn [ u64v arg ]) (u64v expected)
+  in
+  let a = Mir.Compile.compile ~cache (env 100) in
+  returns "first" a "f" 5 106;
+  let b = Mir.Compile.compile ~cache (env 200) in
+  returns "second" b "f" 5 206;
+  returns "first, after the second compiled" a "f" 5 106;
+  returns "first, through recursion" a "down" 3 100;
+  returns "second, through recursion" b "down" 3 200;
+  let a' = Mir.Compile.compile ~cache ~overrides:[ stub 1000 ] (env 100) in
+  let b' = Mir.Compile.compile ~cache ~overrides:[ stub 2000 ] (env 200) in
+  returns "first composed" a' "f" 5 1100;
+  returns "second composed" b' "f" 5 2200;
+  returns "first composed, after the second compiled" a' "f" 5 1100;
+  returns "first, after both composed compiled" a "f" 5 106
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -768,6 +851,11 @@ let () =
           Alcotest.test_case "ref of temp" `Quick test_validate_catches_ref_of_temp;
           Alcotest.test_case "good bodies" `Quick test_validate_good_bodies;
           Alcotest.test_case "program call targets" `Quick test_validate_program_calls;
+        ] );
+      ( "compile",
+        [
+          Alcotest.test_case "memoized body links through its own environment" `Quick
+            test_compile_links_own_env;
         ] );
       ( "pp",
         [
