@@ -28,6 +28,13 @@ type stats = {
   discharged : int;  (** certificates emitted *)
 }
 
+val dead_blocks : Interval_lint.A.ctx -> string -> bool array
+(** Per block of the named body: CFG-reachable, yet never visited by
+    the interval interpretation in [ctx] (an infeasible
+    constant-switch target, say).  The blocks behind the dead-block
+    certificates; empty when the body is unknown.  {!check} builds its
+    context with every primitive unmodelled. *)
+
 val check :
   config ->
   infos:Alias.info Alias.StrMap.t ->

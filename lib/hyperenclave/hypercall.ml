@@ -1,7 +1,3 @@
-module Word = Mir.Word
-
-let ( let* ) = Result.bind
-
 type status = Success | Invalid_param | No_memory | Bad_state
 
 let status_code = function
@@ -31,61 +27,32 @@ type 'a outcome = { d : Absdata.t; status : status; value : 'a }
 
 let fail d status value = { d; status; value }
 
-let gpa_of_va va = va
+(* A failed low spec: its status, or [Invalid_param] where the spec is
+   undefined on the input. *)
+let failed d0 value spec_status =
+  let status =
+    match spec_status with
+    | Ok code -> Option.value ~default:Invalid_param (status_of_code code)
+    | Error _ -> Invalid_param
+  in
+  (* The code keeps what a failed call changed (frames spent on partial
+     tables); the model rolls back to the pre-state (ROADMAP item 14). *)
+  fail d0 status value
 
-(* Distinguish resource exhaustion from argument errors so the right
-   status code comes back. *)
-let run_alloc d0 computation ~value_on_error ~ok =
-  match computation with
-  | Ok result -> ok result
-  | Error _ -> fail d0 No_memory value_on_error
-
-let range_ok geom base pages =
-  let page = Int64.of_int (Geometry.page_size geom) in
-  pages > 0
-  && Geometry.page_aligned geom base
-  && (* no wraparound, end within the translatable space *)
-  Word.le_u
-    (Int64.add base (Int64.mul page (Int64.of_int pages)))
-    (Geometry.va_limit geom)
-  && Word.lt_u base (Geometry.va_limit geom)
-
-let ranges_disjoint geom base1 pages1 base2 pages2 =
-  let page = Int64.of_int (Geometry.page_size geom) in
-  let limit1 = Int64.add base1 (Int64.mul page (Int64.of_int pages1)) in
-  let limit2 = Int64.add base2 (Int64.mul page (Int64.of_int pages2)) in
-  Word.le_u limit1 base2 || Word.le_u limit2 base1
+let with_enclave d0 ~eid value k =
+  match Absdata.find_enclave d0 eid with
+  | Error _ -> fail d0 Invalid_param value
+  | Ok enclave -> k enclave
 
 let create (d0 : Absdata.t) ~elrange_base ~elrange_pages ~mbuf_va =
-  let geom = Absdata.geom d0 in
-  let layout = d0.Absdata.layout in
-  let mbuf_pages = layout.Layout.mbuf_pages in
-  if
-    (not (range_ok geom elrange_base elrange_pages))
-    || not (range_ok geom mbuf_va mbuf_pages)
-  then fail d0 Invalid_param 0
-  else if not (ranges_disjoint geom elrange_base elrange_pages mbuf_va mbuf_pages)
-  then fail d0 Invalid_param 0
+  (* the code's page count is a u64: a negative one has no meaning *)
+  if elrange_pages < 0 then fail d0 Invalid_param 0
   else
-    let build =
-      let* d, gpt_root = Pt_flat.create_table d0 in
-      let* d, ept_root = Pt_flat.create_table d in
-      (* Fixed marshalling-buffer mapping: identity in the GPT, window
-         onto the physical mbuf region in the EPT. *)
-      let page = Int64.of_int (Geometry.page_size geom) in
-      let rec map_mbuf d i =
-        if i >= mbuf_pages then Ok d
-        else
-          let va = Int64.add mbuf_va (Int64.mul page (Int64.of_int i)) in
-          let hpa = Int64.add layout.Layout.mbuf_base (Int64.mul page (Int64.of_int i)) in
-          let* d = Pt_flat.map_page d ~root:gpt_root ~va ~pa:(gpa_of_va va) Flags.user_rw in
-          let* d = Pt_flat.map_page d ~root:ept_root ~va:(gpa_of_va va) ~pa:hpa Flags.user_rw in
-          map_mbuf d (i + 1)
-      in
-      let* d = map_mbuf d 0 in
-      Ok (d, gpt_root, ept_root)
-    in
-    run_alloc d0 build ~value_on_error:0 ~ok:(fun (d, gpt_root, ept_root) ->
+    match
+      Mem_spec.hc_create d0 ~elrange_base ~elrange_pages:(Int64.of_int elrange_pages)
+        ~mbuf_va
+    with
+    | Ok (d, 0L, gpt_root, ept_root) ->
         let eid = d.Absdata.next_eid in
         let enclave =
           {
@@ -94,119 +61,30 @@ let create (d0 : Absdata.t) ~elrange_base ~elrange_pages ~mbuf_va =
             elrange_base;
             elrange_pages;
             mbuf_va;
-            mbuf_pages;
-            gpt_root;
-            ept_root;
+            mbuf_pages = d.Absdata.layout.Layout.mbuf_pages;
+            gpt_root = Int64.to_int gpt_root;
+            ept_root = Int64.to_int ept_root;
           }
         in
         let d = Absdata.update_enclave { d with Absdata.next_eid = eid + 1 } enclave in
-        { d; status = Success; value = eid })
+        { d; status = Success; value = eid }
+    | result -> failed d0 0 (Result.map (fun (_, status, _, _) -> status) result)
 
-let add_page (d0 : Absdata.t) ~eid ~va =
-  let geom = Absdata.geom d0 in
-  let layout = d0.Absdata.layout in
-  match Absdata.find_enclave d0 eid with
-  | Error _ -> fail d0 Invalid_param ()
-  | Ok enclave ->
-      if not (Enclave.lifecycle_equal enclave.Enclave.state Enclave.Created) then
-        fail d0 Bad_state ()
-      else if
-        (not (Geometry.page_aligned geom va))
-        || not (Enclave.in_elrange enclave geom va)
-      then fail d0 Invalid_param ()
-      else (
-        match Epcm.find_free d0.Absdata.epcm with
-        | None -> fail d0 No_memory ()
-        | Some page_index ->
-            let hpa = Layout.epc_page_addr layout page_index in
-            let build =
-              let* d =
-                Pt_flat.map_page d0 ~root:enclave.Enclave.gpt_root ~va
-                  ~pa:(gpa_of_va va) Flags.user_rw
-              in
-              let* d =
-                Pt_flat.map_page d ~root:enclave.Enclave.ept_root
-                  ~va:(gpa_of_va va) ~pa:hpa Flags.user_rw
-              in
-              (* EADD delivers a scrubbed page. *)
-              let* phys =
-                Phys_mem.zero_range d.Absdata.phys hpa
-                  ~bytes_len:(Geometry.page_size geom)
-              in
-              let* epcm =
-                Epcm.set d.Absdata.epcm page_index (Epcm.Valid { eid; va })
-              in
-              Ok { d with Absdata.phys; epcm }
-            in
-            (match build with
-            | Ok d -> { d; status = Success; value = () }
-            | Error msg ->
-                (* distinguish "already mapped" (caller error) from pool
-                   exhaustion while allocating intermediate tables *)
-                if
-                  String.length msg >= 10
-                  && String.sub msg 0 2 = "va"
-                then fail d0 Invalid_param ()
-                else if String.equal msg "frame pool exhausted" then
-                  fail d0 No_memory ()
-                else fail d0 Invalid_param ()))
+let page_call spec (d0 : Absdata.t) ~eid ~va =
+  with_enclave d0 ~eid () (fun enclave ->
+      match spec d0 enclave ~va with
+      | Ok (d, 0L) -> { d; status = Success; value = () }
+      | result -> failed d0 () (Result.map snd result))
 
-let remove_page (d0 : Absdata.t) ~eid ~va =
-  let geom = Absdata.geom d0 in
-  let layout = d0.Absdata.layout in
-  match Absdata.find_enclave d0 eid with
-  | Error _ -> fail d0 Invalid_param ()
-  | Ok enclave ->
-      if not (Enclave.lifecycle_equal enclave.Enclave.state Enclave.Created) then
-        fail d0 Bad_state ()
-      else if
-        (not (Geometry.page_aligned geom va))
-        || not (Enclave.in_elrange enclave geom va)
-      then fail d0 Invalid_param ()
-      else
-        let build =
-          let* backing =
-            Pt_flat.query d0 ~root:enclave.Enclave.ept_root ~va:(gpa_of_va va)
-          in
-          let* hpa =
-            match backing with
-            | Some (hpa, _) -> Ok hpa
-            | None -> Error "va not mapped"
-          in
-          let* page =
-            match Layout.epc_page_index layout hpa with
-            | Some p -> Ok p
-            | None -> Error "backing page not in the EPC"
-          in
-          let* st = Epcm.get d0.Absdata.epcm page in
-          let* () =
-            match st with
-            | Epcm.Valid { eid = owner; va = rec_va }
-              when owner = eid && Word.equal rec_va va ->
-                Ok ()
-            | Epcm.Valid _ | Epcm.Free -> Error "EPCM entry does not match"
-          in
-          let* d = Pt_flat.unmap_page d0 ~root:enclave.Enclave.gpt_root ~va in
-          let* d = Pt_flat.unmap_page d ~root:enclave.Enclave.ept_root ~va:(gpa_of_va va) in
-          (* scrub before the page can be re-issued *)
-          let* phys =
-            Phys_mem.zero_range d.Absdata.phys hpa ~bytes_len:(Geometry.page_size geom)
-          in
-          let* epcm = Epcm.set d.Absdata.epcm page Epcm.Free in
-          Ok { d with Absdata.phys; epcm }
-        in
-        (match build with
-        | Ok d -> { d; status = Success; value = () }
-        | Error _ -> fail d0 Invalid_param ())
+let add_page = page_call Mem_spec.add_page
+let remove_page = page_call Mem_spec.remove_page
 
 let init_done (d0 : Absdata.t) ~eid =
-  match Absdata.find_enclave d0 eid with
-  | Error _ -> fail d0 Invalid_param ()
-  | Ok enclave ->
+  with_enclave d0 ~eid () (fun enclave ->
       if not (Enclave.lifecycle_equal enclave.Enclave.state Enclave.Created) then
         fail d0 Bad_state ()
       else
         let d =
           Absdata.update_enclave d0 { enclave with Enclave.state = Enclave.Initialized }
         in
-        { d; status = Success; value = () }
+        { d; status = Success; value = () })

@@ -6,10 +6,17 @@
     [init_done] emulates EINIT.  [enter]/[exit] do not touch page
     tables and are modelled in {!Security.Transition}.
 
+    [create], [add_page] and [remove_page] are the low specs of the
+    verified code's [hc_create], [Enclave::add_page] and
+    [Enclave::remove_page] ({!Mem_spec}), the semantics phase 4 holds
+    the code to.  The model adds two things: [create] registers the
+    new enclave, and a call that fails rolls back.
+
     Failure semantics are transactional: a hypercall that returns a
     non-[Success] status leaves the abstract state unchanged (callers
-    observe only the status code), which is the behaviour the monitor's
-    error paths must refine. *)
+    observe only the status code).  The code does not roll back: a
+    call that fails part-way keeps what it changed, frames spent on
+    partial tables say (ROADMAP item 14). *)
 
 type status =
   | Success
@@ -32,7 +39,8 @@ val create :
 (** Create an enclave: allocate GPT and EPT roots, install the fixed
     marshalling-buffer mapping (identity in the GPT; window onto the
     physical mbuf region in the EPT), register the enclave as
-    [Created].  Returns the new enclave id. *)
+    [Created].  Returns the new enclave id.  A negative
+    [elrange_pages] is [Invalid_param]: the code's count is a [u64]. *)
 
 val add_page : Absdata.t -> eid:int -> va:Mir.Word.t -> unit outcome
 (** Add a zeroed EPC page at [va] (must lie in the ELRANGE of a
@@ -48,7 +56,3 @@ val remove_page : Absdata.t -> eid:int -> va:Mir.Word.t -> unit outcome
 val init_done : Absdata.t -> eid:int -> unit outcome
 (** Seal the enclave ([Created] to [Initialized]); no further pages
     can be added. *)
-
-val gpa_of_va : Mir.Word.t -> Mir.Word.t
-(** The guest-physical address scheme for enclaves: identity.  The GPT
-    maps va to [gpa_of_va va]; the EPT owns the real translation. *)

@@ -328,6 +328,21 @@ type encl = {
   en_ept_root : int64;
 }
 
+let lifecycle_code = function
+  | Enclave.Created -> Mem_source.lifecycle_created
+  | Enclave.Initialized -> Mem_source.lifecycle_initialized
+
+let encl_of_enclave (e : Enclave.t) =
+  {
+    en_eid = Int64.of_int e.Enclave.eid;
+    en_state = lifecycle_code e.Enclave.state;
+    en_elrange_base = e.Enclave.elrange_base;
+    en_elrange_pages = Int64.of_int e.Enclave.elrange_pages;
+    en_mbuf_va = e.Enclave.mbuf_va;
+    en_gpt_root = Int64.of_int e.Enclave.gpt_root;
+    en_ept_root = Int64.of_int e.Enclave.ept_root;
+  }
+
 let decode_enclave v =
   match v with
   | Mir.Value.Struct
@@ -442,10 +457,7 @@ let enclave_to_value (e : Enclave.t) =
   M.strukt
     [
       M.of_int e.Enclave.eid;
-      M.u64
-        (match e.Enclave.state with
-        | Enclave.Created -> Mem_source.lifecycle_created
-        | Enclave.Initialized -> Mem_source.lifecycle_initialized);
+      M.u64 (lifecycle_code e.Enclave.state);
       M.u64 e.Enclave.elrange_base;
       M.of_int e.Enclave.elrange_pages;
       M.u64 e.Enclave.mbuf_va;
@@ -466,8 +478,7 @@ let pure2 name f =
       let* a, b = M.arg2 args in
       Ok (d, f a b))
 
-let build_all layout =
-  let k = konst layout in
+let build_all k =
   let l layer specs = List.map (fun spec -> { layer; spec }) specs in
   l "PteOps"
     [
@@ -706,13 +717,15 @@ let build_all layout =
 (* The specs of a layout and their lookups, built once per layout on
    first use and never mutated afterwards. *)
 type index = {
+  k : k;
   specs : t list;
   by_name : (string, t) Hashtbl.t;
   by_layer : (string, string list) Hashtbl.t;  (* spec order *)
 }
 
 let build_index layout =
-  let specs = build_all layout in
+  let k = konst layout in
+  let specs = build_all k in
   let by_name = Hashtbl.create 64 and by_layer = Hashtbl.create 16 in
   List.iter
     (fun t ->
@@ -723,7 +736,7 @@ let build_index layout =
       Hashtbl.replace by_layer t.layer (t.spec.Spec.name :: names))
     specs;
   Hashtbl.filter_map_inplace (fun _ names -> Some (List.rev names)) by_layer;
-  { specs; by_name; by_layer }
+  { k; specs; by_name; by_layer }
 
 let indexes : (Layout.t, index) Hashtbl.t = Hashtbl.create 4
 
@@ -741,3 +754,17 @@ let find layout name = Option.map (fun t -> t.spec) (lookup layout name)
 
 let functions_of_layer layout layer =
   Option.value ~default:[] (Hashtbl.find_opt (index layout).by_layer layer)
+
+(* ------------------------------------------------------------------ *)
+(* The semantics on unencoded arguments, for the OCaml model           *)
+
+let k_of (d : Absdata.t) = (index d.Absdata.layout).k
+let create_table d = create_table_sem (k_of d) d
+let map_page d ~root ~va ~pa ~flags = map_page_sem (k_of d) d root va pa flags
+let unmap_page d ~root ~va = unmap_page_sem (k_of d) d root va
+
+let hc_create d ~elrange_base ~elrange_pages ~mbuf_va =
+  hc_create_sem (k_of d) d elrange_base elrange_pages mbuf_va
+
+let add_page d e ~va = add_page_sem (k_of d) d (encl_of_enclave e) va
+let remove_page d e ~va = remove_page_sem (k_of d) d (encl_of_enclave e) va

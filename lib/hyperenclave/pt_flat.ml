@@ -29,15 +29,18 @@ let write_entry (d : Absdata.t) ~frame ~index e =
   let* phys = Phys_mem.write64 d.phys pa e in
   Ok { d with Absdata.phys }
 
+(* The three mutators are the low specs of the verified code
+   ({!Mem_spec}): status 0 is [Ok], any other status an [Error]. *)
+let of_status what = function
+  | Ok (d, 0L) -> Ok d
+  | Ok (_, status) -> Error (Printf.sprintf "%s: the low spec returns status %Ld" what status)
+  | Error msg -> Error (Printf.sprintf "%s: %s" what msg)
+
 let create_table (d : Absdata.t) =
-  let g = Absdata.geom d in
-  let* falloc, frame = Frame_alloc.alloc d.falloc in
-  let d = { d with Absdata.falloc } in
-  let* phys =
-    Phys_mem.zero_range d.phys (Layout.frame_addr d.layout frame)
-      ~bytes_len:(Geometry.page_size g)
-  in
-  Ok ({ d with Absdata.phys }, frame)
+  let* d, frame = Mem_spec.create_table d in
+  if Int64.equal frame (Int64.of_int d.layout.Layout.frame_count) then
+    Error "create_table: no free frame"
+  else Ok (d, Int64.to_int frame)
 
 let check_va (d : Absdata.t) va =
   let g = Absdata.geom d in
@@ -79,57 +82,10 @@ let walk (d : Absdata.t) ~root va =
   in
   go root g.Geometry.levels
 
-let intermediate_flags = Flags.user_rw
-
-let walk_alloc (d : Absdata.t) ~root va =
-  let g = Absdata.geom d in
-  let* () = check_va d va in
-  let* () = check_frame d root in
-  let rec go d frame level =
-    if level = 1 then Ok (d, frame)
-    else
-      let* index, entry = entry_at d ~frame ~level va in
-      if Pte.is_present g entry then
-        if Pte.is_huge g entry then
-          Error (Printf.sprintf "huge mapping at level %d blocks the walk" level)
-        else
-          let* next = next_frame d entry in
-          let* () = check_frame d next in
-          go d next (level - 1)
-      else
-        let* d, next = create_table d in
-        let next_pa = Layout.frame_addr d.layout next in
-        let* d =
-          write_entry d ~frame ~index (Pte.make g ~pa:next_pa intermediate_flags)
-        in
-        go d next (level - 1)
-  in
-  go d root g.Geometry.levels
-
-let check_terminal_flags (f : Flags.t) =
-  if not f.Flags.present then Error "terminal mapping must be present"
-  else Ok ()
-
 let map_page (d : Absdata.t) ~root ~va ~pa flags =
-  let g = Absdata.geom d in
-  let* () = check_va d va in
-  if not (Geometry.page_aligned g va) then Error "map_page: va not page-aligned"
-  else if not (Geometry.page_aligned g pa) then Error "map_page: pa not page-aligned"
-  else if not (Word.lt_u pa (Word.shift_left Word.W64 1L 57)) then
-    (* the entry's address field holds 57 bits; what the target means
-       (host- vs guest-physical) is the caller's business, like on real
-       hardware *)
-    Error "map_page: pa exceeds the address-field capacity"
-  else
-    let* () = check_terminal_flags flags in
-    if flags.Flags.huge then Error "map_page: level-1 mapping cannot be huge"
-    else
-      let* d, l1 = walk_alloc d ~root va in
-      let index = Geometry.va_index g ~level:1 va in
-      let* old_entry = read_entry d ~frame:l1 ~index in
-      if Pte.is_present g old_entry then
-        Error (Printf.sprintf "va %s already mapped" (Word.to_hex va))
-      else write_entry d ~frame:l1 ~index (Pte.make g ~pa flags)
+  of_status "map_page"
+    (Mem_spec.map_page d ~root:(Int64.of_int root) ~va ~pa
+       ~flags:(Flags.encode (Absdata.geom d) flags))
 
 let map_huge (d : Absdata.t) ~root ~va ~pa ~level flags =
   let g = Absdata.geom d in
@@ -142,8 +98,8 @@ let map_huge (d : Absdata.t) ~root ~va ~pa ~level flags =
       Error "map_huge: va not span-aligned"
     else if not (Word.equal (Word.extract pa ~lo:0 ~len:span) Word.zero) then
       Error "map_huge: pa not span-aligned"
+    else if not flags.Flags.present then Error "terminal mapping must be present"
     else
-      let* () = check_terminal_flags flags in
       (* Walk (allocating) down to [level]. *)
       let rec go d frame l =
         if l = level then Ok (d, frame)
@@ -158,9 +114,8 @@ let map_huge (d : Absdata.t) ~root ~va ~pa ~level flags =
           else
             let* d, next = create_table d in
             let next_pa = Layout.frame_addr d.layout next in
-            let* d =
-              write_entry d ~frame ~index (Pte.make g ~pa:next_pa intermediate_flags)
-            in
+            (* intermediate entries are user_rw, as the code writes them *)
+            let* d = write_entry d ~frame ~index (Pte.make g ~pa:next_pa Flags.user_rw) in
             go d next (l - 1)
       in
       let* () = check_frame d root in
@@ -174,10 +129,7 @@ let map_huge (d : Absdata.t) ~root ~va ~pa ~level flags =
           (Pte.make g ~pa (Flags.with_huge flags))
 
 let unmap_page (d : Absdata.t) ~root ~va =
-  let* result = walk d ~root va in
-  match result with
-  | Missing _ -> Error (Printf.sprintf "va %s not mapped" (Word.to_hex va))
-  | Terminal { frame; index; _ } -> write_entry d ~frame ~index Pte.empty
+  of_status "unmap_page" (Mem_spec.unmap_page d ~root:(Int64.of_int root) ~va)
 
 let query (d : Absdata.t) ~root ~va =
   let g = Absdata.geom d in

@@ -4,11 +4,20 @@
     are frames of the monitor's frame area, entries are 64-bit words
     read and written through {!Phys_mem} (paper Sec. 4.1, "low spec").
 
-    A structural property is enforced during every walk: a non-terminal
-    entry must point at a frame {e inside the frame area}.  A table
-    that escapes the frame area — e.g. the shallow-copied OS tables of
-    the bug discussed in Sec. 4.1, whose level-3 tables lived in
-    guest-controlled memory — makes the walk fail, which is the
+    The mutators {!create_table}, {!map_page} and {!unmap_page} are the
+    low specs of the verified code's functions of the same names
+    ({!Mem_spec}), the semantics phase 4 holds the code to: status 0 is
+    [Ok], any other status an [Error] that names it.  Like the code,
+    they do not check that the root frame is allocated.  The read side
+    ({!walk}, {!query}, {!translate}, {!mappings}, {!table_frames}, the
+    entry accessors) and {!map_huge} are this model's own; the code
+    has no huge mapping.
+
+    A structural property is enforced during every read-side walk: a
+    non-terminal entry must point at a frame {e inside the frame area}.
+    A table that escapes the frame area — e.g. the shallow-copied OS
+    tables of the bug discussed in Sec. 4.1, whose level-3 tables lived
+    in guest-controlled memory — makes the walk fail, which is the
     executable counterpart of "such a program would be impossible to
     prove in our setting". *)
 
@@ -29,24 +38,22 @@ val write_entry :
   Absdata.t -> frame:int -> index:int -> Mir.Word.t -> (Absdata.t, string) result
 
 val create_table : Absdata.t -> (Absdata.t * int, string) result
-(** Allocate and zero a fresh table frame. *)
+(** Allocate and zero a fresh table frame (the code's [create_table]);
+    fails when no frame is free. *)
 
 val walk : Absdata.t -> root:int -> Mir.Word.t -> (walk_result, string) result
 (** Follow existing entries only; never allocates.  Fails on malformed
     tables (next-pointer outside the frame area, va out of range). *)
 
-val walk_alloc :
-  Absdata.t -> root:int -> Mir.Word.t -> (Absdata.t * int, string) result
-(** Walk to the level-1 table for [va], allocating intermediate tables
-    as needed; returns its frame.  Fails if the path crosses a huge
-    mapping. *)
-
 val map_page :
   Absdata.t -> root:int -> va:Mir.Word.t -> pa:Mir.Word.t -> Flags.t ->
   (Absdata.t, string) result
-(** Install a level-1 mapping.  Requires page-aligned [va]/[pa], [va]
-    translatable, [pa] within the 57-bit address field, flags present
-    and not huge; fails if already mapped.  Whether [pa] names host- or
+(** Install a level-1 mapping (the code's [map_page]), allocating the
+    missing intermediate tables.  Requires page-aligned [va]/[pa], [va]
+    translatable, flags present and not huge; fails if already mapped,
+    if the path crosses a huge or malformed entry, or if a table
+    cannot be allocated.  [pa] is masked to the 57-bit address field,
+    as the code's [pte_make] does.  Whether [pa] names host- or
     guest-physical memory is the caller's concern (GPTs store GPAs). *)
 
 val map_huge :
@@ -57,7 +64,8 @@ val map_huge :
     VM's EPT may. *)
 
 val unmap_page : Absdata.t -> root:int -> va:Mir.Word.t -> (Absdata.t, string) result
-(** Clear the terminal entry covering [va]; fails if unmapped. *)
+(** Clear the terminal entry covering [va] (the code's [unmap_page]);
+    fails if unmapped. *)
 
 val query :
   Absdata.t -> root:int -> va:Mir.Word.t ->

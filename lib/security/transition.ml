@@ -34,26 +34,26 @@ let action_to_string a = Format.asprintf "%a" pp_action a
 
 let aligned8 va = Word.equal (Word.extract va ~lo:0 ~len:3) Word.zero
 
-(* Resolve an active-principal access; permission is the conjunction of
-   the stages' flags, and guests access memory as user.  Translations
-   go through the tagged TLB: a hit skips the walk, a successful walk
-   fills the cache.  Returns the (possibly updated) state alongside the
-   host-physical address. *)
 let check_perms ~write (flags : Flags.t) =
   if not flags.Flags.present then Error "not present"
   else if not flags.Flags.user then Error "supervisor-only mapping"
   else if write && not flags.Flags.write then Error "write to read-only mapping"
   else Ok ()
 
+(* Resolve an active-principal access; permission is the conjunction of
+   the stages' flags, and guests access memory as user.  Translations
+   go through the tagged TLB: a hit skips the walk, a successful walk
+   fills the cache.  Returns the host-physical address and that fill
+   ([None] on a hit): [step] applies it with [fill], [precondition]
+   drops it. *)
 let resolve (st : State.t) va ~write =
   let d = st.State.mon in
   let geom = Absdata.geom d in
   let va_page = Geometry.page_base geom va in
-  let offset = Geometry.page_offset geom va in
   match Tlb.lookup st.State.tlb st.State.active ~va_page with
   | Some entry ->
       let* () = check_perms ~write entry.Tlb.flags in
-      Ok (st, Int64.logor entry.Tlb.hpa_page offset)
+      Ok (Int64.logor entry.Tlb.hpa_page (Geometry.page_offset geom va), None)
   | None -> (
       let* translated =
         match st.State.active with
@@ -66,11 +66,12 @@ let resolve (st : State.t) va ~write =
       | None -> Error (Printf.sprintf "page fault at %s" (Word.to_hex va))
       | Some (hpa, flags) ->
           let* () = check_perms ~write flags in
-          let tlb =
-            Tlb.fill st.State.tlb st.State.active ~va_page
-              { Tlb.hpa_page = Geometry.page_base geom hpa; flags }
-          in
-          Ok ({ st with State.tlb }, hpa))
+          Ok (hpa, Some (va_page, { Tlb.hpa_page = Geometry.page_base geom hpa; flags })))
+
+let fill (st : State.t) = function
+  | None -> st
+  | Some (va_page, entry) ->
+      { st with State.tlb = Tlb.fill st.State.tlb st.State.active ~va_page entry }
 
 let require_os (st : State.t) =
   match st.State.active with
@@ -105,7 +106,8 @@ let step_with ~hypercall ?(flush = true) (st : State.t) action =
   | Load { dst; va } ->
       if not (aligned8 va) then Error "unaligned load"
       else
-        let* st, hpa = resolve st va ~write:false in
+        let* hpa, tlb_fill = resolve st va ~write:false in
+        let st = fill st tlb_fill in
         if in_mbuf st hpa then
           (* declassified read: the reader's own oracle supplies the value *)
           let value, st = State.take_oracle st st.State.active in
@@ -116,7 +118,8 @@ let step_with ~hypercall ?(flush = true) (st : State.t) action =
   | Store { src; va } ->
       if not (aligned8 va) then Error "unaligned store"
       else
-        let* st, hpa = resolve st va ~write:true in
+        let* hpa, tlb_fill = resolve st va ~write:true in
+        let st = fill st tlb_fill in
         if in_mbuf st hpa then Ok st (* declassified: formally ignored *)
         else
           let* value = State.reg st src in
@@ -182,36 +185,11 @@ let enabled st action = Result.is_ok (step st action)
 
    [step] decides enabledness implicitly, by failing somewhere inside
    the per-action execution.  The model checker needs the question
-   answered without executing — and without the TLB fill [resolve]
-   performs on a successful walk — so the preconditions are factored
-   out here, mirroring [step] exactly.  The agreement is pinned by a
-   property test: for every state and action,
+   answered without executing — and without the TLB fill a successful
+   walk makes, which [precondition] drops — so the preconditions are
+   factored out here, mirroring [step] exactly.  The agreement is
+   pinned by a property test: for every state and action,
    [Result.is_ok (precondition st a) = Result.is_ok (step st a)]. *)
-
-(* [resolve] without the TLB fill: same hit/walk/permission decisions,
-   same error strings, no state change. *)
-let probe_resolve (st : State.t) va ~write =
-  let d = st.State.mon in
-  let geom = Absdata.geom d in
-  let va_page = Geometry.page_base geom va in
-  let offset = Geometry.page_offset geom va in
-  match Tlb.lookup st.State.tlb st.State.active ~va_page with
-  | Some entry ->
-      let* () = check_perms ~write entry.Tlb.flags in
-      Ok (Int64.logor entry.Tlb.hpa_page offset)
-  | None -> (
-      let* translated =
-        match st.State.active with
-        | Principal.Os -> Nested.os_translate d ~gpa:va
-        | Principal.Enclave eid ->
-            let* e = Absdata.find_enclave d eid in
-            Nested.enclave_translate d e ~va
-      in
-      match translated with
-      | None -> Error (Printf.sprintf "page fault at %s" (Word.to_hex va))
-      | Some (hpa, flags) ->
-          let* () = check_perms ~write flags in
-          Ok hpa)
 
 let reg_ok i =
   if i < 0 || i >= State.nregs then
@@ -228,7 +206,7 @@ let precondition (st : State.t) action =
   | Load { dst; va } ->
       if not (aligned8 va) then Error "unaligned load"
       else
-        let* hpa = probe_resolve st va ~write:false in
+        let* hpa, _ = resolve st va ~write:false in
         if in_mbuf st hpa then reg_ok dst
         else
           let* _ = Phys_mem.read64 st.State.mon.Absdata.phys hpa in
@@ -236,16 +214,16 @@ let precondition (st : State.t) action =
   | Store { src; va } ->
       if not (aligned8 va) then Error "unaligned store"
       else
-        let* hpa = probe_resolve st va ~write:true in
+        let* hpa, _ = resolve st va ~write:true in
         if in_mbuf st hpa then Ok () (* declassified: the source is never read *)
         else
           let* value = State.reg st src in
           let* _ = Phys_mem.write64 st.State.mon.Absdata.phys hpa value in
           Ok ()
   | Hc_create _ | Hc_add_page _ | Hc_remove_page _ | Hc_init_done _ ->
-      (* status-reporting hypercalls: any failure becomes a status code
-         in reg 0, transactionally, so for the OS they are always
-         enabled *)
+      (* status-reporting hypercalls: the low spec's status goes to
+         reg 0 whatever it is (a failure rolls the monitor back, see
+         Hypercall), so for the OS they are always enabled *)
       require_os st
   | Hc_enter { eid } ->
       let* () = require_os st in

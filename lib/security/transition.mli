@@ -5,9 +5,10 @@
     chooses to exercise.  [Load]/[Store] resolve their address with the
     verified page walk — nested for enclaves, EPT-only for the OS —
     and treat the marshalling buffer with oracle semantics
-    (Sec. 5.4).  Hypercalls apply the functional models of
-    {!Hyperenclave.Hypercall}; [Enter]/[Exit] swap register contexts
-    and the active principal.
+    (Sec. 5.4).  Hypercalls apply {!Hyperenclave.Hypercall}, the low
+    specs of the verified code plus enclave registration and a
+    rollback on failure; [Enter]/[Exit] swap register contexts and the
+    active principal.
 
     [Error] from {!step} means the action is {e disabled} in that
     state (page fault, wrong principal, lifecycle violation of
@@ -43,10 +44,10 @@ val step : ?flush:bool -> State.t -> action -> (State.t, string) result
 val hypercall :
   Hyperenclave.Absdata.t -> action -> int Hyperenclave.Hypercall.outcome
 (** The monitor half of the four status-reporting hypercalls
-    ([Hc_create], [Hc_add_page], [Hc_remove_page], [Hc_init_done]): the
-    functional model of {!Hyperenclave.Hypercall} applied to the
-    monitor alone, with the new enclave id as [Hc_create]'s value and 0
-    as the others'.  Raises [Invalid_argument] on any other action. *)
+    ([Hc_create], [Hc_add_page], [Hc_remove_page], [Hc_init_done]):
+    {!Hyperenclave.Hypercall} applied to the monitor alone, with the
+    new enclave id as [Hc_create]'s value and 0 as the others'.  Raises
+    [Invalid_argument] on any other action. *)
 
 val step_with :
   hypercall:(Hyperenclave.Absdata.t -> action -> int Hyperenclave.Hypercall.outcome) ->
@@ -55,8 +56,8 @@ val step_with :
     [hypercall] to [st.mon] exactly where {!step} applies {!hypercall},
     and only to the four status-reporting hypercalls, after the
     caller check.  The model checker passes a memoized {!hypercall};
-    another model of the hypercalls (a low spec, say) plugs in here
-    too. *)
+    another model of the hypercalls (the low specs without the
+    rollback, say) plugs in here too. *)
 
 val enabled : State.t -> action -> bool
 
@@ -66,7 +67,7 @@ val precondition : State.t -> action -> (unit, string) result
     decisions exactly: [Ok ()] iff [step st a] returns [Ok _] (pinned
     by a property test over reachable states and the action battery).
     Status-reporting hypercalls are always enabled for the OS: their
-    failures become status codes, transactionally. *)
+    failures become status codes, and the monitor is rolled back. *)
 
 val enabled_of : State.t -> action list -> action list
 (** The total enabledness enumerator the model checker expands with:

@@ -18,7 +18,10 @@
 # transactionality, invariant and TLB-consistency check, and the
 # deliberately buggy one (unmap without TLB flush) must yield a shrunk
 # stale-TLB witness — each run exits non-zero when its expected
-# outcome does not hold.
+# outcome does not hold.  A third run, on the correct monitor, injects
+# only frame exhaustion and allocator-bitmap flips, so its hypercalls
+# run the code's low specs on exhausted pools and freed table frames;
+# it must report no violations.
 #
 # The engine gate runs the pass three times: without a cache, against a
 # cold cache and against the now-warm cache, at --quick budgets, again
@@ -98,6 +101,14 @@ dune exec bin/hyperenclave_verify.exe -- \
   --quick --chaos --chaos-traces 1000 --seed 2024
 dune exec bin/hyperenclave_verify.exe -- \
   --quick --chaos --chaos-traces 1000 --seed 2024 --buggy-tlb
+out=$(dune exec bin/hyperenclave_verify.exe -- \
+  --quick --chaos --chaos-traces 1000 --faults exhaustion,bitmap-bitflip \
+  --seed 2024) || {
+  echo "ci: chaos on exhausted pools and flipped bitmaps failed" >&2; exit 1; }
+printf '%s\n' "$out"
+printf '%s\n' "$out" | grep -q 'no violations' || {
+  echo "ci: chaos on exhausted pools and flipped bitmaps reported violations" >&2
+  exit 1; }
 
 # --- engine determinism + proof-cache gate --------------------------
 workdir=$(mktemp -d)

@@ -159,6 +159,26 @@ let test_phase_dependencies () =
   check tni ni;
   check att inv
 
+(* Phase 5's case totals, summed over its [refine/*] obligations.  Its
+   flat side steps Pt_flat's mutators, which are the code's low specs:
+   a change to what those return (status or state) moves these counts,
+   which no cache key records. *)
+let test_refinement_totals_pinned () =
+  let check what (p : Plan.t) expected =
+    let outcomes =
+      List.filter_map
+        (fun (o : Obligation.t) -> if o.phase = "refinement" then Some (o.run ()) else None)
+        (Dag.obligations p.Plan.dag)
+    in
+    let total, passed, skipped, failed = Obligation.case_totals outcomes in
+    Alcotest.(check (list int)) what expected [ total; passed; skipped; failed ]
+  in
+  check "default, seed 2024" (Plan.build ~seed:2024 layout) [ 1000; 427; 573; 0 ];
+  check "quick, seed 2024" (Plan.build ~quick:true ~seed:2024 layout) [ 400; 165; 235; 0 ];
+  check "x86_64 quick, seed 2024"
+    (Plan.build ~quick:true ~seed:2024 (Layout.default Geometry.x86_64))
+    [ 400; 142; 258; 0 ]
+
 (* ------------------------------------------------------------------ *)
 (* Cache keys and plan-build cost                                      *)
 
@@ -1371,6 +1391,7 @@ let () =
           Alcotest.test_case "call-graph edges" `Quick
             test_code_proofs_follow_call_graph;
           Alcotest.test_case "phase dependencies" `Quick test_phase_dependencies;
+          Alcotest.test_case "phase-5 totals pinned" `Quick test_refinement_totals_pinned;
           Alcotest.test_case "cache keys pinned" `Quick test_plan_cache_keys_pinned;
           Alcotest.test_case "build allocation" `Quick test_plan_build_allocation;
           Alcotest.test_case "first-use compile race" `Quick test_first_use_compile_race;

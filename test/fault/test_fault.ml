@@ -167,6 +167,34 @@ let test_chaos_finds_and_shrinks_stale_tlb () =
         (Result.map (fun _ -> ()) (Fault.Chaos.replay ~flush:true layout cx.Fault.Chaos.cx_shrunk)
          |> Result.map_error (fun f -> Format.asprintf "%a" Fault.Chaos.pp_failure f))
 
+(* The 1000-trace campaign at seed 2024 on both monitors, pinned.  Its
+   hypercall steps run the code's low specs (Hyperenclave.Hypercall),
+   so a change to a status or a state they return moves these totals. *)
+let test_chaos_totals_pinned () =
+  let totals (s : Fault.Chaos.stats) =
+    Fault.Chaos.[ s.traces; s.events; s.faults; s.fault_skips; s.disabled_steps ]
+  in
+  let stats, cx = Fault.Chaos.run ~seed:2024 ~traces:1000 layout in
+  Alcotest.(check (list int)) "correct monitor: traces, events, faults, skips, disabled"
+    [ 1000; 27_800; 5_214; 300; 7_509 ] (totals stats);
+  Alcotest.(check bool) "correct monitor: no counterexample" true (cx = None);
+  let stats, cx = Fault.Chaos.run ~flush:false ~seed:2024 ~traces:1000 layout in
+  Alcotest.(check (list int)) "buggy monitor: traces, events, faults, skips, disabled"
+    [ 597; 16_399; 2_928; 185; 4_131 ] (totals stats);
+  match cx with
+  | None -> Alcotest.fail "buggy monitor: no counterexample"
+  | Some cx ->
+      let f = cx.Fault.Chaos.cx_failure in
+      Alcotest.(check (list int)) "seed, events, shrunk, replays, failing event"
+        [ 2620; 40; 4; 54; 3 ]
+        [
+          cx.Fault.Chaos.cx_seed; List.length cx.Fault.Chaos.cx_events;
+          List.length cx.Fault.Chaos.cx_shrunk; cx.Fault.Chaos.cx_evals; f.Fault.Chaos.at;
+        ];
+      Alcotest.(check string) "check" "tlb-consistency" f.Fault.Chaos.check;
+      Alcotest.(check (option string)) "failing event" (Some "hc_remove_page(1, 0x0)")
+        (Option.map Fault.Chaos.event_to_string f.Fault.Chaos.event)
+
 let test_chaos_minimal_witness_direct () =
   (* the distilled stale-TLB witness: create, add, prefetch, remove *)
   let events =
@@ -250,6 +278,7 @@ let () =
             test_chaos_finds_and_shrinks_stale_tlb;
           Alcotest.test_case "minimal witness direct" `Quick
             test_chaos_minimal_witness_direct;
+          Alcotest.test_case "campaign totals pinned" `Quick test_chaos_totals_pinned;
           Alcotest.test_case "truncation halts the trace" `Quick
             test_chaos_truncation_halts;
         ] );

@@ -582,7 +582,15 @@ let test_hc_create_validation () =
     (Hypercall.status_equal o2.Hypercall.status Hypercall.Invalid_param);
   let o3 = Hypercall.create d ~elrange_base:0L ~elrange_pages:100 ~mbuf_va:(va_of_pages 8) in
   Alcotest.(check bool) "oversized elrange rejected" true
-    (Hypercall.status_equal o3.Hypercall.status Hypercall.Invalid_param)
+    (Hypercall.status_equal o3.Hypercall.status Hypercall.Invalid_param);
+  (* the code's page count is a u64: -1 must not wrap into a huge one *)
+  let o4 =
+    Hypercall.create d ~elrange_base:(va_of_pages 4) ~elrange_pages:(-1)
+      ~mbuf_va:(va_of_pages 8)
+  in
+  Alcotest.(check bool) "negative page count rejected" true
+    (Hypercall.status_equal o4.Hypercall.status Hypercall.Invalid_param);
+  Alcotest.(check bool) "state unchanged (negative count)" true (Absdata.equal d o4.Hypercall.d)
 
 let test_hc_add_page () =
   let d = booted () in
