@@ -53,16 +53,12 @@ let hash d =
       (word 0 (Phys_mem.limit d.phys))
   in
   let h =
-    List.fold_left mix
+    Frame_alloc.fold_allocated (fun i h -> mix h i) d.falloc
       (mix h (Frame_alloc.nframes d.falloc))
-      (Frame_alloc.allocated_list d.falloc)
   in
   let h =
-    Epcm.fold
-      (fun page st h ->
-        match st with
-        | Epcm.Free -> h
-        | Epcm.Valid { eid; va } -> word (mix (mix h page) eid) va)
+    Epcm.fold_valid
+      (fun page ~eid ~va h -> word (mix (mix h page) eid) va)
       d.epcm
       (mix h (Epcm.npages d.epcm))
   in

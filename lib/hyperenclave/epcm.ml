@@ -36,13 +36,15 @@ let set m i st =
     in
     Ok { m with entries }
 
+(* The first gap in the ascending keys: the lowest index that is not
+   one. *)
 let find_free m =
-  let rec go i =
-    if i >= m.npages then None
-    else if IntMap.mem i m.entries then go (i + 1)
-    else Some i
+  let rec gap next keys =
+    match keys () with
+    | Seq.Cons ((i, _), rest) when i = next -> gap (i + 1) rest
+    | Seq.Cons _ | Seq.Nil -> if next < m.npages then Some next else None
   in
-  go 0
+  gap 0 (IntMap.to_seq m.entries)
 
 let pages_of_enclave m eid =
   IntMap.bindings m.entries
@@ -56,9 +58,15 @@ let free_count m = m.npages - IntMap.cardinal m.entries
 
 let equal a b = a.npages = b.npages && IntMap.equal page_state_equal a.entries b.entries
 
+(* Walks the map, filling the gaps between its keys with [Free]. *)
 let fold f m init =
-  let acc = ref init in
-  for i = 0 to m.npages - 1 do
-    acc := f i (Option.value ~default:Free (IntMap.find_opt i m.entries)) !acc
-  done;
-  !acc
+  let rec frees i stop acc = if i >= stop then acc else frees (i + 1) stop (f i Free acc) in
+  let next, acc =
+    IntMap.fold (fun i st (next, acc) -> (i + 1, f i st (frees next i acc))) m.entries (0, init)
+  in
+  frees next m.npages acc
+
+let fold_valid f m init =
+  IntMap.fold
+    (fun i st acc -> match st with Valid { eid; va } -> f i ~eid ~va acc | Free -> acc)
+    m.entries init

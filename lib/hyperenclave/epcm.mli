@@ -31,3 +31,8 @@ val valid_count : t -> int
 val free_count : t -> int
 val equal : t -> t -> bool
 val fold : (int -> page_state -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over every page index in ascending order. *)
+
+val fold_valid : (int -> eid:int -> va:Mir.Word.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the [Valid] pages only, in ascending order: the cost is
+    in the owned pages, not in [npages]. *)

@@ -4,7 +4,16 @@
     in secure memory; the allocator is a bitmap returning the
     lowest-indexed free frame.  This module is the {e specification};
     the Rustlite implementation in {!Mem_module} is checked against
-    it. *)
+    it.
+
+    {b Representation.}  The bitmap itself, in the code's own 64-bit
+    words ({!bitmap_word}), with every bit at or beyond [nframes]
+    clear, so a freed frame is exactly a frame never allocated.  A
+    value is immutable: an update copies the [ceil (nframes / 64)]
+    words once and writes one.  {!is_allocated} and {!bitmap_word} are
+    one read, {!alloc} scans words for the lowest clear bit, {!equal}
+    compares words, and the counts and {!allocated_list} cost one pass
+    over the words. *)
 
 type t
 
@@ -28,8 +37,15 @@ val bitmap_word : t -> int -> (Mir.Word.t, string) result
     exposes to the Rustlite allocator code. *)
 
 val set_bitmap_word : t -> int -> Mir.Word.t -> (t, string) result
-(* fails if bits beyond [nframes] are set *)
+(** Fails if bits beyond [nframes] are set; returns the same allocator
+    when the word is unchanged. *)
+
 val allocated_count : t -> int
 val free_count : t -> int
 val allocated_list : t -> int list
+(** Allocated frames, ascending. *)
+
+val fold_allocated : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the allocated frames in ascending order. *)
+
 val equal : t -> t -> bool

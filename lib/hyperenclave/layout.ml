@@ -72,8 +72,10 @@ let page_bytes l = Int64.of_int (Geometry.page_size l.geom)
 
 let region_end base pages l = Int64.add base (Int64.mul (page_bytes l) (Int64.of_int pages))
 
-let within base pages l addr =
-  Word.le_u base addr && Word.lt_u addr (region_end base pages l)
+(* Unsigned comparison by [Int64] primitives, which compile inline:
+   [region_of] runs once per observed mapping. *)
+let lt_u (a : int64) (b : int64) = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+let within base pages l addr = (not (lt_u addr base)) && lt_u addr (region_end base pages l)
 
 let mbuf_limit l = region_end l.mbuf_base l.mbuf_pages l
 let phys_limit l = region_end l.epc_base l.epc_pages l

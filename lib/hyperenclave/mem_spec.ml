@@ -71,13 +71,15 @@ let invalid = Mem_source.status_invalid
 let nomem = Mem_source.status_no_memory
 let badstate = Mem_source.status_bad_state
 
-(* 64-bit wrapping helpers, matching the code's u64 arithmetic *)
-let ( +% ) = Int64.add
-let ( *% ) = Int64.mul
-let ( &% ) = Int64.logand
-let ( |% ) = Int64.logor
-let lt_u = Word.lt_u
-let le_u = Word.le_u
+(* 64-bit wrapping helpers, matching the code's u64 arithmetic; the
+   primitives themselves, so that they compile inline *)
+external ( +% ) : int64 -> int64 -> int64 = "%int64_add"
+external ( *% ) : int64 -> int64 -> int64 = "%int64_mul"
+external ( &% ) : int64 -> int64 -> int64 = "%int64_and"
+external ( |% ) : int64 -> int64 -> int64 = "%int64_or"
+
+let lt_u (a : int64) (b : int64) = Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+let le_u (a : int64) (b : int64) = Int64.sub a Int64.min_int <= Int64.sub b Int64.min_int
 
 (* ------------------------------------------------------------------ *)
 (* Pure layer-2 semantics, shared by higher specs                      *)

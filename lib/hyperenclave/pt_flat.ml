@@ -13,16 +13,22 @@ let check_frame (d : Absdata.t) frame =
     Error (Printf.sprintf "table frame %d is not allocated" frame)
   else Ok ()
 
-let entry_pa (d : Absdata.t) ~frame ~index =
-  let g = Absdata.geom d in
+let check_entry (d : Absdata.t) ~frame ~index =
   let* () = check_frame d frame in
-  if index < 0 || index >= Geometry.entries_per_table g then
+  if index < 0 || index >= Geometry.entries_per_table (Absdata.geom d) then
     Error (Printf.sprintf "entry index %d out of range" index)
-  else Ok (Int64.add (Layout.frame_addr d.layout frame) (Int64.of_int (8 * index)))
+  else Ok ()
 
-let read_entry d ~frame ~index =
-  let* pa = entry_pa d ~frame ~index in
-  Phys_mem.read64 d.phys pa
+let entry_addr (d : Absdata.t) frame index =
+  Int64.add (Layout.frame_addr d.layout frame) (Int64.of_int (8 * index))
+
+let entry_pa d ~frame ~index =
+  let* () = check_entry d ~frame ~index in
+  Ok (entry_addr d frame index)
+
+let read_entry (d : Absdata.t) ~frame ~index =
+  let* () = check_entry d ~frame ~index in
+  Phys_mem.read64 d.phys (entry_addr d frame index)
 
 let write_entry (d : Absdata.t) ~frame ~index e =
   let* pa = entry_pa d ~frame ~index in
@@ -66,12 +72,36 @@ let next_frame (d : Absdata.t) entry =
            "non-terminal entry points at %s, outside the frame area: malformed \
             page table" (Word.to_hex pa))
 
+(* The read side checks each table frame once, before it reads the
+   table.  [Layout.make] places the frame area between the monitor and
+   the EPC, below the physical limit (for any layout whose regions do
+   not wrap around the address space), so the entries of a checked
+   frame are aligned words inside physical memory and are read without
+   a per-entry check: the errors are those of [read_entry], whose other
+   checks cannot fail on such a frame and an index below
+   [entries_per_table]. *)
+let checked_entry (d : Absdata.t) frame index =
+  Phys_mem.read64_unchecked d.phys (entry_addr d frame index)
+
+let fold_checked (d : Absdata.t) frame f acc =
+  let g = Absdata.geom d in
+  let base = Layout.frame_addr d.layout frame in
+  Phys_mem.fold_nonzero_range d.phys base ~bytes_len:(Geometry.page_size g)
+    (fun pa entry acc ->
+      if Pte.is_present g entry then f (Int64.to_int (Int64.sub pa base) / 8) entry acc else acc)
+    acc
+
+let fold_present d ~frame f acc =
+  let* () = check_frame d frame in
+  Ok (fold_checked d frame f acc)
+
 let walk (d : Absdata.t) ~root va =
   let g = Absdata.geom d in
   let* () = check_va d va in
   let* () = check_frame d root in
   let rec go frame level =
-    let* index, entry = entry_at d ~frame ~level va in
+    let index = Geometry.va_index g ~level va in
+    let entry = checked_entry d frame index in
     if not (Pte.is_present g entry) then Ok (Missing level)
     else if level = 1 || Pte.is_huge g entry then
       Ok (Terminal { level; frame; index; entry })
@@ -160,38 +190,29 @@ let mappings (d : Absdata.t) ~root =
   let* () = check_frame d root in
   let page = Int64.of_int (Geometry.page_size g) in
   let rec table frame level va_base acc =
-    let rec entries index acc =
-      if index >= Geometry.entries_per_table g then Ok acc
-      else
-        let* entry = read_entry d ~frame ~index in
-        let va =
-          Int64.add va_base
-            (Int64.shift_left (Int64.of_int index) (Geometry.level_span_shift g ~level))
-        in
-        let* acc =
-          if not (Pte.is_present g entry) then Ok acc
-          else if level = 1 || Pte.is_huge g entry then (
-            (* expand a huge mapping into pages *)
-            let span = Geometry.level_span_shift g ~level in
-            let npages = 1 lsl (span - g.Geometry.page_shift) in
-            let base = Pte.addr g entry in
-            let flags = Pte.flags g entry in
-            let acc = ref acc in
-            for i = npages - 1 downto 0 do
-              let off = Int64.mul page (Int64.of_int i) in
-              acc := (Int64.add va off, Int64.add base off, flags) :: !acc
-            done;
-            Ok !acc)
-          else
-            let* next = next_frame d entry in
-            let* () = check_frame d next in
-            table next (level - 1) va acc
-        in
-        entries (index + 1) acc
-    in
-    entries 0 acc
+    let span = Geometry.level_span_shift g ~level in
+    fold_checked d frame
+      (fun index entry acc ->
+        let* acc = acc in
+        let va = Int64.add va_base (Int64.shift_left (Int64.of_int index) span) in
+        if level = 1 || Pte.is_huge g entry then (
+          (* expand a huge mapping into pages *)
+          let npages = 1 lsl (span - g.Geometry.page_shift) in
+          let base = Pte.addr g entry in
+          let flags = Pte.flags g entry in
+          let acc = ref acc in
+          for i = npages - 1 downto 0 do
+            let off = Int64.mul page (Int64.of_int i) in
+            acc := (Int64.add va off, Int64.add base off, flags) :: !acc
+          done;
+          Ok !acc)
+        else
+          let* next = next_frame d entry in
+          let* () = check_frame d next in
+          table next (level - 1) va (Ok acc))
+      acc
   in
-  let* acc = table root g.Geometry.levels 0L [] in
+  let* acc = table root g.Geometry.levels 0L (Ok []) in
   Ok (List.rev acc)
 
 let table_frames (d : Absdata.t) ~root =
@@ -211,20 +232,15 @@ let table_frames (d : Absdata.t) ~root =
     let* () = visit frame in
     if level = 1 then Ok ()
     else
-      let rec entries index =
-        if index >= Geometry.entries_per_table g then Ok ()
-        else
-          let* entry = read_entry d ~frame ~index in
-          let* () =
-            if Pte.is_present g entry && not (Pte.is_huge g entry) then
-              let* next = next_frame d entry in
-              let* () = check_frame d next in
-              table next (level - 1)
-            else Ok ()
-          in
-          entries (index + 1)
-      in
-      entries 0
+      fold_checked d frame
+        (fun _ entry acc ->
+          let* () = acc in
+          if Pte.is_huge g entry then Ok ()
+          else
+            let* next = next_frame d entry in
+            let* () = check_frame d next in
+            table next (level - 1))
+        (Ok ())
   in
   let* () = table root g.Geometry.levels in
   Ok (List.rev !order)

@@ -34,6 +34,14 @@ val entry_pa : Absdata.t -> frame:int -> index:int -> (Mir.Word.t, string) resul
 (** Physical address of entry [index] of table [frame]. *)
 
 val read_entry : Absdata.t -> frame:int -> index:int -> (Mir.Word.t, string) result
+
+val fold_present :
+  Absdata.t -> frame:int -> (int -> Mir.Word.t -> 'a -> 'a) -> 'a -> ('a, string) result
+(** [f index entry] over the present entries of table [frame], in index
+    order, once the frame passes the check {!read_entry} makes (else
+    its error).  The cost is in the nonzero entries, not the table
+    size. *)
+
 val write_entry :
   Absdata.t -> frame:int -> index:int -> Mir.Word.t -> (Absdata.t, string) result
 

@@ -57,7 +57,7 @@ let elrange_isolation d w =
           each
             (fun (e2, p2) ->
               match
-                List.find_opt (fun pa -> List.exists (Word.equal pa) p2) p1
+                List.find_opt (fun pa -> List.exists (fun p -> Int64.equal pa p) p2) p1
               with
               | None -> Ok ()
               | Some pa ->
@@ -82,7 +82,7 @@ let mbuf_invariant d w =
       let* reach = Lazy.force reach in
       each
         (fun (va, hpa, _) ->
-          if List.exists (Word.equal hpa) os_pages then
+          if List.exists (fun p -> Int64.equal hpa p) os_pages then
             if
               Layout.region_equal (Layout.region_of layout hpa) Layout.Mbuf
               && Enclave.in_mbuf_va e geom va
@@ -129,28 +129,23 @@ let epcm_invariant d w =
 let no_huge d ~root =
   let g = Absdata.geom d in
   let rec table frame level =
-    let rec go index =
-      if index >= Geometry.entries_per_table g then Ok ()
-      else
-        let* entry = Pt_flat.read_entry d ~frame ~index in
-        let* () =
-          if not (Pte.is_present g entry) then Ok ()
-          else if Pte.is_huge g entry then
-            Error
-              (Printf.sprintf "huge mapping at level %d (frame %d, index %d)"
-                 level frame index)
-          else if level = 1 then Ok ()
-          else
-            match Layout.frame_index d.Absdata.layout (Pte.addr g entry) with
-            | None ->
-                Error
-                  (Printf.sprintf "entry escapes frame area (frame %d, index %d)"
-                     frame index)
-            | Some next -> table next (level - 1)
-        in
-        go (index + 1)
-    in
-    go 0
+    Result.join
+      (Pt_flat.fold_present d ~frame
+         (fun index entry acc ->
+           let* () = acc in
+           if Pte.is_huge g entry then
+             Error
+               (Printf.sprintf "huge mapping at level %d (frame %d, index %d)"
+                  level frame index)
+           else if level = 1 then Ok ()
+           else
+             match Layout.frame_index d.Absdata.layout (Pte.addr g entry) with
+             | None ->
+                 Error
+                   (Printf.sprintf "entry escapes frame area (frame %d, index %d)"
+                      frame index)
+             | Some next -> table next (level - 1))
+         (Ok ()))
   in
   table root g.Geometry.levels
 

@@ -13,15 +13,7 @@ type view = {
 }
 
 let page_contents d hpa =
-  let g = Absdata.geom d in
-  let nwords = Geometry.page_size g / 8 in
-  let rec go i acc =
-    if i >= nwords then Ok (List.rev acc)
-    else
-      let* w = Phys_mem.read64 d.Absdata.phys (Int64.add hpa (Int64.of_int (8 * i))) in
-      go (i + 1) (w :: acc)
-  in
-  go 0 []
+  Phys_mem.read_words d.Absdata.phys hpa ~count:(Geometry.page_size (Absdata.geom d) / 8)
 
 let reachable_of d p =
   match p with
@@ -36,28 +28,29 @@ type memory = {
   m_pages : (Word.t * Word.t list) list;
 }
 
+(* Shared pages are skipped and repeated ones read once, in mapping
+   order, so an error is the first page's that fails; [Int64]'s own
+   comparisons are inlined where [Mir.Word]'s are calls. *)
 let observe_memory (d : Absdata.t) p =
   let* reach = reachable_of d p in
-  let non_shared =
-    List.filter
-      (fun (_, hpa, _) ->
-        not (Layout.region_equal (Layout.region_of d.Absdata.layout hpa) Layout.Mbuf))
-      reach
-  in
+  let layout = d.Absdata.layout in
   let* pages =
     List.fold_left
       (fun acc (_, hpa, _) ->
         let* acc = acc in
-        if List.exists (fun (p0, _) -> Word.equal p0 hpa) acc then Ok acc
+        if
+          Layout.region_equal (Layout.region_of layout hpa) Layout.Mbuf
+          || List.exists (fun (p0, _) -> Int64.equal p0 hpa) acc
+        then Ok acc
         else
           let* contents = page_contents d hpa in
           Ok ((hpa, contents) :: acc))
-      (Ok []) non_shared
+      (Ok []) reach
   in
   Ok
     {
       m_mappings = reach;
-      m_pages = List.sort (fun (a, _) (b, _) -> Word.compare_u a b) pages;
+      m_pages = List.sort (fun (a, _) (b, _) -> Int64.unsigned_compare a b) pages;
     }
 
 let observe (st : State.t) p =

@@ -50,7 +50,10 @@ type memory = {
 val observe_memory :
   Hyperenclave.Absdata.t -> Principal.t -> (memory, string) result
 (** The memory half of {!observe}: [observe st p] fails with this
-    error, or carries these mappings and pages. *)
+    error, or carries these mappings and pages.  It walks the tables
+    once and reads each distinct non-shared page once, a page at a time
+    ({!Hyperenclave.Phys_mem.read_words}), so its cost is in the
+    mappings and the nonzero words, not in per-word checks. *)
 
 val cpu_equal : Principal.t -> State.t -> State.t -> bool
 (** The CPU halves of [p]'s views of the two states are equal. *)

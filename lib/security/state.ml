@@ -7,7 +7,8 @@ type regs = Word.t array
 let zero_regs () = Array.make nregs Word.zero
 
 let regs_equal a b =
-  Array.length a = Array.length b
+  a == b
+  || Array.length a = Array.length b
   &&
   let rec go i = i >= Array.length a || (Word.equal a.(i) b.(i) && go (i + 1)) in
   go 0
@@ -38,15 +39,20 @@ let boot layout =
     tlb = Tlb.empty;
   }
 
+(* The defaults of an absent context and oracle are shared: no register
+   array is written once it is in a state ([with_reg] copies first). *)
+let no_ctx = zero_regs ()
+let fresh_oracle = Oracle.create ()
+
 let saved_ctx st p =
   match Principal.Map.find_opt p st.ctx with
   | Some r -> r
-  | None -> zero_regs ()
+  | None -> no_ctx
 
 let oracle_of st p =
   match Principal.Map.find_opt p st.oracles with
   | Some o -> o
-  | None -> Oracle.create ()
+  | None -> fresh_oracle
 
 let take_oracle st p =
   let v, o = Oracle.take (oracle_of st p) in

@@ -3,7 +3,11 @@
     A state is the monitor's abstract data plus the CPU-visible pieces
     the security proofs talk about: which principal is running, its
     register file, the saved register contexts of the others, and the
-    data oracle. *)
+    data oracle.
+
+    A state is a persistent value, its register arrays included: no
+    array is written in place once it is in a state ({!with_reg}
+    copies first), so states and the defaults below may share them. *)
 
 val nregs : int
 (** Size of the modelled register file. *)
@@ -11,6 +15,8 @@ val nregs : int
 type regs = Mir.Word.t array
 
 val zero_regs : unit -> regs
+(** A fresh all-zero register file, the caller's to write. *)
+
 val regs_equal : regs -> regs -> bool
 val pp_regs : Format.formatter -> regs -> unit
 
@@ -32,10 +38,12 @@ val boot : Hyperenclave.Layout.t -> t
 (** Booted monitor, primary OS active with zeroed registers. *)
 
 val saved_ctx : t -> Principal.t -> regs
-(** A principal's saved context (zeros if never saved). *)
+(** A principal's saved context; for a principal with none, one shared
+    all-zero array, which must not be written. *)
 
 val oracle_of : t -> Principal.t -> Oracle.t
-(** A principal's oracle stream (a fresh one if never used). *)
+(** A principal's oracle stream; for a principal that never used one,
+    one shared never-used stream ([Oracle.create ()]). *)
 
 val take_oracle : t -> Principal.t -> Mir.Word.t * t
 

@@ -26,9 +26,11 @@
 # The engine gate runs the pass three times: without a cache, against a
 # cold cache and against the now-warm cache, at --quick budgets, again
 # at the default ones (whose security corpus holds 25 traces instead of
-# 8), and on the x86_64 geometry at --quick.  Stdout must be
+# 8), and on the x86_64 geometry at --quick and at the default budgets
+# (each x86_64 run under a 60 s timeout: its 4 KiB tables are where the
+# monitor-state kernel's cost shows most).  Stdout must be
 # byte-identical across each triple (cache state may not influence
-# verification output), and so must the x86_64 --lint-json artifact: on
+# verification output), and so must the x86_64 --lint-json artifacts: on
 # a cold run the static-analysis SCCs share their plan's summary tables,
 # on a warm one nothing executes.  Each warm run must report cache hits
 # and re-execute zero code-proof, static-analysis (absint included),
@@ -140,20 +142,28 @@ dune exec bin/hyperenclave_verify.exe -- \
 diff "$workdir/serial-default.out" "$workdir/cold-default.out"
 diff "$workdir/serial-default.out" "$workdir/warm-default.out"
 
-x86="--geometry x86_64 --quick --seed 2024"
-# shellcheck disable=SC2086
-dune exec bin/hyperenclave_verify.exe -- $x86 \
-  --lint-json "$workdir/serial-x86-lints.json" > "$workdir/serial-x86.out"
-for run in cold warm; do
+for budget in quick default; do
+  case $budget in
+    quick) x86="--geometry x86_64 --quick --seed 2024"; tag=x86 ;;
+    default) x86="--geometry x86_64 --seed 2024"; tag=x86-default ;;
+  esac
   # shellcheck disable=SC2086
-  dune exec bin/hyperenclave_verify.exe -- $x86 --cache "$workdir/pcache-x86" \
-    --lint-json "$workdir/$run-x86-lints.json" \
-    --json-out "$workdir/$run-x86.json" > "$workdir/$run-x86.out"
-  diff "$workdir/serial-x86.out" "$workdir/$run-x86.out"
-  diff "$workdir/serial-x86-lints.json" "$workdir/$run-x86-lints.json" || {
-    echo "ci: x86_64 --lint-json output depends on cache state" >&2; exit 1; }
+  timeout 60 _build/default/bin/hyperenclave_verify.exe $x86 \
+    --lint-json "$workdir/serial-$tag-lints.json" > "$workdir/serial-$tag.out" || {
+    echo "ci: x86_64 run ($budget budgets) failed or ran past 60 s" >&2; exit 1; }
+  for run in cold warm; do
+    # shellcheck disable=SC2086
+    timeout 60 _build/default/bin/hyperenclave_verify.exe $x86 \
+      --cache "$workdir/pcache-$tag" --lint-json "$workdir/$run-$tag-lints.json" \
+      --json-out "$workdir/$run-$tag.json" > "$workdir/$run-$tag.out" || {
+      echo "ci: x86_64 $run run ($budget budgets) failed or ran past 60 s" >&2; exit 1; }
+    diff "$workdir/serial-$tag.out" "$workdir/$run-$tag.out"
+    diff "$workdir/serial-$tag-lints.json" "$workdir/$run-$tag-lints.json" || {
+      echo "ci: x86_64 --lint-json output ($budget budgets) depends on cache state" >&2
+      exit 1; }
+  done
 done
-echo "ci: engine output identical with no cache, a cold cache and a warm cache (quick and default budgets, x86_64)"
+echo "ci: engine output identical with no cache, a cold cache and a warm cache (quick and default budgets, on tiny and x86_64)"
 
 # --- override-composition gate --------------------------------------
 # Composition may never show up in verdicts: test/differential, which
@@ -175,7 +185,7 @@ echo "ci: override gate ok (proven gate, fingerprints, composed batteries run no
 hits=$(sed -n 's/^  "cache_hits": *\([0-9][0-9]*\).*/\1/p' "$workdir/warm.json")
 [ -n "$hits" ] && [ "$hits" -gt 0 ] || {
   echo "ci: warm run reported no cache hits" >&2; exit 1; }
-for warm in warm warm-default warm-x86; do
+for warm in warm warm-default warm-x86 warm-x86-default; do
   for phase in code-proofs analysis absint borrow alias \
       invariants noninterference trace-ni; do
     grep "\"phase\": \"$phase\"" "$workdir/$warm.json" | grep -q '"executed": 0' || {

@@ -248,6 +248,404 @@ let test_epcm () =
   ()
 
 (* ------------------------------------------------------------------ *)
+(* The kernel against its reference models                             *)
+
+module R = Reference
+
+let x86_layout = Layout.default Geometry.x86_64
+
+let same_result eq a b =
+  match (a, b) with
+  | Ok x, Ok y -> eq x y
+  | Error e, Error f -> String.equal e f
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let show_result show = function Ok x -> "Ok " ^ show x | Error e -> "Error " ^ e
+let show_words ws = String.concat "," (List.map (Printf.sprintf "%Lx") ws)
+
+let show_pairs ps =
+  String.concat "," (List.map (fun (a, v) -> Printf.sprintf "%Lx=%Lx" a v) ps)
+
+let same_contents m r = Phys_mem.nonzero_words m = R.Phys_mem.nonzero_words r
+
+(* Addresses around a memory of [limit]: hot aligned words near 0 and
+   the limit (so writes collide), unaligned ones, the limit itself,
+   words beyond it, the top half of the address space, and anywhere. *)
+let pick_addr rng limit =
+  let hot =
+    [| 0L; 8L; 16L; 24L; 32L; 0x100L; Int64.sub limit 8L; Int64.sub limit 16L;
+       Int64.sub limit 32L |]
+  in
+  let any_hot () = hot.(Random.State.int rng (Array.length hot)) in
+  match Random.State.int rng 12 with
+  | 0 -> Int64.add (any_hot ()) (Int64.of_int (1 + Random.State.int rng 7))
+  | 1 -> limit
+  | 2 -> Int64.add limit (Int64.of_int (8 * (1 + Random.State.int rng 4)))
+  | 3 -> Int64.logor Int64.min_int (Int64.of_int (8 * Random.State.int rng 4))
+  | 4 -> Int64.of_int (8 * Random.State.int rng (Int64.to_int limit / 8))
+  | _ -> any_hot ()
+
+(* Range lengths: short and page-sized multiples of 8, zero, negative,
+   unaligned; a limit-straddling range is a hot address near the limit
+   with any of these. *)
+let pick_len rng page =
+  match Random.State.int rng 8 with
+  | 0 -> 0
+  | 1 -> -8 * (1 + Random.State.int rng 2)
+  | 2 -> 1 + Random.State.int rng 30
+  | 3 -> page
+  | _ -> 8 * (1 + Random.State.int rng 8)
+
+let pick_value rng =
+  let values = [| 0L; 0L; 0L; 1L; -1L; 0xABCDL; Int64.min_int |] in
+  values.(Random.State.int rng (Array.length values))
+
+(* One seeded operation on the kernel and the reference; fails on the
+   first result that differs.  Returns the next pair of memories. *)
+let phys_step rng ~limit ~page ~label (m, r) (m0, r0) =
+  let fail what show_k show_r =
+    Alcotest.failf "%s: %s: kernel %s, reference %s" label what show_k show_r
+  in
+  let check_mem what km rm =
+    if not (same_result (fun _ _ -> true) km rm) then
+      fail what (show_result (fun _ -> "mem") km) (show_result (fun _ -> "mem") rm);
+    match (km, rm) with
+    | Ok m', Ok r' ->
+        if not (same_contents m' r') then
+          fail what
+            (show_pairs (Phys_mem.nonzero_words m'))
+            (show_pairs (R.Phys_mem.nonzero_words r'));
+        (m', r')
+    | _ -> (m, r)
+  in
+  let addr = pick_addr rng limit in
+  match Random.State.int rng 8 with
+  | 0 ->
+      let k = Phys_mem.read64 m addr and rf = R.Phys_mem.read64 r addr in
+      if not (same_result Int64.equal k rf) then
+        fail (Printf.sprintf "read64 %Lx" addr) (show_result Int64.to_string k)
+          (show_result Int64.to_string rf);
+      (m, r)
+  | 1 | 2 ->
+      let v = pick_value rng in
+      check_mem (Printf.sprintf "write64 %Lx %Lx" addr v) (Phys_mem.write64 m addr v)
+        (R.Phys_mem.write64 r addr v)
+  | 3 ->
+      let n = pick_len rng page in
+      check_mem (Printf.sprintf "zero_range %Lx %d" addr n)
+        (Phys_mem.zero_range m addr ~bytes_len:n) (R.Phys_mem.zero_range r addr ~bytes_len:n)
+  | 4 ->
+      let dst = pick_addr rng limit and n = pick_len rng page in
+      check_mem (Printf.sprintf "copy_range %Lx -> %Lx %d" addr dst n)
+        (Phys_mem.copy_range m ~src:addr ~dst ~bytes_len:n)
+        (R.Phys_mem.copy_range r ~src:addr ~dst ~bytes_len:n)
+  | 5 ->
+      let n = pick_len rng page in
+      let k = Phys_mem.equal_range m m0 addr ~bytes_len:n
+      and rf = R.Phys_mem.equal_range r r0 addr ~bytes_len:n in
+      if k <> rf then
+        fail (Printf.sprintf "equal_range %Lx %d" addr n) (string_of_bool k) (string_of_bool rf);
+      (m, r)
+  | 6 ->
+      (* read_words against a loop of reference reads *)
+      let count = pick_len rng page / 8 in
+      let rec loop i acc =
+        if i >= count then Ok (List.rev acc)
+        else
+          match R.Phys_mem.read64 r (Int64.add addr (Int64.of_int (8 * i))) with
+          | Ok v -> loop (i + 1) (v :: acc)
+          | Error e -> Error e
+      in
+      let k = Phys_mem.read_words m addr ~count and rf = loop 0 [] in
+      if not (same_result ( = ) k rf) then
+        fail (Printf.sprintf "read_words %Lx %d" addr count) (show_result show_words k)
+          (show_result show_words rf);
+      (m, r)
+  | _ ->
+      (* fold_nonzero_range over an aligned range against a filter *)
+      let addr = Int64.logand addr (Int64.lognot 7L) in
+      let n = abs (pick_len rng page) land lnot 7 in
+      let inside a = Word.le_u addr a && Word.lt_u (Int64.sub a addr) (Int64.of_int n) in
+      let k =
+        List.rev (Phys_mem.fold_nonzero_range m addr ~bytes_len:n (fun a v acc -> (a, v) :: acc) [])
+      and rf = List.filter (fun (a, _) -> inside a) (R.Phys_mem.nonzero_words r) in
+      if k <> rf then
+        fail (Printf.sprintf "fold_nonzero_range %Lx %d" addr n) (show_pairs k) (show_pairs rf);
+      (m, r)
+
+let run_phys ~seed ~steps layout =
+  let limit = Layout.phys_limit layout and page = Geometry.page_size layout.Layout.geom in
+  let rng = Random.State.make [| seed |] in
+  let label = Printf.sprintf "phys seed %d" seed in
+  let start = (Phys_mem.create ~limit, R.Phys_mem.create ~limit) in
+  let rec go i cur ((m0, r0) as snap) =
+    if i < steps then begin
+      let m', r' = phys_step rng ~limit ~page ~label cur snap in
+      (* the whole-value observers agree as well *)
+      if Phys_mem.equal m' m0 <> R.Phys_mem.equal r' r0 then
+        Alcotest.failf "%s: equal disagrees at step %d" label i;
+      let folded = List.rev (Phys_mem.fold_nonzero (fun a v acc -> (a, v) :: acc) m' []) in
+      if folded <> R.Phys_mem.nonzero_words r' then
+        Alcotest.failf "%s: fold_nonzero out of address order at step %d" label i;
+      go (i + 1) (m', r') (if i mod 16 = 0 then (m', r') else snap)
+    end
+  in
+  go 0 start start
+
+let test_phys_mem_reference () =
+  List.iter (fun seed -> run_phys ~seed ~steps:3000 tiny_layout) [ 1; 2; 3 ];
+  List.iter (fun seed -> run_phys ~seed ~steps:1500 x86_layout) [ 4; 5 ]
+
+(* Frames on either side of the representation's word boundaries (64
+   per bitmap word, 62 or 63 per native int), the ends of the pool and
+   beyond them. *)
+let pick_frame rng nframes =
+  let edges = [ 0; 1; 61; 62; 63; 64; 65; 123; 124; 125; 126; 127; 128; 1023 ] in
+  let edges = List.filter (fun i -> i < nframes) edges @ [ nframes - 1; nframes; -1 ] in
+  if Random.State.int rng 3 = 0 then Random.State.int rng nframes
+  else List.nth edges (Random.State.int rng (List.length edges))
+
+let pick_bitmap_value rng used =
+  let pool_bits = if used >= 64 then -1L else Int64.sub (Int64.shift_left 1L used) 1L in
+  match Random.State.int rng 5 with
+  | 0 -> -1L (* bits beyond the pool, unless it fills the word *)
+  | 1 -> 0L
+  | 2 -> pool_bits
+  | _ -> Int64.logand pool_bits (Random.State.bits64 rng)
+
+let same_alloc a r =
+  Frame_alloc.allocated_list a = R.Frame_alloc.allocated_list r
+  && Frame_alloc.allocated_count a = R.Frame_alloc.allocated_count r
+  && Frame_alloc.free_count a = R.Frame_alloc.free_count r
+  && Frame_alloc.bitmap_words a = R.Frame_alloc.bitmap_words r
+
+let alloc_step rng ~nframes ~label (a, r) =
+  let fail what k rf = Alcotest.failf "%s: %s: kernel %s, reference %s" label what k rf in
+  let next what ka ra =
+    if not (same_result (fun _ _ -> true) ka ra) then
+      fail what (show_result (fun _ -> "alloc") ka) (show_result (fun _ -> "alloc") ra);
+    match (ka, ra) with
+    | Ok a', Ok r' ->
+        if not (same_alloc a' r') then
+          fail what
+            (String.concat "," (List.map string_of_int (Frame_alloc.allocated_list a')))
+            (String.concat "," (List.map string_of_int (R.Frame_alloc.allocated_list r')));
+        (a', r')
+    | _ -> (a, r)
+  in
+  let nwords = (nframes + 63) / 64 in
+  match Random.State.int rng 6 with
+  | 0 | 1 -> (
+      match (Frame_alloc.alloc a, R.Frame_alloc.alloc r) with
+      | Ok (a', i), Ok (r', j) ->
+          if i <> j then fail "alloc" (string_of_int i) (string_of_int j);
+          next "alloc" (Ok a') (Ok r')
+      | ka, ra -> next "alloc" (Result.map fst ka) (Result.map fst ra))
+  | 2 ->
+      let i = pick_frame rng nframes in
+      next (Printf.sprintf "free %d" i) (Frame_alloc.free a i) (R.Frame_alloc.free r i)
+  | 3 ->
+      let i = pick_frame rng nframes in
+      if Frame_alloc.is_allocated a i <> R.Frame_alloc.is_allocated r i then
+        fail (Printf.sprintf "is_allocated %d" i) "" "";
+      (a, r)
+  | 4 ->
+      let w = Random.State.int rng (nwords + 2) - 1 in
+      let k = Frame_alloc.bitmap_word a w and rf = R.Frame_alloc.bitmap_word r w in
+      if not (same_result Int64.equal k rf) then
+        fail (Printf.sprintf "bitmap_word %d" w) (show_result Int64.to_string k)
+          (show_result Int64.to_string rf);
+      (a, r)
+  | _ ->
+      let w = Random.State.int rng (nwords + 2) - 1 in
+      let v = pick_bitmap_value rng (nframes - (64 * w)) in
+      next
+        (Printf.sprintf "set_bitmap_word %d %Lx" w v)
+        (Frame_alloc.set_bitmap_word a w v) (R.Frame_alloc.set_bitmap_word r w v)
+
+let run_alloc ~seed ~steps nframes =
+  let rng = Random.State.make [| seed |] in
+  let label = Printf.sprintf "frame_alloc seed %d (%d frames)" seed nframes in
+  let start = (Frame_alloc.create ~nframes, R.Frame_alloc.create ~nframes) in
+  let rec go i cur (a0, r0) =
+    if i < steps then begin
+      let a', r' = alloc_step rng ~nframes ~label cur in
+      if Frame_alloc.equal a' a0 <> R.Frame_alloc.equal r' r0 then
+        Alcotest.failf "%s: equal disagrees at step %d" label i;
+      go (i + 1) (a', r') (if i mod 16 = 0 then (a', r') else (a0, r0))
+    end
+  in
+  go 0 start start
+
+(* The allocator in order across word boundaries: fill 130 frames, free
+   the frames around the boundaries, then refill and drain the pool. *)
+let test_alloc_boundaries nframes =
+  let label = Printf.sprintf "boundaries (%d frames)" nframes in
+  let cur = ref (Frame_alloc.create ~nframes, R.Frame_alloc.create ~nframes) in
+  let alloc () =
+    let a, r = !cur in
+    match (Frame_alloc.alloc a, R.Frame_alloc.alloc r) with
+    | Ok (a', i), Ok (r', j) ->
+        if i <> j then Alcotest.failf "%s: alloc gave %d, reference %d" label i j;
+        cur := (a', r')
+    | Error e, Error f when String.equal e f -> ()
+    | k, rf ->
+        Alcotest.failf "%s: alloc %s, reference %s" label
+          (show_result (fun (_, i) -> string_of_int i) k)
+          (show_result (fun (_, i) -> string_of_int i) rf)
+  in
+  let free i =
+    let a, r = !cur in
+    match (Frame_alloc.free a i, R.Frame_alloc.free r i) with
+    | Ok a', Ok r' -> cur := (a', r')
+    | Error e, Error f when String.equal e f -> ()
+    | _ -> Alcotest.failf "%s: free %d disagrees" label i
+  in
+  for _ = 1 to min nframes 130 do alloc () done;
+  List.iter free [ 61; 62; 63; 64; 123; 124; 125; 126; 127; 128; 0 ];
+  for _ = 1 to nframes + 2 do alloc () done;
+  free (nframes - 1);
+  alloc ();
+  let a, r = !cur in
+  if not (same_alloc a r) then Alcotest.failf "%s: allocators differ" label
+
+let test_frame_alloc_reference () =
+  List.iter (fun seed -> run_alloc ~seed ~steps:2000 24) [ 1; 2 ];
+  List.iter (fun seed -> run_alloc ~seed ~steps:3000 1024) [ 3; 4 ];
+  (* pools whose last bitmap word is 63, 64 and 2 bits wide *)
+  List.iter
+    (fun (seed, nframes) -> run_alloc ~seed ~steps:2000 nframes)
+    [ (5, 127); (6, 128); (7, 130) ];
+  List.iter test_alloc_boundaries [ 24; 63; 64; 127; 130; 1024 ]
+
+(* Canonical values: short sequences over a few addresses, values and
+   frames reach the same contents by different histories.  Whenever the
+   reference calls two results equal, so must the kernel, and
+   [Absdata.hash] must agree; whenever it does not, neither may the
+   kernel. *)
+let test_kernel_canonical () =
+  let check_layout layout =
+    let limit = Layout.phys_limit layout and nframes = layout.Layout.frame_count in
+    let base = Absdata.create layout in
+    let addrs = [| 0L; 8L; Int64.sub limit 8L |] and frames = [| 0; 1; nframes - 1 |] in
+    let run seed =
+      let rng = Random.State.make [| seed |] in
+      let rec go n m r a ra =
+        if n = 0 then ((m, r), (a, ra))
+        else
+          let addr = addrs.(Random.State.int rng 3) and v = Int64.of_int (Random.State.int rng 2) in
+          let m = ok "write" (Phys_mem.write64 m addr v)
+          and r = ok "ref write" (R.Phys_mem.write64 r addr v) in
+          let a, ra =
+            if Random.State.bool rng then
+              match (Frame_alloc.alloc a, R.Frame_alloc.alloc ra) with
+              | Ok (a, _), Ok (ra, _) -> (a, ra)
+              | _ -> (a, ra)
+            else
+              let i = frames.(Random.State.int rng 3) in
+              match (Frame_alloc.free a i, R.Frame_alloc.free ra i) with
+              | Ok a, Ok ra -> (a, ra)
+              | _ -> (a, ra)
+          in
+          go (n - 1) m r a ra
+      in
+      go (1 + Random.State.int rng 6) (Phys_mem.create ~limit) (R.Phys_mem.create ~limit)
+        (Frame_alloc.create ~nframes) (R.Frame_alloc.create ~nframes)
+    in
+    let results = List.init 60 run in
+    let abs ((m, _), (a, _)) = { base with Absdata.phys = m; falloc = a } in
+    List.iteri
+      (fun i x ->
+        List.iteri
+          (fun j y ->
+            let ((m1, r1), (a1, ra1)) = x and ((m2, r2), (a2, ra2)) = y in
+            let ref_phys = R.Phys_mem.equal r1 r2 and ref_alloc = R.Frame_alloc.equal ra1 ra2 in
+            if Phys_mem.equal m1 m2 <> ref_phys then
+              Alcotest.failf "sequences %d and %d: Phys_mem.equal %b, reference %b" i j
+                (not ref_phys) ref_phys;
+            if Frame_alloc.equal a1 a2 <> ref_alloc then
+              Alcotest.failf "sequences %d and %d: Frame_alloc.equal %b, reference %b" i j
+                (not ref_alloc) ref_alloc;
+            if ref_phys && ref_alloc then begin
+              if not (Absdata.equal (abs x) (abs y)) then
+                Alcotest.failf "sequences %d and %d: Absdata.equal differs" i j;
+              if Absdata.hash (abs x) <> Absdata.hash (abs y) then
+                Alcotest.failf "sequences %d and %d: equal states hash apart" i j
+            end)
+          results)
+      results
+  in
+  check_layout tiny_layout;
+  check_layout x86_layout
+
+(* [Epcm.fold] and [find_free] walk the owned pages only; they must
+   still see every page, [Free] ones included, as a scan of [get]
+   does. *)
+let test_epcm_walks () =
+  let rng = Random.State.make [| 11 |] in
+  List.iter
+    (fun npages ->
+      let m = ref (Epcm.create ~npages) in
+      for step = 1 to 400 do
+        let i = Random.State.int rng npages in
+        let st =
+          if Random.State.int rng 3 = 0 then Epcm.Free
+          else Epcm.Valid { eid = 1 + Random.State.int rng 3; va = Int64.of_int (8 * i) }
+        in
+        m := ok "set" (Epcm.set !m i st);
+        let scan = List.init npages (fun i -> (i, ok "get" (Epcm.get !m i))) in
+        let folded = List.rev (Epcm.fold (fun i st acc -> (i, st) :: acc) !m []) in
+        if not (List.equal (fun (i, a) (j, b) -> i = j && Epcm.page_state_equal a b) scan folded)
+        then Alcotest.failf "%d pages, step %d: fold differs from a scan" npages step;
+        let valid =
+          List.filter_map
+            (fun (i, st) ->
+              match st with Epcm.Valid { eid; va } -> Some (i, eid, va) | Epcm.Free -> None)
+            scan
+        in
+        if List.rev (Epcm.fold_valid (fun i ~eid ~va acc -> (i, eid, va) :: acc) !m []) <> valid
+        then Alcotest.failf "%d pages, step %d: fold_valid differs from a scan" npages step;
+        let first_free =
+          List.find_map
+            (fun (i, st) -> match st with Epcm.Free -> Some i | Epcm.Valid _ -> None)
+            scan
+        in
+        Alcotest.(check (option int)) "find_free" first_free (Epcm.find_free !m)
+      done)
+    [ 1; 8; 70 ]
+
+(* Zeroing a table costs in proportion to the nonzero words it clears:
+   a 4 KiB x86-64 table holding k nonzero words, among 64 words
+   elsewhere, is scrubbed within a small allocation bound, where a
+   word-by-word loop allocates thousands of words for any k.
+   Allocation is deterministic, unlike wall time. *)
+let test_zero_range_allocation () =
+  let limit = Layout.phys_limit x86_layout in
+  let table = Layout.frame_addr x86_layout 5 in
+  let elsewhere =
+    List.init 64 (fun i -> Int64.add x86_layout.Layout.normal_base (Int64.of_int (4096 * i)))
+  in
+  List.iter
+    (fun k ->
+      let m =
+        List.fold_left
+          (fun m a -> ok "write" (Phys_mem.write64 m a 0x77L))
+          (Phys_mem.create ~limit)
+          (elsewhere
+          @ List.init k (fun i -> Int64.add table (Int64.of_int (8 * ((i * 37) mod 512)))))
+      in
+      let before = Gc.minor_words () in
+      let m' = ok "zero_range" (Phys_mem.zero_range m table ~bytes_len:4096) in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (Printf.sprintf "k=%d: the rest survives" k) 64
+        (List.length (Phys_mem.nonzero_words m'));
+      let bound = 200 + (16 * k) in
+      if words > float_of_int bound then
+        Alcotest.failf "zeroing a table holding %d words allocated %.0f words (bound %d)" k words
+          bound)
+    [ 0; 1; 8; 64 ]
+
+(* ------------------------------------------------------------------ *)
 (* Pt_flat on the tiny geometry                                        *)
 
 let fresh_pt () =
@@ -716,6 +1114,15 @@ let () =
           Alcotest.test_case "frame alloc bitmap words" `Quick test_frame_alloc_bitmap_words;
           Alcotest.test_case "frame alloc exhaust/recover" `Quick test_frame_alloc_exhaust_recover;
           Alcotest.test_case "epcm" `Quick test_epcm;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "phys_mem matches its reference" `Quick test_phys_mem_reference;
+          Alcotest.test_case "frame_alloc matches its reference" `Quick
+            test_frame_alloc_reference;
+          Alcotest.test_case "equal values, equal hashes" `Quick test_kernel_canonical;
+          Alcotest.test_case "zero_range allocation" `Quick test_zero_range_allocation;
+          Alcotest.test_case "epcm walks see every page" `Quick test_epcm_walks;
         ] );
       ( "pt-flat",
         [

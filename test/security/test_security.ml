@@ -113,6 +113,44 @@ let test_mbuf_oracle_semantics () =
   Alcotest.(check int) "other stream untouched" 0
     (Oracle.position (State.oracle_of st1 Principal.Os))
 
+(* A principal with no saved context or oracle reads one shared default
+   of each.  An enclave entered for the first time starts on the shared
+   zero context, so its steps must copy it, never write it: afterwards
+   another absent principal still reads zeros, and the views of the
+   state before the steps are unchanged.  The same holds for the
+   shared oracle after a declassified load. *)
+let test_shared_defaults_stay_zero () =
+  let pre, eid = enclave_ready () in
+  let absent = Principal.Enclave (eid + 1) in
+  let observers = [ Principal.Os; Principal.Enclave eid; absent ] in
+  let views st = List.map (fun p -> ok "observe" (Observation.observe st p)) observers in
+  let before = views pre in
+  let st = stepv "enter" pre (Transition.Hc_enter { eid }) in
+  let st = stepv "const" st (Transition.Const { dst = 0; value = 0x5EL }) in
+  let st = stepv "compute" st (Transition.Compute { dst = 1; src1 = 0; src2 = 0 }) in
+  Alcotest.(check int64) "r1 computed" 0xBCL (ok "r1" (State.reg st 1));
+  let zeros = State.zero_regs () in
+  Alcotest.(check bool) "absent context still zero" true
+    (State.regs_equal zeros (State.saved_ctx st absent));
+  Alcotest.(check bool) "entered enclave's pre-state context still zero" true
+    (State.regs_equal zeros (State.saved_ctx pre (Principal.Enclave eid)));
+  Alcotest.(check bool) "pre-state views unchanged" true
+    (List.for_all2 Observation.view_equal before (views pre));
+  (* a declassified load consumes the enclave's own stream *)
+  let st = stepv "mbuf load" st (Transition.Load { dst = 2; va = page_va mbuf_page }) in
+  let v, st' = State.take_oracle st absent in
+  let expected, _ = Oracle.take (Oracle.create ()) in
+  Alcotest.(check int64) "a fresh stream's first value" expected v;
+  Alcotest.(check int) "taken from the absent principal's stream" 1
+    (Oracle.position (State.oracle_of st' absent));
+  List.iter
+    (fun (what, s) ->
+      Alcotest.(check bool) what true
+        (Oracle.equal_stream (Oracle.create ()) (State.oracle_of s (Principal.Enclave (eid + 2)))))
+    [ ("another absent oracle is fresh", st'); ("and in the pre-state", pre) ];
+  Alcotest.(check bool) "pre-state views unchanged after the loads" true
+    (List.for_all2 Observation.view_equal before (views pre))
+
 (* ------------------------------------------------------------------ *)
 (* EREMOVE (extension)                                                 *)
 
@@ -700,6 +738,7 @@ let () =
           Alcotest.test_case "enclave memory isolation" `Quick
             test_enclave_memory_isolation;
           Alcotest.test_case "mbuf oracle semantics" `Quick test_mbuf_oracle_semantics;
+          Alcotest.test_case "shared defaults stay zero" `Quick test_shared_defaults_stay_zero;
         ] );
       ( "tlb",
         [
