@@ -30,9 +30,8 @@
    to [Serve.Driver.run], the same function that answers the --serve
    daemon's requests, so a daemon response equals a one-shot run by
    construction.  What stays here is the CLI's own: the --chaos phase
-   (passed to the driver as a printer), the --engine-chaos handle, the
-   stderr engine lines and the --json-out, --trace-out and --lint-json
-   writers.
+   (passed to the driver as a printer), the stderr engine lines and the
+   --json-out, --trace-out and --lint-json writers.
 
    Serving (lib/serve): --serve SOCKET runs the long-lived daemon — a
    dispatcher handing one request at a time to each of --fleet N forked
@@ -101,7 +100,7 @@ let chaos_phase ~quick ~seed ~traces ~kinds ~buggy_tlb (req : Serve.Driver.reque
 (* ------------------------------------------------------------------ *)
 (* Serve / client modes                                                *)
 
-let run_serve ~socket ~fleet ~cache_dir ~retries ~timeout_ms =
+let run_serve ~socket ~fleet ~cache_dir ~timeout_ms =
   if fleet < 1 then begin
     Format.eprintf "hyperenclave-verify: --fleet must be at least 1 (got %d)@." fleet;
     2
@@ -112,7 +111,6 @@ let run_serve ~socket ~fleet ~cache_dir ~retries ~timeout_ms =
         (Serve.Server.default_config ~socket) with
         Serve.Server.fleet;
         cache_dir;
-        retries;
         timeout_ms;
       }
     in
@@ -159,13 +157,13 @@ let run_client ~socket ~scrub_summary ~json_out (req : Serve.Driver.request) =
 (* The driver's run, then what only the CLI writes: the stderr engine
    lines (scheduling metadata: never on stdout, so runs diff clean) and
    the --json-out, --trace-out and --lint-json files. *)
-let run_local (session : Serve.Driver.session) ?chaos ?engine_chaos ~json_out
-    ~trace_out ~lint_json ~scrub_summary req =
+let run_local (session : Serve.Driver.session) ?chaos ~json_out ~trace_out ~lint_json
+    ~scrub_summary req =
   let (r : Serve.Driver.run_result) =
-    Serve.Driver.run ?chaos ?engine_chaos session (Serve.Driver.prepare req)
+    Serve.Driver.run ?chaos session (Serve.Driver.prepare req)
   in
   print_string r.stdout;
-  let execs = r.execs and stats = r.stats in
+  let execs = r.execs in
   let count_cache = Serve.Summary.count_cache in
   Format.eprintf "engine: %d obligations, cache %s, %d hits, %d misses, %.3fs@."
     (List.length execs)
@@ -176,34 +174,19 @@ let run_local (session : Serve.Driver.session) ?chaos ?engine_chaos ~json_out
   let sup_totals =
     Engine.Supervisor.totals (List.map (fun (e : Engine.Pool.exec) -> e.trail) execs)
   in
-  if
-    sup_totals.Engine.Supervisor.supervised > 0
-    || stats.Engine.Pool.respawns > 0 || stats.Engine.Pool.lost_workers > 0
-  then
+  if sup_totals.Engine.Supervisor.supervised > 0 then
     Format.eprintf
-      "engine supervision: %d supervised (%d retried, %d recovered, %d fell back, \
-       %d quarantined), %d crashes, %d timeouts, %d respawns, %d workers lost@."
-      sup_totals.Engine.Supervisor.supervised sup_totals.Engine.Supervisor.retried
-      sup_totals.Engine.Supervisor.recovered sup_totals.Engine.Supervisor.fell_back
+      "engine supervision: %d supervised (%d fell back, %d quarantined), %d crashes, \
+       %d timeouts@."
+      sup_totals.Engine.Supervisor.supervised sup_totals.Engine.Supervisor.fell_back
       sup_totals.Engine.Supervisor.quarantined sup_totals.Engine.Supervisor.crashes
-      sup_totals.Engine.Supervisor.timeouts stats.Engine.Pool.respawns
-      stats.Engine.Pool.lost_workers;
+      sup_totals.Engine.Supervisor.timeouts;
   let cache_write_failures =
     match session.cache with None -> 0 | Some c -> Engine.Cache.write_failure_count c
   in
   if cache_write_failures > 0 then
     Format.eprintf "engine cache: %d write failure(s) — see --trace-out@."
       cache_write_failures;
-  Option.iter
-    (fun ch ->
-      Format.eprintf "engine chaos: seed=%d, injected %d (%s)@."
-        (Engine.Engine_chaos.seed ch)
-        (Engine.Engine_chaos.injected_total ch)
-        (String.concat ", "
-           (List.map
-              (fun (k, n) -> Printf.sprintf "%s=%d" (Fault.Plan.engine_kind_to_string k) n)
-              (Engine.Engine_chaos.injected ch))))
-    engine_chaos;
   Option.iter (fun path -> write_summary ~scrub_summary path (Lazy.force r.summary)) json_out;
   Option.iter
     (fun path ->
@@ -220,9 +203,8 @@ let run_local (session : Serve.Driver.session) ?chaos ?engine_chaos ~json_out
 (* ------------------------------------------------------------------ *)
 
 let run geometry seed quick (_jobs : int) cache_dir json_out trace_out lint_json chaos
-    chaos_traces faults buggy_tlb lints timeout_ms retries engine_chaos_seed
-    engine_faults mc_depth mc_geometry mc_por serve_socket client_socket fleet
-    scrub_summary =
+    chaos_traces faults buggy_tlb lints timeout_ms mc_depth mc_geometry mc_por
+    serve_socket client_socket fleet scrub_summary =
   let req =
     {
       Serve.Driver.geometry;
@@ -243,30 +225,24 @@ let run geometry seed quick (_jobs : int) cache_dir json_out trace_out lint_json
     }
   in
   match (serve_socket, client_socket) with
-  | Some socket, _ -> run_serve ~socket ~fleet ~cache_dir ~retries ~timeout_ms
+  | Some socket, _ -> run_serve ~socket ~fleet ~cache_dir ~timeout_ms
   | None, Some socket ->
-      if chaos || engine_chaos_seed <> None then begin
+      if chaos then begin
         Format.eprintf
-          "hyperenclave-verify: --chaos / --engine-chaos are not served over \
-           the wire (run them one-shot)@.";
+          "hyperenclave-verify: --chaos is not served over the wire (run it \
+           one-shot)@.";
         2
       end
       else run_client ~socket ~scrub_summary ~json_out req
   | None, None ->
-      let session = Serve.Driver.session ?cache_dir ~retries ~timeout_ms () in
+      let session = Serve.Driver.session ?cache_dir ~timeout_ms () in
       let chaos =
         if chaos then
           Some
             (chaos_phase ~quick ~seed ~traces:chaos_traces ~kinds:faults ~buggy_tlb req)
         else None
       in
-      let engine_chaos =
-        Option.map
-          (fun cseed -> Engine.Engine_chaos.create ~kinds:engine_faults ~seed:cseed ())
-          engine_chaos_seed
-      in
-      run_local session ?chaos ?engine_chaos ~json_out ~trace_out ~lint_json
-        ~scrub_summary req
+      run_local session ?chaos ~json_out ~trace_out ~lint_json ~scrub_summary req
 
 let geometry =
   Arg.(
@@ -279,8 +255,8 @@ let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller state budgets.")
 
 (* A count below its minimum is a usage error naming the flag, before
    any phase runs: zero chaos traces would pass vacuously, a zero depth
-   would silently run as 1, and a negative deadline or retry count
-   would silently run as none. *)
+   would silently run as 1, and a negative deadline would silently run
+   as none. *)
 let int_at_least min =
   let parse s =
     match int_of_string_opt s with
@@ -358,18 +334,15 @@ let kinds_conv parse print =
   Arg.conv ((fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)), fun fmt ks ->
             Format.pp_print_string fmt (print ks))
 
-let fault_kinds ~what ~all ~to_string =
-  kinds_conv
-    (Fault.Plan.kinds_of_string ~what ~all ~to_string)
-    (fun ks -> if ks = all then "all" else String.concat "," (List.map to_string ks))
-
 let faults =
+  let faults_conv =
+    kinds_conv Fault.Plan.kinds_of_string (fun ks ->
+        if ks = Fault.Plan.all_kinds then "all"
+        else String.concat "," (List.map Fault.Plan.kind_to_string ks))
+  in
   Arg.(
     value
-    & opt
-        (fault_kinds ~what:"fault kind" ~all:Fault.Plan.all_kinds
-           ~to_string:Fault.Plan.kind_to_string)
-        Fault.Plan.all_kinds
+    & opt faults_conv Fault.Plan.all_kinds
     & info [ "faults" ] ~docv:"KINDS"
         ~doc:
           "Comma-separated fault kinds to inject: exhaustion, pt-bitflip, \
@@ -405,42 +378,10 @@ let timeout_ms =
     value & opt non_negative_int 0
     & info [ "timeout-ms" ] ~docv:"MS"
         ~doc:
-          "Per-attempt obligation deadline in milliseconds (0 = none).  \
-           Cooperative: check batteries poll at case/trial boundaries, so an \
-           attempt is cancelled at the first boundary past the deadline.")
-
-let retries =
-  Arg.(
-    value & opt non_negative_int 2
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Additional attempts, at least 0, for an obligation that crashes or \
-           times out, with deterministic exponential backoff, before the \
-           degradation ladder (reference-interpreter fallback for code \
-           proofs) and quarantine.")
-
-let engine_chaos_seed =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "engine-chaos" ] ~docv:"SEED"
-        ~doc:
-          "Inject deterministic faults into the verification engine itself \
-           (obligation crashes/hangs, worker kills, cache corruption, clock \
-           skew) from SEED.  Verdicts must be byte-identical to a clean run \
-           — CI asserts this.")
-
-let engine_faults =
-  Arg.(
-    value
-    & opt
-        (fault_kinds ~what:"engine fault kind" ~all:Fault.Plan.all_engine_kinds
-           ~to_string:Fault.Plan.engine_kind_to_string)
-        Fault.Plan.all_engine_kinds
-    & info [ "engine-faults" ] ~docv:"KINDS"
-        ~doc:
-          "Comma-separated engine fault kinds for --engine-chaos: obl-crash, \
-           obl-hang, worker-kill, torn-pack, clock-skew — or 'all'.")
+          "Per-obligation deadline in milliseconds (0 = none).  Cooperative: \
+           check batteries poll at case/trial boundaries, so an obligation is \
+           cancelled at the first boundary past the deadline and reported as a \
+           timeout failure, never cached.")
 
 let mc_depth =
   Arg.(
@@ -534,7 +475,7 @@ let cmd =
     Term.(
       const run $ geometry $ seed $ quick $ jobs $ cache_dir $ json_out $ trace_out
       $ lint_json $ chaos $ chaos_traces $ faults $ buggy_tlb $ lints $ timeout_ms
-      $ retries $ engine_chaos_seed $ engine_faults $ mc_depth $ mc_geometry
-      $ mc_por $ serve_socket $ client_socket $ fleet $ scrub_summary)
+      $ mc_depth $ mc_geometry $ mc_por $ serve_socket $ client_socket $ fleet
+      $ scrub_summary)
 
 let () = exit (Cmd.eval' cmd)

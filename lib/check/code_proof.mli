@@ -58,8 +58,8 @@ val run_function_composed : ctx -> string -> (string * Mirverif.Report.t) option
     resolves pointer arguments through the caller's memory first).
     Sound only once those callees are proven — the engine gates each
     caller on its callees' obligation outcomes and falls back to
-    {!run_function} while the gate is closed (e.g. a quarantined callee
-    under engine chaos). *)
+    {!run_function} while the gate is closed (e.g. a callee quarantined
+    after a crash). *)
 
 val composed_for : ctx -> string -> Hyperenclave.Absdata.t Mir.Compile.t
 (** The layer's override-composed environment, the one
@@ -71,7 +71,7 @@ val run_function_interp : ctx -> string -> (string * Mirverif.Report.t) option
 (** The same battery, regenerated from the ctx's input pool, under
     the reference {!Mir.Interp} semantics instead of the compiled
     executor.  The engine's degradation ladder: when a compiled run
-    crashes, the supervisor retries through this and flags the
+    crashes, the supervisor runs this once instead and flags the
     divergence. *)
 
 val checks :

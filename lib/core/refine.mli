@@ -68,8 +68,8 @@ val run_compiled : 'abs Mir.Compile.t -> 'abs check -> Report.t
 
 val run_interp : 'abs Mir.Interp.env -> 'abs check -> Report.t
 (** The degraded path: the same battery under the reference
-    interpreter, no compilation.  The engine's supervisor retries a
-    crashed compiled run through this — any verdict difference between
+    interpreter, no compilation.  The engine's supervisor runs this
+    once in place of a crashed compiled run — any verdict difference between
     the two executors is a divergence worth flagging. *)
 
 val run_all : 'abs Mir.Interp.env -> 'abs check list -> Report.t list

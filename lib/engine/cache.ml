@@ -23,7 +23,6 @@ type t = {
          included), so {!refresh} loads only packs other processes
          wrote since *)
   mutable failures : (string * string) list;  (* (op, message), newest first *)
-  mutable chaos : Engine_chaos.t option;
 }
 
 (* Write failures degrade the cache (the run stays correct, the next
@@ -36,8 +35,6 @@ let fatal = function Out_of_memory | Stack_overflow -> true | _ -> false
 let write_failures t = List.rev t.failures
 
 let write_failure_count t = List.length (write_failures t)
-
-let set_chaos t ch = t.chaos <- Some ch
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -100,7 +97,7 @@ let create ~dir =
           Hashtbl.replace packs f ()
       | None -> ())
     (pack_basenames dir);
-  { dir; index; pending = Hashtbl.create 64; packs; failures = []; chaos = None }
+  { dir; index; pending = Hashtbl.create 64; packs; failures = [] }
 
 (* Pick up packs flushed by other processes since [create] (or the last
    refresh): the fleet's warm-sharing path.  Returns the number of new
@@ -137,7 +134,7 @@ let stash t (o : Obligation.t) (outcome : Obligation.outcome) =
    an advisory [lockf] on [<dir>/.lock].  Readers never take it — the
    rename into place is atomic, so a pack is whole or absent from their
    view — but writers do, so two workers flushing at once cannot
-   interleave their temp-file creation and chaos-teardown windows.  A
+   interleave their temp-file creation and rename windows.  A
    lock failure (e.g. a filesystem without lockf) degrades to the
    unlocked-but-still-atomic path rather than losing the flush. *)
 let with_flush_lock t f =
@@ -180,10 +177,8 @@ let flush t =
            let pack_base =
              Filename.chop_suffix (Filename.basename tmp) ".tmp" ^ ".pack"
            in
-           let pack = Filename.concat t.dir pack_base in
-           Sys.rename tmp pack;
-           Hashtbl.replace t.packs pack_base ();
-           Option.iter (fun ch -> Engine_chaos.tear_pack ch ~path:pack) t.chaos)
+           Sys.rename tmp (Filename.concat t.dir pack_base);
+           Hashtbl.replace t.packs pack_base ())
      with e when not (fatal e) ->
        t.failures <- ("flush", Printexc.to_string e) :: t.failures);
     Array.iter (fun (k, o) -> Hashtbl.replace t.index k o) entries;

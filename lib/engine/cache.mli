@@ -75,8 +75,6 @@ val write_failures : t -> (string * string) list
 
 val write_failure_count : t -> int
 
-val set_chaos : t -> Engine_chaos.t -> unit
-(** Arm the chaos harness's cache hook: the first pack written after
-    {!flush}'s rename may be torn (at the harness's deterministic
-    discretion).  Corruption lands *after* the atomic rename, modelling
-    a torn write that fsync would have caught. *)
+val fatal : exn -> bool
+(** [Out_of_memory] and [Stack_overflow]: exceptions that no layer of
+    the engine absorbs. *)

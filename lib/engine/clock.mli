@@ -11,12 +11,6 @@ val now : unit -> float
 (** Seconds from the current source (default: monotonically clamped
     [Unix.gettimeofday]). *)
 
-val real : unit -> float
-(** The default source itself: monotonically clamped
-    [Unix.gettimeofday], regardless of any {!with_source} override in
-    effect.  Wrappers (e.g. the chaos harness's skewed clock) build on
-    this so they stay anchored to the OS clock. *)
-
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a
 (** [with_source f thunk] runs [thunk] with {!now} reading from [f],
     restoring the previous source afterwards (also on exceptions).

@@ -33,21 +33,20 @@ type t = {
           version *)
   run : unit -> outcome;
   fallback : (unit -> outcome) option;
-      (** degraded-mode evaluator for the supervisor's ladder: an
-          observationally equivalent but more conservative way to
-          discharge the same obligation (code proofs fall back from the
-          compiled-closure battery to the reference interpreter).  Run
-          once, after every [run] attempt has crashed; must depend on
-          the same fingerprinted inputs, so its outcome is cacheable. *)
+      (** degraded-mode evaluator: an observationally equivalent but
+          more conservative way to discharge the same obligation (code
+          proofs fall back from the compiled-closure battery to the
+          reference interpreter).  The supervisor runs it once, after
+          [run] has crashed; it must depend on the same fingerprinted
+          inputs, so its outcome is cacheable. *)
   on_outcome : (outcome -> unit) option;
       (** invoked by the pool with the obligation's outcome on {e every}
           completion path — live execution, crash placeholder, and cache
           hit alike — before dependents are released.  The hook behind
           the override-composition proven gate: a callee marks itself
           proven here, so its callers (DAG dependents) observe the mark
-          no matter how the callee's outcome was obtained.  Must be
-          idempotent: under engine chaos a restarted worker can
-          re-execute an obligation whose hook already ran. *)
+          no matter how the callee's outcome was obtained.  An
+          exception it raises stops the pool's run. *)
 }
 
 val v :

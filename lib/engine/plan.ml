@@ -281,7 +281,7 @@ let code_proof_outcome fn = function
    [proven] set from the pool's [on_outcome] hook (which fires on
    live, crashed, and cached completion paths alike, before dependents
    are released), and a caller whose gate is closed — e.g. a callee
-   quarantined by engine chaos — falls back to the monolithic battery
+   quarantined after a crash — falls back to the monolithic battery
    rather than assuming an unproven spec.  Both executors produce
    identical verdicts (pinned by the differential suite), so the
    choice is invisible to reports, stdout, and the cache. *)

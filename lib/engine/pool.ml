@@ -15,12 +15,7 @@ type exec = {
   trail : Supervisor.trail;
 }
 
-type stats = { respawns : int; lost_workers : int }
-
-let crash_outcome (o : Obligation.t) reason =
-  let reason = Printf.sprintf "obligation raised: %s" reason in
-  Obligation.outcome
-    [ Mirverif.Report.add_failure (Mirverif.Report.empty o.Obligation.id) ~case:"exception" ~reason ]
+type stats = unit
 
 (* Quarantined outcomes describe this run's misfortune (a crash, a
    blown deadline), not the fingerprinted inputs, so [cacheable] is
@@ -46,35 +41,23 @@ let execute ~cache ~sup (o : Obligation.t) =
   (match o.Obligation.on_outcome with None -> () | Some f -> f outcome);
   result
 
-let run_with_stats ?cache ?(sup = Supervisor.default) ?(max_respawns = 32) ?(jobs = 1) dag =
+let run ?cache ?(sup = Supervisor.default) ?(jobs = 1) dag =
   if jobs <> 1 then invalid_arg "Pool.run: jobs must be 1";
   let obls = Dag.obligations dag in
   let t0 = Clock.now () in
   let ready = Queue.create () in
   let unmet = Hashtbl.create 64 in
   let results = Hashtbl.create 64 in
-  let lives = ref (max 0 max_respawns) and respawns = ref 0 and lost = ref 0 in
-  Option.iter (fun c -> Option.iter (Cache.set_chaos c) sup.Supervisor.chaos) cache;
   List.iter
     (fun (o : Obligation.t) ->
       Hashtbl.replace unmet o.id (ref (List.length o.deps));
       if o.deps = [] then Queue.add o.id ready)
     obls;
-  let kill_point site id =
-    match sup.Supervisor.chaos with
-    | Some ch when Engine_chaos.kill_worker ch ~site ~id ->
-        raise (Engine_chaos.Worker_killed id)
-    | _ -> ()
-  in
   let run_one id =
     let o = Option.get (Dag.find dag id) in
-    kill_point "pre-exec" id;
     let started = Clock.now () -. t0 in
     let outcome, cache, trail = execute ~cache ~sup o in
     let finished = Clock.now () -. t0 in
-    (* the nastier kill: the result is computed but not yet recorded —
-       the obligation runs again *)
-    kill_point "post-exec" id;
     { obligation = o; outcome; cache; worker = 0; started; finished; trail }
   in
   (* Record the result and queue each dependent whose last dependency
@@ -88,55 +71,47 @@ let run_with_stats ?cache ?(sup = Supervisor.default) ?(max_respawns = 32) ?(job
         if !n = 0 then Queue.add d ready)
       (Dag.dependents_of dag id)
   in
-  (* A chaos kill lost [id] before it was recorded: while the respawn
-     budget lasts, the worker restarts in place and [id] goes to the
-     back of the queue.  Past it the worker stays dead and the run
-     stops. *)
   let rec loop () =
     match Queue.take_opt ready with
-    | None -> ()
+    | None -> None
     | Some id -> (
         match run_one id with
         | e ->
             publish id e;
             loop ()
-        | exception Engine_chaos.Worker_killed _ ->
-            if !lives > 0 then begin
-              decr lives;
-              incr respawns;
-              Queue.add id ready;
-              loop ()
-            end
-            else incr lost)
+        | exception exn when not (Cache.fatal exn) ->
+            Some (Printf.sprintf "the run stopped at %s: %s" id (Printexc.to_string exn)))
   in
-  (* a scheduler-level failure (not an obligation crash — the
-     supervisor absorbs those) ends the run; what did not run gets the
-     crash outcome below *)
-  (try loop () with _ -> ());
+  (* The supervisor absorbs an obligation's own exceptions, so what
+     reaches here was raised around it: by an [on_outcome] hook or the
+     clock.  It ends the run, and each obligation left unpublished gets
+     a crash outcome saying where the run stopped and why. *)
+  let stopped = loop () in
   Option.iter Cache.flush cache;
-  (* results in DAG insertion order.  An obligation that never ran
-     becomes an explicit crash outcome rather than a bare [Not_found]. *)
+  (* results in DAG insertion order *)
   let execs =
     List.map
       (fun (o : Obligation.t) ->
         match Hashtbl.find_opt results o.Obligation.id with
         | Some e -> e
         | None ->
+            (* a validated DAG leaves obligations unpublished only when
+               the run stopped *)
+            let reason = Option.value stopped ~default:"not run" in
             {
               obligation = o;
-              outcome = crash_outcome o "worker exited before publishing a result";
+              outcome = Supervisor.crash_outcome o reason;
               cache = Off;
               worker = -1;
               started = 0.0;
               finished = 0.0;
-              trail = { Supervisor.attempts = []; resolution = Supervisor.Quarantined };
+              trail = { Supervisor.attempt = None; resolution = Supervisor.Quarantined };
             })
       obls
   in
-  (execs, { respawns = !respawns; lost_workers = !lost })
+  execs
 
-let run ?cache ?sup ?max_respawns ?jobs dag =
-  fst (run_with_stats ?cache ?sup ?max_respawns ?jobs dag)
+let run_with_stats ?cache ?sup ?jobs dag = (run ?cache ?sup ?jobs dag, ())
 
 let wall_of execs =
   List.fold_left (fun acc e -> Float.max acc e.finished) 0.0 execs

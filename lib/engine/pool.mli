@@ -12,9 +12,7 @@
     still passes; any other value raises [Invalid_argument].
 
     Results come back in the DAG's insertion order; only the trace
-    metadata (timestamps, read from {!Clock}) reflects the run.  An
-    obligation that was never run yields an explicit crash outcome, not
-    an exception.
+    metadata (timestamps, read from {!Clock}) reflects the run.
 
     With [?cache], each obligation is first looked up in the
     content-addressed proof cache and executed only on a miss; outcomes
@@ -22,19 +20,18 @@
     ({!Cache.flush}, called before [run] returns).
 
     Cache misses execute under {!Supervisor.supervise} with [?sup]
-    (default {!Supervisor.default}: one attempt, no deadline — the
-    historical behaviour).  An obligation that raises is converted into
-    a one-failure report rather than tearing down the pool, and
-    quarantined outcomes are never cached; clean and fallback outcomes
-    are.  Each [exec] carries the supervision {!Supervisor.trail}.
+    (default {!Supervisor.default}: no deadline).  An obligation that
+    raises is turned into a one-failure report rather than tearing
+    down the pool, and quarantined outcomes are never cached; clean and
+    fallback outcomes are.  Each [exec] carries the supervision
+    {!Supervisor.trail}.
 
-    When [sup.chaos] is armed, the worker additionally passes kill
-    points before executing and before recording an obligation; a
-    chaos kill abandons the obligation mid-flight.  It goes back on the
-    queue (it runs again, and is recorded exactly once) and the worker
-    restarts in place while the [?max_respawns] budget (default 32)
-    lasts; past it the worker stays dead, and every obligation not yet
-    run gets the crash outcome. *)
+    An exception raised around an obligation (by its [on_outcome] hook,
+    or by the clock) stops the run.  The cache is still flushed, and
+    each obligation not yet recorded gets a crash outcome whose reason
+    names the obligation the run stopped at and the exception's text.
+    [Out_of_memory] and [Stack_overflow] are not absorbed: they
+    propagate out of [run]. *)
 
 type cache_status = Hit | Miss | Off
 
@@ -48,22 +45,19 @@ type exec = {
   started : float;  (** seconds since pool start *)
   finished : float;
   trail : Supervisor.trail;
-      (** how execution went: attempts, faults injected, resolution
-          ({!Supervisor.cached} for a hit) *)
+      (** how execution went ({!Supervisor.cached} for a hit) *)
 }
 
-type stats = {
-  respawns : int;  (** chaos kills the worker restarted from *)
-  lost_workers : int;  (** [1] when a kill came past the respawn budget *)
-}
+type stats = unit
+(** Inert: the pool keeps no run statistics.  [run_with_stats] and
+    this type stay only because [bench/e2e] still calls them (ROADMAP
+    item 3). *)
 
-val run :
-  ?cache:Cache.t -> ?sup:Supervisor.config -> ?max_respawns:int -> ?jobs:int ->
-  Dag.t -> exec list
+val run : ?cache:Cache.t -> ?sup:Supervisor.config -> ?jobs:int -> Dag.t -> exec list
 
 val run_with_stats :
-  ?cache:Cache.t -> ?sup:Supervisor.config -> ?max_respawns:int -> ?jobs:int ->
-  Dag.t -> exec list * stats
+  ?cache:Cache.t -> ?sup:Supervisor.config -> ?jobs:int -> Dag.t -> exec list * stats
+(** [run], paired with the inert {!stats}. *)
 
 val wall_of : exec list -> float
 (** Latest finish time = the pool's wall-clock. *)

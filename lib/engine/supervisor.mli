@@ -1,56 +1,49 @@
-(** Supervised execution of a single obligation: per-attempt deadlines,
-    deterministic retry with exponential backoff, a degradation ladder,
-    and quarantine.
+(** Supervised execution of a single obligation: one attempt under an
+    optional deadline, a fallback, and quarantine.
 
-    {!Pool} routes every cache miss through {!supervise}.  With
-    {!default} (no timeout, no retries, no chaos) the behaviour is
-    byte-identical to the unsupervised pool: one attempt, any exception
-    absorbed into the legacy one-failure crash report, never cached.
+    {!Pool} routes every cache miss through {!supervise}.  An
+    obligation's outcome is a pure function of its fingerprinted
+    inputs, so a second attempt would only rerun the same computation:
+    each obligation runs once.
+
+    - A clean run is [Completed] and cacheable.
+    - An exception is a crash.  When the obligation carries a
+      [fallback] (code proofs: the reference interpreter in place of
+      the compiled-closure battery), the fallback runs once and its
+      outcome stands in, flagged [Fell_back]; it is cacheable, since it
+      depends on the same inputs.  Otherwise, or when the fallback
+      fails too, the obligation is quarantined with a one-failure
+      report: case ["exception"], reason ["obligation raised: …"].
+    - A timeout is quarantined with case ["timeout"].  It never falls
+      back: the fallback is the slower executor.
+
+    A quarantined outcome describes this run's misfortune, not its
+    inputs, so it is never cached.
 
     Timeouts are cooperative.  OCaml code cannot be interrupted
     asynchronously, so the supervisor arms one deadline slot and
     installs the global [Mirverif.Cancel] hook; check batteries poll at
     case/trial boundaries, and once the {!Clock} passes the deadline
     the poll raises [Mirverif.Cancel.Deadline_exceeded], which the
-    supervisor converts into a timed-out attempt.
-
-    Every retry, backoff, and quarantine decision is a pure function of
-    (config, obligation id, attempt number) — backoff jitter comes from
-    a per-(seed, id, attempt) hash stream, never a shared RNG — so
-    supervision decisions do not depend on the order obligations run
-    in.
-
-    The ladder, in order: a crashed attempt is retried (with backoff)
-    up to [retries] times; if every attempt crashed and the obligation
-    carries a [fallback] (code proofs: the reference interpreter
-    replacing the compiled-closure battery), the fallback runs once and
-    its outcome — flagged as a divergence — stands in; otherwise the
-    obligation is quarantined with a structured failure report.
-    Corrupt cache entries (evict + recompute) and a dead worker
-    (respawn in place while the budget lasts) are handled by {!Cache}
-    and {!Pool} respectively. *)
+    supervisor turns into a timeout.  A computation that never polls
+    can overrun its deadline. *)
 
 type status = Ran_ok | Crashed of string  (** raw exception text *) | Timed_out
 
-type attempt = {
-  n : int;  (** 1-based attempt number *)
-  status : status;
-  injected : Fault.Plan.engine_kind option;
-      (** the chaos fault applied to this attempt, if any *)
-  backoff : float;
-      (** delay slept before the next attempt; [0.] on the last *)
+type resolution =
+  | Completed  (** clean (or a cache hit) *)
+  | Fell_back  (** the run crashed; the fallback's outcome stands in *)
+  | Quarantined  (** the outcome is a synthesized failure report *)
+
+type trail = {
+  attempt : status option;
+      (** how the one attempt went; [None] for a cache hit, or for an
+          obligation the pool never ran *)
+  resolution : resolution;
 }
 
-type resolution =
-  | Completed  (** clean on the first attempt (or a cache hit) *)
-  | Recovered  (** succeeded after at least one failed attempt *)
-  | Fell_back  (** every attempt crashed; the fallback's outcome stands in *)
-  | Quarantined  (** gave up; the outcome is a synthesized failure report *)
-
-type trail = { attempts : attempt list;  (** chronological *) resolution : resolution }
-
 val cached : trail
-(** The trail of a cache hit: no attempts, [Completed]. *)
+(** The trail of a cache hit: no attempt, [Completed]. *)
 
 type result = {
   outcome : Obligation.outcome;
@@ -61,43 +54,41 @@ type result = {
 }
 
 type config = {
-  timeout : float option;  (** per-attempt deadline, seconds *)
-  retries : int;  (** additional attempts after the first *)
-  backoff_base : float;  (** seconds; doubles per attempt *)
-  backoff_max : float;  (** cap on the nominal (pre-jitter) delay *)
-  seed : int;  (** jitter stream seed *)
-  sleep : float -> unit;  (** backoff/hang sleeper — mockable in tests *)
-  chaos : Engine_chaos.t option;
+  timeout : float option;  (** deadline of the attempt, seconds *)
+  retries : int;
+      (** inert: an obligation runs once whatever this says.  Kept
+          only because [bench/e2e] still sets it (ROADMAP item 3). *)
+  seed : int;  (** inert, like [retries] and for the same reason *)
 }
 
 val default : config
-(** No timeout, no retries, no chaos — the unsupervised behaviour. *)
+(** No deadline. *)
 
 val supervise : config -> Obligation.t -> result
 
-val backoff_delay : config -> id:string -> attempt:int -> float
-(** The exact delay [supervise] sleeps after failed attempt [attempt]
-    of obligation [id]: [min(backoff_max, base·2^(n-1)) · (1+jitter)],
-    jitter in [0, 1) from the per-(seed, id, attempt) stream.  Exposed
-    so tests and the trace can assert determinism. *)
+val crash_outcome : Obligation.t -> string -> Obligation.outcome
+(** [crash_outcome o reason]: the one-failure report of a crash, case
+    ["exception"], reason ["obligation raised: " ^ reason]. *)
 
 val status_to_string : status -> string
 (** ["ok"], ["crash"], ["timeout"]. *)
 
 val resolution_to_string : resolution -> string
+(** ["completed"], ["fell-back"], ["quarantined"]. *)
 
 val eventful : trail -> bool
-(** Anything beyond a clean single attempt or a cache hit — the trails
-    worth a trace event and a summary line. *)
+(** Anything beyond a clean attempt or a cache hit: the trails worth a
+    trace event and a summary line. *)
 
 type totals = {
   supervised : int;  (** obligations with an eventful trail *)
-  retried : int;  (** obligations that took more than one attempt *)
-  recovered : int;
+  retried : int;
+      (** inert, always 0: nothing is retried.  Kept only because
+          [bench/e2e] still reads it (ROADMAP item 3). *)
   fell_back : int;
   quarantined : int;
-  timeouts : int;  (** timed-out attempts, summed *)
-  crashes : int;  (** crashed attempts, summed *)
+  timeouts : int;
+  crashes : int;
 }
 
 val totals : trail list -> totals

@@ -42,51 +42,26 @@ let kind_to_string = function
   | Tlb -> "tlb"
   | Truncation -> "truncation"
 
-(* The [--faults] / [--engine-faults] syntax, for either vocabulary:
-   "all", or comma-separated names from [all].  An unknown name or an
-   empty list is an error, and the message names the unknown name. *)
-let kinds_of_string ~what ~all ~to_string s =
+(* The [--faults] syntax: "all", or comma-separated kind names.  An
+   unknown name or an empty list is an error, and the message quotes
+   the unknown name. *)
+let kinds_of_string s =
   let names =
     List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s))
   in
   let rec parse acc = function
     | [] -> Ok (List.rev acc)
     | name :: rest -> (
-        match List.find_opt (fun k -> String.equal (to_string k) name) all with
+        match List.find_opt (fun k -> String.equal (kind_to_string k) name) all_kinds with
         | Some k -> parse (k :: acc) rest
         | None ->
             Error
-              (Printf.sprintf "unknown %s %S (expected one of %s, or all)" what name
-                 (String.concat ", " (List.map to_string all))))
+              (Printf.sprintf "unknown fault kind %S (expected one of %s, or all)" name
+                 (String.concat ", " (List.map kind_to_string all_kinds))))
   in
-  if names = [ "all" ] then Ok all
-  else if names = [] then Error (Printf.sprintf "empty %s list" what)
+  if names = [ "all" ] then Ok all_kinds
+  else if names = [] then Error "empty fault kind list"
   else parse [] names
-
-(* ------------------------------------------------------------------ *)
-(* Engine-level fault vocabulary                                       *)
-
-(* Faults against the checker itself rather than the checked monitor:
-   the engine's chaos harness (lib/engine/engine_chaos.ml) injects
-   these at named hook points in the supervised obligation pool and its
-   cache tier.  The vocabulary lives here so state-level and
-   engine-level chaos share one naming scheme and one CLI syntax. *)
-type engine_kind =
-  | Obl_crash  (** an obligation raises mid-run *)
-  | Obl_hang  (** an obligation stops making progress until its deadline *)
-  | Worker_kill  (** the pool's worker dies before running or recording an obligation *)
-  | Torn_pack  (** a cache pack file is truncated mid-write *)
-  | Clock_skew  (** the engine clock jumps forward in small steps *)
-
-let all_engine_kinds =
-  [ Obl_crash; Obl_hang; Worker_kill; Torn_pack; Clock_skew ]
-
-let engine_kind_to_string = function
-  | Obl_crash -> "obl-crash"
-  | Obl_hang -> "obl-hang"
-  | Worker_kill -> "worker-kill"
-  | Torn_pack -> "torn-pack"
-  | Clock_skew -> "clock-skew"
 
 let corrupts f =
   match kind_of f with

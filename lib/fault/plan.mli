@@ -52,33 +52,10 @@ val kind_of : t -> kind
 val all_kinds : kind list
 val kind_to_string : kind -> string
 
-val kinds_of_string :
-  what:string -> all:'a list -> to_string:('a -> string) -> string ->
-  ('a list, string) result
-(** The [--faults] / [--engine-faults] syntax, for either vocabulary:
-    ["all"] (every kind of [all]), or comma-separated names from [all]
-    in order.  An unknown name or an empty list is an [Error]; its
-    message calls a name a [what] (e.g. ["fault kind"]) and quotes the
-    unknown one. *)
-
-(** {1 Engine-level fault vocabulary}
-
-    Faults against the checker itself (the supervised obligation pool
-    and its proof cache) rather than the checked monitor.  Injected by
-    [Engine.Engine_chaos] at named hook points; named here so both
-    chaos harnesses share one vocabulary and one CLI syntax. *)
-
-type engine_kind =
-  | Obl_crash  (** an obligation raises mid-run *)
-  | Obl_hang  (** an obligation stops making progress until its deadline *)
-  | Worker_kill
-      (** the pool's worker dies before running an obligation, or after
-          computing its result but before recording it *)
-  | Torn_pack  (** a cache pack file is truncated mid-write *)
-  | Clock_skew  (** the engine clock jumps forward in small steps *)
-
-val all_engine_kinds : engine_kind list
-val engine_kind_to_string : engine_kind -> string
+val kinds_of_string : string -> (kind list, string) result
+(** The [--faults] syntax: ["all"] (every kind), or comma-separated
+    kind names, kept in order.  An unknown name or an empty list is an
+    [Error]; its message quotes the unknown name. *)
 
 val corrupts : t -> bool
 (** Whether the fault puts the monitor state outside the reachable

@@ -742,12 +742,25 @@ let build_index layout =
 
 let indexes : (Layout.t, index) Hashtbl.t = Hashtbl.create 4
 
+(* The last layout asked for and its index: callers pass the same
+   [Layout.t] value over and over (every hypercall and page-table
+   mutator step), so a physical-equality check spares them hashing and
+   comparing the whole record.  The engine runs on one domain. *)
+let last : (Layout.t * index) option ref = ref None
+
 let index layout =
-  match Hashtbl.find_opt indexes layout with
-  | Some ix -> ix
-  | None ->
-      let ix = build_index layout in
-      Hashtbl.add indexes layout ix;
+  match !last with
+  | Some (l, ix) when l == layout -> ix
+  | _ ->
+      let ix =
+        match Hashtbl.find_opt indexes layout with
+        | Some ix -> ix
+        | None ->
+            let ix = build_index layout in
+            Hashtbl.add indexes layout ix;
+            ix
+      in
+      last := Some (layout, ix);
       ix
 
 let all layout = (index layout).specs

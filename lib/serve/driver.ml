@@ -184,7 +184,6 @@ let source_digest_of geometry =
 
 type session = {
   cache : Engine.Cache.t option;
-  retries : int;
   timeout_ms : int;
   replay : (string, string) Hashtbl.t;  (* L0: request_key -> response bytes *)
   replay_order : string Queue.t;
@@ -193,14 +192,14 @@ type session = {
 
 let replay_capacity = 64
 
-(* [?jobs] is accepted only as 1: the pool runs on the calling domain. *)
-let session ?cache_dir ?(jobs = 1) ?(retries = 2) ?(timeout_ms = 0) () =
+(* [?jobs] is accepted only as 1: the pool runs on the calling domain.
+   [?retries] is inert (an obligation runs once); [bench/e2e] still
+   passes it (ROADMAP item 3). *)
+let session ?cache_dir ?(jobs = 1) ?retries:_ ?(timeout_ms = 0) () =
   if jobs <> 1 then invalid_arg "Driver.session: jobs must be 1";
-  if retries < 0 then invalid_arg "Driver.session: retries must be at least 0";
   if timeout_ms < 0 then invalid_arg "Driver.session: timeout_ms must be at least 0";
   {
     cache = Option.map (fun dir -> Engine.Cache.create ~dir) cache_dir;
-    retries;
     timeout_ms;
     replay = Hashtbl.create replay_capacity;
     replay_order = Queue.create ();
@@ -247,37 +246,24 @@ type run_result = {
   stdout : string;
   failures : int;
   execs : Engine.Pool.exec list;
-  stats : Engine.Pool.stats;
   summary : Jsonx.t Lazy.t;
 }
 
 (* The one run path: a one-shot run and a daemon response are both this
    function's output.  It runs the plan's DAG on the pool, then prints
    phases 1-9, the one-shot [chaos] phase, the model check and the
-   verdict.  [engine_chaos] goes into the supervisor config (which arms
-   the cache hooks too) and skews the clock; verification content never
-   reads the clock, so stdout is untouched. *)
-let run ?chaos ?engine_chaos session p =
+   verdict. *)
+let run ?chaos session p =
   let plan = p.p_plan in
   let sup =
     {
       Engine.Supervisor.default with
-      retries = session.retries;
       timeout =
         (if session.timeout_ms = 0 then None
          else Some (float_of_int session.timeout_ms /. 1000.));
-      seed = p.p_req.seed;
-      chaos = engine_chaos;
     }
   in
-  let run_pool () =
-    Engine.Pool.run_with_stats ?cache:session.cache ~sup plan.Engine.Plan.dag
-  in
-  let execs, stats =
-    match engine_chaos with
-    | Some ch -> Engine.Clock.with_source (Engine.Engine_chaos.skewed_source ch) run_pool
-    | None -> run_pool ()
-  in
+  let execs = Engine.Pool.run ?cache:session.cache ~sup plan.Engine.Plan.dag in
   let failures = ref 0 in
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
@@ -300,11 +286,10 @@ let run ?chaos ?engine_chaos session p =
          ~sup_totals:
            (Engine.Supervisor.totals
               (List.map (fun (e : Engine.Pool.exec) -> e.trail) execs))
-         ~stats ~cache_write_failures ~engine_chaos
-         ~model_check:plan.Engine.Plan.model_check ~plan ~plan_build_s:p.p_build_s
-         ~plan_cache_hit:p.p_hit execs)
+         ~cache_write_failures ~model_check:plan.Engine.Plan.model_check ~plan
+         ~plan_build_s:p.p_build_s ~plan_cache_hit:p.p_hit execs)
   in
-  { stdout = Buffer.contents buf; failures; execs; stats; summary }
+  { stdout = Buffer.contents buf; failures; execs; summary }
 
 (* Run one prepared request as its own pool submission and answer it.
    A response whose run re-executed nothing is recorded in L0. *)

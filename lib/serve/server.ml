@@ -17,8 +17,7 @@
    The dispatcher owns every client connection and never blocks on
    verification, so a worker death cannot drop a response: the victim's
    in-flight request is re-queued at the front and a replacement worker
-   is forked (the process-level analogue of the pool's worker-respawn
-   supervision).  Respawning is bounded by [max_deaths]: a request whose
+   is forked.  Respawning is bounded by [max_deaths]: a request whose
    workers died that many times is answered with an error, and a slot
    whose worker died that many times in a row without a request (say,
    on an unusable --cache) is left empty; with every slot empty, each
@@ -33,7 +32,6 @@ type config = {
   socket : string;
   fleet : int;  (* worker processes, at least 1 *)
   cache_dir : string option;
-  retries : int;
   timeout_ms : int;
 }
 
@@ -42,7 +40,6 @@ let default_config ~socket =
     socket;
     fleet = 2;
     cache_dir = None;
-    retries = 2;
     timeout_ms = 0;
   }
 
@@ -52,7 +49,7 @@ let log fmt = Format.eprintf ("serve: " ^^ fmt ^^ "@.")
 (* Worker process                                                      *)
 
 let make_session cfg =
-  Driver.session ?cache_dir:cfg.cache_dir ~retries:cfg.retries ~timeout_ms:cfg.timeout_ms ()
+  Driver.session ?cache_dir:cfg.cache_dir ~timeout_ms:cfg.timeout_ms ()
 
 (* Blocking loop over the dispatcher socketpair: one frame in = one
    request, one frame out = its response.  EOF = dispatcher shut us

@@ -182,31 +182,15 @@ let phase_summary execs phase =
       ("wall_s", Float wall);
     ]
 
-let supervision_json (totals : Engine.Supervisor.totals)
-    (stats : Engine.Pool.stats) =
+let supervision_json (totals : Engine.Supervisor.totals) =
   Jsonx.Obj
     [
       ("supervised", Jsonx.Int totals.Engine.Supervisor.supervised);
-      ("retried", Int totals.Engine.Supervisor.retried);
-      ("recovered", Int totals.Engine.Supervisor.recovered);
       ("fell_back", Int totals.Engine.Supervisor.fell_back);
       ("quarantined", Int totals.Engine.Supervisor.quarantined);
       ("timeouts", Int totals.Engine.Supervisor.timeouts);
       ("crashes", Int totals.Engine.Supervisor.crashes);
-      ("worker_respawns", Int stats.Engine.Pool.respawns);
-      ("workers_lost", Int stats.Engine.Pool.lost_workers);
     ]
-
-let engine_chaos_json = function
-  | None -> Jsonx.Null
-  | Some ch ->
-      Jsonx.Obj
-        (("seed", Jsonx.Int (Engine.Engine_chaos.seed ch))
-         :: ("injected_total", Int (Engine.Engine_chaos.injected_total ch))
-         :: List.map
-              (fun (k, n) ->
-                (Fault.Plan.engine_kind_to_string k, Jsonx.Int n))
-              (Engine.Engine_chaos.injected ch))
 
 let overrides_json (plan : Engine.Plan.t) =
   Jsonx.Obj
@@ -224,8 +208,10 @@ let overrides_json (plan : Engine.Plan.t) =
              plan.Engine.Plan.override_counts) );
     ]
 
-let summary_json ~failures ?(jobs = 1) ~cache_enabled ~sup_totals ~stats
-    ~cache_write_failures ~engine_chaos ~model_check ~plan ~plan_build_s
+(* [?stats] and [?engine_chaos] are inert: [bench/e2e] still passes
+   them (ROADMAP item 3). *)
+let summary_json ~failures ?(jobs = 1) ~cache_enabled ~sup_totals ?stats:_
+    ~cache_write_failures ?engine_chaos:_ ~model_check ~plan ~plan_build_s
     ~plan_cache_hit execs =
   if jobs <> 1 then invalid_arg "Summary.summary_json: jobs must be 1";
   let hits = count_cache execs Engine.Pool.Hit in
@@ -247,8 +233,7 @@ let summary_json ~failures ?(jobs = 1) ~cache_enabled ~sup_totals ~stats
       ("cache_write_failures", Int cache_write_failures);
       ("plan_build_s", Float plan_build_s);
       ("plan_cache_hit", Bool plan_cache_hit);
-      ("supervision", supervision_json sup_totals stats);
-      ("engine_chaos", engine_chaos_json engine_chaos);
+      ("supervision", supervision_json sup_totals);
       ("model_check", model_check_json model_check execs);
       ("overrides", overrides_json plan);
       ("elapsed_s", Float (Engine.Pool.wall_of execs));
@@ -291,7 +276,6 @@ let volatile_keys =
     "plan_build_s";
     "plan_cache_hit";
     "supervision";
-    "engine_chaos";
     "elapsed_s";
     "workers";
   ]
@@ -322,8 +306,8 @@ let scrub = function
 (* Trace                                                               *)
 
 (* Supervision detail appears in an obligation's trace line only when
-   something happened (retries, faults, a fallback, quarantine): clean
-   runs keep the historical line shape. *)
+   something happened (a fallback, quarantine): clean runs keep the
+   historical line shape. *)
 let trail_fields (trail : Engine.Supervisor.trail) =
   if not (Engine.Supervisor.eventful trail) then []
   else
@@ -333,19 +317,16 @@ let trail_fields (trail : Engine.Supervisor.trail) =
           (Engine.Supervisor.resolution_to_string trail.Engine.Supervisor.resolution) );
       ( "attempts",
         Jsonx.List
-          (List.map
-             (fun (a : Engine.Supervisor.attempt) ->
-               Jsonx.Obj
-                 [
-                   ("n", Jsonx.Int a.Engine.Supervisor.n);
-                   ("status", Str (Engine.Supervisor.status_to_string a.Engine.Supervisor.status));
-                   ( "injected",
-                     match a.Engine.Supervisor.injected with
-                     | Some k -> Str (Fault.Plan.engine_kind_to_string k)
-                     | None -> Null );
-                   ("backoff_s", Float a.Engine.Supervisor.backoff);
-                 ])
-             trail.Engine.Supervisor.attempts) );
+          (match trail.Engine.Supervisor.attempt with
+          | None -> []
+          | Some status ->
+              [
+                Jsonx.Obj
+                  [
+                    ("n", Jsonx.Int 1);
+                    ("status", Str (Engine.Supervisor.status_to_string status));
+                  ];
+              ]) );
     ]
 
 let trace_json ~cache execs =

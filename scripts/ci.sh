@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate: full build, the test suites, the benchmark smoke, the
 # examples, a deterministic chaos smoke, and the engine
-# determinism/cache, override, static-analysis, engine-chaos,
+# determinism/cache, torn-cache, override, static-analysis,
 # model-checking and serving gates.
 #
 # The benchmark smoke runs every end-to-end workload of
@@ -36,14 +36,20 @@
 # and re-execute zero code-proof, static-analysis (absint included),
 # invariant, noninterference and trace-NI obligations.
 #
+# The torn-cache gate fills a cache, truncates every pack to half its
+# size, and requires the rerun to print the clean stdout byte for byte
+# with 0 cache hits (the torn pack is evicted whole) and no dropped
+# cache write, and the run after it to hit all 330 obligations again.
+#
 # The static-analysis gate additionally requires the lint phase, the
 # abstract-interpretation phase (interval bounds + secret-flow taint,
 # per call-graph SCC), the borrow-check phase (NLL liveness regions +
 # loan dataflow, per function) and the alias phase (Andersen
 # points-to footprints, per SCC) to report zero findings on the seed
-# 15-layer stack, rejects unknown --lints, --faults and --engine-faults
-# names, --chaos-traces and --model-check counts below 1 and any --jobs
-# but 1 at argument parse time, requires the --lint-json artifact to be
+# 15-layer stack, rejects unknown --lints and --faults names,
+# --chaos-traces and --model-check counts below 1, any --jobs but 1 and
+# the removed --engine-chaos, --engine-faults and --retries flags at
+# argument parse time, requires the --lint-json artifact to be
 # byte-identical across cache states, and re-runs the analysis test
 # suites, whose negative fixtures (one hand-built MIRlight body per
 # lint, planted hypercall-leak programs for secret-flow, an aliased
@@ -216,21 +222,19 @@ fi
 grep -q 'unknown lint' "$workdir/lints.err" || {
   echo "ci: unknown --lints rejection does not name the lint" >&2; exit 1; }
 # fault-kind lists are parsed the same way: an unknown kind is a usage
-# error naming the kind, with or without --chaos / --engine-chaos
-for flag in --faults --engine-faults; do
-  if dune exec bin/hyperenclave_verify.exe -- --quick "$flag" bogus \
-      > /dev/null 2> "$workdir/faults.err"; then
-    echo "ci: unknown $flag kind was accepted" >&2; exit 1
-  fi
-  grep -q '"bogus"' "$workdir/faults.err" || {
-    echo "ci: unknown $flag rejection does not name the kind" >&2; exit 1; }
-done
+# error naming the kind, with or without --chaos
+if dune exec bin/hyperenclave_verify.exe -- --quick --faults bogus \
+    > /dev/null 2> "$workdir/faults.err"; then
+  echo "ci: unknown --faults kind was accepted" >&2; exit 1
+fi
+grep -q '"bogus"' "$workdir/faults.err" || {
+  echo "ci: unknown --faults rejection does not name the kind" >&2; exit 1; }
 # a count below its minimum is a usage error naming the flag, before
 # any phase runs: zero chaos traces would pass vacuously, a zero depth
-# would silently run as 1, and a negative deadline or retry count
-# would silently run as none; --jobs accepts only 1
+# would silently run as 1, and a negative deadline would silently run
+# as none; --jobs accepts only 1
 for arg in "--chaos-traces 0" "--chaos-traces=-1" "--model-check 0" "--jobs 0" \
-    "--jobs 2" "--timeout-ms=-5" "--retries=-3"; do
+    "--jobs 2" "--timeout-ms=-5"; do
   flag=${arg%%[ =]*}
   # shellcheck disable=SC2086
   if dune exec bin/hyperenclave_verify.exe -- --quick --chaos $arg \
@@ -247,34 +251,47 @@ dune exec test/analysis/test_analysis.exe > /dev/null || {
 dune exec test/analysis/test_absint.exe > /dev/null || {
   echo "ci: absint suite (planted-leak fixtures, lattice laws) failed" >&2
   exit 1; }
-echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults/--engine-faults, counts below their minimum and --jobs but 1 rejected"
-
-# --- engine-chaos smoke gate ----------------------------------------
-# A fixed-seed chaos run (injected obligation crashes/hangs, worker
-# kills, torn packs, clock skew) must terminate with exit code 0 and
-# verdicts byte-identical to the clean run above: the supervisor absorbs every injected fault.  The warm
-# rerun over the chaos-torn cache must also match (corrupt entries are
-# evicted and recomputed, never trusted), and no cache write may have
-# been silently dropped.
-dune exec bin/hyperenclave_verify.exe -- \
-  --quick --seed 2024 --engine-chaos 42 \
-  --timeout-ms 200 --retries 2 --cache "$workdir/chaos-cache" \
-  --json-out "$workdir/chaos.json" > "$workdir/chaos.out"
-diff "$workdir/serial.out" "$workdir/chaos.out" || {
-  echo "ci: chaos run verdicts differ from clean run" >&2; exit 1; }
-dune exec bin/hyperenclave_verify.exe -- \
-  --quick --seed 2024 --cache "$workdir/chaos-cache" \
-  --json-out "$workdir/chaos-warm.json" > "$workdir/chaos-warm.out"
-diff "$workdir/serial.out" "$workdir/chaos-warm.out" || {
-  echo "ci: rerun over chaos-torn cache differs from clean run" >&2; exit 1; }
-injected=$(sed -n 's/.*"injected_total": *\([0-9][0-9]*\).*/\1/p' "$workdir/chaos.json")
-[ -n "$injected" ] && [ "$injected" -gt 0 ] || {
-  echo "ci: chaos run injected no faults" >&2; exit 1; }
-for f in "$workdir/chaos.json" "$workdir/chaos-warm.json"; do
-  grep -q '"cache_write_failures": 0' "$f" || {
-    echo "ci: $f reports dropped cache writes" >&2; exit 1; }
+# the engine no longer injects faults into itself or retries an
+# obligation: those flags are unknown options (exit 124, nothing run)
+for arg in "--engine-chaos 42" "--engine-faults all" "--retries 2"; do
+  flag=${arg%% *}
+  rc=0
+  # shellcheck disable=SC2086
+  dune exec bin/hyperenclave_verify.exe -- --quick $arg \
+    > "$workdir/gone.out" 2> "$workdir/gone.err" || rc=$?
+  [ "$rc" -eq 124 ] || {
+    echo "ci: $arg exited $rc, not 124 (unknown option)" >&2; exit 1; }
+  [ ! -s "$workdir/gone.out" ] || {
+    echo "ci: $arg ran a phase before it was rejected" >&2; exit 1; }
+  grep -q -- "$flag" "$workdir/gone.err" || {
+    echo "ci: $arg rejection does not name $flag" >&2; exit 1; }
 done
-echo "ci: chaos smoke ok ($injected faults injected, verdicts identical, 0 dropped cache writes)"
+echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults, counts below their minimum, --jobs but 1 and the removed engine flags rejected"
+
+# --- torn-cache gate -----------------------------------------------
+# A pack torn after its atomic rename (a write that fsync would have
+# caught) costs time, never a verdict: the next run evicts it whole,
+# recomputes every obligation and prints the clean run's stdout byte
+# for byte; the run after that replays everything from the new pack.
+dune exec bin/hyperenclave_verify.exe -- \
+  --quick --seed 2024 --cache "$workdir/torn-cache" > /dev/null
+for pack in "$workdir"/torn-cache/*.pack; do
+  truncate -s $(($(wc -c < "$pack") / 2)) "$pack"
+done
+for run in torn torn-warm; do
+  dune exec bin/hyperenclave_verify.exe -- \
+    --quick --seed 2024 --cache "$workdir/torn-cache" \
+    --json-out "$workdir/$run.json" > "$workdir/$run.out"
+  diff "$workdir/serial.out" "$workdir/$run.out" || {
+    echo "ci: $run run over the torn cache differs from the clean run" >&2; exit 1; }
+  grep -q '^  "cache_write_failures": 0,' "$workdir/$run.json" || {
+    echo "ci: $run run reports dropped cache writes" >&2; exit 1; }
+done
+grep -q '^  "cache_hits": 0,' "$workdir/torn.json" || {
+  echo "ci: a torn pack was not evicted whole" >&2; exit 1; }
+grep -q '^  "cache_hits": 330,' "$workdir/torn-warm.json" || {
+  echo "ci: the run after the eviction did not hit all 330 obligations" >&2; exit 1; }
+echo "ci: torn cache evicted (0 hits, then 330), verdicts identical, 0 dropped cache writes"
 
 # --- model-checking gate --------------------------------------------
 # Exhaustive bounded exploration must be as deterministic as the rest

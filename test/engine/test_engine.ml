@@ -18,6 +18,11 @@ let pass_obl ?(phase = "test") ?(deps = []) ?(fingerprint = "fp") id =
   Obligation.v ~id ~phase ~deps ~fingerprint (fun () ->
       Obligation.outcome [ Report.add_pass (Report.empty id) ])
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let fresh_dir =
   let n = ref 0 in
   fun () ->
@@ -422,6 +427,45 @@ let test_pool_survives_crash () =
   Alcotest.(check int) "dependent still ran" 0
     (Obligation.failure_count after.Pool.outcome)
 
+(* An exception raised around an obligation (here by its [on_outcome]
+   hook) stops the run: what ran stays recorded and cached, the rest
+   gets a crash outcome naming where the run stopped and what was
+   raised.  [Out_of_memory] and [Stack_overflow] are not absorbed. *)
+let test_pool_raising_hook_stops_run () =
+  let hooked exn =
+    Obligation.v ~id:"hooked" ~phase:"test" ~fingerprint:"fp-hooked"
+      ~on_outcome:(fun _ -> raise exn)
+      (fun () -> Obligation.outcome [ Report.add_pass (Report.empty "hooked") ])
+  in
+  let dag exn =
+    Dag.build_exn
+      [ pass_obl ~fingerprint:"fp-first" "first"; hooked exn; pass_obl ~deps:[ "hooked" ] "after" ]
+  in
+  let cache = Cache.create ~dir:(fresh_dir ()) in
+  let execs = Pool.run ~cache (dag (Failure "hook broke")) in
+  Alcotest.(check (list string)) "results in DAG order" [ "first"; "hooked"; "after" ]
+    (List.map (fun (e : Pool.exec) -> e.obligation.Obligation.id) execs);
+  Alcotest.(check (list int)) "ran, stopped, never ran" [ 0; -1; -1 ]
+    (List.map (fun (e : Pool.exec) -> e.Pool.worker) execs);
+  List.iter
+    (fun (e : Pool.exec) ->
+      if e.Pool.worker = -1 then begin
+        let text = String.concat "\n" (List.map Report.to_string e.outcome.Obligation.reports) in
+        Alcotest.(check int) (e.obligation.Obligation.id ^ ": one failure") 1
+          (Obligation.failure_count e.outcome);
+        let expected = "obligation raised: the run stopped at hooked: Failure(\"hook broke\")" in
+        if not (contains text expected) then
+          Alcotest.failf "%s: %S does not say %S" e.obligation.Obligation.id text expected
+      end)
+    execs;
+  Alcotest.(check int) "what ran before the stop is cached" 2 (Cache.entry_count cache);
+  List.iter
+    (fun exn ->
+      match Pool.run (dag exn) with
+      | _ -> Alcotest.failf "%s absorbed" (Printexc.to_string exn)
+      | exception e when e == exn -> ())
+    [ Out_of_memory; Stack_overflow ]
+
 (* The scheduler honours the DAG.  Obligations are pure, so a dependent
    started early still renders the same reports; only the composed code
    proofs' proven gate reads the order, and it would fall back to the
@@ -431,8 +475,8 @@ let test_pool_survives_crash () =
 let test_pool_honours_dag () =
   let n = 48 in
   let id i = Printf.sprintf "n-%02d" i in
-  let check_run ~seed ~kills =
-    let what = Printf.sprintf "seed %d, kills=%b" seed kills in
+  let check_run seed =
+    let what = Printf.sprintf "seed %d" seed in
     let rng = Random.State.make [| seed |] in
     let deps =
       Array.init n (fun i ->
@@ -458,18 +502,7 @@ let test_pool_honours_dag () =
               | d :: _ -> Report.add_failure r ~case:"order" ~reason:(id d ^ " had not fired"));
             ])
     in
-    let sup =
-      if kills then
-        {
-          Engine.Supervisor.default with
-          chaos =
-            Some (Engine.Engine_chaos.create ~kinds:[ Fault.Plan.Worker_kill ] ~rate:2 ~seed ());
-        }
-      else Engine.Supervisor.default
-    in
-    let execs, stats =
-      Pool.run_with_stats ~sup ~max_respawns:1_000 (Dag.build_exn (List.init n obl))
-    in
+    let execs = Pool.run (Dag.build_exn (List.init n obl)) in
     Alcotest.(check (list string)) (what ^ ": results in DAG order") (List.init n id)
       (List.map (fun (e : Pool.exec) -> e.obligation.Obligation.id) execs);
     List.iter
@@ -478,19 +511,10 @@ let test_pool_honours_dag () =
           Alcotest.failf "%s: %s started early: %s" what e.obligation.Obligation.id
             (String.concat "; " (List.map Report.to_string e.outcome.Obligation.reports)))
       execs;
-    let counts = Array.to_list runs in
-    if kills then begin
-      Alcotest.(check bool) (what ^ ": workers were killed") true (stats.Pool.respawns > 0);
-      Alcotest.(check int) (what ^ ": no worker lost") 0 stats.Pool.lost_workers;
-      Alcotest.(check bool) (what ^ ": each ran") true (List.for_all (fun c -> c >= 1) counts)
-    end
-    else
-      Alcotest.(check (list int)) (what ^ ": each ran exactly once") (List.init n (fun _ -> 1))
-        counts
+    Alcotest.(check (list int)) (what ^ ": each ran exactly once") (List.init n (fun _ -> 1))
+      (Array.to_list runs)
   in
-  List.iter
-    (fun seed -> List.iter (fun kills -> check_run ~seed ~kills) [ false; true ])
-    [ 1; 2; 3 ]
+  List.iter check_run [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Proof cache                                                         *)
@@ -804,11 +828,6 @@ let test_override_gate_quarantined_callee () =
   Alcotest.(check string)
     "fallback equals the monolithic verdict"
     mono (report_text out)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 (* invalidation scope: a function's fingerprint mentions its own body
    digest and its direct callees' — and no other function's.  Editing
@@ -1406,6 +1425,8 @@ let () =
         [
           Alcotest.test_case "stream seeds" `Quick test_stream_seed_deterministic;
           Alcotest.test_case "crash isolation" `Quick test_pool_survives_crash;
+          Alcotest.test_case "a raising hook stops the run" `Quick
+            test_pool_raising_hook_stops_run;
           Alcotest.test_case "dependency order, exactly once" `Quick test_pool_honours_dag;
         ] );
       ( "cache",

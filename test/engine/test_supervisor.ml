@@ -1,9 +1,9 @@
-(* Tests of supervised obligation execution: deterministic timeouts
-   against a mocked clock (no real sleeps), retry/backoff determinism,
+(* Tests of supervised obligation execution: one attempt under a
+   deadline against a mocked clock (no real sleeps), the crash report,
    the degradation ladder (reference-interpreter fallback, corrupt
-   cache eviction, worker respawn), quarantine, cache write-failure
-   surfacing, and the engine chaos harness — including the CI property
-   that a chaos run's verdicts are byte-identical to a clean run's. *)
+   cache eviction), quarantine and what is never cached, cache
+   write-failure surfacing, and the property that composed code-proof
+   verdicts survive crashes injected into the obligations. *)
 
 module Report = Mirverif.Report
 module Obligation = Engine.Obligation
@@ -11,8 +11,6 @@ module Dag = Engine.Dag
 module Pool = Engine.Pool
 module Cache = Engine.Cache
 module Supervisor = Engine.Supervisor
-module Chaos = Engine.Engine_chaos
-module Plan = Fault.Plan
 
 let pass_obl ?(phase = "test") ?(deps = []) ?(fingerprint = "fp") ?fallback id =
   Obligation.v ~id ~phase ~deps ~fingerprint ?fallback (fun () ->
@@ -26,21 +24,13 @@ let fresh_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "mirverif-supervisor-test-%d-%d" (Unix.getpid ()) !n)
 
-(* a config whose backoffs are recorded, never slept *)
-let recording_cfg ?timeout ?(retries = 0) ?chaos ?(seed = 11) slept =
-  {
-    Supervisor.default with
-    timeout;
-    retries;
-    seed;
-    chaos;
-    sleep = (fun d -> slept := d :: !slept);
-  }
+let status_of (trail : Supervisor.trail) =
+  match trail.Supervisor.attempt with
+  | None -> "none"
+  | Some s -> Supervisor.status_to_string s
 
-let statuses_of (trail : Supervisor.trail) =
-  List.map
-    (fun (a : Supervisor.attempt) -> Supervisor.status_to_string a.Supervisor.status)
-    trail.Supervisor.attempts
+let resolution_of (trail : Supervisor.trail) =
+  Supervisor.resolution_to_string trail.Supervisor.resolution
 
 let report_text (o : Obligation.outcome) =
   String.concat "\n" (List.map Report.to_string o.Obligation.reports)
@@ -54,7 +44,7 @@ let contains s sub =
 (* Timeouts against a mocked clock — no real sleeps anywhere           *)
 
 (* every Clock read jumps 10 s, so any poll after arming a 1 s deadline
-   cancels the attempt *)
+   cancels the obligation *)
 let with_fast_clock f =
   let t = ref 0.0 in
   Engine.Clock.with_source
@@ -63,9 +53,10 @@ let with_fast_clock f =
       !t)
     f
 
+(* [retries] is inert: a timed-out obligation runs once, is
+   quarantined under a text of its own, and is never cached *)
 let test_timeout_then_quarantine () =
-  let slept = ref [] in
-  let cfg = recording_cfg ~timeout:1.0 ~retries:2 slept in
+  let cfg = { Supervisor.default with timeout = Some 1.0; retries = 2 } in
   let polls = ref 0 in
   let o =
     Obligation.v ~id:"slow" ~phase:"test" ~fingerprint:"fp" (fun () ->
@@ -74,50 +65,50 @@ let test_timeout_then_quarantine () =
         Obligation.outcome [ Report.add_pass (Report.empty "slow") ])
   in
   let r = with_fast_clock (fun () -> Supervisor.supervise cfg o) in
-  Alcotest.(check (list string))
-    "every attempt timed out" [ "timeout"; "timeout"; "timeout" ]
-    (statuses_of r.Supervisor.trail);
-  Alcotest.(check string) "quarantined" "quarantined"
-    (Supervisor.resolution_to_string r.Supervisor.trail.Supervisor.resolution);
+  Alcotest.(check string) "the attempt timed out" "timeout" (status_of r.Supervisor.trail);
+  Alcotest.(check string) "quarantined" "quarantined" (resolution_of r.Supervisor.trail);
   Alcotest.(check bool) "not cacheable" false r.Supervisor.cacheable;
   Alcotest.(check int) "one synthesized failure" 1
     (Obligation.failure_count r.Supervisor.outcome);
-  Alcotest.(check bool) "reason names the quarantine" true
+  Alcotest.(check bool) "reason names the deadline" true
     (contains (report_text r.Supervisor.outcome)
-       "obligation quarantined after 3 attempt(s)");
-  Alcotest.(check int) "the obligation really ran three times" 3 !polls;
-  (* the trace records the exact attempt sequence, including the
-     deterministic backoff slept between attempts *)
-  let expected =
-    [
-      Supervisor.backoff_delay cfg ~id:"slow" ~attempt:1;
-      Supervisor.backoff_delay cfg ~id:"slow" ~attempt:2;
-    ]
-  in
-  Alcotest.(check (list (float 0.0))) "backoffs as computed" expected (List.rev !slept);
-  Alcotest.(check (list (float 0.0)))
-    "trail carries the same backoffs" (expected @ [ 0.0 ])
-    (List.map (fun (a : Supervisor.attempt) -> a.Supervisor.backoff)
-       r.Supervisor.trail.Supervisor.attempts)
+       "FAIL [timeout]: obligation exceeded its 1s deadline");
+  Alcotest.(check int) "the obligation ran once" 1 !polls;
+  let cache = Cache.create ~dir:(fresh_dir ()) in
+  let execs = with_fast_clock (fun () -> Pool.run ~cache ~sup:cfg (Dag.build_exn [ o ])) in
+  Alcotest.(check (list string)) "quarantined through the pool" [ "quarantined" ]
+    (List.map (fun (e : Pool.exec) -> resolution_of e.Pool.trail) execs);
+  Alcotest.(check int) "a timeout is never cached" 0 (Cache.entry_count cache)
 
+(* a timeout is this run's misfortune: the next run recomputes, and
+   only its clean outcome is cached *)
 let test_timeout_then_recover () =
-  let slept = ref [] in
-  let cfg = recording_cfg ~timeout:1.0 ~retries:2 slept in
-  let attempts = ref 0 in
+  let cfg = { Supervisor.default with timeout = Some 1.0 } in
+  let runs = ref 0 in
   let o =
     Obligation.v ~id:"slow-once" ~phase:"test" ~fingerprint:"fp" (fun () ->
-        incr attempts;
-        if !attempts = 1 then Mirverif.Cancel.poll ();
+        incr runs;
+        if !runs = 1 then Mirverif.Cancel.poll ();
         Obligation.outcome [ Report.add_pass (Report.empty "slow-once") ])
   in
-  let r = with_fast_clock (fun () -> Supervisor.supervise cfg o) in
-  Alcotest.(check (list string))
-    "timeout then ok" [ "timeout"; "ok" ]
-    (statuses_of r.Supervisor.trail);
-  Alcotest.(check string) "recovered" "recovered"
-    (Supervisor.resolution_to_string r.Supervisor.trail.Supervisor.resolution);
-  Alcotest.(check bool) "cacheable" true r.Supervisor.cacheable;
-  Alcotest.(check int) "clean outcome" 0 (Obligation.failure_count r.Supervisor.outcome)
+  let cache = Cache.create ~dir:(fresh_dir ()) in
+  let run () =
+    match with_fast_clock (fun () -> Pool.run ~cache ~sup:cfg (Dag.build_exn [ o ])) with
+    | [ e ] -> e
+    | _ -> Alcotest.fail "expected one exec"
+  in
+  let first = run () in
+  Alcotest.(check string) "first run times out" "timeout" (status_of first.Pool.trail);
+  Alcotest.(check int) "nothing cached" 0 (Cache.entry_count cache);
+  let second = run () in
+  Alcotest.(check string) "second run re-executes" "miss"
+    (Pool.cache_status_to_string second.Pool.cache);
+  Alcotest.(check string) "and completes" "completed" (resolution_of second.Pool.trail);
+  Alcotest.(check int) "clean outcome" 0 (Obligation.failure_count second.Pool.outcome);
+  Alcotest.(check int) "clean outcome cached" 1 (Cache.entry_count cache);
+  let third = run () in
+  Alcotest.(check string) "third run hits" "hit" (Pool.cache_status_to_string third.Pool.cache);
+  Alcotest.(check int) "ran twice in all" 2 !runs
 
 (* the hook reads a per-domain deadline: with none armed, polling is a
    no-op even right after a supervised timeout ran on this domain *)
@@ -126,57 +117,26 @@ let test_poll_noop_without_deadline () =
   Alcotest.(check pass) "poll outside supervision is a no-op" () ()
 
 (* ------------------------------------------------------------------ *)
-(* Retry / backoff determinism                                         *)
+(* Crashes                                                             *)
 
-let test_retry_backoff_deterministic () =
-  let run () =
-    let slept = ref [] in
-    let cfg = recording_cfg ~retries:3 slept in
-    let attempts = ref 0 in
-    let o =
-      Obligation.v ~id:"flaky" ~phase:"test" ~fingerprint:"fp" (fun () ->
-          incr attempts;
-          if !attempts <= 2 then failwith "transient";
-          Obligation.outcome [ Report.add_pass (Report.empty "flaky") ])
-    in
-    let r = Supervisor.supervise cfg o in
-    (statuses_of r.Supervisor.trail,
-     Supervisor.resolution_to_string r.Supervisor.trail.Supervisor.resolution,
-     List.rev !slept)
-  in
-  let s1, res1, b1 = run () in
-  let s2, res2, b2 = run () in
-  Alcotest.(check (list string)) "crash, crash, ok" [ "crash"; "crash"; "ok" ] s1;
-  Alcotest.(check string) "recovered" "recovered" res1;
-  Alcotest.(check (list string)) "statuses replay" s1 s2;
-  Alcotest.(check string) "resolution replays" res1 res2;
-  Alcotest.(check (list (float 0.0))) "backoff sequence replays" b1 b2;
-  (* nominal exponential shape: delay n is within [base*2^(n-1), 2*that] *)
-  List.iteri
-    (fun i d ->
-      let nominal = 0.05 *. Float.pow 2.0 (float_of_int i) in
-      if d < nominal || d > 2.0 *. nominal then
-        Alcotest.failf "backoff %d out of band: %f" (i + 1) d)
-    b1
-
-let test_backoff_streams_differ_per_obligation () =
-  let cfg = recording_cfg (ref []) in
-  Alcotest.(check bool) "per-id jitter streams diverge" true
-    (Supervisor.backoff_delay cfg ~id:"a" ~attempt:1
-    <> Supervisor.backoff_delay cfg ~id:"b" ~attempt:1)
-
-(* with the default config a crash reports exactly as the historical
-   unsupervised pool did *)
+(* a crash reports as the historical unsupervised pool did, after one
+   attempt: [retries] is inert *)
 let test_default_config_legacy_crash_shape () =
+  let runs = ref 0 in
   let o =
     Obligation.v ~id:"boom" ~phase:"test" ~fingerprint:"fp" (fun () ->
+        incr runs;
         failwith "deliberate")
   in
-  let r = Supervisor.supervise Supervisor.default o in
+  let r = Supervisor.supervise { Supervisor.default with retries = 2 } o in
   Alcotest.(check int) "one failure" 1 (Obligation.failure_count r.Supervisor.outcome);
-  Alcotest.(check bool) "legacy reason text" true
-    (contains (report_text r.Supervisor.outcome) "obligation raised: Failure(\"deliberate\")");
-  Alcotest.(check bool) "not cacheable" false r.Supervisor.cacheable
+  Alcotest.(check bool) "legacy case and reason text" true
+    (contains (report_text r.Supervisor.outcome)
+       "FAIL [exception]: obligation raised: Failure(\"deliberate\")");
+  Alcotest.(check bool) "not cacheable" false r.Supervisor.cacheable;
+  Alcotest.(check string) "crashed" "crash" (status_of r.Supervisor.trail);
+  Alcotest.(check string) "quarantined" "quarantined" (resolution_of r.Supervisor.trail);
+  Alcotest.(check int) "ran once" 1 !runs
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder: reference-interpreter fallback                  *)
@@ -190,15 +150,13 @@ let test_fallback_discharges_crash () =
         Obligation.outcome [ Report.add_pass (Report.empty "compiled-crash") ])
       (fun () -> failwith "segv in compiled closure")
   in
-  let r = Supervisor.supervise { Supervisor.default with retries = 1 } o in
-  Alcotest.(check string) "fell back" "fell-back"
-    (Supervisor.resolution_to_string r.Supervisor.trail.Supervisor.resolution);
+  let r = Supervisor.supervise Supervisor.default o in
+  Alcotest.(check string) "fell back" "fell-back" (resolution_of r.Supervisor.trail);
   Alcotest.(check int) "fallback ran once" 1 !fellback;
   Alcotest.(check int) "fallback outcome stands in" 0
     (Obligation.failure_count r.Supervisor.outcome);
   Alcotest.(check bool) "fallback outcome is cacheable" true r.Supervisor.cacheable;
-  Alcotest.(check (list string)) "after both attempts crashed"
-    [ "crash"; "crash" ] (statuses_of r.Supervisor.trail)
+  Alcotest.(check string) "after the run crashed" "crash" (status_of r.Supervisor.trail)
 
 let test_fallback_crash_still_quarantines () =
   let o =
@@ -207,9 +165,11 @@ let test_fallback_crash_still_quarantines () =
       (fun () -> failwith "compiled crashed")
   in
   let r = Supervisor.supervise Supervisor.default o in
-  Alcotest.(check string) "quarantined" "quarantined"
-    (Supervisor.resolution_to_string r.Supervisor.trail.Supervisor.resolution);
-  Alcotest.(check bool) "not cacheable" false r.Supervisor.cacheable
+  Alcotest.(check string) "quarantined" "quarantined" (resolution_of r.Supervisor.trail);
+  Alcotest.(check bool) "not cacheable" false r.Supervisor.cacheable;
+  Alcotest.(check bool) "reports the run's crash" true
+    (contains (report_text r.Supervisor.outcome)
+       "obligation raised: Failure(\"compiled crashed\")")
 
 (* through the pool and the cache: a fallback outcome is stashed, a
    quarantined one is not *)
@@ -229,10 +189,8 @@ let test_pool_caches_fallback_not_quarantine () =
   Alcotest.(check int) "only the fallback outcome is cached" 1 (Cache.entry_count cache);
   (match execs with
   | [ l; h ] ->
-      Alcotest.(check string) "ladder fell back" "fell-back"
-        (Supervisor.resolution_to_string l.Pool.trail.Supervisor.resolution);
-      Alcotest.(check string) "hopeless quarantined" "quarantined"
-        (Supervisor.resolution_to_string h.Pool.trail.Supervisor.resolution)
+      Alcotest.(check string) "ladder fell back" "fell-back" (resolution_of l.Pool.trail);
+      Alcotest.(check string) "hopeless quarantined" "quarantined" (resolution_of h.Pool.trail)
   | _ -> Alcotest.fail "expected two execs");
   let warm = Pool.run ~cache (Dag.build_exn [ ladder; hopeless ]) in
   Alcotest.(check (list string)) "warm: ladder hits, hopeless re-runs"
@@ -301,92 +259,7 @@ let test_plan_code_proof_fallback_agrees () =
   Alcotest.(check int) "every code-proof obligation compared" 50 (Hashtbl.length finished)
 
 (* ------------------------------------------------------------------ *)
-(* Chaos decisions                                                     *)
-
-(* find an obligation id the harness marks with the wanted fault; the
-   search itself is deterministic *)
-let find_id pred =
-  let rec go i =
-    if i > 10_000 then Alcotest.fail "no id draws the wanted fault"
-    else
-      let id = Printf.sprintf "obl-%04d" i in
-      if pred id then id else go (i + 1)
-  in
-  go 0
-
-let test_chaos_decisions_deterministic () =
-  let ch = Chaos.create ~seed:5 () in
-  let ch' = Chaos.create ~seed:5 () in
-  for i = 0 to 199 do
-    let id = Printf.sprintf "obl-%04d" i in
-    if Chaos.obl_fault ch ~id <> Chaos.obl_fault ch' ~id then
-      Alcotest.failf "fault for %s differs between identical harnesses" id
-  done;
-  let faulted ch =
-    List.filter
-      (fun i -> Chaos.obl_fault ch ~id:(Printf.sprintf "obl-%04d" i) <> Chaos.No_fault)
-      (List.init 200 Fun.id)
-  in
-  Alcotest.(check bool) "some obligations drawn" true (List.length (faulted ch) > 0);
-  Alcotest.(check bool) "but not all" true (List.length (faulted ch) < 200)
-
-let test_chaos_crash_recovers_with_clean_verdict () =
-  let ch = Chaos.create ~kinds:[ Plan.Obl_crash ] ~seed:5 () in
-  let id =
-    find_id (fun id ->
-        match Chaos.obl_fault ch ~id with Chaos.Crash _ -> true | _ -> false)
-  in
-  let ran = ref 0 in
-  let o =
-    Obligation.v ~id ~phase:"test" ~fingerprint:"fp" (fun () ->
-        incr ran;
-        Obligation.outcome [ Report.add_pass (Report.empty id) ])
-  in
-  let cfg = recording_cfg ~retries:2 ~chaos:(Chaos.create ~kinds:[ Plan.Obl_crash ] ~seed:5 ()) (ref []) in
-  let r = Supervisor.supervise cfg o in
-  Alcotest.(check string) "recovered" "recovered"
-    (Supervisor.resolution_to_string r.Supervisor.trail.Supervisor.resolution);
-  Alcotest.(check int) "verdict is the clean one" 0
-    (Obligation.failure_count r.Supervisor.outcome);
-  Alcotest.(check bool) "injected attempts are marked" true
-    (List.exists
-       (fun (a : Supervisor.attempt) -> a.Supervisor.injected = Some Plan.Obl_crash)
-       r.Supervisor.trail.Supervisor.attempts)
-
-(* a drawn hang degrades to a crash when no deadline is configured:
-   the supervision loop must terminate *)
-let test_chaos_hang_without_timeout_degrades () =
-  let probe = Chaos.create ~kinds:[ Plan.Obl_hang ] ~seed:5 () in
-  let id =
-    find_id (fun id ->
-        match Chaos.obl_fault probe ~id with Chaos.Hang _ -> true | _ -> false)
-  in
-  let o = pass_obl ~fingerprint:"fp" id in
-  let cfg =
-    recording_cfg ~retries:2 ~chaos:(Chaos.create ~kinds:[ Plan.Obl_hang ] ~seed:5 ()) (ref [])
-  in
-  let r = Supervisor.supervise cfg o in
-  Alcotest.(check string) "terminates and recovers" "recovered"
-    (Supervisor.resolution_to_string r.Supervisor.trail.Supervisor.resolution)
-
-(* with no retry budget the supervisor clamps persistence to zero:
-   chaos may not inject anything it cannot absorb *)
-let test_chaos_clamped_by_retry_budget () =
-  let ch = Chaos.create ~kinds:[ Plan.Obl_crash ] ~seed:5 () in
-  let id =
-    find_id (fun id ->
-        match Chaos.obl_fault ch ~id with Chaos.Crash _ -> true | _ -> false)
-  in
-  let o = pass_obl ~fingerprint:"fp" id in
-  let cfg =
-    recording_cfg ~retries:0 ~chaos:(Chaos.create ~kinds:[ Plan.Obl_crash ] ~seed:5 ()) (ref [])
-  in
-  let r = Supervisor.supervise cfg o in
-  Alcotest.(check (list string)) "single clean attempt" [ "ok" ]
-    (statuses_of r.Supervisor.trail)
-
-(* ------------------------------------------------------------------ *)
-(* Chaos through the pool: verdicts identical to a clean run           *)
+(* Crashes injected into the composed code proofs                      *)
 
 let render execs =
   String.concat "\n"
@@ -396,160 +269,54 @@ let render execs =
          :: List.map Report.to_string e.outcome.Obligation.reports)
        execs)
 
-let decisions execs =
-  List.map
-    (fun (e : Pool.exec) ->
-      ( e.obligation.Obligation.id,
-        Supervisor.resolution_to_string e.trail.Supervisor.resolution,
-        statuses_of e.trail,
-        List.map (fun (a : Supervisor.attempt) -> a.Supervisor.backoff)
-          e.trail.Supervisor.attempts ))
-    execs
-
-let chain n =
-  (* a few dependency chains plus independent roots, so taking,
-     release and completion all happen under fire *)
-  List.init n (fun i ->
-      let id = Printf.sprintf "c-%03d" i in
-      let deps = if i mod 4 = 0 || i = 0 then [] else [ Printf.sprintf "c-%03d" (i - 1) ] in
-      pass_obl ~deps ~fingerprint:"fp" id)
-
-let chaos_cfg seed =
-  {
-    Supervisor.default with
-    timeout = Some 0.05;
-    retries = 2;
-    seed = 3;
-    sleep = (fun _ -> ());
-    chaos = Some (Chaos.create ~seed ());
-  }
-
-let test_chaos_pool_verdicts_clean_and_deterministic () =
-  let dag () = Dag.build_exn (chain 48) in
-  let clean = Pool.run (dag ()) in
-  let c1 = Pool.run ~sup:(chaos_cfg 9) (dag ()) in
-  let c2 = Pool.run ~sup:(chaos_cfg 9) (dag ()) in
-  Alcotest.(check string) "chaos verdicts = clean verdicts" (render clean) (render c1);
-  Alcotest.(check bool) "supervision decisions replay from the seed" true
-    (decisions c1 = decisions c2);
-  Alcotest.(check bool) "chaos actually injected" true
-    (List.exists (fun (_, res, _, _) -> res <> "completed") (decisions c1))
-
-(* the property behind --engine-chaos on composed code proofs: the
-   real composed code-proof DAG, run under fault injection, must render
-   the byte-identical verdicts of each function's clean monolithic
-   battery.  A chaos-crashed callee is absorbed by the supervisor
-   (retry / interpreter fallback) or leaves the caller's proven gate
-   closed — body fallback — so no injection can ever turn a verdict
-   vacuous or divergent. *)
-let test_chaos_composed_verdicts_match_monolithic () =
+(* The real composed code-proof DAG, with crashes injected by the test:
+   the compiled run of every fifth obligation raises (its interpreter
+   fallback stands in), and both executors of every seventh raise (it
+   is quarantined, so its callers' proven gate stays closed and they
+   run their callees' bodies).  Every obligation that was not
+   quarantined must still render the byte-identical verdict of its
+   clean monolithic battery, and a quarantined one the crash report:
+   no crash can turn a verdict vacuous or divergent. *)
+let test_composed_verdicts_survive_crashes () =
   let layout = Hyperenclave.Layout.default Hyperenclave.Geometry.tiny in
-  let composed () =
-    Dag.build_exn
+  let crash () = failwith "injected crash" in
+  let obls =
+    List.mapi
+      (fun i (o : Obligation.t) ->
+        if i mod 7 = 3 then { o with Obligation.run = crash; fallback = Some crash }
+        else if i mod 5 = 0 then { o with Obligation.run = crash }
+        else o)
       (List.concat_map snd (Engine.Plan.code_proof_obligations ~seed:2024 layout))
   in
-  let mono =
-    let ctx = Check.Code_proof.ctx ~seed:2024 layout in
-    String.concat "\n"
-      (List.concat_map
-         (fun (o : Obligation.t) ->
-           let fn = List.nth (String.split_on_char '/' o.Obligation.id) 2 in
-           match Check.Code_proof.run_function ctx fn with
-           | Some (_, r) -> [ o.Obligation.id; Report.to_string r ]
-           | None -> Alcotest.failf "%s owns no spec" fn)
-         (Dag.obligations (composed ())))
+  let execs = Pool.run (Dag.build_exn obls) in
+  let ctx = Check.Code_proof.ctx ~seed:2024 layout in
+  let expected (e : Pool.exec) =
+    let o = e.Pool.obligation in
+    let verdict =
+      match e.Pool.trail.Supervisor.resolution with
+      | Supervisor.Quarantined ->
+          report_text (Supervisor.crash_outcome o "Failure(\"injected crash\")")
+      | _ -> (
+          let fn = List.nth (String.split_on_char '/' o.Obligation.id) 2 in
+          match Check.Code_proof.run_function ctx fn with
+          | Some (_, r) -> Report.to_string r
+          | None -> Alcotest.failf "%s owns no spec" fn)
+    in
+    o.Obligation.id ^ "\n" ^ verdict
   in
-  let cfg seed =
-    {
-      Supervisor.default with
-      retries = 2;
-      sleep = (fun _ -> ());
-      chaos =
-        Some (Chaos.create ~kinds:[ Plan.Obl_crash; Plan.Worker_kill ] ~seed ());
-    }
-  in
-  let chaotic1 = Pool.run ~sup:(cfg 7) (composed ()) in
-  Alcotest.(check string) "chaos composed verdicts = clean monolithic"
-    mono (render chaotic1);
-  Alcotest.(check bool) "chaos actually injected" true
+  Alcotest.(check string) "clean monolithic verdicts, crash reports aside"
+    (String.concat "\n" (List.map expected execs))
+    (render execs);
+  let resolutions = List.map (fun (e : Pool.exec) -> resolution_of e.Pool.trail) execs in
+  Alcotest.(check bool) "some obligations fell back" true (List.mem "fell-back" resolutions);
+  Alcotest.(check bool) "a quarantined callee has callers" true
     (List.exists
        (fun (e : Pool.exec) ->
-         Supervisor.resolution_to_string e.trail.Supervisor.resolution
-         <> "completed")
-       chaotic1)
-
-(* ------------------------------------------------------------------ *)
-(* Worker kills: respawn, exactly-once, and the synthesized-crash path *)
-
-(* a chaos seed under which the harness kills the first executor of
-   [id] at [site] *)
-let kill_seed ~site ~id =
-  let rec go seed =
-    if seed > 10_000 then Alcotest.fail "no seed kills this obligation"
-    else if Chaos.kill_worker (Chaos.create ~kinds:[ Plan.Worker_kill ] ~seed ()) ~site ~id
-    then seed
-    else go (seed + 1)
-  in
-  go 0
-
-let kill_cfg seed =
-  {
-    Supervisor.default with
-    sleep = (fun _ -> ());
-    chaos = Some (Chaos.create ~kinds:[ Plan.Worker_kill ] ~seed ());
-  }
-
-let test_worker_respawn_completes_everything () =
-  let seed = kill_seed ~site:"pre-exec" ~id:"victim" in
-  let dag =
-    Dag.build_exn [ pass_obl ~fingerprint:"fp" "victim"; pass_obl ~deps:[ "victim" ] "after" ]
-  in
-  let execs, stats = Pool.run_with_stats ~sup:(kill_cfg seed) dag in
-  Alcotest.(check int) "both obligations complete" 2 (List.length execs);
-  Alcotest.(check bool) "no failures" true
-    (List.for_all (fun (e : Pool.exec) -> Obligation.failure_count e.Pool.outcome = 0) execs);
-  Alcotest.(check bool) "the worker was respawned" true (stats.Pool.respawns >= 1);
-  Alcotest.(check int) "no worker permanently lost" 0 stats.Pool.lost_workers
-
-(* the nastier kill: result computed but unpublished — the respawned
-   worker redoes the obligation, and the publish flag keeps dependent
-   release and completion exactly-once *)
-let test_worker_kill_after_compute_exactly_once () =
-  let seed = kill_seed ~site:"post-exec" ~id:"victim" in
-  let ran = ref 0 in
-  let victim =
-    Obligation.v ~id:"victim" ~phase:"test" ~fingerprint:"fp" (fun () ->
-        incr ran;
-        Obligation.outcome [ Report.add_pass (Report.empty "victim") ])
-  in
-  let dag = Dag.build_exn [ victim; pass_obl ~deps:[ "victim" ] "after" ] in
-  let execs, stats = Pool.run_with_stats ~sup:(kill_cfg seed) dag in
-  Alcotest.(check int) "one exec per obligation" 2 (List.length execs);
-  Alcotest.(check bool) "no failures" true
-    (List.for_all (fun (e : Pool.exec) -> Obligation.failure_count e.Pool.outcome = 0) execs);
-  Alcotest.(check int) "the victim ran twice (result was lost once)" 2 !ran;
-  Alcotest.(check bool) "respawned" true (stats.Pool.respawns >= 1)
-
-(* respawn budget exhausted: the pool still returns, synthesizing the
-   explicit crash outcome for whatever was never published
-   (the merge path also hit when a worker dies for real) *)
-let test_dead_worker_synthesizes_crash_outcome () =
-  let seed = kill_seed ~site:"pre-exec" ~id:"victim" in
-  let dag = Dag.build_exn [ pass_obl ~fingerprint:"fp" "victim" ] in
-  let execs, stats =
-    Pool.run_with_stats ~sup:(kill_cfg seed) ~max_respawns:0 dag
-  in
-  Alcotest.(check int) "worker permanently lost" 1 stats.Pool.lost_workers;
-  match execs with
-  | [ e ] ->
-      Alcotest.(check int) "synthesized crash outcome" 1
-        (Obligation.failure_count e.Pool.outcome);
-      Alcotest.(check bool) "explicit reason" true
-        (contains (report_text e.Pool.outcome) "worker exited before publishing a result");
-      Alcotest.(check int) "no worker claims it" (-1) e.Pool.worker;
-      Alcotest.(check string) "trail says quarantined" "quarantined"
-        (Supervisor.resolution_to_string e.Pool.trail.Supervisor.resolution)
-  | _ -> Alcotest.fail "expected exactly one exec"
+         e.Pool.trail.Supervisor.resolution = Supervisor.Quarantined
+         && List.exists
+              (fun (o : Obligation.t) -> List.mem e.obligation.Obligation.id o.Obligation.deps)
+              obls)
+       execs)
 
 (* ------------------------------------------------------------------ *)
 (* Cache corruption fixtures and write-failure surfacing               *)
@@ -559,6 +326,8 @@ let counted counter ~fingerprint id =
       incr counter;
       Obligation.outcome [ Report.add_pass (Report.empty id) ])
 
+(* a pack torn after its atomic rename (a write that fsync would have
+   caught) is evicted whole by the next process and recomputed *)
 let test_torn_pack_evicted_and_recomputed () =
   let dir = fresh_dir () in
   let counter = ref 0 in
@@ -568,14 +337,15 @@ let test_torn_pack_evicted_and_recomputed () =
   in
   (* clean baseline for verdict comparison *)
   let clean = Pool.run (dag ()) in
-  (* cold run whose pack write is torn by chaos *)
-  let cache = Cache.create ~dir in
-  let sup =
-    { Supervisor.default with chaos = Some (Chaos.create ~kinds:[ Plan.Torn_pack ] ~seed:1 ()) }
-  in
-  ignore (Pool.run ~cache ~sup (dag ()));
+  ignore (Pool.run ~cache:(Cache.create ~dir) (dag ()));
   (* counter also saw the 2 baseline executions *)
   Alcotest.(check int) "both executed cold" 4 !counter;
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".pack" then
+        let path = Filename.concat dir f in
+        Unix.truncate path ((Unix.stat path).Unix.st_size / 2))
+    (Sys.readdir dir);
   (* next process: the torn pack must load as nothing and be evicted *)
   let reloaded = Cache.create ~dir in
   Alcotest.(check int) "torn pack evicted wholesale" 0 (Cache.entry_count reloaded);
@@ -609,45 +379,6 @@ let test_cache_write_failures_surfaced () =
   Cache.flush ok;
   Alcotest.(check int) "healthy cache: zero failures" 0 (Cache.write_failure_count ok)
 
-(* ------------------------------------------------------------------ *)
-(* Clock skew and fault vocabulary                                     *)
-
-let test_skewed_clock_bounded_and_monotone () =
-  let ch = Chaos.create ~kinds:[ Plan.Clock_skew ] ~seed:7 () in
-  let src = Chaos.skewed_source ch in
-  let prev = ref neg_infinity in
-  for _ = 1 to 2000 do
-    let t = src () in
-    if t < !prev then Alcotest.fail "skewed clock ran backwards";
-    prev := t;
-    let skew = t -. Engine.Clock.real () in
-    if skew > 0.21 then Alcotest.failf "skew out of bounds: %f" skew
-  done;
-  Alcotest.(check bool) "skew was injected" true
-    (List.assoc Plan.Clock_skew (Chaos.injected ch) > 0)
-
-let test_engine_kind_parsing () =
-  let parse =
-    Plan.kinds_of_string ~what:"engine fault kind" ~all:Plan.all_engine_kinds
-      ~to_string:Plan.engine_kind_to_string
-  in
-  Alcotest.(check bool) "'all' expands" true (parse "all" = Ok Plan.all_engine_kinds);
-  Alcotest.(check bool) "list parses in order" true
-    (parse "obl-crash, torn-pack" = Ok [ Plan.Obl_crash; Plan.Torn_pack ]);
-  (match parse "obl-crash,bogus" with
-  | Error msg ->
-      Alcotest.(check bool) "error names the kinds" true (contains msg "obl-crash");
-      Alcotest.(check bool) "error names the unknown kind" true (contains msg "\"bogus\"")
-  | Ok _ -> Alcotest.fail "bogus kind accepted");
-  (match parse " , " with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty kind list accepted");
-  List.iter
-    (fun k ->
-      match parse (Plan.engine_kind_to_string k) with
-      | Ok [ k' ] when k' = k -> ()
-      | _ -> Alcotest.failf "kind %s does not round-trip" (Plan.engine_kind_to_string k))
-    Plan.all_engine_kinds
 
 let () =
   Alcotest.run "supervisor"
@@ -661,10 +392,6 @@ let () =
         ] );
       ( "retries",
         [
-          Alcotest.test_case "deterministic backoff" `Quick
-            test_retry_backoff_deterministic;
-          Alcotest.test_case "per-obligation jitter streams" `Quick
-            test_backoff_streams_differ_per_obligation;
           Alcotest.test_case "legacy crash shape" `Quick
             test_default_config_legacy_crash_shape;
         ] );
@@ -674,36 +401,17 @@ let () =
             test_fallback_discharges_crash;
           Alcotest.test_case "fallback crash quarantines" `Quick
             test_fallback_crash_still_quarantines;
-          Alcotest.test_case "cacheable fallback, uncacheable quarantine" `Quick
+          Alcotest.test_case "cacheable fallback, uncacheable" `Quick
             test_pool_caches_fallback_not_quarantine;
           Alcotest.test_case "plan wires code-proof fallbacks" `Quick
             test_plan_code_proofs_have_fallback;
-          Alcotest.test_case "code-proof fallback agrees with run" `Quick
+          Alcotest.test_case "code-proof fallback agrees with" `Quick
             test_plan_code_proof_fallback_agrees;
         ] );
       ( "chaos",
         [
-          Alcotest.test_case "decisions deterministic" `Quick
-            test_chaos_decisions_deterministic;
-          Alcotest.test_case "crash recovers cleanly" `Quick
-            test_chaos_crash_recovers_with_clean_verdict;
-          Alcotest.test_case "hang degrades without timeout" `Quick
-            test_chaos_hang_without_timeout_degrades;
-          Alcotest.test_case "clamped by retry budget" `Quick
-            test_chaos_clamped_by_retry_budget;
-          Alcotest.test_case "pool verdicts clean + schedule-independent" `Quick
-            test_chaos_pool_verdicts_clean_and_deterministic;
           Alcotest.test_case "composed verdicts survive chaos" `Quick
-            test_chaos_composed_verdicts_match_monolithic;
-        ] );
-      ( "workers",
-        [
-          Alcotest.test_case "respawn completes everything" `Quick
-            test_worker_respawn_completes_everything;
-          Alcotest.test_case "post-compute kill exactly-once" `Quick
-            test_worker_kill_after_compute_exactly_once;
-          Alcotest.test_case "dead worker synthesized crash" `Quick
-            test_dead_worker_synthesizes_crash_outcome;
+            test_composed_verdicts_survive_crashes;
         ] );
       ( "cache",
         [
@@ -711,11 +419,5 @@ let () =
             test_torn_pack_evicted_and_recomputed;
           Alcotest.test_case "write failures surfaced" `Quick
             test_cache_write_failures_surfaced;
-        ] );
-      ( "clock-and-kinds",
-        [
-          Alcotest.test_case "skewed clock bounded, monotone" `Quick
-            test_skewed_clock_bounded_and_monotone;
-          Alcotest.test_case "engine kind parsing" `Quick test_engine_kind_parsing;
         ] );
     ]

@@ -250,9 +250,38 @@ let test_mir_chaos_graceful () =
         (o.Fault.Mir_chaos.prim_calls > 0))
     outcomes
 
+(* ------------------------------------------------------------------ *)
+(* The --faults vocabulary                                             *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+let test_kind_parsing () =
+  let parse = Fault.Plan.kinds_of_string in
+  Alcotest.(check bool) "'all' expands" true (parse "all" = Ok Fault.Plan.all_kinds);
+  Alcotest.(check bool) "list parses in order" true
+    (parse "tlb, exhaustion" = Ok [ Fault.Plan.Tlb; Fault.Plan.Exhaustion ]);
+  (match parse "tlb,bogus" with
+  | Error msg ->
+      Alcotest.(check bool) "error names the kinds" true (contains msg "exhaustion");
+      Alcotest.(check bool) "error quotes the unknown kind" true (contains msg "\"bogus\"")
+  | Ok _ -> Alcotest.fail "bogus kind accepted");
+  (match parse " , " with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "empty kind list accepted");
+  List.iter
+    (fun k ->
+      match parse (Fault.Plan.kind_to_string k) with
+      | Ok [ k' ] when k' = k -> ()
+      | _ -> Alcotest.failf "kind %s does not round-trip" (Fault.Plan.kind_to_string k))
+    Fault.Plan.all_kinds
+
 let () =
   Alcotest.run "fault"
     [
+      ("plan", [ Alcotest.test_case "fault kind parsing" `Quick test_kind_parsing ]);
       ( "shrink",
         [
           Alcotest.test_case "minimal subsequence" `Quick test_shrink_minimal;

@@ -1,6 +1,7 @@
 (* Tests of the verification service (lib/serve): wire framing
    round-trips under torn and oversized input, the Jsonx parser the
-   protocol rides on, request decoding and validation, determinism of
+   protocol rides on, request decoding and validation, a seeded fuzzer
+   over deframing, parsing and decoding, determinism of
    daemon responses against repeat evaluation (stdout byte-identical,
    summaries identical through the deterministic projection), the L0
    response-replay lifecycle, a live heap that stays flat across
@@ -226,6 +227,143 @@ let test_request_validation () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Fuzzing the wire boundary                                           *)
+
+(* Seeded QCheck properties over what a client can put on the wire:
+   deframing, JSON parsing and request decoding must answer any input
+   with a frame, a value or an [Error], never an exception. *)
+
+module G = QCheck2.Gen
+
+let fuzz_seed = 20241
+
+let fuzz ~name ~count ~print gen prop =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| fuzz_seed |])
+    (QCheck2.Test.make ~name ~count ~print gen prop)
+
+let print_bytes = Printf.sprintf "%S"
+
+(* bytes, with small length headers now and then: uniformly random
+   headers almost all announce more than [max_frame] *)
+let gen_wire =
+  let small_header =
+    G.map (fun n -> String.sub (Protocol.frame (String.make n 'x')) 0 4) (G.int_bound 40)
+  in
+  G.map (String.concat "")
+    (G.list_size (G.int_bound 8)
+       (G.frequency [ (3, G.string_size (G.int_bound 40)); (1, small_header) ]))
+
+(* [wire] cut into consecutive pieces at random offsets *)
+let gen_chunked wire =
+  G.map
+    (fun cuts ->
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (String.length wire + 1)) cuts) in
+      let rec split prev = function
+        | [] -> [ String.sub wire prev (String.length wire - prev) ]
+        | c :: rest -> String.sub wire prev (c - prev) :: split c rest
+      in
+      split 0 cuts)
+    (G.list_size (G.int_bound 10) G.nat)
+
+(* Feed the chunks in turn, draining the reader after each; stop at the
+   first [`Oversized] (the stream is closed there).  Returns the frames
+   and whether the stream was refused. *)
+let deframe chunks =
+  let r = Protocol.Reader.create () in
+  let rec drain acc =
+    match Protocol.Reader.next r with
+    | `Frame p -> drain (p :: acc)
+    | `More -> Ok acc
+    | `Oversized n -> Error (n, acc)
+  in
+  let rec go acc = function
+    | [] -> (List.rev acc, false)
+    | c :: rest -> (
+        Protocol.Reader.feed r c;
+        match drain acc with Ok acc -> go acc rest | Error (_, acc) -> (List.rev acc, true))
+  in
+  go [] chunks
+
+let prop_reader_random_bytes =
+  fuzz ~name:"reader: random bytes in random chunks" ~count:500
+    ~print:(QCheck2.Print.list print_bytes)
+    G.(gen_wire >>= gen_chunked)
+    (fun chunks ->
+      let frames, _ = deframe chunks in
+      List.for_all (fun p -> String.length p <= Protocol.max_frame) frames)
+
+let prop_frames_any_chunking =
+  let gen =
+    G.(list_size (int_bound 6) (string_size (int_bound 60)) >>= fun payloads ->
+       map (fun chunks -> (payloads, chunks))
+         (gen_chunked (String.concat "" (List.map Protocol.frame payloads))))
+  in
+  fuzz ~name:"reader: frames whole and in order" ~count:500
+    ~print:(fun (ps, cs) ->
+      Printf.sprintf "payloads %s, chunks %s"
+        (QCheck2.Print.list print_bytes ps) (QCheck2.Print.list print_bytes cs))
+    gen
+    (fun (payloads, chunks) -> deframe chunks = (payloads, false))
+
+(* request texts a client might send, valid ones included *)
+let request_texts =
+  List.map
+    (fun r -> Jsonx.to_string (Driver.json_of_request r))
+    [
+      Driver.default_request;
+      { Driver.default_request with Driver.geometry = "x86_64"; seed = 7; quick = true };
+      {
+        Driver.default_request with
+        Driver.mc =
+          Some
+            { Driver.mc_depth = 5; mc_por = true; mc_geometry = "tiny3"; mc_buggy_tlb = true };
+        source_digest = Some "0123456789abcdef";
+      };
+    ]
+  @ [ {|{"op":"verify","lints":"body,alias","seed":-1}|}; {|{"model_check":{"depth":3}}|} ]
+
+(* a request text damaged the way a fuzzer would: byte flips, inserted
+   JSON punctuation, truncation, and deep nesting *)
+let gen_mutated =
+  let flip s =
+    G.map2
+      (fun i c ->
+        if s = "" then s
+        else String.mapi (fun j c' -> if j = i mod String.length s then c else c') s)
+      G.nat G.char
+  in
+  let insert s =
+    G.map2
+      (fun i piece ->
+        let i = i mod (String.length s + 1) in
+        String.sub s 0 i ^ piece ^ String.sub s i (String.length s - i))
+      G.nat
+      (G.oneofl [ "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "\\u"; "\\ud800"; "-"; "1e999"; "null" ])
+  in
+  let truncate s = G.map (fun i -> String.sub s 0 (i mod (String.length s + 1))) G.nat in
+  let nest s =
+    G.map2
+      (fun depth obj ->
+        let o, c = if obj then ({|{"op":|}, "}") else ("[", "]") in
+        String.concat "" (List.init depth (fun _ -> o)) ^ s ^ String.concat "" (List.init depth (fun _ -> c)))
+      (G.int_range 1 2000) G.bool
+  in
+  let mutate s = G.(oneof [ flip s; insert s; truncate s; nest s ]) in
+  let rec mutations n s = if n = 0 then G.pure s else G.(mutate s >>= mutations (n - 1)) in
+  G.(pair (oneofl request_texts) (int_range 1 4) >>= fun (s, n) -> mutations n s)
+
+let gen_text = G.(frequency [ (1, string_size (int_bound 80)); (3, gen_mutated) ])
+
+let prop_json_parse_total =
+  fuzz ~name:"jsonx: parse never raises" ~count:1000 ~print:print_bytes gen_text (fun s ->
+      match Jsonx.parse s with Ok _ | Error _ -> true)
+
+let prop_request_decode_total =
+  fuzz ~name:"driver: request decode never raises" ~count:1000 ~print:print_bytes gen_text
+    (fun s -> match Driver.request_of_string s with Ok _ | Error _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* Driver determinism                                                  *)
 
 let parse_response r =
@@ -282,7 +420,7 @@ let test_repeat_determinism () =
 
 let refused j = Jsonx.member "ok" j = Some (Jsonx.Bool false)
 
-(* A negative retry count or deadline is refused, not run as zero. *)
+(* A negative deadline is refused, not run as zero. *)
 let test_session_rejects_negative () =
   (* the pool runs on one domain: any other job count is refused, not
      clamped to 1 *)
@@ -295,9 +433,6 @@ let test_session_rejects_negative () =
         (Invalid_argument "Pool.run: jobs must be 1") (fun () ->
           ignore (Engine.Pool.run ~jobs (Engine.Dag.build_exn []))))
     [ 0; 2 ];
-  Alcotest.check_raises "negative retries"
-    (Invalid_argument "Driver.session: retries must be at least 0") (fun () ->
-      ignore (Driver.session ~retries:(-3) ()));
   Alcotest.check_raises "negative timeout"
     (Invalid_argument "Driver.session: timeout_ms must be at least 0") (fun () ->
       ignore (Driver.session ~timeout_ms:(-5) ()))
@@ -984,8 +1119,8 @@ let test_summary_stubbed_calls () =
   let p = Driver.prepare Driver.default_request in
   let summary =
     Summary.summary_json ~failures:0 ~cache_enabled:false
-      ~sup_totals:(Engine.Supervisor.totals []) ~stats:{ Engine.Pool.respawns = 0; lost_workers = 0 }
-      ~cache_write_failures:0 ~engine_chaos:None ~model_check:None ~plan:p.Driver.p_plan
+      ~sup_totals:(Engine.Supervisor.totals []) ~cache_write_failures:0 ~model_check:None
+      ~plan:p.Driver.p_plan
       ~plan_build_s:0.0 ~plan_cache_hit:false []
   in
   match
@@ -1018,6 +1153,13 @@ let () =
           Alcotest.test_case "defaults" `Quick test_request_defaults;
           Alcotest.test_case "round trip" `Quick test_request_roundtrip;
           Alcotest.test_case "validation" `Quick test_request_validation;
+        ] );
+      ( "fuzz",
+        [
+          prop_reader_random_bytes;
+          prop_frames_any_chunking;
+          prop_json_parse_total;
+          prop_request_decode_total;
         ] );
       ( "cache-multiprocess",
         [
