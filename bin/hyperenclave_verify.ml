@@ -15,9 +15,9 @@
                        transactionality, invariant and TLB-consistency
                        checks, plus MIRlight-level primitive faults
     11. model check  — opt-in (--model-check DEPTH): exhaustive bounded
-                       exploration of every event interleaving (lib/mc),
-                       one obligation visiting each state once, with
-                       partial-order reduction (--mc-por/--no-mc-por)
+                       breadth-first exploration of every event
+                       interleaving (lib/mc), one obligation visiting
+                       each state once
 
    Phases 3-9 and 11 are reified as an obligation DAG (lib/engine) and run
    in dependency order on the calling domain, optionally against a
@@ -203,8 +203,8 @@ let run_local (session : Serve.Driver.session) ?chaos ~json_out ~trace_out ~lint
 (* ------------------------------------------------------------------ *)
 
 let run geometry seed quick (_jobs : int) cache_dir json_out trace_out lint_json chaos
-    chaos_traces faults buggy_tlb lints timeout_ms mc_depth mc_geometry mc_por
-    serve_socket client_socket fleet scrub_summary =
+    chaos_traces faults buggy_tlb lints timeout_ms mc_depth mc_geometry serve_socket
+    client_socket fleet scrub_summary =
   let req =
     {
       Serve.Driver.geometry;
@@ -214,12 +214,7 @@ let run geometry seed quick (_jobs : int) cache_dir json_out trace_out lint_json
       mc =
         Option.map
           (fun depth ->
-            {
-              Serve.Driver.mc_depth = depth;
-              mc_por;
-              mc_geometry;
-              mc_buggy_tlb = buggy_tlb;
-            })
+            { Serve.Driver.mc_depth = depth; mc_geometry; mc_buggy_tlb = buggy_tlb })
           mc_depth;
       source_digest = None;
     }
@@ -407,24 +402,6 @@ let mc_geometry =
            $(b,tiny3) (3 levels) — independent of --geometry, since \
            exhaustive exploration needs an enumerable state space.")
 
-let mc_por =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "mc-por" ]
-              ~doc:
-                "Enable sleep-set partial-order reduction in the \
-                 model-checking phase (the default)." );
-          ( false,
-            info [ "no-mc-por" ]
-              ~doc:
-                "Disable partial-order reduction: explore every interleaving \
-                 order.  The violation set and reachable states are identical \
-                 either way — CI asserts it." );
-        ])
-
 let serve_socket =
   Arg.(
     value
@@ -475,7 +452,7 @@ let cmd =
     Term.(
       const run $ geometry $ seed $ quick $ jobs $ cache_dir $ json_out $ trace_out
       $ lint_json $ chaos $ chaos_traces $ faults $ buggy_tlb $ lints $ timeout_ms
-      $ mc_depth $ mc_geometry $ mc_por $ serve_socket $ client_socket $ fleet
+      $ mc_depth $ mc_geometry $ serve_socket $ client_socket $ fleet
       $ scrub_summary)
 
 let () = exit (Cmd.eval' cmd)

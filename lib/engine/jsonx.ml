@@ -91,9 +91,10 @@ let to_multiline_string = function
 (* Parsing.  The serve protocol (lib/serve) carries requests and
    responses as JSON frames, so the engine needs to read JSON back, not
    just emit it.  Recursive descent over the full string; errors carry
-   the byte offset.  Numbers without '.', 'e' or 'E' parse as [Int]
-   (falling back to [Float] on overflow), everything else as [Float] —
-   the inverse of {!emit}'s convention. *)
+   the byte offset.  Numbers are scanned against RFC 8259's grammar;
+   those without a fraction or exponent parse as [Int] (falling back to
+   [Float] on overflow), everything else as [Float] — the inverse of
+   {!emit}'s convention. *)
 
 exception Parse_error of int * string
 
@@ -131,14 +132,18 @@ let parse (s : string) : (t, string) result =
     end
     else parse_error !pos (Printf.sprintf "expected %s" word)
   in
+  (* exactly four hex digits: [int_of_string] would also take '_' *)
   let hex4 () =
     if !pos + 4 > n then parse_error !pos "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    match int_of_string_opt ("0x" ^ h) with
-    | Some c ->
-        pos := !pos + 4;
-        c
-    | None -> parse_error !pos "bad \\u escape"
+    let digit = function
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> parse_error !pos "bad \\u escape"
+    in
+    let c = String.fold_left (fun acc h -> (acc lsl 4) lor digit h) 0 (String.sub s !pos 4) in
+    pos := !pos + 4;
+    c
   in
   (* encode a Unicode scalar value as UTF-8 *)
   let add_utf8 buf u =
@@ -203,27 +208,42 @@ let parse (s : string) : (t, string) result =
     in
     loop ()
   in
+  (* RFC 8259 section 6: an optional '-'; '0' or a digit 1-9 and more
+     digits; optionally '.' and one or more digits; optionally 'e' or
+     'E', an optional sign and one or more digits.  The scan alone
+     decides what is a number: OCaml's [of_string] functions, which also
+     take "1.", "0x1f" and '_', only convert what it accepted. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digits () =
+      match peek () with
+      | Some '0' .. '9' ->
+          while match peek () with Some '0' .. '9' -> true | _ -> false do
+            advance ()
+          done
+      | _ -> parse_error !pos "bad number: expected a digit"
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
+    if peek () = Some '-' then advance ();
+    if peek () = Some '0' then advance () else digits ();
+    let integral = !pos in
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
     let lit = String.sub s start (!pos - start) in
-    if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) lit then
+    let float () =
       match float_of_string_opt lit with
       | Some f -> Float f
       | None -> parse_error start "bad number"
-    else
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt lit with
-          | Some f -> Float f
-          | None -> parse_error start "bad number")
+    in
+    if !pos > integral then float ()
+    else match int_of_string_opt lit with Some i -> Int i | None -> float ()
   in
   let rec parse_value depth =
     if depth > max_depth then parse_error !pos "nesting too deep";

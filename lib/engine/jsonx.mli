@@ -24,9 +24,13 @@ val to_multiline_string : t -> string
 
 val parse : string -> (t, string) result
 (** Strict parse of one JSON value spanning the whole string (trailing
-    content is an error).  Numbers without a fraction or exponent parse
-    as [Int] (falling back to [Float] on overflow); [\uXXXX] escapes —
-    surrogate pairs included — decode to UTF-8 bytes.  Container
+    content is an error).  A number must match RFC 8259's grammar: an
+    optional [-], then [0] or a digit 1-9 and more digits, then an
+    optional fraction ([.] and digits) and exponent ([e] or [E], an
+    optional sign, digits).  One without a fraction or exponent parses
+    as [Int] (falling back to [Float] on overflow).  A [\uXXXX] escape
+    is exactly four hex digits; escapes — surrogate pairs included —
+    decode to UTF-8 bytes.  Container
     nesting is bounded (512 levels): deeper input is an [Error], never
     a [Stack_overflow] — the serve daemon feeds this untrusted frames.
     Never raises: malformed input yields [Error] with the byte

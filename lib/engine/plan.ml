@@ -583,21 +583,18 @@ let mc_report (o : Mc.Explore.outcome) =
 
 (* One obligation explores the request's own layout from boot, so each
    reachable state is visited once.  It is fingerprinted on the layout,
-   the universe, the depth bound and the reduction and flush switches,
-   and serializes its stats, visited keys and shrunk counterexamples
-   into its outcome log for the driver to roll up. *)
+   the universe, the depth bound and the flush switch, and serializes
+   its stats, visited keys and shrunk counterexamples into its outcome
+   log for the driver to roll up. *)
 let mc_obligations req =
-  let cfg =
-    Mc.Explore.config ~depth:req.mc_depth ~flush:req.mc_flush ~por:req.mc_por
-      req.mc_layout
-  in
+  let cfg = Mc.Explore.config ~depth:req.mc_depth ~flush:req.mc_flush req.mc_layout in
   [
     Obligation.v ~id:"mc/explore" ~phase:"model-check"
       ~fingerprint:
-        (Printf.sprintf "mc-v2;%s;universe=%s;depth=%d;por=%b;flush=%b"
+        (Printf.sprintf "mc-v3;%s;universe=%s;depth=%d;flush=%b"
            (layout_fp req.mc_layout)
            (Mc.Universe.digest cfg.Mc.Explore.universe)
-           req.mc_depth req.mc_por req.mc_flush)
+           req.mc_depth req.mc_flush)
       (fun () ->
         let o = Mc.Explore.run cfg in
         Obligation.outcome ~log:(Mc.Explore.to_log o) [ mc_report o ]);

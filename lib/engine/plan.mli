@@ -19,12 +19,15 @@
 type mc_request = {
   mc_depth : int;
   mc_por : bool;
+      (** Inert: nothing reads it and it is not fingerprinted.  Kept
+          only because the benchmark harness ([bench/e2e]) still sets
+          it. *)
   mc_flush : bool;
   mc_layout : Hyperenclave.Layout.t;
 }
-(** A bounded model-checking run: exploration depth, partial-order
-    reduction on/off, and whether unmaps flush the TLB ([mc_flush =
-    false] is the planted [--buggy-tlb] monitor). *)
+(** A bounded model-checking run: exploration depth and whether unmaps
+    flush the TLB ([mc_flush = false] is the planted [--buggy-tlb]
+    monitor). *)
 
 type absint_tables = {
   interval : Analysis.Interval_lint.A.table;

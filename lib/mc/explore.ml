@@ -1,17 +1,15 @@
 open Security
 module Chaos = Fault.Chaos
-module IntSet = Set.Make (Int)
 
 type config = {
   layout : Hyperenclave.Layout.t;
   universe : Chaos.event list;
   depth : int;
   flush : bool;
-  por : bool;
 }
 
-let config ?(depth = 4) ?(flush = true) ?(por = true) layout =
-  { layout; universe = Universe.events layout; depth; flush; por }
+let config ?(depth = 4) ?(flush = true) layout =
+  { layout; universe = Universe.events layout; depth; flush }
 
 (* The principals whose views the noninterference checks compare, and
    the seed of each state's perturbed-secrets twin. *)
@@ -27,15 +25,14 @@ type violation = {
   v_evals : int;
 }
 
-type stats = { explored : int; transitions : int; deduped : int; pruned : int }
+type stats = { explored : int; transitions : int; deduped : int }
 
-(* A queued state, with its discovery trace, depth and sleep set. *)
+(* A queued state, with its discovery trace and depth. *)
 type item = {
   node : Memo.node;
   key : string;
   trace_rev : Chaos.event list;
   idepth : int;
-  sleep : IntSet.t;
 }
 
 type outcome = {
@@ -120,31 +117,16 @@ let trace_violates cfg memo ~boot ~kind events =
   in
   go boot events
 
-(* Per-visited-state bookkeeping.  [expl] is the set of transition
-   indices already executed from this state (the explored-set
-   refinement).  [cover] is the intersection of the sleep sets of
-   every visit so far: a transition is durably blocked only when every
-   visit slept it, so a revisit whose sleep set misses part of [cover]
-   must be re-expanded.  [vdepth] is the minimal discovery depth —
-   expansion always uses it, so depth-bounded exploration is exact. *)
-type entry = {
-  mutable expl : IntSet.t;
-  mutable vdepth : int;
-  mutable cover : IntSet.t;
-}
-
 type ctx = {
   cfg : config;
   memo : Memo.t;
   boot : Memo.node;
   uni : Chaos.event array;
-  commute : bool array array;
-  visited : (string, entry) Hashtbl.t;
+  visited : (string, unit) Hashtbl.t;
   queue : item Queue.t;
   mutable s_explored : int;
   mutable s_transitions : int;
   mutable s_deduped : int;
-  mutable s_pruned : int;
   mutable violations : violation list; (* reverse discovery order *)
   vseen : (string, unit) Hashtbl.t;
 }
@@ -269,136 +251,60 @@ let check_edge ctx ~akey ~atrace_rev ~before ~after ev =
     observers
 
 let run cfg =
-  let uni = Array.of_list cfg.universe in
-  let n = Array.length uni in
-  let commute =
-    Array.init n (fun i -> Array.init n (fun j -> Footprint.commutes uni.(i) uni.(j)))
-  in
   let memo = Memo.create ~flush:cfg.flush ~seed:ni_seed in
   let boot = Memo.node memo (State.boot cfg.layout) in
   let ctx =
-    { cfg; memo; boot; uni; commute; visited = Hashtbl.create 4096;
-      queue = Queue.create ();
-      s_explored = 0; s_transitions = 0; s_deduped = 0; s_pruned = 0;
+    { cfg; memo; boot; uni = Array.of_list cfg.universe;
+      visited = Hashtbl.create 4096; queue = Queue.create ();
+      s_explored = 0; s_transitions = 0; s_deduped = 0;
       violations = []; vseen = Hashtbl.create 16 }
   in
+  (* BFS reaches states in order of depth, so a state is discovered,
+     checked and queued once, at its minimal depth. *)
   let discover it =
-    Hashtbl.add ctx.visited it.key
-      { expl = IntSet.empty; vdepth = it.idepth; cover = it.sleep };
+    Hashtbl.add ctx.visited it.key ();
     ctx.s_explored <- ctx.s_explored + 1;
     check_state ctx ~key:it.key ~trace_rev:it.trace_rev it.node;
     if it.idepth < cfg.depth then Queue.push it ctx.queue
   in
-  discover
-    { node = boot; key = Memo.digest boot; trace_rev = [];
-      idepth = 0; sleep = IntSet.empty };
+  discover { node = boot; key = Memo.digest boot; trace_rev = []; idepth = 0 };
   while not (Queue.is_empty ctx.queue) do
     Mirverif.Cancel.poll ();
     let it = Queue.pop ctx.queue in
-    let entry = Hashtbl.find ctx.visited it.key in
-    (* expand with the first-visit (minimal, by BFS order) depth *)
-    let d = entry.vdepth in
-    if d < cfg.depth then begin
-      for i = 0 to n - 1 do
-        if (not (IntSet.mem i entry.expl)) && enabled_at it.node uni.(i) then
-          if cfg.por && IntSet.mem i it.sleep then
-            ctx.s_pruned <- ctx.s_pruned + 1
-          else begin
-            (* sleep set for the successor: everything slept here or
-               already explored from here, kept only if it commutes
-               with the transition we take *)
-            let sleep' =
-              if cfg.por then
-                IntSet.filter
-                  (fun j -> ctx.commute.(j).(i))
-                  (IntSet.union it.sleep entry.expl)
-              else IntSet.empty
-            in
-            match exec memo it.node uni.(i) with
-            | Error msg ->
-                (* enabled_at said yes, step said no: the enumerator
-                   and the semantics disagree *)
-                entry.expl <- IntSet.add i entry.expl;
-                record ctx ~kind:"precondition" ~key:it.key
-                  ~trace_rev:it.trace_rev
-                  ~detail:
-                    (Printf.sprintf "%s enabled but step failed: %s"
-                       (Chaos.event_to_string uni.(i)) msg)
-            | Ok n' -> (
-                entry.expl <- IntSet.add i entry.expl;
-                ctx.s_transitions <- ctx.s_transitions + 1;
-                let key' = Memo.digest n' in
-                let trace_rev' = uni.(i) :: it.trace_rev in
-                check_edge ctx ~akey:key' ~atrace_rev:trace_rev'
-                  ~before:it.node ~after:n' uni.(i);
-                let it' =
+    Array.iter
+      (fun ev ->
+        if enabled_at it.node ev then
+          match exec memo it.node ev with
+          | Error msg ->
+              (* enabled_at said yes, step said no: the enumerator and
+                 the semantics disagree *)
+              record ctx ~kind:"precondition" ~key:it.key ~trace_rev:it.trace_rev
+                ~detail:
+                  (Printf.sprintf "%s enabled but step failed: %s"
+                     (Chaos.event_to_string ev) msg)
+          | Ok n' ->
+              ctx.s_transitions <- ctx.s_transitions + 1;
+              let key' = Memo.digest n' in
+              let trace_rev' = ev :: it.trace_rev in
+              check_edge ctx ~akey:key' ~atrace_rev:trace_rev' ~before:it.node
+                ~after:n' ev;
+              if Hashtbl.mem ctx.visited key' then
+                ctx.s_deduped <- ctx.s_deduped + 1
+              else
+                discover
                   { node = n'; key = key'; trace_rev = trace_rev';
-                    idepth = d + 1; sleep = sleep' }
-                in
-                match Hashtbl.find_opt ctx.visited key' with
-                | None -> discover it'
-                | Some entry' ->
-                    ctx.s_deduped <- ctx.s_deduped + 1;
-                    (* A revisit must be re-queued when it can unblock
-                       something: its sleep set misses part of the
-                       stored cover (so a durably-slept transition wakes
-                       up), or it reaches the state strictly shallower
-                       (so there is more depth budget).  The explored
-                       set keeps this terminating — a re-expansion only
-                       executes not-yet-explored transitions. *)
-                    let shallower = d + 1 < entry'.vdepth in
-                    if shallower then entry'.vdepth <- d + 1;
-                    let wakes = not (IntSet.subset entry'.cover sleep') in
-                    entry'.cover <- IntSet.inter entry'.cover sleep';
-                    if (cfg.por && wakes) || shallower then
-                      Queue.push { it' with sleep = entry'.cover } ctx.queue)
-          end
-      done
-    end
+                    idepth = it.idepth + 1 })
+      ctx.uni
   done;
   {
     stats =
       { explored = ctx.s_explored; transitions = ctx.s_transitions;
-        deduped = ctx.s_deduped; pruned = ctx.s_pruned };
+        deduped = ctx.s_deduped };
     keys =
       List.sort String.compare
-        (Hashtbl.fold (fun k _ acc -> k :: acc) ctx.visited []);
+        (Hashtbl.fold (fun k () acc -> k :: acc) ctx.visited []);
     violations = List.rev ctx.violations;
   }
-
-let interleavings cfg =
-  let uni = Array.of_list cfg.universe in
-  let n = Array.length uni in
-  let commute =
-    Array.init n (fun i ->
-        Array.init n (fun j -> Footprint.commutes uni.(i) uni.(j)))
-  in
-  let memo = Memo.create ~flush:cfg.flush ~seed:ni_seed in
-  let count = ref 0 in
-  let rec go node depth sleep =
-    if depth < cfg.depth then begin
-      Mirverif.Cancel.poll ();
-      let explored = ref IntSet.empty in
-      for i = 0 to n - 1 do
-        if enabled_at node uni.(i) && not (cfg.por && IntSet.mem i sleep) then
-          match exec memo node uni.(i) with
-          | Error _ -> ()
-          | Ok node' ->
-              incr count;
-              let sleep' =
-                if cfg.por then
-                  IntSet.filter
-                    (fun j -> commute.(j).(i))
-                    (IntSet.union sleep !explored)
-                else IntSet.empty
-              in
-              explored := IntSet.add i !explored;
-              go node' (depth + 1) sleep'
-      done
-    end
-  in
-  go (Memo.node memo (State.boot cfg.layout)) 0 IntSet.empty;
-  !count
 
 (* ---- serialization through obligation logs ---- *)
 
@@ -430,8 +336,8 @@ let sanitize s =
 let to_log (o : outcome) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "s\t%d\t%d\t%d\t%d\n" o.stats.explored o.stats.transitions
-       o.stats.deduped o.stats.pruned);
+    (Printf.sprintf "s\t%d\t%d\t%d\n" o.stats.explored o.stats.transitions
+       o.stats.deduped);
   List.iter (fun k -> Buffer.add_string buf (Printf.sprintf "k\t%s\n" k)) o.keys;
   List.iter
     (fun v ->
@@ -447,15 +353,15 @@ let to_log (o : outcome) =
   Buffer.contents buf
 
 let parse_log log =
-  let stats = ref { explored = 0; transitions = 0; deduped = 0; pruned = 0 } in
+  let stats = ref { explored = 0; transitions = 0; deduped = 0 } in
   let keys = ref [] and viols = ref [] in
   String.split_on_char '\n' log
   |> List.iter (fun line ->
          match String.split_on_char '\t' line with
-         | [ "s"; e; t; d; p ] ->
+         | [ "s"; e; t; d ] ->
              stats :=
                { explored = int_of_string e; transitions = int_of_string t;
-                 deduped = int_of_string d; pruned = int_of_string p }
+                 deduped = int_of_string d }
          | [ "k"; k ] -> keys := k :: !keys
          | "v" :: kind :: state :: evals :: rest ->
              viols :=
@@ -476,7 +382,7 @@ let rollup p =
     r_states = p.p_stats.explored;
     r_transitions = p.p_stats.transitions;
     r_deduped = p.p_stats.deduped;
-    r_pruned = p.p_stats.pruned;
+    r_pruned = 0;
     r_violations = p.p_violations;
   }
 

@@ -3,16 +3,12 @@
 
     Breadth-first enumeration of every interleaving of the
     {!Universe} events up to a depth bound, on one small geometry.
-    The visited set is deduplicated by {!State_key.digest}; when
-    partial-order reduction is on, sleep sets derived from the
-    {!Footprint} commutation table skip the redundant orders of
-    commuting adjacent events (with the explored-set refinement that
-    keeps sleep sets sound in the presence of state caching: a revisit
-    with a smaller sleep set re-expands exactly the transitions the
-    first visit blocked).  Sleep sets prune only {e transitions},
-    never states, and commuting swaps preserve path length, so the
-    reachable state set within the bound — and with it every
-    state-level verdict — is identical with and without reduction.
+    From each state every enabled event is stepped once; a successor
+    whose {!State_key.digest} is already in the visited set is counted
+    as deduplicated and not explored again.  BFS reaches states in
+    order of depth, so each state is checked and expanded once, at its
+    minimal depth, and a run's counts satisfy
+    [deduped = transitions - (explored - 1)].
 
     At every newly reached state the checker runs the Sec. 5.2
     invariants, TLB consistency, and the two-run step-
@@ -50,12 +46,10 @@ type config = {
   universe : Fault.Chaos.event list;
   depth : int;  (** exploration bound, in events from boot *)
   flush : bool;  (** [false] = the buggy monitor ([--buggy-tlb]) *)
-  por : bool;  (** sleep-set partial-order reduction *)
 }
 
-val config :
-  ?depth:int -> ?flush:bool -> ?por:bool -> Hyperenclave.Layout.t -> config
-(** Defaults: depth 4, correct monitor, reduction on, universe
+val config : ?depth:int -> ?flush:bool -> Hyperenclave.Layout.t -> config
+(** Defaults: depth 4, correct monitor, universe
     {!Universe.events}.  Every check runs, with observers OS and
     enclaves 1 and 2, and perturbed-secrets twins drawn from seed
     2024. *)
@@ -76,7 +70,6 @@ type stats = {
   explored : int;  (** unique canonical states *)
   transitions : int;  (** edges executed *)
   deduped : int;  (** edges into already-visited states *)
-  pruned : int;  (** expansions skipped by sleep sets *)
 }
 
 type outcome = {
@@ -90,14 +83,6 @@ val run : config -> outcome
 (** Explore breadth-first from the booted state to [config.depth],
     visiting each canonical state once.  Polls {!Mirverif.Cancel} once
     per dequeued state, so an obligation deadline cancels it. *)
-
-val interleavings : config -> int
-(** The number of enabled event sequences of length 1..[depth] a
-    tree-shaped (dedup-free) walk traverses — under sleep sets when
-    [por] is set, the full enabled tree otherwise.  The ratio of the
-    two is the reduction's interleaving-level pruning factor (each
-    skipped expansion cuts a whole subtree, which per-edge statistics
-    on the deduplicated graph undercount). *)
 
 (** {1 Obligation-outcome serialization}
 
@@ -124,7 +109,9 @@ type rollup = {
   r_states : int;  (** visited states *)
   r_transitions : int;  (** edges executed *)
   r_deduped : int;  (** edges into already-visited states *)
-  r_pruned : int;  (** expansions skipped by sleep sets *)
+  r_pruned : int;
+      (** Inert, always 0: the explorer prunes nothing.  Kept only
+          because the benchmark harness ([bench/e2e]) still reads it. *)
   r_violations : parsed_violation list;  (** discovery order *)
 }
 

@@ -17,9 +17,8 @@
     [Invariants.check], [State_key.digest] and the
     {!Security.Observation} comparisons.
 
-    The explorer makes one memo per [Explore.run] (and per
-    [Explore.interleavings]) call and drops it on return; nothing in
-    this module is global. *)
+    The explorer makes one memo per [Explore.run] call and drops it on
+    return; nothing in this module is global. *)
 
 type t
 

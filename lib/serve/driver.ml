@@ -30,7 +30,7 @@ module Jsonx = Engine.Jsonx
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 
-type mc_spec = { mc_depth : int; mc_por : bool; mc_geometry : string; mc_buggy_tlb : bool }
+type mc_spec = { mc_depth : int; mc_geometry : string; mc_buggy_tlb : bool }
 
 type request = {
   geometry : string;  (* "tiny" | "x86_64": names the module under proof *)
@@ -70,7 +70,6 @@ let json_of_request r =
              Obj
                [
                  ("depth", Int m.mc_depth);
-                 ("por", Bool m.mc_por);
                  ("geometry", Str m.mc_geometry);
                  ("buggy_tlb", Bool m.mc_buggy_tlb);
                ] );
@@ -122,15 +121,13 @@ let request_of_json j : (request, string) result =
     | Some m ->
         let* depth = field m "depth" Jsonx.to_int_opt ~default:0 in
         let* () = if depth >= 1 then Ok () else Error "bad model_check depth" in
-        let* por = field m "por" Jsonx.to_bool_opt ~default:true in
         let* geometry = field m "geometry" Jsonx.to_string_opt ~default:"tiny" in
         let* () =
           if List.mem geometry [ "tiny"; "tiny3" ] then Ok ()
           else Error (Printf.sprintf "unknown model_check geometry %S" geometry)
         in
         let* buggy_tlb = field m "buggy_tlb" Jsonx.to_bool_opt ~default:false in
-        Ok (Some { mc_depth = depth; mc_por = por; mc_geometry = geometry;
-                   mc_buggy_tlb = buggy_tlb })
+        Ok (Some { mc_depth = depth; mc_geometry = geometry; mc_buggy_tlb = buggy_tlb })
   in
   Ok { geometry; seed; quick; lints; mc; source_digest }
 
@@ -159,7 +156,7 @@ let mc_layout_of_geometry = function
 let mc_request_of (m : mc_spec) : Engine.Plan.mc_request =
   {
     Engine.Plan.mc_depth = max 1 m.mc_depth;
-    mc_por = m.mc_por;
+    mc_por = false (* inert *);
     mc_flush = not m.mc_buggy_tlb;
     mc_layout = mc_layout_of_geometry m.mc_geometry;
   }

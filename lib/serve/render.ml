@@ -169,13 +169,10 @@ let model_check ppf ~failures (req : Engine.Plan.mc_request) execs =
     (if req.Engine.Plan.mc_flush then "correct"
      else "buggy (unmap does not flush the TLB)");
   Format.fprintf ppf
-    "  depth %d, %d-event universe, reduction %s: %d states, %d transitions, \
-     %d deduped, %d pruned@."
+    "  depth %d, %d-event universe: %d states, %d transitions, %d deduped@."
     req.Engine.Plan.mc_depth
     (List.length (Mc.Universe.events req.Engine.Plan.mc_layout))
-    (if req.Engine.Plan.mc_por then "on" else "off")
-    r.Mc.Explore.r_states r.Mc.Explore.r_transitions r.Mc.Explore.r_deduped
-    r.Mc.Explore.r_pruned;
+    r.Mc.Explore.r_states r.Mc.Explore.r_transitions r.Mc.Explore.r_deduped;
   List.iter
     (fun (v : Mc.Explore.parsed_violation) ->
       Format.fprintf ppf "  VIOLATION %s at state %s: %s@." v.Mc.Explore.p_kind

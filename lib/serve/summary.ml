@@ -129,7 +129,6 @@ let model_check_json model_check execs =
       Jsonx.Obj
         [
           ("depth", Jsonx.Int req.Engine.Plan.mc_depth);
-          ("por", Str (if req.Engine.Plan.mc_por then "on" else "off"));
           ( "monitor",
             Str (if req.Engine.Plan.mc_flush then "correct" else "buggy-tlb") );
           ( "universe",
@@ -137,7 +136,6 @@ let model_check_json model_check execs =
           ("states_explored", Int r.Mc.Explore.r_states);
           ("transitions", Int r.Mc.Explore.r_transitions);
           ("deduped", Int r.Mc.Explore.r_deduped);
-          ("pruned", Int r.Mc.Explore.r_pruned);
           ( "min_witness",
             match Mc.Explore.min_witness r with Some n -> Int n | None -> Null );
           ( "violations",

@@ -48,8 +48,8 @@
 # points-to footprints, per SCC) to report zero findings on the seed
 # 15-layer stack, rejects unknown --lints and --faults names,
 # --chaos-traces and --model-check counts below 1, any --jobs but 1 and
-# the removed --engine-chaos, --engine-faults and --retries flags at
-# argument parse time, requires the --lint-json artifact to be
+# the removed --engine-chaos, --engine-faults, --retries, --mc-por and
+# --no-mc-por flags at argument parse time, requires the --lint-json artifact to be
 # byte-identical across cache states, and re-runs the analysis test
 # suites, whose negative fixtures (one hand-built MIRlight body per
 # lint, planted hypercall-leak programs for secret-flow, an aliased
@@ -64,10 +64,10 @@
 # also on the --mc-geometry tiny3 layout; an x86_64 run must
 # model-check the tiny universe within 60 s; at depth 5, the depth of
 # the bug-hunt benchmark, both monitors must print the same with no
-# cache, a cold cache and a warm one.  That partial-order reduction
-# prunes >= 30% of
-# interleavings without changing the reachable states or violations
-# is checked by the model-checker test suite (test/mc).
+# cache, a cold cache and a warm one.  The explorer is a plain
+# breadth-first search; that a reference BFS reaches its states,
+# violations and transition and dedup counts is checked by the
+# model-checker test suite (test/mc).
 #
 # The serving gate starts a --serve daemon with a 2-process fleet,
 # whose dispatcher hands each worker one request at a time, pushes 50
@@ -252,8 +252,10 @@ dune exec test/analysis/test_absint.exe > /dev/null || {
   echo "ci: absint suite (planted-leak fixtures, lattice laws) failed" >&2
   exit 1; }
 # the engine no longer injects faults into itself or retries an
-# obligation: those flags are unknown options (exit 124, nothing run)
-for arg in "--engine-chaos 42" "--engine-faults all" "--retries 2"; do
+# obligation, and the model checker has no partial-order reduction to
+# switch: those flags are unknown options (exit 124, nothing run)
+for arg in "--engine-chaos 42" "--engine-faults all" "--retries 2" "--mc-por" \
+    "--no-mc-por"; do
   flag=${arg%% *}
   rc=0
   # shellcheck disable=SC2086
@@ -266,7 +268,7 @@ for arg in "--engine-chaos 42" "--engine-faults all" "--retries 2"; do
   grep -q -- "$flag" "$workdir/gone.err" || {
     echo "ci: $arg rejection does not name $flag" >&2; exit 1; }
 done
-echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults, counts below their minimum, --jobs but 1 and the removed engine flags rejected"
+echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults, counts below their minimum, --jobs but 1 and the removed engine and reduction flags rejected"
 
 # --- torn-cache gate -----------------------------------------------
 # A pack torn after its atomic rename (a write that fsync would have

@@ -1,13 +1,11 @@
 (* Tests for the bounded model checker: canonical state keys
    (idempotence, agreement with [State.equal], commutation with
-   [step]), the static commutation table against the dynamic
-   semantics, POR soundness (same reachable states and the same
-   violation set with and without reduction), rediscovery of the
-   planted stale-TLB bug with its 4-event ddmin witness, determinism
-   and serialization of the outcome, a plain reference BFS that must
-   reach the same states and the same invariant and TLB-consistency
-   violations as [Explore.run], and the explorer's monitor memo
-   ([Mc.Memo]) against the plain functions it stands in for. *)
+   [step]), rediscovery of the planted stale-TLB bug with its 4-event
+   ddmin witness, determinism and serialization of the outcome, a plain
+   reference BFS that must reach the same states, the same invariant
+   and TLB-consistency violations and the same transition and dedup
+   counts as [Explore.run], and the explorer's monitor memo ([Mc.Memo])
+   against the plain functions it stands in for. *)
 
 open Hyperenclave
 open Security
@@ -28,9 +26,16 @@ let exec ~flush st = function
    invariant checker.  It keeps a list of visited states compared with
    [State.equal], steps every universe event from every state of the
    last level, and checks each new state's invariants and TLB
-   consistency.  No digest, no reduction, no shared successor rows: it
-   shares with [Explore.run] only the semantics it explores.  Returns
-   the visited states and the violations as (kind, state) pairs. *)
+   consistency.  No digest, no shared successor rows: it shares with
+   [Explore.run] only the semantics it explores. *)
+type reference = {
+  states : State.t list;  (** visited, in discovery order *)
+  found : (string * State.t) list;
+      (** invariant and TLB-consistency violations, as (kind, state) *)
+  transitions : int;  (** successful steps from states above the bound *)
+  deduped : int;  (** of those, steps into an already-visited state *)
+}
+
 let reference_explore ~depth ~flush layout =
   let events = Mc.Universe.events layout in
   let check st =
@@ -39,12 +44,13 @@ let reference_explore ~depth ~flush layout =
       [ ("invariant", Invariants.check st.State.mon);
         ("tlb-consistency", Chaos.tlb_consistent st) ]
   in
-  let visit (visited, next, found) st =
-    if List.exists (State.equal st) visited then (visited, next, found)
-    else (st :: visited, st :: next, check st @ found)
+  let visit (visited, next, found, deduped) st =
+    if List.exists (State.equal st) visited then (visited, next, found, deduped + 1)
+    else (st :: visited, st :: next, check st @ found, deduped)
   in
-  let rec level d (visited, last, found) =
-    if d = depth || last = [] then (List.rev visited, found)
+  let rec level d transitions (visited, last, found, deduped) =
+    if d = depth || last = [] then
+      { states = List.rev visited; found; transitions; deduped }
     else
       let successors =
         List.concat_map
@@ -52,9 +58,11 @@ let reference_explore ~depth ~flush layout =
             List.filter_map (fun ev -> Result.to_option (exec ~flush st ev)) events)
           (List.rev last)
       in
-      level (d + 1) (List.fold_left visit (visited, [], found) successors)
+      level (d + 1)
+        (transitions + List.length successors)
+        (List.fold_left visit (visited, [], found, deduped) successors)
   in
-  level 0 (visit ([], [], []) (State.boot layout))
+  level 0 0 (visit ([], [], [], 0) (State.boot layout))
 
 (* The reference's depth-5 runs on tiny, computed once for the two
    tests that read them. *)
@@ -95,7 +103,7 @@ let test_equal_states_hash_equal () =
         (fun flush ->
           List.mapi
             (fun i st -> (Printf.sprintf "bfs state %d (flush=%b)" i flush, st))
-            (fst (tiny_depth5 flush)))
+            (tiny_depth5 flush).states)
         [ true; false ]);
   let a = Check.Gen.trace ~seed:7 ~steps:12 layout in
   let b = Check.Gen.trace ~seed:7 ~steps:12 layout in
@@ -148,79 +156,6 @@ let test_step_commutes_with_canonicalize () =
                 (Transition.action_to_string a) e)
         actions)
     (Lazy.force reachable)
-
-(* ------------------------------------------------------------------ *)
-(* The commutation table against the dynamic semantics                 *)
-
-let test_commutation_table_sound () =
-  (* for every pair the static table marks commuting, both orders
-     from reachable states converge to the same canonical state, and
-     neither event disables the other — under the correct monitor and
-     the buggy one (POR runs under [--buggy-tlb] too) *)
-  let pairs = Mc.Footprint.commuting_pairs (Mc.Universe.events layout) in
-  Alcotest.(check bool) "the table marks some pairs commuting" true
-    (List.length pairs > 0);
-  let checked = ref 0 in
-  List.iter
-    (fun flush ->
-      List.iter
-        (fun (label, st) ->
-          List.iter
-            (fun (e1, e2) ->
-              match (exec ~flush st e1, exec ~flush st e2) with
-              | Ok s1, Ok s2 -> (
-                  incr checked;
-                  match (exec ~flush s1 e2, exec ~flush s2 e1) with
-                  | Ok s12, Ok s21 ->
-                      Alcotest.(check string)
-                        (Printf.sprintf "%s: %s / %s converge (flush=%b)" label
-                           (Chaos.event_to_string e1) (Chaos.event_to_string e2)
-                           flush)
-                        (State_key.digest s12) (State_key.digest s21)
-                  | _ ->
-                      Alcotest.failf
-                        "%s: commuting events disabled each other: %s / %s"
-                        label (Chaos.event_to_string e1)
-                        (Chaos.event_to_string e2))
-              | _ -> ())
-            pairs)
-        (Lazy.force reachable))
-    [ true; false ];
-  Alcotest.(check bool) "exercised non-vacuously" true (!checked > 100)
-
-(* ------------------------------------------------------------------ *)
-(* POR soundness on whole explorations                                 *)
-
-let violation_ids (o : Explore.outcome) =
-  List.sort compare
-    (List.map (fun v -> (v.Explore.v_kind, v.Explore.v_state)) o.violations)
-
-let test_por_preserves_outcome () =
-  List.iter
-    (fun flush ->
-      let por = Explore.run (Explore.config ~depth:4 ~flush layout) in
-      let nopor =
-        Explore.run (Explore.config ~depth:4 ~flush ~por:false layout)
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "same reachable states (flush=%b)" flush)
-        nopor.Explore.keys por.Explore.keys;
-      Alcotest.(check bool)
-        (Printf.sprintf "reduction prunes something (flush=%b)" flush)
-        true
-        (por.Explore.stats.Explore.pruned > 0);
-      Alcotest.(check (list (pair string string)))
-        (Printf.sprintf "same violation set (flush=%b)" flush)
-        (violation_ids nopor) (violation_ids por))
-    [ true; false ]
-
-let test_por_prunes_interleavings () =
-  let il_por = Explore.interleavings (Explore.config ~depth:4 layout) in
-  let il_full = Explore.interleavings (Explore.config ~depth:4 ~por:false layout) in
-  let factor = 1. -. (float_of_int il_por /. float_of_int il_full) in
-  if factor < 0.30 then
-    Alcotest.failf "POR pruned only %.1f%% of interleavings (%d of %d)"
-      (100. *. factor) (il_full - il_por) il_full
 
 (* ------------------------------------------------------------------ *)
 (* Clean seed and the planted bug                                      *)
@@ -276,9 +211,9 @@ let test_bug_hunt_pinned () =
     let o = Explore.run (Explore.config ~depth:5 ~flush layout) in
     let s = o.Explore.stats in
     let what = Printf.sprintf "%s (flush=%b)" in
-    Alcotest.(check (list int)) (what "explored/transitions/deduped/pruned" flush)
+    Alcotest.(check (list int)) (what "explored/transitions/deduped" flush)
       stats
-      [ s.Explore.explored; s.Explore.transitions; s.Explore.deduped; s.Explore.pruned ];
+      [ s.Explore.explored; s.Explore.transitions; s.Explore.deduped ];
     Alcotest.(check string) (what "MD5 of the sorted keys" flush) keys_md5
       (Digest.to_hex (Digest.string (String.concat "\n" o.Explore.keys)));
     Alcotest.(check (list (pair (pair string string) (pair int (list string)))))
@@ -289,9 +224,9 @@ let test_bug_hunt_pinned () =
              (v.Explore.v_evals, List.map Chaos.event_to_string v.Explore.v_witness) ))
          o.Explore.violations)
   in
-  check ~flush:true ~stats:[ 999; 2501; 1503; 524 ]
+  check ~flush:true ~stats:[ 999; 2795; 1797 ]
     ~keys_md5:"19bd1ad616150004cf932caacda92f8b" ~violations:[];
-  check ~flush:false ~stats:[ 1010; 2508; 1499; 526 ]
+  check ~flush:false ~stats:[ 1010; 2804; 1795 ]
     ~keys_md5:"6fdc8d0cd6aa9bcc5380e6d3824a4b3b"
     ~violations:
       (List.map
@@ -322,7 +257,7 @@ let tiny3 =
 (* The reference visits each state once, and reaches exactly the states
    and the invariant and TLB-consistency violations [Explore.run] does. *)
 let test_reference_explorer_agrees () =
-  let check ~what ~depth ~flush layout (states, found) =
+  let check ~what ~depth ~flush layout { states; found; _ } =
     let what = Printf.sprintf "%s, depth %d, flush=%b: %s" what depth flush in
     let o = Explore.run (Explore.config ~depth ~flush layout) in
     let digests = List.sort String.compare (List.map State_key.digest states) in
@@ -338,6 +273,29 @@ let test_reference_explorer_agrees () =
                (fun v -> (v.Explore.v_kind, v.Explore.v_state))
                o.Explore.violations)))
       (List.sort compare (List.map (fun (kind, st) -> (kind, State_key.digest st)) found))
+  in
+  List.iter
+    (fun flush ->
+      check ~what:"tiny" ~depth:4 ~flush layout (reference_explore ~depth:4 ~flush layout);
+      check ~what:"tiny3" ~depth:4 ~flush tiny3 (reference_explore ~depth:4 ~flush tiny3);
+      check ~what:"tiny" ~depth:5 ~flush layout (tiny_depth5 flush))
+    [ true; false ]
+
+(* Every enabled event is stepped once from every state above the
+   bound, and each successor is either new or counted as deduplicated:
+   the reference's counts are [Explore.run]'s, on the configurations
+   above, and every state but boot is discovered by exactly one
+   transition. *)
+let test_reference_counts_agree () =
+  let check ~what ~depth ~flush layout r =
+    let what = Printf.sprintf "%s, depth %d, flush=%b: %s" what depth flush in
+    let s = (Explore.run (Explore.config ~depth ~flush layout)).Explore.stats in
+    Alcotest.(check int) (what "states") (List.length r.states) s.Explore.explored;
+    Alcotest.(check int) (what "transitions") r.transitions s.Explore.transitions;
+    Alcotest.(check int) (what "deduped") r.deduped s.Explore.deduped;
+    Alcotest.(check int) (what "deduped = transitions - (explored - 1)")
+      (s.Explore.transitions - (s.Explore.explored - 1))
+      s.Explore.deduped
   in
   List.iter
     (fun flush ->
@@ -381,7 +339,7 @@ let test_memo_agrees () =
       Result.map (fun n -> Hashtbl.replace seen (Mc.Memo.id n) n; n) r
     in
     let step_plain st a = Transition.step ~flush st a in
-    let states, _ = reference_explore ~depth:4 ~flush layout in
+    let { states; _ } = reference_explore ~depth:4 ~flush layout in
     let actions =
       List.filter_map
         (function Chaos.Act a -> Some a | Chaos.Inject _ -> None)
@@ -593,7 +551,7 @@ let test_memo_digest_agrees () =
       Alcotest.(check string) (Printf.sprintf "%s (flush=%b): %s" what flush label)
         (State_key.digest st) (Mc.Memo.digest n)
     in
-    let states, _ = reference_explore ~depth:4 ~flush layout in
+    let { states; _ } = reference_explore ~depth:4 ~flush layout in
     List.iteri
       (fun i st ->
         let n = Mc.Memo.node memo st in
@@ -666,15 +624,6 @@ let () =
           Alcotest.test_case "step commutes with canonicalize" `Quick
             test_step_commutes_with_canonicalize;
         ] );
-      ( "por",
-        [
-          Alcotest.test_case "commutation table sound" `Slow
-            test_commutation_table_sound;
-          Alcotest.test_case "preserves states and violations" `Slow
-            test_por_preserves_outcome;
-          Alcotest.test_case "prunes >= 30% of interleavings" `Quick
-            test_por_prunes_interleavings;
-        ] );
       ( "exploration",
         [
           Alcotest.test_case "clean seed has no violations" `Slow
@@ -687,6 +636,8 @@ let () =
             test_bug_hunt_pinned;
           Alcotest.test_case "reference explorer agrees" `Slow
             test_reference_explorer_agrees;
+          Alcotest.test_case "reference explorer counts agree" `Slow
+            test_reference_counts_agree;
           Alcotest.test_case "log roundtrip" `Slow test_log_roundtrip;
           Alcotest.test_case "monitor memo agrees with Observation" `Slow
             test_memo_agrees;

@@ -1,7 +1,8 @@
 (* Tests of the verification service (lib/serve): wire framing
    round-trips under torn and oversized input, the Jsonx parser the
    protocol rides on, request decoding and validation, a seeded fuzzer
-   over deframing, parsing and decoding, determinism of
+   over deframing, parsing and decoding (with a grammar oracle for
+   number literals) and over the CLI's kind lists, determinism of
    daemon responses against repeat evaluation (stdout byte-identical,
    summaries identical through the deterministic projection), the L0
    response-replay lifecycle, a live heap that stays flat across
@@ -142,9 +143,34 @@ let test_jsonx_numbers () =
   (match Jsonx.parse "3.5" with
   | Ok (Jsonx.Float f) -> Alcotest.(check (float 0.0)) "float" 3.5 f
   | _ -> Alcotest.fail "float");
-  match Jsonx.parse "1e3" with
+  (match Jsonx.parse "1e3" with
   | Ok (Jsonx.Float f) -> Alcotest.(check (float 0.0)) "exponent" 1000.0 f
-  | _ -> Alcotest.fail "exponent"
+  | _ -> Alcotest.fail "exponent");
+  List.iter
+    (fun (text, want) ->
+      match Jsonx.parse text with
+      | Ok got -> Alcotest.(check bool) text true (got = want)
+      | Error msg -> Alcotest.failf "%s refused: %s" text msg)
+    [
+      ("0", Jsonx.Int 0);
+      ("-0", Jsonx.Int 0);
+      ("1E+2", Jsonx.Float 100.);
+      ("-1.5e-3", Jsonx.Float (-1.5e-3));
+      ("[0,-7]", Jsonx.List [ Jsonx.Int 0; Jsonx.Int (-7) ]);
+      ("9223372036854775808", Jsonx.Float 9223372036854775808.);
+    ]
+
+(* Texts that OCaml's [of_string] functions take but RFC 8259 does not:
+   a number with an empty fraction or integer part or a leading zero,
+   and a [\u] escape whose four characters are not all hex digits. *)
+let test_jsonx_not_json () =
+  List.iter
+    (fun s ->
+      match Jsonx.parse s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted non-JSON %S" s)
+    [ "1."; "-.5"; "01"; "1.e3"; "-"; "1e"; "1e+"; ".5"; "+1"; "0x1f"; "1_000";
+      "[01]"; {|{"a":1.}|}; {|"\u1_23"|}; {|"\u+123"|}; {|"\u12 3"|} ]
 
 let test_jsonx_errors () =
   List.iter
@@ -196,13 +222,7 @@ let test_request_roundtrip () =
       seed = 7;
       quick = true;
       mc =
-        Some
-          {
-            Driver.mc_depth = 4;
-            mc_por = false;
-            mc_geometry = "tiny3";
-            mc_buggy_tlb = true;
-          };
+        Some { Driver.mc_depth = 4; mc_geometry = "tiny3"; mc_buggy_tlb = true };
       source_digest = Some "abc";
     }
   in
@@ -224,14 +244,21 @@ let test_request_validation () =
       {|{"model_check":{"depth":0}}|};
       {|{"model_check":{"depth":3,"geometry":"x86_64"}}|};
       "not json at all";
-    ]
+    ];
+  (* the retired "por" member is ignored like any unknown one *)
+  Alcotest.(check bool) "a request with \"por\" decodes as one without" true
+    (Driver.request_of_string {|{"model_check":{"depth":3,"por":false}}|}
+    = Driver.request_of_string {|{"model_check":{"depth":3}}|})
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing the wire boundary                                           *)
 
 (* Seeded QCheck properties over what a client can put on the wire:
    deframing, JSON parsing and request decoding must answer any input
-   with a frame, a value or an [Error], never an exception. *)
+   with a frame, a value or an [Error], never an exception.  Number
+   literals are also checked against an independent oracle, a regular
+   expression of RFC 8259's grammar, and the kind lists of [--faults]
+   and [--lints] (the wire's "lints" too) must round-trip. *)
 
 module G = QCheck2.Gen
 
@@ -317,31 +344,41 @@ let request_texts =
         Driver.default_request with
         Driver.mc =
           Some
-            { Driver.mc_depth = 5; mc_por = true; mc_geometry = "tiny3"; mc_buggy_tlb = true };
+            { Driver.mc_depth = 5; mc_geometry = "tiny3"; mc_buggy_tlb = true };
         source_digest = Some "0123456789abcdef";
       };
     ]
   @ [ {|{"op":"verify","lints":"body,alias","seed":-1}|}; {|{"model_check":{"depth":3}}|} ]
 
+(* Damage a text the way a fuzzer would: a byte replaced, a piece
+   inserted, or the tail cut off. *)
+let flip s =
+  G.map2
+    (fun i c ->
+      if s = "" then s
+      else String.mapi (fun j c' -> if j = i mod String.length s then c else c') s)
+    G.nat G.char
+
+let insert pieces s =
+  G.map2
+    (fun i piece ->
+      let i = i mod (String.length s + 1) in
+      String.sub s 0 i ^ piece ^ String.sub s i (String.length s - i))
+    G.nat (G.oneofl pieces)
+
+let truncate s = G.map (fun i -> String.sub s 0 (i mod (String.length s + 1))) G.nat
+
+(* one to [n] damages in a row *)
+let mutated ~n mutate gen =
+  let rec mutations k s = if k = 0 then G.pure s else G.(mutate s >>= mutations (k - 1)) in
+  G.(pair gen (int_range 1 n) >>= fun (s, k) -> mutations k s)
+
 (* a request text damaged the way a fuzzer would: byte flips, inserted
    JSON punctuation, truncation, and deep nesting *)
 let gen_mutated =
-  let flip s =
-    G.map2
-      (fun i c ->
-        if s = "" then s
-        else String.mapi (fun j c' -> if j = i mod String.length s then c else c') s)
-      G.nat G.char
+  let insert =
+    insert [ "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "\\u"; "\\ud800"; "-"; "1e999"; "null" ]
   in
-  let insert s =
-    G.map2
-      (fun i piece ->
-        let i = i mod (String.length s + 1) in
-        String.sub s 0 i ^ piece ^ String.sub s i (String.length s - i))
-      G.nat
-      (G.oneofl [ "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "\\u"; "\\ud800"; "-"; "1e999"; "null" ])
-  in
-  let truncate s = G.map (fun i -> String.sub s 0 (i mod (String.length s + 1))) G.nat in
   let nest s =
     G.map2
       (fun depth obj ->
@@ -349,9 +386,9 @@ let gen_mutated =
         String.concat "" (List.init depth (fun _ -> o)) ^ s ^ String.concat "" (List.init depth (fun _ -> c)))
       (G.int_range 1 2000) G.bool
   in
-  let mutate s = G.(oneof [ flip s; insert s; truncate s; nest s ]) in
-  let rec mutations n s = if n = 0 then G.pure s else G.(mutate s >>= mutations (n - 1)) in
-  G.(pair (oneofl request_texts) (int_range 1 4) >>= fun (s, n) -> mutations n s)
+  mutated ~n:4
+    (fun s -> G.oneof [ flip s; insert s; truncate s; nest s ])
+    (G.oneofl request_texts)
 
 let gen_text = G.(frequency [ (1, string_size (int_bound 80)); (3, gen_mutated) ])
 
@@ -362,6 +399,95 @@ let prop_json_parse_total =
 let prop_request_decode_total =
   fuzz ~name:"driver: request decode never raises" ~count:1000 ~print:print_bytes gen_text
     (fun s -> match Driver.request_of_string s with Ok _ | Error _ -> true)
+
+(* RFC 8259's number grammar, written as a regular expression: the
+   oracle shares nothing with the parser's hand-written scan *)
+let json_number =
+  Str.regexp "-?\\(0\\|[1-9][0-9]*\\)\\(\\.[0-9]+\\)?\\([eE][-+]?[0-9]+\\)?$"
+
+let is_json_number s = Str.string_match json_number s 0
+
+(* number literals drawn from the grammar, then damaged with the
+   characters a number scan meets; no whitespace, so a text is a JSON
+   number exactly when it matches the grammar *)
+let gen_number =
+  let digits lo n = G.(map2 (fun d ds -> String.make 1 d ^ ds) (char_range lo '9')
+                         (string_size ~gen:(char_range '0' '9') (int_bound n))) in
+  let opt g = G.(oneof [ pure ""; g ]) in
+  let literal =
+    G.map4
+      (fun sign int frac exp -> sign ^ int ^ frac ^ exp)
+      (G.oneofl [ ""; "-" ])
+      (G.oneof [ G.pure "0"; digits '1' 20 ])
+      (opt (G.map (( ^ ) ".") (digits '0' 4)))
+      (opt (G.map3 (fun e sign ds -> e ^ sign ^ ds) (G.oneofl [ "e"; "E" ])
+              (G.oneofl [ ""; "+"; "-" ]) (digits '0' 3)))
+  in
+  let pieces = [ "0"; "1"; "9"; "-"; "+"; "."; "e"; "E"; "_"; "x" ] in
+  let drop s =
+    G.map
+      (fun i ->
+        if s = "" then s
+        else
+          let i = i mod String.length s in
+          String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1))
+      G.nat
+  in
+  G.frequency
+    [ (1, literal);
+      (3, mutated ~n:3 (fun s -> G.oneof [ insert pieces s; drop s; truncate s ]) literal) ]
+
+let prop_json_number_grammar =
+  fuzz ~name:"jsonx: a number parses iff it matches the grammar" ~count:2000
+    ~print:print_bytes gen_number (fun s ->
+      let number = function Ok (Jsonx.Int _ | Jsonx.Float _) -> true | _ -> false in
+      let listed = function Ok (Jsonx.List [ (Jsonx.Int _ | Jsonx.Float _); Jsonx.Int 1 ]) -> true | _ -> false in
+      number (Jsonx.parse s) = is_json_number s
+      && listed (Jsonx.parse ("[" ^ s ^ ",1]")) = is_json_number s)
+
+let prop_json_float_emit =
+  fuzz ~name:"jsonx: every finite float emitted parses back" ~count:1000
+    ~print:string_of_float
+    G.(oneof [ float; map2 Float.ldexp (float_range (-1.) 1.) (int_range (-1074) 1023) ])
+    (fun f ->
+      (not (Float.is_finite f))
+      || match Jsonx.parse (Jsonx.to_string (Jsonx.Float f)) with
+         | Ok (Jsonx.Int _ | Jsonx.Float _) -> true
+         | _ -> false)
+
+(* A CLI kind list: any text, or a valid selection damaged.  [parse]
+   must not raise, and an [Ok] list must parse back to itself from its
+   own comma-joined rendering. *)
+let prop_kinds_round_trip ~name ~names ~parse ~render =
+  let selection =
+    G.map (String.concat ",")
+      (G.list_size (G.int_range 1 4)
+         (G.map2 (fun pad n -> if pad then " " ^ n ^ " " else n) G.bool (G.oneofl names)))
+  in
+  let gen =
+    G.frequency
+      [ (1, G.string_size (G.int_bound 40));
+        (1, selection);
+        (3, mutated ~n:3
+              (fun s -> G.oneof [ flip s; insert ("," :: " " :: "-" :: names) s; truncate s ])
+              selection) ]
+  in
+  fuzz ~name ~count:1000 ~print:print_bytes gen (fun s ->
+      match parse s with
+      | Error _ -> true
+      | Ok ks -> parse (String.concat "," (List.map render ks)) = Ok ks)
+
+let prop_faults_round_trip =
+  prop_kinds_round_trip ~name:"cli: --faults list parses back"
+    ~names:("all" :: List.map Fault.Plan.kind_to_string Fault.Plan.all_kinds)
+    ~parse:Fault.Plan.kinds_of_string ~render:Fault.Plan.kind_to_string
+
+let prop_lints_round_trip =
+  prop_kinds_round_trip ~name:"cli: --lints list parses back"
+    ~names:
+      ([ "all"; "body"; "borrow"; "interprocedural"; "alias" ]
+      @ List.map Analysis.Lint.to_string Analysis.Lint.catalogue)
+    ~parse:Analysis.Lint.kinds_of_string ~render:Analysis.Lint.to_string
 
 (* ------------------------------------------------------------------ *)
 (* Driver determinism                                                  *)
@@ -1146,6 +1272,8 @@ let () =
           Alcotest.test_case "escapes" `Quick test_jsonx_escapes;
           Alcotest.test_case "numbers" `Quick test_jsonx_numbers;
           Alcotest.test_case "errors" `Quick test_jsonx_errors;
+          Alcotest.test_case "not JSON: loose numbers and escapes" `Quick
+            test_jsonx_not_json;
           Alcotest.test_case "nesting depth" `Quick test_jsonx_depth;
         ] );
       ( "request",
@@ -1160,6 +1288,10 @@ let () =
           prop_frames_any_chunking;
           prop_json_parse_total;
           prop_request_decode_total;
+          prop_json_number_grammar;
+          prop_json_float_emit;
+          prop_faults_round_trip;
+          prop_lints_round_trip;
         ] );
       ( "cache-multiprocess",
         [
