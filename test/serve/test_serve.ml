@@ -411,8 +411,13 @@ let is_json_number s = Str.string_match json_number s 0
    characters a number scan meets; no whitespace, so a text is a JSON
    number exactly when it matches the grammar *)
 let gen_number =
-  let digits lo n = G.(map2 (fun d ds -> String.make 1 d ^ ds) (char_range lo '9')
-                         (string_size ~gen:(char_range '0' '9') (int_bound n))) in
+  (* a digit from [lo] to 9, then up to [n] more digits *)
+  let digits lo n =
+    G.map2
+      (fun d ds -> String.make 1 d ^ ds)
+      (G.char_range lo '9')
+      (G.string_size ~gen:(G.char_range '0' '9') (G.int_bound n))
+  in
   let opt g = G.(oneof [ pure ""; g ]) in
   let literal =
     G.map4
@@ -440,10 +445,14 @@ let gen_number =
 let prop_json_number_grammar =
   fuzz ~name:"jsonx: a number parses iff it matches the grammar" ~count:2000
     ~print:print_bytes gen_number (fun s ->
-      let number = function Ok (Jsonx.Int _ | Jsonx.Float _) -> true | _ -> false in
-      let listed = function Ok (Jsonx.List [ (Jsonx.Int _ | Jsonx.Float _); Jsonx.Int 1 ]) -> true | _ -> false in
-      number (Jsonx.parse s) = is_json_number s
-      && listed (Jsonx.parse ("[" ^ s ^ ",1]")) = is_json_number s)
+      let number = function Jsonx.Int _ | Jsonx.Float _ -> true | _ -> false in
+      let alone = match Jsonx.parse s with Ok j -> number j | Error _ -> false in
+      let in_list =
+        match Jsonx.parse ("[" ^ s ^ ",1]") with
+        | Ok (Jsonx.List [ j; Jsonx.Int 1 ]) -> number j
+        | _ -> false
+      in
+      alone = is_json_number s && in_list = is_json_number s)
 
 let prop_json_float_emit =
   fuzz ~name:"jsonx: every finite float emitted parses back" ~count:1000
