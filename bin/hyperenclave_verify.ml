@@ -34,9 +34,10 @@
    --json-out, --trace-out and --lint-json writers.
 
    Serving (lib/serve): --serve SOCKET runs the long-lived daemon — a
-   dispatcher handing one request at a time to each of --fleet N forked
-   workers, which replay repeated responses and share a proof cache;
-   --client SOCKET submits the flag-selected request to a
+   dispatcher handing one request at a time to one forked worker, which
+   replays repeated responses and keeps its memos resident, and which
+   dies in the dispatcher's place if a request exhausts its heap or
+   stack; --client SOCKET submits the flag-selected request to a
    running daemon and renders the response exactly like a local run. *)
 
 open Cmdliner
@@ -100,26 +101,13 @@ let chaos_phase ~quick ~seed ~traces ~kinds ~buggy_tlb (req : Serve.Driver.reque
 (* ------------------------------------------------------------------ *)
 (* Serve / client modes                                                *)
 
-let run_serve ~socket ~fleet ~cache_dir ~timeout_ms =
-  if fleet < 1 then begin
-    Format.eprintf "hyperenclave-verify: --fleet must be at least 1 (got %d)@." fleet;
-    2
-  end
-  else
-    let cfg =
-      {
-        (Serve.Server.default_config ~socket) with
-        Serve.Server.fleet;
-        cache_dir;
-        timeout_ms;
-      }
-    in
-    match Serve.Server.serve cfg with
-    | () -> 0
-    | exception Failure msg ->
-        (* e.g. a daemon already listening on the requested socket *)
-        Format.eprintf "hyperenclave-verify: %s@." msg;
-        2
+let run_serve ~socket ~cache_dir ~timeout_ms =
+  match Serve.Server.serve { Serve.Server.socket; cache_dir; timeout_ms } with
+  | () -> 0
+  | exception Failure msg ->
+      (* e.g. a daemon already listening on the requested socket *)
+      Format.eprintf "hyperenclave-verify: %s@." msg;
+      2
 
 let write_summary ~scrub_summary path summary =
   let summary = if scrub_summary then Serve.Summary.scrub summary else summary in
@@ -204,7 +192,7 @@ let run_local (session : Serve.Driver.session) ?chaos ~json_out ~trace_out ~lint
 
 let run geometry seed quick (_jobs : int) cache_dir json_out trace_out lint_json chaos
     chaos_traces faults buggy_tlb lints timeout_ms mc_depth mc_geometry serve_socket
-    client_socket fleet scrub_summary =
+    client_socket scrub_summary =
   let req =
     {
       Serve.Driver.geometry;
@@ -220,7 +208,7 @@ let run geometry seed quick (_jobs : int) cache_dir json_out trace_out lint_json
     }
   in
   match (serve_socket, client_socket) with
-  | Some socket, _ -> run_serve ~socket ~fleet ~cache_dir ~timeout_ms
+  | Some socket, _ -> run_serve ~socket ~cache_dir ~timeout_ms
   | None, Some socket ->
       if chaos then begin
         Format.eprintf
@@ -409,9 +397,10 @@ let serve_socket =
     & info [ "serve" ] ~docv:"SOCKET"
         ~doc:
           "Run as a long-lived verification daemon on a Unix socket: a \
-           dispatcher hands each request, in arrival order, to an idle one of \
-           --fleet forked worker processes, which replay repeated responses \
-           and share the --cache directory.  Submit requests with --client.")
+           dispatcher hands each request, in arrival order, to one forked \
+           worker process, which replays repeated responses and uses the \
+           --cache directory; a request that kills the worker kills only the \
+           worker, which is respawned.  Submit requests with --client.")
 
 let client_socket =
   Arg.(
@@ -423,16 +412,6 @@ let client_socket =
            local run would use — to a daemon started with --serve, print the \
            response exactly like a local run, and exit with its verdict.")
 
-let fleet =
-  Arg.(
-    value & opt int 2
-    & info [ "fleet" ] ~docv:"N"
-        ~doc:
-          "Worker processes for --serve, at least 1; each has its own OCaml \
-           runtime and resident memos and serves one request at a time.  \
-           Workers share the --cache directory: a proof computed by one is a \
-           warm hit for all.")
-
 let scrub_summary =
   Arg.(
     value & flag
@@ -441,9 +420,9 @@ let scrub_summary =
           "Write --json-out through the deterministic projection: drop every \
            run-dependent field (job count, cache statistics, wall clocks, \
            worker utilization), leaving only verification content — \
-           byte-identical for the same request at any fleet size or cache \
-           state.  CI diffs daemon responses against one-shot runs through \
-           this projection.")
+           byte-identical for the same request whether a daemon or a \
+           one-shot run answers it, at any cache state.  CI diffs daemon \
+           responses against one-shot runs through this projection.")
 
 let cmd =
   Cmd.v
@@ -452,7 +431,6 @@ let cmd =
     Term.(
       const run $ geometry $ seed $ quick $ jobs $ cache_dir $ json_out $ trace_out
       $ lint_json $ chaos $ chaos_traces $ faults $ buggy_tlb $ lints $ timeout_ms
-      $ mc_depth $ mc_geometry $ serve_socket $ client_socket $ fleet
-      $ scrub_summary)
+      $ mc_depth $ mc_geometry $ serve_socket $ client_socket $ scrub_summary)
 
 let () = exit (Cmd.eval' cmd)

@@ -100,8 +100,8 @@ let create ~dir =
   { dir; index; pending = Hashtbl.create 64; packs; failures = [] }
 
 (* Pick up packs flushed by other processes since [create] (or the last
-   refresh): the fleet's warm-sharing path.  Returns the number of new
-   packs merged. *)
+   refresh): the warm-sharing path between processes.  Returns the
+   number of new packs merged. *)
 let refresh t =
   List.fold_left
     (fun merged f ->

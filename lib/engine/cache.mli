@@ -21,8 +21,8 @@
     and the unreadable pack is unlinked — its keys already encode
     version and fingerprint, so it can never become valid again.  A
     corrupt cache can cost time, never a verdict.  Writes are
-    write-to-temp + atomic rename, safe under the fleet's worker
-    processes and concurrent runs sharing the directory. *)
+    write-to-temp + atomic rename, safe under concurrent processes
+    (daemon workers, one-shot runs) sharing the directory. *)
 
 type t
 
@@ -41,11 +41,12 @@ val key : Obligation.t -> string
 
 val refresh : t -> int
 (** Merge packs that appeared in the directory since {!create} (or the
-    last refresh) into the index — the fleet's warm-sharing path: a
-    proof flushed by one worker process becomes a hit for all.  Safe
-    against packs appearing or being evicted mid-scan (renames are
-    atomic; a vanished pack is a miss).  Returns the number of new
-    packs merged. *)
+    last refresh) into the index — the warm-sharing path between
+    processes: a proof flushed by one process on the directory (a
+    one-shot run, another daemon, the worker this one replaced)
+    becomes a hit here.  Safe against packs appearing or being evicted
+    mid-scan (renames are atomic; a vanished pack is a miss).  Returns
+    the number of new packs merged. *)
 
 val find : t -> Obligation.t -> Obligation.outcome option
 (** The pending buffer, then the pack index; no file IO. *)

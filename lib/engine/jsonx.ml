@@ -91,10 +91,11 @@ let to_multiline_string = function
 (* Parsing.  The serve protocol (lib/serve) carries requests and
    responses as JSON frames, so the engine needs to read JSON back, not
    just emit it.  Recursive descent over the full string; errors carry
-   the byte offset.  Numbers are scanned against RFC 8259's grammar;
-   those without a fraction or exponent parse as [Int] (falling back to
-   [Float] on overflow), everything else as [Float] — the inverse of
-   {!emit}'s convention. *)
+   the byte offset.  Numbers and strings are scanned against RFC 8259's
+   grammar, so a string takes no raw byte below 0x20; numbers without a
+   fraction or exponent parse as [Int] (falling back to [Float] on
+   overflow), everything else as [Float] — the inverse of {!emit}'s
+   convention. *)
 
 exception Parse_error of int * string
 
@@ -204,6 +205,9 @@ let parse (s : string) : (t, string) result =
               add_utf8 buf u;
               loop ()
           | _ -> parse_error (!pos - 1) "bad escape")
+      | c when Char.code c < 0x20 ->
+          (* RFC 8259 section 7: U+0000-U+001F must be escaped *)
+          parse_error (!pos - 1) (Printf.sprintf "unescaped control character %C" c)
       | c -> Buffer.add_char buf c; loop ()
     in
     loop ()

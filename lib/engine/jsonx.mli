@@ -28,7 +28,8 @@ val parse : string -> (t, string) result
     optional [-], then [0] or a digit 1-9 and more digits, then an
     optional fraction ([.] and digits) and exponent ([e] or [E], an
     optional sign, digits).  One without a fraction or exponent parses
-    as [Int] (falling back to [Float] on overflow).  A [\uXXXX] escape
+    as [Int] (falling back to [Float] on overflow).  A string takes no
+    raw byte below 0x20 (they must be escaped).  A [\uXXXX] escape
     is exactly four hex digits; escapes — surrogate pairs included —
     decode to UTF-8 bytes.  Container
     nesting is bounded (512 levels): deeper input is an [Error], never

@@ -5,8 +5,9 @@
     dependencies per obligation tracks the rest: the pool takes the
     next id, runs it (cache lookup, supervision, then the obligation's
     [on_outcome] hook), records the result and queues each dependent
-    whose last dependency this was.  A process gets its parallelism
-    from the daemon's forked fleet, not from a second domain.
+    whose last dependency this was.  A process verifies one request at
+    a time; the daemon's one forked worker is there for isolation and
+    resident memos, not for parallelism.
 
     [?jobs] is accepted only as [1], the value the end-to-end benchmark
     still passes; any other value raises [Invalid_argument].

@@ -58,7 +58,7 @@ val warm : Layout.t -> unit
 (** A prewarm: fill the layout-keyed memos ({!compiled},
     {!body_digest}, {!stack}, the boot state) now rather than on first
     use.  Plan build calls it, so the front end's cost lands in plan
-    build and not in the first obligation that reads a memo, and a
-    fleet worker calls it at start-up, so its first request does not
+    build and not in the first obligation that reads a memo, and the
+    daemon's worker calls it at start-up, so its first request does not
     pay for it.  Closure compilation ({!compiled_for}) stays on first
     use. *)

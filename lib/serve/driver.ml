@@ -6,9 +6,10 @@
 
    A session keeps two tiers between requests:
    - L2: the content-addressed proof cache ({!Engine.Cache}), shared on
-     disk across the whole fleet — a proof computed by one worker
-     process is a warm hit for all ({!Engine.Cache.refresh} before each
-     request's run, advisory-locked {!Engine.Cache.flush} after).
+     disk with every process that uses the directory — a proof computed
+     by one is a warm hit for the others, a replaced worker's included
+     ({!Engine.Cache.refresh} before each request's run,
+     advisory-locked {!Engine.Cache.flush} after).
    - L0: the response replay memo, keyed by the canonical request.  A
      response is recorded only once its run re-executed nothing
      (executed = 0, i.e. pure cache replay): verification content is a

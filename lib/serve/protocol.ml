@@ -18,7 +18,7 @@ exception Timeout
    write deadline; connection-level, like [Closed] *)
 
 (* ------------------------------------------------------------------ *)
-(* Blocking path (clients, fleet workers)                              *)
+(* Blocking path (clients, the worker)                                 *)
 
 let rec write_all fd s off len =
   if len > 0 then begin
@@ -122,23 +122,31 @@ module Reader = struct
   (* Buffered deframer: [feed] appends raw bytes as they arrive,
      [next] yields complete frames.  Torn reads — a header split
      across two reads, a payload arriving byte by byte — are the
-     normal case here, not an error. *)
-  type t = { mutable buf : string }
+     normal case here, not an error.  The bytes before [pos] are taken
+     already; taking a frame drops them once they fill half the buffer,
+     so each byte is copied a bounded number of times and a frame that
+     arrives in k pieces costs time linear in its size, not size × k. *)
+  type t = { buf : Buffer.t; mutable pos : int }
 
-  let create () = { buf = "" }
-  let feed t s = t.buf <- t.buf ^ s
-  let buffered t = String.length t.buf
+  let create () = { buf = Buffer.create 4096; pos = 0 }
+  let feed t s = Buffer.add_string t.buf s
 
   let next t : [ `Frame of string | `More | `Oversized of int ] =
-    let len = String.length t.buf in
+    let len = Buffer.length t.buf - t.pos in
     if len < 4 then `More
     else begin
-      let n = decode_header t.buf in
+      let n = decode_header (Buffer.sub t.buf t.pos 4) in
       if n > max_frame then `Oversized n
       else if len < 4 + n then `More
       else begin
-        let payload = String.sub t.buf 4 n in
-        t.buf <- String.sub t.buf (4 + n) (len - 4 - n);
+        let payload = Buffer.sub t.buf (t.pos + 4) n in
+        t.pos <- t.pos + 4 + n;
+        if 2 * t.pos >= Buffer.length t.buf then begin
+          let rest = Buffer.sub t.buf t.pos (Buffer.length t.buf - t.pos) in
+          Buffer.reset t.buf;
+          Buffer.add_string t.buf rest;
+          t.pos <- 0
+        end;
         `Frame payload
       end
     end

@@ -43,13 +43,13 @@ val read_frame : Unix.file_descr -> (string option, string) result
 
 module Reader : sig
   (** Incremental deframer for the server's select loop: feed raw
-      bytes as they arrive, pull complete frames out. *)
+      bytes as they arrive, pull complete frames out.  A frame costs
+      time linear in its size, however many pieces it arrives in. *)
 
   type t
 
   val create : unit -> t
   val feed : t -> string -> unit
-  val buffered : t -> int
 
   val next : t -> [ `Frame of string | `More | `Oversized of int ]
   (** [`More]: a torn read so far — keep feeding.  [`Oversized]: the

@@ -2,7 +2,7 @@
    CLI and the serve daemon: the exact bytes the sequential pass always
    printed, written to a buffer after the pool has run.  Stdout carries
    only verification content — no timings or cache statistics — so the
-   text is byte-identical at any cache state or fleet size. *)
+   text is byte-identical at any cache state, daemon or one-shot. *)
 
 module Report = Mirverif.Report
 

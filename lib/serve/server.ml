@@ -1,47 +1,41 @@
-(* The --serve daemon: a Unix-socket dispatcher in front of a fleet of
-   forked verification workers.
+(* The --serve daemon: a Unix-socket dispatcher in front of one forked
+   verification worker.
 
    Topology:
 
      clients ──frames──▶ dispatcher (select loop, no verification)
-                            │  one request per idle worker, in
-                            │  arrival order, forwarded as one raw frame
+                            │  one request at a time, in arrival
+                            │  order, forwarded as one raw frame
                             ▼
-               worker 0 … worker N-1   (forked processes, own OCaml
-                            │           runtime and GC, resident
-                            │           session memos)
+                         worker   (a forked process: own OCaml runtime
+                            │      and GC, resident session memos)
                             ▼
-               shared --cache directory (pack files, advisory-locked
-               flushes; Cache.refresh before each request's run)
+               --cache directory (pack files, advisory-locked flushes;
+               Cache.refresh before each request's run)
 
-   The dispatcher owns every client connection and never blocks on
-   verification, so a worker death cannot drop a response: the victim's
-   in-flight request is re-queued at the front and a replacement worker
-   is forked.  Respawning is bounded by [max_deaths]: a request whose
-   workers died that many times is answered with an error, and a slot
-   whose worker died that many times in a row without a request (say,
-   on an unusable --cache) is left empty; with every slot empty, each
-   request is answered with an error.  A client's payload crosses to a
-   worker verbatim and the worker's response comes back as one frame;
-   the dispatcher remembers whose request each worker holds, and parses
-   only the tiny control envelope (op field) itself. *)
+   The worker is there for isolation, not speed: a request that exhausts
+   the heap or the stack kills the worker, never the dispatcher, which
+   owns every client connection and never blocks on verification.  So a
+   worker death cannot drop a response: the dead worker's request stays
+   with it and is sent to a replacement, forked at once, before any
+   later request.  Respawning is bounded by [max_deaths]: a request
+   whose worker died that many times is answered with an error, and a
+   worker that died that many times in a row without a request (say, on
+   an unusable --cache) is not replaced; from then on each request is
+   answered with an error.  A client's payload crosses to the worker
+   verbatim and the worker's response comes back as one frame; the
+   dispatcher remembers whose request the worker holds, and parses only
+   the tiny control envelope (op field) itself. *)
 
 module Jsonx = Engine.Jsonx
 
 type config = {
   socket : string;
-  fleet : int;  (* worker processes, at least 1 *)
   cache_dir : string option;
   timeout_ms : int;
 }
 
-let default_config ~socket =
-  {
-    socket;
-    fleet = 2;
-    cache_dir = None;
-    timeout_ms = 0;
-  }
+let default_config ~socket = { socket; cache_dir = None; timeout_ms = 0 }
 
 let log fmt = Format.eprintf ("serve: " ^^ fmt ^^ "@.")
 
@@ -71,8 +65,9 @@ let worker_loop cfg fd =
         in
         (* A response past max_frame makes [frame] raise
            Invalid_argument; dying on it would make the dispatcher
-           requeue the very request that killed us — an infinite
-           crash/respawn livelock.  Answer with a small error instead. *)
+           re-send the very request that killed us to each replacement
+           until [max_deaths], and answer with a misleading death
+           count.  Answer with a small error instead. *)
         let response =
           if String.length response > Protocol.max_frame then
             Driver.error_response "response exceeds the frame limit"
@@ -84,37 +79,38 @@ let worker_loop cfg fd =
   in
   loop ()
 
-let fork_worker cfg ~index ~other_fds ~listen_fd =
+(* The worker's log lines keep the name "fleet worker 0": the
+   end-to-end benchmark finds the worker's pid by its start line. *)
+let fork_worker cfg ~client_fds ~listen_fd =
   let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with
   | 0 ->
-      (* child: drop every dispatcher-side fd ([other_fds]: the other
-         workers' pipes and, on a respawn, the clients' sockets),
-         restore default signal dispositions, serve requests until EOF.
-         [_exit] skips at_exit handlers inherited from the parent
-         binary. *)
+      (* child: drop every dispatcher-side fd ([client_fds]: on a
+         respawn, the clients' sockets), restore default signal
+         dispositions, serve requests until EOF.  [_exit] skips at_exit
+         handlers inherited from the parent binary. *)
       Unix.close parent_fd;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) other_fds;
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) client_fds;
       Sys.set_signal Sys.sigterm Sys.Signal_default;
       Sys.set_signal Sys.sigint Sys.Signal_default;
       (try worker_loop cfg child_fd
-       with e -> log "fleet worker %d failed: %s" index (Printexc.to_string e));
+       with e -> log "fleet worker 0 failed: %s" (Printexc.to_string e));
       Unix._exit 0
   | pid ->
       Unix.close child_fd;
-      log "fleet worker %d started (pid %d)" index pid;
+      log "fleet worker 0 started (pid %d)" pid;
       (pid, parent_fd)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                          *)
 
 type worker = {
-  w_index : int;
   mutable w_pid : int;
   mutable w_fd : Unix.file_descr;
   mutable w_reader : Protocol.Reader.t;
   mutable w_job : (int * string) option;  (* dispatched (tag, payload), None = idle *)
+  mutable w_job_deaths : int;  (* deaths running [w_job] *)
   mutable w_idle_deaths : int;  (* deaths without a request since its last response *)
 }
 
@@ -124,26 +120,30 @@ type state = {
   cfg : config;
   listen_fd : Unix.file_descr;
   clients : (Unix.file_descr, client) Hashtbl.t;
-  workers : worker array;
+  worker : worker;
   mutable tag_owner : (int * Unix.file_descr) list;  (* tag -> client *)
   mutable next_tag : int;
   pending : (int * string) Queue.t;  (* (tag, payload), in arrival order *)
-  mutable job_deaths : (int * int) list;  (* tag -> worker deaths running it *)
   mutable stop : bool;
   mutable dead_fds : Unix.file_descr list;
       (* fds closed during the current select pass: a stale entry still
          in the readable set must be skipped, because the kernel may
-         already have reused the number for a respawned worker's pipe —
+         already have reused the number for the respawned worker's pipe —
          reading through the alias would block the dispatcher *)
 }
 
 (* A worker that dies at start-up — on an unusable --cache, say — would
    otherwise be respawned for ever: a request is answered with an error
-   once this many workers died running it, and a slot is left empty
-   once its worker died this many times in a row without a request. *)
+   once its worker died this many times running it, and the worker is
+   not replaced once it died this many times in a row without a
+   request. *)
 let max_deaths = 3
 
 let live w = w.w_idle_deaths < max_deaths
+
+(* Is [fd] the live worker's pipe?  A retired worker's fd was closed,
+   and the kernel may have handed its number to a client. *)
+let is_worker_pipe st fd = live st.worker && st.worker.w_fd = fd
 
 let owner_of st tag = List.assoc_opt tag st.tag_owner
 let forget_tag st tag = st.tag_owner <- List.remove_assoc tag st.tag_owner
@@ -178,8 +178,8 @@ let send_to_client st fd payload =
 
 let no_worker_left =
   Printf.sprintf
-    "no fleet worker left: each died %d times in a row without a request \
-     (see the daemon's log)"
+    "no worker left: it died %d times in a row without a request (see the \
+     daemon's log)"
     max_deaths
 
 (* Control envelope: the dispatcher parses each client frame only far
@@ -194,19 +194,13 @@ let admit st fd payload =
       match Option.bind (Jsonx.member "op" j) Jsonx.to_string_opt with
       | Some "ping" ->
           send_to_client st fd
-            (Jsonx.to_string
-               (Jsonx.Obj
-                  [
-                    ("ok", Jsonx.Bool true);
-                    ("op", Str "pong");
-                    ("fleet", Int (Array.length st.workers));
-                  ]))
+            (Jsonx.to_string (Jsonx.Obj [ ("ok", Jsonx.Bool true); ("op", Str "pong") ]))
       | Some "shutdown" ->
           st.stop <- true;
           send_to_client st fd
             (Jsonx.to_string
                (Jsonx.Obj [ ("ok", Jsonx.Bool true); ("stopping", Bool true) ]))
-      | Some "verify" | None when not (Array.exists live st.workers) ->
+      | Some "verify" | None when not (live st.worker) ->
           send_to_client st fd (Driver.error_response no_worker_left)
       | Some "verify" | None ->
           let tag = st.next_tag in
@@ -217,87 +211,68 @@ let admit st fd payload =
           send_to_client st fd (Driver.error_response ("unknown op " ^ op)))
 
 let deliver st tag response =
-  st.job_deaths <- List.remove_assoc tag st.job_deaths;
   match owner_of st tag with
   | None -> ()  (* client went away; drop the payload *)
   | Some fd ->
       forget_tag st tag;
       send_to_client st fd response
 
-let idle_worker st = Array.find_opt (fun w -> w.w_job = None && live w) st.workers
-
-(* The live worker whose pipe is [fd].  An empty slot's fd was closed,
-   and the kernel may have handed its number to another worker's pipe. *)
-let worker_on st fd = Array.find_opt (fun w -> live w && w.w_fd = fd) st.workers
-
-(* Put [job] back at the head of the queue, ahead of every request that
-   arrived after it. *)
-let requeue_front st job =
-  let later = Queue.create () in
-  Queue.transfer st.pending later;
-  Queue.add job st.pending;
-  Queue.transfer later st.pending
-
-let respawn st w =
+(* Replace a dead worker.  The request it held stays with it and goes
+   to the replacement, ahead of every later request, until it has cost
+   [max_deaths] workers. *)
+let rec respawn st =
+  let w = st.worker in
   st.dead_fds <- w.w_fd :: st.dead_fds;
   (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
   (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
   (match w.w_job with
   | None -> w.w_idle_deaths <- w.w_idle_deaths + 1
-  | Some ((tag, _) as job) ->
-      let deaths = 1 + Option.value ~default:0 (List.assoc_opt tag st.job_deaths) in
-      if deaths < max_deaths then begin
-        (* re-queued at the front: one death never drops a response *)
-        st.job_deaths <- (tag, deaths) :: List.remove_assoc tag st.job_deaths;
-        requeue_front st job
-      end
-      else
+  | Some (tag, _) ->
+      w.w_job_deaths <- w.w_job_deaths + 1;
+      if w.w_job_deaths >= max_deaths then begin
+        w.w_job <- None;
         deliver st tag
           (Driver.error_response
-             (Printf.sprintf "worker died %d times running this request" deaths)));
-  w.w_job <- None;
+             (Printf.sprintf "worker died %d times running this request" w.w_job_deaths))
+      end);
   if live w then begin
-    log "fleet worker %d (pid %d) died; respawning" w.w_index w.w_pid;
+    log "fleet worker 0 (pid %d) died; respawning" w.w_pid;
     (* the replacement must not hold the clients' sockets: a client the
        dispatcher drops would otherwise never see EOF *)
-    let other_fds =
-      Array.to_list st.workers
-      |> List.filter_map (fun o ->
-             if o.w_index = w.w_index || not (live o) then None else Some o.w_fd)
-      |> Hashtbl.fold (fun fd _ acc -> fd :: acc) st.clients
-    in
-    let pid, fd = fork_worker st.cfg ~index:w.w_index ~other_fds ~listen_fd:st.listen_fd in
+    let client_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) st.clients [] in
+    let pid, fd = fork_worker st.cfg ~client_fds ~listen_fd:st.listen_fd in
     w.w_pid <- pid;
     w.w_fd <- fd;
-    w.w_reader <- Protocol.Reader.create ()
+    w.w_reader <- Protocol.Reader.create ();
+    Option.iter (fun (_, payload) -> send_job st payload) w.w_job
   end
   else begin
-    log "fleet worker %d (pid %d) died %d times in a row without a request; \
-         not respawning" w.w_index w.w_pid max_deaths;
-    if not (Array.exists live st.workers) then begin
-      Queue.iter
-        (fun (tag, _) -> deliver st tag (Driver.error_response no_worker_left))
-        st.pending;
-      Queue.clear st.pending
-    end
+    log "fleet worker 0 (pid %d) died %d times in a row without a request; \
+         not respawning" w.w_pid max_deaths;
+    Queue.iter
+      (fun (tag, _) -> deliver st tag (Driver.error_response no_worker_left))
+      st.pending;
+    Queue.clear st.pending
   end
 
 (* The payload came in as a client frame, so it fits in one worker
    frame as it is. *)
-let dispatch_to st w ((_, payload) as job) =
-  w.w_job <- Some job;
-  match Protocol.write_frame w.w_fd payload with
+and send_job st payload =
+  match Protocol.write_frame st.worker.w_fd payload with
   | () -> ()
-  | exception (Protocol.Closed | Unix.Unix_error _) -> respawn st w
+  | exception (Protocol.Closed | Unix.Unix_error _) -> respawn st
 
-(* One request per idle worker, oldest first. *)
+(* One request at a time, oldest first. *)
 let rec dispatch_ready st =
-  if not (Queue.is_empty st.pending) then
-    match idle_worker st with
-    | Some w ->
-        dispatch_to st w (Queue.take st.pending);
-        dispatch_ready st
+  let w = st.worker in
+  if w.w_job = None && live w then
+    match Queue.take_opt st.pending with
     | None -> ()
+    | Some ((_, payload) as job) ->
+        w.w_job <- Some job;
+        w.w_job_deaths <- 0;
+        send_job st payload;
+        dispatch_ready st
 
 let read_chunk = Bytes.create 65536
 
@@ -331,22 +306,28 @@ let on_client_readable st fd =
           in
           drain ())
 
-let on_worker_readable st w =
+let on_worker_readable st =
+  let w = st.worker in
   match Unix.read w.w_fd read_chunk 0 (Bytes.length read_chunk) with
-  | 0 -> respawn st w
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> respawn st w
+  | 0 -> respawn st
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> respawn st
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | n ->
       Protocol.Reader.feed w.w_reader (Bytes.sub_string read_chunk 0 n);
       let rec drain () =
         match Protocol.Reader.next w.w_reader with
         | `Frame response ->
-            Option.iter (fun (tag, _) -> deliver st tag response) w.w_job;
+            let job = w.w_job in
             w.w_job <- None;
             w.w_idle_deaths <- 0;
+            (* the next request goes to the worker before this answer goes
+               to its client, so the one worker does not idle while the
+               dispatcher writes *)
+            dispatch_ready st;
+            Option.iter (fun (tag, _) -> deliver st tag response) job;
             drain ()
         | `More -> ()
-        | `Oversized _ -> respawn st w
+        | `Oversized _ -> respawn st
       in
       drain ()
 
@@ -365,7 +346,6 @@ let socket_live path =
       | exception Unix.Unix_error _ -> false)
 
 let serve cfg =
-  if cfg.fleet < 1 then invalid_arg "Server.serve: fleet must be at least 1";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if Sys.file_exists cfg.socket then
     if socket_live cfg.socket then
@@ -378,28 +358,18 @@ let serve cfg =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket);
   Unix.listen listen_fd 64;
-  let workers =
-    let acc = ref [] in
-    for i = 0 to cfg.fleet - 1 do
-      let other_fds = List.map (fun w -> w.w_fd) !acc in
-      let pid, fd = fork_worker cfg ~index:i ~other_fds ~listen_fd in
-      acc :=
-        { w_index = i; w_pid = pid; w_fd = fd;
-          w_reader = Protocol.Reader.create (); w_job = None; w_idle_deaths = 0 }
-        :: !acc
-    done;
-    Array.of_list (List.rev !acc)
-  in
+  let pid, fd = fork_worker cfg ~client_fds:[] ~listen_fd in
   let st =
     {
       cfg;
       listen_fd;
       clients = Hashtbl.create 16;
-      workers;
+      worker =
+        { w_pid = pid; w_fd = fd; w_reader = Protocol.Reader.create (); w_job = None;
+          w_job_deaths = 0; w_idle_deaths = 0 };
       tag_owner = [];
       next_tag = 0;
       pending = Queue.create ();
-      job_deaths = [];
       stop = false;
       dead_fds = [];
     }
@@ -407,20 +377,15 @@ let serve cfg =
   let stop_signal _ = st.stop <- true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
-  log "listening on %s (fleet %d, cache %s)" cfg.socket cfg.fleet
+  log "listening on %s (cache %s)" cfg.socket
     (match cfg.cache_dir with Some d -> d | None -> "off");
-  let all_idle () = Array.for_all (fun w -> w.w_job = None) st.workers in
   let running () =
-    not (st.stop && Queue.is_empty st.pending && all_idle ())
+    not (st.stop && Queue.is_empty st.pending && st.worker.w_job = None)
   in
   while running () do
     st.dead_fds <- [];
     let client_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) st.clients [] in
-    let worker_fds =
-      List.filter_map
-        (fun w -> if live w then Some w.w_fd else None)
-        (Array.to_list st.workers)
-    in
+    let worker_fds = if live st.worker then [ st.worker.w_fd ] else [] in
     let readable =
       match
         Unix.select (st.listen_fd :: (client_fds @ worker_fds)) [] []
@@ -445,22 +410,17 @@ let serve cfg =
       (fun fd ->
         if fd <> st.listen_fd && not (List.memq fd st.dead_fds) then
           if Hashtbl.mem st.clients fd then on_client_readable st fd
-          else
-            match worker_on st fd with
-            | Some w -> on_worker_readable st w
-            | None -> ())
+          else if is_worker_pipe st fd then on_worker_readable st)
       readable;
     dispatch_ready st
   done;
-  (* graceful teardown: close the live workers' pipes (workers see EOF
-     and exit), reap, unlink the socket *)
-  Array.iter
-    (fun w ->
-      if live w then begin
-        (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
-      end)
-    st.workers;
+  (* graceful teardown: close the live worker's pipe (it sees EOF and
+     exits), reap it, unlink the socket *)
+  let w = st.worker in
+  if live w then begin
+    (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
+    try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ()
+  end;
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) st.clients;
   (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());

@@ -258,7 +258,7 @@ let summary_json ~failures ?(jobs = 1) ~cache_enabled ~sup_totals ?stats:_
    reflects the run rather than verification — the job count, cache
    statistics, wall clocks, worker utilization, supervision counters —
    is dropped, leaving only content that is byte-identical for the same
-   request at any fleet size or cache state.  The serve CI
+   request, daemon or one-shot, at any cache state.  The serve CI
    gate diffs daemon responses against one-shot --json-out through
    this projection (both sides via --scrub-summary); after scrubbing,
    the summary is float-free by construction, so a parse/re-emit round

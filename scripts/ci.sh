@@ -48,14 +48,14 @@
 # points-to footprints, per SCC) to report zero findings on the seed
 # 15-layer stack, rejects unknown --lints and --faults names,
 # --chaos-traces and --model-check counts below 1, any --jobs but 1 and
-# the removed --engine-chaos, --engine-faults, --retries, --mc-por and
-# --no-mc-por flags at argument parse time, requires the --lint-json artifact to be
-# byte-identical across cache states, and re-runs the analysis test
-# suites, whose negative fixtures (one hand-built MIRlight body per
-# lint, planted hypercall-leak programs for secret-flow, an aliased
-# frame-handle leak and a dangling EPCM borrow) assert that every lint
-# actually fires and that every seed function's alias footprint is
-# exact.
+# the removed --engine-chaos, --engine-faults, --retries, --mc-por,
+# --no-mc-por and --fleet flags at argument parse time, requires the
+# --lint-json artifact to be byte-identical across cache states, and
+# re-runs the analysis test suites, whose negative fixtures (one
+# hand-built MIRlight body per lint, planted hypercall-leak programs for
+# secret-flow, an aliased frame-handle leak and a dangling EPCM borrow)
+# assert that every lint actually fires and that every seed function's
+# alias footprint is exact.
 #
 # The model-checking gate exhaustively explores the bounded transition
 # system (depth 4): deterministic across cache states,
@@ -69,16 +69,17 @@
 # violations and transition and dedup counts is checked by the
 # model-checker test suite (test/mc).
 #
-# The serving gate starts a --serve daemon with a 2-process fleet,
-# whose dispatcher hands each worker one request at a time, pushes 50
-# mixed requests through --client (killing a fleet worker halfway),
-# among them a depth-5 --buggy-tlb exploration whose response carries
-# violations and shrunk witnesses, and requires every response
-# byte-identical to a one-shot run of the same flags, the warm path to re-execute nothing, and the killed
-# worker respawned without a dropped response; a --fleet below 1 must
-# be refused; and a daemon whose workers all die at start-up (its
-# --cache sits under a regular file) must answer a client with an
-# error instead of respawning them for ever.
+# The serving gate starts a --serve daemon, whose dispatcher hands its
+# one forked worker one request at a time, pushes 50 mixed requests
+# through --client (killing the worker halfway, by the pid its
+# "fleet worker 0 started" log line names), among them a depth-5
+# --buggy-tlb exploration whose response carries violations and shrunk
+# witnesses, and requires every response byte-identical to a one-shot
+# run of the same flags, the warm path to re-execute nothing, and the
+# killed worker respawned without a dropped response; and a daemon
+# whose worker dies at start-up every time (its --cache sits under a
+# regular file) must answer a client with an error instead of
+# respawning it for ever.
 #
 # Performance is measured end to end by bench/e2e (BENCHMARK.json), not
 # here.
@@ -252,10 +253,11 @@ dune exec test/analysis/test_absint.exe > /dev/null || {
   echo "ci: absint suite (planted-leak fixtures, lattice laws) failed" >&2
   exit 1; }
 # the engine no longer injects faults into itself or retries an
-# obligation, and the model checker has no partial-order reduction to
-# switch: those flags are unknown options (exit 124, nothing run)
+# obligation, the model checker has no partial-order reduction to
+# switch, and the daemon always forks one worker: those flags are
+# unknown options (exit 124, nothing run)
 for arg in "--engine-chaos 42" "--engine-faults all" "--retries 2" "--mc-por" \
-    "--no-mc-por"; do
+    "--no-mc-por" "--fleet 2"; do
   flag=${arg%% *}
   rc=0
   # shellcheck disable=SC2086
@@ -268,7 +270,7 @@ for arg in "--engine-chaos 42" "--engine-faults all" "--retries 2" "--mc-por" \
   grep -q -- "$flag" "$workdir/gone.err" || {
     echo "ci: $arg rejection does not name $flag" >&2; exit 1; }
 done
-echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults, counts below their minimum, --jobs but 1 and the removed engine and reduction flags rejected"
+echo "ci: lints clean on the seed stack (incl. borrow + alias), all negative fixtures fire, bad --lints/--faults, counts below their minimum, --jobs but 1 and the removed engine, reduction and --fleet flags rejected"
 
 # --- torn-cache gate -----------------------------------------------
 # A pack torn after its atomic rename (a write that fsync would have
@@ -369,7 +371,7 @@ echo "ci: model-check gate ok (deterministic at depths 4 and 5, clean seed clean
 # (stdout verbatim; summaries compared through the deterministic
 # --scrub-summary projection, which both sides write), the warm path
 # must re-execute nothing (the unscrubbed client summary reports
-# executed 0 and zero code-proof re-executions), and a fleet worker
+# executed 0 and zero code-proof re-executions), and the worker
 # killed mid-run must be respawned without dropping or corrupting a
 # single response.
 exe=_build/default/bin/hyperenclave_verify.exe
@@ -389,7 +391,7 @@ for c in 0 1 2 3 4 5; do
     --json-out "$workdir/serve-ref-$c.json" > "$workdir/serve-ref-$c.out"
 done
 sock="$workdir/serve.sock"
-"$exe" --serve "$sock" --fleet 2 --cache "$workdir/serve-cache" \
+"$exe" --serve "$sock" --cache "$workdir/serve-cache" \
   2> "$workdir/serve.err" &
 serve_pid=$!
 i=0
@@ -409,7 +411,7 @@ while [ "$i" -lt 50 ]; do
     echo "ci: daemon summary differs from one-shot (config $c, request $i)" >&2
     exit 1; }
   if [ "$i" -eq 24 ]; then
-    # kill a fleet worker mid-run: the remaining 25 requests must still
+    # kill the worker mid-run: the remaining 25 requests must still
     # come back, byte-identical
     w0=$(sed -n 's/.*fleet worker 0 started (pid \([0-9]*\)).*/\1/p' \
       "$workdir/serve.err" | head -1)
@@ -433,22 +435,12 @@ kill "$serve_pid"
 wait "$serve_pid" 2> /dev/null || true
 grep -q 'respawning' "$workdir/serve.err" || {
   echo "ci: worker kill did not trigger a respawn" >&2; exit 1; }
-# a fleet below 1 is refused with an error naming --fleet: clamping it
-# would silently serve with a fleet the user did not ask for
-if "$exe" --serve "$workdir/fleet0.sock" --fleet 0 2> "$workdir/fleet0.err"; then
-  echo "ci: --fleet 0 was accepted" >&2; exit 1
-else
-  rc=$?
-  [ "$rc" -eq 2 ] || { echo "ci: --fleet 0 exited $rc, not 2" >&2; exit 1; }
-fi
-grep -q -- '--fleet' "$workdir/fleet0.err" || {
-  echo "ci: --fleet 0 refusal does not name --fleet" >&2; exit 1; }
-# every worker dies in Cache.create when --cache sits under a regular
+# the worker dies in Cache.create when --cache sits under a regular
 # file: respawning is bounded, so the client gets an error (exit 2)
 # instead of waiting for ever, and the daemon still shuts down
 : > "$workdir/not-a-dir"
 dsock="$workdir/dying.sock"
-"$exe" --serve "$dsock" --fleet 2 --cache "$workdir/not-a-dir/cache" \
+"$exe" --serve "$dsock" --cache "$workdir/not-a-dir/cache" \
   2> "$workdir/dying.err" &
 dying_pid=$!
 i=0
@@ -456,17 +448,17 @@ while [ "$i" -lt 100 ] && ! [ -S "$dsock" ]; do sleep 0.1; i=$((i + 1)); done
 [ -S "$dsock" ] || { echo "ci: dying-worker daemon did not come up" >&2; exit 1; }
 if timeout 60 "$exe" --client "$dsock" --quick > /dev/null 2> "$workdir/dying-client.err"
 then
-  echo "ci: a daemon whose workers all die answered a verdict" >&2; exit 1
+  echo "ci: a daemon whose worker always dies answered a verdict" >&2; exit 1
 else
   rc=$?
   [ "$rc" -eq 2 ] || {
-    echo "ci: client of a daemon whose workers all die exited $rc, not 2" >&2; exit 1; }
+    echo "ci: client of a daemon whose worker always dies exited $rc, not 2" >&2; exit 1; }
 fi
 grep -q 'daemon error:' "$workdir/dying-client.err" || {
-  echo "ci: client of a daemon whose workers all die printed no daemon error" >&2
+  echo "ci: client of a daemon whose worker always dies printed no daemon error" >&2
   exit 1; }
 kill "$dying_pid"
 wait "$dying_pid" 2> /dev/null || true
-echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 6 configs, warm path executed 0, killed worker respawned, --fleet 0 refused, dying workers answered with an error)"
+echo "ci: serve gate ok (50 daemon responses byte-identical to one-shot across 6 configs, warm path executed 0, killed worker respawned, a worker dying at start-up answered with an error)"
 
 echo "ci: all green"

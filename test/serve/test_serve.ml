@@ -8,10 +8,11 @@
    response-replay lifecycle, a live heap that stays flat across
    distinct requests, the cross-process proof-cache sharing path (packs
    appearing mid-scan, advisory-locked concurrent flushes), the
-   dispatcher's requeue order after a worker
-   death, and daemons over a real Unix socket: end to end, a max-size
-   frame through the worker pipe, concurrent distinct requests, and
-   bounded respawns of workers that die at start-up. *)
+   dispatcher's re-send of a dead worker's request ahead of later ones,
+   and daemons over a real Unix socket: end to end, a max-size frame
+   through the worker pipe, concurrent distinct requests queued behind
+   the one worker, and bounded respawns of a worker that dies at
+   start-up. *)
 
 module Jsonx = Engine.Jsonx
 module Protocol = Serve.Protocol
@@ -84,6 +85,30 @@ let test_frame_oversized () =
       match Protocol.frame (String.make (Protocol.max_frame + 1) 'x') with
       | (_ : string) -> Alcotest.fail "frame accepted an oversized payload"
       | exception Invalid_argument _ -> ())
+
+(* Deframing costs time linear in a frame's size, however many pieces it
+   arrives in: a max-size frame fed in 1 KiB pieces, as a slow client
+   sends it, comes out byte-identical within a second.  When each piece
+   was appended to a string of everything buffered so far, this took
+   3.7-3.8 s on a 2-vCPU Intel Xeon VM. *)
+let test_framing () =
+  let payload = String.init Protocol.max_frame (fun i -> Char.chr (Hashtbl.hash i land 0xff)) in
+  let wire = Protocol.frame payload in
+  let reader = Protocol.Reader.create () in
+  let t0 = Unix.gettimeofday () in
+  let rec feed off acc =
+    if off >= String.length wire then acc
+    else
+      let n = min 1024 (String.length wire - off) in
+      Protocol.Reader.feed reader (String.sub wire off n);
+      feed (off + n) (List.rev_append (drain_frames reader) acc)
+  in
+  let frames = feed 0 [] in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list int)) "one frame of max_frame bytes" [ Protocol.max_frame ]
+    (List.map String.length frames);
+  Alcotest.(check bool) "byte-identical" true (List.hd frames = payload);
+  if elapsed >= 1.0 then Alcotest.failf "deframing took %.2f s" elapsed
 
 let test_blocking_read_frame () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -162,7 +187,9 @@ let test_jsonx_numbers () =
 
 (* Texts that OCaml's [of_string] functions take but RFC 8259 does not:
    a number with an empty fraction or integer part or a leading zero,
-   and a [\u] escape whose four characters are not all hex digits. *)
+   a [\u] escape whose four characters are not all hex digits, and a
+   string holding a raw control character (a newline, a tab, a NUL,
+   U+0001), which must be escaped. *)
 let test_jsonx_not_json () =
   List.iter
     (fun s ->
@@ -170,7 +197,11 @@ let test_jsonx_not_json () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted non-JSON %S" s)
     [ "1."; "-.5"; "01"; "1.e3"; "-"; "1e"; "1e+"; ".5"; "+1"; "0x1f"; "1_000";
-      "[01]"; {|{"a":1.}|}; {|"\u1_23"|}; {|"\u+123"|}; {|"\u12 3"|} ]
+      "[01]"; {|{"a":1.}|}; {|"\u1_23"|}; {|"\u+123"|}; {|"\u12 3"|};
+      "\"a\nb\""; "\"a\tb\""; "\"a\000b\""; "{\"op\":\"ping\x01\"}" ];
+  Alcotest.(check (result reject string)) "the error names the byte"
+    (Error {|json parse error at byte 2: unescaped control character '\n'|})
+    (Jsonx.parse "\"a\nb\"")
 
 let test_jsonx_errors () =
   List.iter
@@ -454,6 +485,11 @@ let prop_json_number_grammar =
       in
       alone = is_json_number s && in_list = is_json_number s)
 
+let prop_json_string_emit =
+  fuzz ~name:"jsonx: every string emitted parses back" ~count:1000 ~print:print_bytes
+    (G.string_size ~gen:G.char (G.int_bound 80))
+    (fun s -> Jsonx.parse (Jsonx.to_string (Jsonx.Str s)) = Ok (Jsonx.Str s))
+
 let prop_json_float_emit =
   fuzz ~name:"jsonx: every finite float emitted parses back" ~count:1000
     ~print:string_of_float
@@ -735,86 +771,75 @@ let test_cache_two_process () =
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                          *)
 
-(* A dead worker's request goes back to the head of the queue, so it is
-   dispatched again before a request that arrived after it. *)
-let test_respawn_requeues_at_front () =
-  let cfg =
-    { (Server.default_config ~socket:"unused") with Server.fleet = 1 }
-  in
+(* The dispatcher's state around one freshly forked worker that holds
+   [job], with [tag_owner] recording whose request each tag is. *)
+let one_worker_state ?job ?(tag_owner = []) () =
+  let cfg = Server.default_config ~socket:"unused" in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
+  let pid, fd = Server.fork_worker cfg ~client_fds:[] ~listen_fd in
+  {
+    Server.cfg;
+    listen_fd;
+    clients = Hashtbl.create 1;
+    worker =
+      { Server.w_pid = pid; w_fd = fd; w_reader = Protocol.Reader.create ();
+        w_job = job; w_job_deaths = 0; w_idle_deaths = 0 };
+    tag_owner;
+    next_tag = 2;
+    pending = Queue.create ();
+    stop = false;
+    dead_fds = [];
+  }
+
+(* A dead worker's request stays with it and goes to the replacement, so
+   it is answered before a request that arrived after it; the answer
+   hands the worker that later request, which starts with no deaths. *)
+let test_respawn_requeues_at_front () =
+  let client, client_peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let victim = (0, {|{"op":"verify","geometry":"riscv"}|}) in
   let later = (1, {|{"op":"verify","geometry":"sparc"}|}) in
-  let w =
-    { Server.w_index = 0; w_pid = pid; w_fd = fd;
-      w_reader = Protocol.Reader.create (); w_job = Some victim; w_idle_deaths = 0 }
-  in
-  let st =
-    {
-      Server.cfg;
-      listen_fd;
-      clients = Hashtbl.create 1;
-      workers = [| w |];
-      tag_owner = [];
-      next_tag = 2;
-      pending = Queue.create ();
-      job_deaths = [];
-      stop = false;
-      dead_fds = [];
-    }
-  in
+  let st = one_worker_state ~job:victim ~tag_owner:[ (0, client) ] () in
+  let w = st.Server.worker in
+  let pid = w.Server.w_pid in
   Queue.add later st.Server.pending;
   Unix.kill pid Sys.sigkill;
   (* reads the dead worker's EOF and respawns it *)
-  Server.on_worker_readable st w;
+  Server.on_worker_readable st;
   Alcotest.(check bool) "worker respawned" true (w.Server.w_pid <> pid);
+  (* a replacement that never gets the victim fails the test, not hangs it *)
+  Unix.setsockopt_float w.Server.w_fd Unix.SO_RCVTIMEO 30.0;
   Server.dispatch_ready st;
   Alcotest.(check (option (pair int string))) "victim dispatched first"
     (Some victim) w.Server.w_job;
   Alcotest.(check (list (pair int string))) "later request still queued" [ later ]
     (List.of_seq (Queue.to_seq st.Server.pending));
   (* the replacement worker answers the victim's request *)
-  (match Protocol.read_frame w.Server.w_fd with
+  Server.on_worker_readable st;
+  (match Protocol.read_frame client_peer with
   | Ok (Some r) ->
       Alcotest.(check (option string)) "victim's answer"
         (Some {|bad request: unknown geometry "riscv"|})
         (Option.bind (Jsonx.member "error" (parse_response r)) Jsonx.to_string_opt)
   | Ok None | Error _ -> Alcotest.fail "replacement worker did not answer");
+  Alcotest.(check (option (pair int string))) "then the later request"
+    (Some later) w.Server.w_job;
+  Alcotest.(check int) "with no deaths" 0 w.Server.w_job_deaths;
   Unix.close w.Server.w_fd;
   ignore (Unix.waitpid [] w.Server.w_pid);
-  Unix.close listen_fd
+  List.iter Unix.close [ client; client_peer; st.Server.listen_fd ]
 
-(* A request whose workers died [max_deaths] times is answered with an
-   error instead of re-queued; a slot whose worker then dies that many
-   times in a row without a request is not respawned, and the request
-   still queued is answered with an error too. *)
+(* A request whose worker died [max_deaths] times is answered with an
+   error instead of re-sent; a worker that then dies that many times in
+   a row without a request is not replaced, and the request still
+   queued is answered with an error too. *)
 let test_respawn_bounded () =
-  let cfg =
-    { (Server.default_config ~socket:"unused") with Server.fleet = 1 }
-  in
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let client, client_peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
   let victim = (0, {|{"op":"verify","geometry":"riscv"}|}) in
   let later = (1, {|{"op":"verify","geometry":"sparc"}|}) in
-  let w =
-    { Server.w_index = 0; w_pid = pid; w_fd = fd;
-      w_reader = Protocol.Reader.create (); w_job = Some victim; w_idle_deaths = 0 }
-  in
-  let st =
-    {
-      Server.cfg;
-      listen_fd;
-      clients = Hashtbl.create 1;
-      workers = [| w |];
-      tag_owner = [ (0, client); (1, client) ];
-      next_tag = 2;
-      pending = Queue.create ();
-      job_deaths = [ (0, Server.max_deaths - 1) ];
-      stop = false;
-      dead_fds = [];
-    }
-  in
+  let st = one_worker_state ~job:victim ~tag_owner:[ (0, client); (1, client) ] () in
+  let w = st.Server.worker in
+  let pid = w.Server.w_pid in
+  w.Server.w_job_deaths <- Server.max_deaths - 1;
   Queue.add later st.Server.pending;
   let error_answer what =
     match Protocol.read_frame client_peer with
@@ -824,7 +849,7 @@ let test_respawn_bounded () =
     | Ok None | Error _ -> Alcotest.failf "%s: no answer" what
   in
   Unix.kill pid Sys.sigkill;
-  Server.on_worker_readable st w;
+  Server.on_worker_readable st;
   Alcotest.(check string) "the victim is answered with an error"
     (Printf.sprintf "worker died %d times running this request" Server.max_deaths)
     (error_answer "victim");
@@ -834,47 +859,27 @@ let test_respawn_bounded () =
     (Server.live w && w.Server.w_pid <> pid);
   for _ = 1 to Server.max_deaths do
     Unix.kill w.Server.w_pid Sys.sigkill;
-    Server.on_worker_readable st w
+    Server.on_worker_readable st
   done;
-  Alcotest.(check bool) "the slot is left empty" false (Server.live w);
-  Alcotest.(check bool) "and its closed fd number maps to no worker" true
-    (Server.worker_on st w.Server.w_fd = None);
+  Alcotest.(check bool) "no worker is left" false (Server.live w);
+  Alcotest.(check bool) "and its closed fd number maps to no worker" false
+    (Server.is_worker_pipe st w.Server.w_fd);
   Alcotest.(check string) "the queued request is answered with an error"
     Server.no_worker_left (error_answer "later");
   Alcotest.(check int) "and the queue is empty" 0 (Queue.length st.Server.pending);
-  List.iter Unix.close [ client; client_peer; listen_fd ]
+  List.iter Unix.close [ client; client_peer; st.Server.listen_fd ]
 
 (* A worker respawned while a client is connected must not inherit the
    client's socket: once the dispatcher drops that client, the client
    reads EOF even while the replacement worker lives. *)
 let test_respawn_closes_client_fds () =
-  let cfg =
-    { (Server.default_config ~socket:"unused") with Server.fleet = 1 }
-  in
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let pid, fd = Server.fork_worker cfg ~index:0 ~other_fds:[] ~listen_fd in
+  let st = one_worker_state () in
+  let w = st.Server.worker in
+  let pid = w.Server.w_pid in
   let client, client_peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let w =
-    { Server.w_index = 0; w_pid = pid; w_fd = fd;
-      w_reader = Protocol.Reader.create (); w_job = None; w_idle_deaths = 0 }
-  in
-  let st =
-    {
-      Server.cfg;
-      listen_fd;
-      clients = Hashtbl.create 1;
-      workers = [| w |];
-      tag_owner = [];
-      next_tag = 0;
-      pending = Queue.create ();
-      job_deaths = [];
-      stop = false;
-      dead_fds = [];
-    }
-  in
   Hashtbl.replace st.Server.clients client { Server.c_reader = Protocol.Reader.create () };
   Unix.kill pid Sys.sigkill;
-  Server.on_worker_readable st w;
+  Server.on_worker_readable st;
   Alcotest.(check bool) "worker respawned" true (w.Server.w_pid <> pid);
   (* an answered request shows the replacement is past its fd clean-up *)
   Protocol.write_frame w.Server.w_fd {|{"op":"verify","geometry":"riscv"}|};
@@ -889,21 +894,18 @@ let test_respawn_closes_client_fds () =
       Alcotest.fail "the respawned worker holds the dropped client's socket");
   Unix.close w.Server.w_fd;
   ignore (Unix.waitpid [] w.Server.w_pid);
-  List.iter Unix.close [ client_peer; listen_fd ]
+  List.iter Unix.close [ client_peer; st.Server.listen_fd ]
 
 (* ------------------------------------------------------------------ *)
 (* Daemons over a Unix socket                                          *)
 
-let daemon_config ~socket ~fleet =
-  { (Server.default_config ~socket) with Server.fleet }
-
-(* Fork a daemon of [fleet] workers on a fresh socket, run [f socket]
-   against it, then shut it down. *)
-let with_daemon ~fleet f =
+(* Fork a daemon on a fresh socket, run [f socket] against it, then
+   shut it down. *)
+let with_daemon f =
   let socket = fresh_dir () ^ ".sock" in
   match Unix.fork () with
   | 0 ->
-      (try Server.serve (daemon_config ~socket ~fleet) with _ -> Unix._exit 1);
+      (try Server.serve (Server.default_config ~socket) with _ -> Unix._exit 1);
       Unix._exit 0
   | pid ->
       Fun.protect
@@ -915,7 +917,7 @@ let with_daemon ~fleet f =
           f socket)
 
 let test_daemon_end_to_end () =
-  with_daemon ~fleet:1 (fun socket ->
+  with_daemon (fun socket ->
       let req = {|{"op":"verify","quick":true,"seed":4242,"lints":"body"}|} in
       (match Client.request ~socket req with
       | Error msg -> Alcotest.fail msg
@@ -946,7 +948,7 @@ let test_daemon_end_to_end () =
          forever) fails the test instead of hanging it *)
       (match Unix.fork () with
       | 0 -> (
-          match Server.serve (daemon_config ~socket ~fleet:1) with
+          match Server.serve (Server.default_config ~socket) with
           | () -> Unix._exit 10
           | exception Failure _ -> Unix._exit 11
           | exception _ -> Unix._exit 12)
@@ -986,76 +988,69 @@ let test_daemon_end_to_end () =
           Unix.close fd);
       Alcotest.(check bool) "daemon still answers pings" true (Client.ping ~socket))
 
-(* Workers that die at start-up are respawned a bounded number of
+(* A worker that dies at start-up is respawned a bounded number of
    times.  Here every worker's [Cache.create] fails, because the cache
    directory sits under a regular file: the daemon still answers a
    request, with an error, within the deadline; its log holds a bounded
    number of respawns; and shutdown returns. *)
 let test_daemon_dying_workers () =
-  List.iter
-    (fun fleet ->
-      let what = Printf.sprintf "fleet %d: %s" fleet in
-      let file = fresh_dir () and log = fresh_dir () ^ ".log" in
-      Out_channel.with_open_bin file (fun oc -> output_string oc "not a directory");
-      let socket = fresh_dir () ^ ".sock" in
-      let cfg =
-        { (daemon_config ~socket ~fleet) with
-          Server.cache_dir = Some (Filename.concat file "sub") }
+  let file = fresh_dir () and log = fresh_dir () ^ ".log" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "not a directory");
+  let socket = fresh_dir () ^ ".sock" in
+  let cfg =
+    { (Server.default_config ~socket) with
+      Server.cache_dir = Some (Filename.concat file "sub") }
+  in
+  match Unix.fork () with
+  | 0 ->
+      let fd = Unix.openfile log [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+      Unix.dup2 fd Unix.stderr;
+      (try Server.serve cfg with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      Alcotest.(check bool) "daemon ready" true (Client.wait_ready ~socket ());
+      (match Client.connect socket with
+      | Error msg -> Alcotest.fail msg
+      | Ok fd ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+          Protocol.write_frame fd {|{"op":"verify","quick":true}|};
+          (match Protocol.read_frame fd with
+          | Ok (Some r) ->
+              Alcotest.(check bool) "answered with an error" true
+                (refused (parse_response r))
+          | Ok None | Error _ -> Alcotest.fail "connection closed unanswered"
+          | exception Unix.Unix_error _ -> Alcotest.fail "no answer within 30 s");
+          Unix.close fd);
+      ignore (Client.shutdown ~socket);
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () > deadline ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            Alcotest.fail "shutdown did not return"
+        | 0, _ ->
+            Unix.sleepf 0.02;
+            wait ()
+        | _ -> ()
       in
-      match Unix.fork () with
-      | 0 ->
-          let fd = Unix.openfile log [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-          Unix.dup2 fd Unix.stderr;
-          (try Server.serve cfg with _ -> Unix._exit 1);
-          Unix._exit 0
-      | pid ->
-          Alcotest.(check bool) (what "daemon ready") true (Client.wait_ready ~socket ());
-          (match Client.connect socket with
-          | Error msg -> Alcotest.fail msg
-          | Ok fd ->
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-              Protocol.write_frame fd {|{"op":"verify","quick":true}|};
-              (match Protocol.read_frame fd with
-              | Ok (Some r) ->
-                  Alcotest.(check bool) (what "answered with an error") true
-                    (refused (parse_response r))
-              | Ok None | Error _ -> Alcotest.fail (what "connection closed unanswered")
-              | exception Unix.Unix_error _ ->
-                  Alcotest.fail (what "no answer within 30 s"));
-              Unix.close fd);
-          ignore (Client.shutdown ~socket);
-          let deadline = Unix.gettimeofday () +. 30.0 in
-          let rec wait () =
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ when Unix.gettimeofday () > deadline ->
-                Unix.kill pid Sys.sigkill;
-                ignore (Unix.waitpid [] pid);
-                Alcotest.fail (what "shutdown did not return")
-            | 0, _ ->
-                Unix.sleepf 0.02;
-                wait ()
-            | _ -> ()
-          in
-          wait ();
-          let respawns =
-            In_channel.with_open_bin log In_channel.input_all
-            |> String.split_on_char '\n'
-            |> List.filter (fun line ->
-                   String.ends_with ~suffix:"died; respawning" line)
-            |> List.length
-          in
-          if respawns > Server.max_deaths * (fleet + 1) then
-            Alcotest.failf "fleet %d: %d respawns (bound %d)" fleet respawns
-              (Server.max_deaths * (fleet + 1));
-          List.iter Sys.remove [ file; log ])
-    [ 1; 2 ]
+      wait ();
+      let respawns =
+        In_channel.with_open_bin log In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun line -> String.ends_with ~suffix:"died; respawning" line)
+        |> List.length
+      in
+      if respawns > 2 * Server.max_deaths then
+        Alcotest.failf "%d respawns (bound %d)" respawns (2 * Server.max_deaths);
+      List.iter Sys.remove [ file; log ]
 
 (* A request of exactly max_frame bytes crosses the dispatcher→worker
    pipe as it came: it is valid JSON naming an unknown geometry, so the
    worker's own validation error comes back, and the daemon keeps
    serving. *)
 let test_daemon_max_size_frame () =
-  with_daemon ~fleet:1 (fun socket ->
+  with_daemon (fun socket ->
       let head = {|{"op":"verify","geometry":"riscv","pad":"|} and tail = {|"}|} in
       let pad = Protocol.max_frame - String.length head - String.length tail in
       let payload = head ^ String.make pad 'x' ^ tail in
@@ -1072,11 +1067,12 @@ let test_daemon_max_size_frame () =
       | Ok r -> assert_ok (parse_response r)
       | Error msg -> Alcotest.fail msg)
 
-(* Four connections each send one distinct request to a two-worker
-   daemon before any answer is read, so two requests wait in the queue.
-   Each connection gets its own answer, equal to local evaluation. *)
+(* Four connections each send one distinct request to the daemon before
+   any answer is read, so three requests wait in the queue behind its
+   one worker.  Each connection gets its own answer, equal to local
+   evaluation. *)
 let test_daemon_concurrent_distinct () =
-  with_daemon ~fleet:2 (fun socket ->
+  with_daemon (fun socket ->
       let payloads =
         List.init 4 (fun i ->
             Printf.sprintf {|{"op":"verify","quick":true,"seed":%d,"lints":"body"}|}
@@ -1274,6 +1270,7 @@ let () =
           Alcotest.test_case "torn feed" `Quick test_frame_torn_feed;
           Alcotest.test_case "oversized" `Quick test_frame_oversized;
           Alcotest.test_case "blocking read" `Quick test_blocking_read_frame;
+          Alcotest.test_case "framing" `Quick test_framing;
         ] );
       ( "jsonx-parse",
         [
@@ -1298,6 +1295,7 @@ let () =
           prop_json_parse_total;
           prop_request_decode_total;
           prop_json_number_grammar;
+          prop_json_string_emit;
           prop_json_float_emit;
           prop_faults_round_trip;
           prop_lints_round_trip;
